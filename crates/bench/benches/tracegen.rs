@@ -1,9 +1,6 @@
-//! Benchmarks for the scale-out trace generator: an allocator-level
-//! place/release microbench (free-capacity index vs the linear-scan
-//! reference) and end-to-end generation at 1/2/4/8 workers against
-//! [`generate_serial_reference`] — the pre-optimization path preserved
-//! in-tree, so the baseline is re-measured honestly on every run instead
-//! of compared to a remembered number. Results merge into
+//! Benchmarks for the trace generator: an allocator-level place/release
+//! microbench on the free-capacity index, and end-to-end generation at
+//! 1/2/4/8 workers on the medium and small configs. Results merge into
 //! `BENCH_tracegen.json` at the repo root.
 //!
 //! A `phases` pass re-runs generation under a scoped metrics registry
@@ -12,22 +9,19 @@
 //! from `BENCH_tracegen.json` alone: the phase that fails to shrink is
 //! the ceiling.
 //!
-//! The final `verify` "benchmark" asserts the acceptance criteria: the
-//! indexed path must beat the scan microbench ≥ 2x and the serial
-//! reference ≥ 4x end to end; 8 workers must scale ≥ 2.5x over 1 worker
-//! on the medium config when the host actually has ≥ 8 hardware threads
-//! (on smaller hosts the gate degrades to a bounded-overhead check,
-//! loudly); and the small config — which Auto now drives serially —
-//! must not regress against the serial reference. Byte-identity of all
-//! paths is locked elsewhere (golden trace digests,
-//! `serial_reference_matches_parallel`, the `partition_oracle`
-//! proptests); this file only has to prove the speed.
+//! The final `verify` "benchmark" asserts the scaling gate: 8 workers
+//! must scale ≥ 2.5x over 1 worker on the medium config when the host
+//! actually has ≥ 8 hardware threads (on smaller hosts the gate degrades
+//! to a bounded-overhead check, loudly). Regressions against the parent
+//! commit are the end-to-end benchmark's job (`benchmark/`,
+//! `batch_resident`); byte-identity is locked by the golden trace
+//! digests and the generator's in-crate reference oracle.
 
 use cloudscope::cluster::{ClusterAllocator, PlacementPolicy, PlacementRequest, SpreadingRule};
 use cloudscope::obs::{scoped, Registry};
 use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
-use cloudscope::tracegen::{generate_serial_reference, generate_with};
+use cloudscope::tracegen::generate_with;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -35,8 +29,7 @@ use std::sync::Arc;
 // --- allocator microbench ----------------------------------------------
 
 /// Cluster shape for the placement microbench: one medium-config cluster
-/// (3 racks x 40 nodes), the scale at which the old per-placement scan
-/// walks 120 nodes.
+/// (3 racks x 40 nodes).
 fn bench_allocator(policy: PlacementPolicy) -> ClusterAllocator {
     let mut b = Topology::builder();
     let r = b.add_region("bench", 0, "US");
@@ -106,12 +99,8 @@ fn bench_place(c: &mut Criterion) {
         PlacementPolicy::WorstFit,
     ] {
         let mut indexed = bench_allocator(policy);
-        let mut scan = bench_allocator(policy).scan_reference_mode();
         group.bench_function(&format!("indexed/{policy:?}"), |b| {
             b.iter(|| churn_iter(black_box(&mut indexed)));
-        });
-        group.bench_function(&format!("scan/{policy:?}"), |b| {
-            b.iter(|| churn_iter(black_box(&mut scan)));
         });
     }
     group.finish();
@@ -121,12 +110,11 @@ fn bench_place(c: &mut Criterion) {
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The acceptance-criterion workload: the medium subscription load on
-/// full-scale clusters (25 racks x 40 nodes = 1000 nodes per cluster,
-/// the size the tentpole targets — the test preset's 120-node clusters
-/// are deliberately small and under-exercise the per-placement node
-/// scan this PR removes). Telemetry is off so the measured cost is
-/// placement + simulation + assembly — the paths this PR rebuilt.
+/// The scaling-gate workload: the medium subscription load on
+/// full-scale clusters (25 racks x 40 nodes = 1000 nodes per cluster;
+/// the test preset's 120-node clusters are deliberately small).
+/// Telemetry is off so the measured cost is placement + simulation +
+/// assembly.
 fn medium_deploy_config() -> GeneratorConfig {
     let mut cfg = GeneratorConfig::medium(7);
     cfg.topology.racks_per_cluster = 25;
@@ -140,9 +128,6 @@ fn bench_e2e_medium(c: &mut Criterion) {
     let cfg = medium_deploy_config();
     let mut group = c.benchmark_group("tracegen_e2e");
     group.sample_size(if smoke { 3 } else { 10 });
-    group.bench_function("serial_reference/medium", |b| {
-        b.iter(|| generate_serial_reference(black_box(&cfg)));
-    });
     for workers in WORKER_COUNTS {
         group.bench_with_input(BenchmarkId::new("parallel", workers), &workers, |b, &w| {
             b.iter(|| generate_with(black_box(&cfg), Parallelism::with_workers(w)));
@@ -156,9 +141,6 @@ fn bench_e2e_small(c: &mut Criterion) {
     let cfg = GeneratorConfig::small(7);
     let mut group = c.benchmark_group("tracegen_small");
     group.sample_size(if smoke { 3 } else { 10 });
-    group.bench_function("serial_reference/small", |b| {
-        b.iter(|| generate_serial_reference(black_box(&cfg)));
-    });
     for workers in WORKER_COUNTS {
         group.bench_with_input(BenchmarkId::new("parallel", workers), &workers, |b, &w| {
             b.iter(|| generate_with(black_box(&cfg), Parallelism::with_workers(w)));
@@ -210,9 +192,8 @@ fn bench_phases(c: &mut Criterion) {
     }
 }
 
-/// Not a timing benchmark: checks the acceptance criteria against the
-/// results measured above and fails the bench run (panics) on
-/// regression.
+/// Not a timing benchmark: checks the scaling gate against the results
+/// measured above and fails the bench run (panics) on regression.
 fn verify_acceptance(c: &mut Criterion) {
     let median = |id: &str| {
         c.results()
@@ -222,28 +203,13 @@ fn verify_acceptance(c: &mut Criterion) {
             .median_ns
     };
 
-    let place_speedup =
-        median("tracegen_place/scan/BestFit") / median("tracegen_place/indexed/BestFit");
-    println!("placement microbench indexed speedup over scan (BestFit): {place_speedup:.1}x");
-    assert!(
-        place_speedup >= 2.0,
-        "indexed placement must beat the 120-node scan by >= 2x, got {place_speedup:.2}x"
-    );
-
-    let e2e = median("tracegen_e2e/serial_reference/medium") / median("tracegen_e2e/parallel/8");
-    println!("end-to-end medium generation speedup at 8 workers over serial reference: {e2e:.1}x");
-    assert!(
-        e2e >= 4.0,
-        "medium-scale generation at 8 workers must be >= 4x the serial reference, got {e2e:.2}x"
-    );
-
-    // The scaling gate this PR adds: 8 workers must actually scale over
-    // 1 worker on the medium config. Wall-clock speedup needs hardware
-    // to run on, so the assertion is conditioned on the host: with
-    // fewer than 8 hardware threads the gate degrades — loudly — to a
-    // bounded-overhead check (8 oversubscribed workers may not run
-    // faster than 1, but the partition/merge machinery must not make
-    // them meaningfully slower either).
+    // 8 workers must actually scale over 1 worker on the medium config.
+    // Wall-clock speedup needs hardware to run on, so the assertion is
+    // conditioned on the host: with fewer than 8 hardware threads the
+    // gate degrades — loudly — to a bounded-overhead check (8
+    // oversubscribed workers may not run faster than 1, but the
+    // partition/merge machinery must not make them meaningfully slower
+    // either).
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let scaling = median("tracegen_e2e/parallel/1") / median("tracegen_e2e/parallel/8");
     println!("medium generation scaling, 1 -> 8 workers: {scaling:.2}x (host has {cores} hardware threads)");
@@ -265,19 +231,6 @@ fn verify_acceptance(c: &mut Criterion) {
              the 1-worker wall clock, got {scaling:.2}x"
         );
     }
-
-    // Small-scale regression gate: Auto short-circuits the small config
-    // to the serial indexed drive, which must not lose to the scan-mode
-    // serial reference (it used to, by ~6%, when it paid the partition
-    // and merge machinery for a trace too small to amortize it).
-    let small =
-        median("tracegen_small/parallel/8") / median("tracegen_small/serial_reference/small");
-    println!("small generation, parallel API over serial reference: {small:.2}x of reference");
-    assert!(
-        small <= 1.10,
-        "small-config generation through the parallel API must stay within 10% of the \
-         serial reference, got {small:.2}x"
-    );
 }
 
 criterion_group!(

@@ -106,8 +106,8 @@ struct Placement {
 /// array), each bucket keeping node offsets in ascending order. Every
 /// [`PlacementPolicy`] walks the buckets in its own direction and
 /// reproduces the linear scan's tie-breaks exactly; debug builds
-/// cross-check each selection against the scan, and
-/// `tests/index_oracle.rs` proptests the equivalence in release mode.
+/// cross-check each selection against the scan, and the `index_oracle`
+/// proptest below drives a scan-backed twin in release mode.
 #[derive(Debug, Clone)]
 pub struct ClusterAllocator {
     id: ClusterId,
@@ -135,9 +135,6 @@ pub struct ClusterAllocator {
     cores_capacity: u64,
     /// Nodes probed by the index walk (see `index_candidates()`).
     index_candidates: u64,
-    /// Reference mode: answer from the pre-index linear scans instead of
-    /// the index, reconstructing the old cost model for benchmarks.
-    scan_reference: bool,
     /// Cached handles for the per-placement metrics, fetched once from
     /// the registry current at construction: the place path is hot, and
     /// a registry name lookup per call would dominate it.
@@ -185,30 +182,10 @@ impl ClusterAllocator {
             cores_used_total: 0,
             cores_capacity,
             index_candidates: 0,
-            scan_reference: false,
             metric_placements: cloudscope_obs::counter("cluster.allocator.placements"),
             metric_failures: cloudscope_obs::counter("cluster.allocator.placement_failures"),
             metric_candidates: cloudscope_obs::counter("cluster.alloc.index_candidates"),
         }
-    }
-
-    /// Switches this allocator to the pre-index reference path: node
-    /// selection, `core_allocation_ratio`, and the eviction plan all run
-    /// the original O(nodes) scans. Placement decisions are identical
-    /// (the index reproduces the scan byte-for-byte); only the cost
-    /// model changes. Benchmarks use this as the serial baseline, and
-    /// the oracle proptests compare both paths on live allocators.
-    #[must_use]
-    pub fn scan_reference_mode(mut self) -> Self {
-        self.scan_reference = true;
-        self
-    }
-
-    /// Whether this allocator is in [`scan reference
-    /// mode`](Self::scan_reference_mode).
-    #[must_use]
-    pub const fn is_scan_reference(&self) -> bool {
-        self.scan_reference
     }
 
     /// The cluster this allocator manages.
@@ -236,15 +213,6 @@ impl ClusterAllocator {
     /// bit-identical to a fresh scan over the nodes.
     #[must_use]
     pub fn core_allocation_ratio(&self) -> f64 {
-        if self.scan_reference {
-            let used: u64 = self.nodes.iter().map(|n| u64::from(n.cores_used())).sum();
-            let total: u64 = self.nodes.iter().map(|n| u64::from(n.cores_total())).sum();
-            return if total == 0 {
-                0.0
-            } else {
-                used as f64 / total as f64
-            };
-        }
         if self.cores_capacity == 0 {
             0.0
         } else {
@@ -299,12 +267,9 @@ impl ClusterAllocator {
     }
 
     /// Chooses a node for `request`, or classifies the failure. Does not
-    /// mutate state. Answers from the free-capacity index (debug builds
-    /// cross-check the linear scan) unless in scan-reference mode.
+    /// mutate state. Answers from the free-capacity index; debug builds
+    /// cross-check the linear scan.
     fn choose_node(&self, request: &PlacementRequest) -> (Result<usize, AllocationError>, u64) {
-        if self.scan_reference {
-            return (self.choose_node_scan(request), self.nodes.len() as u64);
-        }
         let chosen = self.choose_node_indexed(request);
         debug_assert_eq!(
             chosen.0,
@@ -314,8 +279,8 @@ impl ClusterAllocator {
         chosen
     }
 
-    /// The original O(nodes) selection scan, kept as the oracle the
-    /// index is checked against (debug asserts + release proptests).
+    /// The O(nodes) selection scan: the oracle the index is checked
+    /// against (the debug assert above, the `index_oracle` proptest).
     fn choose_node_scan(&self, request: &PlacementRequest) -> Result<usize, AllocationError> {
         let mut any_fits = false;
         let mut best: Option<(usize, u32)> = None;
@@ -481,9 +446,8 @@ impl ClusterAllocator {
         (Err(err), probed)
     }
 
-    /// Non-mutating placement probe through the index path, as a
-    /// [`NodeId`]. The release-mode oracle proptests compare this
-    /// against [`ClusterAllocator::probe_scan`] on live allocators.
+    /// Non-mutating placement probe: the node [`ClusterAllocator::place`]
+    /// would choose for `request` right now.
     ///
     /// # Errors
     /// Same classification as [`ClusterAllocator::place`].
@@ -491,14 +455,6 @@ impl ClusterAllocator {
         self.choose_node_indexed(request)
             .0
             .map(|i| self.node_ids[i])
-    }
-
-    /// Non-mutating placement probe through the linear-scan oracle.
-    ///
-    /// # Errors
-    /// Same classification as [`ClusterAllocator::place`].
-    pub fn probe_scan(&self, request: &PlacementRequest) -> Result<NodeId, AllocationError> {
-        self.choose_node_scan(request).map(|i| self.node_ids[i])
     }
 
     /// Places a VM, returning the chosen node.
@@ -511,9 +467,21 @@ impl ClusterAllocator {
         if self.placements.contains_key(&request.vm) {
             return Err(AllocationError::AlreadyPlaced(request.vm));
         }
-        self.stats.attempts += 1;
         let (chosen, probed) = self.choose_node(&request);
+        self.place_chosen(request, chosen, probed)
+    }
+
+    /// Books the outcome of a node selection for `request`: attempt and
+    /// failure counters, metrics, and the commit on success.
+    fn place_chosen(
+        &mut self,
+        request: PlacementRequest,
+        chosen: Result<usize, AllocationError>,
+        probed: u64,
+    ) -> Result<NodeId, AllocationError> {
+        self.stats.attempts += 1;
         self.index_candidates += probed;
+        self.metric_candidates.add(probed);
         let idx = match chosen {
             Ok(idx) => idx,
             Err(e) => {
@@ -527,13 +495,11 @@ impl ClusterAllocator {
                     _ => {}
                 }
                 self.metric_failures.inc();
-                self.metric_candidates.add(probed);
                 return Err(e);
             }
         };
         self.commit(idx, request);
         self.metric_placements.inc();
-        self.metric_candidates.add(probed);
         Ok(self.node_ids[idx])
     }
 
@@ -602,23 +568,33 @@ impl ClusterAllocator {
         match self.place(request) {
             Ok(node) => Ok((node, Vec::new())),
             Err(AllocationError::InsufficientCapacity(_)) => {
-                let Some((idx, victims)) = self.eviction_plan(&request) else {
-                    return Err(AllocationError::InsufficientCapacity(self.id));
-                };
-                for vm in &victims {
-                    self.release(*vm).expect("victim is placed");
-                    self.stats.evictions += 1;
-                }
-                // Retry directly on the freed node.
-                if !self.spreading_ok(idx, request.service) {
-                    return Err(AllocationError::SpreadingViolation(self.id));
-                }
-                self.stats.attempts += 1;
-                self.commit(idx, request);
-                Ok((self.node_ids[idx], victims))
+                let plan = self.eviction_plan(&request);
+                self.place_evicting(request, plan)
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// Carries out an eviction plan: releases the victims, then commits
+    /// `request` directly on the freed node.
+    fn place_evicting(
+        &mut self,
+        request: PlacementRequest,
+        plan: Option<(usize, Vec<VmId>)>,
+    ) -> Result<(NodeId, Vec<VmId>), AllocationError> {
+        let Some((idx, victims)) = plan else {
+            return Err(AllocationError::InsufficientCapacity(self.id));
+        };
+        for vm in &victims {
+            self.release(*vm).expect("victim is placed");
+            self.stats.evictions += 1;
+        }
+        if !self.spreading_ok(idx, request.service) {
+            return Err(AllocationError::SpreadingViolation(self.id));
+        }
+        self.stats.attempts += 1;
+        self.commit(idx, request);
+        Ok((self.node_ids[idx], victims))
     }
 
     /// Finds the node where evicting the fewest spot VMs makes the
@@ -633,15 +609,24 @@ impl ClusterAllocator {
     /// order, and short-circuiting it on a precomputed total could
     /// reorder those additions.
     fn eviction_plan(&self, request: &PlacementRequest) -> Option<(usize, Vec<VmId>)> {
+        let candidates = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].cores_free() + self.spot_cores[i] >= request.size.cores());
+        self.cheapest_eviction(request, candidates)
+    }
+
+    /// Among `candidates` (ascending node offsets), the first node whose
+    /// spot VMs free enough room with the fewest evictions.
+    fn cheapest_eviction(
+        &self,
+        request: &PlacementRequest,
+        candidates: impl Iterator<Item = usize>,
+    ) -> Option<(usize, Vec<VmId>)> {
         if request.priority != Priority::OnDemand {
             return None;
         }
         let mut best: Option<(usize, Vec<VmId>)> = None;
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !self.scan_reference && node.cores_free() + self.spot_cores[i] < request.size.cores()
-            {
-                continue;
-            }
+        for i in candidates {
+            let node = &self.nodes[i];
             let mut free_cores = node.cores_free();
             let mut free_mem = node.memory_free();
             let mut victims = Vec::new();
@@ -743,6 +728,9 @@ impl ClusterAllocator {
         self.node_ids.iter().copied().zip(self.nodes.iter())
     }
 }
+
+#[cfg(test)]
+mod index_oracle;
 
 #[cfg(test)]
 mod tests {

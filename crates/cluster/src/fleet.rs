@@ -49,7 +49,7 @@ impl Fleet {
     }
 
     /// Builds allocators for `cloud`'s clusters in `region` only — the
-    /// shard a region-parallel generation worker drives. Cluster order
+    /// cluster group one trace-generation drive task owns. Cluster order
     /// (and hence the load-balancing tie-break order in
     /// [`Fleet::place_in_region`]) matches the region-restricted
     /// subsequence of [`Fleet::new`], so a per-region fleet replays
@@ -83,20 +83,6 @@ impl Fleet {
         }
     }
 
-    /// Switches every cluster allocator to the pre-index reference path
-    /// (see [`ClusterAllocator::scan_reference_mode`]): placements stay
-    /// identical, but node selection and the cluster-ordering ratio run
-    /// the original O(nodes) scans. Benchmark baseline only.
-    #[must_use]
-    pub fn scan_reference_mode(mut self) -> Self {
-        self.clusters = self
-            .clusters
-            .into_iter()
-            .map(ClusterAllocator::scan_reference_mode)
-            .collect();
-        self
-    }
-
     /// Which cloud this fleet serves.
     #[must_use]
     pub const fn cloud(&self) -> CloudKind {
@@ -122,11 +108,8 @@ impl Fleet {
         };
         // Fast path: regions with a single cluster (the common topology)
         // skip the order vector — an allocation plus a sort per request
-        // shows up in the generator's hot loop. Scan reference mode keeps
-        // the original clone+sort so the benchmark baseline replays the
-        // pre-index cost model faithfully.
-        if indices.len() == 1 && !self.clusters[indices[0]].is_scan_reference() {
-            let idx = indices[0];
+        // shows up in the generator's hot loop.
+        if let [idx] = indices[..] {
             let node = self.clusters[idx].place(request)?;
             self.vm_cluster.insert(request.vm, idx);
             return Ok((self.clusters[idx].cluster_id(), node));

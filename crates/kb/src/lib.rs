@@ -48,8 +48,7 @@ pub use extract::{
 };
 pub use knowledge::{LifetimeClass, WorkloadKnowledge};
 pub use persist::{
-    read_snapshot, write_snapshot, CrashPlan, CrashPoint, DurableKb, PersistError, RecoveryStats,
-    SnapshotReport, SyncPolicy,
+    CrashPlan, CrashPoint, DurableKb, PersistError, RecoveryStats, SnapshotReport, SyncPolicy,
 };
 pub use pipeline::{
     publish_batch, run_extraction_pipeline, run_extraction_pipeline_with, PipelineStats,

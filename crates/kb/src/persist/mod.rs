@@ -1,31 +1,23 @@
 //! Knowledge-base persistence.
 //!
-//! Two layers live here:
-//!
-//! - **The durable store** ([`DurableKb`]): a length-prefixed,
-//!   CRC-checksummed write-ahead log appended before every write, plus
-//!   per-shard binary snapshots committed by an atomic manifest rename.
-//!   Recovery ([`DurableKb::open`]) loads the newest committed snapshot
-//!   generation and replays the WAL tail, tolerating a torn final
-//!   record (the residue of a crash mid-append) and failing loudly on
-//!   everything else. Crash behaviour is testable in-process: a
-//!   [`CrashPlan`] arms a [`CrashPoint`] and the layer simulates a
-//!   process kill exactly there.
-//! - **TSV export/import** ([`write_snapshot`]/[`read_snapshot`]): the
-//!   human-readable interchange format, value-exact since floats are
-//!   printed with Rust's shortest round-trip formatting.
+//! The durable store ([`DurableKb`]): a length-prefixed,
+//! CRC-checksummed write-ahead log appended before every write, plus
+//! per-shard binary snapshots committed by an atomic manifest rename.
+//! Recovery ([`DurableKb::open`]) loads the newest committed snapshot
+//! generation and replays the WAL tail, tolerating a torn final record
+//! (the residue of a crash mid-append) and failing loudly on everything
+//! else. Crash behaviour is testable in-process: a [`CrashPlan`] arms a
+//! [`CrashPoint`] and the layer simulates a process kill exactly there.
 
 mod codec;
 mod crash;
 mod crc;
 mod durable;
 mod snapshot;
-mod tsv;
 mod wal;
 
 pub use crash::{CrashPlan, CrashPoint};
 pub use durable::{DurableKb, RecoveryStats, SnapshotReport, SyncPolicy};
-pub use tsv::{read_snapshot, write_snapshot, HEADER};
 
 /// Errors from the durability layer.
 #[derive(Debug)]

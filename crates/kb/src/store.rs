@@ -104,22 +104,14 @@ impl KbStore for KnowledgeBase {
     }
 }
 
-/// The number of shards to use when none is requested explicitly:
-/// `CLOUDSCOPE_KB_SHARDS` if set to a positive integer (the same
-/// override convention as `CLOUDSCOPE_WORKERS`), else the machine's
-/// available parallelism capped at [`MAX_AUTO_SHARDS`].
+/// The number of shards to use when none is requested explicitly: the
+/// machine's available parallelism capped at [`MAX_AUTO_SHARDS`].
 #[must_use]
 fn default_shard_count() -> usize {
-    std::env::var("CLOUDSCOPE_KB_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
-                .min(MAX_AUTO_SHARDS)
-        })
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(4)
+        .min(MAX_AUTO_SHARDS)
 }
 
 /// SplitMix64: a full-avalanche mixer, so shard assignment is uniform
@@ -152,8 +144,8 @@ impl Default for KnowledgeBase {
 
 impl KnowledgeBase {
     /// Creates an empty knowledge base with the default shard count
-    /// (`CLOUDSCOPE_KB_SHARDS` if set, else available parallelism capped
-    /// at 16). Shard count never affects query results, only contention.
+    /// (available parallelism capped at 16). Shard count never affects
+    /// query results, only contention.
     #[must_use]
     pub fn new() -> Self {
         Self::with_shards(default_shard_count())

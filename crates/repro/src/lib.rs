@@ -109,17 +109,6 @@ pub fn default_trace() -> GeneratedTrace {
     generated
 }
 
-/// Decoded-telemetry-chunk cache size for out-of-core runs, overridable
-/// through `CLOUDSCOPE_STORE_CACHE`. The default 0 asks the store to
-/// auto-size to one chunk per (region, day) lane — the working set of
-/// an id-ordered sweep over the trace.
-fn store_cache_chunks() -> usize {
-    std::env::var("CLOUDSCOPE_STORE_CACHE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 /// Common CLI options of the repro binaries: parse once at startup,
 /// obtain the trace through [`MetricsOpt::load_trace`], and call
 /// [`MetricsOpt::write`] right before the binary exits so the metrics
@@ -226,9 +215,10 @@ impl MetricsOpt {
     #[must_use]
     pub fn load_trace(&self) -> GeneratedTrace {
         let par = cloudscope::par::Parallelism::auto();
-        let mode = cloudscope::store::TelemetryMode::OutOfCore {
-            cache_chunks: store_cache_chunks(),
-        };
+        // 0 asks the store to auto-size the decoded-chunk cache to one
+        // chunk per (region, day) lane plus one — the working set of an
+        // id-ordered sweep over the trace.
+        let mode = cloudscope::store::TelemetryMode::OutOfCore { cache_chunks: 0 };
         let fail = |what: &str, e: cloudscope::store::StoreError| -> ! {
             eprintln!("error: {what}: {e}");
             std::process::exit(2);
@@ -237,16 +227,10 @@ impl MetricsOpt {
             let t0 = std::time::Instant::now();
             let generated = cloudscope::tracegen::read_generated(dir, mode, &par)
                 .unwrap_or_else(|e| fail(&format!("reading trace store {}", dir.display()), e));
-            let cache = store_cache_chunks();
             eprintln!(
-                "# streamed trace store {} in {:?} (telemetry out-of-core, cache {})",
+                "# streamed trace store {} in {:?} (telemetry out-of-core, cache auto-sized)",
                 dir.display(),
                 t0.elapsed(),
-                if cache == 0 {
-                    "auto-sized".to_string()
-                } else {
-                    format!("{cache} chunks")
-                }
             );
             if let Some(out) = &self.trace_out {
                 cloudscope::tracegen::write_generated(

@@ -1,8 +1,8 @@
 //! Calendar (bucket) event queue: O(1) scheduling and popping for the
 //! trace week's integer-minute timestamps.
 //!
-//! [`crate::EventQueue`]'s `BinaryHeap` costs O(log n) per operation and
-//! compares `(time, seq)` pairs on every sift. Trace generation schedules
+//! A `BinaryHeap` costs O(log n) per operation and compares
+//! `(time, seq)` pairs on every sift. Trace generation schedules
 //! hundreds of thousands of events whose times all land on whole minutes
 //! inside one simulated week, so a calendar queue — one FIFO bucket per
 //! minute of `[SimTime::ZERO, SimTime::WEEK_END]` — replaces the heap's
@@ -10,11 +10,10 @@
 //!
 //! ## Tie-breaking
 //!
-//! Events at equal times pop in insertion order, exactly like
-//! [`crate::EventQueue`]. Within a bucket that is literally append
-//! order: the bucket granularity is a single minute and times are whole
-//! minutes, so every entry of a bucket shares one timestamp and FIFO
-//! needs no comparisons at all. (A coarser bucket — say the 5-minute
+//! Events at equal times pop in insertion order. Within a bucket that
+//! is literally append order: the bucket granularity is a single minute
+//! and times are whole minutes, so every entry of a bucket shares one
+//! timestamp and FIFO needs no comparisons at all. (A coarser bucket — say the 5-minute
 //! telemetry grid — would break this: a mid-drain insertion at an
 //! earlier minute of the current bucket would have to pop before
 //! already-buffered later-minute entries, forcing a sorted structure per
@@ -28,13 +27,13 @@
 //! simulation use but the public API permits — go to a small fallback
 //! `BinaryHeap` with the same `(time, seq)` ordering. `pop` merges the
 //! two structures by `(time, seq)`, so the queue behaves exactly like
-//! the heap oracle for arbitrary schedules: the calendar is a fast
-//! path, never a semantic change. (Ties across the two structures are
+//! a single `(time, seq)` heap for arbitrary schedules: the calendar is
+//! a fast path, never a semantic change. (Ties across the two structures are
 //! impossible by construction — an event is only diverted to overflow
 //! when its minute can never host a calendar entry again — but the
 //! merge compares the full `(time, seq)` key anyway.) The unit tests
-//! drive this queue and the heap through identical random schedules and
-//! assert identical pop streams.
+//! drive this queue and a test-only binary heap through identical
+//! random schedules and assert identical pop streams.
 
 use cloudscope_model::time::{SimTime, MINUTES_PER_WEEK};
 use std::cmp::Ordering;
@@ -46,8 +45,7 @@ const BUCKETS: usize = MINUTES_PER_WEEK as usize + 1;
 
 /// An event queue ordered by `(time, insertion order)`, served from
 /// per-minute calendar buckets with a heap fallback for out-of-window
-/// times. Drop-in replacement for [`crate::EventQueue`] over the trace
-/// week; the heap stays available as the comparison oracle.
+/// times.
 #[derive(Debug)]
 pub struct CalendarQueue<E> {
     /// `buckets[m]` holds the events scheduled at minute `m`, in
@@ -123,15 +121,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Creates an empty queue; `capacity` is accepted for signature
-    /// parity with [`crate::EventQueue::with_capacity`] but unused —
-    /// calendar buckets grow independently and amortize their own
-    /// doubling.
-    #[must_use]
-    pub fn with_capacity(_capacity: usize) -> Self {
-        Self::new()
-    }
-
     /// Schedules `event` at `time`.
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
@@ -188,8 +177,7 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Time of the earliest event without removing it. Takes `&mut self`
-    /// (unlike [`crate::EventQueue::peek_time`]) because peeking settles
-    /// the bucket cursor.
+    /// because peeking settles the bucket cursor.
     #[must_use]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         let cal = self.calendar_front();
@@ -233,8 +221,8 @@ impl<E> CalendarQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::heap::EventQueue;
     use crate::rng::splitmix64;
-    use crate::EventQueue;
 
     #[test]
     fn pops_in_time_order() {

@@ -3,100 +3,81 @@
 //! schedule further events.
 
 use cloudscope_model::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// An event queue ordered by time; events at equal times pop in insertion
-/// order (deterministic replay).
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-}
+/// The binary-heap queue the calendar replaced, kept test-only: it is the
+/// semantics oracle `calendar::tests` drives the calendar queue against.
+#[cfg(test)]
+pub(crate) mod heap {
+    use cloudscope_model::time::SimTime;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
 
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+    /// An event queue ordered by time; events at equal times pop in
+    /// insertion order (deterministic replay).
+    #[derive(Debug)]
+    pub struct EventQueue<E> {
+        heap: BinaryHeap<Entry<E>>,
+        seq: u64,
     }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
+    #[derive(Debug)]
+    struct Entry<E> {
+        time: SimTime,
+        seq: u64,
+        event: E,
     }
-}
 
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
+    impl<E> PartialEq for Entry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for Entry<E> {}
+    impl<E> PartialOrd for Entry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for Entry<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; invert for earliest-first.
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.seq.cmp(&self.seq))
         }
     }
 
-    /// Creates an empty queue with room for `capacity` pending events, so
-    /// bulk schedulers (the trace generator enqueues every churn VM up
-    /// front) skip the doubling reallocations.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            heap: BinaryHeap::with_capacity(capacity),
-            seq: 0,
+    impl<E> EventQueue<E> {
+        /// Creates an empty queue.
+        pub fn new() -> Self {
+            Self {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            }
         }
-    }
 
-    /// Schedules `event` at `time`.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
-    }
+        /// Schedules `event` at `time`.
+        pub fn schedule(&mut self, time: SimTime, event: E) {
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Entry { time, seq, event });
+        }
 
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
+        /// Removes and returns the earliest event.
+        pub fn pop(&mut self) -> Option<(SimTime, E)> {
+            self.heap.pop().map(|e| (e.time, e.event))
+        }
 
-    /// Time of the earliest event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
+        /// Time of the earliest event without removing it.
+        pub fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.time)
+        }
 
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        /// Number of pending events.
+        pub fn len(&self) -> usize {
+            self.heap.len()
+        }
     }
 }
 
@@ -104,9 +85,8 @@ impl<E> EventQueue<E> {
 /// receives each event and a [`Scheduler`] handle to enqueue follow-ups.
 ///
 /// Events are queued on a [`crate::CalendarQueue`] (O(1) per operation
-/// over the trace week's minute grid); [`EventQueue`]'s binary heap
-/// remains public as the semantics oracle the calendar is tested
-/// against. Both pop in `(time, insertion order)`.
+/// over the trace week's minute grid) and pop in `(time, insertion
+/// order)`.
 ///
 /// # Examples
 /// ```
@@ -160,18 +140,6 @@ impl<E> Simulation<E> {
     pub fn new() -> Self {
         Self {
             queue: crate::CalendarQueue::new(),
-            now: SimTime::ZERO,
-            flushed_scheduled: 0,
-            flushed_overflow: 0,
-        }
-    }
-
-    /// Creates an empty simulation whose queue has room for `capacity`
-    /// pending events; see [`crate::CalendarQueue::with_capacity`].
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            queue: crate::CalendarQueue::with_capacity(capacity),
             now: SimTime::ZERO,
             flushed_scheduled: 0,
             flushed_overflow: 0,
@@ -235,6 +203,7 @@ impl<E> Simulation<E> {
 
 #[cfg(test)]
 mod tests {
+    use super::heap::EventQueue;
     use super::*;
     use cloudscope_model::time::SimDuration;
 
@@ -261,19 +230,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop().unwrap().1, i);
         }
-    }
-
-    #[test]
-    fn with_capacity_behaves_like_new() {
-        let mut q = EventQueue::with_capacity(16);
-        assert!(q.is_empty());
-        q.schedule(SimTime::from_hours(2), "b");
-        q.schedule(SimTime::from_hours(1), "a");
-        assert_eq!(q.pop().unwrap().1, "a");
-
-        let mut sim = Simulation::with_capacity(8);
-        sim.schedule(SimTime::ZERO, ());
-        assert_eq!(sim.run(SimTime::from_hours(1), |_, _, ()| {}), 1);
     }
 
     #[test]

@@ -36,5 +36,5 @@ pub mod engine;
 pub mod rng;
 
 pub use calendar::CalendarQueue;
-pub use engine::{EventQueue, Scheduler, Simulation};
+pub use engine::{Scheduler, Simulation};
 pub use rng::RngFactory;

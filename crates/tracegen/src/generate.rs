@@ -3,29 +3,23 @@
 //! through the allocation service on the discrete-event engine, and
 //! attaches per-VM 5-minute telemetry.
 //!
-//! ## Cluster-granularity parallel drive
+//! ## Cluster-group drive
 //!
 //! Placement routes every request to the clusters of the VM's region
 //! *and cloud* and nothing else — the private and public fleets are
 //! disjoint objects whose operations commute even inside one region.
 //! A cheap serial **routing pre-pass** ([`partition_specs`]) assigns
 //! every spec its drive task from deterministic, placement-independent
-//! inputs (the spec's region plus its subscription plan's cloud), so
-//! the drive fans out over one task per *(region, cloud)* cluster
-//! group — twice the task count of region granularity, and literal
-//! cluster granularity on single-cluster-per-cloud topologies. The
-//! coarser one-task-per-region partition is kept as an oracle
-//! ([`PartitionMode::Region`]), and below
-//! [`SERIAL_DRIVE_SPEC_THRESHOLD`] specs [`PartitionMode::Auto`]
-//! short-circuits to a whole-trace serial drive
-//! ([`PartitionMode::Serial`]) where fan-out overhead would dominate.
-//! Determinism is preserved end to end:
+//! inputs (the spec's region plus its subscription plan's cloud), and
+//! the drive fans out over one task per non-empty *(region, cloud)*
+//! cluster group — literal cluster granularity on
+//! single-cluster-per-cloud topologies. Every trace takes this drive, at
+//! every size and worker count. Determinism is preserved end to end:
 //!
 //! - **Sizes** are pre-drawn serially from the dedicated `"sizes"` RNG
-//!   stream in global spec order, exactly the draws the serial loop made
-//!   inline.
-//! - **Event order within a cluster group** is the serial order
-//!   restricted to that group: each worker schedules its group's events
+//!   stream in global spec order, before any placement runs.
+//! - **Event order within a cluster group** is the global spec order
+//!   restricted to that group: each task schedules its group's events
 //!   in the same relative sequence, and same-timestamp FIFO tie-breaks
 //!   only matter within one fleet (events on other regions or the other
 //!   cloud touch disjoint state). Cross-cluster placement fallback stays
@@ -33,22 +27,22 @@
 //!   only ever falls back across one region's clusters of one cloud —
 //!   which is exactly why *(region, cloud)* is the finest safe
 //!   granularity.
-//! - **VM identities** used during a worker's drive are group-local and
-//!   affect no output byte (they key hash maps); the merge re-assigns
-//!   each record the id the serial loop would have used — its position
-//!   among materialized records in global spec order (standing placement
-//!   failures consume no id) — *before* telemetry derives per-VM RNG
-//!   streams from those ids. The merge itself is parallel: a chunked
-//!   prefix sum over materialized counts yields each chunk's id base,
-//!   then workers emit final records concurrently ([`merge_outcomes`]).
+//! - **VM identities** used during a task's drive are group-local and
+//!   affect no output byte (they key hash maps); the merge assigns each
+//!   record its position among materialized records in global spec
+//!   order (standing placement failures consume no id) *before*
+//!   telemetry derives per-VM RNG streams from those ids. The merge
+//!   itself is parallel: a chunked prefix sum over materialized counts
+//!   yields each chunk's id base, then workers emit final records
+//!   concurrently ([`merge_outcomes`]).
 //! - **Counters** ([`cloudscope_cluster::AllocatorStats`], drop counts)
 //!   are commutative integer sums over per-group partials.
 //!
-//! The result is byte-identical to the serial reference at any worker
-//! count and partition granularity; `tests/trace_digest.rs`, the
-//! worker-invariance tests, and the `partition_oracle` proptests lock
-//! this, and [`crate::reference::generate_serial_reference`] keeps the
-//! pre-index serial path alive as the benchmark baseline and oracle.
+//! The result is byte-identical at any worker count, and identical to a
+//! whole-trace serial drive over two whole-cloud fleets — the test-only
+//! `reference` module, which shares no code with [`drive_task`] — on
+//! the small config and on randomized contended configurations;
+//! `tests/trace_digest.rs` pins the bytes.
 //!
 //! Each phase (prepare, placement, merge, telemetry, assemble) exports
 //! its wall-clock both as a span histogram and as a last-run
@@ -163,8 +157,7 @@ pub(crate) enum Event {
     Release(VmId),
 }
 
-/// Everything the placement drive consumes, produced identically by the
-/// parallel and serial-reference paths: phases 1–3 (topology, plans,
+/// Everything the placement drive consumes: phases 1–3 (topology, plans,
 /// specs) plus the serially pre-drawn VM sizes.
 pub(crate) struct Prepared {
     pub(crate) topology: Topology,
@@ -178,7 +171,7 @@ pub(crate) struct Prepared {
     /// Sorted: standing first, then churn/burst by creation time.
     pub(crate) specs: Vec<VmSpec>,
     /// `sizes[i]` is the size drawn for `specs[i]` from the `"sizes"`
-    /// stream, in spec order — the exact draws the serial loop made.
+    /// stream, in spec order.
     pub(crate) sizes: Vec<VmSize>,
     pub(crate) report: GenerationReport,
 }
@@ -191,8 +184,7 @@ pub(crate) const fn spreading_rule() -> SpreadingRule {
 }
 
 /// Phases 1–3: physical plant, subscription plans, VM specs, sizes.
-/// Entirely serial and shared by [`generate_with`] and
-/// [`crate::reference::generate_serial_reference`].
+/// Entirely serial.
 pub(crate) fn prepare(
     config: &GeneratorConfig,
     factory: &RngFactory,
@@ -312,9 +304,8 @@ pub(crate) fn prepare(
     specs.sort_by_key(|s| (s.kind != SpecKind::Standing, s.created));
 
     // 3b. Pre-draw every VM's size from the dedicated stream, in spec
-    // order. The serial loop drew these inline between placements; the
-    // stream is placement-independent, so drawing up front consumes the
-    // identical sequence while freeing the drive to run per region.
+    // order: the stream is placement-independent, so drawing up front
+    // frees the drive to run per cluster group.
     let size_samplers = [
         SizeSampler::new(config.private.size),
         SizeSampler::new(config.public.size),
@@ -343,95 +334,44 @@ pub(crate) fn prepare(
     }
 }
 
-/// How [`generate_with_partition`] splits the placement drive into
-/// parallel tasks. Every mode emits byte-identical traces — the modes
-/// trade fan-out width against partition/merge overhead, nothing else —
-/// so the non-default modes double as oracles for the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionMode {
-    /// Pick per run: [`PartitionMode::Serial`] at one worker or below
-    /// [`SERIAL_DRIVE_SPEC_THRESHOLD`] specs, else
-    /// [`PartitionMode::ClusterGroup`].
-    #[default]
-    Auto,
-    /// One whole-trace serial drive on the indexed allocators and
-    /// calendar queue — no partition, no merge. (Distinct from
-    /// [`crate::reference::generate_serial_reference`], which also
-    /// reverts to scan-mode allocators and the heap queue.)
-    Serial,
-    /// One task per region, both clouds driven together — the original
-    /// scale-out granularity, kept as an oracle for
-    /// [`PartitionMode::ClusterGroup`].
-    Region,
-    /// One task per *(region, cloud)* cluster group — the finest
-    /// granularity at which placements stay independent, since
-    /// cross-cluster fallback never leaves one region's clusters of one
-    /// cloud. On single-cluster-per-cloud topologies this is literal
-    /// cluster granularity.
-    ClusterGroup,
-}
-
-/// Below this many specs [`PartitionMode::Auto`] drives the whole trace
-/// serially: partitioning, per-task fleet construction, and the merge
-/// cost more than they recover on traces this small (the small-config
-/// parallel path used to lose ~6% to the serial reference end to end).
-pub(crate) const SERIAL_DRIVE_SPEC_THRESHOLD: usize = 10_000;
-
-/// The partition [`PartitionMode::Auto`] resolves to for a drive of
-/// `spec_count` specs on `workers` workers.
-pub(crate) const fn resolve_auto(spec_count: usize, workers: usize) -> PartitionMode {
-    if workers <= 1 || spec_count < SERIAL_DRIVE_SPEC_THRESHOLD {
-        PartitionMode::Serial
-    } else {
-        PartitionMode::ClusterGroup
-    }
-}
-
-/// One drive task: a cluster group's (or, in region-oracle mode, a whole
-/// region's) specs in global spec order, with their pre-drawn sizes.
+/// One drive task: a *(region, cloud)* cluster group's specs in global
+/// spec order, with their pre-drawn sizes.
 struct DriveTask {
     region: RegionId,
-    /// `Some(cloud)` drives that cloud's cluster group only;
-    /// `None` drives both clouds' region fleets together
-    /// ([`PartitionMode::Region`]).
-    cloud: Option<CloudKind>,
+    cloud: CloudKind,
     specs: Vec<(VmSpec, VmSize)>,
 }
 
 /// What one task's drive produced: for every spec of the task (in task
 /// order), either a materialized record or `None` (standing placement
-/// failure), plus allocator counters split by cloud.
+/// failure), plus the group's allocator counters.
 struct TaskOutcome {
     outcomes: Vec<Option<VmRecord>>,
     dropped_standing: u64,
-    stats: [AllocatorStats; 2],
+    stats: AllocatorStats,
 }
 
-/// The placement drive shared by every granularity: standing placements
-/// in spec order, then the churn/release simulation over the calendar
-/// queue. `slot_of` routes a cloud to its index in `fleets` — identity
-/// for whole-trace and region drives, constant `0` for single-cloud
-/// cluster-group drives.
-///
-/// Returns the materialized records (with provisional drive-local ids),
-/// each spec's index into them (`None` for standing placement
-/// failures), and the standing drop count. In a whole-trace drive the
-/// provisional ids are already final: position among materialized
-/// records in global spec order.
-fn drive_specs(
-    specs: &[(VmSpec, VmSize)],
-    fleets: &mut [Fleet],
-    slot_of: impl Fn(CloudKind) -> usize,
-    prep: &Prepared,
-) -> (Vec<VmRecord>, Vec<Option<u32>>, u64) {
-    let mut records: Vec<VmRecord> = Vec::with_capacity(specs.len());
-    let mut placed: Vec<Option<u32>> = Vec::with_capacity(specs.len());
+/// Drives one partition task on its own fleet: standing placements in
+/// spec order, then the churn/release simulation over the calendar
+/// queue. Record identities are task-local and provisional (they key
+/// the fleet's hash maps and route Release events); the merge assigns
+/// the final ones, so they carry no cross-task information.
+fn drive_task(task: &DriveTask, prep: &Prepared) -> TaskOutcome {
+    let mut fleet = Fleet::for_region(
+        &prep.topology,
+        task.cloud,
+        task.region,
+        PlacementPolicy::BestFit,
+        spreading_rule(),
+    );
+    let mut records: Vec<VmRecord> = Vec::with_capacity(task.specs.len());
+    // Each spec's index into `records`; `None` for standing failures.
+    let mut placed: Vec<Option<u32>> = Vec::with_capacity(task.specs.len());
     let mut dropped_standing = 0u64;
-    let mut sim: Simulation<Event> = Simulation::with_capacity(specs.len());
+    let mut sim: Simulation<Event> = Simulation::new();
 
-    for (spec, size) in specs {
+    for (spec, size) in &task.specs {
         let plan = &prep.plans[spec.subscription];
-        let fleet_idx = slot_of(plan.cloud);
         let request = PlacementRequest {
             vm: VmId::new(records.len() as u64),
             size: *size,
@@ -439,7 +379,7 @@ fn drive_specs(
             priority: spec.priority,
         };
         match spec.kind {
-            SpecKind::Standing => match fleets[fleet_idx].place_in_region(spec.region, request) {
+            SpecKind::Standing => match fleet.place_in_region(spec.region, request) {
                 Ok((cluster, node)) => {
                     if let Some(end) = spec.ended {
                         sim.schedule(end, Event::Release(request.vm));
@@ -468,83 +408,36 @@ fn drive_specs(
     }
 
     let week_end = SimTime::WEEK_END;
-    {
-        let records_ref = &mut records;
-        let plans_ref = &prep.plans;
-        sim.run(week_end, |scheduler, time, event| match event {
-            Event::Create(record_idx) => {
-                let record = &mut records_ref[record_idx];
-                let plan = &plans_ref[record.subscription.as_usize()];
-                let fleet_idx = slot_of(plan.cloud);
-                let request = PlacementRequest {
-                    vm: record.id,
-                    size: record.size,
-                    service: record.service,
-                    priority: record.priority,
-                };
-                match fleets[fleet_idx].place_in_region(record.region, request) {
-                    Ok((cluster, node)) => {
-                        record.cluster = cluster;
-                        record.node = Some(node);
-                        if let Some(end) = record.ended {
-                            if end < week_end {
-                                scheduler.schedule(end.max(time), Event::Release(record.id));
-                            }
+    sim.run(week_end, |scheduler, time, event| match event {
+        Event::Create(record_idx) => {
+            let record = &mut records[record_idx];
+            let request = PlacementRequest {
+                vm: record.id,
+                size: record.size,
+                service: record.service,
+                priority: record.priority,
+            };
+            match fleet.place_in_region(record.region, request) {
+                Ok((cluster, node)) => {
+                    record.cluster = cluster;
+                    record.node = Some(node);
+                    if let Some(end) = record.ended {
+                        if end < week_end {
+                            scheduler.schedule(end.max(time), Event::Release(record.id));
                         }
                     }
-                    Err(_) => {
-                        // Placement failed: the VM never ran.
-                        record.node = None;
-                    }
+                }
+                Err(_) => {
+                    // Placement failed: the VM never ran.
+                    record.node = None;
                 }
             }
-            Event::Release(vm) => {
-                let record = &records_ref[vm.as_usize()];
-                let plan = &plans_ref[record.subscription.as_usize()];
-                let _ = fleets[slot_of(plan.cloud)].release(vm);
-            }
-        });
-    }
+        }
+        Event::Release(vm) => {
+            let _ = fleet.release(vm);
+        }
+    });
 
-    (records, placed, dropped_standing)
-}
-
-/// Drives one partition task: builds the task's fleet(s) and replays its
-/// specs — exactly the serial loop restricted to this task's specs and
-/// clusters. Local record identities are provisional (they key the
-/// fleet's hash maps and route Release events) and are re-assigned at
-/// merge, so they carry no cross-task information.
-fn drive_task(task: &DriveTask, prep: &Prepared) -> TaskOutcome {
-    let spreading = spreading_rule();
-    let mut fleets: Vec<Fleet> = match task.cloud {
-        Some(cloud) => vec![Fleet::for_region(
-            &prep.topology,
-            cloud,
-            task.region,
-            PlacementPolicy::BestFit,
-            spreading,
-        )],
-        None => [CloudKind::Private, CloudKind::Public]
-            .into_iter()
-            .map(|cloud| {
-                Fleet::for_region(
-                    &prep.topology,
-                    cloud,
-                    task.region,
-                    PlacementPolicy::BestFit,
-                    spreading,
-                )
-            })
-            .collect(),
-    };
-    let single_cloud = task.cloud.is_some();
-    let slot_of = |cloud: CloudKind| if single_cloud { 0 } else { fleet_index(cloud) };
-    let (records, placed, dropped_standing) = drive_specs(&task.specs, &mut fleets, slot_of, prep);
-
-    let mut stats = [AllocatorStats::default(), AllocatorStats::default()];
-    for fleet in &fleets {
-        stats[fleet_index(fleet.cloud())].absorb(&fleet.stats());
-    }
     let mut slots: Vec<Option<VmRecord>> = records.into_iter().map(Some).collect();
     TaskOutcome {
         outcomes: placed
@@ -554,37 +447,23 @@ fn drive_task(task: &DriveTask, prep: &Prepared) -> TaskOutcome {
             })
             .collect(),
         dropped_standing,
-        stats,
+        stats: fleet.stats(),
     }
 }
 
 /// The routing pre-pass: assigns every spec its drive task from
-/// deterministic, placement-independent inputs (the spec's region and,
-/// at cluster-group granularity, its plan's cloud) — the part of the
-/// old per-region drive that coupled partitioning to regions, hoisted
-/// out so the drive can fan out wider.
+/// deterministic, placement-independent inputs — the spec's region and
+/// its plan's cloud.
 ///
 /// Returns the tasks (ascending region, private before public) and, for
 /// every global spec index, its `(task, position-within-task)` locator —
 /// what the merge uses to reassemble outcomes in global spec order.
-fn partition_specs(prep: &Prepared, mode: PartitionMode) -> (Vec<DriveTask>, Vec<(u32, u32)>) {
-    let per_region = match mode {
-        PartitionMode::Region => 1,
-        PartitionMode::ClusterGroup => 2,
-        PartitionMode::Auto | PartitionMode::Serial => {
-            unreachable!("serial drives are not partitioned")
-        }
-    };
-    let buckets_len = prep.region_ids.len() * per_region;
+fn partition_specs(prep: &Prepared) -> (Vec<DriveTask>, Vec<(u32, u32)>) {
+    let buckets_len = prep.region_ids.len() * 2;
     let mut buckets: Vec<Vec<(VmSpec, VmSize)>> = vec![Vec::new(); buckets_len];
     let mut locator: Vec<(u32, u32)> = Vec::with_capacity(prep.specs.len());
     for (spec, &size) in prep.specs.iter().zip(&prep.sizes) {
-        let cloud_slot = if per_region == 2 {
-            fleet_index(prep.plans[spec.subscription].cloud)
-        } else {
-            0
-        };
-        let key = spec.region.as_usize() * per_region + cloud_slot;
+        let key = spec.region.as_usize() * 2 + fleet_index(prep.plans[spec.subscription].cloud);
         locator.push((key as u32, buckets[key].len() as u32));
         buckets[key].push((*spec, size));
     }
@@ -598,14 +477,8 @@ fn partition_specs(prep: &Prepared, mode: PartitionMode) -> (Vec<DriveTask>, Vec
         }
         task_of_bucket[key] = tasks.len() as u32;
         tasks.push(DriveTask {
-            region: prep.region_ids[key / per_region],
-            cloud: (per_region == 2).then(|| {
-                if key % per_region == 0 {
-                    CloudKind::Private
-                } else {
-                    CloudKind::Public
-                }
-            }),
+            region: prep.region_ids[key / 2],
+            cloud: CloudKind::BOTH[key % 2],
             specs,
         });
     }
@@ -617,14 +490,14 @@ fn partition_specs(prep: &Prepared, mode: PartitionMode) -> (Vec<DriveTask>, Vec
 
 /// The parallel merge: re-assembles per-task outcomes into the final
 /// record list in global spec order, assigning each materialized record
-/// the id the serial loop would have used (its rank among materialized
-/// records; standing placement failures consume no id).
+/// its rank among materialized records as id (standing placement
+/// failures consume no id).
 ///
-/// Two chunked passes over the global spec index replace the old serial
-/// scatter-then-renumber: workers count materialized specs per chunk, a
-/// (tiny) serial scan turns the counts into per-chunk id bases, then
-/// workers emit each chunk's records concurrently with final ids and the
-/// ordered chunks concatenate into an exactly-sized output.
+/// Two chunked passes over the global spec index: workers count
+/// materialized specs per chunk, a (tiny) serial scan turns the counts
+/// into per-chunk id bases, then workers emit each chunk's records
+/// concurrently with final ids and the ordered chunks concatenate into
+/// an exactly-sized output.
 fn merge_outcomes(
     locator: &[(u32, u32)],
     outcomes: &[TaskOutcome],
@@ -681,7 +554,7 @@ const MERGE_CHUNKS_PER_WORKER: usize = 4;
 
 /// Generates a full synthetic trace from a configuration, using the
 /// shared executor's auto-detected worker count (`CLOUDSCOPE_WORKERS`
-/// overrides) for the region drive and the telemetry sweep.
+/// overrides) for the cluster-group drive and the telemetry sweep.
 ///
 /// Deterministic in `config.seed`: the same configuration always yields
 /// the same trace, regardless of thread scheduling or worker count.
@@ -702,51 +575,28 @@ pub fn generate(config: &GeneratorConfig) -> GeneratedTrace {
 /// Panics if the configuration is invalid.
 #[must_use]
 pub fn generate_with(config: &GeneratorConfig, par: Parallelism) -> GeneratedTrace {
-    generate_with_partition(config, par, PartitionMode::Auto)
-}
-
-/// [`generate_with`] with an explicit drive partition. Output is
-/// byte-identical for every mode and worker count — the non-default
-/// modes exist for the oracle tests and for profiling the partition
-/// machinery itself.
-///
-/// # Panics
-/// Panics if the configuration is invalid.
-#[must_use]
-pub fn generate_with_partition(
-    config: &GeneratorConfig,
-    par: Parallelism,
-    mode: PartitionMode,
-) -> GeneratedTrace {
     if let Err(e) = config.validate() {
         panic!("{e}");
     }
     let factory = RngFactory::new(config.seed);
     let gen_span = cloudscope_obs::span("tracegen.generate");
-    let inputs = drive_all(config, &factory, &gen_span, par, mode);
+    let inputs = drive_all(config, &factory, &gen_span, par);
     finish(config, &factory, &gen_span, par, inputs)
 }
 
 /// Phases 1–4b (prepare, placement, merge): everything up to — but
-/// not including — telemetry and assembly. Shared by
-/// [`generate_with_partition`] and the streaming
-/// [`crate::store_io::generate_to_store`] path, which swaps the
-/// in-memory assemble for a chunked write-out.
+/// not including — telemetry and assembly. Shared by [`generate_with`]
+/// and the streaming [`crate::store_io::generate_to_store`] path, which
+/// swaps the in-memory assemble for a chunked write-out.
 pub(crate) fn drive_all(
     config: &GeneratorConfig,
     factory: &RngFactory,
     gen_span: &cloudscope_obs::Span,
     par: Parallelism,
-    mode: PartitionMode,
 ) -> FinishInputs {
     let phase_start = std::time::Instant::now();
     let prep = prepare(config, factory, gen_span);
     record_phase("tracegen.generate.phase_prepare_ns", phase_start);
-
-    let mode = match mode {
-        PartitionMode::Auto => resolve_auto(prep.specs.len(), par.workers()),
-        forced => forced,
-    };
 
     let stage = gen_span.child("placement");
     let phase_start = std::time::Instant::now();
@@ -757,47 +607,11 @@ pub(crate) fn drive_all(
     cloudscope_obs::counter("tracegen.generate.regions_driven")
         .add(region_seen.iter().filter(|&&seen| seen).count() as u64);
 
-    // 4. Placement. Either one whole-trace serial drive, or the routing
-    // pre-pass followed by the parallel per-task drive.
-    enum Driven {
-        Serial {
-            records: Vec<VmRecord>,
-            dropped_standing: u64,
-            stats: [AllocatorStats; 2],
-        },
-        Tasks {
-            outcomes: Vec<TaskOutcome>,
-            locator: Vec<(u32, u32)>,
-        },
-    }
-    let driven = if mode == PartitionMode::Serial {
-        let spreading = spreading_rule();
-        let mut fleets: Vec<Fleet> = [CloudKind::Private, CloudKind::Public]
-            .into_iter()
-            .map(|cloud| Fleet::new(&prep.topology, cloud, PlacementPolicy::BestFit, spreading))
-            .collect();
-        let specs_sized: Vec<(VmSpec, VmSize)> = prep
-            .specs
-            .iter()
-            .zip(&prep.sizes)
-            .map(|(spec, &size)| (*spec, size))
-            .collect();
-        let (records, _placed, dropped_standing) =
-            drive_specs(&specs_sized, &mut fleets, fleet_index, &prep);
-        cloudscope_obs::counter("tracegen.generate.tasks_driven").add(1);
-        cloudscope_obs::gauge("tracegen.generate.region_workers").set(1.0);
-        Driven::Serial {
-            records,
-            dropped_standing,
-            stats: [fleets[0].stats(), fleets[1].stats()],
-        }
-    } else {
-        let (tasks, locator) = partition_specs(&prep, mode);
-        cloudscope_obs::counter("tracegen.generate.tasks_driven").add(tasks.len() as u64);
-        cloudscope_obs::gauge("tracegen.generate.region_workers").set(par.workers() as f64);
-        let outcomes = par.par_map(&tasks, |task| drive_task(task, &prep));
-        Driven::Tasks { outcomes, locator }
-    };
+    // 4. Placement: the routing pre-pass, then the per-task drive.
+    let (tasks, locator) = partition_specs(&prep);
+    cloudscope_obs::counter("tracegen.generate.tasks_driven").add(tasks.len() as u64);
+    cloudscope_obs::gauge("tracegen.generate.region_workers").set(par.workers() as f64);
+    let outcomes = par.par_map(&tasks, |task| drive_task(task, &prep));
     stage.finish();
     record_phase("tracegen.generate.phase_placement_ns", phase_start);
 
@@ -813,29 +627,15 @@ pub(crate) fn drive_all(
         mut report,
         ..
     } = prep;
-    // 4b. Merge. A serial drive already produced final ids; the parallel
-    // drive reassembles per-task outcomes over the global spec order.
-    let records = match driven {
-        Driven::Serial {
-            records,
-            dropped_standing,
-            stats,
-        } => {
-            report.dropped_vms += dropped_standing;
-            [report.private_alloc, report.public_alloc] = stats;
-            records
+    // 4b. Merge: reassemble per-task outcomes over the global spec order.
+    for (task, outcome) in tasks.iter().zip(&outcomes) {
+        report.dropped_vms += outcome.dropped_standing;
+        match task.cloud {
+            CloudKind::Private => report.private_alloc.absorb(&outcome.stats),
+            CloudKind::Public => report.public_alloc.absorb(&outcome.stats),
         }
-        Driven::Tasks { outcomes, locator } => {
-            let mut stats = [AllocatorStats::default(), AllocatorStats::default()];
-            for outcome in &outcomes {
-                report.dropped_vms += outcome.dropped_standing;
-                stats[0].absorb(&outcome.stats[0]);
-                stats[1].absorb(&outcome.stats[1]);
-            }
-            [report.private_alloc, report.public_alloc] = stats;
-            merge_outcomes(&locator, &outcomes, par)
-        }
-    };
+    }
+    let records = merge_outcomes(&locator, &outcomes, par);
     cloudscope_obs::counter("tracegen.generate.merged_records").add(records.len() as u64);
     stage.finish();
     record_phase("tracegen.generate.phase_merge_ns", phase_start);
@@ -873,8 +673,7 @@ pub(crate) struct FinishInputs {
     pub(crate) report: GenerationReport,
 }
 
-/// Phases 5–6: per-VM telemetry and trace assembly, shared by the
-/// parallel and serial-reference paths.
+/// Phases 5–6: per-VM telemetry and trace assembly.
 pub(crate) fn finish(
     config: &GeneratorConfig,
     factory: &RngFactory,
@@ -960,8 +759,7 @@ pub(crate) fn finish(
 
 /// The telemetry series one placed record carries. The RNG stream is
 /// keyed by the record's *pre-renumber* id — its position among
-/// materialized records in global spec order — which is exactly the
-/// stream the serial reference drew from, so the streamed and
+/// materialized records in global spec order — so the streamed and
 /// in-memory paths produce identical samples.
 pub(crate) fn vm_telemetry(
     record: &VmRecord,
@@ -1292,77 +1090,19 @@ mod tests {
         assert!(spot_public > 0, "public cloud should have spot VMs");
     }
 
-    /// Worker-count and partition-granularity invariance at the unit
-    /// level: every forced mode at every worker count must agree exactly
-    /// with the serial drive (the integration digest test locks the same
-    /// property against the golden bytes). Modes are forced because the
-    /// small config would otherwise short-circuit to
-    /// [`PartitionMode::Serial`] under Auto and test nothing.
+    /// Worker-count invariance at the unit level: the partitioned drive
+    /// must agree exactly at every worker count (the integration digest
+    /// test locks the same property against the golden bytes).
     #[test]
     fn generate_with_is_worker_count_invariant() {
         let cfg = GeneratorConfig::small(11);
-        let base =
-            generate_with_partition(&cfg, Parallelism::with_workers(1), PartitionMode::Serial);
-        for mode in [PartitionMode::Region, PartitionMode::ClusterGroup] {
-            for workers in [1, 2, 4, 8] {
-                let got = generate_with_partition(&cfg, Parallelism::with_workers(workers), mode);
-                assert_eq!(
-                    got.trace.stats(),
-                    base.trace.stats(),
-                    "{mode:?} workers={workers}"
-                );
-                assert_eq!(got.report, base.report, "{mode:?} workers={workers}");
-            }
-        }
-    }
-
-    /// Pins the Auto-mode heuristic: one worker or a small spec count
-    /// short-circuits to the serial drive; everything else fans out at
-    /// cluster-group granularity.
-    #[test]
-    fn auto_mode_resolution_pinned() {
-        assert_eq!(resolve_auto(0, 8), PartitionMode::Serial);
-        assert_eq!(
-            resolve_auto(SERIAL_DRIVE_SPEC_THRESHOLD - 1, 8),
-            PartitionMode::Serial
-        );
-        assert_eq!(
-            resolve_auto(SERIAL_DRIVE_SPEC_THRESHOLD, 8),
-            PartitionMode::ClusterGroup
-        );
-        assert_eq!(
-            resolve_auto(SERIAL_DRIVE_SPEC_THRESHOLD * 10, 1),
-            PartitionMode::Serial,
-            "one worker never pays partition overhead"
-        );
-        assert_eq!(
-            resolve_auto(SERIAL_DRIVE_SPEC_THRESHOLD, 2),
-            PartitionMode::ClusterGroup
-        );
-    }
-
-    /// Byte-identity across the serial-drive threshold: the small config
-    /// sits below [`SERIAL_DRIVE_SPEC_THRESHOLD`] (asserted, so the test
-    /// fails loudly if the config grows past it), meaning Auto takes the
-    /// serial path — and the trace it emits must equal the forced
-    /// parallel modes' output exactly.
-    #[test]
-    fn serial_short_circuit_is_byte_identical() {
-        let cfg = GeneratorConfig::small(13);
-        let par = Parallelism::with_workers(4);
-        let auto = generate_with(&cfg, par);
-        let spec_count = auto.report.standing_vms + auto.report.churn_vms + auto.report.burst_vms;
-        assert!(
-            (spec_count as usize) < SERIAL_DRIVE_SPEC_THRESHOLD,
-            "small config grew past the serial threshold ({spec_count}); \
-             this test no longer exercises the short-circuit"
-        );
-        for mode in [PartitionMode::Region, PartitionMode::ClusterGroup] {
-            let forced = generate_with_partition(&cfg, par, mode);
-            assert_eq!(auto.trace.stats(), forced.trace.stats(), "{mode:?}");
-            assert_eq!(auto.report, forced.report, "{mode:?}");
-            assert_eq!(auto.services, forced.services, "{mode:?}");
-            assert_eq!(auto.trace.vms(), forced.trace.vms(), "{mode:?}");
+        let base = generate_with(&cfg, Parallelism::with_workers(1));
+        for workers in [2, 4, 8] {
+            let got = generate_with(&cfg, Parallelism::with_workers(workers));
+            assert_eq!(got.trace.stats(), base.trace.stats(), "workers={workers}");
+            assert_eq!(got.report, base.report, "workers={workers}");
+            assert_eq!(got.services, base.services, "workers={workers}");
+            assert_eq!(got.trace.vms(), base.trace.vms(), "workers={workers}");
         }
     }
 }

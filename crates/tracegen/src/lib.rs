@@ -31,7 +31,8 @@ pub mod arrivals;
 pub mod config;
 pub mod generate;
 pub mod lifetime;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod services;
 pub mod sizes;
 pub mod store_io;
@@ -42,12 +43,8 @@ pub use config::{
     ArrivalProfile, CloudProfile, GeneratorConfig, LifetimeProfile, PatternMix, RegionSpec,
     SizeProfile, TopologyConfig,
 };
-pub use generate::{
-    generate, generate_with, generate_with_partition, GeneratedTrace, GenerationReport,
-    PartitionMode, ServiceInfo,
-};
+pub use generate::{generate, generate_with, GeneratedTrace, GenerationReport, ServiceInfo};
 pub use lifetime::LifetimeSampler;
-pub use reference::generate_serial_reference;
 pub use sizes::SizeSampler;
 pub use store_io::{generate_to_store, read_generated, read_trace_only, write_generated};
 pub use utilization::{generate_vm_series, PatternKind, ServiceUtilProfile};

@@ -1,22 +1,14 @@
-//! The pre-optimization serial generation path, kept alive on purpose.
+//! Test-only oracle for the cluster-group drive: one whole-trace serial
+//! drive.
 //!
-//! [`generate_serial_reference`] reproduces the generator exactly as it
-//! ran before the scale-out work: whole-cloud fleets whose allocators
-//! answer from the O(nodes) linear scan
-//! ([`cloudscope_cluster::ClusterAllocator::scan_reference_mode`]), one
-//! global discrete-event drive on the binary-heap
-//! [`cloudscope_sim::EventQueue`] (not the calendar queue), and a
-//! single-worker telemetry sweep. Its output is byte-identical to
-//! [`crate::generate`] — locked by `serial_reference_matches_parallel`
-//! below and by the golden trace digests — which makes it serve two
-//! jobs:
-//!
-//! - **Benchmark baseline**: `benches/tracegen.rs` measures the
-//!   end-to-end speedup of the indexed/parallel path against this
-//!   function, reconstructing the pre-PR cost model honestly instead of
-//!   against a remembered number.
-//! - **Oracle**: any divergence between the two paths is a determinism
-//!   bug, caught as an equality failure rather than silent drift.
+//! [`generate_serial_reference`] places every spec, in global spec
+//! order, on two whole-cloud fleets ([`Fleet::new`]) under a single
+//! [`Simulation`] — no partition, no per-group fleets, no merge, and a
+//! one-worker telemetry sweep. It shares [`prepare`] and [`finish`] with
+//! [`crate::generate_with`] but no line of `drive_task`,
+//! `partition_specs` or `merge_outcomes`, so a record-for-record match
+//! between the two is evidence about the partitioned drive rather than
+//! a tautology.
 
 use crate::config::GeneratorConfig;
 use crate::generate::{
@@ -26,56 +18,33 @@ use crate::generate::{
 use cloudscope_cluster::{Fleet, PlacementPolicy, PlacementRequest};
 use cloudscope_model::prelude::*;
 use cloudscope_par::Parallelism;
+use cloudscope_sim::engine::Simulation;
 use cloudscope_sim::rng::RngFactory;
-use cloudscope_sim::EventQueue;
 
-/// Generates a trace on the pre-optimization serial path: linear-scan
-/// allocators, binary-heap event queue, single global drive, one-worker
-/// telemetry. Byte-identical to [`crate::generate`], at the original
-/// cost.
-///
-/// # Panics
-/// Panics if the configuration is invalid, like [`crate::generate`].
-#[must_use]
-pub fn generate_serial_reference(config: &GeneratorConfig) -> GeneratedTrace {
-    if let Err(e) = config.validate() {
-        panic!("{e}");
-    }
+/// Generates a trace with one global serial placement drive.
+fn generate_serial_reference(config: &GeneratorConfig) -> GeneratedTrace {
+    config.validate().expect("valid config");
     let factory = RngFactory::new(config.seed);
     let gen_span = cloudscope_obs::span("tracegen.generate");
     let prep = prepare(config, &factory, &gen_span);
-    let stage = gen_span.child("placement");
 
-    // Whole-cloud fleets in scan-reference mode: node selection and the
-    // cluster-ordering ratio run the original O(nodes) scans.
-    let spreading = spreading_rule();
-    let mut fleets = [
+    let mut fleets = CloudKind::BOTH.map(|cloud| {
         Fleet::new(
             &prep.topology,
-            CloudKind::Private,
+            cloud,
             PlacementPolicy::BestFit,
-            spreading,
+            spreading_rule(),
         )
-        .scan_reference_mode(),
-        Fleet::new(
-            &prep.topology,
-            CloudKind::Public,
-            PlacementPolicy::BestFit,
-            spreading,
-        )
-        .scan_reference_mode(),
-    ];
-
+    });
     let mut report = prep.report;
     let mut records: Vec<VmRecord> = Vec::with_capacity(prep.specs.len());
 
     // Standing VMs place first (outside the DES), then churn replays
-    // through the heap queue so releases free capacity for later
-    // creations — the original single-threaded drive.
-    let mut queue: EventQueue<Event> = EventQueue::with_capacity(prep.specs.len());
+    // through the event queue so releases free capacity for later
+    // creations.
+    let mut sim: Simulation<Event> = Simulation::new();
     for (spec, &size) in prep.specs.iter().zip(&prep.sizes) {
         let plan = &prep.plans[spec.subscription];
-        let fleet_idx = fleet_index(plan.cloud);
         let request = PlacementRequest {
             vm: VmId::new(records.len() as u64),
             size,
@@ -83,17 +52,17 @@ pub fn generate_serial_reference(config: &GeneratorConfig) -> GeneratedTrace {
             priority: spec.priority,
         };
         match spec.kind {
-            SpecKind::Standing => match fleets[fleet_idx].place_in_region(spec.region, request) {
-                Ok((cluster, node)) => {
-                    if let Some(end) = spec.ended {
-                        queue.schedule(end, Event::Release(request.vm));
+            SpecKind::Standing => {
+                match fleets[fleet_index(plan.cloud)].place_in_region(spec.region, request) {
+                    Ok((cluster, node)) => {
+                        if let Some(end) = spec.ended {
+                            sim.schedule(end, Event::Release(request.vm));
+                        }
+                        records.push(make_record(request, spec, plan, cluster, Some(node)));
                     }
-                    records.push(make_record(request, spec, plan, cluster, Some(node)));
+                    Err(_) => report.dropped_vms += 1,
                 }
-                Err(_) => {
-                    report.dropped_vms += 1;
-                }
-            },
+            }
             SpecKind::Churn | SpecKind::Burst => {
                 records.push(make_record(
                     request,
@@ -102,54 +71,43 @@ pub fn generate_serial_reference(config: &GeneratorConfig) -> GeneratedTrace {
                     ClusterId::new(u32::MAX),
                     None,
                 ));
-                queue.schedule(spec.created, Event::Create(records.len() - 1));
+                sim.schedule(spec.created, Event::Create(records.len() - 1));
             }
         }
     }
 
     let week_end = SimTime::WEEK_END;
-    while let Some(next) = queue.peek_time() {
-        if next >= week_end {
-            break;
-        }
-        let (time, event) = queue.pop().expect("peeked");
-        match event {
-            Event::Create(record_idx) => {
-                let record = &mut records[record_idx];
-                let plan = &prep.plans[record.subscription.as_usize()];
-                let fleet_idx = fleet_index(plan.cloud);
-                let request = PlacementRequest {
-                    vm: record.id,
-                    size: record.size,
-                    service: record.service,
-                    priority: record.priority,
-                };
-                match fleets[fleet_idx].place_in_region(record.region, request) {
-                    Ok((cluster, node)) => {
-                        record.cluster = cluster;
-                        record.node = Some(node);
-                        if let Some(end) = record.ended {
-                            if end < week_end {
-                                queue.schedule(end.max(time), Event::Release(record.id));
-                            }
+    let cloud_of = |record: &VmRecord| prep.plans[record.subscription.as_usize()].cloud;
+    sim.run(week_end, |scheduler, time, event| match event {
+        Event::Create(record_idx) => {
+            let record = &mut records[record_idx];
+            let request = PlacementRequest {
+                vm: record.id,
+                size: record.size,
+                service: record.service,
+                priority: record.priority,
+            };
+            match fleets[fleet_index(cloud_of(record))].place_in_region(record.region, request) {
+                Ok((cluster, node)) => {
+                    record.cluster = cluster;
+                    record.node = Some(node);
+                    if let Some(end) = record.ended {
+                        if end < week_end {
+                            scheduler.schedule(end.max(time), Event::Release(record.id));
                         }
                     }
-                    Err(_) => {
-                        record.node = None;
-                    }
                 }
-            }
-            Event::Release(vm) => {
-                let record = &records[vm.as_usize()];
-                let plan = &prep.plans[record.subscription.as_usize()];
-                let _ = fleets[fleet_index(plan.cloud)].release(vm);
+                Err(_) => record.node = None,
             }
         }
-    }
+        Event::Release(vm) => {
+            let cloud = cloud_of(&records[vm.as_usize()]);
+            let _ = fleets[fleet_index(cloud)].release(vm);
+        }
+    });
 
     report.private_alloc = fleets[0].stats();
     report.public_alloc = fleets[1].stats();
-    stage.finish();
 
     finish(
         config,
@@ -169,32 +127,117 @@ pub fn generate_serial_reference(config: &GeneratorConfig) -> GeneratedTrace {
     )
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::generate_with;
+    use cloudscope_obs::{scoped, Registry};
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
-    /// The oracle property the whole PR rests on: the region-parallel
-    /// indexed path and the pre-optimization serial path emit the same
+    /// Full-output equality: stats, report, service directory, every
+    /// record, every telemetry series.
+    fn assert_identical(a: &GeneratedTrace, b: &GeneratedTrace, label: &str) {
+        assert_eq!(a.report, b.report, "{label}: report");
+        assert_eq!(a.trace.stats(), b.trace.stats(), "{label}: stats");
+        assert_eq!(a.services, b.services, "{label}: services");
+        assert_eq!(a.trace.vms(), b.trace.vms(), "{label}: records");
+        for vm in a.trace.vms() {
+            assert_eq!(
+                a.trace.util(vm.id),
+                b.trace.util(vm.id),
+                "{label}: telemetry of {}",
+                vm.id
+            );
+        }
+    }
+
+    /// The oracle property the generator rests on: the partitioned
+    /// cluster-group drive and the whole-trace serial drive emit the same
     /// trace, record for record and sample for sample.
     #[test]
     fn serial_reference_matches_parallel() {
         for seed in [7, 42] {
             let cfg = GeneratorConfig::small(seed);
             let reference = generate_serial_reference(&cfg);
-            let parallel = generate_with(&cfg, Parallelism::with_workers(4));
-            assert_eq!(reference.report, parallel.report, "seed {seed}");
-            assert_eq!(
-                reference.trace.stats(),
-                parallel.trace.stats(),
-                "seed {seed}"
+            let registry = Arc::new(Registry::new());
+            let (parallel, tasks_driven) = scoped(&registry, || {
+                let parallel = generate_with(&cfg, Parallelism::with_workers(4));
+                let snapshot = cloudscope_obs::snapshot();
+                (parallel, snapshot.counter("tracegen.generate.tasks_driven"))
+            });
+            // Guards the comparison itself: a one-task drive would make
+            // this serial-vs-serial.
+            let tasks_driven = tasks_driven.expect("drive counts its tasks");
+            assert!(
+                tasks_driven > 1,
+                "seed {seed}: drove {tasks_driven} task(s)"
             );
-            assert_eq!(reference.services, parallel.services, "seed {seed}");
-            let vms = reference.trace.vms();
-            assert_eq!(vms.len(), parallel.trace.vms().len());
-            for (a, b) in vms.iter().zip(parallel.trace.vms()) {
-                assert_eq!(a, b, "seed {seed}");
-                assert_eq!(reference.trace.util(a.id), parallel.trace.util(b.id));
+            assert_identical(&reference, &parallel, &format!("seed {seed}"));
+        }
+    }
+
+    /// Small configurations biased toward placement contention — the
+    /// ones where a partitioned drive could plausibly diverge from the
+    /// global one:
+    ///
+    /// - **Multiple clusters per region per cloud**, so
+    ///   `Fleet::place_in_region` exercises the coupled
+    ///   least-allocated-first ordering and cross-cluster fallback that
+    ///   make clusters within one (region, cloud) non-independent — the
+    ///   reason the partition stops at cluster *groups* rather than
+    ///   clusters.
+    /// - **Capacity pressure** (small nodes, few racks, many standing
+    ///   VMs), so placements fail, fall back across clusters, and drop.
+    /// - **High spot fractions**, so priority-dependent placement paths
+    ///   run.
+    fn contended_config_strategy() -> impl Strategy<Value = GeneratorConfig> {
+        (
+            (
+                any::<u64>(),
+                2usize..4, // regions
+                1usize..4, // private clusters per region (>1 exercises fallback)
+                1usize..4, // public clusters per region
+                1usize..3, // racks per cluster
+            ),
+            (
+                3usize..8,       // nodes per rack (small: capacity pressure)
+                4usize..12,      // private subscriptions
+                20usize..60,     // public subscriptions
+                0.0f64..0.9,     // public spot fraction
+                prop::bool::ANY, // telemetry
+            ),
+        )
+            .prop_map(
+                |(
+                    (seed, regions, private_clusters, public_clusters, racks),
+                    (nodes, private_subs, public_subs, spot, telemetry),
+                )| {
+                    let mut cfg = GeneratorConfig::small(seed);
+                    cfg.topology.regions.truncate(regions);
+                    cfg.topology.private_clusters_per_region = private_clusters;
+                    cfg.topology.public_clusters_per_region = public_clusters;
+                    cfg.topology.racks_per_cluster = racks;
+                    cfg.topology.nodes_per_rack = nodes;
+                    cfg.private.subscriptions = private_subs;
+                    cfg.public.subscriptions = public_subs;
+                    cfg.public.spot_fraction = spot;
+                    cfg.private.arrival.base_rate_per_hour = 1.0;
+                    cfg.public.arrival.base_rate_per_hour = 3.0;
+                    cfg.telemetry = telemetry;
+                    cfg
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn cluster_group_drive_matches_serial_reference(config in contended_config_strategy()) {
+            let reference = generate_serial_reference(&config);
+            for workers in [1usize, 2, 4, 8] {
+                let got = generate_with(&config, Parallelism::with_workers(workers));
+                assert_identical(&reference, &got, &format!("{workers} workers"));
             }
         }
     }

@@ -16,7 +16,7 @@
 use crate::config::GeneratorConfig;
 use crate::generate::{
     build_services, drive_all, vm_telemetry, FinishInputs, GeneratedTrace, GenerationReport,
-    PartitionMode, ServiceInfo,
+    ServiceInfo,
 };
 use crate::utilization::{PatternKind, ServiceUtilProfile};
 use cloudscope_cluster::AllocatorStats;
@@ -300,7 +300,7 @@ pub fn generate_to_store(
         standing_per_service,
         records,
         mut report,
-    } = drive_all(config, &factory, &gen_span, par, PartitionMode::Auto);
+    } = drive_all(config, &factory, &gen_span, par);
 
     let stage = gen_span.child("stream_out");
     let subscriptions: Vec<Subscription> = plans

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Pre-merge gate: formatting, lints, and the tier-1 build+test suite.
-# Everything runs offline against the vendored dependency shims.
+# Pre-merge gate: formatting, lints, the tier-1 build+test suite in both
+# profiles, the metrics schema, and the bench gates declared in
+# scripts/bench_gates.json. Everything runs offline against the vendored
+# dependency shims.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +17,13 @@ cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# The two workspace runs execute every suite: the robustness and parity
+# gates, observability reconciliation, the KB crash matrix and
+# corruption fuzzing, the store round-trip/corruption suites, the
+# allocator and generator oracles, and ingest convergence. Release
+# matters as much as debug: it is the mode the binaries run in, where
+# debug asserts are compiled out and the in-crate oracles, CRC footers
+# and torn-tail handling are the only safety net.
 echo "==> cargo test -q (debug: catches overflow/shift panics release wraps)"
 debug_out=$(cargo test -q --workspace 2>&1) || {
   printf '%s\n' "$debug_out"
@@ -24,42 +33,6 @@ printf '%s\n' "$debug_out"
 
 echo "==> cargo test -q --release"
 cargo test -q --release --workspace
-
-echo "==> robustness gate: all 26 shape checks under telemetry corruption"
-cargo test -q -p cloudscope --test full_pipeline robustness_gate
-cargo test -q -p cloudscope --test full_pipeline --release robustness_gate
-
-echo "==> observability gate: metrics reconcile with subsystem ground truth"
-cargo test -q -p cloudscope --test observability
-cargo test -q -p cloudscope --test observability --release
-
-# Durability gate: the crash-point matrix (simulated kills at every WAL
-# append / shard snapshot / manifest rename boundary, plus random
-# interleavings) and the corruption fuzz suite (bit flips, truncation)
-# must pass in release — the mode real recovery runs in, where
-# debug-asserts are compiled out and torn-tail handling is the only
-# safety net.
-echo "==> kb durability gate: crash matrix + corruption fuzzing (release)"
-cargo test -q -p cloudscope-kb --test crash_matrix --release
-cargo test -q -p cloudscope-kb --test durability --release
-
-# Trace-store gate: the columnar store's round-trip proptests, the
-# corruption fuzz suite (bit flips and truncations at every offset,
-# missing chunks, stale manifests), and the generator ↔ store
-# byte-identity tests must pass in release — the mode the repro
-# binaries stream traces in, where debug asserts are compiled out and
-# the CRC-checked footers are the only safety net.
-echo "==> trace store gate: round-trip + corruption fuzzing (release)"
-cargo test -q -p cloudscope-store --release
-cargo test -q -p cloudscope-tracegen --test store_roundtrip --release
-
-# The free-capacity index must select the identical node the linear scan
-# would, for every policy, on long randomized place/release/evict
-# histories. Release mode matters: this is the mode the benchmarks and
-# binaries run in, and the debug-assert oracle inside place() is
-# compiled out here, so the proptest is the only release-mode witness.
-echo "==> allocator index oracle: indexed placement replays the scan (release)"
-cargo test -q -p cloudscope-cluster --test index_oracle --release
 
 # A real binary run must emit a snapshot whose names/kinds validate
 # against the committed schema (values are free to drift; names are not).
@@ -72,221 +45,10 @@ cargo run -q --release -p cloudscope-repro --bin metrics_schema -- \
   "$ARTIFACTS_DIR/fig1_metrics.json" tests/golden/metrics_schema.json
 echo "    (metrics snapshot archived at $ARTIFACTS_DIR/fig1_metrics.json)"
 
-# KB serving-layer bench smoke: a short criterion run must produce a
-# parseable BENCH_kb.json covering the mixed closed loop at every thread
-# count. The bench binary itself enforces the >= 3x sharded-vs-single-lock
-# acceptance ratio, the no-cloning allocation audit, the <= 50% WAL
-# overhead gate, and the < 5s cold-recovery gate (it panics, and this
-# step fails, if any regresses).
-echo "==> kb bench smoke: sharded serving layer vs single-lock baseline"
-rm -f BENCH_kb.json
-CLOUDSCOPE_BENCH_SMOKE=1 cargo bench -q -p cloudscope-bench --bench kb > /dev/null
-test -s BENCH_kb.json || { echo "ERROR: BENCH_kb.json not produced" >&2; exit 1; }
-python3 - <<'PY'
-import json, sys
-results = json.load(open("BENCH_kb.json"))
-expected = [
-    f"kb_mixed/{store}/{threads}"
-    for store in ("sharded", "single_lock")
-    for threads in (1, 2, 4, 8)
-] + [
-    "kb_durable/mixed_plain/1",
-    "kb_durable/mixed_wal/1",
-    "kb_durable/mixed_wal/8",
-    "kb_durable/recovery/20000",
-    "kb_durable/wal_overhead_pct",
-    "kb_durable/recovery_entries_per_sec",
-]
-missing = [k for k in expected if k not in results]
-if missing:
-    sys.exit(f"ERROR: BENCH_kb.json missing ids: {missing}")
-print(f"    (BENCH_kb.json parses: {len(results)} benchmark ids)")
-PY
-
-# Tracegen bench smoke: the indexed, cluster-group-parallel generator
-# must produce a parseable BENCH_tracegen.json. The bench binary
-# enforces the acceptance ratios (indexed placement >= 2x the 120-node
-# scan; end-to-end medium generation at 8 workers >= 4x the serial
-# reference; hardware-aware 1->8 worker scaling; small-config parity
-# with the serial reference) and panics — failing this step — if any
-# regresses. While here, every committed BENCH_*.json must parse.
-echo "==> tracegen bench smoke: indexed parallel generator vs serial reference"
-rm -f BENCH_tracegen.json
-CLOUDSCOPE_BENCH_SMOKE=1 cargo bench -q -p cloudscope-bench --bench tracegen > /dev/null
-test -s BENCH_tracegen.json || { echo "ERROR: BENCH_tracegen.json not produced" >&2; exit 1; }
-python3 - <<'PY'
-import json, sys
-for path in (
-    "BENCH_analysis.json",
-    "BENCH_kb.json",
-    "BENCH_tracegen.json",
-    "BENCH_store.json",
-    "BENCH_ingest.json",
-):
-    try:
-        results = json.load(open(path))
-    except (OSError, ValueError) as e:
-        sys.exit(f"ERROR: {path} unreadable: {e}")
-    if not results:
-        sys.exit(f"ERROR: {path} is empty")
-    print(f"    ({path} parses: {len(results)} benchmark ids)")
-expected = ["tracegen_e2e/serial_reference/medium"] + [
-    f"tracegen_e2e/parallel/{w}" for w in (1, 2, 4, 8)
-]
-results = json.load(open("BENCH_tracegen.json"))
-missing = [k for k in expected if k not in results]
-if missing:
-    sys.exit(f"ERROR: BENCH_tracegen.json missing ids: {missing}")
-PY
-
-# Scaling gate: the bench binary asserts the ratios in-process with the
-# freshly measured numbers; this step re-derives them from the JSON it
-# wrote, so a stale or hand-edited BENCH_tracegen.json cannot hide a
-# regression, and requires the per-phase breakdown that makes a flat
-# curve diagnosable. The wall-clock floor is hardware-aware: a host
-# without 8 threads cannot show parallel speedup, so there the gate
-# degrades to bounding the partition/merge machinery's overhead.
-echo "==> tracegen scaling gate: 1 -> 8 worker ratio from BENCH_tracegen.json"
-python3 - <<'PY'
-import json, os, sys
-results = json.load(open("BENCH_tracegen.json"))
-phases = ("prepare", "placement", "merge", "telemetry", "assemble")
-missing = [
-    f"tracegen_phase/{p}/{w}"
-    for p in phases
-    for w in (1, 2, 4, 8)
-    if f"tracegen_phase/{p}/{w}" not in results
-]
-if missing:
-    sys.exit(f"ERROR: BENCH_tracegen.json missing phase breakdown: {missing}")
-scaling = results["tracegen_e2e/parallel/1"] / results["tracegen_e2e/parallel/8"]
-cores = os.cpu_count() or 1
-if cores >= 8:
-    floor, label = 2.5, f"scaling floor on {cores}-thread host"
-else:
-    floor, label = 0.75, f"overhead bound on {cores}-thread host (speedup unobservable)"
-print(f"    (1->8 workers: {scaling:.2f}x; gate >= {floor}x: {label})")
-if scaling < floor:
-    sys.exit(f"ERROR: tracegen scaling gate failed: {scaling:.2f}x < {floor}x")
-PY
-
-# Trace-store bench smoke: a short criterion run must produce a
-# parseable BENCH_store.json. The bench binary enforces the acceptance
-# gates in-process (compression ratio > 1x, out-of-core analysis peak
-# heap under a budget the fully-materialized pass exceeds) and panics —
-# failing this step — if either regresses. The budget claim is then
-# re-derived from the JSON it wrote, so a stale or hand-edited
-# BENCH_store.json cannot hide a regression.
-echo "==> trace store bench smoke: compressed streaming I/O + peak-heap budget"
-rm -f BENCH_store.json
-CLOUDSCOPE_BENCH_SMOKE=1 cargo bench -q -p cloudscope-bench --bench store > /dev/null
-test -s BENCH_store.json || { echo "ERROR: BENCH_store.json not produced" >&2; exit 1; }
-python3 - <<'PY'
-import json, os, sys
-results = json.load(open("BENCH_store.json"))
-expected = [
-    "store_write/parallel/1",
-    "store_write/parallel/8",
-    "store_read/resident",
-    "store_read/out_of_core_sweep",
-    "store_read/metadata_only",
-    "store/compression_ratio",
-    "store/write_mb_per_sec",
-    "store/out_of_core_sweep_mb_per_sec",
-    "store/out_of_core_over_resident",
-    "store/write_scaling_1_to_8",
-    "store/peak_heap_resident_mb",
-    "store/peak_heap_out_of_core_mb",
-    "store/peak_heap_budget_mb",
-]
-missing = [k for k in expected if k not in results]
-if missing:
-    sys.exit(f"ERROR: BENCH_store.json missing ids: {missing}")
-ooc = results["store/peak_heap_out_of_core_mb"]
-budget = results["store/peak_heap_budget_mb"]
-resident = results["store/peak_heap_resident_mb"]
-if not ooc < budget < resident:
-    sys.exit(
-        f"ERROR: out-of-core peak-heap budget violated: "
-        f"out-of-core {ooc:.1f} MB, budget {budget:.1f} MB, resident {resident:.1f} MB"
-    )
-# Pipelined-read overlap: re-derive the streamed/resident sweep ratio
-# from the raw medians, not just the reported metric, and hold it to
-# the same 1.4x bound the bench asserts in-process.
-ratio = results["store_read/out_of_core_sweep"] / results["store_read/resident"]
-reported = results["store/out_of_core_over_resident"]
-if abs(ratio - reported) > 0.05 * ratio:
-    sys.exit(
-        f"ERROR: reported overlap ratio {reported:.2f}x does not match "
-        f"the medians ({ratio:.2f}x)"
-    )
-if ratio > 1.4:
-    sys.exit(
-        f"ERROR: pipelined out-of-core sweep is {ratio:.2f}x resident "
-        f"(bound 1.4x): prefetch overlap regressed"
-    )
-# Write scaling: 8 compression workers must beat 1 where the hardware
-# can show it; a starved runner only has to bound the fan-out overhead.
-scaling = results["store_write/parallel/1"] / results["store_write/parallel/8"]
-floor = 1.15 if (os.cpu_count() or 1) >= 8 else 0.75
-if scaling < floor:
-    sys.exit(
-        f"ERROR: store write scaling 1->8 is {scaling:.2f}x on "
-        f"{os.cpu_count()} cores (floor {floor}x)"
-    )
-print(
-    f"    (BENCH_store.json parses: {len(results)} ids; peak heap "
-    f"{ooc:.1f} MB out-of-core vs {resident:.1f} MB resident; "
-    f"sweep overlap {ratio:.2f}x; write scaling {scaling:.2f}x)"
-)
-PY
-
-# Ingest gate: the headline convergence claim must hold in release —
-# the mode the service runs in, where debug asserts are compiled out.
-# A clean stream's classifications converge to the batch classifier
-# output exactly; under the standard fault plan the divergence is
-# bounded and fully accounted for by reported drops. The property
-# suite replays shuffled/duplicated deliveries and stragglers.
-echo "==> ingest gate: streaming/batch convergence + watermark properties (release)"
-cargo test -q -p cloudscope-ingest --test convergence --release
-cargo test -q -p cloudscope-ingest --test properties --release
-cargo test -q -p cloudscope-ingest --test streaming --release
-
-# Ingest bench smoke: a short criterion run must produce a parseable
-# BENCH_ingest.json. The bench binary enforces the acceptance gates
-# in-process (sustained samples/sec floor, p99 offer latency bound,
-# hardware-aware worker scaling) and panics — failing this step — if
-# any regresses. The floors are then re-derived from the JSON it
-# wrote, so a stale or hand-edited BENCH_ingest.json cannot hide a
-# regression.
-echo "==> ingest bench smoke: partitioned live-stream replay at 1/2/4/8 workers"
-rm -f BENCH_ingest.json
-CLOUDSCOPE_BENCH_SMOKE=1 cargo bench -q -p cloudscope-bench --bench ingest > /dev/null
-test -s BENCH_ingest.json || { echo "ERROR: BENCH_ingest.json not produced" >&2; exit 1; }
-python3 - <<'PY'
-import json, os, sys
-results = json.load(open("BENCH_ingest.json"))
-expected = [f"ingest_stream/workers/{w}" for w in (1, 2, 4, 8)] + [
-    f"ingest/samples_per_sec/{w}" for w in (1, 2, 4, 8)
-] + ["ingest/samples_total", "ingest/p50_offer_ns", "ingest/p99_offer_ns"]
-missing = [k for k in expected if k not in results]
-if missing:
-    sys.exit(f"ERROR: BENCH_ingest.json missing ids: {missing}")
-best = max(results[f"ingest/samples_per_sec/{w}"] for w in (1, 2, 4, 8))
-p99 = results["ingest/p99_offer_ns"]
-if best < 200_000:
-    sys.exit(f"ERROR: sustained ingest throughput floor violated: {best:.0f} samples/s")
-if p99 >= 1_000_000:
-    sys.exit(f"ERROR: p99 offer latency bound violated: {p99:.0f} ns")
-cores = os.cpu_count() or 1
-speedup = results["ingest_stream/workers/1"] / results["ingest_stream/workers/8"]
-if cores >= 8 and speedup < 1.2:
-    sys.exit(f"ERROR: ingest worker scaling gate failed: {speedup:.2f}x on {cores}-thread host")
-print(
-    f"    (BENCH_ingest.json parses: {len(results)} ids; best {best:.0f} samples/s, "
-    f"p99 offer {p99:.0f} ns, 1->8 workers {speedup:.2f}x)"
-)
-PY
+# Bench smoke + gates, as data: which bench writes which BENCH_*.json,
+# the rows it must contain, and the ratios re-derived from them.
+python3 scripts/bench_gates.py | tee "$ARTIFACTS_DIR/bench_gates.log"
+gates=$(tail -n 1 "$ARTIFACTS_DIR/bench_gates.log")
 
 # Test-count delta: the suite must never shrink. The baseline is the
 # committed count from the last blessed run; growing it is expected
@@ -304,4 +66,4 @@ if [ "$total" -gt "$baseline" ]; then
   echo "    (new high-water mark; bless it with: echo $total > $BASELINE_FILE)"
 fi
 
-echo "==> OK: all checks passed"
+echo "==> OK: all checks passed ($gates)"

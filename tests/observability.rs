@@ -463,36 +463,24 @@ fn generation_metrics_reconcile_with_trace_ground_truth() {
     assert_counter_eq(&diff, "sim.queue.overflow_events", 0);
 }
 
-/// Partition observability: the serial short-circuit reports one drive
-/// task, forced cluster-group fan-out reports one task per non-empty
-/// (region, cloud) group, and every generation phase exports its
-/// wall-clock gauge — the breakdown that makes flat scaling diagnosable
-/// from a metrics dump.
+/// Partition observability: a plain `generate` reports one drive task
+/// per non-empty (region, cloud) group — on the small config every pair
+/// has specs — and every generation phase exports its wall-clock gauge,
+/// the breakdown that makes flat scaling diagnosable from a metrics
+/// dump.
 #[test]
 fn partition_metrics_reflect_drive_granularity() {
-    use cloudscope::tracegen::{generate_with_partition, PartitionMode};
-
     let cfg = GeneratorConfig::small(9108);
-    // Auto on the small config short-circuits to the serial drive: one
-    // task, driven by one worker regardless of the pool size.
     let registry = Arc::new(Registry::new());
-    let (_, diff) = snapshot_diff(&registry, || generate(&cfg));
-    assert_counter_eq(&diff, "tracegen.generate.tasks_driven", 1);
-    assert_eq!(diff.gauge("tracegen.generate.region_workers"), Some(1.0));
-
-    // Forced cluster-group fan-out: one task per (region, cloud) pair
-    // that has specs — on the small config every pair does.
-    let registry = Arc::new(Registry::new());
-    let (g, diff) = snapshot_diff(&registry, || {
-        generate_with_partition(
-            &cfg,
-            Parallelism::with_workers(4),
-            PartitionMode::ClusterGroup,
-        )
-    });
+    let (g, diff) = snapshot_diff(&registry, || generate(&cfg));
     let regions = g.trace.topology().regions().len() as u64;
     assert_counter_eq(&diff, "tracegen.generate.tasks_driven", 2 * regions);
     assert_counter_eq(&diff, "tracegen.generate.regions_driven", regions);
+    assert_eq!(
+        diff.gauge("tracegen.generate.region_workers"),
+        Some(Parallelism::auto().workers() as f64),
+        "the drive fans out over the whole pool"
+    );
     for phase in ["prepare", "placement", "merge", "telemetry", "assemble"] {
         let ns = diff
             .gauge(&format!("tracegen.generate.phase_{phase}_ns"))

@@ -4,7 +4,7 @@
 //! that leaves the *statistics* alone; these digests do not. They hash
 //! every exported deployment row, the raw bits of every telemetry
 //! sample, and the full generation report, so a refactor of the
-//! generator (indexed placement, calendar queue, region-parallel drive)
+//! generator (indexed placement, calendar queue, cluster-group drive)
 //! is provably byte-identical — or fails here with the digest that
 //! changed.
 //!
@@ -17,7 +17,7 @@
 use cloudscope::model::export::write_deployments;
 use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
-use cloudscope::tracegen::{generate_with, generate_with_partition, GeneratedTrace, PartitionMode};
+use cloudscope::tracegen::{generate_with, GeneratedTrace};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -117,25 +117,16 @@ fn digest_is_stable_across_runs() {
     assert_eq!(a, b);
 }
 
-/// Worker-count and partition-granularity invariance of the parallel
-/// drive: the same seed must produce the identical trace digest at 1,
-/// 2, 4, and 8 workers under every forced partition mode, and through
-/// the `CLOUDSCOPE_WORKERS` override that [`generate`] reads. Modes are
-/// forced because the small config short-circuits Auto to the serial
-/// drive — the very digest the forced modes are checked against.
+/// Worker-count invariance of the cluster-group drive: the same seed
+/// must produce the identical trace digest at 1, 2, 4, and 8 workers,
+/// and through the `CLOUDSCOPE_WORKERS` override that [`generate`] reads.
 #[test]
 fn digest_is_worker_count_invariant() {
     let cfg = GeneratorConfig::small(7);
     let base = trace_digest(&generate_with(&cfg, Parallelism::with_workers(1)));
-    for mode in [PartitionMode::Region, PartitionMode::ClusterGroup] {
-        for workers in [1usize, 2, 4, 8] {
-            let got = trace_digest(&generate_with_partition(
-                &cfg,
-                Parallelism::with_workers(workers),
-                mode,
-            ));
-            assert_eq!(got, base, "digest drifted: {mode:?} at {workers} workers");
-        }
+    for workers in [2usize, 4, 8] {
+        let got = trace_digest(&generate_with(&cfg, Parallelism::with_workers(workers)));
+        assert_eq!(got, base, "digest drifted at {workers} workers");
     }
 
     // The environment override feeds Parallelism::auto() inside plain
