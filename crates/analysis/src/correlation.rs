@@ -40,36 +40,41 @@ pub fn node_vm_correlation_cdf(
         .collect();
     nodes.sort_unstable();
     let stride = (nodes.len() / max_nodes.max(1)).max(1);
+    let sampled: Vec<NodeId> = nodes.into_iter().step_by(stride).take(max_nodes).collect();
 
+    // Nodes are taken a bounded batch at a time: one ascending scan
+    // gathers the telemetry of every VM on the batch's nodes, then each
+    // node is worked out from the gathered series.
     let mut correlations = Vec::new();
-    for node in nodes.into_iter().step_by(stride).take(max_nodes) {
-        // The paper's filter: skip trivial single-VM nodes.
-        let vms_with_telemetry: Vec<VmId> = trace
-            .vms_on_node(node)
-            .iter()
-            .copied()
-            .filter(|&vm| {
-                trace
-                    .util(vm)
-                    .is_some_and(|u| u.len() >= MIN_OVERLAP_SAMPLES)
-            })
-            .collect();
-        if vms_with_telemetry.len() < 2 {
-            continue;
-        }
-        let node_series = trace
-            .node_utilization(node)
-            .map_err(|_| AnalysisError::NoData("node utilization"))?
-            .to_f64_vec();
-        for vm in vms_with_telemetry {
-            let util = trace.util(vm).expect("filtered above");
-            let offset = (util.start().minutes() / SAMPLE_INTERVAL_MINUTES) as usize;
-            let len = util.len().min(SAMPLES_PER_WEEK - offset);
-            let vm_vals = util.to_f64_vec();
-            // Joint-finite masking: gap slots in the VM series drop out of
-            // the correlation instead of poisoning it.
-            if let Some(r) = joint_pearson(&vm_vals[..len], &node_series[offset..offset + len]) {
-                correlations.push(r);
+    let batches = trace.gather_batches(trace, &sampled, |&node, ids| {
+        ids.extend_from_slice(trace.vms_on_node(node));
+    });
+    for (batch, gathered) in batches {
+        for &node in batch {
+            // The paper's filter: skip trivial single-VM nodes.
+            let vms_with_telemetry: Vec<UtilSeries> = trace
+                .vms_on_node(node)
+                .iter()
+                .filter_map(|&vm| gathered.load(vm))
+                .filter(|u| u.len() >= MIN_OVERLAP_SAMPLES)
+                .collect();
+            if vms_with_telemetry.len() < 2 {
+                continue;
+            }
+            let node_series = trace
+                .node_utilization(&gathered, node)
+                .map_err(|_| AnalysisError::NoData("node utilization"))?
+                .to_f64_vec();
+            for util in vms_with_telemetry {
+                let offset = (util.start().minutes() / SAMPLE_INTERVAL_MINUTES) as usize;
+                let len = util.len().min(SAMPLES_PER_WEEK - offset);
+                let vm_vals = util.to_f64_vec();
+                // Joint-finite masking: gap slots in the VM series drop out
+                // of the correlation instead of poisoning it.
+                if let Some(r) = joint_pearson(&vm_vals[..len], &node_series[offset..offset + len])
+                {
+                    correlations.push(r);
+                }
             }
         }
     }
@@ -79,18 +84,28 @@ pub fn node_vm_correlation_cdf(
     Ecdf::new(correlations).map_err(AnalysisError::from)
 }
 
+/// The VMs of `sub` deployed in `region`, ascending.
+fn vms_in(trace: &Trace, sub: SubscriptionId, region: RegionId) -> impl Iterator<Item = VmId> + '_ {
+    trace
+        .vms_of_subscription(sub)
+        .iter()
+        .copied()
+        .filter(move |&vm| trace.vm(vm).expect("indexed vm exists").region == region)
+}
+
 /// The per-region average utilization of one subscription on the full
-/// week grid; `None` where no VM reports. Returns `None` if coverage is
-/// below one day of samples.
-fn region_mean_series(trace: &Trace, sub: SubscriptionId, region: RegionId) -> Option<Vec<f64>> {
+/// week grid, its samples scanned from `source`; `None` where no VM
+/// reports. Returns `None` if coverage is below one day of samples.
+fn region_mean_series(
+    trace: &Trace,
+    source: &(impl TelemetrySource + ?Sized),
+    sub: SubscriptionId,
+    region: RegionId,
+) -> Option<Vec<f64>> {
     let mut sum = vec![0.0f64; SAMPLES_PER_WEEK];
     let mut count = vec![0u32; SAMPLES_PER_WEEK];
-    for &vm in trace.vms_of_subscription(sub) {
-        let record = trace.vm(vm).expect("indexed vm exists");
-        if record.region != region {
-            continue;
-        }
-        let Some(util) = trace.util(vm) else { continue };
+    let ids: Vec<VmId> = vms_in(trace, sub, region).collect();
+    source.scan(&ids, &mut |_, util| {
         let offset = (util.start().minutes() / SAMPLE_INTERVAL_MINUTES) as usize;
         for (i, v) in util.iter().enumerate() {
             if !v.is_finite() {
@@ -102,7 +117,7 @@ fn region_mean_series(trace: &Trace, sub: SubscriptionId, region: RegionId) -> O
                 count[slot] += 1;
             }
         }
-    }
+    });
     let covered = count.iter().filter(|&&c| c > 0).count();
     if covered < MIN_OVERLAP_SAMPLES {
         return None;
@@ -172,35 +187,45 @@ pub fn cross_region_correlations(
                 .insert(vm.region);
         }
     }
-    let mut out = Vec::new();
-    let mut subs: Vec<_> = sub_regions.into_iter().collect();
+    // Multi-region subscriptions in id order, regions sorted. A bounded
+    // batch of them at a time has the telemetry of its VMs in those
+    // regions gathered by one ascending scan.
+    let mut subs: Vec<(SubscriptionId, Vec<RegionId>)> = sub_regions
+        .into_iter()
+        .filter(|(_, regions)| regions.len() >= 2)
+        .map(|(sub, regions)| {
+            let mut regions: Vec<RegionId> = regions.into_iter().collect();
+            regions.sort_unstable();
+            (sub, regions)
+        })
+        .collect();
     subs.sort_by_key(|(s, _)| *s);
-    for (sub, regions) in subs {
-        if regions.len() < 2 {
-            continue;
+    let mut out = Vec::new();
+    let batches = trace.gather_batches(trace, &subs, |(sub, regions), ids| {
+        for &region in regions {
+            ids.extend(vms_in(trace, *sub, region));
         }
-        let mut regions: Vec<RegionId> = regions.into_iter().collect();
-        regions.sort_unstable();
-        let means: Vec<(RegionId, Vec<f64>)> = regions
-            .iter()
-            .filter_map(|&r| region_mean_series(trace, sub, r).map(|m| (r, m)))
-            .collect();
-        if means.len() < 2 {
-            continue;
-        }
-        let mut pair_correlations = Vec::new();
-        for i in 0..means.len() {
-            for j in i + 1..means.len() {
-                if let Some(r) = joint_pearson(&means[i].1, &means[j].1) {
-                    pair_correlations.push(r);
+    });
+    for (batch, gathered) in batches {
+        for (sub, regions) in batch {
+            let means: Vec<Vec<f64>> = regions
+                .iter()
+                .filter_map(|&r| region_mean_series(trace, &gathered, *sub, r))
+                .collect();
+            let mut pair_correlations = Vec::new();
+            for i in 0..means.len() {
+                for j in i + 1..means.len() {
+                    if let Some(r) = joint_pearson(&means[i], &means[j]) {
+                        pair_correlations.push(r);
+                    }
                 }
             }
-        }
-        if !pair_correlations.is_empty() {
-            out.push(CrossRegionCorrelation {
-                subscription: sub,
-                pair_correlations,
-            });
+            if !pair_correlations.is_empty() {
+                out.push(CrossRegionCorrelation {
+                    subscription: *sub,
+                    pair_correlations,
+                });
+            }
         }
     }
     out
@@ -269,7 +294,7 @@ pub fn service_region_daily_profiles(
     regions.dedup();
     let mut out = Vec::new();
     for region in regions {
-        let Some(mean) = region_mean_series(trace, sub, region) else {
+        let Some(mean) = region_mean_series(trace, trace, sub, region) else {
             continue;
         };
         // NaN gaps would poison the profile: fill with 0 (no activity).

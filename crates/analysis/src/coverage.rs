@@ -3,16 +3,20 @@
 //!
 //! Figure-level analyses that need a dense, aligned week of samples per
 //! VM (the Figure 6 bands, the oversubscription planner's demand pool)
-//! go through [`filled_week_series`]: the VM's telemetry is projected
-//! onto the global week grid, its coverage measured, and — if it clears
-//! the caller's floor — the remaining gaps are linearly interpolated
-//! (edge gaps held) so downstream percentile kernels see finite input.
-//! Coverage ratios are reported upward so every figure can state how
-//! much data actually backed it.
+//! go through [`filled_week_series`]: the VM's coverage of the global
+//! week grid is measured first, straight off the stored samples
+//! ([`week_coverage`], no allocation), and only a VM that clears the
+//! caller's floor is projected onto the grid and has its remaining gaps
+//! linearly interpolated (edge gaps held) so downstream percentile
+//! kernels see finite input. Selections over a whole population gate on
+//! [`passes_week_coverage`] and fill just the VMs they keep. Coverage
+//! ratios are reported upward so every figure can state how much data
+//! actually backed it.
 
 use cloudscope_model::prelude::*;
+use cloudscope_model::telemetry::MISSING_SAMPLE_BYTE;
 use cloudscope_model::time::{SAMPLES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
-use cloudscope_timeseries::gaps::{coverage, fill_linear_capped};
+use cloudscope_timeseries::gaps::fill_linear_capped;
 
 /// Projects a telemetry series onto the week grid: a vector of
 /// `SAMPLES_PER_WEEK` values where slot `i` is the sample at minute
@@ -33,19 +37,45 @@ pub fn week_grid_values(util: &UtilSeries) -> Vec<f64> {
     grid
 }
 
-/// Projects `util` onto the week grid and, if its coverage is at least
-/// `min_coverage`, repairs all gaps (linear interpolation, edges held)
-/// and returns the dense values together with the pre-fill coverage.
-/// Returns `None` below the floor — the VM does not carry enough of the
-/// week to stand in for it.
+/// Fraction of the week grid's slots `util` has a sample for — exactly
+/// `coverage(&week_grid_values(util))`, read off the stored bytes
+/// without building the grid.
 #[must_use]
-pub fn filled_week_series(util: &UtilSeries, min_coverage: f64) -> Option<(Vec<f64>, f64)> {
-    let mut grid = week_grid_values(util);
-    let cov = coverage(&grid);
+pub fn week_coverage(util: &UtilSeries) -> f64 {
+    let samples = util.as_quantized();
+    let base = util.start().minutes() / SAMPLE_INTERVAL_MINUTES;
+    // Sample `i` lands in slot `base + i`; keep the ones inside the week.
+    let clamp = |slot: i64| (slot - base).clamp(0, samples.len() as i64) as usize;
+    let (from, to) = (clamp(0), clamp(SAMPLES_PER_WEEK as i64));
+    let present = samples[from..to.max(from)]
+        .iter()
+        .filter(|&&q| q != MISSING_SAMPLE_BYTE)
+        .count();
+    present as f64 / SAMPLES_PER_WEEK as f64
+}
+
+/// The coverage gate on its own: `util`'s week coverage if it is at
+/// least `min_coverage` (and not zero), else `None`, counted under
+/// `analysis.coverage.gate_rejections`.
+#[must_use]
+pub fn passes_week_coverage(util: &UtilSeries, min_coverage: f64) -> Option<f64> {
+    let cov = week_coverage(util);
     if cov < min_coverage || cov == 0.0 {
         cloudscope_obs::counter("analysis.coverage.gate_rejections").inc();
         return None;
     }
+    Some(cov)
+}
+
+/// If `util`'s week coverage is at least `min_coverage`, projects it
+/// onto the week grid, repairs all gaps (linear interpolation, edges
+/// held) and returns the dense values together with the pre-fill
+/// coverage. Returns `None` below the floor — the VM does not carry
+/// enough of the week to stand in for it.
+#[must_use]
+pub fn filled_week_series(util: &UtilSeries, min_coverage: f64) -> Option<(Vec<f64>, f64)> {
+    let cov = passes_week_coverage(util, min_coverage)?;
+    let mut grid = week_grid_values(util);
     fill_linear_capped(&mut grid, SAMPLES_PER_WEEK);
     cloudscope_obs::counter("analysis.coverage.series_filled").inc();
     Some((grid, cov))
@@ -56,14 +86,13 @@ pub fn filled_week_series(util: &UtilSeries, min_coverage: f64) -> Option<(Vec<f
 /// input-quality number the report surfaces per cloud.
 #[must_use]
 pub fn telemetry_slot_coverage(trace: &Trace, cloud: CloudKind) -> Option<f64> {
+    let ids: Vec<VmId> = trace.vms_of(cloud).map(|vm| vm.id).collect();
     let mut sum = 0.0;
     let mut count = 0usize;
-    for vm in trace.vms_of(cloud) {
-        if let Some(util) = trace.util(vm.id) {
-            sum += coverage(&week_grid_values(&util));
-            count += 1;
-        }
-    }
+    trace.scan(&ids, &mut |_, util| {
+        sum += week_coverage(&util);
+        count += 1;
+    });
     (count > 0).then(|| sum / count as f64)
 }
 
@@ -71,6 +100,31 @@ pub fn telemetry_slot_coverage(trace: &Trace, cloud: CloudKind) -> Option<f64> {
 mod tests {
     use super::*;
     use cloudscope_model::time::SimTime;
+    use cloudscope_timeseries::gaps::coverage;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The allocation-free coverage is the grid's coverage, bit for
+        /// bit: any start (before, inside, past the week), any length,
+        /// any gap pattern.
+        #[test]
+        fn week_coverage_equals_grid_coverage(
+            start_slot in -400i64..2400,
+            odd_minutes in 0i64..5,
+            half_percents in proptest::collection::vec(0u16..=260, 0..2600),
+        ) {
+            // Values past 100% stand for samples the monitor dropped.
+            let start = SimTime::from_minutes(start_slot * SAMPLE_INTERVAL_MINUTES + odd_minutes);
+            let util = UtilSeries::from_percentages(
+                start,
+                half_percents
+                    .into_iter()
+                    .map(|h| if h <= 200 { f32::from(h) / 2.0 } else { f32::NAN }),
+            );
+            let expected = coverage(&week_grid_values(&util));
+            prop_assert_eq!(week_coverage(&util).to_bits(), expected.to_bits());
+        }
+    }
 
     #[test]
     fn full_week_projects_onto_grid() {

@@ -169,24 +169,32 @@ impl PatternClassifier {
         Some(UtilizationPattern::Irregular)
     }
 
-    /// Classifies one VM given any [`TelemetrySource`] — a resident
-    /// [`Trace`], an out-of-core store, or a live ingest session — and
-    /// returns `None` if the VM lacks telemetry or the telemetry is too
-    /// short. The batch, out-of-core, and streaming paths all land here,
-    /// which is what makes their outputs directly comparable.
+    /// Classifies one VM's telemetry as the monitor reported it; `None`
+    /// if it is too short or too sparse. The batch, out-of-core, and
+    /// streaming paths all land here, which is what makes their outputs
+    /// directly comparable.
     #[must_use]
-    pub fn classify_vm(
-        &self,
-        source: &(impl TelemetrySource + ?Sized),
-        vm: VmId,
-    ) -> Option<UtilizationPattern> {
-        let util = source.load(vm)?;
+    pub fn classify_util(&self, util: &UtilSeries) -> Option<UtilizationPattern> {
         let series = Series::new(
             util.start().minutes(),
             cloudscope_model::time::SAMPLE_INTERVAL_MINUTES,
             util.to_f64_vec(),
         );
         self.classify_series(&series)
+    }
+
+    /// Classifies one VM given any [`TelemetrySource`] — a resident
+    /// [`Trace`], an out-of-core store, or a live ingest session — and
+    /// returns `None` if the VM lacks telemetry or the telemetry is too
+    /// short. A caller that already holds the series uses
+    /// [`PatternClassifier::classify_util`] instead of loading it again.
+    #[must_use]
+    pub fn classify_vm(
+        &self,
+        source: &(impl TelemetrySource + ?Sized),
+        vm: VmId,
+    ) -> Option<UtilizationPattern> {
+        self.classify_util(&source.load(vm)?)
     }
 }
 
@@ -268,7 +276,8 @@ pub fn pattern_shares(
 /// supplies the population, `source` the samples. Pass the trace itself
 /// for resident telemetry, a [`StoreTelemetry`] for out-of-core reads,
 /// or an `IngestSession` for streamed state — same classifier, same
-/// tallies.
+/// tallies. The sample is pulled through `source` in ascending batches
+/// of bounded size, each classified in parallel.
 ///
 /// [`StoreTelemetry`]: https://docs.rs/cloudscope-store
 ///
@@ -293,15 +302,18 @@ pub fn pattern_shares_from(
         .take(max_vms)
         .collect();
 
-    let shares = Parallelism::auto().par_map_reduce(
-        &sampled,
-        |&vm| classifier.classify_vm(source, vm),
-        PatternShares::default(),
-        |mut acc, pattern| {
-            acc.add(pattern);
-            acc
-        },
-    );
+    let mut shares = PatternShares::default();
+    for (batch, gathered) in trace.gather_batches(source, &sampled, |&vm, ids| ids.push(vm)) {
+        shares = Parallelism::auto().par_map_reduce(
+            batch,
+            |&vm| classifier.classify_vm(&gathered, vm),
+            shares,
+            |mut acc, pattern| {
+                acc.add(pattern);
+                acc
+            },
+        );
+    }
 
     if shares.classified() == 0 {
         return Err(AnalysisError::NoData("classifiable telemetry"));

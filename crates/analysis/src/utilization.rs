@@ -1,7 +1,7 @@
 //! CPU-utilization distribution analyses (Figure 6): percentile bands
 //! across the VM population, over the week and folded into a day.
 
-use crate::coverage::filled_week_series;
+use crate::coverage::{filled_week_series, passes_week_coverage};
 use crate::error::AnalysisError;
 use cloudscope_model::prelude::*;
 use cloudscope_model::time::SAMPLE_INTERVAL_MINUTES;
@@ -29,35 +29,32 @@ fn full_week_hourly_series(
     cloud: CloudKind,
     max_vms: usize,
 ) -> (Vec<Series>, f64) {
-    // Pass 1 keeps only (id, coverage) per eligible VM — the filled
-    // week vectors are dropped immediately, so memory stays O(eligible
-    // VMs), not O(eligible VMs × week length). Pass 2 re-derives the
-    // series for just the strided selection; on an out-of-core trace
-    // that means streaming the telemetry twice instead of ever
-    // materializing every series at once.
-    let candidates: Vec<(VmId, f64)> = trace
-        .vms_of(cloud)
-        .filter_map(|vm| {
-            let util = source.load(vm.id)?;
-            filled_week_series(&util, MIN_VM_WEEK_COVERAGE).map(|(_, cov)| (vm.id, cov))
-        })
-        .collect();
+    // Pass 1 streams the population and keeps only (id, coverage) per
+    // eligible VM — coverage is read off the stored samples, nothing is
+    // filled. Pass 2 fills the series of just the strided selection; on
+    // an out-of-core trace that means two forward passes over the
+    // telemetry instead of ever materializing every series at once.
+    let population: Vec<VmId> = trace.vms_of(cloud).map(|vm| vm.id).collect();
+    let mut candidates: Vec<(VmId, f64)> = Vec::new();
+    source.scan(&population, &mut |id, util| {
+        if let Some(cov) = passes_week_coverage(&util, MIN_VM_WEEK_COVERAGE) {
+            candidates.push((id, cov));
+        }
+    });
     let stride = (candidates.len() / max_vms.max(1)).max(1);
-    let mut coverage_sum = 0.0;
-    let series: Vec<Series> = candidates
-        .into_iter()
-        .step_by(stride)
-        .take(max_vms)
-        .map(|(id, cov)| {
-            coverage_sum += cov;
-            let util = source.load(id).expect("eligible in pass 1");
-            let (values, _) =
-                filled_week_series(&util, MIN_VM_WEEK_COVERAGE).expect("eligible in pass 1");
+    let (selected, coverages): (Vec<VmId>, Vec<f64>) =
+        candidates.into_iter().step_by(stride).take(max_vms).unzip();
+    let coverage_sum = coverages.iter().fold(0.0, |sum, cov| sum + cov);
+    let mut series: Vec<Series> = Vec::with_capacity(selected.len());
+    source.scan(&selected, &mut |_, util| {
+        let (values, _) =
+            filled_week_series(&util, MIN_VM_WEEK_COVERAGE).expect("eligible in pass 1");
+        series.push(
             Series::new(0, SAMPLE_INTERVAL_MINUTES, values)
                 .downsample_mean(12)
-                .expect("positive factor")
-        })
-        .collect();
+                .expect("positive factor"),
+        );
+    });
     let mean_coverage = if series.is_empty() {
         0.0
     } else {

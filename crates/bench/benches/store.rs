@@ -78,8 +78,8 @@ fn generated() -> &'static GeneratedTrace {
 /// every read benchmark and the acceptance gate. Chunks are sealed at
 /// 128 KiB instead of the 1 MiB default so the medium trace gets the
 /// same geometry a full-scale trace has under defaults — several chunks
-/// per (region, day) lane. With one-chunk lanes the auto-sized sweep
-/// cache would degenerate into holding the entire store and the
+/// per (region, day) lane. With one-chunk lanes the reader's one
+/// decoded chunk per lane would be the entire store and the
 /// out-of-core peak-heap gate below would measure nothing.
 fn committed() -> &'static PathBuf {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
@@ -161,9 +161,9 @@ fn bench_store_read(c: &mut Criterion) {
             black_box(telemetry_sweep(&back.trace))
         });
     });
-    // Streamed read + full telemetry sweep through an auto-sized cache
-    // (one chunk per (region, day) lane + 1 — the id-ordered sweep
-    // working set; any fixed cache below that thrashes cyclically).
+    // Streamed read + full id-ordered telemetry sweep of point loads:
+    // every (region, day) lane's cursor walks forward once, the lanes
+    // about to move are read ahead, each chunk decodes exactly once.
     group.bench_function("out_of_core_sweep", |b| {
         b.iter(|| {
             let back = read_generated(&dir, TelemetryMode::OutOfCore { cache_chunks: 0 }, &par)
@@ -175,7 +175,7 @@ fn bench_store_read(c: &mut Criterion) {
     // never touched — the predicate/projection pushdown fast path.
     group.bench_function("metadata_only", |b| {
         b.iter(|| {
-            let back = read_generated(&dir, TelemetryMode::OutOfCore { cache_chunks: 1 }, &par)
+            let back = read_generated(&dir, TelemetryMode::OutOfCore { cache_chunks: 0 }, &par)
                 .expect("read");
             let stats = back.trace.stats();
             black_box(stats.private_vms + stats.public_vms)
@@ -201,9 +201,9 @@ fn verify_acceptance(c: &mut Criterion) {
     let resident_median_ns = median("store_read/resident");
     let sweep_median_ns = median("store_read/out_of_core_sweep");
 
-    // Overlap gate: the pipelined out-of-core sweep (prefetch +
-    // parallel block decode + retire-aware eviction) must land within
-    // 1.4x of the fully-resident sweep over the same store.
+    // Overlap gate: the out-of-core sweep (per-lane cursor + readahead
+    // + parallel block decode) must land within 1.4x of the
+    // fully-resident sweep over the same store.
     let ooc_over_resident = sweep_median_ns / resident_median_ns;
     c.report_metric("store/out_of_core_over_resident", ooc_over_resident);
     println!(
@@ -265,10 +265,11 @@ fn verify_acceptance(c: &mut Criterion) {
 
     // Peak-heap gate. The same full characterization pass runs twice
     // from the same committed store: once fully materialized, once
-    // streaming through the auto-sized cache. The out-of-core pass must stay
-    // under a budget set midway below the resident peak — if chunking
-    // or the cache ever regress into materializing the column store,
-    // this gate trips before any figure output changes.
+    // scanning it with one decoded chunk per lane. The out-of-core pass
+    // must stay under a budget set midway below the resident peak — if
+    // chunking, the cursor or a gathered batch ever regress into
+    // materializing the column store, this gate trips before any
+    // figure output changes.
     let dir = committed().clone();
     let par = Parallelism::default();
     let analyze = |mode: TelemetryMode| {

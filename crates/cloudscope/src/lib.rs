@@ -85,9 +85,10 @@
 //! let batch = pattern_shares_from(
 //!     &generated.trace, &generated.trace, CloudKind::Public, &classifier, 64)?;
 //!
-//! // Out-of-core: samples streamed from compressed column chunks.
+//! // Out-of-core: samples scanned, in stored order, from compressed
+//! // column chunks — one decoded chunk per (region, day) lane.
 //! write_trace(&generated.trace, "trace-dir", WriteOptions::default(), &Parallelism::auto())?;
-//! let store = StoreTelemetry::open("trace-dir", 0)?;
+//! let store = StoreTelemetry::open("trace-dir")?;
 //! let cold = pattern_shares_from(
 //!     &generated.trace, &store, CloudKind::Public, &classifier, 64)?;
 //!

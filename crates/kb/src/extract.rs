@@ -119,31 +119,35 @@ pub fn extract_subscription_knowledge_from(
                 bounded_short += 1;
             }
         }
-        if let Some(util) = source.load(vm_id) {
-            let offset = (util.start().minutes() / SAMPLE_INTERVAL_MINUTES) as usize;
-            for (i, v) in util.iter().enumerate() {
-                let slot = offset + i;
-                if slot < SAMPLES_PER_WEEK {
-                    aggregate[slot] += f64::from(v);
-                    aggregate_n[slot] += 1;
-                }
-                p95_sketch.observe(f64::from(v));
-            }
-        }
     }
 
-    // Dominant pattern by majority vote over classified VMs; ties break
-    // deterministically in Figure 5 order (diurnal first).
+    // One ascending scan serves the aggregate, the p95 sketch and the
+    // classifier: each series is in hand exactly once. The dominant
+    // pattern is a majority vote over the first `max_classified_vms`
+    // VMs; ties break deterministically in Figure 5 order (diurnal
+    // first).
+    let classify_before = vm_ids.get(max_classified_vms).copied();
     let mut votes = [0usize; UtilizationPattern::ALL.len()];
-    for &vm_id in vm_ids.iter().take(max_classified_vms) {
-        if let Some(p) = classifier.classify_vm(source, vm_id) {
-            let idx = UtilizationPattern::ALL
-                .iter()
-                .position(|&q| q == p)
-                .expect("pattern in ALL");
-            votes[idx] += 1;
+    source.scan(vm_ids, &mut |vm_id, util| {
+        let offset = (util.start().minutes() / SAMPLE_INTERVAL_MINUTES) as usize;
+        for (i, v) in util.iter().enumerate() {
+            let slot = offset + i;
+            if slot < SAMPLES_PER_WEEK {
+                aggregate[slot] += f64::from(v);
+                aggregate_n[slot] += 1;
+            }
+            p95_sketch.observe(f64::from(v));
         }
-    }
+        if classify_before.is_none_or(|end| vm_id < end) {
+            if let Some(p) = classifier.classify_util(&util) {
+                let idx = UtilizationPattern::ALL
+                    .iter()
+                    .position(|&q| q == p)
+                    .expect("pattern in ALL");
+                votes[idx] += 1;
+            }
+        }
+    });
     let pattern = votes
         .iter()
         .enumerate()

@@ -3,20 +3,21 @@
 //! and feed the knowledge base — the shape a production deployment would
 //! have, with the trace standing in for the telemetry stream.
 
-use crate::extract::extract_subscription_knowledge;
+use crate::extract::extract_subscription_knowledge_from;
 use crate::knowledge::WorkloadKnowledge;
 use crate::store::{KbStore, KnowledgeBase};
 use cloudscope_analysis::PatternClassifier;
 use cloudscope_model::ids::SubscriptionId;
+use cloudscope_model::time::SimTime;
 use cloudscope_model::trace::Trace;
 use cloudscope_par::Parallelism;
 use std::time::Duration;
 
-/// Extraction batch size per worker: large enough that each batch keeps
-/// every worker busy across several steal chunks, small enough that the
-/// buffered [`WorkloadKnowledge`](crate::knowledge::WorkloadKnowledge)
-/// values between upserts
-/// stay bounded regardless of trace size.
+/// Subscriptions per worker between two feeds: large enough that each
+/// feed keeps every worker busy across several steal chunks, small
+/// enough that the buffered
+/// [`WorkloadKnowledge`](crate::knowledge::WorkloadKnowledge) values
+/// between upserts stay bounded regardless of trace size.
 const EXTRACTION_BATCH_PER_WORKER: usize = 64;
 
 /// Statistics of one pipeline run.
@@ -185,33 +186,43 @@ pub fn run_extraction_pipeline_with<S: KbStore + ?Sized>(
     );
     let subscriptions: Vec<SubscriptionId> =
         trace.subscriptions().iter().map(|sub| sub.id).collect();
-    // Extraction (the expensive part) runs on the shared executor; the
-    // batched feeds happen on this thread in subscription order, so the
-    // KB sees the same feed sequence for any worker count. Subscriptions
-    // are processed in bounded batches so peak memory holds O(batch)
-    // extracted knowledge values, not O(subscriptions), no matter the
-    // trace size.
+    // Subscriptions have no id locality — nearly every one spans the
+    // whole VM id range — so they are swept a bounded batch at a time:
+    // one ascending scan gathers the telemetry of a batch's VMs, then
+    // extraction (the expensive part) runs over the gathered series on
+    // the shared executor. The batched feeds happen on this thread in
+    // subscription order, so the KB sees the same feed sequence for any
+    // worker count, and peak memory holds one gathered batch plus
+    // O(feed) extracted knowledge values, not O(subscriptions), no
+    // matter the trace size.
     let parallelism = Parallelism::with_workers(workers);
-    let batch = (workers * EXTRACTION_BATCH_PER_WORKER).max(1);
+    let feed = (workers * EXTRACTION_BATCH_PER_WORKER).max(1);
     let mut stats = PipelineStats::default();
-    for chunk in subscriptions.chunks(batch) {
-        let extracted = {
-            let _stage = cloudscope_obs::span("kb.pipeline.extract");
-            parallelism.par_map(chunk, |&sub| {
-                extract_subscription_knowledge(
-                    trace,
-                    sub,
-                    classifier,
-                    max_classified_vms_per_sub,
-                    None,
-                )
-            })
-        };
-        let _stage = cloudscope_obs::span("kb.pipeline.upsert");
-        stats.processed += extracted.len();
-        let entries: Vec<WorkloadKnowledge> = extracted.into_iter().flatten().collect();
-        stats.skipped += chunk.len() - entries.len();
-        publish_batch(store, &entries, retry, &mut stats);
+    let batches = trace.gather_batches(trace, &subscriptions, |&sub, ids| {
+        ids.extend_from_slice(trace.vms_of_subscription(sub));
+    });
+    for (batch, gathered) in batches {
+        for chunk in batch.chunks(feed) {
+            let extracted = {
+                let _stage = cloudscope_obs::span("kb.pipeline.extract");
+                parallelism.par_map(chunk, |&sub| {
+                    extract_subscription_knowledge_from(
+                        trace,
+                        &gathered,
+                        sub,
+                        classifier,
+                        max_classified_vms_per_sub,
+                        None,
+                        SimTime::WEEK_END,
+                    )
+                })
+            };
+            let _stage = cloudscope_obs::span("kb.pipeline.upsert");
+            stats.processed += extracted.len();
+            let entries: Vec<WorkloadKnowledge> = extracted.into_iter().flatten().collect();
+            stats.skipped += chunk.len() - entries.len();
+            publish_batch(store, &entries, retry, &mut stats);
+        }
     }
     cloudscope_obs::counter("kb.pipeline.processed").add(stats.processed as u64);
     cloudscope_obs::counter("kb.pipeline.stored").add(stats.stored as u64);

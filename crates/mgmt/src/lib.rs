@@ -57,6 +57,7 @@ pub use oversub::{OversubMethod, OversubPlan, OversubPlanner, VmDemand};
 pub use policy::{Policy, PolicyEngine, Recommendation};
 pub use preprovision::{evaluate_preprovision, plan_preprovision, PreProvisionPlan};
 pub use rebalance::{
-    recommend_shifts, region_capacity_stats, simulate_shift, RegionCapacityStats, ShiftOutcome,
+    recommend_shifts, region_capacity_stats, simulate_shift, underutilized_vms,
+    RegionCapacityStats, ShiftOutcome,
 };
 pub use spot::{EvictionFeatures, EvictionPredictor, SpotMixPlan, SpotMixPolicy};

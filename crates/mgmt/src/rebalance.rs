@@ -48,6 +48,27 @@ impl RegionCapacityStats {
     }
 }
 
+/// The VMs among `ids` (strictly ascending) whose mean CPU over their
+/// telemetry is below [`UNDERUTILIZED_MEAN_UTIL_PCT`], found in one
+/// ascending scan. VMs without telemetry are never underutilized.
+#[must_use]
+pub fn underutilized_vms(trace: &Trace, ids: &[VmId]) -> Vec<VmId> {
+    let mut under = Vec::new();
+    trace.scan(ids, &mut |vm, util| {
+        if util.mean() < UNDERUTILIZED_MEAN_UTIL_PCT {
+            under.push(vm);
+        }
+    });
+    under
+}
+
+/// Cores allocated to `vms`.
+fn cores_of(trace: &Trace, vms: &[VmId]) -> u64 {
+    vms.iter()
+        .map(|&vm| u64::from(trace.vms()[vm.as_usize()].size.cores()))
+        .sum()
+}
+
 /// Computes one region's capacity stats for `cloud` at time `at`.
 ///
 /// # Errors
@@ -68,32 +89,24 @@ pub fn region_capacity_stats(
     if total_cores == 0 {
         return Err(MgmtError::UnknownRegion(region));
     }
-    let mut stats = RegionCapacityStats {
+    let allocated: Vec<VmId> = trace
+        .vms_in_region(region)
+        .iter()
+        .copied()
+        .filter(|&vm_id| {
+            let vm = trace.vm(vm_id).expect("indexed vm");
+            vm.node.is_some()
+                && vm.alive_at(at)
+                && !trace
+                    .subscription(vm.subscription)
+                    .is_ok_and(|s| s.cloud != cloud)
+        })
+        .collect();
+    Ok(RegionCapacityStats {
         total_cores,
-        allocated_cores: 0,
-        underutilized_cores: 0,
-    };
-    for &vm_id in trace.vms_in_region(region) {
-        let vm = trace.vm(vm_id).expect("indexed vm");
-        if vm.node.is_none() || !vm.alive_at(at) {
-            continue;
-        }
-        if trace
-            .subscription(vm.subscription)
-            .is_ok_and(|s| s.cloud != cloud)
-        {
-            continue;
-        }
-        let cores = u64::from(vm.size.cores());
-        stats.allocated_cores += cores;
-        if trace
-            .util(vm_id)
-            .is_some_and(|u| u.mean() < UNDERUTILIZED_MEAN_UTIL_PCT)
-        {
-            stats.underutilized_cores += cores;
-        }
-    }
-    Ok(stats)
+        allocated_cores: cores_of(trace, &allocated),
+        underutilized_cores: cores_of(trace, &underutilized_vms(trace, &allocated)),
+    })
 }
 
 /// The outcome of simulating one regional shift.
@@ -133,24 +146,18 @@ pub fn simulate_shift(
     let source_before = region_capacity_stats(trace, cloud, from, at)?;
     let destination_before = region_capacity_stats(trace, cloud, to, at)?;
 
-    let mut moved_vms = 0usize;
-    let mut moved_cores = 0u64;
-    let mut moved_underutilized = 0u64;
-    for &vm_id in trace.vms_of_service(service) {
-        let vm = trace.vm(vm_id).expect("indexed vm");
-        if vm.region != from || vm.node.is_none() || !vm.alive_at(at) {
-            continue;
-        }
-        moved_vms += 1;
-        let cores = u64::from(vm.size.cores());
-        moved_cores += cores;
-        if trace
-            .util(vm_id)
-            .is_some_and(|u| u.mean() < UNDERUTILIZED_MEAN_UTIL_PCT)
-        {
-            moved_underutilized += cores;
-        }
-    }
+    let moved: Vec<VmId> = trace
+        .vms_of_service(service)
+        .iter()
+        .copied()
+        .filter(|&vm_id| {
+            let vm = trace.vm(vm_id).expect("indexed vm");
+            vm.region == from && vm.node.is_some() && vm.alive_at(at)
+        })
+        .collect();
+    let moved_vms = moved.len();
+    let moved_cores = cores_of(trace, &moved);
+    let moved_underutilized = cores_of(trace, &underutilized_vms(trace, &moved));
     if moved_vms == 0 {
         return Err(MgmtError::NothingToShift(service, from));
     }

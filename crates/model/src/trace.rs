@@ -66,6 +66,29 @@ impl TelemetryColumn {
         }
     }
 
+    /// [`TelemetrySource::scan`] over this column: a lazy source sees
+    /// only the ids the presence vector vouches for, in one call, so it
+    /// can order its own reads.
+    fn scan(&self, ids: &[VmId], visit: &mut dyn FnMut(VmId, UtilSeries)) {
+        match self {
+            Self::Resident(_) => {
+                for &id in ids {
+                    if let Some(series) = self.get(id.as_usize()) {
+                        visit(id, series);
+                    }
+                }
+            }
+            Self::Lazy { source, .. } => {
+                let present: Vec<VmId> = ids
+                    .iter()
+                    .copied()
+                    .filter(|id| self.has(id.as_usize()))
+                    .collect();
+                source.scan(&present, visit);
+            }
+        }
+    }
+
     /// Builder-side append. The builder starts from `Trace::default()`
     /// and a source can only be attached to a finished trace, so the
     /// column is always resident here.
@@ -79,10 +102,10 @@ impl TelemetryColumn {
 
 /// The one interface through which analyses consume per-VM telemetry,
 /// whichever way it arrives: resident in a [`Trace`], out-of-core in
-/// `cloudscope-store`'s compressed chunk files (loaded on demand through
-/// a bounded cache), or live from `cloudscope-ingest`'s sliding-window
-/// session. A [`Trace`] can also be re-pointed at a lazy source so the
-/// existing analyses run out-of-core unchanged.
+/// `cloudscope-store`'s compressed chunk files (read in stored order
+/// through a per-lane cursor), or live from `cloudscope-ingest`'s
+/// sliding-window session. A [`Trace`] can also be re-pointed at a lazy
+/// source so the existing analyses run out-of-core unchanged.
 ///
 /// Implementations must be deterministic — `load` returns the exact
 /// series the resident trace would have held (or `None`), every time —
@@ -99,12 +122,28 @@ pub trait TelemetrySource: std::fmt::Debug + Send + Sync {
     fn has(&self, id: VmId) -> bool {
         self.load(id).is_some()
     }
+
+    /// Visits the series of every VM in `ids` that has telemetry, in
+    /// the order given. `ids` must be strictly ascending: that is what
+    /// lets a source backed by sorted storage serve the whole selection
+    /// in one forward pass instead of one lookup per VM. Every pipeline
+    /// stage reads telemetry through here; the default loops
+    /// [`TelemetrySource::load`], which is all an in-memory source
+    /// needs.
+    fn scan(&self, ids: &[VmId], visit: &mut dyn FnMut(VmId, UtilSeries)) {
+        for &id in ids {
+            if let Some(series) = self.load(id) {
+                visit(id, series);
+            }
+        }
+    }
 }
 
 /// A resident (or lazily re-pointed) trace is itself a telemetry
-/// source: `load` is [`Trace::util`], `has` the cheap presence check.
-/// This is what lets one classifier call run batch, out-of-core, and
-/// streaming without caring which representation backs it.
+/// source: `load` is [`Trace::util`], `has` the cheap presence check,
+/// `scan` the lazy source's own scan. This is what lets one classifier
+/// call run batch, out-of-core, and streaming without caring which
+/// representation backs it.
 impl TelemetrySource for Trace {
     fn load(&self, id: VmId) -> Option<UtilSeries> {
         self.util(id)
@@ -112,6 +151,53 @@ impl TelemetrySource for Trace {
 
     fn has(&self, id: VmId) -> bool {
         self.has_util(id)
+    }
+
+    fn scan(&self, ids: &[VmId], visit: &mut dyn FnMut(VmId, UtilSeries)) {
+        debug_assert!(
+            ids.windows(2).all(|pair| pair[0] < pair[1]),
+            "scan ids must be strictly ascending"
+        );
+        self.util.scan(ids, visit);
+    }
+}
+
+/// Estimated sample bytes one gathered batch may hold (see
+/// [`Trace::gather_batches`]). A constant, not a knob: large enough
+/// that a week of medium-scale telemetry is a handful of batches,
+/// small enough that a batch is noise next to the VM metadata an
+/// out-of-core trace keeps resident anyway.
+const GATHER_BATCH_BYTES: usize = 2 << 20;
+
+/// A bounded batch of series pulled through one
+/// [`TelemetrySource::scan`] and held in memory, sorted by VM id — the
+/// "gather" half of gather-then-compute. It is itself a source, so the
+/// parallel kernels written against [`TelemetrySource`] run over it
+/// unchanged, in whatever order they like.
+#[derive(Debug, Default)]
+pub struct GatheredSeries {
+    series: Vec<(VmId, UtilSeries)>,
+}
+
+impl GatheredSeries {
+    /// Gathers the series of `ids` (strictly ascending) from `source`.
+    #[must_use]
+    pub fn gather(source: &(impl TelemetrySource + ?Sized), ids: &[VmId]) -> Self {
+        let mut series = Vec::with_capacity(ids.len());
+        source.scan(ids, &mut |id, util| series.push((id, util)));
+        Self { series }
+    }
+
+    /// The gathered series, ascending by VM id.
+    pub fn iter(&self) -> impl Iterator<Item = (VmId, &UtilSeries)> {
+        self.series.iter().map(|(id, util)| (*id, util))
+    }
+}
+
+impl TelemetrySource for GatheredSeries {
+    fn load(&self, id: VmId) -> Option<UtilSeries> {
+        let at = self.series.binary_search_by_key(&id, |(vm, _)| *vm).ok()?;
+        Some(self.series[at].1.clone())
     }
 }
 
@@ -288,9 +374,63 @@ impl Trace {
         self.by_node.keys().copied()
     }
 
+    /// Pulls the telemetry of `groups` through `source` in bounded
+    /// batches: each item is a run of consecutive groups together with
+    /// the series of all their VMs, gathered in one ascending scan.
+    /// `vms_of` appends one group's VM ids (groups must not share VMs).
+    ///
+    /// A run closes once the telemetry its VMs are expected to carry —
+    /// their lifetime inside the trace week, one byte per sample —
+    /// reaches a fixed budget (2 MiB), so memory stays bounded however
+    /// many groups there are, and a lone oversized group still forms a
+    /// run of its own. Consecutive runs over ascending groups cost an
+    /// out-of-core source one forward pass in total; runs whose groups
+    /// each span the id range cost it one pass apiece.
+    pub fn gather_batches<'a, G>(
+        &'a self,
+        source: &'a (impl TelemetrySource + ?Sized),
+        mut groups: &'a [G],
+        mut vms_of: impl FnMut(&G, &mut Vec<VmId>) + 'a,
+    ) -> impl Iterator<Item = (&'a [G], GatheredSeries)> + 'a {
+        std::iter::from_fn(move || {
+            let mut ids = Vec::new();
+            let mut bytes = 0usize;
+            let mut taken = 0usize;
+            while taken < groups.len() && bytes < GATHER_BATCH_BYTES {
+                let before = ids.len();
+                vms_of(&groups[taken], &mut ids);
+                bytes += ids[before..]
+                    .iter()
+                    .map(|&id| self.expected_samples(id))
+                    .sum::<usize>();
+                taken += 1;
+            }
+            if taken == 0 {
+                return None;
+            }
+            let (run, rest) = groups.split_at(taken);
+            groups = rest;
+            ids.sort_unstable();
+            Some((run, GatheredSeries::gather(source, &ids)))
+        })
+    }
+
+    /// Samples a VM's telemetry is expected to hold: its lifetime
+    /// clipped to the trace week, at the monitor's interval.
+    fn expected_samples(&self, id: VmId) -> usize {
+        self.vms
+            .get(id.as_usize())
+            .and_then(|vm| vm.overlap_with(SimTime::ZERO, SimTime::WEEK_END))
+            .map_or(0, |(from, to)| {
+                ((to.minutes() - from.minutes()) / SAMPLE_INTERVAL_MINUTES) as usize
+            })
+    }
+
     /// Derives the node-level utilization series for one node over the
     /// trace week: the core-weighted sum of hosted VMs' utilization divided
     /// by the node's physical cores — how a host monitor would see it.
+    /// `source` serves the samples (the trace itself, or a gathered
+    /// batch holding the node's VMs).
     ///
     /// Samples where a VM is not alive contribute zero. VMs without
     /// telemetry are skipped.
@@ -298,15 +438,16 @@ impl Trace {
     /// # Errors
     /// Returns [`ModelError::UnknownEntity`] if the node is not in the
     /// topology.
-    pub fn node_utilization(&self, node: NodeId) -> Result<UtilSeries, ModelError> {
+    pub fn node_utilization(
+        &self,
+        source: &(impl TelemetrySource + ?Sized),
+        node: NodeId,
+    ) -> Result<UtilSeries, ModelError> {
         let node_info = self.topology.node(node)?;
         let sku = self.topology.cluster(node_info.cluster)?.sku;
         let mut acc = vec![0.0f64; SAMPLES_PER_WEEK];
-        for &vm_id in self.vms_on_node(node) {
+        source.scan(self.vms_on_node(node), &mut |vm_id, series| {
             let vm = &self.vms[vm_id.as_usize()];
-            let Some(series) = self.util(vm_id) else {
-                continue;
-            };
             let vm_cores = f64::from(vm.size.cores());
             let base = series.start().minutes() / SAMPLE_INTERVAL_MINUTES;
             for (i, v) in series.iter().enumerate() {
@@ -323,7 +464,7 @@ impl Trace {
                     }
                 }
             }
-        }
+        });
         let node_cores = f64::from(sku.cores);
         Ok(UtilSeries::from_percentages(
             SimTime::ZERO,
@@ -853,6 +994,51 @@ mod tests {
         assert!(b.add_vm(bad, None).is_err());
     }
 
+    /// A trace of `n` week-long VMs in one subscription, VM `i` holding
+    /// one sample worth `i % 100` percent.
+    fn trace_of(n: u64) -> Trace {
+        let mut b = Trace::builder(topo());
+        b.add_subscription(Subscription::new(
+            SubscriptionId::new(0),
+            CloudKind::Private,
+            PartyKind::FirstParty,
+        ))
+        .unwrap();
+        for i in 0..n {
+            let util = UtilSeries::from_percentages(SimTime::ZERO, [(i % 100) as f32]);
+            b.add_vm(record(i, 0, None), Some(util)).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn gather_batches_are_bounded_ordered_and_complete() {
+        let t = trace_of(2500);
+        let ids: Vec<VmId> = t.vms().iter().map(|vm| vm.id).collect();
+        // A week-long VM is expected to carry a week of samples, so
+        // the budget closes a batch at this many VMs.
+        let per_batch = GATHER_BATCH_BYTES.div_ceil(SAMPLES_PER_WEEK);
+        let mut seen = Vec::new();
+        for (batch, gathered) in t.gather_batches(&t, &ids, |&vm, out| out.push(vm)) {
+            assert!(!batch.is_empty() && batch.len() <= per_batch);
+            let delivered: Vec<VmId> = gathered.iter().map(|(id, _)| id).collect();
+            assert_eq!(delivered, batch, "a batch holds exactly its groups' VMs");
+            for &id in batch {
+                assert_eq!(gathered.load(id), t.util(id));
+            }
+            seen.extend_from_slice(batch);
+        }
+        assert_eq!(seen, ids, "every group, once, in order");
+        assert!(ids.len() > per_batch, "the trace must need several batches");
+
+        // One group larger than the budget still forms a single batch.
+        let all = [ids.clone()];
+        let mut batches = t.gather_batches(&t, &all, |group, out| out.extend_from_slice(group));
+        let (batch, gathered) = batches.next().expect("one batch");
+        assert_eq!((batch.len(), gathered.iter().count()), (1, ids.len()));
+        assert!(batches.next().is_none());
+    }
+
     #[test]
     fn node_utilization_core_weighted() {
         let mut b = Trace::builder(topo());
@@ -868,7 +1054,7 @@ mod tests {
         b.add_vm(record(0, 0, Some(0)), Some(util.clone())).unwrap();
         b.add_vm(record(1, 0, Some(0)), Some(util)).unwrap();
         let t = b.build();
-        let node_util = t.node_utilization(NodeId::new(0)).unwrap();
+        let node_util = t.node_utilization(&t, NodeId::new(0)).unwrap();
         assert_eq!(node_util.get(0), Some(40.0));
         assert_eq!(node_util.get(1), Some(40.0));
         assert_eq!(node_util.get(2), Some(0.0));
@@ -890,7 +1076,7 @@ mod tests {
         let util = UtilSeries::from_percentages(SimTime::ZERO, [80.0, 80.0, 80.0]);
         b.add_vm(vm, Some(util)).unwrap();
         let t = b.build();
-        let node_util = t.node_utilization(NodeId::new(0)).unwrap();
+        let node_util = t.node_utilization(&t, NodeId::new(0)).unwrap();
         assert_eq!(node_util.get(0), Some(40.0), "5 of 10 cores at 80%");
         assert_eq!(node_util.get(1), Some(0.0), "vm already terminated");
     }
@@ -900,7 +1086,7 @@ mod tests {
         let t = Trace::builder(topo()).build();
         assert!(t.vm(VmId::new(0)).is_err());
         assert!(t.subscription(SubscriptionId::new(0)).is_err());
-        assert!(t.node_utilization(NodeId::new(42)).is_err());
+        assert!(t.node_utilization(&t, NodeId::new(42)).is_err());
         assert!(t.util(VmId::new(3)).is_none());
         assert!(t.vms_of_subscription(SubscriptionId::new(9)).is_empty());
     }

@@ -17,11 +17,14 @@ use cloudscope::analysis::temporal::TemporalAnalysis;
 use cloudscope::analysis::utilization::{UtilizationDistribution, MIN_VM_WEEK_COVERAGE};
 use cloudscope::analysis::vmsize::VmSizeAnalysis;
 use cloudscope::analysis::{AnalysisError, PatternShares};
-use cloudscope::mgmt::rebalance::{region_capacity_stats, simulate_shift, ShiftOutcome};
+use cloudscope::mgmt::rebalance::{
+    region_capacity_stats, simulate_shift, underutilized_vms, ShiftOutcome,
+};
 use cloudscope::mgmt::{MgmtError, OversubMethod, OversubPlanner, VmDemand};
 use cloudscope::prelude::*;
 use cloudscope::stats::Ecdf;
 use cloudscope::tracegen::ServiceInfo;
+use std::collections::HashMap;
 
 /// Thresholds for one trace scale. The checks' *shapes* (which side is
 /// bigger, what is monotone) never change between profiles — only how
@@ -366,22 +369,39 @@ pub struct PilotRun {
 /// # Errors
 /// Propagates [`MgmtError`] from the shift simulation itself.
 pub fn run_pilot(generated: &GeneratedTrace, at: SimTime) -> Result<Option<PilotRun>, MgmtError> {
+    let trace = &generated.trace;
+    let candidates: Vec<&ServiceInfo> = generated
+        .services
+        .iter()
+        .filter(|s| {
+            s.cloud == CloudKind::Private && s.profile.region_agnostic && s.regions.len() >= 2
+        })
+        .collect();
+    // One ascending scan over the placed, alive VMs of every candidate
+    // says which are underutilized; their cores add up per (service,
+    // region).
+    let mut placed: Vec<VmId> = candidates
+        .iter()
+        .flat_map(|svc| trace.vms_of_service(svc.service))
+        .copied()
+        .filter(|&vm_id| {
+            let vm = trace.vm(vm_id).expect("indexed vm");
+            vm.node.is_some() && vm.alive_at(at)
+        })
+        .collect();
+    placed.sort_unstable();
+    let mut under_cores: HashMap<(ServiceId, RegionId), u64> = HashMap::new();
+    for vm_id in underutilized_vms(trace, &placed) {
+        let vm = trace.vm(vm_id).expect("indexed vm");
+        *under_cores.entry((vm.service, vm.region)).or_default() += u64::from(vm.size.cores());
+    }
     let mut best: Option<(&ServiceInfo, RegionId, u64)> = None;
-    for svc in generated.services.iter().filter(|s| {
-        s.cloud == CloudKind::Private && s.profile.region_agnostic && s.regions.len() >= 2
-    }) {
+    for svc in candidates {
         for &region in &svc.regions {
-            let mut under = 0u64;
-            for &vm_id in generated.trace.vms_of_service(svc.service) {
-                let vm = generated.trace.vm(vm_id).expect("indexed vm");
-                if vm.region == region
-                    && vm.node.is_some()
-                    && vm.alive_at(at)
-                    && generated.trace.util(vm_id).is_some_and(|u| u.mean() < 10.0)
-                {
-                    under += u64::from(vm.size.cores());
-                }
-            }
+            let under = under_cores
+                .get(&(svc.service, region))
+                .copied()
+                .unwrap_or(0);
             if best.is_none_or(|(_, _, b)| under > b) {
                 best = Some((svc, region, under));
             }
@@ -474,18 +494,27 @@ pub fn oversub_pool_from(
     source: &(impl TelemetrySource + ?Sized),
     cap: usize,
 ) -> Vec<VmDemand> {
-    trace
-        .vms_of(CloudKind::Public)
-        .filter_map(|vm| {
-            let util = source.load(vm.id)?;
-            let (utilization, _) = filled_week_series(&util, MIN_VM_WEEK_COVERAGE)?;
+    // The pool is the first `cap` eligible VMs in id order, so the
+    // population is read a bounded ascending batch at a time and the
+    // reading stops with the batch that fills the pool. Coverage is
+    // gated before anything is filled.
+    let public: Vec<VmId> = trace.vms_of(CloudKind::Public).map(|vm| vm.id).collect();
+    let mut batches = trace.gather_batches(source, &public, |&vm, ids| ids.push(vm));
+    let mut pool = Vec::new();
+    while pool.len() < cap {
+        let Some((_, gathered)) = batches.next() else {
+            break;
+        };
+        let eligible = gathered.iter().filter_map(|(vm, util)| {
+            let (utilization, _) = filled_week_series(util, MIN_VM_WEEK_COVERAGE)?;
             Some(VmDemand {
-                cores: vm.size.cores(),
+                cores: trace.vms()[vm.as_usize()].size.cores(),
                 utilization,
             })
-        })
-        .take(cap)
-        .collect()
+        });
+        pool.extend(eligible.take(cap - pool.len()));
+    }
+    pool
 }
 
 /// One over-subscription sweep over [`OVERSUB_EPSILONS`].

@@ -215,9 +215,8 @@ impl MetricsOpt {
     #[must_use]
     pub fn load_trace(&self) -> GeneratedTrace {
         let par = cloudscope::par::Parallelism::auto();
-        // 0 asks the store to auto-size the decoded-chunk cache to one
-        // chunk per (region, day) lane plus one — the working set of an
-        // id-ordered sweep over the trace.
+        // The reader holds one decoded chunk per (region, day) lane
+        // whatever `cache_chunks` says (the field is vestigial).
         let mode = cloudscope::store::TelemetryMode::OutOfCore { cache_chunks: 0 };
         let fail = |what: &str, e: cloudscope::store::StoreError| -> ! {
             eprintln!("error: {what}: {e}");
@@ -228,7 +227,7 @@ impl MetricsOpt {
             let generated = cloudscope::tracegen::read_generated(dir, mode, &par)
                 .unwrap_or_else(|e| fail(&format!("reading trace store {}", dir.display()), e));
             eprintln!(
-                "# streamed trace store {} in {:?} (telemetry out-of-core, cache auto-sized)",
+                "# streamed trace store {} in {:?} (telemetry out-of-core, one chunk per lane)",
                 dir.display(),
                 t0.elapsed(),
             );

@@ -40,9 +40,10 @@
 //!
 //! Writing buffers one open chunk per `(kind, region, day)` cell plus
 //! one compression batch. Reading out-of-core keeps VM metadata and a
-//! presence bitmap resident while telemetry loads through a bounded
-//! LRU of decoded chunks ([`StoreTelemetry`]) — peak heap stays far
-//! below a fully-materialized trace.
+//! presence bitmap resident while telemetry is read in stored order
+//! with one decoded chunk per `(region, day)` lane plus a constant
+//! readahead ([`StoreTelemetry`]) — peak heap stays far below a
+//! fully-materialized trace.
 
 pub mod codec;
 pub mod layout;
@@ -66,5 +67,5 @@ pub use columns::{Batch, Column, Projection, TelemetryBatch, VmMetaBatch};
 pub use error::StoreError;
 pub use manifest::{ChunkEntry, Manifest, MANIFEST_NAME};
 pub use reader::{ScanFilter, TelemetryMode, TraceReader};
-pub use source::{PrefetchConfig, StoreTelemetry};
+pub use source::StoreTelemetry;
 pub use writer::{store_exists, write_trace, TraceWriter, WriteOptions};

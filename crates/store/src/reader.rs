@@ -88,12 +88,14 @@ impl ScanFilter {
 pub enum TelemetryMode {
     /// Decode every series up front and hold it in memory.
     Resident,
-    /// Keep only the presence bitmap resident; series load on demand
-    /// through a bounded chunk cache.
+    /// Keep only the presence bitmap resident; series are read from
+    /// the chunk files in stored order, one decoded chunk per
+    /// `(region, day)` lane ([`StoreTelemetry`]).
     OutOfCore {
-        /// Decoded telemetry chunks the cache may hold at once.
-        /// `0` auto-sizes to the id-ordered sweep working set: one
-        /// chunk per distinct (region, day) lane, plus one.
+        /// Ignored. The reader holds one chunk per lane whatever this
+        /// says; the field survives only because the end-to-end
+        /// benchmark crate, which a library change may not edit,
+        /// constructs the variant with it.
         cache_chunks: usize,
     },
 }
@@ -213,7 +215,14 @@ impl TraceReader {
     ) -> Result<Batch, StoreError> {
         let path = self.dir.join(entry.meta.file_name());
         let name = entry.meta.name();
-        let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
+        let bytes = std::fs::read(&path).map_err(|e| match e.kind() {
+            // Present at open, gone now: the same verdict open gives.
+            std::io::ErrorKind::NotFound => StoreError::Missing {
+                file: path.display().to_string(),
+                chunk: name.clone(),
+            },
+            _ => StoreError::io(&path, e),
+        })?;
         if bytes.len() as u64 != entry.file_len {
             return Err(StoreError::corrupt(
                 &path,
@@ -377,19 +386,14 @@ impl TraceReader {
                     .map_err(|e| StoreError::Inconsistent(e.to_string()))?;
                 Ok(builder.build())
             }
-            TelemetryMode::OutOfCore { cache_chunks } => {
+            TelemetryMode::OutOfCore { cache_chunks: _ } => {
                 // Records are sorted by dense id, so position = id.
                 let vm_regions: Vec<u32> = records.iter().map(|r| r.region.index()).collect();
                 builder
                     .add_vms_bulk(records, vec![None; vm_count], par)
                     .map_err(|e| StoreError::Inconsistent(e.to_string()))?;
                 let mut trace = builder.build();
-                let source = StoreTelemetry::open_with(
-                    &self.dir,
-                    cache_chunks,
-                    crate::source::PrefetchConfig::default(),
-                    *par,
-                )?;
+                let source = StoreTelemetry::open_with(&self.dir, *par)?;
                 source.attach_vm_regions(vm_regions);
                 trace
                     .attach_telemetry_source(present, Arc::new(source))

@@ -5,13 +5,15 @@
 
 mod common;
 
+use cloudscope_model::ids::VmId;
+use cloudscope_model::trace::Trace;
 use cloudscope_par::Parallelism;
 use cloudscope_store::{
-    write_trace, PrefetchConfig, Projection, StoreError, StoreTelemetry, TelemetryMode,
+    write_trace, ChunkKind, Projection, ScanFilter, StoreError, StoreTelemetry, TelemetryMode,
     TraceReader, WriteOptions,
 };
 use common::{trace_from_seeds, TempDir};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// A small store: every chunk kind present, a few KiB total, so the
 /// every-offset loops stay fast.
@@ -241,7 +243,46 @@ fn swapped_chunk_files_are_rejected() {
     );
 }
 
-/// A bit flip decoded asynchronously by a prefetch worker must surface
+/// The trace [`build_store`] writes.
+fn built_trace() -> Trace {
+    trace_from_seeds(
+        &(0..40u64)
+            .map(|i| i.wrapping_mul(0xA076_1D64_78BD_642F))
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// Name and file of the second chunk of some telemetry lane holding at
+/// least `min_chunks` chunks: a chunk with a lane predecessor, so an
+/// ascending reader reads ahead into it before it demands it.
+fn second_chunk_of_a_lane(dir: &Path, min_chunks: usize) -> (String, PathBuf) {
+    let reader = TraceReader::open(dir).unwrap();
+    let mut lanes: std::collections::BTreeMap<(u32, u8), Vec<_>> =
+        std::collections::BTreeMap::new();
+    for entry in reader.chunks(ScanFilter::all().kind(ChunkKind::Telemetry)) {
+        lanes
+            .entry((entry.meta.region, entry.meta.day))
+            .or_default()
+            .push(entry.clone());
+    }
+    let mut lane = lanes
+        .into_values()
+        .find(|chunks| chunks.len() >= min_chunks)
+        .expect("a lane with enough chunks");
+    lane.sort_by_key(|e| e.meta.seq);
+    let victim = lane[1].meta.name();
+    let file = dir.join(lane[1].meta.file_name());
+    (victim, file)
+}
+
+fn flip_a_bit(file: &Path) {
+    let mut bytes = std::fs::read(file).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(file, &bytes).unwrap();
+}
+
+/// A bit flip decoded asynchronously by a readahead worker must surface
 /// as a typed [`StoreError`] on the thread that demands the chunk —
 /// never a silently wrong series, and never out of order: VMs whose
 /// series avoid the damaged chunk still decode byte-identically.
@@ -249,52 +290,17 @@ fn swapped_chunk_files_are_rejected() {
 fn prefetched_corruption_fails_on_the_consuming_thread() {
     let dir = TempDir::new("fuzz-prefetch");
     build_store(dir.path());
-    let trace = trace_from_seeds(
-        &(0..40u64)
-            .map(|i| i.wrapping_mul(0xA076_1D64_78BD_642F))
-            .collect::<Vec<_>>(),
-    );
-
-    // Corrupt a chunk that has a lane predecessor, so the id-ordered
-    // sweep's readahead planner targets it before any demand does.
-    let reader = TraceReader::open(dir.path()).unwrap();
-    let mut lanes: std::collections::HashMap<(u32, u8), Vec<_>> = std::collections::HashMap::new();
-    for entry in reader
-        .chunks(cloudscope_store::ScanFilter::all().kind(cloudscope_store::ChunkKind::Telemetry))
-    {
-        lanes
-            .entry((entry.meta.region, entry.meta.day))
-            .or_default()
-            .push(entry.clone());
-    }
-    drop(reader);
-    let mut lane = lanes
-        .into_values()
-        .find(|chunks| chunks.len() >= 2)
-        .expect("a lane with a successor chunk");
-    lane.sort_by_key(|e| e.meta.seq);
-    let victim = lane[1].meta.name();
-    let file = dir.path().join(format!("{victim}.chunk"));
-    let mut bytes = std::fs::read(&file).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x10;
-    std::fs::write(&file, &bytes).unwrap();
+    let trace = built_trace();
+    let (victim, file) = second_chunk_of_a_lane(dir.path(), 2);
+    flip_a_bit(&file);
 
     let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
     let (issued, failures) = cloudscope_obs::scoped(&registry, || {
-        let telemetry = StoreTelemetry::open_with(
-            dir.path(),
-            2,
-            PrefetchConfig {
-                workers: 2,
-                depth: 2,
-                window_bytes: 1 << 20,
-            },
-            Parallelism::with_workers(2),
-        )
-        .unwrap();
+        let telemetry =
+            StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(2)).unwrap();
 
-        // Id-ordered sweep, exactly like an out-of-core analysis pass.
+        // Id-ordered sweep of point loads, like `write_trace` or an
+        // export over an out-of-core trace.
         let mut failures = Vec::new();
         for vm in trace.vms() {
             match telemetry.try_load(vm.id) {
@@ -308,8 +314,8 @@ fn prefetched_corruption_fails_on_the_consuming_thread() {
                         err.to_string().contains(&victim),
                         "error must name the damaged chunk: {err}"
                     );
-                    // The failure is sticky: a retry re-fails rather
-                    // than serving a half-decoded chunk.
+                    // A retry decodes afresh and re-fails rather than
+                    // serving a half-decoded chunk.
                     assert!(telemetry.try_load(vm.id).is_err(), "retry must re-fail");
                     failures.push(vm.id);
                 }
@@ -324,8 +330,82 @@ fn prefetched_corruption_fails_on_the_consuming_thread() {
     );
     assert!(
         issued.unwrap_or(0) >= 1,
-        "the readahead planner never issued a prefetch: {issued:?}"
+        "the sweep never read ahead: {issued:?}"
     );
+}
+
+/// Scans `ids`, checking every delivered series against `trace`, and
+/// returns how many were delivered plus the scan's verdict.
+fn checked_scan(
+    telemetry: &StoreTelemetry,
+    trace: &Trace,
+    ids: &[VmId],
+) -> (usize, Result<(), StoreError>) {
+    let mut delivered = 0;
+    let verdict = telemetry.try_scan(ids, &mut |id, series| {
+        assert_eq!(Some(series), trace.util(id), "vm {id} arrived damaged");
+        delivered += 1;
+    });
+    (delivered, verdict)
+}
+
+/// A chunk that goes bad in the middle of a lane stops a scan with the
+/// typed error naming it, whoever meets the damage first: the scan's
+/// own planning (cold id index), a readahead worker, or the consumer.
+/// Every series delivered before that is whole — a scan never yields a
+/// series short of the damaged chunk's run.
+#[test]
+fn scan_surfaces_a_bit_flip_in_the_second_chunk_of_a_lane() {
+    let dir = TempDir::new("fuzz-scan");
+    build_store(dir.path());
+    let trace = built_trace();
+    let ids: Vec<VmId> = trace.vms().iter().map(|vm| vm.id).collect();
+    let with_telemetry = ids.iter().filter(|&&id| trace.has_util(id)).count();
+    let (victim, file) = second_chunk_of_a_lane(dir.path(), 3);
+    let names_victim =
+        |err: &StoreError| matches!(err, StoreError::Corrupt { chunk, .. } if *chunk == victim);
+
+    let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
+    cloudscope_obs::scoped(&registry, || {
+        // Warm: a clean scan fills the id index and leaves every lane
+        // on its last chunk, so after the flip nothing but a full decode
+        // of the victim — issued ahead of the consumer — can notice.
+        let warm = StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(2)).unwrap();
+        let (delivered, verdict) = checked_scan(&warm, &trace, &ids);
+        verdict.expect("clean store scans");
+        assert_eq!(delivered, with_telemetry);
+
+        flip_a_bit(&file);
+        let issued_before = registry.snapshot().counter("store.prefetch.issued");
+        let (delivered, verdict) = checked_scan(&warm, &trace, &ids);
+        let err = verdict.expect_err("the damaged chunk scanned cleanly");
+        assert!(names_victim(&err), "expected Corrupt {victim}, got {err:?}");
+        assert!(delivered < with_telemetry, "the scan ran past the damage");
+        assert!(
+            registry.snapshot().counter("store.prefetch.issued") > issued_before,
+            "the scan never read ahead"
+        );
+        // Nothing stale is parked: a retry decodes afresh and re-fails.
+        let (_, verdict) = checked_scan(&warm, &trace, &ids);
+        assert!(names_victim(&verdict.expect_err("retry must re-fail")));
+
+        // Cold: a fresh reader meets the flip while resolving which
+        // chunks the ids live in, before it delivers anything.
+        let cold = StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(2)).unwrap();
+        let (delivered, verdict) = checked_scan(&cold, &trace, &ids);
+        let err = verdict.expect_err("the damaged chunk scanned cleanly");
+        assert!(names_victim(&err), "expected Corrupt {victim}, got {err:?}");
+        assert_eq!(delivered, 0);
+
+        // Gone altogether after open: `Missing`, not a bare I/O error.
+        std::fs::remove_file(&file).unwrap();
+        let (_, verdict) = checked_scan(&cold, &trace, &ids);
+        let err = verdict.expect_err("a deleted chunk scanned cleanly");
+        assert!(
+            matches!(&err, StoreError::Missing { chunk, .. } if *chunk == victim),
+            "expected Missing {victim}, got {err:?}"
+        );
+    });
 }
 
 /// Corruption is detected under projection too — the file-level CRC

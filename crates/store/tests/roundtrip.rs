@@ -5,10 +5,12 @@
 
 mod common;
 
+use cloudscope_model::ids::VmId;
+use cloudscope_model::trace::TelemetrySource;
 use cloudscope_par::Parallelism;
 use cloudscope_store::{
-    store_exists, write_trace, Batch, ChunkKind, Column, PrefetchConfig, Projection, ScanFilter,
-    StoreTelemetry, TelemetryMode, TraceReader, WriteOptions,
+    store_exists, write_trace, Batch, ChunkKind, Column, Projection, ScanFilter, StoreTelemetry,
+    TelemetryMode, TraceReader, WriteOptions,
 };
 use common::{assert_traces_equal, dir_snapshot, trace_from_seeds, TempDir};
 use proptest::prelude::*;
@@ -34,7 +36,6 @@ proptest! {
         chunk_kib in 1usize..64,
         level in 0u8..4,
         workers in 1usize..9,
-        cache_chunks in 1usize..5,
     ) {
         let trace = trace_from_seeds(&seeds);
         let dir = TempDir::new("roundtrip");
@@ -50,7 +51,7 @@ proptest! {
         prop_assert!(!resident.telemetry_is_lazy());
 
         let lazy = reader
-            .read_trace(TelemetryMode::OutOfCore { cache_chunks }, &par)
+            .read_trace(TelemetryMode::OutOfCore { cache_chunks: 0 }, &par)
             .unwrap();
         prop_assert!(lazy.telemetry_is_lazy());
         assert_traces_equal(&trace, &lazy);
@@ -89,43 +90,69 @@ proptest! {
         }
     }
 
-    /// Prefetch tuning is invisible: any cache size × prefetch depth ×
-    /// decode-worker count × in-flight window budget must return series
-    /// byte-identical to the serial, prefetch-disabled reader — and to
-    /// the trace the store was written from.
+    /// The scan contract: for any ascending subset of ids, any chunk
+    /// geometry (one to a handful of chunks per lane) and any worker
+    /// count, `scan` delivers exactly the series `load` returns, in
+    /// ascending order — and fully decodes no chunk that holds none of
+    /// the ids, and none twice.
     #[test]
-    fn prefetch_tuning_never_changes_a_byte(
-        seeds in proptest::collection::vec(any::<u64>(), 1..60),
-        chunk_rows in 1u32..32,
-        cache_chunks in 1usize..5,
-        depth in 0usize..4,
-        workers in 1usize..5,
-        window_kib in 1usize..129,
+    fn scan_yields_exactly_what_load_yields_and_decodes_no_more(
+        seeds in proptest::collection::vec(any::<u64>(), 1..120),
+        picks in proptest::collection::vec(any::<bool>(), 120),
+        chunk_kib in 1usize..9,
+        workers in prop_oneof![Just(1usize), Just(2usize), Just(8usize)],
     ) {
         let trace = trace_from_seeds(&seeds);
-        let dir = TempDir::new("prefetch");
+        let dir = TempDir::new("scan");
         let par = Parallelism::with_workers(workers);
-        write_trace(&trace, dir.path(), options(chunk_rows, 4, 2), &par).unwrap();
+        write_trace(&trace, dir.path(), options(4096, chunk_kib, 2), &par).unwrap();
+        let ids: Vec<VmId> = trace
+            .vms()
+            .iter()
+            .map(|vm| vm.id)
+            .filter(|id| picks[id.as_usize()])
+            .collect();
 
-        let baseline = StoreTelemetry::open_with(
-            dir.path(),
-            cache_chunks,
-            PrefetchConfig::disabled(),
-            Parallelism::with_workers(1),
-        )
-        .unwrap();
-        let tuned = StoreTelemetry::open_with(
-            dir.path(),
-            cache_chunks,
-            PrefetchConfig { workers, depth, window_bytes: window_kib * 1024 },
-            par,
-        )
-        .unwrap();
-        for vm in trace.vms() {
-            let expected = baseline.try_load(vm.id).unwrap();
-            prop_assert_eq!(&expected, &trace.util(vm.id));
-            prop_assert_eq!(&tuned.try_load(vm.id).unwrap(), &expected);
+        // Chunks holding a run of at least one picked id.
+        let reader = TraceReader::open(dir.path()).unwrap();
+        let mut intersecting = 0u64;
+        for batch in reader.scan(
+            ScanFilter::all().kind(ChunkKind::Telemetry),
+            Projection::columns(&[]),
+        ) {
+            let Batch::Telemetry(b) = batch.unwrap() else { panic!("filtered to telemetry") };
+            intersecting += u64::from(b.ids.iter().any(|id| ids.binary_search(id).is_ok()));
         }
+
+        let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
+        let scanned = cloudscope_obs::scoped(&registry, || {
+            let telemetry = StoreTelemetry::open_with(dir.path(), par).unwrap();
+            let mut scanned = Vec::new();
+            telemetry.scan(&ids, &mut |id, series| scanned.push((id, series)));
+            scanned
+        });
+        let expected: Vec<_> = ids
+            .iter()
+            .filter_map(|&id| Some((id, trace.util(id)?)))
+            .collect();
+        prop_assert_eq!(&scanned, &expected);
+
+        let loader = StoreTelemetry::open_with(dir.path(), par).unwrap();
+        for (id, series) in scanned {
+            prop_assert_eq!(loader.try_load(id).unwrap(), Some(series));
+        }
+
+        // Full decodes, by the identity the end-to-end benchmark uses:
+        // demand misses no readahead absorbed, plus every readahead.
+        let snap = registry.snapshot();
+        let counter = |name| snap.counter(name).unwrap_or(0);
+        let read_ahead = snap.histogram("store.prefetch.decode_ns").map_or(0, |h| h.count);
+        let decodes = counter("store.cache.misses") - counter("store.prefetch.hits") + read_ahead;
+        prop_assert!(
+            decodes <= intersecting,
+            "{} decodes for {} chunks holding a picked id", decodes, intersecting
+        );
+        prop_assert_eq!(counter("store.read.series_loaded"), expected.len() as u64);
     }
 
     /// Projection and predicate pushdown return exactly the rows and

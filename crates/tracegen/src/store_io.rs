@@ -228,7 +228,8 @@ pub fn write_generated(
 /// [`write_generated`] or [`generate_to_store`].
 ///
 /// With [`TelemetryMode::OutOfCore`] the returned trace keeps
-/// telemetry on disk behind a bounded chunk cache; everything else is
+/// telemetry on disk, read in stored order with one decoded chunk per
+/// `(region, day)` lane; everything else is
 /// resident and identical to the in-memory generation result.
 ///
 /// # Errors

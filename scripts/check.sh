@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge gate: formatting, lints, the tier-1 build+test suite in both
-# profiles, the metrics schema, and the bench gates declared in
-# scripts/bench_gates.json. Everything runs offline against the vendored
-# dependency shims.
+# profiles, the metrics schema, the end-to-end benchmark's smoke run,
+# and the bench gates declared in scripts/bench_gates.json. Everything
+# runs offline against the vendored dependency shims.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +44,13 @@ CLOUDSCOPE_TRACE_SCALE=small cargo run -q --release -p cloudscope-repro --bin fi
 cargo run -q --release -p cloudscope-repro --bin metrics_schema -- \
   "$ARTIFACTS_DIR/fig1_metrics.json" tests/golden/metrics_schema.json
 echo "    (metrics snapshot archived at $ARTIFACTS_DIR/fig1_metrics.json)"
+
+# The end-to-end benchmark, invoked only: every workload once on the
+# small trace (each checks its own digests, parity and ledgers, and
+# exits non-zero on a failed operation), then the harness self-tests.
+echo "==> end-to-end benchmark: all --smoke + harness self-tests"
+cargo run --release --manifest-path benchmark/Cargo.toml -- all --smoke
+cargo test --release --manifest-path benchmark/Cargo.toml
 
 # Bench smoke + gates, as data: which bench writes which BENCH_*.json,
 # the rows it must contain, and the ratios re-derived from them.

@@ -230,9 +230,9 @@ fn classifier_agrees_with_generator_ground_truth() {
 
 /// The out-of-core gate: the entire figure pipeline — every fig1–fig7
 /// analysis core and all 26 shape checks — must produce byte-identical
-/// results when the trace streams from a disk store with a small
-/// telemetry chunk cache instead of sitting fully in memory, on the
-/// clean medium trace *and* under the standard fault plan.
+/// results when the trace is scanned from a disk store, one decoded
+/// chunk per lane, instead of sitting fully in memory, on the clean
+/// medium trace *and* under the standard fault plan.
 #[test]
 fn out_of_core_pipeline_matches_in_memory_byte_for_byte() {
     use cloudscope::store::{TelemetryMode, WriteOptions};
@@ -252,9 +252,9 @@ fn out_of_core_pipeline_matches_in_memory_byte_for_byte() {
     let par = cloudscope::par::Parallelism::auto();
     write_generated(clean, &dir.0, WriteOptions::default(), &par).expect("store writes");
 
-    // Auto-sized chunk cache (one slot per (region, day) lane):
-    // telemetry pages in and out, but an id-ordered sweep decompresses
-    // each chunk only once instead of thrashing cyclically.
+    // One decoded chunk per (region, day) lane: telemetry pages in and
+    // out, and every ascending scan decompresses each chunk it needs
+    // only once.
     let streamed = read_generated(&dir.0, TelemetryMode::OutOfCore { cache_chunks: 0 }, &par)
         .expect("store reads");
     assert!(
@@ -292,7 +292,7 @@ fn out_of_core_pipeline_matches_in_memory_byte_for_byte() {
     );
 
     // Under the standard fault plan the parity must survive too: the
-    // injector pulls every series through the chunk cache.
+    // injector pulls every series through the store in id order.
     let (corrupted_trace, fault_report) =
         corrupt_trace(&streamed.trace, &FaultPlan::standard(2024));
     let degraded = GeneratedTrace {
@@ -307,5 +307,90 @@ fn out_of_core_pipeline_matches_in_memory_byte_for_byte() {
         render(&under_faults),
         render(corrupted_checks()),
         "fault-plan shape checks diverge between disk and memory"
+    );
+}
+
+/// The access-order guard. The whole `characterize` sequence of the
+/// end-to-end benchmark — report, shape checks, pilot, oversub pool, KB
+/// extraction, policies — runs out-of-core over a store with several
+/// chunks per lane, must render exactly what the resident run renders,
+/// and may fully decode each telemetry chunk at most 40 times: about
+/// twenty ascending scans, each at most once over every chunk, with
+/// room to spare. A stage that went back to point loads in its own
+/// order would decode hundreds of times per chunk and fail here, not
+/// only on the benchmark.
+#[test]
+fn out_of_core_pipeline_decodes_each_chunk_a_bounded_number_of_times() {
+    use cloudscope::kb::pipeline::run_extraction_pipeline;
+    use cloudscope::kb::KbQuery;
+    use cloudscope::obs::Registry;
+    use cloudscope::par::Parallelism;
+    use cloudscope::store::{ChunkKind, ScanFilter, TelemetryMode, TraceReader, WriteOptions};
+    use cloudscope::tracegen::{read_generated, write_generated};
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    let characterize = |generated: &GeneratedTrace| -> String {
+        let checks = all_figure_checks(generated, &CheckProfile::medium()).expect("pipeline runs");
+        let kb = KnowledgeBase::new();
+        let workers = Parallelism::auto().workers();
+        let stats = run_extraction_pipeline(
+            &generated.trace,
+            &kb,
+            &PatternClassifier::default(),
+            4,
+            workers,
+        );
+        assert_eq!(stats.failed, 0);
+        let recommendations = PolicyEngine::standard().run(&kb);
+        format!(
+            "{:?};{:?};{recommendations:?}",
+            checks.lines().collect::<Vec<_>>(),
+            KbQuery::all().collect(&kb)
+        )
+    };
+
+    let resident = generate(&GeneratorConfig::small(41));
+    let dir = std::env::temp_dir().join(format!("cloudscope-amplification-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let par = Parallelism::auto();
+    let options = WriteOptions {
+        target_chunk_bytes: 16 << 10,
+        ..WriteOptions::default()
+    };
+    write_generated(&resident, &dir, options, &par).expect("store writes");
+    let lane_of_chunk: Vec<(u32, u8)> = TraceReader::open(&dir)
+        .expect("store opens")
+        .chunks(ScanFilter::all().kind(ChunkKind::Telemetry))
+        .map(|entry| (entry.meta.region, entry.meta.day))
+        .collect();
+    let chunks = lane_of_chunk.len() as u64;
+    let lanes = lane_of_chunk.iter().collect::<BTreeSet<_>>().len() as u64;
+    assert!(
+        chunks > 2 * lanes,
+        "{chunks} chunks in {lanes} lanes: the lanes must be multi-chunk"
+    );
+
+    let registry = Arc::new(Registry::new());
+    let out_of_core = cloudscope::obs::scoped(&registry, || {
+        let streamed = read_generated(&dir, TelemetryMode::OutOfCore { cache_chunks: 0 }, &par)
+            .expect("store reads");
+        assert!(streamed.trace.telemetry_is_lazy());
+        characterize(&streamed)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out_of_core, characterize(&resident));
+
+    // Full decodes, by the identity the end-to-end benchmark uses:
+    // demand misses no readahead absorbed, plus every readahead.
+    let snap = registry.snapshot();
+    let counter = |name| snap.counter(name).unwrap_or(0);
+    let read_ahead = snap
+        .histogram("store.prefetch.decode_ns")
+        .map_or(0, |h| h.count);
+    let decodes = counter("store.cache.misses") - counter("store.prefetch.hits") + read_ahead;
+    assert!(
+        (chunks..=40 * chunks).contains(&decodes),
+        "{decodes} full decodes of {chunks} telemetry chunks"
     );
 }

@@ -701,11 +701,11 @@ fn exercise_all_subsystems() -> Snapshot {
         assert_eq!(recovered.kb().len(), everything.len());
         let _ = std::fs::remove_dir_all(&dir);
 
-        // store: a write → out-of-core read cycle through a one-chunk
-        // cache registers the whole store.* surface — compression and
-        // commit counters on the write side; batch, chunk, and series
-        // reads plus cache hits/misses/evictions on the read side —
-        // and one rejected blob registers corruption detection.
+        // store: a write → out-of-core read cycle registers the whole
+        // store.* surface — compression and commit counters on the
+        // write side; batch, chunk, and series reads plus per-lane
+        // cursor hits/misses/evictions on the read side — and one
+        // rejected blob registers corruption detection.
         let store_dir =
             std::env::temp_dir().join(format!("cloudscope-obs-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&store_dir);
@@ -724,12 +724,12 @@ fn exercise_all_subsystems() -> Snapshot {
         .expect("store read");
         assert!(back.trace.telemetry_is_lazy());
         for vm in back.trace.vms() {
-            let _ = back.trace.util(vm.id); // stream every chunk through the 1-chunk cache
+            let _ = back.trace.util(vm.id); // stream every chunk through its lane's slot
         }
-        // A week-long series spans one chunk per day, so the 1-chunk
-        // cache above can never serve a hit — every access is a
-        // miss+evict pair. A cache wide enough for a whole series makes
-        // the second load of the same VM all hits.
+        // 64-row chunks make every lane several chunks long, so the
+        // sweep above moved each lane's cursor (miss + evict) many
+        // times. A second load of one VM finds every lane still on the
+        // chunk the first load left it on: all hits.
         let hot = cloudscope::tracegen::read_generated(
             &store_dir,
             cloudscope::store::TelemetryMode::OutOfCore { cache_chunks: 64 },
@@ -743,8 +743,8 @@ fn exercise_all_subsystems() -> Snapshot {
             .find(|vm| hot.trace.has_util(vm.id))
             .expect("telemetry exists")
             .id;
-        let _ = hot.trace.util(first); // cold: populates the cache
-        let _ = hot.trace.util(first); // hot: guaranteed cache hits
+        let _ = hot.trace.util(first); // cold: moves the cursors
+        let _ = hot.trace.util(first); // hot: guaranteed hits
         assert!(
             cloudscope::tracegen::store_io::decode_report(&store_dir, &[0xFF; 4]).is_err(),
             "garbage blob must be rejected"
@@ -859,20 +859,30 @@ fn store_prefetch_metrics_reconcile_at_quiesce() {
             &par,
         )
         .expect("store read");
-        // Id-ordered full sweep: the access pattern the readahead
-        // planner predicts.
+        // Id-ordered full sweep of point loads: every lane's cursor
+        // walks forward and the lanes about to move are read ahead.
         for vm in back.trace.vms() {
             let _ = back.trace.util(vm.id);
         }
+        let swept = registry.snapshot();
+        // Then a sparse ascending scan over the same reader, which
+        // reads ahead along its own plan.
+        let every_third: Vec<VmId> = back.trace.vms().iter().step_by(3).map(|vm| vm.id).collect();
+        back.trace.scan(&every_third, &mut |_, _| {});
         drop(back); // quiesce: joins the decode workers
-        registry.snapshot()
+        (swept, registry.snapshot())
     });
+    let (swept, snap) = snap;
+    let chunks = cloudscope::store::TraceReader::open(&dir)
+        .expect("store opens")
+        .chunks(cloudscope::store::ScanFilter::all().kind(cloudscope::store::ChunkKind::Telemetry))
+        .count() as u64;
     let _ = std::fs::remove_dir_all(&dir);
 
     let issued = snap.counter("store.prefetch.issued").unwrap_or(0);
     let hits = snap.counter("store.prefetch.hits").unwrap_or(0);
     let wasted = snap.counter("store.prefetch.wasted").unwrap_or(0);
-    assert!(issued > 0, "the sweep must trigger the readahead planner");
+    assert!(issued > 0, "neither the sweep nor the scan read ahead");
     assert_eq!(
         issued,
         hits + wasted,
@@ -894,10 +904,18 @@ fn store_prefetch_metrics_reconcile_at_quiesce() {
         "background decodes ({}) must cover hits ({hits}) and never exceed issues ({issued})",
         decode.count
     );
-    // Prefetch hits are a subset of the LRU misses they absorbed.
+    // Prefetch hits are a subset of the cursor misses they absorbed.
     let misses = snap.counter("store.cache.misses").unwrap_or(0);
     assert!(
         hits <= misses,
         "prefetch hits ({hits}) cannot exceed cache misses ({misses})"
     );
+    // An ascending sweep of point loads decodes every chunk exactly
+    // once: demand misses no readahead absorbed, plus every readahead.
+    let sweep_decodes = swept.counter("store.cache.misses").unwrap_or(0)
+        - swept.counter("store.prefetch.hits").unwrap_or(0)
+        + swept
+            .histogram("store.prefetch.decode_ns")
+            .map_or(0, |h| h.count);
+    assert_eq!(sweep_decodes, chunks, "the id-ordered sweep re-decoded");
 }
