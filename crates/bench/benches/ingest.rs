@@ -157,6 +157,9 @@ fn verify_acceptance(c: &mut Criterion) {
 
     let total = total_samples() as f64;
     c.report_metric("ingest/samples_total", total);
+    // Host stamp: every number below depends on the threads it ran on.
+    let host_threads = std::thread::available_parallelism().map_or(0, |p| p.get());
+    c.report_metric("ingest/host_threads", host_threads as f64);
     let mut best = 0.0f64;
     for &(workers, ns) in &medians {
         let per_sec = total / (ns / 1e9);
@@ -175,7 +178,7 @@ fn verify_acceptance(c: &mut Criterion) {
     let speedup = medians[0].1 / medians[medians.len() - 1].1;
     c.report_metric("ingest/speedup_1_to_8", speedup);
     println!("ingest 1 -> 8 worker speedup: {speedup:.2}x");
-    if std::thread::available_parallelism().map_or(0, |p| p.get()) >= 8 {
+    if host_threads >= 8 {
         assert!(
             speedup >= 1.2,
             "share-nothing partitions must scale: 1->8 workers gave {speedup:.2}x"

@@ -1,7 +1,7 @@
 //! The discrete-event driver: a trace replayed as a live telemetry
 //! stream against the ingestion service.
 
-use crate::ingestor::{IngestConfig, Ingestor};
+use crate::ingestor::{IngestConfig, Ingestor, WindowClose};
 use crate::publish::publish_closed_windows;
 use crate::session::IngestSession;
 use cloudscope_analysis::PatternClassifier;
@@ -11,26 +11,84 @@ use cloudscope_model::prelude::*;
 use cloudscope_model::time::{MINUTES_PER_HOUR, MINUTES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
 use cloudscope_sim::rng::RngFactory;
 use cloudscope_sim::Simulation;
-use std::collections::HashMap;
 
 /// How many VMs' classification work one publish batch may trigger —
 /// the same per-subscription cap the batch extraction pipeline takes.
-const MAX_CLASSIFIED_VMS_PER_SUB: usize = 4;
+pub(crate) const MAX_CLASSIFIED_VMS_PER_SUB: usize = 4;
 
-/// Events of the ingestion simulation.
+/// Events of the ingestion simulation. Sample delivery is not one of
+/// them: between two watermark advances nothing global changes, so each
+/// tick delivers the samples that came due since the previous one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestEvent {
-    /// Delivery of one VM's next wire sample (position `index` of its
-    /// corrupted stream, delivered at the monitor cadence).
-    Deliver {
-        /// The reporting VM.
-        vm: VmId,
-        /// Position in the VM's wire stream.
-        index: u32,
-    },
-    /// Periodic watermark advance: seals ripe slots, closes windows the
-    /// watermark crossed, publishes the refreshed knowledge.
+    /// Periodic watermark advance: delivers the due samples, seals ripe
+    /// slots, closes windows the watermark crossed, publishes the
+    /// refreshed knowledge.
     WatermarkTick,
+}
+
+/// One VM's wire stream: position `j` is due at `start` plus `j` sample
+/// intervals.
+#[derive(Debug)]
+pub(crate) struct WireStream {
+    pub(crate) vm: VmId,
+    /// Minute at which position 0 is due (the VM's series start).
+    pub(crate) start: i64,
+    pub(crate) wire: Vec<WireSample>,
+    /// Positions below this have been delivered.
+    delivered: usize,
+}
+
+impl WireStream {
+    /// Offers every undelivered sample due strictly before `minute`.
+    fn deliver_before(&mut self, ingestor: &mut Ingestor, minute: i64) {
+        // Position j is due before `minute` iff start + 5 j < minute.
+        let due =
+            (minute - self.start + SAMPLE_INTERVAL_MINUTES - 1).div_euclid(SAMPLE_INTERVAL_MINUTES);
+        let due = usize::try_from(due).unwrap_or(0).min(self.wire.len());
+        if due > self.delivered {
+            for &sample in &self.wire[self.delivered..due] {
+                ingestor.offer(self.vm, sample);
+            }
+            self.delivered = due;
+        }
+    }
+}
+
+/// Explodes every telemetry-bearing VM's series into its wire stream,
+/// corrupted under `plan` from the VM's own seeded RNG stream, in trace
+/// order. Streams the plan emptied are left out.
+pub(crate) fn wire_streams(
+    trace: &Trace,
+    plan: &FaultPlan,
+    fault_report: &mut FaultReport,
+) -> Vec<WireStream> {
+    let factory = RngFactory::new(plan.seed).child("faults");
+    let mut streams = Vec::new();
+    for vm in trace.vms() {
+        let Some(util) = trace.util(vm.id) else {
+            continue;
+        };
+        fault_report.vms += 1;
+        let mut rng = factory.indexed_stream("vm", vm.id.index());
+        let wire = corrupt_wire_samples(&util, vm.region, plan, &mut rng, fault_report);
+        if !wire.is_empty() {
+            streams.push(WireStream {
+                vm: vm.id,
+                start: util.start().minutes(),
+                wire,
+                delivered: 0,
+            });
+        }
+    }
+    streams
+}
+
+/// The last minute of a drive. The run must outlast the final watermark
+/// tick that seals the last week slot: watermark = now - delay reaches
+/// the week end one delay later, and ticks land hourly after that.
+pub(crate) fn end_minute(config: &IngestConfig) -> i64 {
+    MINUTES_PER_WEEK + config.watermark_delay_minutes + MINUTES_PER_HOUR
 }
 
 /// The result of one driven ingestion run.
@@ -44,7 +102,9 @@ pub struct DriveOutcome {
     pub fault_report: FaultReport,
     /// KB publication ledger (batches, retries, failures).
     pub pipeline_stats: PipelineStats,
-    /// Discrete events processed by the simulation.
+    /// Discrete events the simulation processed: the watermark ticks,
+    /// one per simulated hour. Samples are not events — see
+    /// [`IngestReport::samples_offered`](crate::IngestReport) for those.
     pub events_processed: u64,
 }
 
@@ -55,16 +115,21 @@ pub struct DriveOutcome {
 ///   `plan` (same per-VM seeded streams as
 ///   [`cloudscope_faults::corrupt_trace`], so the stream *content* is
 ///   byte-comparable to batch corruption). Corruption shuffles content,
-///   not cadence: stream position `j` is delivered at the VM's series
-///   start plus `j` sample intervals, which is how a reordered sample
+///   not cadence: stream position `j` is due at the VM's series start
+///   plus `j` sample intervals, which is how a reordered sample
 ///   actually arrives late.
-/// - An hourly watermark tick seals ripe slots, closes any window the
-///   watermark crossed (re-running Figure 5 classification per VM), and
-///   publishes the refreshed subscription knowledge into `store`
-///   through the batched feed + retry path.
-/// - After the stream drains past the final watermark, a catch-up
-///   drain closes whatever remains and the state freezes into an
-///   [`IngestSession`].
+/// - An hourly watermark tick first delivers, VM by VM, every sample
+///   that came due since the previous tick — the seal floor moves only
+///   at ticks and lanes share no state, so the order of offers between
+///   two ticks changes nothing but `peak_pending_samples`. It then
+///   seals ripe slots, closes any window the watermark crossed
+///   (re-running Figure 5 classification per VM), and publishes the
+///   refreshed subscription knowledge into `store` through the batched
+///   feed + retry path.
+/// - After the final tick the samples due before the run's end are
+///   delivered (a stream that duplication stretched past it is cut
+///   there), a catch-up drain closes whatever remains, and the state
+///   freezes into an [`IngestSession`].
 ///
 /// With [`FaultPlan::clean`] the session's series and classifications
 /// are byte-identical to batch ingestion of the same trace; under
@@ -78,35 +143,10 @@ pub fn drive_ingest<S: KbStore + ?Sized>(
     store: &S,
 ) -> DriveOutcome {
     let _run = cloudscope_obs::span("ingest.drive");
-    let factory = RngFactory::new(plan.seed).child("faults");
     let mut fault_report = FaultReport::default();
-    let mut streams: HashMap<VmId, (i64, Vec<WireSample>)> = HashMap::new();
+    let mut streams = wire_streams(trace, plan, &mut fault_report);
+    let end_minute = end_minute(config);
     let mut sim: Simulation<IngestEvent> = Simulation::new();
-    for vm in trace.vms() {
-        let Some(util) = trace.util(vm.id) else {
-            continue;
-        };
-        fault_report.vms += 1;
-        let mut rng = factory.indexed_stream("vm", vm.id.index());
-        let wire = corrupt_wire_samples(&util, vm.region, plan, &mut rng, &mut fault_report);
-        if wire.is_empty() {
-            continue;
-        }
-        let start = util.start().minutes();
-        sim.schedule(
-            SimTime::from_minutes(start),
-            IngestEvent::Deliver {
-                vm: vm.id,
-                index: 0,
-            },
-        );
-        streams.insert(vm.id, (start, wire));
-    }
-
-    // The run must outlast the final watermark tick that seals the last
-    // week slot: watermark = now - delay reaches the week end one delay
-    // later, and ticks land hourly after that.
-    let end_minute = MINUTES_PER_WEEK + config.watermark_delay_minutes + MINUTES_PER_HOUR;
     sim.schedule(
         SimTime::from_minutes(MINUTES_PER_HOUR),
         IngestEvent::WatermarkTick,
@@ -115,55 +155,43 @@ pub fn drive_ingest<S: KbStore + ?Sized>(
     let mut ingestor = Ingestor::new(*config, *classifier);
     let mut pipeline_stats = PipelineStats::default();
     let retry = RetryPolicy::default();
+    let mut publish = |ingestor: &Ingestor, closes: &[WindowClose]| {
+        publish_closed_windows(
+            trace,
+            ingestor,
+            closes,
+            store,
+            classifier,
+            MAX_CLASSIFIED_VMS_PER_SUB,
+            &retry,
+            &mut pipeline_stats,
+        );
+    };
     let events_processed = sim.run(
         SimTime::from_minutes(end_minute + 1),
-        |scheduler, time, event| match event {
-            IngestEvent::Deliver { vm, index } => {
-                let (_, wire) = &streams[&vm];
-                ingestor.offer(vm, wire[index as usize]);
-                if (index as usize) + 1 < wire.len() {
-                    scheduler.schedule(
-                        time + SimDuration::from_minutes(SAMPLE_INTERVAL_MINUTES),
-                        IngestEvent::Deliver {
-                            vm,
-                            index: index + 1,
-                        },
-                    );
-                }
+        |scheduler, time, IngestEvent::WatermarkTick| {
+            let now = time.minutes();
+            for stream in &mut streams {
+                // A sample due exactly at the tick arrives after it —
+                // except a stream's first: a monitor that starts on the
+                // tick reports before the watermark moves, which
+                // decides whether its lane exists at a window close.
+                let tie = i64::from(stream.start == now);
+                stream.deliver_before(&mut ingestor, now + tie);
             }
-            IngestEvent::WatermarkTick => {
-                let closes = ingestor.advance_watermark(time);
-                publish_closed_windows(
-                    trace,
-                    &ingestor,
-                    &closes,
-                    store,
-                    classifier,
-                    MAX_CLASSIFIED_VMS_PER_SUB,
-                    &retry,
-                    &mut pipeline_stats,
-                );
-                if time.minutes() + MINUTES_PER_HOUR <= end_minute {
-                    scheduler.schedule(
-                        time + SimDuration::from_minutes(MINUTES_PER_HOUR),
-                        IngestEvent::WatermarkTick,
-                    );
-                }
+            let closes = ingestor.advance_watermark(time);
+            publish(&ingestor, &closes);
+            if now + MINUTES_PER_HOUR <= end_minute {
+                scheduler.schedule(time + SimDuration::HOUR, IngestEvent::WatermarkTick);
             }
         },
     );
 
+    for stream in &mut streams {
+        stream.deliver_before(&mut ingestor, end_minute + 1);
+    }
     let final_closes = ingestor.drain(SimTime::from_minutes(end_minute));
-    publish_closed_windows(
-        trace,
-        &ingestor,
-        &final_closes,
-        store,
-        classifier,
-        MAX_CLASSIFIED_VMS_PER_SUB,
-        &retry,
-        &mut pipeline_stats,
-    );
+    publish(&ingestor, &final_closes);
     fault_report.flush_metrics();
     DriveOutcome {
         session: ingestor.finish(),

@@ -2,6 +2,7 @@
 
 use cloudscope_analysis::{PatternClassifier, UtilizationPattern};
 use cloudscope_faults::WireSample;
+use cloudscope_kb::Parallelism;
 use cloudscope_model::prelude::*;
 use cloudscope_model::telemetry::{quantize_percentage, MISSING_SAMPLE_BYTE};
 use cloudscope_model::time::{
@@ -10,7 +11,6 @@ use cloudscope_model::time::{
 use cloudscope_stats::sketch::P2Quantile;
 use cloudscope_timeseries::acf::autocorrelation_masked;
 use cloudscope_timeseries::Series;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of the ingestion service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,18 +37,23 @@ impl Default for IngestConfig {
     }
 }
 
-/// Per-VM lane: the mutable buffer ahead of the watermark plus the
-/// immutable sealed window state behind it.
+/// Per-VM lane: one quantized byte per week slot, split by a cursor
+/// into the immutable sealed window state below it and the mutable
+/// buffer at and above it.
 #[derive(Debug)]
 struct VmLane {
-    /// Unsealed slots, quantized on arrival; last write wins.
-    pending: BTreeMap<i64, u8>,
-    /// Sealed (slot, quantized value) pairs, ascending. Sealing is
-    /// monotone, so this vector only ever appends.
-    sealed: Vec<(i64, u8)>,
-    /// Rolling sums over sealed percent values (mean / std in O(1)).
+    /// `slots[s]` is the sample of week slot `s`, quantized on arrival
+    /// ([`MISSING_SAMPLE_BYTE`] where nothing arrived). At or above
+    /// `sealed_upto` the last write wins; below it nothing changes.
+    slots: Box<[u8]>,
+    /// Slots below this are sealed. Sealing is monotone, so the cursor
+    /// only ever advances — and only sealed slots are visible to
+    /// [`VmLane::reconstruct`].
+    sealed_upto: usize,
+    /// Samples among the sealed slots.
+    sealed_samples: usize,
+    /// Rolling sum over sealed percent values (mean in O(1)).
     sum: f64,
-    sumsq: f64,
     /// Streaming p95 over sealed samples, observed in slot order —
     /// deterministic for any arrival interleaving of the same stream.
     p95: P2Quantile,
@@ -61,57 +66,73 @@ struct VmLane {
 impl VmLane {
     fn new() -> Self {
         Self {
-            pending: BTreeMap::new(),
-            sealed: Vec::new(),
+            slots: vec![MISSING_SAMPLE_BYTE; SAMPLES_PER_WEEK].into(),
+            sealed_upto: 0,
+            sealed_samples: 0,
             sum: 0.0,
-            sumsq: 0.0,
             p95: P2Quantile::new(0.95).expect("0.95 is a valid level"),
             dropped_late: 0,
             pattern: None,
         }
     }
 
-    /// Seals every pending slot below `floor`, folding the values into
+    /// Seals every slot below `floor`, folding the buffered values into
     /// the rolling state in ascending slot order. Returns how many
     /// samples sealed.
-    fn seal_upto(&mut self, floor: i64) -> usize {
-        if self
-            .pending
-            .first_key_value()
-            .is_none_or(|(&slot, _)| slot >= floor)
-        {
+    fn seal_upto(&mut self, floor: usize) -> usize {
+        let floor = floor.min(self.slots.len());
+        if floor <= self.sealed_upto {
             return 0;
         }
-        let rest = self.pending.split_off(&floor);
-        let ripe = std::mem::replace(&mut self.pending, rest);
-        let sealed_now = ripe.len();
-        for (slot, q) in ripe {
-            let pct = f64::from(q) / 2.0;
-            self.sum += pct;
-            self.sumsq += pct * pct;
-            self.p95.observe(pct);
-            self.sealed.push((slot, q));
+        let mut sealed_now = 0;
+        for &q in &self.slots[self.sealed_upto..floor] {
+            if q != MISSING_SAMPLE_BYTE {
+                let pct = f64::from(q) / 2.0;
+                self.sum += pct;
+                self.p95.observe(pct);
+                sealed_now += 1;
+            }
         }
+        self.sealed_upto = floor;
+        self.sealed_samples += sealed_now;
         sealed_now
     }
 
     /// Reconstructs the sealed slots in `lo..hi` as a gap-preserving
     /// series — byte-identical to what the batch collector assembles
     /// from the same samples. `None` if the range holds no samples.
-    fn reconstruct(&self, lo: i64, hi: i64) -> Option<UtilSeries> {
-        let from = self.sealed.partition_point(|&(slot, _)| slot < lo);
-        let to = self.sealed.partition_point(|&(slot, _)| slot < hi);
-        let window = &self.sealed[from..to];
-        let (first, _) = *window.first()?;
-        let (last, _) = *window.last().expect("non-empty window has a last");
-        let mut bytes = vec![MISSING_SAMPLE_BYTE; usize::try_from(last - first + 1).expect("span")];
-        for &(slot, q) in window {
-            bytes[usize::try_from(slot - first).expect("slot in span")] = q;
-        }
+    fn reconstruct(&self, lo: usize, hi: usize) -> Option<UtilSeries> {
+        let window = self.slots.get(lo..hi.min(self.sealed_upto))?;
+        let first = window.iter().position(|&q| q != MISSING_SAMPLE_BYTE)?;
+        let last = window
+            .iter()
+            .rposition(|&q| q != MISSING_SAMPLE_BYTE)
+            .expect("a window with a first sample has a last");
         Some(UtilSeries::from_quantized(
-            SimTime::from_minutes(first * SAMPLE_INTERVAL_MINUTES),
-            bytes.into(),
+            SimTime::from_minutes((lo + first) as i64 * SAMPLE_INTERVAL_MINUTES),
+            window[first..=last].to_vec().into(),
         ))
+    }
+
+    /// The read-only half of a window close: the window's sample count,
+    /// its classification and its daily autocorrelation.
+    fn summarize_window(
+        &self,
+        lo: usize,
+        hi: usize,
+        classifier: &PatternClassifier,
+    ) -> (usize, Option<UtilizationPattern>, Option<f64>) {
+        let Some(window) = self.reconstruct(lo, hi) else {
+            return (0, None, None);
+        };
+        let values = window.to_f64_vec();
+        let daily_acf = daily_masked_acf(&values);
+        let series = Series::new(window.start().minutes(), SAMPLE_INTERVAL_MINUTES, values);
+        (
+            window.present_count(),
+            classifier.classify_series(&series),
+            daily_acf,
+        )
     }
 }
 
@@ -166,7 +187,10 @@ pub struct IngestReport {
     /// VMs with at least one late-dropped sample.
     pub vms_with_drops: usize,
     /// Peak buffered (unsealed) samples across all lanes — the
-    /// backpressure the watermark delay costs.
+    /// backpressure the watermark delay costs. Sampled at every offer
+    /// and sealing is lazy, so unlike every other counter here it
+    /// depends on the order in which lanes were offered their samples
+    /// between two watermark advances, not only on what was offered.
     pub peak_pending_samples: usize,
 }
 
@@ -189,17 +213,23 @@ impl IngestReport {
 
 /// The ingestion state machine: per-VM lanes behind a global watermark.
 ///
-/// Memory is bounded by construction: ahead of the watermark each lane
-/// buffers at most `watermark_delay / 5 + 1` live slots (older offers
-/// drop, newer ones cannot exist yet), and behind it only the quantized
-/// sealed bytes and O(1) rolling state remain.
+/// Memory is bounded by construction: a lane is one quantized byte per
+/// week slot (2 016 bytes) plus O(1) rolling state, allocated when the
+/// VM first reports and never grown — buffered and sealed samples live
+/// in the same array, told apart by the lane's seal cursor. Ahead of the
+/// watermark at most `watermark_delay / 5 + 1` of those slots are live
+/// (older offers drop, newer ones cannot exist yet).
+///
+/// Lanes sit in a dense table indexed by [`VmId::as_usize`] — VM ids
+/// are the trace's dense indices — which grows to the largest id seen.
 #[derive(Debug)]
 pub struct Ingestor {
     config: IngestConfig,
     classifier: PatternClassifier,
-    lanes: BTreeMap<VmId, VmLane>,
+    /// `lanes[vm.as_usize()]`; `None` until the VM first reports.
+    lanes: Vec<Option<VmLane>>,
     /// Slots strictly below this are sealed; lanes apply it lazily.
-    seal_floor: i64,
+    seal_floor: usize,
     /// Next window boundary (minutes) the watermark has not crossed.
     next_window_close: i64,
     /// Live buffered samples across lanes (maintained incrementally).
@@ -208,7 +238,6 @@ pub struct Ingestor {
     /// whether [`Ingestor::finish`] owes a final catch-up close.
     dirty: bool,
     report: IngestReport,
-    vms_with_drops: BTreeSet<VmId>,
 }
 
 impl Ingestor {
@@ -221,12 +250,11 @@ impl Ingestor {
             next_window_close: config.window_minutes,
             config,
             classifier,
-            lanes: BTreeMap::new(),
+            lanes: Vec::new(),
             seal_floor: 0,
             pending_samples: 0,
             dirty: false,
             report: IngestReport::default(),
-            vms_with_drops: BTreeSet::new(),
         }
     }
 
@@ -236,13 +264,10 @@ impl Ingestor {
         &self.config
     }
 
-    /// Counters so far (vms/peaks refreshed on read).
+    /// Counters so far.
     #[must_use]
     pub fn report(&self) -> IngestReport {
-        let mut report = self.report;
-        report.vms = self.lanes.len();
-        report.vms_with_drops = self.vms_with_drops.len();
-        report
+        self.report
     }
 
     /// Offers one wire sample for `vm`, mirroring the batch collector's
@@ -262,25 +287,34 @@ impl Ingestor {
             self.report.out_of_week += 1;
             return;
         }
-        let lane = self.lanes.entry(vm).or_insert_with(VmLane::new);
+        let (slot, index) = (slot as usize, vm.as_usize());
+        if index >= self.lanes.len() {
+            self.lanes.resize_with(index + 1, || None);
+        }
+        let lane = self.lanes[index].get_or_insert_with(|| {
+            self.report.vms += 1;
+            VmLane::new()
+        });
         // Lazy sealing: fold this lane's ripe slots before judging the
         // new sample, so the drop decision always uses the global floor.
         self.pending_samples -= lane.seal_upto(self.seal_floor);
         if slot < self.seal_floor {
+            if lane.dropped_late == 0 {
+                self.report.vms_with_drops += 1;
+            }
             lane.dropped_late += 1;
             self.report.dropped_late += 1;
-            self.vms_with_drops.insert(vm);
             return;
         }
         self.report.samples_applied += 1;
-        if lane
-            .pending
-            .insert(slot, quantize_percentage(sample.value))
-            .is_some()
-        {
-            self.report.duplicates_collapsed += 1;
-        } else {
+        // A slot at or above the floor that already holds a byte is a
+        // duplicate; validation left only finite non-negative values,
+        // which never quantize to the missing marker.
+        let previous = std::mem::replace(&mut lane.slots[slot], quantize_percentage(sample.value));
+        if previous == MISSING_SAMPLE_BYTE {
             self.pending_samples += 1;
+        } else {
+            self.report.duplicates_collapsed += 1;
         }
         self.dirty = true;
         if self.pending_samples > self.report.peak_pending_samples {
@@ -296,10 +330,9 @@ impl Ingestor {
     /// order, ready for [`crate::publish_closed_windows`].
     pub fn advance_watermark(&mut self, now: SimTime) -> Vec<WindowClose> {
         let watermark = now.minutes() - self.config.watermark_delay_minutes;
-        let floor = watermark.div_euclid(SAMPLE_INTERVAL_MINUTES);
-        if floor > self.seal_floor {
-            self.seal_floor = floor;
-        }
+        // A watermark still before the week has sealed nothing.
+        let floor = usize::try_from(watermark.div_euclid(SAMPLE_INTERVAL_MINUTES)).unwrap_or(0);
+        self.seal_floor = self.seal_floor.max(floor);
         let mut closes = Vec::new();
         while watermark >= self.next_window_close {
             let end = self.next_window_close;
@@ -309,42 +342,54 @@ impl Ingestor {
         closes
     }
 
+    /// Seals every lane up to the global floor.
+    fn seal_all_lanes(&mut self) {
+        for lane in self.lanes.iter_mut().flatten() {
+            self.pending_samples -= lane.seal_upto(self.seal_floor);
+        }
+    }
+
     /// Closes the window ending at `end`: seals every lane up to the
     /// global floor, reconstructs each lane's window, recomputes the
-    /// summary statistics, and re-runs the pattern classifier.
+    /// summary statistics, and re-runs the pattern classifier. Lanes
+    /// share no state, so the per-lane work runs on every worker; the
+    /// results are applied in VM order.
     fn close_window(&mut self, end: SimTime) -> Vec<WindowClose> {
         let _stage = cloudscope_obs::span("ingest.close");
         let lo = (end.minutes() - self.config.window_minutes).div_euclid(SAMPLE_INTERVAL_MINUTES);
         let hi = end.minutes().div_euclid(SAMPLE_INTERVAL_MINUTES);
-        let mut closes = Vec::with_capacity(self.lanes.len());
-        for (&vm, lane) in &mut self.lanes {
-            self.pending_samples -= lane.seal_upto(self.seal_floor);
-            let window = lane.reconstruct(lo, hi);
-            let samples = window.as_ref().map_or(0, UtilSeries::present_count);
-            let pattern = window.as_ref().and_then(|w| {
-                let series =
-                    Series::new(w.start().minutes(), SAMPLE_INTERVAL_MINUTES, w.to_f64_vec());
-                self.classifier.classify_series(&series)
-            });
+        let window_slots = (hi - lo).max(1) as f64;
+        // Slots outside the week hold nothing; `reconstruct` clamps `hi`.
+        let (lo, hi) = (lo.max(0) as usize, hi.max(0) as usize);
+        self.seal_all_lanes();
+        let classifier = &self.classifier;
+        let summaries = Parallelism::auto().par_map(&self.lanes, |lane| {
+            lane.as_ref()
+                .map(|lane| lane.summarize_window(lo, hi, classifier))
+        });
+        let mut closes = Vec::with_capacity(self.report.vms);
+        for (index, (lane, summary)) in self.lanes.iter_mut().zip(summaries).enumerate() {
+            let (Some(lane), Some((samples, pattern, daily_acf))) = (lane, summary) else {
+                continue;
+            };
             lane.pattern = pattern;
             self.report.windows_closed += 1;
             if pattern.is_some() {
                 self.report.classifications += 1;
             }
-            let sealed_total = lane.sealed.len();
-            let mean = if sealed_total == 0 {
+            let mean = if lane.sealed_samples == 0 {
                 0.0
             } else {
-                lane.sum / sealed_total as f64
+                lane.sum / lane.sealed_samples as f64
             };
             closes.push(WindowClose {
-                vm,
+                vm: VmId::new(index as u64),
                 window_end: end,
                 samples,
-                coverage: samples as f64 / (hi - lo).max(1) as f64,
+                coverage: samples as f64 / window_slots,
                 mean_util: mean,
                 p95_util: lane.p95.estimate().unwrap_or(0.0),
-                daily_acf: window.as_ref().and_then(daily_masked_acf),
+                daily_acf,
                 pattern,
                 dropped_late: lane.dropped_late,
             });
@@ -358,16 +403,14 @@ impl Ingestor {
     /// final catch-up close at `now` and returns its summaries (publish
     /// them, then call [`Ingestor::finish`]).
     pub fn drain(&mut self, now: SimTime) -> Vec<WindowClose> {
-        self.seal_floor = SAMPLES_PER_WEEK as i64;
+        self.seal_floor = SAMPLES_PER_WEEK;
         if self.dirty {
             self.close_window(now)
         } else {
             // Nothing new since the last boundary close, but lanes may
             // still hold unsealed slots (inside the watermark at the
             // last tick): seal them without re-classifying.
-            for lane in self.lanes.values_mut() {
-                self.pending_samples -= lane.seal_upto(self.seal_floor);
-            }
+            self.seal_all_lanes();
             Vec::new()
         }
     }
@@ -378,19 +421,29 @@ impl Ingestor {
     pub fn finish(mut self) -> crate::IngestSession {
         // Defensive: a caller that skipped `drain` still gets every
         // buffered sample sealed into the frozen series.
-        self.seal_floor = SAMPLES_PER_WEEK as i64;
-        for lane in self.lanes.values_mut() {
-            self.pending_samples -= lane.seal_upto(self.seal_floor);
-        }
-        let report = self.report();
-        report.flush_metrics();
+        self.seal_floor = SAMPLES_PER_WEEK;
+        self.seal_all_lanes();
+        self.report.flush_metrics();
         crate::IngestSession::freeze(
-            self.lanes.into_iter().map(|(vm, lane)| {
-                let series = lane.reconstruct(0, SAMPLES_PER_WEEK as i64);
-                (vm, series, lane.pattern, lane.dropped_late)
-            }),
-            report,
+            self.lanes
+                .into_iter()
+                .enumerate()
+                .filter_map(|(index, lane)| {
+                    let lane = lane?;
+                    let series = lane.reconstruct(0, SAMPLES_PER_WEEK);
+                    Some((
+                        VmId::new(index as u64),
+                        series,
+                        lane.pattern,
+                        lane.dropped_late,
+                    ))
+                }),
+            self.report,
         )
+    }
+
+    fn lane(&self, id: VmId) -> Option<&VmLane> {
+        self.lanes.get(id.as_usize())?.as_ref()
     }
 }
 
@@ -401,22 +454,19 @@ impl Ingestor {
 /// invisible by design.
 impl cloudscope_model::trace::TelemetrySource for Ingestor {
     fn load(&self, id: VmId) -> Option<UtilSeries> {
-        self.lanes.get(&id)?.reconstruct(0, SAMPLES_PER_WEEK as i64)
+        self.lane(id)?.reconstruct(0, SAMPLES_PER_WEEK)
     }
 
     fn has(&self, id: VmId) -> bool {
-        self.lanes
-            .get(&id)
-            .is_some_and(|lane| !lane.sealed.is_empty())
+        self.lane(id).is_some_and(|lane| lane.sealed_samples > 0)
     }
 }
 
 /// Masked autocorrelation at the daily lag, on a half-hourly downsample
 /// (gap slots average out of each block; fully-missing blocks stay
 /// masked). `None` when the window is shorter than a day.
-fn daily_masked_acf(window: &UtilSeries) -> Option<f64> {
+fn daily_masked_acf(values: &[f64]) -> Option<f64> {
     const BLOCK: usize = 6; // 6 × 5 min = half-hourly
-    let values = window.to_f64_vec();
     let coarse: Vec<f64> = values
         .chunks(BLOCK)
         .map(|block| {

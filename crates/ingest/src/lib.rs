@@ -18,32 +18,42 @@
 //!    rejected, timestamps snap to the 5-minute grid, out-of-week slots
 //!    are discarded, and duplicate slots keep the last delivered value.
 //!    Accepted samples are quantized on arrival
-//!    ([`quantize_percentage`]) and buffered per VM.
+//!    ([`quantize_percentage`]) into the VM's *lane*: one byte per week
+//!    slot, in a dense table indexed by VM id.
 //! 2. **Seal** — [`Ingestor::advance_watermark`] moves the low
-//!    watermark. Slots that fall entirely behind it *seal*: their values
-//!    become immutable window state (rolling mean, P² p95 sketch,
-//!    coverage) and their buffer entries are freed. A sample arriving
-//!    for an already-sealed slot is counted in `dropped_late` — never
-//!    silently applied.
+//!    watermark. Slots that fall entirely behind it *seal*: the lane's
+//!    seal cursor moves past them, their values fold into the rolling
+//!    window state (mean, P² p95 sketch, coverage) in slot order, and
+//!    the bytes become immutable. A sample arriving for an
+//!    already-sealed slot is counted in `dropped_late` — never silently
+//!    applied.
 //! 3. **Close** — when the watermark crosses a window boundary, every
 //!    lane reconstructs its window as a gap-preserving series, computes
 //!    the masked daily autocorrelation, and re-runs the batch
-//!    [`PatternClassifier`] on it. Because sealed state is
+//!    [`PatternClassifier`] on it — lanes share nothing, so this runs
+//!    on every worker. Because sealed state is
 //!    byte-identical to what the batch collector would have assembled
 //!    from the same stream, streaming classification *converges to the
 //!    batch classifier output exactly* on clean data; under faults the
 //!    divergence is bounded and fully accounted for by reported drops.
 //! 4. **Publish** — [`publish_closed_windows`] re-extracts
 //!    [`WorkloadKnowledge`](cloudscope_kb::WorkloadKnowledge) for the
-//!    affected subscriptions from the live window state and feeds it
+//!    affected subscriptions from the live window state (in parallel,
+//!    one subscription per task) and feeds it, in subscription order,
 //!    through [`cloudscope_kb::publish_batch`] — the identical
 //!    `try_feed` + retry-ledger path, so a durable KB's WAL semantics
 //!    apply unchanged.
 //!
 //! [`drive_ingest`] wires the stages to the discrete-event clock of
-//! `cloudscope-sim`: per-VM delivery events at the monitor cadence
-//! (content corrupted by a seeded [`FaultPlan`], cadence preserved),
-//! periodic watermark ticks, and a final catch-up close. The end state
+//! `cloudscope-sim`. The only events are the hourly watermark ticks:
+//! between two of them nothing global changes (the seal floor moves
+//! only in `advance_watermark`, and lanes share no state), so each tick
+//! first delivers, VM by VM, the samples that came due at the monitor
+//! cadence since the previous one (content corrupted by a seeded
+//! [`FaultPlan`], cadence preserved), then advances the watermark; a
+//! final catch-up close ends the run. The outcome equals that of one
+//! simulator event per sample — the drive this replaced, kept as the
+//! test-only oracle in `src/reference.rs`. The end state
 //! is an [`IngestSession`] — a [`TelemetrySource`] interchangeable with
 //! a resident [`Trace`](cloudscope_model::trace::Trace) or the
 //! out-of-core store, so every analysis that accepts a source runs
@@ -87,6 +97,8 @@
 pub mod drive;
 pub mod ingestor;
 pub mod publish;
+#[cfg(test)]
+mod reference;
 pub mod session;
 
 pub use drive::{drive_ingest, DriveOutcome, IngestEvent};

@@ -4,8 +4,8 @@
 use crate::ingestor::WindowClose;
 use cloudscope_analysis::PatternClassifier;
 use cloudscope_kb::{
-    extract_subscription_knowledge_from, publish_batch, KbStore, PipelineStats, RetryPolicy,
-    WorkloadKnowledge,
+    extract_subscription_knowledge_from, publish_batch, KbStore, Parallelism, PipelineStats,
+    RetryPolicy, WorkloadKnowledge,
 };
 use cloudscope_model::prelude::*;
 use cloudscope_model::trace::TelemetrySource;
@@ -41,14 +41,16 @@ pub fn publish_closed_windows<S: KbStore + ?Sized>(
         .map(|c| c.window_end)
         .max()
         .expect("non-empty closes");
-    let subscriptions: BTreeSet<SubscriptionId> = closes
+    let subscriptions: Vec<SubscriptionId> = closes
         .iter()
         .filter_map(|c| trace.vm(c.vm).ok().map(|vm| vm.subscription))
+        .collect::<BTreeSet<_>>()
+        .into_iter()
         .collect();
-    let mut entries: Vec<WorkloadKnowledge> = Vec::with_capacity(subscriptions.len());
-    for sub in subscriptions {
-        stats.processed += 1;
-        match extract_subscription_knowledge_from(
+    // Subscriptions are independent reads of `source`: extract on every
+    // worker, publish in subscription order.
+    let extracted = Parallelism::auto().par_map(&subscriptions, |&sub| {
+        extract_subscription_knowledge_from(
             trace,
             source,
             sub,
@@ -56,10 +58,10 @@ pub fn publish_closed_windows<S: KbStore + ?Sized>(
             max_classified_vms_per_sub,
             None,
             updated_at,
-        ) {
-            Some(knowledge) => entries.push(knowledge),
-            None => stats.skipped += 1,
-        }
-    }
+        )
+    });
+    let entries: Vec<WorkloadKnowledge> = extracted.into_iter().flatten().collect();
+    stats.processed += subscriptions.len();
+    stats.skipped += subscriptions.len() - entries.len();
     publish_batch(store, &entries, retry, stats);
 }

@@ -43,6 +43,10 @@ pub mod query;
 mod shard;
 pub mod store;
 
+/// The sweep configuration [`run_extraction_pipeline_with`] takes,
+/// re-exported so a producer that parallelises the same per-subscription
+/// extraction (the ingest path) needs no dependency edge of its own.
+pub use cloudscope_par::Parallelism;
 pub use extract::{
     extract_cloud_knowledge, extract_subscription_knowledge, extract_subscription_knowledge_from,
 };

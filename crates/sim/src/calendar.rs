@@ -139,9 +139,14 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Advances the cursor to the first non-empty bucket (if any).
+    /// Advances the cursor to the first non-empty bucket (if any),
+    /// releasing the storage of every drained bucket it passes: nothing
+    /// is scheduled behind the cursor again, so keeping a bucket at its
+    /// high-water capacity would make queue memory O(events ever
+    /// scheduled) instead of O(pending).
     fn settle_cursor(&mut self) {
         while self.cursor < BUCKETS && self.buckets[self.cursor].is_empty() {
+            self.buckets[self.cursor] = VecDeque::new();
             self.cursor += 1;
         }
     }
@@ -216,6 +221,16 @@ impl<E> CalendarQueue<E> {
     pub const fn overflow_total(&self) -> u64 {
         self.overflow_total
     }
+
+    /// Entries' worth of storage still held by buckets behind the
+    /// cursor.
+    #[cfg(test)]
+    fn drained_capacity(&self) -> usize {
+        self.buckets[..self.cursor]
+            .iter()
+            .map(VecDeque::capacity)
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -287,6 +302,26 @@ mod tests {
         // The late event still pops first: overflow merges by time.
         assert_eq!(q.pop().unwrap(), (SimTime::ZERO, "late"));
         assert_eq!(q.pop().unwrap().1, "next");
+    }
+
+    /// Queue memory follows what is pending, not what was ever
+    /// scheduled: a bucket the cursor has passed holds no storage.
+    #[test]
+    fn drained_buckets_release_their_storage() {
+        let mut q = CalendarQueue::new();
+        for i in 0..4_000u32 {
+            q.schedule(SimTime::from_minutes(i64::from(i % 500) * 7), i);
+        }
+        // Half-way: every bucket behind the cursor is already released
+        // while the rest of the schedule is still pending.
+        for _ in 0..2_000 {
+            assert!(q.pop().is_some());
+        }
+        assert!(q.cursor > 0 && !q.is_empty());
+        assert_eq!(q.drained_capacity(), 0);
+        while q.pop().is_some() {}
+        assert_eq!(q.cursor, BUCKETS);
+        assert_eq!(q.drained_capacity(), 0);
     }
 
     /// Oracle test: random interleaved schedules and pops must produce

@@ -336,7 +336,8 @@ fn kb_persist_counters_reconcile_with_disk_state() {
 /// The streaming-ingestion counters reconcile with the session's own
 /// report: the offer-accounting identity holds both in the report and
 /// in the flushed counters, the drive span fires exactly once per run,
-/// and the backpressure gauge carries the report's peak.
+/// the backpressure gauge carries the report's peak, and the simulator
+/// sees one event per simulated hour, not one per sample.
 #[test]
 fn ingest_counters_reconcile_with_session_report() {
     let g = generate(&GeneratorConfig::small(9110));
@@ -377,6 +378,21 @@ fn ingest_counters_reconcile_with_session_report() {
         .histogram("ingest.drive.duration_ns")
         .expect("drive span records");
     assert_eq!(drive.count, 1, "one drive, one span");
+    // Access pattern: samples reach the ingestor in watermark-bounded
+    // batches, so the only discrete events are the hourly ticks (the
+    // week, plus the watermark delay's run-out).
+    let hours_in_run = SimTime::WEEK_END.hours() as u64;
+    assert!(
+        outcome.events_processed <= hours_in_run + 4,
+        "{} events for {} samples: delivery is per sample again",
+        outcome.events_processed,
+        report.samples_offered
+    );
+    assert_counter_eq(
+        &diff,
+        "sim.engine.events_processed",
+        outcome.events_processed,
+    );
     // Every published batch went through the shared KB pipeline path.
     assert_counter_eq(
         &diff,
