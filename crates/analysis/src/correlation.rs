@@ -4,6 +4,8 @@
 use crate::error::AnalysisError;
 use cloudscope_model::prelude::*;
 use cloudscope_model::time::{SAMPLES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
+use cloudscope_model::trace::GatheredSeries;
+use cloudscope_par::Parallelism;
 use cloudscope_stats::{pearson, pearson_or_zero, Ecdf};
 use cloudscope_timeseries::{daily_profile, Series};
 use std::collections::{HashMap, HashSet};
@@ -43,45 +45,61 @@ pub fn node_vm_correlation_cdf(
     let sampled: Vec<NodeId> = nodes.into_iter().step_by(stride).take(max_nodes).collect();
 
     // Nodes are taken a bounded batch at a time: one ascending scan
-    // gathers the telemetry of every VM on the batch's nodes, then each
-    // node is worked out from the gathered series.
+    // gathers the telemetry of every VM on the batch's nodes, then the
+    // nodes are worked out from the gathered series on every worker and
+    // their correlations appended in node order.
     let mut correlations = Vec::new();
     let batches = trace.gather_batches(trace, &sampled, |&node, ids| {
         ids.extend_from_slice(trace.vms_on_node(node));
     });
     for (batch, gathered) in batches {
-        for &node in batch {
-            // The paper's filter: skip trivial single-VM nodes.
-            let vms_with_telemetry: Vec<UtilSeries> = trace
-                .vms_on_node(node)
-                .iter()
-                .filter_map(|&vm| gathered.load(vm))
-                .filter(|u| u.len() >= MIN_OVERLAP_SAMPLES)
-                .collect();
-            if vms_with_telemetry.len() < 2 {
-                continue;
-            }
-            let node_series = trace
-                .node_utilization(&gathered, node)
-                .map_err(|_| AnalysisError::NoData("node utilization"))?
-                .to_f64_vec();
-            for util in vms_with_telemetry {
-                let offset = (util.start().minutes() / SAMPLE_INTERVAL_MINUTES) as usize;
-                let len = util.len().min(SAMPLES_PER_WEEK - offset);
-                let vm_vals = util.to_f64_vec();
-                // Joint-finite masking: gap slots in the VM series drop out
-                // of the correlation instead of poisoning it.
-                if let Some(r) = joint_pearson(&vm_vals[..len], &node_series[offset..offset + len])
-                {
-                    correlations.push(r);
-                }
-            }
+        let per_node = Parallelism::auto()
+            .par_map(batch, |&node| node_vm_correlations(trace, &gathered, node));
+        for node_correlations in per_node {
+            correlations.extend(node_correlations?);
         }
     }
     if correlations.is_empty() {
         return Err(AnalysisError::NoData("node-vm correlations"));
     }
     Ecdf::new(correlations).map_err(AnalysisError::from)
+}
+
+/// The correlation of each VM on `node` with the node's aggregate
+/// series, in VM order; empty for a node the paper's filter skips.
+fn node_vm_correlations(
+    trace: &Trace,
+    gathered: &GatheredSeries,
+    node: NodeId,
+) -> Result<Vec<f64>, AnalysisError> {
+    // The paper's filter: skip trivial single-VM nodes.
+    let vms_with_telemetry: Vec<UtilSeries> = trace
+        .vms_on_node(node)
+        .iter()
+        .filter_map(|&vm| gathered.load(vm))
+        .filter(|u| u.len() >= MIN_OVERLAP_SAMPLES)
+        .collect();
+    if vms_with_telemetry.len() < 2 {
+        return Ok(Vec::new());
+    }
+    let node_series = trace
+        .node_utilization(gathered, node)
+        .map_err(|_| AnalysisError::NoData("node utilization"))?
+        .to_f64_vec();
+    let mut scratch = (Vec::new(), Vec::new());
+    Ok(vms_with_telemetry
+        .iter()
+        .filter_map(|util| {
+            let offset = (util.start().minutes() / SAMPLE_INTERVAL_MINUTES) as usize;
+            // Joint-finite masking: gap slots in the VM series drop out
+            // of the correlation instead of poisoning it.
+            joint_pearson(
+                util.iter().map(f64::from),
+                node_series.get(offset..).unwrap_or_default(),
+                &mut scratch,
+            )
+        })
+        .collect())
 }
 
 /// The VMs of `sub` deployed in `region`, ascending.
@@ -130,10 +148,18 @@ fn region_mean_series(
     )
 }
 
-/// Pearson correlation over the jointly covered slots of two mean series.
-fn joint_pearson(a: &[f64], b: &[f64]) -> Option<f64> {
-    let (mut xs, mut ys) = (Vec::new(), Vec::new());
-    for (&x, &y) in a.iter().zip(b) {
+/// Pearson correlation over the jointly covered slots of two aligned
+/// series (the longer one is cut to the shorter). `scratch` receives
+/// the covered samples; a task lends the same pair to every call.
+fn joint_pearson(
+    a: impl IntoIterator<Item = f64>,
+    b: &[f64],
+    scratch: &mut (Vec<f64>, Vec<f64>),
+) -> Option<f64> {
+    let (xs, ys) = scratch;
+    xs.clear();
+    ys.clear();
+    for (x, &y) in a.into_iter().zip(b) {
         if x.is_finite() && y.is_finite() {
             xs.push(x);
             ys.push(y);
@@ -142,7 +168,7 @@ fn joint_pearson(a: &[f64], b: &[f64]) -> Option<f64> {
     if xs.len() < MIN_OVERLAP_SAMPLES {
         return None;
     }
-    pearson_or_zero(&xs, &ys)
+    pearson_or_zero(xs, ys)
 }
 
 /// One subscription's cross-region utilization similarity.
@@ -207,26 +233,30 @@ pub fn cross_region_correlations(
         }
     });
     for (batch, gathered) in batches {
-        for (sub, regions) in batch {
+        // Subscriptions are independent reads of the gathered batch:
+        // correlate on every worker, keep subscription order.
+        let per_sub = Parallelism::auto().par_map(batch, |(sub, regions)| {
             let means: Vec<Vec<f64>> = regions
                 .iter()
                 .filter_map(|&r| region_mean_series(trace, &gathered, *sub, r))
                 .collect();
+            let mut scratch = (Vec::new(), Vec::new());
             let mut pair_correlations = Vec::new();
             for i in 0..means.len() {
                 for j in i + 1..means.len() {
-                    if let Some(r) = joint_pearson(&means[i], &means[j]) {
-                        pair_correlations.push(r);
-                    }
+                    pair_correlations.extend(joint_pearson(
+                        means[i].iter().copied(),
+                        &means[j],
+                        &mut scratch,
+                    ));
                 }
             }
-            if !pair_correlations.is_empty() {
-                out.push(CrossRegionCorrelation {
-                    subscription: *sub,
-                    pair_correlations,
-                });
-            }
-        }
+            (!pair_correlations.is_empty()).then_some(CrossRegionCorrelation {
+                subscription: *sub,
+                pair_correlations,
+            })
+        });
+        out.extend(per_sub.into_iter().flatten());
     }
     out
 }

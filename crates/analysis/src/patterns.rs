@@ -150,9 +150,12 @@ impl PatternClassifier {
             series.values()[..two_days].to_vec(),
         );
         let tol = self.config.hourly_tolerance_minutes;
-        if self.detector.has_period_near(&window, 60.0, tol)
-            || self.detector.has_period_near(&window, 30.0, tol)
-        {
+        // One spectrum serves both targets.
+        if self.detector.detect(&window).is_ok_and(|periods| {
+            periods
+                .iter()
+                .any(|p| (p.minutes - 60.0).abs() <= tol || (p.minutes - 30.0).abs() <= tol)
+        }) {
             return Some(UtilizationPattern::HourlyPeak);
         }
         // Diurnal: a 24-hour period, detected on a half-hourly

@@ -4,11 +4,10 @@ use cloudscope_analysis::{PatternClassifier, UtilizationPattern};
 use cloudscope_faults::WireSample;
 use cloudscope_kb::Parallelism;
 use cloudscope_model::prelude::*;
-use cloudscope_model::telemetry::{quantize_percentage, MISSING_SAMPLE_BYTE};
+use cloudscope_model::telemetry::{quantize_percentage, LevelCounts, MISSING_SAMPLE_BYTE};
 use cloudscope_model::time::{
     MINUTES_PER_WEEK, SAMPLES_PER_DAY, SAMPLES_PER_WEEK, SAMPLE_INTERVAL_MINUTES,
 };
-use cloudscope_stats::sketch::P2Quantile;
 use cloudscope_timeseries::acf::autocorrelation_masked;
 use cloudscope_timeseries::Series;
 
@@ -52,11 +51,6 @@ struct VmLane {
     sealed_upto: usize,
     /// Samples among the sealed slots.
     sealed_samples: usize,
-    /// Rolling sum over sealed percent values (mean in O(1)).
-    sum: f64,
-    /// Streaming p95 over sealed samples, observed in slot order —
-    /// deterministic for any arrival interleaving of the same stream.
-    p95: P2Quantile,
     /// Samples that arrived for an already-sealed slot.
     dropped_late: u64,
     /// Latest classification (refreshed at every window close).
@@ -69,30 +63,21 @@ impl VmLane {
             slots: vec![MISSING_SAMPLE_BYTE; SAMPLES_PER_WEEK].into(),
             sealed_upto: 0,
             sealed_samples: 0,
-            sum: 0.0,
-            p95: P2Quantile::new(0.95).expect("0.95 is a valid level"),
             dropped_late: 0,
             pattern: None,
         }
     }
 
-    /// Seals every slot below `floor`, folding the buffered values into
-    /// the rolling state in ascending slot order. Returns how many
-    /// samples sealed.
+    /// Seals every slot below `floor`. Returns how many samples sealed.
     fn seal_upto(&mut self, floor: usize) -> usize {
         let floor = floor.min(self.slots.len());
         if floor <= self.sealed_upto {
             return 0;
         }
-        let mut sealed_now = 0;
-        for &q in &self.slots[self.sealed_upto..floor] {
-            if q != MISSING_SAMPLE_BYTE {
-                let pct = f64::from(q) / 2.0;
-                self.sum += pct;
-                self.p95.observe(pct);
-                sealed_now += 1;
-            }
-        }
+        let sealed_now = self.slots[self.sealed_upto..floor]
+            .iter()
+            .filter(|&&q| q != MISSING_SAMPLE_BYTE)
+            .count();
         self.sealed_upto = floor;
         self.sealed_samples += sealed_now;
         sealed_now
@@ -134,6 +119,18 @@ impl VmLane {
             daily_acf,
         )
     }
+
+    /// Mean and p95 over every sealed sample, in percent (0 with none).
+    /// Sealed slots never change, so nothing is carried per sample: a
+    /// close counts them by level, on the closing worker's stack.
+    fn sealed_mean_and_p95(&self) -> (f64, f64) {
+        let mut levels = LevelCounts::new();
+        levels.add(&self.slots[..self.sealed_upto]);
+        (
+            levels.mean().unwrap_or(0.0),
+            levels.percentile(95.0).unwrap_or(0.0),
+        )
+    }
 }
 
 /// One VM's summary at a window close.
@@ -147,9 +144,11 @@ pub struct WindowClose {
     pub samples: usize,
     /// Fraction of the window's slots with a sealed sample.
     pub coverage: f64,
-    /// Rolling mean utilization over all sealed samples, in percent.
+    /// Mean utilization over all sealed samples, in percent.
     pub mean_util: f64,
-    /// Streaming p95 estimate over all sealed samples, in percent.
+    /// 95th percentile of all sealed samples, in percent: the type-7
+    /// (linearly interpolated) percentile over the stored half-percent
+    /// levels — exact, and independent of the order samples arrived in.
     pub p95_util: f64,
     /// Masked autocorrelation of the window at the daily lag (computed
     /// on a half-hourly downsample); `None` if the window is too short.
@@ -214,8 +213,8 @@ impl IngestReport {
 /// The ingestion state machine: per-VM lanes behind a global watermark.
 ///
 /// Memory is bounded by construction: a lane is one quantized byte per
-/// week slot (2 016 bytes) plus O(1) rolling state, allocated when the
-/// VM first reports and never grown — buffered and sealed samples live
+/// week slot (2 016 bytes) plus a cursor and two counters, allocated when
+/// the VM first reports and never grown — buffered and sealed samples live
 /// in the same array, told apart by the lane's seal cursor. Ahead of the
 /// watermark at most `watermark_delay / 5 + 1` of those slots are live
 /// (older offers drop, newer ones cannot exist yet).
@@ -364,12 +363,18 @@ impl Ingestor {
         self.seal_all_lanes();
         let classifier = &self.classifier;
         let summaries = Parallelism::auto().par_map(&self.lanes, |lane| {
-            lane.as_ref()
-                .map(|lane| lane.summarize_window(lo, hi, classifier))
+            lane.as_ref().map(|lane| {
+                (
+                    lane.summarize_window(lo, hi, classifier),
+                    lane.sealed_mean_and_p95(),
+                )
+            })
         });
         let mut closes = Vec::with_capacity(self.report.vms);
         for (index, (lane, summary)) in self.lanes.iter_mut().zip(summaries).enumerate() {
-            let (Some(lane), Some((samples, pattern, daily_acf))) = (lane, summary) else {
+            let (Some(lane), Some(((samples, pattern, daily_acf), (mean_util, p95_util)))) =
+                (lane, summary)
+            else {
                 continue;
             };
             lane.pattern = pattern;
@@ -377,18 +382,13 @@ impl Ingestor {
             if pattern.is_some() {
                 self.report.classifications += 1;
             }
-            let mean = if lane.sealed_samples == 0 {
-                0.0
-            } else {
-                lane.sum / lane.sealed_samples as f64
-            };
             closes.push(WindowClose {
                 vm: VmId::new(index as u64),
                 window_end: end,
                 samples,
                 coverage: samples as f64 / window_slots,
-                mean_util: mean,
-                p95_util: lane.p95.estimate().unwrap_or(0.0),
+                mean_util,
+                p95_util,
                 daily_acf,
                 pattern,
                 dropped_late: lane.dropped_late,

@@ -22,16 +22,17 @@
 //!    slot, in a dense table indexed by VM id.
 //! 2. **Seal** — [`Ingestor::advance_watermark`] moves the low
 //!    watermark. Slots that fall entirely behind it *seal*: the lane's
-//!    seal cursor moves past them, their values fold into the rolling
-//!    window state (mean, P² p95 sketch, coverage) in slot order, and
-//!    the bytes become immutable. A sample arriving for an
-//!    already-sealed slot is counted in `dropped_late` — never silently
-//!    applied.
+//!    seal cursor moves past them and the bytes become immutable — that
+//!    is all a seal does; nothing is folded per sample. A sample
+//!    arriving for an already-sealed slot is counted in `dropped_late`
+//!    — never silently applied.
 //! 3. **Close** — when the watermark crosses a window boundary, every
-//!    lane reconstructs its window as a gap-preserving series, computes
-//!    the masked daily autocorrelation, and re-runs the batch
-//!    [`PatternClassifier`] on it — lanes share nothing, so this runs
-//!    on every worker. Because sealed state is
+//!    lane counts its sealed bytes by level
+//!    ([`LevelCounts`](cloudscope_model::telemetry::LevelCounts)) for
+//!    the exact mean and p95, reconstructs its window as a
+//!    gap-preserving series, computes the masked daily autocorrelation,
+//!    and re-runs the batch [`PatternClassifier`] on it — lanes share
+//!    nothing, so this runs on every worker. Because sealed state is
 //!    byte-identical to what the batch collector would have assembled
 //!    from the same stream, streaming classification *converges to the
 //!    batch classifier output exactly* on clean data; under faults the

@@ -161,4 +161,29 @@ proptest! {
         });
         prop_assert_eq!(diff.counter("ingest.dropped_late"), Some(1));
     }
+
+    /// A close reports, to the last bit, the mean and the type-7 p95 of
+    /// the samples it sealed — gaps (slots the monitor skipped) and all.
+    #[test]
+    fn close_summary_is_exact_over_the_sealed_samples(
+        base in base_stream(300),
+        reported in prop::collection::vec(any::<bool>(), 300),
+    ) {
+        let groups: Vec<Vec<WireSample>> = base
+            .iter()
+            .zip(&reported)
+            .map(|(&sample, &reported)| if reported { vec![sample] } else { vec![] })
+            .collect();
+        let (closes, series, _) = run_stream(&groups);
+        let Some(series) = series else {
+            prop_assert!(closes.is_empty(), "nothing reported, nothing to close");
+            return Ok(());
+        };
+        let sealed: Vec<f64> = series.to_f64_vec().into_iter().filter(|v| v.is_finite()).collect();
+        prop_assert_eq!(closes.len(), 1);
+        let mean = sealed.iter().sum::<f64>() / sealed.len() as f64;
+        prop_assert_eq!(closes[0].mean_util.to_bits(), mean.to_bits());
+        let p95 = cloudscope_stats::percentile(&sealed, 95.0).expect("finite, non-empty");
+        prop_assert_eq!(closes[0].p95_util.to_bits(), p95.to_bits());
+    }
 }

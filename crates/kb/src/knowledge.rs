@@ -33,7 +33,10 @@ pub struct WorkloadKnowledge {
     pub lifetime: LifetimeClass,
     /// Mean CPU utilization (percent) across telemetry VMs.
     pub mean_util: f64,
-    /// 95th-percentile CPU utilization (percent).
+    /// 95th-percentile CPU utilization (percent) over every present
+    /// sample of every VM: the type-7 (linearly interpolated) percentile
+    /// over the stored half-percent levels — exact, and independent of
+    /// the order VMs or samples were read in.
     pub p95_util: f64,
     /// Coefficient of variation of the subscription's aggregate
     /// utilization over time (burstiness).

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// Quantization: stored byte = round(percent * 2), so 0..=200 spans 0–100%.
-const QUANT_STEPS_PER_PERCENT: f32 = 2.0;
+pub const QUANT_STEPS_PER_PERCENT: f32 = 2.0;
 /// Maximum representable utilization in percent.
 pub const MAX_UTILIZATION_PCT: f32 = 100.0;
 /// In-band sentinel for a missing sample. The quantized range only uses
@@ -252,6 +252,122 @@ impl UtilSeries {
     }
 }
 
+/// How many samples sit on each stored level: the exact distribution of
+/// any number of quantized samples in constant space.
+///
+/// A stored sample is one byte with 201 possible present values, so a
+/// table indexed by that byte *is* the distribution — counting costs one
+/// increment per sample, the result does not depend on the order samples
+/// or series were counted in, and the tables of disjoint sample sets
+/// [`merge`](Self::merge) into the table of their union. Every statistic
+/// is over present samples only; missing ones are tallied apart.
+///
+/// # Examples
+/// ```
+/// # use cloudscope_model::telemetry::{LevelCounts, UtilSeries};
+/// # use cloudscope_model::time::SimTime;
+/// let s = UtilSeries::from_percentages(SimTime::ZERO, [10.0, f32::NAN, 40.0, 20.0, 30.0]);
+/// let mut levels = LevelCounts::new();
+/// levels.add(s.as_quantized());
+/// assert_eq!(levels.count(), 4);
+/// assert_eq!(levels.mean(), Some(25.0));
+/// assert_eq!(levels.percentile(50.0), Some(25.0));
+/// assert_eq!(levels.percentile(100.0), Some(40.0));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LevelCounts {
+    /// `counts[q]` samples were stored as byte `q`. The table spans
+    /// every byte value so that counting never branches; the last entry
+    /// is the missing-sample marker's.
+    counts: [u64; 256],
+}
+
+impl Default for LevelCounts {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LevelCounts {
+    /// An empty table.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self { counts: [0; 256] }
+    }
+
+    /// Counts stored samples (the bytes [`UtilSeries::as_quantized`]
+    /// exposes).
+    pub fn add(&mut self, samples: &[u8]) {
+        for &q in samples {
+            self.counts[usize::from(q)] += 1;
+        }
+    }
+
+    /// Adds everything `other` counted, as if its samples had been
+    /// [`add`](Self::add)ed here.
+    pub fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+    }
+
+    /// Counts per level, ascending, for the present levels only.
+    fn present(&self) -> &[u64] {
+        &self.counts[..usize::from(MISSING_SAMPLE)]
+    }
+
+    /// Number of present samples counted.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.present().iter().sum()
+    }
+
+    /// Mean of the present samples in percent; `None` if there are none.
+    /// The sum is taken in whole quantization steps, so it is exact.
+    #[must_use]
+    pub fn mean(&self) -> Option<f64> {
+        let count = self.count();
+        if count == 0 {
+            return None;
+        }
+        let steps: u64 = (0u64..).zip(self.present()).map(|(q, n)| q * n).sum();
+        Some(steps as f64 / f64::from(QUANT_STEPS_PER_PERCENT) / count as f64)
+    }
+
+    /// The `rank`-th smallest present sample (0-based) in percent;
+    /// `None` if fewer were counted.
+    fn order_statistic(&self, rank: u64) -> Option<f64> {
+        let mut seen = 0u64;
+        let level = self.present().iter().position(|&n| {
+            seen += n;
+            seen > rank
+        })?;
+        Some(level as f64 / f64::from(QUANT_STEPS_PER_PERCENT))
+    }
+
+    /// The `p`-th percentile of the present samples in percent, linearly
+    /// interpolated between closest ranks ("type 7"); `None` if there
+    /// are none. Exact, and computed operation for operation as
+    /// `cloudscope_stats::percentile` computes it over the same samples,
+    /// so the two agree to the last bit.
+    ///
+    /// # Panics
+    /// Panics if `p` is outside `[0, 100]`.
+    #[must_use]
+    pub fn percentile(&self, p: f64) -> Option<f64> {
+        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
+        let rank = p / 100.0 * self.count().checked_sub(1)? as f64;
+        let lo = rank.floor();
+        let frac = rank - lo;
+        let lo_val = self.order_statistic(lo as u64)?;
+        if frac == 0.0 {
+            return Some(lo_val);
+        }
+        let hi_val = self.order_statistic(lo as u64 + 1)?;
+        Some(lo_val + (hi_val - lo_val) * frac)
+    }
+}
+
 /// Element-wise average of several equally-long, equally-aligned series —
 /// used e.g. for region-level average utilization of a service. Each slot
 /// averages the series that have a present sample there; a slot missing
@@ -431,6 +547,65 @@ mod tests {
         assert_eq!(s, back);
         assert!(back.is_missing(2));
         assert_eq!(back.start(), SimTime::from_hours(2));
+    }
+
+    fn levels_of(percentages: &[f32]) -> LevelCounts {
+        let s = UtilSeries::from_percentages(SimTime::ZERO, percentages.iter().copied());
+        let mut levels = LevelCounts::new();
+        levels.add(s.as_quantized());
+        levels
+    }
+
+    #[test]
+    fn level_counts_interpolate_between_closest_ranks() {
+        // Type 7 on four samples: rank = p/100 · 3.
+        let levels = levels_of(&[40.0, 10.0, 30.0, 20.0]);
+        assert_eq!(levels.percentile(0.0), Some(10.0));
+        assert_eq!(levels.percentile(50.0), Some(25.0));
+        assert_eq!(levels.percentile(100.0), Some(40.0));
+        assert_eq!(
+            levels.percentile(95.0),
+            Some(30.0 + 10.0 * (0.95 * 3.0 - 2.0))
+        );
+        // Ten samples 0..9: p90 sits at rank 8.1.
+        let ramp: Vec<f32> = (0..10u8).map(f32::from).collect();
+        let p90 = levels_of(&ramp).percentile(90.0).unwrap();
+        assert!((p90 - 8.1).abs() < 1e-12, "{p90}");
+        // Ties: both closest ranks on one level need no interpolation.
+        assert_eq!(levels_of(&[5.0; 7]).percentile(33.0), Some(5.0));
+        assert_eq!(levels_of(&[12.5]).percentile(95.0), Some(12.5));
+    }
+
+    #[test]
+    fn level_counts_see_only_present_samples() {
+        let levels = levels_of(&[10.0, f32::NAN, 20.5, f32::INFINITY]);
+        assert_eq!(levels.count(), 2);
+        assert_eq!(levels.mean(), Some(15.25));
+        assert_eq!(levels.percentile(100.0), Some(20.5));
+        for empty in [LevelCounts::new(), levels_of(&[f32::NAN, f32::NAN])] {
+            assert_eq!(empty.count(), 0);
+            assert_eq!(empty.mean(), None);
+            assert_eq!(empty.percentile(95.0), None);
+        }
+    }
+
+    #[test]
+    fn level_counts_merge_is_counting_the_union() {
+        let (a, b) = ([1.0, 99.5, f32::NAN, 3.0], [50.0, 3.0, 0.0]);
+        let mut merged = levels_of(&a);
+        merged.merge(&levels_of(&b));
+        let mut reversed = levels_of(&b);
+        reversed.merge(&levels_of(&a));
+        let union: Vec<f32> = a.iter().chain(&b).copied().collect();
+        assert_eq!(merged, levels_of(&union));
+        assert_eq!(reversed, merged, "merge order is irrelevant");
+        assert_eq!(merged.count(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn level_counts_reject_an_impossible_percentile() {
+        let _ = levels_of(&[1.0]).percentile(100.5);
     }
 
     #[test]

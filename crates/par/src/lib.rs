@@ -143,7 +143,7 @@ impl Parallelism {
 
         std::thread::scope(|scope| {
             let (items, f, cursor, slots) = (&items, &f, &cursor, &slots);
-            for _ in 0..workers.min(num_chunks) {
+            let spawn_worker = |_| {
                 let registry = Arc::clone(&registry);
                 let (tasks, stolen, busy) = (tasks.clone(), stolen.clone(), busy.clone());
                 scope.spawn(move || {
@@ -168,7 +168,19 @@ impl Parallelism {
                         stolen.add(chunks_taken - 1);
                     }
                     busy.observe(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                });
+                })
+            };
+            let handles: Vec<_> = (0..workers.min(num_chunks)).map(spawn_worker).collect();
+            // Joined by handle, not left to the scope: the scope returns
+            // once every closure has finished, which is before the OS
+            // threads have exited and handed their allocator arenas back.
+            // The next sweep's workers would race them for those arenas,
+            // and how many arenas a process ended up spreading its heap
+            // over — its resident size — depended on who won.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
 
@@ -491,6 +503,43 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn workers_have_exited_when_the_sweep_returns() {
+        // A thread-local's destructor runs while its OS thread exits,
+        // after the closure `thread::scope` waits for has returned; this
+        // one dawdles, so a sweep that does not wait for the thread
+        // itself returns first.
+        static STARTED: AtomicUsize = AtomicUsize::new(0);
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct CountsExit;
+        impl Drop for CountsExit {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_WORKER: CountsExit = {
+                STARTED.fetch_add(1, Ordering::SeqCst);
+                CountsExit
+            };
+        }
+        let items: Vec<u64> = (0..64).collect();
+        for round in 0..20 {
+            let doubled = Parallelism::with_workers(4).par_map(&items, |&x| {
+                ON_WORKER.with(|_| ());
+                x * 2
+            });
+            assert_eq!(doubled.len(), items.len());
+            assert_eq!(
+                EXITED.load(Ordering::SeqCst),
+                STARTED.load(Ordering::SeqCst),
+                "round {round}: a worker outlived its sweep"
+            );
+        }
+        assert!(STARTED.load(Ordering::SeqCst) >= 20);
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod ecdf;
 pub mod error;
 pub mod histogram;
 pub mod percentile;
-pub mod sketch;
 pub mod summary;
 
 pub use boxplot::BoxPlot;
@@ -40,5 +39,4 @@ pub use ecdf::Ecdf;
 pub use error::StatsError;
 pub use histogram::{Axis, Heatmap, Histogram};
 pub use percentile::{percentile, percentiles};
-pub use sketch::P2Quantile;
 pub use summary::{coefficient_of_variation, Summary};

@@ -2,7 +2,7 @@
 """Runs the benches declared in bench_gates.json and evaluates their gates.
 
 One entry per BENCH_*.json file: `bench` is the cloudscope-bench target
-that regenerates it in smoke mode (null: check the committed file),
+that regenerates it in smoke mode,
 `rows` the ids it must contain ({a,b} alternation expands), and `gates`
 bounds (`min`/`max`, inclusive) on an expression over `r[row id]`. A gate
 whose `min_threads` exceeds the host's hardware threads is reported as
@@ -35,14 +35,13 @@ def main():
     failures = []
     for path, spec in table.items():
         full = os.path.join(ROOT, path)
-        if spec["bench"]:
-            print(f"==> bench smoke: {spec['bench']} -> {path}", flush=True)
-            if os.path.exists(full):
-                os.remove(full)
-            cmd = ["cargo", "bench", "-q", "-p", "cloudscope-bench", "--bench", spec["bench"]]
-            env = {**os.environ, "CLOUDSCOPE_BENCH_SMOKE": "1"}
-            if subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode:
-                sys.exit(f"ERROR: bench {spec['bench']} failed (its in-process gates panic)")
+        print(f"==> bench smoke: {spec['bench']} -> {path}", flush=True)
+        if os.path.exists(full):
+            os.remove(full)
+        cmd = ["cargo", "bench", "-q", "-p", "cloudscope-bench", "--bench", spec["bench"]]
+        env = {**os.environ, "CLOUDSCOPE_BENCH_SMOKE": "1"}
+        if subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode:
+            sys.exit(f"ERROR: bench {spec['bench']} failed (its in-process gates panic)")
         try:
             with open(full) as f:
                 r = json.load(f)
