@@ -7,7 +7,7 @@
 use cloudscope::obs::counter;
 use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
-use cloudscope::store::{TelemetryMode, WriteOptions};
+use cloudscope::store::{codec, TelemetryMode, WriteOptions};
 use cloudscope::tracegen::{generate_with, read_generated, write_generated};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,6 +143,39 @@ fn bench_store_write(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// One sub-block of stored telemetry bytes: the benchmark trace's
+/// series back to back in id order, as a samples column holds them.
+fn telemetry_block() -> Vec<u8> {
+    const LEN: usize = 128 << 10;
+    let trace = &generated().trace;
+    let mut block = Vec::with_capacity(LEN + 2016);
+    for util in trace.vms().iter().filter_map(|vm| trace.util(vm.id)) {
+        block.extend_from_slice(util.as_quantized());
+        if block.len() >= LEN {
+            break;
+        }
+    }
+    block.truncate(LEN);
+    block
+}
+
+/// The two byte kernels under every chunk, through the public codec
+/// API, on the bytes they meet in a store.
+fn bench_store_codec(c: &mut Criterion) {
+    let smoke = std::env::var_os("CLOUDSCOPE_BENCH_SMOKE").is_some();
+    let block = telemetry_block();
+    let packed = codec::compress(&block, 2);
+    let mut group = c.benchmark_group("store_codec");
+    group.sample_size(if smoke { 10 } else { 50 });
+    group.bench_function("compress_l2/telemetry_128KiB", |b| {
+        b.iter(|| codec::compress(black_box(&block), 2));
+    });
+    group.bench_function("decompress/telemetry_128KiB", |b| {
+        b.iter(|| codec::decompress(black_box(&packed), block.len()).expect("clean block"));
+    });
     group.finish();
 }
 
@@ -302,6 +335,7 @@ fn verify_acceptance(c: &mut Criterion) {
 criterion_group!(
     store,
     bench_store_write,
+    bench_store_codec,
     bench_store_read,
     verify_acceptance
 );

@@ -17,7 +17,8 @@
 //! the *decompressed* bytes, catching faults the file CRC cannot see
 //! (a decompressor bug, a partially cached block).
 
-use crate::crc::crc32;
+use crate::codec::Encoder;
+use crate::crc::{crc32, Crc32};
 use crate::error::StoreError;
 use crate::layout::{Dec, Enc};
 use cloudscope_par::Parallelism;
@@ -37,6 +38,11 @@ const FOOTER_LEN: usize = 4 + 8;
 /// 64 KiB window still sees long matches, small enough that a default
 /// 1 MiB column fans out over several decompression tasks.
 pub(crate) const SUB_BLOCK_RAW: usize = 128 << 10;
+/// A chunk's decode fans out to threads only if at least two of its
+/// wanted sub-blocks hold this many raw bytes: spawning and joining
+/// costs about what decoding a few tens of KiB does, so a chunk whose
+/// columns are one small block each has nothing to win.
+const FAN_OUT_MIN_RAW: usize = 64 << 10;
 
 /// What a chunk stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,6 +146,13 @@ impl DecodedChunk {
             .find(|(cid, _)| *cid == id)
             .map(|(_, b)| b.as_slice())
     }
+
+    /// Takes column `id`'s buffer out of the chunk, if decoded; the
+    /// rest stay in file order.
+    pub(crate) fn take_column(&mut self, id: u16) -> Option<Vec<u8>> {
+        let at = self.columns.iter().position(|(cid, _)| *cid == id)?;
+        Some(self.columns.remove(at).1)
+    }
 }
 
 /// One column compressed into its sub-block series, ready for
@@ -159,14 +172,12 @@ pub(crate) struct CompressedColumn {
 
 /// Compresses one raw column into its deterministic sub-block series.
 pub(crate) fn compress_column(col: &RawColumn, level: u8) -> CompressedColumn {
-    let blocks = if col.bytes.is_empty() {
-        Vec::new()
-    } else {
-        col.bytes
-            .chunks(SUB_BLOCK_RAW)
-            .map(|raw| crate::codec::compress(raw, level))
-            .collect()
-    };
+    let mut encoder = Encoder::default();
+    let blocks = col
+        .bytes
+        .chunks(SUB_BLOCK_RAW)
+        .map(|raw| encoder.compress(raw, level))
+        .collect();
     CompressedColumn {
         id: col.id,
         raw_len: col.bytes.len(),
@@ -175,14 +186,24 @@ pub(crate) fn compress_column(col: &RawColumn, level: u8) -> CompressedColumn {
     }
 }
 
-/// Assembles pre-compressed columns into a complete chunk file.
-/// Returns the file bytes and the raw payload size (for the
-/// compression-ratio metrics).
+/// A complete chunk file, ready to write.
+#[derive(Debug)]
+pub(crate) struct ChunkFile {
+    pub(crate) bytes: Vec<u8>,
+    /// Raw payload size (for the compression-ratio metrics).
+    pub(crate) raw_total: u64,
+    /// CRC-32 of `bytes`, footer included — what the manifest records.
+    pub(crate) file_crc: u32,
+}
+
+/// Assembles pre-compressed columns into a complete chunk file. One
+/// checksum pass yields both CRCs: the footer's covers the body, and
+/// the whole file's is that state continued over the footer.
 pub(crate) fn assemble_chunk_file(
     meta: &ChunkMeta,
     columns: &[CompressedColumn],
     level: u8,
-) -> (Vec<u8>, u64) {
+) -> ChunkFile {
     let raw_total: u64 = columns.iter().map(|c| c.raw_len as u64).sum();
     let blocks_len: usize = columns
         .iter()
@@ -213,10 +234,17 @@ pub(crate) fn assemble_chunk_file(
     for block in columns.iter().flat_map(|c| c.blocks.iter()) {
         e.put_slice(block);
     }
-    let crc = crc32(e.as_slice());
-    e.put_u32(crc);
+    let body_len = e.len();
+    let mut crc = Crc32::new();
+    crc.update(e.as_slice());
+    e.put_u32(crc.value());
     e.put_slice(CHUNK_END_MAGIC);
-    (e.into_vec(), raw_total)
+    crc.update(&e.as_slice()[body_len..]);
+    ChunkFile {
+        bytes: e.into_vec(),
+        raw_total,
+        file_crc: crc.value(),
+    }
 }
 
 /// Encodes a complete chunk file, compressing each column at `level` —
@@ -229,7 +257,8 @@ pub(crate) fn encode_chunk_file(
 ) -> (Vec<u8>, u64) {
     let compressed: Vec<CompressedColumn> =
         columns.iter().map(|c| compress_column(c, level)).collect();
-    assemble_chunk_file(meta, &compressed, level)
+    let file = assemble_chunk_file(meta, &compressed, level);
+    (file.bytes, file.raw_total)
 }
 
 /// One column's directory entry: identity, raw extent, and the
@@ -244,9 +273,12 @@ struct DirEntry {
 
 /// Decodes a chunk file, validating magic, footer CRC, structure, and
 /// per-column raw CRCs. `wanted` limits which columns are
-/// decompressed (`None` = all). When `par` is given, the wanted
-/// sub-blocks decompress as parallel tasks — results are stitched back
-/// in file order, so the output is identical for any worker count.
+/// decompressed (`None` = all). When `par` is given and the directory
+/// shows at least two wanted sub-blocks of [`FAN_OUT_MIN_RAW`] raw
+/// bytes or more, the sub-blocks decompress as parallel tasks — results
+/// are stitched back in file order, so the output is identical for any
+/// worker count. A chunk with less to share out decodes on the calling
+/// thread.
 ///
 /// `verify_file_crc: false` skips the footer-CRC pass for callers that
 /// already validated the exact file bytes against the manifest's
@@ -378,33 +410,43 @@ pub(crate) fn decode_chunk_file(
         }
     }
 
-    // Decompress every unit — fanned out when a `Parallelism` is given
-    // (and worth spawning for), serial otherwise. Results come back in
-    // unit order either way, so assembly below is order-identical.
+    // Decompress every unit — fanned out when there are two blocks
+    // worth a thread each, on this thread otherwise. Results come back
+    // in unit order either way, so assembly below is order-identical.
     let decompress_unit = |u: &Unit<'_>| crate::codec::decompress(u.block, u.raw_len);
-    let decoded_blocks: Vec<Result<Vec<u8>, String>> = match par {
-        Some(par) if par.workers() > 1 && units.len() > 1 => par.par_map(&units, decompress_unit),
+    let large_units = units
+        .iter()
+        .filter(|u| u.raw_len >= FAN_OUT_MIN_RAW)
+        .count();
+    let decoded: Vec<Result<Vec<u8>, String>> = match par {
+        Some(par) if par.workers() > 1 && large_units >= 2 => par.par_map(&units, decompress_unit),
         _ => units.iter().map(decompress_unit).collect(),
     };
+    // A failed block is reported before anything is sized from the
+    // directory: `raw_len` is a number the file chose.
+    let mut blocks = Vec::with_capacity(units.len());
+    for (unit, block) in units.iter().zip(decoded) {
+        blocks.push(block.map_err(|e| fail(format!("column {}: {e}", dir[unit.col].id)))?);
+    }
 
+    let mut blocks = blocks.into_iter();
     let mut columns = Vec::with_capacity(decode_cols.len());
     for &col_idx in &decode_cols {
         let entry = &dir[col_idx];
-        let mut raw = Vec::with_capacity(entry.raw_len);
-        for (unit, block) in units.iter().zip(&decoded_blocks) {
-            if unit.col != col_idx {
-                continue;
-            }
-            let block = block.as_ref().map_err(|e| {
-                StoreError::corrupt(path, name, format!("column {}: {e}", entry.id))
-            })?;
-            if raw.is_empty() && block.len() == entry.raw_len {
-                // Single-block column: adopt the buffer, skip the copy.
-                raw = block.clone();
-            } else {
-                raw.extend_from_slice(block);
-            }
+        let col_blocks: Vec<Vec<u8>> = blocks.by_ref().take(entry.comp_lens.len()).collect();
+        let decoded_len: usize = col_blocks.iter().map(Vec::len).sum();
+        if decoded_len != entry.raw_len {
+            return Err(fail(format!(
+                "column {} decoded to {decoded_len} bytes, directory says {}",
+                entry.id, entry.raw_len
+            )));
         }
+        // A single-block column adopts its buffer; the rest are joined
+        // into one allocation of the length just checked.
+        let raw = match <[Vec<u8>; 1]>::try_from(col_blocks) {
+            Ok([only]) => only,
+            Err(col_blocks) => col_blocks.concat(),
+        };
         let crc = crc32(&raw);
         if crc != entry.raw_crc {
             return Err(fail(format!(
@@ -515,6 +557,67 @@ mod tests {
         let p = Path::new("test.chunk");
         let decoded = decode_chunk_file(p, "test", &file, None, None, true).unwrap();
         assert_eq!(decoded.column(5).unwrap(), &[] as &[u8]);
+    }
+
+    #[test]
+    fn a_directory_cannot_reserve_what_the_file_cannot_fill() {
+        // Honest CRCs, hostile directory: one column declaring 4 GiB of
+        // raw bytes in 32 768 sub-blocks, every one of them empty — a
+        // 128 KiB file. The first bad block is the verdict; nothing is
+        // allocated from `raw_len`.
+        let hostile = CompressedColumn {
+            id: 3,
+            raw_len: u32::MAX as usize,
+            raw_crc: 0,
+            blocks: vec![Vec::new(); (u32::MAX as usize).div_ceil(SUB_BLOCK_RAW)],
+        };
+        let file = assemble_chunk_file(&sample_meta(), &[hostile], 2);
+        assert!(file.bytes.len() < 129 << 10, "{} bytes", file.bytes.len());
+        let p = Path::new("test.chunk");
+        for par in [None, Some(Parallelism::with_workers(4))] {
+            match decode_chunk_file(p, "test", &file.bytes, None, par.as_ref(), true) {
+                Err(StoreError::Corrupt { reason, .. }) => {
+                    assert!(reason.starts_with("column 3: "), "{reason}");
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_chunk_with_two_large_blocks_fans_out() {
+        // The rule is read off the directory; whether it fired shows in
+        // the executor's sweep counter.
+        let sweeps = |raw_lens: &[usize]| {
+            let columns: Vec<RawColumn> = raw_lens
+                .iter()
+                .enumerate()
+                .map(|(id, &len)| RawColumn {
+                    id: id as u16,
+                    bytes: (0..len).map(|i| (i / 61) as u8).collect(),
+                })
+                .collect();
+            let (file, _) = encode_chunk_file(&sample_meta(), &columns, 2);
+            let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
+            let decoded = cloudscope_obs::scoped(&registry, || {
+                let par = Parallelism::with_workers(4);
+                decode_chunk_file(Path::new("t.chunk"), "t", &file, None, Some(&par), true)
+            })
+            .unwrap();
+            for (col, (_, raw)) in columns.iter().zip(&decoded.columns) {
+                assert_eq!(&col.bytes, raw);
+            }
+            registry
+                .snapshot()
+                .counter("par.executor.sweeps")
+                .unwrap_or(0)
+        };
+        // A 128 KiB chunk: one full block and three small columns.
+        assert_eq!(sweeps(&[3_600, 3_600, 1_800, SUB_BLOCK_RAW]), 0);
+        // One large block and a 63 KiB one: still nothing to share out.
+        assert_eq!(sweeps(&[SUB_BLOCK_RAW + (63 << 10)]), 0);
+        // Two blocks of 64 KiB or more: the chunk's units fan out.
+        assert_eq!(sweeps(&[100, SUB_BLOCK_RAW + (64 << 10)]), 1);
     }
 
     #[test]

@@ -40,23 +40,44 @@ const METHOD_LZ: u8 = 1;
 /// output byte is the method tag; [`decompress`] consumes it.
 #[must_use]
 pub fn compress(src: &[u8], level: u8) -> Vec<u8> {
-    let chain_depth = match level.min(MAX_LEVEL) {
-        0 => {
-            let mut out = Vec::with_capacity(src.len() + 1);
-            out.push(METHOD_STORED);
-            out.extend_from_slice(src);
-            return out;
+    Encoder::default().compress(src, level)
+}
+
+/// The encoder's match-search tables, kept between blocks so a column
+/// of many sub-blocks allocates them once. They hold nothing a later
+/// block can see — `head` is reset per block and `prev` is only read
+/// at positions the current block wrote — so the output stays a
+/// function of the input bytes and the level alone.
+#[derive(Debug, Default)]
+pub(crate) struct Encoder {
+    /// Most recent position of each 4-byte hash in the current block.
+    head: Vec<u32>,
+    /// For each indexed position, the previous one with the same hash.
+    prev: Vec<u32>,
+}
+
+impl Encoder {
+    /// [`compress`], reusing this encoder's tables.
+    pub(crate) fn compress(&mut self, src: &[u8], level: u8) -> Vec<u8> {
+        let chain_depth = match level.min(MAX_LEVEL) {
+            0 => return stored(src),
+            1 => 1,
+            2 => 16,
+            _ => 64,
+        };
+        let out = self.compress_lz(src, chain_depth);
+        if out.len() > src.len() {
+            return stored(src);
         }
-        1 => 1,
-        2 => 16,
-        _ => 64,
-    };
-    let mut out = compress_lz(src, chain_depth);
-    if out.len() > src.len() {
-        out.clear();
-        out.push(METHOD_STORED);
-        out.extend_from_slice(src);
+        out
     }
+}
+
+/// `src` as a stored block: the method tag, then the bytes.
+fn stored(src: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(src.len() + 1);
+    out.push(METHOD_STORED);
+    out.extend_from_slice(src);
     out
 }
 
@@ -95,74 +116,98 @@ fn hash4(src: &[u8], i: usize) -> usize {
     (word.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
 }
 
-/// Greedy LZ compressor with a `chain_depth`-deep hash chain.
-fn compress_lz(src: &[u8], chain_depth: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(src.len() / 2 + 16);
-    out.push(METHOD_LZ);
-    const NONE: u32 = u32::MAX;
-    let mut head = vec![NONE; 1 << HASH_BITS];
-    let mut prev = vec![NONE; src.len()];
-
-    let mut anchor = 0usize;
-    let mut i = 0usize;
-    while i + MIN_MATCH <= src.len() {
-        let h = hash4(src, i);
-        // Walk the chain for the longest in-window match.
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        let mut cand = head[h];
-        let mut steps = 0usize;
-        while cand != NONE && steps < chain_depth {
-            let c = cand as usize;
-            let off = i - c;
-            if off > MAX_OFFSET {
-                break; // chain positions only get older
-            }
-            let len = common_prefix(src, c, i);
-            if len > best_len {
-                best_len = len;
-                best_off = off;
-            }
-            cand = prev[c];
-            steps += 1;
+impl Encoder {
+    /// Greedy LZ compressor with a `chain_depth`-deep hash chain.
+    fn compress_lz(&mut self, src: &[u8], chain_depth: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(src.len() / 2 + 16);
+        out.push(METHOD_LZ);
+        const NONE: u32 = u32::MAX;
+        self.head.clear();
+        self.head.resize(1 << HASH_BITS, NONE);
+        if self.prev.len() < src.len() {
+            self.prev.resize(src.len(), NONE);
         }
-        prev[i] = head[h];
-        head[h] = i as u32;
+        let (head, prev) = (&mut self.head[..], &mut self.prev[..]);
 
-        if best_len >= MIN_MATCH {
-            emit_sequence(&mut out, &src[anchor..i], best_len, best_off as u16);
-            // Index the covered positions so later matches can reach
-            // into this span (sparsely for long matches: every byte of
-            // short matches, stride 2 beyond — determinism is what
-            // matters, full indexing just costs time).
-            let end = i + best_len;
-            let mut j = i + 1;
-            while j + MIN_MATCH <= src.len() && j < end {
-                let hj = hash4(src, j);
-                prev[j] = head[hj];
-                head[hj] = j as u32;
-                j += if best_len > 32 { 2 } else { 1 };
+        let mut anchor = 0usize;
+        let mut i = 0usize;
+        while i + MIN_MATCH <= src.len() {
+            let h = hash4(src, i);
+            // Walk the chain for the longest in-window match.
+            let max_len = src.len() - i;
+            let mut best_len = 0usize;
+            let mut best_off = 0usize;
+            let mut cand = head[h];
+            let mut steps = 0usize;
+            while cand != NONE && steps < chain_depth && best_len < max_len {
+                let c = cand as usize;
+                let off = i - c;
+                if off > MAX_OFFSET {
+                    break; // chain positions only get older
+                }
+                // Only a strictly longer match replaces the best one, and
+                // a longer match agrees at `best_len`: test that byte
+                // before measuring the whole prefix.
+                if src[c + best_len] == src[i + best_len] {
+                    let len = common_prefix(src, c, i);
+                    if len > best_len {
+                        best_len = len;
+                        best_off = off;
+                    }
+                }
+                cand = prev[c];
+                steps += 1;
             }
-            i = end;
-            anchor = end;
-        } else {
-            i += 1;
+            prev[i] = head[h];
+            head[h] = i as u32;
+
+            if best_len >= MIN_MATCH {
+                emit_sequence(&mut out, &src[anchor..i], best_len, best_off as u16);
+                // Index the covered positions so later matches can reach
+                // into this span (sparsely for long matches: every byte of
+                // short matches, stride 2 beyond — determinism is what
+                // matters, full indexing just costs time).
+                let end = i + best_len;
+                let mut j = i + 1;
+                while j + MIN_MATCH <= src.len() && j < end {
+                    let hj = hash4(src, j);
+                    prev[j] = head[hj];
+                    head[hj] = j as u32;
+                    j += if best_len > 32 { 2 } else { 1 };
+                }
+                i = end;
+                anchor = end;
+            } else {
+                i += 1;
+            }
         }
+        emit_final_literals(&mut out, &src[anchor..]);
+        out
     }
-    emit_final_literals(&mut out, &src[anchor..]);
-    out
 }
 
 /// Longest common prefix of `src[a..]` and `src[b..]` (with `a < b`),
-/// capped so a match never runs past the end of input.
+/// capped so a match never runs past the end of input. Eight bytes at
+/// a time: the first differing byte of two words is the lowest set
+/// byte of their XOR.
 #[inline]
 fn common_prefix(src: &[u8], a: usize, b: usize) -> usize {
     let max = src.len() - b;
-    let mut n = 0;
-    while n < max && src[a + n] == src[b + n] {
-        n += 1;
+    let (x, y) = (&src[a..a + max], &src[b..]);
+    let (x_words, x_tail) = x.as_chunks::<8>();
+    let (y_words, y_tail) = y.as_chunks::<8>();
+    for (n, (xw, yw)) in x_words.iter().zip(y_words).enumerate() {
+        let diff = u64::from_le_bytes(*xw) ^ u64::from_le_bytes(*yw);
+        if diff != 0 {
+            return n * 8 + (diff.trailing_zeros() / 8) as usize;
+        }
     }
-    n
+    let tail = x_tail
+        .iter()
+        .zip(y_tail)
+        .take_while(|(p, q)| p == q)
+        .count();
+    x_words.len() * 8 + tail
 }
 
 /// Writes one `(literals, match)` sequence: token, extended lengths,
@@ -218,9 +263,28 @@ fn read_extended(body: &[u8], pos: &mut usize) -> Result<usize, String> {
     }
 }
 
-/// Sequence-by-sequence decoder; every read and copy is checked.
+/// A short literal run or match is copied as one fixed-width block
+/// when both buffers have this much room: the bytes past the run are
+/// overwritten by the next sequence (or the final length check fails),
+/// and a constant-length copy is a pair of register moves where a
+/// variable-length one is a call.
+const WIDE_COPY: usize = 16;
+
+/// Sequence-by-sequence decoder into a buffer allocated once; every
+/// read and copy is checked.
 fn decompress_lz(body: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
-    let mut out: Vec<u8> = Vec::with_capacity(raw_len.min(body.len().saturating_mul(256)));
+    // The allocation is bounded by the input, not by the declared
+    // length: no byte of a stream yields more than the 255 bytes of a
+    // length extension.
+    if raw_len > body.len().saturating_mul(255) {
+        return Err(format!(
+            "a {}-byte stream cannot reach the declared length {raw_len}",
+            body.len()
+        ));
+    }
+    let too_long = || format!("output exceeds declared length {raw_len}");
+    let mut out = vec![0u8; raw_len];
+    let mut filled = 0usize;
     let mut pos = 0usize;
     loop {
         let &token = body
@@ -235,10 +299,17 @@ fn decompress_lz(body: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
             .checked_add(lit_len)
             .filter(|&e| e <= body.len())
             .ok_or_else(|| "literal run past end of block".to_owned())?;
-        out.extend_from_slice(&body[pos..lit_end]);
-        if out.len() > raw_len {
-            return Err(format!("output exceeds declared length {raw_len}"));
+        // `lit_len <= body.len()` and `filled <= raw_len`: no overflow.
+        let lit_out_end = filled + lit_len;
+        if lit_out_end > raw_len {
+            return Err(too_long());
         }
+        if lit_len <= WIDE_COPY && pos + WIDE_COPY <= body.len() && filled + WIDE_COPY <= raw_len {
+            out[filled..filled + WIDE_COPY].copy_from_slice(&body[pos..pos + WIDE_COPY]);
+        } else {
+            out[filled..lit_out_end].copy_from_slice(&body[pos..lit_end]);
+        }
+        filled = lit_out_end;
         pos = lit_end;
 
         if pos == body.len() {
@@ -249,16 +320,14 @@ fn decompress_lz(body: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
             break;
         }
 
-        let off_end = pos + 2;
-        if off_end > body.len() {
+        let Some(&[lo, hi]) = body.get(pos..pos + 2) else {
             return Err("truncated match offset".to_owned());
-        }
-        let offset = u16::from_le_bytes([body[pos], body[pos + 1]]) as usize;
-        pos = off_end;
-        if offset == 0 || offset > out.len() {
+        };
+        let offset = u16::from_le_bytes([lo, hi]) as usize;
+        pos += 2;
+        if offset == 0 || offset > filled {
             return Err(format!(
-                "match offset {offset} outside the {} bytes produced",
-                out.len()
+                "match offset {offset} outside the {filled} bytes produced"
             ));
         }
         let mut match_len = (token & 0x0F) as usize;
@@ -266,21 +335,31 @@ fn decompress_lz(body: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
             match_len += read_extended(body, &mut pos)?;
         }
         match_len += MIN_MATCH;
-        if out.len() + match_len > raw_len {
-            return Err(format!("output exceeds declared length {raw_len}"));
+        // `match_len <= 255 * body.len() + 19`: no overflow.
+        let match_end = filled + match_len;
+        if match_end > raw_len {
+            return Err(too_long());
         }
-        // Byte-wise copy: overlapping matches (offset < len) replicate,
-        // exactly as the encoder's window semantics require.
-        let start = out.len() - offset;
-        for k in 0..match_len {
-            let b = out[start + k];
-            out.push(b);
+        let start = filled - offset;
+        if match_len <= WIDE_COPY && offset >= WIDE_COPY && filled + WIDE_COPY <= raw_len {
+            out.copy_within(start..start + WIDE_COPY, filled);
+        } else {
+            // An overlapping match (offset < len) replicates its
+            // `offset`-byte period, exactly as the encoder's window
+            // semantics require: each piece copies what is there so
+            // far — a whole number of periods — so the pieces double.
+            let mut at = filled;
+            while at < match_end {
+                let n = (match_end - at).min(at - start);
+                out.copy_within(start..start + n, at);
+                at += n;
+            }
         }
+        filled = match_end;
     }
-    if out.len() != raw_len {
+    if filled != raw_len {
         return Err(format!(
-            "block decoded to {} bytes, expected {raw_len}",
-            out.len()
+            "block decoded to {filled} bytes, expected {raw_len}"
         ));
     }
     Ok(out)
@@ -356,6 +435,120 @@ mod tests {
         }
     }
 
+    /// FNV-1a, 64-bit: the digest the compressed-bytes pins are
+    /// recorded in.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn compressed_bytes_are_pinned() {
+        // Output bytes are a function of input and level only: these
+        // digests were recorded before the encoder's search was
+        // optimised, and a store written today must equal one written
+        // then. Byte-wide multiplicative-hash noise, longer than the
+        // 64 KiB window (period 256: long matches), and the same hash
+        // shifted so the high byte shows (no period: short, scattered
+        // matches whose choice depends on the chain depth).
+        let periodic: Vec<u8> = (0..200_000u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) as u8)
+            .collect();
+        let scattered: Vec<u8> = (0..200_000u32)
+            .map(|i| ((i / 3).wrapping_mul(2_654_435_761) >> 27) as u8)
+            .collect();
+        let pins: [(&[u8], [u64; 3]); 2] = [
+            (&periodic, [0xb5d4_0cd4_e695_c79a; 3]),
+            (
+                &scattered,
+                [
+                    0x1f7a_37eb_295b_7173,
+                    0x9f4e_656f_77be_f660,
+                    0xa533_8a04_4a6e_42d9,
+                ],
+            ),
+        ];
+        for (corpus, expected) in pins {
+            for (level, want) in (1..=MAX_LEVEL).zip(expected) {
+                let packed = compress(corpus, level);
+                assert_eq!(
+                    fnv1a(&packed),
+                    want,
+                    "level {level}: {} -> {} bytes (0x{:016x})",
+                    corpus.len(),
+                    packed.len(),
+                    fnv1a(&packed)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_replicate_at_every_distance_and_length() {
+        // One hand-built sequence per case: `distance` literal bytes,
+        // then a match reaching back over all of them, shorter than,
+        // equal to and longer than its own distance. The expected
+        // output is the byte-at-a-time definition of an LZ match.
+        for distance in [1usize, 2, 3, 7, 65_535] {
+            let literals: Vec<u8> = (0..distance).map(|i| (i * 31 + 7) as u8).collect();
+            let lengths = [
+                MIN_MATCH,
+                distance.saturating_sub(1).max(MIN_MATCH),
+                distance.max(MIN_MATCH),
+                distance + 1 + MIN_MATCH,
+                2 * distance + 3 + MIN_MATCH,
+                8 * distance + 19,
+            ];
+            for match_len in lengths {
+                let mut block = vec![METHOD_LZ];
+                emit_sequence(&mut block, &literals, match_len, distance as u16);
+                emit_final_literals(&mut block, b"end");
+                let mut expected = literals.clone();
+                for k in 0..match_len {
+                    expected.push(expected[k]);
+                }
+                expected.extend_from_slice(b"end");
+                assert_eq!(
+                    decompress(&block, expected.len()).as_deref(),
+                    Ok(&expected[..]),
+                    "distance {distance}, length {match_len}"
+                );
+                // The same bytes through the encoder and back.
+                for level in 1..=MAX_LEVEL {
+                    roundtrip(&expected, level);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_encoder_writes_what_a_fresh_one_does() {
+        // Blocks of different lengths and content through one encoder,
+        // longest first, so stale `head`/`prev` entries would point past
+        // the end of a later block if they survived.
+        let blocks: Vec<Vec<u8>> = [70_000usize, 300, 40_000, 5, 70_000]
+            .iter()
+            .enumerate()
+            .map(|(b, &len)| {
+                (0..len as u32)
+                    .map(|i| ((i / 5 + b as u32).wrapping_mul(2_654_435_761) >> 26) as u8)
+                    .collect()
+            })
+            .collect();
+        for level in 0..=MAX_LEVEL {
+            let mut encoder = Encoder::default();
+            for block in &blocks {
+                assert_eq!(
+                    encoder.compress(block, level),
+                    compress(block, level),
+                    "level {level}, {} bytes",
+                    block.len()
+                );
+            }
+        }
+    }
+
     #[test]
     fn truncation_always_errors() {
         let data = b"abcabcabcabcabcabc012345".repeat(20);
@@ -376,6 +569,25 @@ mod tests {
         assert!(decompress(&packed, data.len() - 1).is_err());
         let stored = compress(&data, 0);
         assert!(decompress(&stored, data.len() - 1).is_err());
+    }
+
+    #[test]
+    fn a_length_the_stream_cannot_reach_is_refused_before_allocating() {
+        // The output buffer is sized from `raw_len`; a declared length
+        // beyond 255 bytes per stream byte is refused outright, so the
+        // allocation is bounded by the input.
+        let data = b"abcabcabcabcabcabc012345".repeat(20);
+        let packed = compress(&data, 2);
+        assert_eq!(packed[0], METHOD_LZ);
+        for raw_len in [255 * (packed.len() - 1) + 1, usize::MAX / 2, usize::MAX] {
+            assert!(decompress(&packed, raw_len).is_err(), "{raw_len}");
+        }
+        // The densest stream there is stays on the right side of the bound:
+        // one literal, then a match extended by 255-valued bytes.
+        let zeros = vec![0u8; 1 << 20];
+        let packed = compress(&zeros, 1);
+        assert!(zeros.len() > 250 * packed.len(), "{} bytes", packed.len());
+        assert_eq!(decompress(&packed, zeros.len()).as_deref(), Ok(&zeros[..]));
     }
 
     #[test]

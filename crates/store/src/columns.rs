@@ -612,17 +612,18 @@ fn option_column<T>(
 }
 
 /// Decodes a telemetry chunk into a batch. Sample rows slice one
-/// shared buffer, so a decoded chunk costs one allocation.
+/// shared buffer — the chunk's decoded samples column, adopted, so a
+/// decoded chunk costs one allocation.
 pub(crate) fn decode_telemetry(
     path: &std::path::Path,
-    chunk: &DecodedChunk,
+    mut chunk: DecodedChunk,
 ) -> Result<TelemetryBatch, StoreError> {
     let name = chunk.meta.name();
     let rows = chunk.meta.rows as usize;
     let ids = fixed_column(
         path,
         &name,
-        chunk,
+        &chunk,
         col::TEL_VM_ID,
         rows,
         8,
@@ -642,7 +643,7 @@ pub(crate) fn decode_telemetry(
     let starts = fixed_column(
         path,
         &name,
-        chunk,
+        &chunk,
         col::TEL_START,
         rows,
         8,
@@ -652,14 +653,14 @@ pub(crate) fn decode_telemetry(
     let lens = fixed_column(
         path,
         &name,
-        chunk,
+        &chunk,
         col::TEL_LEN,
         rows,
         4,
         "length column",
         |d| d.take_u32(),
     )?;
-    let samples = match (&lens, chunk.column(col::TEL_SAMPLES)) {
+    let samples = match (&lens, chunk.take_column(col::TEL_SAMPLES)) {
         (Some(lens), Some(bytes)) => {
             let total: u64 = lens.iter().map(|&l| u64::from(l)).sum();
             if total != bytes.len() as u64 {
@@ -672,7 +673,7 @@ pub(crate) fn decode_telemetry(
                     ),
                 ));
             }
-            let shared = Bytes::from(bytes.to_vec());
+            let shared = Bytes::from(bytes);
             let mut out = Vec::with_capacity(rows);
             let mut offset = 0usize;
             for &len in lens {
@@ -769,7 +770,7 @@ mod tests {
         let (file, _) = encode_chunk_file(&meta, &cols.into_columns(), 1);
         let p = Path::new("t.chunk");
         let decoded = decode_chunk_file(p, "t", &file, None, None, true).unwrap();
-        let batch = decode_telemetry(p, &decoded).unwrap();
+        let batch = decode_telemetry(p, decoded).unwrap();
         assert_eq!(batch.ids, vec![VmId::new(2), VmId::new(7)]);
         let samples = batch.samples.unwrap();
         assert_eq!(&*samples[0], &[1, 2, 3]);
@@ -797,6 +798,6 @@ mod tests {
         let (file, _) = encode_chunk_file(&meta, &cols.into_columns(), 0);
         let p = Path::new("t.chunk");
         let decoded = decode_chunk_file(p, "t", &file, None, None, true).unwrap();
-        assert!(decode_telemetry(p, &decoded).is_err());
+        assert!(decode_telemetry(p, decoded).is_err());
     }
 }

@@ -259,7 +259,7 @@ impl TraceReader {
         counter("store.read.batches").inc();
         match entry.meta.kind {
             ChunkKind::VmMeta => Ok(Batch::VmMeta(decode_vm_meta(&path, &decoded)?)),
-            ChunkKind::Telemetry => Ok(Batch::Telemetry(decode_telemetry(&path, &decoded)?)),
+            ChunkKind::Telemetry => Ok(Batch::Telemetry(decode_telemetry(&path, decoded)?)),
         }
     }
 

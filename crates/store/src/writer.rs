@@ -14,7 +14,6 @@ use crate::chunk::{
     assemble_chunk_file, compress_column, ChunkKind, ChunkMeta, CompressedColumn, RawColumn,
 };
 use crate::columns::{TelemetryColumns, VmMetaColumns};
-use crate::crc::crc32;
 use crate::error::StoreError;
 use crate::manifest::{fsync_dir, write_then_rename, ChunkEntry, Manifest, MANIFEST_NAME};
 use cloudscope_model::telemetry::UtilSeries;
@@ -35,6 +34,22 @@ const MINUTES_PER_DAY: i64 = 24 * 60;
 #[must_use]
 pub(crate) fn day_of(minutes: i64) -> u8 {
     minutes.div_euclid(MINUTES_PER_DAY).clamp(0, 6) as u8
+}
+
+/// The day of the sample at minute `first`, and how many of the
+/// `remaining >= 1` samples from it on (one every five minutes) share
+/// that day. The next boundary is the following midnight; day 6 has
+/// none, and a start before the week runs to the end of day 0 — the
+/// same clamping as [`day_of`], without a division per sample.
+fn day_run(first: i64, remaining: usize) -> (u8, usize) {
+    let day = day_of(first);
+    if day == 6 {
+        return (day, remaining);
+    }
+    let boundary = (i64::from(day) + 1) * MINUTES_PER_DAY;
+    // `first` lies before its day's end, so the distance is positive.
+    let before_boundary = ((boundary - first) as u64).div_ceil(SAMPLE_INTERVAL_MINUTES as u64);
+    (day, (remaining as u64).min(before_boundary) as usize)
 }
 
 /// Tuning knobs for [`TraceWriter`].
@@ -166,18 +181,12 @@ impl<'p> TraceWriter<'p> {
         }
         let mut i = 0usize;
         while i < quantized.len() {
-            let day = day_of(start + i as i64 * SAMPLE_INTERVAL_MINUTES);
-            let mut j = i + 1;
-            while j < quantized.len() && day_of(start + j as i64 * SAMPLE_INTERVAL_MINUTES) == day {
-                j += 1;
-            }
+            let run_start = start + i as i64 * SAMPLE_INTERVAL_MINUTES;
+            let (day, run) = day_run(run_start, quantized.len() - i);
+            let j = i + run;
             let key = (region, day);
             let cols = self.tel_open.entry(key).or_default();
-            cols.push(
-                id,
-                start + i as i64 * SAMPLE_INTERVAL_MINUTES,
-                &quantized[i..j],
-            );
+            cols.push(id, run_start, &quantized[i..j]);
             if cols.buffered_bytes() >= self.opts.target_chunk_bytes {
                 let cols = self.tel_open.remove(&key).expect("just inserted");
                 self.seal_telemetry(key, cols)?;
@@ -247,10 +256,10 @@ impl<'p> TraceWriter<'p> {
     /// one chunk compress independently by construction, so splitting
     /// them costs nothing and multiplies the batch's task count by the
     /// column width. Assembly stitches the compressed columns back in
-    /// column order and the write-out (file bytes, fsync, CRC) fans out
-    /// per chunk — the manifest entries are still pushed in seal order,
-    /// so the store's bytes remain a pure function of the appended
-    /// data.
+    /// column order and, with the write-out (file bytes, both CRCs in
+    /// one pass, fsync), fans out per chunk — the manifest entries are
+    /// still pushed in seal order, so the store's bytes remain a pure
+    /// function of the appended data.
     fn flush_pending(&mut self) -> Result<(), StoreError> {
         if self.pending.is_empty() {
             return Ok(());
@@ -272,27 +281,26 @@ impl<'p> TraceWriter<'p> {
         for (&(ci, _), comp) in units.iter().zip(compressed) {
             per_chunk[ci].push(comp);
         }
-        let files: Vec<(PathBuf, Vec<u8>, u64)> = batch
-            .iter()
-            .zip(&per_chunk)
-            .map(|(sealed, cols)| {
-                let (bytes, raw_total) = assemble_chunk_file(&sealed.meta, cols, level);
-                (self.dir.join(sealed.meta.file_name()), bytes, raw_total)
-            })
-            .collect();
-        let written = self.par.par_map(&files, |(path, bytes, _)| {
-            write_then_rename(path, bytes).map(|()| crc32(bytes))
-        });
-        for ((sealed, (_, bytes, raw_total)), crc) in batch.iter().zip(&files).zip(written) {
-            let file_crc = crc?;
-            counter("store.write.chunks").inc();
-            counter("store.write.bytes_raw").add(*raw_total);
-            counter("store.write.bytes_compressed").add(bytes.len() as u64);
-            self.chunks.push(ChunkEntry {
+        // Assembly, the file's checksums and the durable write fan out
+        // per chunk; each worker holds one assembled file at a time.
+        let dir = &self.dir;
+        let chunks: Vec<(&Sealed, &Vec<CompressedColumn>)> = batch.iter().zip(&per_chunk).collect();
+        let written = self.par.par_map(&chunks, |&(sealed, cols)| {
+            let file = assemble_chunk_file(&sealed.meta, cols, level);
+            write_then_rename(&dir.join(sealed.meta.file_name()), &file.bytes)?;
+            let entry = ChunkEntry {
                 meta: sealed.meta.clone(),
-                file_len: bytes.len() as u64,
-                file_crc,
-            });
+                file_len: file.bytes.len() as u64,
+                file_crc: file.file_crc,
+            };
+            Ok::<_, StoreError>((entry, file.raw_total))
+        });
+        for outcome in written {
+            let (entry, raw_total) = outcome?;
+            counter("store.write.chunks").inc();
+            counter("store.write.bytes_raw").add(raw_total);
+            counter("store.write.bytes_compressed").add(entry.file_len);
+            self.chunks.push(entry);
         }
         Ok(())
     }
@@ -367,4 +375,62 @@ pub fn write_trace(
 #[must_use]
 pub fn store_exists(dir: &Path) -> bool {
     dir.join(MANIFEST_NAME).is_file()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Splits by asking `day_of` about every sample: the rule
+    /// [`day_run`] replaced, kept as its oracle.
+    fn runs_per_sample(start: i64, len: usize) -> Vec<(u8, usize, usize)> {
+        let at = |i: usize| start + i as i64 * SAMPLE_INTERVAL_MINUTES;
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < len {
+            let day = day_of(at(i));
+            let mut j = i + 1;
+            while j < len && day_of(at(j)) == day {
+                j += 1;
+            }
+            runs.push((day, i, j));
+            i = j;
+        }
+        runs
+    }
+
+    fn runs_by_arithmetic(start: i64, len: usize) -> Vec<(u8, usize, usize)> {
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < len {
+            let (day, run) = day_run(start + i as i64 * SAMPLE_INTERVAL_MINUTES, len - i);
+            runs.push((day, i, i + run));
+            i += run;
+        }
+        runs
+    }
+
+    #[test]
+    fn a_week_from_the_origin_is_seven_day_long_runs() {
+        let runs = runs_by_arithmetic(0, 2016);
+        assert_eq!(runs.len(), 7);
+        for (d, &(day, from, to)) in runs.iter().enumerate() {
+            assert_eq!((day as usize, from, to), (d, d * 288, (d + 1) * 288));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn day_runs_equal_the_per_sample_rule(
+            // Before the week, inside it and past its end (10 080),
+            // on and off the 5-minute grid.
+            start in -20_000i64..=20_000,
+            len in 1usize..=4_500,
+        ) {
+            prop_assert_eq!(runs_by_arithmetic(start, len), runs_per_sample(start, len));
+        }
+    }
 }

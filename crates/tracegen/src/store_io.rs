@@ -267,9 +267,14 @@ pub fn read_trace_only(
 
 /// Generates a trace **straight to disk**: placement runs exactly as
 /// [`crate::generate_with`], but telemetry is synthesized in bounded
-/// blocks and streamed into the columnar writer instead of being
-/// materialized trace-wide. Peak memory is the placement records plus
-/// one telemetry block plus one compression batch.
+/// blocks and appended to the columnar writer instead of being
+/// materialized trace-wide. Peak memory is the placement records, one
+/// telemetry block, and the writer's open buffers — one per
+/// `(region, day)` lane, each up to `opts.target_chunk_bytes`, plus one
+/// compression batch. Lanes × threshold is the bound, and on a trace
+/// whose lanes never reach the threshold (the default trace at the
+/// default 1 MiB: 54 MB over 70 lanes, one chunk each) it is also the
+/// whole raw telemetry, held until `finish` compresses and syncs it.
 ///
 /// The resulting store is byte-identical to
 /// `write_generated(&generate_with(config, par), dir, opts, &par)`,

@@ -13,7 +13,7 @@
 
 use crate::config::PatternMix;
 use cloudscope_model::telemetry::UtilSeries;
-use cloudscope_model::time::{SimTime, SAMPLE_INTERVAL_MINUTES};
+use cloudscope_model::time::{SimTime, Weekday, SAMPLES_PER_DAY, SAMPLE_INTERVAL_MINUTES};
 use cloudscope_stats::dist::{Categorical, Poisson, Sample, StdNormal};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -217,6 +217,10 @@ fn activity_bump(hour: f64, peak_hour: f64) -> f64 {
 /// `start` is the first sample's time; `samples` the number of 5-minute
 /// samples. The same `(profile, tz, rng-stream)` always produces the same
 /// series.
+///
+/// Every sample is `((shape + spike₁) + spike₂ …) + noise`, noise drawn
+/// in sample order; only how `shape` is found varies with the pattern
+/// (see [`ShapeTable`]).
 pub fn generate_vm_series<R: Rng + ?Sized>(
     profile: &ServiceUtilProfile,
     tz_offset_hours: i32,
@@ -224,37 +228,114 @@ pub fn generate_vm_series<R: Rng + ?Sized>(
     samples: usize,
     rng: &mut R,
 ) -> UtilSeries {
-    // Pre-draw this VM's irregular spikes over the window.
-    let spikes: Vec<(i64, i64, f64)> = if profile.kind == PatternKind::Irregular {
-        let window_minutes = samples as i64 * SAMPLE_INTERVAL_MINUTES;
-        let expected = profile.spikes_per_day * window_minutes as f64 / (24.0 * 60.0);
-        let count = Poisson::new(expected.max(0.0))
-            .expect("non-negative spike rate")
-            .sample_count(rng);
-        (0..count)
-            .map(|_| {
+    let noise_std = profile.noise_std;
+    let noisy = |v: f64, rng: &mut R| (v + noise_std * StdNormal.sample(rng)) as f32;
+    let minute_of = |i: usize| start.minutes() + i as i64 * SAMPLE_INTERVAL_MINUTES;
+    match profile.kind {
+        PatternKind::Stable => {
+            UtilSeries::from_percentages(start, (0..samples).map(|_| noisy(profile.base, rng)))
+        }
+        PatternKind::Irregular => {
+            // Pre-draw this VM's spikes over the window, then paint each
+            // onto the samples it covers, in spike order.
+            let window_minutes = samples as i64 * SAMPLE_INTERVAL_MINUTES;
+            let expected = profile.spikes_per_day * window_minutes as f64 / (24.0 * 60.0);
+            let count = Poisson::new(expected.max(0.0))
+                .expect("non-negative spike rate")
+                .sample_count(rng);
+            let mut values = vec![profile.base; samples];
+            // Index of the first sample at or after `minute` (>= start).
+            let first_at = |minute: i64| {
+                let since = (minute - start.minutes()) as u64;
+                (since.div_ceil(SAMPLE_INTERVAL_MINUTES as u64) as usize).min(samples)
+            };
+            for _ in 0..count {
                 let at = start.minutes() + rng.random_range(0..window_minutes.max(1));
                 let dur = (profile.spike_minutes * (0.5 + rng.random::<f64>())) as i64;
                 let height = profile.spike_height * (0.6 + 0.4 * rng.random::<f64>());
-                (at, at + dur.max(SAMPLE_INTERVAL_MINUTES), height)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let values = (0..samples).map(|i| {
-        let minute = start.minutes() + i as i64 * SAMPLE_INTERVAL_MINUTES;
-        let mut v = profile.shape_at(minute, tz_offset_hours);
-        for &(s, e, h) in &spikes {
-            if (s..e).contains(&minute) {
-                v += h;
+                let end = at + dur.max(SAMPLE_INTERVAL_MINUTES);
+                for v in &mut values[first_at(at)..first_at(end)] {
+                    *v += height;
+                }
+            }
+            UtilSeries::from_percentages(start, values.into_iter().map(|v| noisy(v, rng)))
+        }
+        PatternKind::Diurnal | PatternKind::HourlyPeak => {
+            let on_grid = start.minutes().rem_euclid(SAMPLE_INTERVAL_MINUTES) == 0;
+            if on_grid && samples >= ShapeTable::WORTH_FROM_SAMPLES {
+                let mut table = ShapeTable::new(profile, tz_offset_hours, start);
+                UtilSeries::from_percentages(
+                    start,
+                    (0..samples).map(|i| noisy(table.next(minute_of(i)), rng)),
+                )
+            } else {
+                UtilSeries::from_percentages(
+                    start,
+                    (0..samples)
+                        .map(|i| noisy(profile.shape_at(minute_of(i), tz_offset_hours), rng)),
+                )
             }
         }
-        v += profile.noise_std * StdNormal.sample(rng);
-        v as f32
-    });
-    UtilSeries::from_percentages(start, values.collect::<Vec<_>>())
+    }
+}
+
+/// The service shape of consecutive 5-minute samples, each distinct
+/// value computed once.
+///
+/// [`ServiceUtilProfile::shape_at`] depends on its clock only through
+/// (weekend?, minute of day), so on the 5-minute grid a profile has at
+/// most 2 × 288 shape values, against 2 016 samples in a week-long
+/// series. Cells are filled on first use *by `shape_at` itself*, so a
+/// looked-up value is the `f64` a direct call returns; the walk keeps
+/// the slot and weekday as counters instead of dividing per sample.
+struct ShapeTable<'a> {
+    profile: &'a ServiceUtilProfile,
+    tz_offset_hours: i32,
+    /// `[weekend?][slot of day]`; NaN marks a cell not yet computed.
+    cells: [[f64; SAMPLES_PER_DAY]; 2],
+    /// Slot of day and weekday index (Monday = 0) of the next sample on
+    /// the profile's activity clock.
+    slot: usize,
+    weekday: usize,
+}
+
+impl<'a> ShapeTable<'a> {
+    /// Filling the table costs about what this many direct `shape_at`
+    /// calls do; shorter series skip it.
+    const WORTH_FROM_SAMPLES: usize = 64;
+
+    /// A table whose first [`ShapeTable::next`] is the sample at
+    /// `start`, which must lie on the 5-minute grid.
+    fn new(profile: &'a ServiceUtilProfile, tz_offset_hours: i32, start: SimTime) -> Self {
+        let clock = if profile.region_agnostic {
+            start
+        } else {
+            start.to_local(tz_offset_hours)
+        };
+        Self {
+            profile,
+            tz_offset_hours,
+            cells: [[f64::NAN; SAMPLES_PER_DAY]; 2],
+            slot: clock.minute_of_day() as usize / SAMPLE_INTERVAL_MINUTES as usize,
+            weekday: clock.weekday().index(),
+        }
+    }
+
+    /// The shape of the next sample, whose UTC time is `utc_minute`.
+    fn next(&mut self, utc_minute: i64) -> f64 {
+        let weekend = Weekday::from_index(self.weekday).is_weekend();
+        let cell = &mut self.cells[usize::from(weekend)][self.slot];
+        if cell.is_nan() {
+            *cell = self.profile.shape_at(utc_minute, self.tz_offset_hours);
+        }
+        let shape = *cell;
+        self.slot += 1;
+        if self.slot == SAMPLES_PER_DAY {
+            self.slot = 0;
+            self.weekday = (self.weekday + 1) % 7;
+        }
+        shape
+    }
 }
 
 #[cfg(test)]
@@ -274,6 +355,90 @@ mod tests {
         let profile = ServiceUtilProfile::sample(kind, agnostic, &mut rng);
         let series = generate_vm_series(&profile, tz, SimTime::ZERO, SAMPLES_PER_WEEK, &mut rng);
         (profile, series)
+    }
+
+    /// The per-sample loop `generate_vm_series` used before shapes were
+    /// tabulated and spikes painted, kept as its oracle.
+    fn generate_vm_series_per_sample<R: Rng + ?Sized>(
+        profile: &ServiceUtilProfile,
+        tz_offset_hours: i32,
+        start: SimTime,
+        samples: usize,
+        rng: &mut R,
+    ) -> UtilSeries {
+        let spikes: Vec<(i64, i64, f64)> = if profile.kind == PatternKind::Irregular {
+            let window_minutes = samples as i64 * SAMPLE_INTERVAL_MINUTES;
+            let expected = profile.spikes_per_day * window_minutes as f64 / (24.0 * 60.0);
+            let count = Poisson::new(expected.max(0.0))
+                .expect("non-negative spike rate")
+                .sample_count(rng);
+            (0..count)
+                .map(|_| {
+                    let at = start.minutes() + rng.random_range(0..window_minutes.max(1));
+                    let dur = (profile.spike_minutes * (0.5 + rng.random::<f64>())) as i64;
+                    let height = profile.spike_height * (0.6 + 0.4 * rng.random::<f64>());
+                    (at, at + dur.max(SAMPLE_INTERVAL_MINUTES), height)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let values = (0..samples).map(|i| {
+            let minute = start.minutes() + i as i64 * SAMPLE_INTERVAL_MINUTES;
+            let mut v = profile.shape_at(minute, tz_offset_hours);
+            for &(s, e, h) in &spikes {
+                if (s..e).contains(&minute) {
+                    v += h;
+                }
+            }
+            v += profile.noise_std * StdNormal.sample(rng);
+            v as f32
+        });
+        UtilSeries::from_percentages(start, values.collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn series_equal_the_per_sample_loop_byte_for_byte() {
+        // Starts on the 5-minute grid (trace origin, mid-week, before the
+        // week) and off it; lengths on both sides of the table's
+        // threshold, one day, one week.
+        let starts = [0i64, 2 * 1440 + 35, -125, 3, -7];
+        let lengths = [2usize, 63, 64, 288, 2016];
+        let mut seed = 0u64;
+        for kind in PatternKind::ALL {
+            for agnostic in [false, true] {
+                for tz in [-8, 0, 5] {
+                    for start in starts.map(SimTime::from_minutes) {
+                        for samples in lengths {
+                            seed += 1;
+                            let mut rng = StdRng::seed_from_u64(seed);
+                            let mut profile = ServiceUtilProfile::sample(kind, agnostic, &mut rng);
+                            // Spikes dense enough to overlap within a day.
+                            profile.spikes_per_day *= 8.0;
+                            let mut oracle_rng = rng.clone();
+                            let new = generate_vm_series(&profile, tz, start, samples, &mut rng);
+                            let old = generate_vm_series_per_sample(
+                                &profile,
+                                tz,
+                                start,
+                                samples,
+                                &mut oracle_rng,
+                            );
+                            let case = format!(
+                                "{kind} agnostic={agnostic} tz={tz} start={start} n={samples}"
+                            );
+                            assert_eq!(new.start(), old.start(), "{case}");
+                            assert_eq!(new.as_quantized(), old.as_quantized(), "{case}");
+                            assert_eq!(
+                                rng.random::<u64>(),
+                                oracle_rng.random::<u64>(),
+                                "rng stream after {case}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
