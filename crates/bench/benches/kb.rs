@@ -1,23 +1,21 @@
 //! Benchmarks for the sharded, index-backed knowledge-base serving
-//! layer: a mixed read/write closed loop at 1/2/4/8 threads against the
-//! sharded store vs a single-lock full-scan baseline (the pre-redesign
-//! design), plus non-cloning checks backed by a counting allocator.
-//! Results merge into `BENCH_kb.json` at the repo root.
+//! layer: a mixed read/write closed loop at 1/2/4/8 threads, the same
+//! loop through the WAL, cold recovery, and non-cloning checks backed
+//! by a counting allocator. Results merge into `BENCH_kb.json` at the
+//! repo root.
 //!
-//! The final `verify` "benchmark" asserts the redesign's acceptance
-//! criteria from the measured results: the sharded store must serve at
-//! least 3x the single-lock mixed-workload throughput at 8 threads, and
-//! index-backed candidate queries must not allocate (and hence not
-//! clone) proportionally to the non-matching entries they skip.
+//! The final `verify` "benchmark" asserts the acceptance criteria from
+//! the measured results: index-backed candidate queries must not
+//! allocate (and hence not clone) proportionally to the non-matching
+//! entries they skip, the WAL may tax the serving loop by at most half,
+//! and recovery must stay above a floor.
 
 use cloudscope::kb::{DurableKb, KbQuery, KnowledgeBase, LifetimeClass, WorkloadKnowledge};
 use cloudscope::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 // --- counting allocator ------------------------------------------------
 
@@ -53,40 +51,6 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let value = f();
     COUNTING.store(false, Ordering::SeqCst);
     (value, ALLOCATION_EVENTS.load(Ordering::SeqCst))
-}
-
-// --- the pre-redesign baseline ----------------------------------------
-
-/// The store design this PR replaced: one map behind one lock, every
-/// read a predicate scan that clones the matches while holding it.
-struct SingleLockStore {
-    entries: Mutex<HashMap<SubscriptionId, WorkloadKnowledge>>,
-}
-
-impl SingleLockStore {
-    fn new() -> Self {
-        Self {
-            entries: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn upsert(&self, knowledge: WorkloadKnowledge) {
-        let mut entries = self.entries.lock().unwrap();
-        match entries.get(&knowledge.subscription) {
-            Some(existing) if existing.updated_at > knowledge.updated_at => {}
-            _ => {
-                entries.insert(knowledge.subscription, knowledge);
-            }
-        }
-    }
-
-    fn query<F: Fn(&WorkloadKnowledge) -> bool>(&self, predicate: F) -> Vec<WorkloadKnowledge> {
-        let entries = self.entries.lock().unwrap();
-        let mut matches: Vec<WorkloadKnowledge> =
-            entries.values().filter(|k| predicate(k)).cloned().collect();
-        matches.sort_unstable_by_key(|k| k.subscription);
-        matches
-    }
 }
 
 // --- workload ----------------------------------------------------------
@@ -141,14 +105,6 @@ fn populated_sharded(shards: usize) -> KnowledgeBase {
     kb
 }
 
-fn populated_single_lock() -> SingleLockStore {
-    let store = SingleLockStore::new();
-    for id in 0..STORE_SIZE {
-        store.upsert(entry(id));
-    }
-    store
-}
-
 /// One closed-loop iteration against the sharded store: index-backed
 /// candidate reads (non-cloning folds/counts) plus a trickle of writes.
 fn sharded_mixed_iter(kb: &KnowledgeBase, thread: u32, round: u32) -> usize {
@@ -165,32 +121,6 @@ fn sharded_mixed_iter(kb: &KnowledgeBase, thread: u32, round: u32) -> usize {
         let mut k = entry(id);
         k.updated_at = SimTime::from_minutes(1_000_000);
         kb.upsert(k);
-    }
-    acc
-}
-
-/// The same closed loop against the baseline: every read is a full scan
-/// that clones the matches under the one lock.
-fn single_lock_mixed_iter(store: &SingleLockStore, thread: u32, round: u32) -> usize {
-    let mut acc = 0usize;
-    for i in 0..READS_PER_ITER {
-        acc += match i % 3 {
-            0 => store
-                .query(WorkloadKnowledge::spot_candidate)
-                .iter()
-                .map(|k| k.vm_count)
-                .sum(),
-            1 => store.query(WorkloadKnowledge::shiftable).len(),
-            _ => store
-                .query(|k| k.cloud == CloudKind::Public && k.oversubscription_candidate())
-                .len(),
-        };
-    }
-    for w in 0..WRITES_PER_ITER as u32 {
-        let id = (thread * 7919 + round * 131 + w * 37) % STORE_SIZE;
-        let mut k = entry(id);
-        k.updated_at = SimTime::from_minutes(1_000_000);
-        store.upsert(k);
     }
     acc
 }
@@ -221,7 +151,6 @@ fn bench_kb_mixed(c: &mut Criterion) {
     let samples = if smoke { 3 } else { 10 };
 
     let sharded = populated_sharded(8);
-    let single = populated_single_lock();
     let mut group = c.benchmark_group("kb_mixed");
     group.sample_size(samples);
     for threads in THREAD_COUNTS {
@@ -229,11 +158,6 @@ fn bench_kb_mixed(c: &mut Criterion) {
             BenchmarkId::new("sharded", threads),
             &threads,
             |b, &threads| b.iter(|| run_threads(&sharded, threads, 1, sharded_mixed_iter)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("single_lock", threads),
-            &threads,
-            |b, &threads| b.iter(|| run_threads(&single, threads, 1, single_lock_mixed_iter)),
         );
     }
     group.finish();
@@ -369,13 +293,6 @@ fn verify_acceptance(c: &mut Criterion) {
             .unwrap_or_else(|| panic!("missing bench result {id}"))
             .median_ns
     };
-    let speedup = median("kb_mixed/single_lock/8") / median("kb_mixed/sharded/8");
-    println!("kb_mixed 8-thread sharded speedup over single-lock: {speedup:.1}x");
-    assert!(
-        speedup >= 3.0,
-        "sharded store must serve >= 3x the single-lock mixed throughput at 8 threads, got {speedup:.2}x"
-    );
-
     // Non-cloning criterion: an index-backed count on a 20k-entry store
     // must allocate O(shards) (the lock-guard scratch), never O(entries)
     // — the non-matching ~19.4k entries are not visited, let alone
@@ -413,8 +330,8 @@ fn verify_acceptance(c: &mut Criterion) {
     // drift. Instead the twins run here strictly interleaved on one
     // store — plain round, WAL round, repeat — and the estimate is the
     // median of per-round ratios, so slow drift cancels within each
-    // round. A still-negative median is logged loudly and clamped to
-    // zero rather than reported as a speedup.
+    // round. The median is reported as measured: a reading below zero
+    // says how wide the noise is, which a clamped 0.0 would hide.
     let smoke = std::env::var_os("CLOUDSCOPE_BENCH_SMOKE").is_some();
     let overhead_dir = bench_dir("overhead");
     let db = populated_durable(&overhead_dir, 8);
@@ -434,16 +351,7 @@ fn verify_acceptance(c: &mut Criterion) {
     drop(db);
     let _ = std::fs::remove_dir_all(&overhead_dir);
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    let measured_pct = (ratios[ratios.len() / 2] - 1.0) * 100.0;
-    let wal_overhead_pct = if measured_pct < 0.0 {
-        println!(
-            "note: interleaved WAL overhead measured negative ({measured_pct:.1}%) — \
-             measurement noise, clamping to 0"
-        );
-        0.0
-    } else {
-        measured_pct
-    };
+    let wal_overhead_pct = (ratios[ratios.len() / 2] - 1.0) * 100.0;
     let recovery_ns = median(&format!("kb_durable/recovery/{STORE_SIZE}"));
     c.report_metric("kb_durable/wal_overhead_pct", wal_overhead_pct);
     println!(

@@ -103,15 +103,14 @@ fn dir_bytes(dir: &Path) -> u64 {
         .sum()
 }
 
-/// Forces every telemetry series through `Trace::util`, so a lazy trace
-/// streams its full column store and a resident one walks memory.
+/// Pulls every telemetry series through one ascending `scan`, the way
+/// every pipeline stage reads: a lazy trace streams its full column
+/// store and a resident one walks memory.
 fn telemetry_sweep(trace: &Trace) -> usize {
-    trace
-        .vms()
-        .iter()
-        .filter_map(|vm| trace.util(vm.id))
-        .map(|u| u.present_count())
-        .sum()
+    let ids: Vec<VmId> = trace.vms().iter().map(|vm| vm.id).collect();
+    let mut present = 0;
+    trace.scan(&ids, &mut |_, util| present += util.present_count());
+    present
 }
 
 // --- benchmarks --------------------------------------------------------
@@ -194,9 +193,9 @@ fn bench_store_read(c: &mut Criterion) {
             black_box(telemetry_sweep(&back.trace))
         });
     });
-    // Streamed read + full id-ordered telemetry sweep of point loads:
-    // every (region, day) lane's cursor walks forward once, the lanes
-    // about to move are read ahead, each chunk decodes exactly once.
+    // Streamed read + one ascending scan of every VM: each (region,
+    // day) lane's cursor walks forward once while the scan's decoder
+    // threads run ahead of it, and each chunk decodes exactly once.
     group.bench_function("out_of_core_sweep", |b| {
         b.iter(|| {
             let back = read_generated(&dir, TelemetryMode::OutOfCore { cache_chunks: 0 }, &par)
@@ -234,9 +233,9 @@ fn verify_acceptance(c: &mut Criterion) {
     let resident_median_ns = median("store_read/resident");
     let sweep_median_ns = median("store_read/out_of_core_sweep");
 
-    // Overlap gate: the out-of-core sweep (per-lane cursor + readahead
-    // + parallel block decode) must land within 1.4x of the
-    // fully-resident sweep over the same store.
+    // Overlap gate: the out-of-core sweep (per-lane cursor + decoder
+    // threads ahead of the scan + parallel block decode) must land
+    // within 1.4x of the fully-resident sweep over the same store.
     let ooc_over_resident = sweep_median_ns / resident_median_ns;
     c.report_metric("store/out_of_core_over_resident", ooc_over_resident);
     println!(
@@ -246,7 +245,7 @@ fn verify_acceptance(c: &mut Criterion) {
     );
     assert!(
         ooc_over_resident <= 1.4,
-        "pipelined out-of-core sweep must stay within 1.4x of resident, got {ooc_over_resident:.2}x"
+        "scanned out-of-core sweep must stay within 1.4x of resident, got {ooc_over_resident:.2}x"
     );
 
     // Write scaling: the per-(chunk, column) compression fan-out must

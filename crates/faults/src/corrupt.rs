@@ -185,15 +185,15 @@ pub fn corrupt_trace(trace: &Trace, plan: &FaultPlan) -> (Trace, FaultReport) {
             .expect("original trace order is dense");
     }
     let mut report = FaultReport::default();
-    for vm in trace.vms() {
-        let util = trace.util(vm.id).and_then(|series| {
+    trace.for_each_vm(|vm, util| {
+        let util = util.and_then(|series| {
             let mut rng = factory.indexed_stream("vm", vm.id.index());
             corrupt_util_series(&series, vm.region, plan, &mut rng, &mut report)
         });
         builder
             .add_vm(vm.clone(), util)
             .expect("original trace already validated this record");
-    }
+    });
     report.flush_metrics();
     (builder.build(), report)
 }

@@ -65,9 +65,9 @@ pub(crate) fn wire_streams(
 ) -> Vec<WireStream> {
     let factory = RngFactory::new(plan.seed).child("faults");
     let mut streams = Vec::new();
-    for vm in trace.vms() {
-        let Some(util) = trace.util(vm.id) else {
-            continue;
+    trace.for_each_vm(|vm, util| {
+        let Some(util) = util else {
+            return;
         };
         fault_report.vms += 1;
         let mut rng = factory.indexed_stream("vm", vm.id.index());
@@ -80,7 +80,7 @@ pub(crate) fn wire_streams(
                 delivered: 0,
             });
         }
-    }
+    });
     streams
 }
 

@@ -55,22 +55,18 @@ fn deployment_row(vm: &VmRecord) -> String {
 /// Propagates I/O errors from the writer.
 pub fn write_telemetry<W: Write>(trace: &Trace, mut writer: W) -> std::io::Result<()> {
     writeln!(writer, "vm_id,minute,cpu_pct")?;
-    for vm in trace.vms() {
-        if let Some(util) = trace.util(vm.id) {
-            for (i, v) in util.iter().enumerate() {
-                if !v.is_finite() {
-                    continue;
-                }
-                writeln!(
-                    writer,
-                    "{},{},{v:.1}",
-                    vm.id.index(),
-                    util.time_at(i).minutes()
-                )?;
+    trace.try_for_each_vm(|vm, util| {
+        let Some(util) = util else {
+            return Ok(());
+        };
+        for (i, v) in util.iter().enumerate() {
+            if v.is_finite() {
+                let minute = util.time_at(i).minutes();
+                writeln!(writer, "{},{minute},{v:.1}", vm.id.index())?;
             }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Parses one deployment CSV row back into a [`VmRecord`].

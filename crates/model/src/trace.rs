@@ -286,6 +286,42 @@ impl Trace {
         self.util.has(id.as_usize())
     }
 
+    /// Visits every VM in id order with its telemetry (`None` where the
+    /// monitor captured none), read through one ascending
+    /// [`TelemetrySource::scan`] — so a lazy trace is walked in stored
+    /// order, each chunk decoded once, where a loop of [`Trace::util`]
+    /// would look every VM up on its own.
+    pub fn for_each_vm(&self, mut visit: impl FnMut(&VmRecord, Option<UtilSeries>)) {
+        let ids: Vec<VmId> = self.vms.iter().map(|vm| vm.id).collect();
+        let mut next = 0;
+        self.util.scan(&ids, &mut |id, series| {
+            let at = id.as_usize();
+            self.vms[next..at].iter().for_each(|vm| visit(vm, None));
+            visit(&self.vms[at], Some(series));
+            next = at + 1;
+        });
+        self.vms[next..].iter().for_each(|vm| visit(vm, None));
+    }
+
+    /// [`Trace::for_each_vm`] for a visitor that can fail: returns the
+    /// first error, after which no VM is visited. (A scan cannot be cut
+    /// short, so the walk itself still runs to the end.)
+    ///
+    /// # Errors
+    /// The first error `visit` returns.
+    pub fn try_for_each_vm<E>(
+        &self,
+        mut visit: impl FnMut(&VmRecord, Option<UtilSeries>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut outcome = Ok(());
+        self.for_each_vm(|vm, util| {
+            if outcome.is_ok() {
+                outcome = visit(vm, util);
+            }
+        });
+        outcome
+    }
+
     /// `true` if telemetry is served by a lazy [`TelemetrySource`]
     /// rather than held resident.
     #[must_use]
@@ -1009,6 +1045,33 @@ mod tests {
             b.add_vm(record(i, 0, None), Some(util)).unwrap();
         }
         b.build()
+    }
+
+    #[test]
+    fn for_each_vm_visits_every_vm_in_order_with_or_without_telemetry() {
+        let mut b = Trace::builder(topo());
+        b.add_subscription(Subscription::new(
+            SubscriptionId::new(0),
+            CloudKind::Private,
+            PartyKind::FirstParty,
+        ))
+        .unwrap();
+        // Telemetry gaps at the front, in the middle and at the back.
+        let has = |i: u64| !matches!(i, 0 | 1 | 5 | 6 | 10 | 11);
+        for i in 0..12 {
+            let util = UtilSeries::from_percentages(SimTime::ZERO, [i as f32]);
+            b.add_vm(record(i, 0, None), has(i).then_some(util))
+                .unwrap();
+        }
+        let t = b.build();
+        let mut visited = Vec::new();
+        t.for_each_vm(|vm, util| {
+            assert_eq!(util, t.util(vm.id), "vm {}", vm.id);
+            visited.push(vm.id);
+        });
+        let ids: Vec<VmId> = t.vms().iter().map(|vm| vm.id).collect();
+        assert_eq!(visited, ids);
+        Trace::default().for_each_vm(|_, _| panic!("an empty trace has no VM to visit"));
     }
 
     #[test]

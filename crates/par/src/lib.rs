@@ -9,8 +9,8 @@
 //! chunk cursor that idle workers race on), so a straggler chunk cannot
 //! serialize the sweep, but results are reassembled in input order.
 //!
-//! Built on `std::thread::scope`; the workspace carries no external
-//! thread-pool dependency.
+//! Built on `std::thread::scope`: a sweep's threads live exactly as long
+//! as the sweep, and the workspace keeps no thread pool of any kind.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -245,173 +245,6 @@ impl Parallelism {
     }
 }
 
-// --- background task pool ----------------------------------------------
-
-/// A boxed background job.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// State shared between a [`TaskPool`], its workers, and any
-/// [`PoolHandle`]s: the job queue and the shutdown latch.
-#[derive(Default)]
-struct PoolShared {
-    queue: Mutex<std::collections::VecDeque<Job>>,
-    available: std::sync::Condvar,
-    shutdown: std::sync::atomic::AtomicBool,
-}
-
-impl std::fmt::Debug for PoolShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolShared").finish_non_exhaustive()
-    }
-}
-
-impl PoolShared {
-    /// Enqueues `job` (or drops it if the pool is shutting down).
-    fn push(&self, job: Job) {
-        if self.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        self.queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(job);
-        self.available.notify_one();
-    }
-
-    /// Blocks until a job is available or shutdown is signalled.
-    fn pop(&self) -> Option<Job> {
-        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(job) = queue.pop_front() {
-                return Some(job);
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                return None;
-            }
-            queue = self
-                .available
-                .wait(queue)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A cheap submission handle onto a [`TaskPool`]'s queue. Handles never
-/// keep worker threads alive: once the owning pool drops, submitted
-/// jobs are silently discarded.
-#[derive(Debug, Clone)]
-pub struct PoolHandle {
-    shared: Arc<PoolShared>,
-    registry: Arc<obs::Registry>,
-}
-
-impl PoolHandle {
-    /// Enqueues `job` for a pool worker. The job runs under the obs
-    /// registry that was current when the *pool* was created, so
-    /// metrics recorded by background work land in the same scope as
-    /// the foreground that spawned it.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.shared.push(Box::new(job));
-    }
-
-    /// The obs registry pool workers run under.
-    #[must_use]
-    pub fn registry(&self) -> Arc<obs::Registry> {
-        Arc::clone(&self.registry)
-    }
-}
-
-/// A small persistent background thread pool for deliberately
-/// *asynchronous* work — chunk prefetch, write-behind — as opposed to
-/// [`Parallelism`]'s scoped, blocking sweeps.
-///
-/// Jobs are `FnOnce() + Send + 'static` closures run in submission
-/// order by `workers` threads. Worker threads adopt the obs registry
-/// current at pool construction. Dropping the pool signals shutdown,
-/// discards any still-queued jobs without running them, and joins every
-/// worker — a running job always completes before the pool is gone.
-///
-/// A job that panics poisons nothing: the panic is caught, counted in
-/// `par.pool.jobs_panicked`, and the worker keeps serving.
-#[derive(Debug)]
-pub struct TaskPool {
-    shared: Arc<PoolShared>,
-    registry: Arc<obs::Registry>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl TaskPool {
-    /// Spawns `workers` background threads (minimum 1).
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared::default());
-        let registry = obs::current();
-        // Register the panic counter eagerly so the metric surface is
-        // identical whether or not a job ever panics.
-        let _ = registry.counter("par.pool.jobs_panicked");
-        let workers = (1..=workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let registry = Arc::clone(&registry);
-                std::thread::spawn(move || {
-                    obs::scoped(&registry, || {
-                        while let Some(job) = shared.pop() {
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                            if outcome.is_err() {
-                                obs::counter("par.pool.jobs_panicked").inc();
-                            }
-                        }
-                    });
-                })
-            })
-            .collect();
-        Self {
-            shared,
-            registry,
-            workers,
-        }
-    }
-
-    /// A clonable submission handle.
-    #[must_use]
-    pub fn handle(&self) -> PoolHandle {
-        PoolHandle {
-            shared: Arc::clone(&self.shared),
-            registry: Arc::clone(&self.registry),
-        }
-    }
-
-    /// Enqueues `job` for a worker thread.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.shared.push(Box::new(job));
-    }
-
-    /// The number of worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-}
-
-impl Drop for TaskPool {
-    fn drop(&mut self) {
-        self.shared
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::Release);
-        // Discard queued-but-unstarted jobs so shutdown is prompt.
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.shared.available.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,120 +418,5 @@ mod tests {
         let items: Vec<usize> = vec![0, 1, 2, 0];
         let got = Parallelism::with_workers(2).par_map(&items, |&i| offsets[i]);
         assert_eq!(got, vec![10, 20, 30, 10]);
-    }
-
-    #[test]
-    fn pool_runs_submitted_jobs() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let pool = TaskPool::new(3);
-        for _ in 0..50 {
-            let counter = Arc::clone(&counter);
-            pool.submit(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool); // joins workers; running jobs complete
-        let done = counter.load(Ordering::SeqCst);
-        assert!(done <= 50, "jobs never run twice, got {done}");
-        // At least the jobs picked up before shutdown ran; re-run with a
-        // barrier-free check that a fresh pool drains a full queue.
-        let counter = Arc::new(AtomicUsize::new(0));
-        let pool = TaskPool::new(2);
-        let (tx, rx) = std::sync::mpsc::channel();
-        for _ in 0..20 {
-            let counter = Arc::clone(&counter);
-            let tx = tx.clone();
-            pool.submit(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-                let _ = tx.send(());
-            });
-        }
-        for _ in 0..20 {
-            rx.recv_timeout(std::time::Duration::from_secs(10))
-                .expect("job completed");
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 20);
-    }
-
-    #[test]
-    fn pool_jobs_record_into_construction_scope() {
-        let reg = Arc::new(obs::Registry::new());
-        let (tx, rx) = std::sync::mpsc::channel();
-        let pool = obs::scoped(&reg, || TaskPool::new(1));
-        pool.submit(move || {
-            obs::counter("par.test.pool_scoped").inc();
-            let _ = tx.send(());
-        });
-        rx.recv_timeout(std::time::Duration::from_secs(10))
-            .expect("job completed");
-        drop(pool);
-        assert_eq!(reg.snapshot().counter("par.test.pool_scoped"), Some(1));
-        assert_eq!(
-            obs::global().snapshot().counter("par.test.pool_scoped"),
-            None
-        );
-    }
-
-    #[test]
-    fn pool_survives_panicking_jobs() {
-        let reg = Arc::new(obs::Registry::new());
-        let pool = obs::scoped(&reg, || TaskPool::new(1));
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.submit(|| panic!("job panic must not kill the worker"));
-        pool.submit(move || {
-            let _ = tx.send(());
-        });
-        rx.recv_timeout(std::time::Duration::from_secs(10))
-            .expect("worker survived the panic");
-        drop(pool);
-        assert_eq!(reg.snapshot().counter("par.pool.jobs_panicked"), Some(1));
-    }
-
-    #[test]
-    fn pool_handle_submits_after_move() {
-        let pool = TaskPool::new(2);
-        let handle = pool.handle();
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            handle.submit(move || {
-                let _ = tx.send(42u32);
-            });
-        })
-        .join()
-        .expect("submitter thread");
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(10)), Ok(42));
-    }
-
-    #[test]
-    fn dropping_the_pool_discards_queued_jobs_but_finishes_running_ones() {
-        let started = Arc::new(AtomicUsize::new(0));
-        let finished = Arc::new(AtomicUsize::new(0));
-        let pool = TaskPool::new(1);
-        let (tx, rx) = std::sync::mpsc::channel();
-        {
-            let started = Arc::clone(&started);
-            let finished = Arc::clone(&finished);
-            pool.submit(move || {
-                started.fetch_add(1, Ordering::SeqCst);
-                let _ = tx.send(());
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                finished.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        for _ in 0..100 {
-            let started = Arc::clone(&started);
-            pool.submit(move || {
-                started.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            });
-        }
-        rx.recv_timeout(std::time::Duration::from_secs(10))
-            .expect("first job started");
-        drop(pool);
-        assert_eq!(finished.load(Ordering::SeqCst), 1, "running job completed");
-        assert!(
-            started.load(Ordering::SeqCst) <= 2,
-            "queued jobs were discarded on shutdown"
-        );
     }
 }

@@ -353,6 +353,24 @@ pub struct TelemetryBatch {
     pub samples: Option<Vec<Bytes>>,
 }
 
+/// A telemetry chunk's id, start and sample columns.
+pub(crate) type RunColumns = (Vec<VmId>, Vec<SimTime>, Vec<Bytes>);
+
+impl TelemetryBatch {
+    /// All three columns of a batch decoded under [`Projection::all`].
+    ///
+    /// # Errors
+    /// [`StoreError::Inconsistent`] if the start or sample column is
+    /// absent.
+    pub(crate) fn into_columns(self) -> Result<RunColumns, StoreError> {
+        let missing =
+            |column| StoreError::Inconsistent(format!("chunk {}: no {column} column", self.chunk));
+        let starts = self.starts.ok_or_else(|| missing("start"))?;
+        let samples = self.samples.ok_or_else(|| missing("samples"))?;
+        Ok((self.ids, starts, samples))
+    }
+}
+
 /// One decoded batch from a scan.
 #[derive(Debug)]
 pub enum Batch {

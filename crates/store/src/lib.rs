@@ -41,9 +41,10 @@
 //! Writing buffers one open chunk per `(kind, region, day)` cell plus
 //! one compression batch. Reading out-of-core keeps VM metadata and a
 //! presence bitmap resident while telemetry is read in stored order
-//! with one decoded chunk per `(region, day)` lane plus a constant
-//! readahead ([`StoreTelemetry`]) — peak heap stays far below a
-//! fully-materialized trace.
+//! ([`StoreTelemetry`]): one decoded chunk per `(region, day)` lane
+//! between scans, and while a scan runs at most four more, decoded
+//! ahead of it by threads that end with the scan — peak heap stays far
+//! below a fully-materialized trace.
 
 pub mod codec;
 pub mod layout;

@@ -89,8 +89,9 @@ pub enum TelemetryMode {
     /// Decode every series up front and hold it in memory.
     Resident,
     /// Keep only the presence bitmap resident; series are read from
-    /// the chunk files in stored order, one decoded chunk per
-    /// `(region, day)` lane ([`StoreTelemetry`]).
+    /// the chunk files in stored order ([`StoreTelemetry`]): one
+    /// decoded chunk per `(region, day)` lane, plus at most four more
+    /// decoding ahead while a scan runs.
     OutOfCore {
         /// Ignored. The reader holds one chunk per lane whatever this
         /// says; the field survives only because the end-to-end
@@ -316,10 +317,11 @@ impl TraceReader {
                 Batch::Telemetry(_) => unreachable!("filtered to vm-meta"),
             }
         });
-        let mut records = Vec::new();
-        for batch in decoded {
-            records.extend(batch?);
-        }
+        let batches = decoded.into_iter().collect::<Result<Vec<_>, _>>()?;
+        // Sized once: grown by doubling, a full trace's records leave
+        // holes of half and a quarter their size behind in the heap.
+        let mut records = Vec::with_capacity(batches.iter().map(Vec::len).sum());
+        records.extend(batches.into_iter().flatten());
         records.sort_unstable_by_key(|r| r.id);
         Ok(records)
     }
@@ -349,28 +351,13 @@ impl TraceReader {
             )));
         }
 
-        // Decode every metadata chunk in parallel, then stitch the
-        // batches back into dense id order.
-        let meta_entries: Vec<&ChunkEntry> = self
-            .chunks(ScanFilter::all().kind(ChunkKind::VmMeta))
-            .collect();
-        let decoded = par.par_map(&meta_entries, |entry| {
-            match self.read_chunk(entry, Projection::all())? {
-                Batch::VmMeta(b) => b.records(),
-                Batch::Telemetry(_) => unreachable!("filtered to vm-meta"),
-            }
-        });
-        let mut records: Vec<VmRecord> = Vec::with_capacity(vm_count);
-        for batch in decoded {
-            records.extend(batch?);
-        }
+        let records = self.read_vm_records(ScanFilter::all(), par)?;
         if records.len() != vm_count {
             return Err(StoreError::Inconsistent(format!(
                 "chunks hold {} records but the manifest counts {vm_count}",
                 records.len()
             )));
         }
-        records.sort_unstable_by_key(|r| r.id);
 
         let mut builder = Trace::builder(topology);
         for sub in subscriptions {
@@ -417,17 +404,12 @@ impl TraceReader {
             let Batch::Telemetry(batch) = batch? else {
                 unreachable!("filtered to telemetry");
             };
-            let starts = batch.starts.ok_or_else(|| {
-                StoreError::Inconsistent(format!("chunk {}: no start column", batch.chunk))
-            })?;
-            let samples = batch.samples.ok_or_else(|| {
-                StoreError::Inconsistent(format!("chunk {}: no samples column", batch.chunk))
-            })?;
-            for ((id, start), bytes) in batch.ids.iter().zip(starts).zip(samples) {
+            let chunk = batch.chunk.clone();
+            let (ids, starts, samples) = batch.into_columns()?;
+            for ((id, start), bytes) in ids.iter().zip(starts).zip(samples) {
                 let slot = runs.get_mut(id.as_usize()).ok_or_else(|| {
                     StoreError::Inconsistent(format!(
-                        "chunk {}: telemetry for unknown vm {id}",
-                        batch.chunk
+                        "chunk {chunk}: telemetry for unknown vm {id}"
                     ))
                 })?;
                 slot.push((start.minutes(), bytes));

@@ -1,10 +1,8 @@
 //! The out-of-core telemetry source: a [`TelemetrySource`] that reads
 //! per-VM utilization series from the chunk store in stored order,
-//! holding one decoded chunk per `(region, day)` lane.
-//!
-//! A `Trace` re-pointed at this source keeps only VM metadata and a
-//! presence bitmap resident; every analysis pulls its series through
-//! here and observes bit-identical samples.
+//! holding one decoded chunk per `(region, day)` lane. A `Trace`
+//! re-pointed at it keeps only VM metadata and a presence bitmap
+//! resident, and every analysis observes bit-identical samples.
 //!
 //! # Lanes and the cursor
 //!
@@ -13,47 +11,46 @@
 //! series is one run from each day lane of its own region. Reading ids
 //! in ascending order therefore walks every lane forward, and the only
 //! decoded state worth keeping is **the chunk each lane is currently
-//! on** — the per-lane cursor. A lane's slot is replaced when a read
-//! lands on another chunk of that lane, never because some other lane
-//! was touched more recently, so:
+//! on** — the per-lane cursor, replaced when a read lands on another
+//! chunk of that lane, never because another lane was touched more
+//! recently. An ascending reader decodes each chunk it needs once, and
+//! consecutive ascending scans continue where the last one stopped.
 //!
-//! - any ascending reader — [`TelemetrySource::scan`], or a loop of
-//!   [`TelemetrySource::load`] / `Trace::util` such as `write_trace` or
-//!   an export — decodes each chunk it needs exactly once;
-//! - consecutive ascending scans continue where the last one stopped
-//!   (a batch boundary costs nothing);
-//! - a store with one chunk per lane stays fully decoded after the
-//!   first pass.
+//! # One scan, one pipeline
 //!
-//! An LRU over the same number of chunks is the wrong policy even for
-//! ordered access: sparse lanes lose their current chunk to recency
-//! while dense lanes are being read, and an ascending sweep of only the
-//! private VMs of the medium trace missed 259 times against 106 chunks
-//! (284 for the public VMs). Point loads in an order of the caller's
-//! choosing made it far worse — the whole pipeline decoded every chunk
-//! about 313 times.
+//! [`StoreTelemetry::try_scan`] is the only read path (`try_load` is a
+//! scan of one id). A scan takes the cursors out of their mutex while it
+//! runs and rehearses its walk on the resident per-chunk id index —
+//! manifest id ranges first, an ids-only projected read where the index
+//! is cold — to list the chunks it must decode, in the order it will
+//! need them. A chunk that holds no requested id, or that its lane is
+//! already on, is not listed.
 //!
-//! # Scans
+//! With fewer than two chunks listed, or one worker, the scan decodes on
+//! the calling thread. Otherwise `d = min(workers, READAHEAD_CHUNKS,
+//! chunks)` decoder threads, scoped to the scan, each decode entries
+//! `i, i + d, i + 2d, …` of the list into a bounded channel of their
+//! own, and the consumer takes the *k*-th chunk it needs from channel
+//! `k mod d`. What the reader promises follows from that shape, with no
+//! state shared between the threads:
 //!
-//! [`StoreTelemetry::try_scan`] first resolves which chunks hold a run
-//! of any requested id — manifest id ranges, then the resident per-chunk
-//! id index (an ids-only projected read fills a cold index) — in the
-//! order the scan will first need them. It then walks the ids, keeping
-//! the next [`READAHEAD_CHUNKS`] chunks of that plan decoding on a small
-//! background pool while the consumer works. A chunk that holds no
-//! requested id is never decoded, and one that does is decoded at most
-//! once per scan. A loop of `load` calls cannot know what comes next, so
-//! after each lane move it reads ahead the successors of the lanes whose
-//! current chunk ends soonest, under the same bound.
+//! - **Order**: channels are FIFO and drained round-robin, so chunks
+//!   arrive in list order however the decodes finish.
+//! - **Memory**: a decoder holds one chunk in hand and its channel
+//!   `READAHEAD_CHUNKS / d − 1` more: at most `d × ⌊READAHEAD_CHUNKS /
+//!   d⌋ ≤ READAHEAD_CHUNKS` decoded and unconsumed, plus one per lane.
+//! - **Errors**: a failed decode travels down the channel in its
+//!   chunk's place, so the read that needed the chunk receives the
+//!   [`StoreError`] naming file and chunk; every series before it was
+//!   delivered whole, nothing after it is, and nothing is parked — a
+//!   retry decodes afresh. (`scan` and `load` return no `Result` and
+//!   panic with it: silence is the data loss this store exists to stop.)
+//! - **Lifetime**: a consumer that stops early — a typed error, a panic
+//!   in `visit` — drops the receivers, each decoder's next `send` fails,
+//!   and the scan joins every decoder by handle before it returns.
 //!
-//! Corruption is never silent and never reordered: a decode that fails
-//! on a readahead worker parks its [`StoreError`] in the lane's slot and
-//! the consumer that needed the chunk receives it, naming file and
-//! chunk; no short series is ever delivered. `scan` and `load` return
-//! no `Result`, and mapping a corrupt chunk to "no telemetry" would be
-//! exactly the quiet data loss this store exists to prevent, so they
-//! panic with that message; [`StoreTelemetry::try_scan`] and
-//! [`StoreTelemetry::try_load`] return the typed error.
+//! The price: point loads plan one VM at a time, so nothing decodes ahead
+//! of a loop of them. Whatever reads many VMs hands one scan their ids.
 
 use crate::chunk::ChunkKind;
 use crate::columns::{Batch, Projection};
@@ -63,63 +60,44 @@ use crate::reader::{assemble_series, ScanFilter, TraceReader};
 use bytes::Bytes;
 use cloudscope_model::ids::VmId;
 use cloudscope_model::telemetry::UtilSeries;
+use cloudscope_model::time::SimTime;
 use cloudscope_model::trace::TelemetrySource;
-use cloudscope_obs::{Counter, Gauge, Histogram};
-use cloudscope_par::{Parallelism, PoolHandle, TaskPool};
+use cloudscope_obs::{Counter, Histogram, Registry};
+use cloudscope_par::Parallelism;
 use std::collections::{BTreeMap, HashMap};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Chunks that may be decoding, or decoded and not yet consumed, ahead
-/// of the reader. A constant: enough to keep the decode workers of a
-/// small machine busy, and at 128 KiB–1 MiB a chunk it bounds the
-/// memory readahead can add beyond the one chunk per lane.
+/// of the reader. A constant: enough to keep a small machine's workers
+/// busy, and a bound on what readahead adds to the one chunk per lane.
 const READAHEAD_CHUNKS: usize = 4;
-
-const LOCK_POISONED: &str = "a reader panicked while holding the store cursor lock";
 
 /// One decoded telemetry chunk. Row order matches the chunk's id column
 /// (held separately in the id index).
 #[derive(Debug)]
 struct DecodedChunk {
-    starts: Vec<i64>,
+    starts: Vec<SimTime>,
     samples: Vec<Bytes>,
 }
 
-/// A chunk read ahead of the consumer: the rendezvous between a decode
-/// worker and the read that will need the chunk.
-#[derive(Debug)]
-enum Ahead {
-    Running,
-    Ready(Arc<DecodedChunk>),
-    Failed(StoreError),
-}
+/// What a decode yields, on whichever thread it ran.
+type Decoded = Result<DecodedChunk, StoreError>;
 
-/// One lane's decoded state: the chunk it is on, and at most one chunk
-/// read ahead. Both hold indices into the telemetry entry table.
-#[derive(Debug, Default)]
-struct Cursor {
-    current: Option<(usize, Arc<DecodedChunk>)>,
-    ahead: Option<(usize, Ahead)>,
-}
+/// One lane's decoded state: the chunk it is on, by index into the
+/// telemetry entry table.
+type Cursor = Option<(usize, DecodedChunk)>;
 
-/// Mutable read state, guarded by one mutex.
-#[derive(Debug)]
-struct State {
-    cursors: Vec<Cursor>,
-    /// Readaheads still decoding (the `store.prefetch.in_flight` gauge).
-    running: usize,
-}
-
-/// Metric handles resolved once at open time, so every recording —
-/// including those from pool worker threads and the final drop —
-/// lands in the opener's registry, and every metric exists (at zero)
-/// from the moment the source opens.
+/// Metric handles resolved at open, so every recording — decoder
+/// threads' too — lands in the opener's registry, from zero.
 ///
-/// Every full chunk decode is either a `cache.misses` on the consuming
-/// thread or a `prefetch.decode_ns` observation on a worker; a consumed
-/// readahead counts one `misses` and one `prefetch.hits`.
+/// A decode on the consuming thread is one `cache.misses`; one on a
+/// decoder thread is one `prefetch.issued` and one `prefetch.decode_ns`,
+/// then `misses` and `prefetch.hits` when the consumer takes it, or
+/// `prefetch.wasted` if it never does.
 #[derive(Debug)]
 struct Metrics {
     cache_hits: Counter,
@@ -129,13 +107,11 @@ struct Metrics {
     prefetch_issued: Counter,
     prefetch_hits: Counter,
     prefetch_wasted: Counter,
-    prefetch_in_flight: Gauge,
     prefetch_decode_ns: Histogram,
 }
 
 impl Metrics {
-    fn resolve() -> Self {
-        let reg = cloudscope_obs::current();
+    fn resolve(reg: &Registry) -> Self {
         Self {
             cache_hits: reg.counter("store.cache.hits"),
             cache_misses: reg.counter("store.cache.misses"),
@@ -144,62 +120,43 @@ impl Metrics {
             prefetch_issued: reg.counter("store.prefetch.issued"),
             prefetch_hits: reg.counter("store.prefetch.hits"),
             prefetch_wasted: reg.counter("store.prefetch.wasted"),
-            prefetch_in_flight: reg.gauge("store.prefetch.in_flight"),
             prefetch_decode_ns: reg.histogram("store.prefetch.decode_ns"),
         }
     }
 }
 
-/// Everything the reader shares with the decode workers. Worker jobs
-/// hold only a [`Weak`](std::sync::Weak) reference, so the pool can
-/// always be joined without a job keeping `Inner` alive.
+/// Lazy telemetry over a committed trace directory.
 #[derive(Debug)]
-struct Inner {
+pub struct StoreTelemetry {
     reader: TraceReader,
     /// Telemetry chunk entries, in manifest order.
     entries: Vec<ChunkEntry>,
-    /// Per-chunk sorted id membership. Populated by any full decode of
-    /// the chunk or, when membership is asked before the chunk body is
-    /// needed, by a cheap ids-only projected read. VM ids are contiguous
-    /// per *subscription*, not per region, so the `min_vm..max_vm`
-    /// ranges of different regions' chunks interleave — without this
-    /// index a sparse scan would decompress every range-overlapping
-    /// chunk just to miss its binary search. The index is the only
-    /// per-chunk state that stays resident: 8 bytes per telemetry run,
-    /// ~1% of the samples.
+    /// Per-chunk sorted id membership, filled by a full decode or, if
+    /// asked for first, by an ids-only projected read. VM ids are
+    /// contiguous per *subscription*, not per region, so the id ranges
+    /// of different regions' chunks interleave — without this index a
+    /// sparse scan would decompress every range-overlapping chunk just
+    /// to miss its binary search. The only per-chunk state that stays
+    /// resident: 8 bytes per telemetry run, ~1% of the samples.
     ids: Vec<OnceLock<Vec<VmId>>>,
     /// Chunk indices per `(region, day)` lane, in ascending id order.
     lanes: Vec<Vec<usize>>,
-    /// The lane each chunk belongs to.
-    lane_of: Vec<usize>,
     /// Lanes per region.
     by_region: HashMap<u32, Vec<usize>>,
     /// Every lane: what a lookup probes without a region map.
     all_lanes: Vec<usize>,
-    /// Dense VM-id → region map, when the opener already holds the
-    /// metadata (the `read_trace` path always does). A VM's telemetry
-    /// lives only in its own region's lanes, so with this map a lookup
-    /// probes ~`days` lanes instead of all of them — which also stops
-    /// cross-region probes from forcing ids-only reads of chunks that
-    /// no requested VM can be in.
+    /// Dense VM-id → region map, when the opener holds the metadata
+    /// (`read_trace` always does). A VM's telemetry lives only in its
+    /// own region's lanes, so with it a lookup probes ~`days` lanes, not
+    /// all — and never forces an ids-only read of another region's chunk.
     vm_regions: OnceLock<Vec<u32>>,
     par: Parallelism,
-    /// Submits readahead decodes to the pool [`StoreTelemetry`] owns.
-    readahead: PoolHandle,
+    /// The opener's registry, which decoder threads record under.
+    registry: Arc<Registry>,
     metrics: Metrics,
-    state: Mutex<State>,
-    /// Signalled whenever a readahead stops `Running`.
-    ready: Condvar,
-}
-
-/// Lazy telemetry over a committed trace directory.
-#[derive(Debug)]
-pub struct StoreTelemetry {
-    /// Declared (and therefore dropped) before `inner`: dropping the
-    /// pool joins the workers, so no decode job can outlive the state
-    /// it records into, and `Inner` settles its accounts last.
-    _pool: TaskPool,
-    inner: Arc<Inner>,
+    /// One cursor per lane between scans; empty while a scan has them
+    /// (a concurrent scan starts cold; the last to finish leaves its own).
+    cursors: Mutex<Vec<Cursor>>,
 }
 
 impl StoreTelemetry {
@@ -214,9 +171,10 @@ impl StoreTelemetry {
         Self::open_with(dir, Parallelism::default())
     }
 
-    /// [`StoreTelemetry::open`] with an explicit `par`, which fans out
-    /// sub-block decompression inside each chunk decode and sizes the
-    /// readahead pool. Every worker count returns byte-identical series.
+    /// [`StoreTelemetry::open`] with an explicit `par`, which bounds the
+    /// decoder threads of a scan and fans out sub-block decompression
+    /// when a chunk decodes on the calling thread. Every worker count
+    /// returns byte-identical series.
     ///
     /// # Errors
     /// Same as [`StoreTelemetry::open`].
@@ -235,7 +193,6 @@ impl StoreTelemetry {
                 .push(idx);
         }
         let mut lanes = Vec::with_capacity(by_key.len());
-        let mut lane_of = vec![0; entries.len()];
         let mut by_region: HashMap<u32, Vec<usize>> = HashMap::new();
         for ((region, _), mut chunks) in by_key {
             chunks.sort_by_key(|&c| entries[c].meta.seq);
@@ -251,45 +208,34 @@ impl StoreTelemetry {
                     entries[pair[1]].meta.name()
                 )));
             }
-            for &c in &chunks {
-                lane_of[c] = lanes.len();
-            }
             by_region.entry(region).or_default().push(lanes.len());
             lanes.push(chunks);
         }
 
-        let pool = TaskPool::new(par.workers().min(READAHEAD_CHUNKS));
-        let inner = Arc::new(Inner {
+        let registry = cloudscope_obs::current();
+        Ok(Self {
             reader,
             ids: entries.iter().map(|_| OnceLock::new()).collect(),
             entries,
             all_lanes: (0..lanes.len()).collect(),
-            state: Mutex::new(State {
-                cursors: lanes.iter().map(|_| Cursor::default()).collect(),
-                running: 0,
-            }),
             lanes,
-            lane_of,
             by_region,
             vm_regions: OnceLock::new(),
             par,
-            readahead: pool.handle(),
-            metrics: Metrics::resolve(),
-            ready: Condvar::new(),
-        });
-        Ok(Self { _pool: pool, inner })
+            metrics: Metrics::resolve(&registry),
+            registry,
+            cursors: Mutex::new(Vec::new()),
+        })
     }
 
     /// Visits the series of every VM in `ids` (strictly ascending) that
     /// has telemetry, in order, decoding each chunk that holds one of
     /// them at most once. A chunk that fails to read or validate stops
-    /// the scan at the first VM that needed it — including when a
-    /// readahead worker met the damage first — and no partial series is
-    /// delivered.
+    /// the scan at the first VM that needed it — whichever thread met
+    /// the damage first — and no partial series is delivered.
     ///
     /// # Errors
-    /// Any [`StoreError`] from chunk I/O or validation, naming the
-    /// chunk.
+    /// Any [`StoreError`] from chunk I/O or validation, naming the chunk.
     pub fn try_scan(
         &self,
         ids: &[VmId],
@@ -299,96 +245,119 @@ impl StoreTelemetry {
             ids.windows(2).all(|pair| pair[0] < pair[1]),
             "scan ids must be strictly ascending"
         );
-        let inner = &self.inner;
-        let plan = inner.plan(ids)?;
-        // plan[..next] have been demanded, plan[..issued] handed to the
-        // readahead pool (or found resident).
-        let (mut next, mut issued) = (0, 0);
-        let mut runs = Vec::new();
-        for &id in ids {
-            inner.probe(id, |chunk, row| {
-                if plan.get(next) == Some(&chunk) {
-                    next += 1;
-                    let upto = (next + READAHEAD_CHUNKS).min(plan.len());
-                    inner.read_ahead(&plan[issued.max(next)..upto]);
-                    issued = upto;
-                }
-                let (decoded, _) = inner.demand(chunk)?;
-                runs.push((decoded.starts[row], decoded.samples[row].clone()));
-                Ok(())
-            })?;
-            if let Some(series) = inner.assemble(id, &mut runs)? {
-                visit(id, series);
-            }
-        }
-        Ok(())
+        // Taken, not cloned: a clone would keep every chunk the scan
+        // moves past alive until it ends.
+        let mut cursors = std::mem::take(&mut *self.lock());
+        cursors.resize_with(self.lanes.len(), || None);
+        let outcome = self.scan_from(&mut cursors, ids, visit);
+        *self.lock() = cursors;
+        outcome
     }
 
-    /// The series for `id`, through the same per-lane slots a scan
-    /// uses, or the typed error naming the chunk that failed.
+    /// The series for `id` — a scan of one id — or the typed error.
     ///
     /// # Errors
     /// Any [`StoreError`] from chunk I/O or validation.
     pub fn try_load(&self, id: VmId) -> Result<Option<UtilSeries>, StoreError> {
-        let inner = &self.inner;
-        let mut runs = Vec::new();
-        let mut moved = false;
-        inner.probe(id, |chunk, row| {
-            let (decoded, lane_moved) = inner.demand(chunk)?;
-            moved |= lane_moved;
-            runs.push((decoded.starts[row], decoded.samples[row].clone()));
-            Ok(())
-        })?;
-        if moved {
-            inner.read_ahead_successors();
-        }
-        inner.assemble(id, &mut runs)
+        let mut loaded = None;
+        self.try_scan(&[id], &mut |_, series| loaded = Some(series))?;
+        Ok(loaded)
     }
 
     /// Restricts lookups for each VM to its own region's lanes. The
-    /// map must be dense (index = VM id); `read_trace` derives it from
-    /// the metadata chunks it decodes anyway, so attaching costs no
-    /// extra I/O. First attach wins; ids beyond the map fall back to
-    /// the all-lanes probe.
+    /// map must be dense (index = VM id). First attach wins; ids beyond
+    /// the map fall back to the all-lanes probe.
     pub(crate) fn attach_vm_regions(&self, regions: Vec<u32>) {
-        let _ = self.inner.vm_regions.set(regions);
-    }
-}
-
-/// Runs once the pool is joined and the last reader is gone: every
-/// readahead nobody consumed — decoded, failed, or still queued when
-/// the pool shut down — is accounted as wasted.
-impl Drop for Inner {
-    fn drop(&mut self) {
-        let Ok(state) = self.state.get_mut() else {
-            return;
-        };
-        let unconsumed = state.cursors.iter().filter(|c| c.ahead.is_some()).count();
-        self.metrics.prefetch_wasted.add(unconsumed as u64);
-        self.metrics.prefetch_in_flight.set(0.0);
-    }
-}
-
-impl Inner {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect(LOCK_POISONED)
+        let _ = self.vm_regions.set(regions);
     }
 
-    /// Parks until some readahead stops `Running`.
-    fn wait<'a>(&self, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        self.ready.wait(state).expect(LOCK_POISONED)
+    fn lock(&self) -> MutexGuard<'_, Vec<Cursor>> {
+        self.cursors
+            .lock()
+            .expect("the cursor lock is never held while a chunk decodes or a visitor runs")
     }
 
-    /// Calls `hit(chunk, row)` for every chunk that holds a run of
-    /// `id`: the VM's lanes (its region's, when the region map is
-    /// attached), each narrowed to the one chunk whose id range covers
-    /// `id`, then checked against the id index. No chunk body is
-    /// decoded here.
-    fn probe(
+    /// Plans the scan, then walks it: decoding on this thread when there
+    /// is nothing to overlap, else fed by decoder threads it starts.
+    fn scan_from(
         &self,
-        id: VmId,
-        mut hit: impl FnMut(usize, usize) -> Result<(), StoreError>,
+        cursors: &mut [Cursor],
+        ids: &[VmId],
+        visit: &mut dyn FnMut(VmId, UtilSeries),
     ) -> Result<(), StoreError> {
+        let plan = self.plan(cursors, ids)?;
+        let decoders = self.par.workers().min(READAHEAD_CHUNKS).min(plan.len());
+        if decoders < 2 {
+            let mut inline = |chunk| self.decode_chunk(chunk, Some(&self.par));
+            return self.walk(cursors, ids, &mut inline, visit);
+        }
+        std::thread::scope(|scope| {
+            let (feeds, handles): (Vec<_>, Vec<_>) = (0..decoders)
+                .map(|first| {
+                    let (feed, fed) = sync_channel(READAHEAD_CHUNKS / decoders - 1);
+                    let share = plan[first..].iter().step_by(decoders);
+                    (fed, scope.spawn(move || self.decode_ahead(share, &feed)))
+                })
+                .unzip();
+            let mut taken = 0;
+            let mut take = |chunk| {
+                // Serving rows of another chunk would be silent damage.
+                assert_eq!(plan.get(taken), Some(&chunk), "the walk left its plan");
+                let decoded = feeds[taken % decoders]
+                    .recv()
+                    .expect("a decoder sends every chunk of its share");
+                taken += 1;
+                self.metrics.prefetch_hits.inc();
+                decoded
+            };
+            let walk = AssertUnwindSafe(|| self.walk(cursors, ids, &mut take, visit));
+            let outcome = catch_unwind(walk);
+            // However the walk ended, the decoders' next send now fails.
+            drop(feeds);
+            // Joined by handle for the reason `par_map` gives: the scope
+            // returns once the closures have, before the OS threads have
+            // exited and handed their allocator arenas back.
+            let mut decoded = 0;
+            for handle in handles {
+                decoded += handle.join().unwrap_or_else(|panic| resume_unwind(panic));
+            }
+            self.metrics.prefetch_wasted.add(decoded - taken as u64);
+            outcome.unwrap_or_else(|panic| resume_unwind(panic))
+        })
+    }
+
+    /// A decoder thread: decodes its share of the plan in order into
+    /// `feed` until the share or the consumer ends, and returns how
+    /// many chunks it decoded.
+    fn decode_ahead<'a>(
+        &self,
+        share: impl Iterator<Item = &'a usize>,
+        feed: &SyncSender<Decoded>,
+    ) -> u64 {
+        cloudscope_obs::scoped(&self.registry, || {
+            let mut decoded = 0;
+            for &chunk in share {
+                let started = Instant::now();
+                let result = self.decode_chunk(chunk, None);
+                let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                self.metrics.prefetch_decode_ns.observe(elapsed);
+                self.metrics.prefetch_issued.inc();
+                decoded += 1;
+                if feed.send(result).is_err() {
+                    break;
+                }
+            }
+            decoded
+        })
+    }
+
+    /// Refills `hits` with `(lane, chunk, row)` for every chunk that
+    /// holds a run of `id`: the VM's lanes (its region's, when the
+    /// region map is attached), each narrowed to the one chunk whose id
+    /// range covers `id`, then checked against the id index. No chunk
+    /// body is decoded here.
+    fn probe(&self, id: VmId, hits: &mut Vec<(usize, usize, usize)>) -> Result<(), StoreError> {
+        hits.clear();
         let raw = id.index();
         let lanes = self
             .vm_regions
@@ -406,64 +375,75 @@ impl Inner {
                 continue;
             }
             if let Ok(row) = self.chunk_ids(chunk)?.binary_search(&id) {
-                hit(chunk, row)?;
+                hits.push((lane, chunk, row));
             }
         }
         Ok(())
     }
 
-    /// The chunks holding a run of any of `ids`, each once, in the
-    /// order a scan of `ids` first needs them.
-    fn plan(&self, ids: &[VmId]) -> Result<Vec<usize>, StoreError> {
-        let mut planned = vec![false; self.entries.len()];
-        let mut plan = Vec::new();
+    /// The chunks a walk of `ids` from `cursors` will decode, in the
+    /// order it will ask for them: every lane move of the same walk,
+    /// rehearsed on chunk indices alone.
+    fn plan(&self, cursors: &[Cursor], ids: &[VmId]) -> Result<Vec<usize>, StoreError> {
+        let mut on: Vec<Option<usize>> = cursors
+            .iter()
+            .map(|cursor| cursor.as_ref().map(|(chunk, _)| *chunk))
+            .collect();
+        let (mut hits, mut plan) = (Vec::new(), Vec::new());
         for &id in ids {
-            self.probe(id, |chunk, _| {
-                if !std::mem::replace(&mut planned[chunk], true) {
+            self.probe(id, &mut hits)?;
+            for &(lane, chunk, _) in &hits {
+                if on[lane].replace(chunk) != Some(chunk) {
                     plan.push(chunk);
                 }
-                Ok(())
-            })?;
+            }
         }
         Ok(plan)
     }
 
-    /// Concatenates the runs gathered for `id` (none: no telemetry)
-    /// and counts the series as handed to a consumer.
-    fn assemble(
+    /// Walks `ids`, moving each lane's cursor onto the chunk a read
+    /// lands on — `fetch` supplies it, decoded — and visits each
+    /// assembled series.
+    fn walk(
         &self,
-        id: VmId,
-        runs: &mut Vec<(i64, Bytes)>,
-    ) -> Result<Option<UtilSeries>, StoreError> {
-        if runs.is_empty() {
-            return Ok(None);
+        cursors: &mut [Cursor],
+        ids: &[VmId],
+        fetch: &mut dyn FnMut(usize) -> Decoded,
+        visit: &mut dyn FnMut(VmId, UtilSeries),
+    ) -> Result<(), StoreError> {
+        let (mut hits, mut runs) = (Vec::new(), Vec::new());
+        for &id in ids {
+            self.probe(id, &mut hits)?;
+            for &(lane, chunk, row) in &hits {
+                let cursor = &mut cursors[lane];
+                if matches!(cursor, Some((on, _)) if *on == chunk) {
+                    self.metrics.cache_hits.inc();
+                } else {
+                    self.metrics.cache_misses.inc();
+                    if cursor.replace((chunk, fetch(chunk)?)).is_some() {
+                        self.metrics.evictions.inc();
+                    }
+                }
+                let (_, decoded) = cursor.as_ref().expect("the lane is on `chunk`");
+                runs.push((decoded.starts[row].minutes(), decoded.samples[row].clone()));
+            }
+            if runs.is_empty() {
+                continue;
+            }
+            let series =
+                assemble_series(id.index(), &mut runs).map_err(StoreError::Inconsistent)?;
+            runs.clear();
+            self.metrics.series_loaded.inc();
+            visit(id, series);
         }
-        let series = assemble_series(id.index(), runs).map_err(StoreError::Inconsistent)?;
-        runs.clear();
-        self.metrics.series_loaded.inc();
-        Ok(Some(series))
+        Ok(())
     }
 
-    /// The sorted id column of the telemetry chunk at `idx`. Served
-    /// from the resident index when any earlier full decode populated
-    /// it; otherwise loaded through an ids-only projected read (the id
-    /// column decompresses alone, without the sample payloads). A lost
-    /// set race only duplicates that one cheap read.
+    /// The sorted id column of the telemetry chunk at `idx`: from the
+    /// resident index, else through an ids-only projected read (the id
+    /// column decompresses alone). A lost set race only duplicates that
+    /// one cheap read.
     fn chunk_ids(&self, idx: usize) -> Result<&[VmId], StoreError> {
-        if let Some(ids) = self.ids[idx].get() {
-            return Ok(ids);
-        }
-        // A readahead already decoding the chunk will populate the
-        // index as a side effect — wait for it instead of re-reading
-        // the file for the id column alone. (A parked failure falls
-        // through: the ids-only read below surfaces the same error.)
-        {
-            let lane = self.lane_of[idx];
-            let mut state = self.lock();
-            while matches!(&state.cursors[lane].ahead, Some((c, Ahead::Running)) if *c == idx) {
-                state = self.wait(state);
-            }
-        }
         if let Some(ids) = self.ids[idx].get() {
             return Ok(ids);
         }
@@ -476,160 +456,20 @@ impl Inner {
         Ok(self.ids[idx].get_or_init(|| batch.ids))
     }
 
-    /// Fully decodes the chunk at `idx` (all columns), populating the
-    /// resident id index as a side effect. Runs on consuming threads
-    /// and on readahead workers alike.
-    fn decode_chunk(&self, idx: usize) -> Result<Arc<DecodedChunk>, StoreError> {
+    /// Fully decodes the chunk at `idx`, filling the resident id index
+    /// as a side effect. A decoder thread passes no `par`: fanning out
+    /// again from one of `d` decodes spread `ooc_fits`' heap over more
+    /// allocator arenas (+10 MB RSS) and bought nothing.
+    fn decode_chunk(&self, idx: usize, par: Option<&Parallelism>) -> Decoded {
         let Batch::Telemetry(batch) =
             self.reader
-                .read_chunk_with(&self.entries[idx], Projection::all(), Some(&self.par))?
+                .read_chunk_with(&self.entries[idx], Projection::all(), par)?
         else {
             unreachable!("entry table holds telemetry chunks only")
         };
-        let starts = batch.starts.ok_or_else(|| {
-            StoreError::Inconsistent(format!("chunk {}: no start column", batch.chunk))
-        })?;
-        let samples = batch.samples.ok_or_else(|| {
-            StoreError::Inconsistent(format!("chunk {}: no samples column", batch.chunk))
-        })?;
-        let _ = self.ids[idx].set(batch.ids);
-        Ok(Arc::new(DecodedChunk {
-            starts: starts.into_iter().map(|t| t.minutes()).collect(),
-            samples,
-        }))
-    }
-
-    /// The decoded chunk at `idx`, and whether its lane's cursor moved
-    /// to get it: served from the lane's slot, taken from a readahead
-    /// (waiting out one still decoding), or decoded on this thread.
-    fn demand(&self, idx: usize) -> Result<(Arc<DecodedChunk>, bool), StoreError> {
-        let lane = self.lane_of[idx];
-        let mut state = self.lock();
-        loop {
-            let cursor = &mut state.cursors[lane];
-            if let Some((_, decoded)) = cursor.current.as_ref().filter(|(c, _)| *c == idx) {
-                self.metrics.cache_hits.inc();
-                return Ok((Arc::clone(decoded), false));
-            }
-            let ahead = cursor
-                .ahead
-                .as_ref()
-                .map(|(c, slot)| (*c, matches!(slot, Ahead::Running)));
-            match ahead {
-                Some((c, true)) if c == idx => {
-                    state = self.wait(state);
-                }
-                Some((c, false)) if c == idx => match cursor.ahead.take() {
-                    Some((_, Ahead::Ready(decoded))) => {
-                        self.metrics.cache_misses.inc();
-                        self.metrics.prefetch_hits.inc();
-                        self.install(cursor, idx, Arc::clone(&decoded));
-                        return Ok((decoded, true));
-                    }
-                    // The decode failed ahead of us: the error belongs
-                    // to this read, and a retry decodes afresh.
-                    Some((_, Ahead::Failed(e))) => {
-                        self.metrics.prefetch_wasted.inc();
-                        return Err(e);
-                    }
-                    _ => unreachable!("slot checked above, under the same lock"),
-                },
-                // A finished readahead the lane has moved past.
-                Some((c, false)) if self.entries[c].meta.max_vm < self.entries[idx].meta.min_vm => {
-                    cursor.ahead = None;
-                    self.metrics.prefetch_wasted.inc();
-                    break;
-                }
-                // Nothing read ahead, or a chunk further on that a later
-                // read will come for.
-                _ => break,
-            }
-        }
-        self.metrics.cache_misses.inc();
-        drop(state);
-        let decoded = self.decode_chunk(idx)?;
-        self.install(&mut self.lock().cursors[lane], idx, Arc::clone(&decoded));
-        Ok((decoded, true))
-    }
-
-    /// Moves a lane's cursor onto `idx`, dropping the chunk it was on.
-    fn install(&self, cursor: &mut Cursor, idx: usize, decoded: Arc<DecodedChunk>) {
-        if cursor.current.replace((idx, decoded)).is_some() {
-            self.metrics.evictions.inc();
-        }
-    }
-
-    /// Starts background decodes of `chunks` into their lanes'
-    /// readahead slots. A chunk its lane is already on needs none; a
-    /// lane whose slot is taken is skipped and the chunk decodes on
-    /// demand instead.
-    fn read_ahead(self: &Arc<Self>, chunks: &[usize]) {
-        if chunks.is_empty() {
-            return;
-        }
-        let mut state = self.lock();
-        for &idx in chunks {
-            let cursor = &mut state.cursors[self.lane_of[idx]];
-            if cursor.ahead.is_some() || cursor.current.as_ref().is_some_and(|(c, _)| *c == idx) {
-                continue;
-            }
-            cursor.ahead = Some((idx, Ahead::Running));
-            state.running += 1;
-            self.metrics.prefetch_issued.inc();
-            let weak = Arc::downgrade(self);
-            self.readahead.submit(move || {
-                if let Some(inner) = weak.upgrade() {
-                    inner.run_readahead(idx);
-                }
-            });
-        }
-        self.metrics.prefetch_in_flight.set(state.running as f64);
-    }
-
-    /// Readahead for a caller that does not say what it reads next: an
-    /// ascending reader leaves the lane whose current chunk ends soonest
-    /// first, so those lanes' successors go first, up to the bound.
-    fn read_ahead_successors(self: &Arc<Self>) {
-        let state = self.lock();
-        let taken = state.cursors.iter().filter(|c| c.ahead.is_some()).count();
-        let mut soonest: Vec<(u64, usize)> = state
-            .cursors
-            .iter()
-            .zip(&self.lanes)
-            .filter(|(cursor, _)| cursor.ahead.is_none())
-            .filter_map(|(cursor, chunks)| {
-                let ends = self.entries[cursor.current.as_ref()?.0].meta.max_vm;
-                let after = chunks.partition_point(|&c| self.entries[c].meta.max_vm <= ends);
-                Some((ends, *chunks.get(after)?))
-            })
-            .collect();
-        drop(state);
-        soonest.sort_unstable();
-        soonest.truncate(READAHEAD_CHUNKS.saturating_sub(taken));
-        let chunks: Vec<usize> = soonest.into_iter().map(|(_, next)| next).collect();
-        self.read_ahead(&chunks);
-    }
-
-    /// A decode worker's job: decode `idx` and fill its lane's slot.
-    fn run_readahead(&self, idx: usize) {
-        let started = Instant::now();
-        let result = self.decode_chunk(idx);
-        let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.metrics.prefetch_decode_ns.observe(elapsed);
-        let mut state = self.lock();
-        if let Some((_, slot)) = state.cursors[self.lane_of[idx]]
-            .ahead
-            .as_mut()
-            .filter(|(c, _)| *c == idx)
-        {
-            *slot = match result {
-                Ok(decoded) => Ahead::Ready(decoded),
-                Err(e) => Ahead::Failed(e),
-            };
-        }
-        state.running -= 1;
-        self.metrics.prefetch_in_flight.set(state.running as f64);
-        self.ready.notify_all();
+        let (ids, starts, samples) = batch.into_columns()?;
+        let _ = self.ids[idx].set(ids);
+        Ok(DecodedChunk { starts, samples })
     }
 }
 
@@ -638,22 +478,16 @@ impl TelemetrySource for StoreTelemetry {
     /// pruning plus the resident id index. Only the ids-only projected
     /// read happens on a cold index — sample payloads never decompress.
     fn has(&self, id: VmId) -> bool {
-        let mut found = false;
-        let probed = self.inner.probe(id, |_, _| {
-            found = true;
-            Ok(())
-        });
-        match probed {
-            Ok(()) => found,
-            Err(e) => panic!("out-of-core telemetry presence check for {id} failed: {e}"),
+        let mut hits = Vec::new();
+        if let Err(e) = self.probe(id, &mut hits) {
+            panic!("out-of-core telemetry presence check for {id} failed: {e}");
         }
+        !hits.is_empty()
     }
 
     fn load(&self, id: VmId) -> Option<UtilSeries> {
-        match self.try_load(id) {
-            Ok(series) => series,
-            Err(e) => panic!("out-of-core telemetry load for {id} failed: {e}"),
-        }
+        self.try_load(id)
+            .unwrap_or_else(|e| panic!("out-of-core telemetry load for {id} failed: {e}"))
     }
 
     fn scan(&self, ids: &[VmId], visit: &mut dyn FnMut(VmId, UtilSeries)) {

@@ -363,10 +363,7 @@ pub fn write_trace(
         BLOB_SUBSCRIPTIONS,
         encode_subscriptions(trace.subscriptions()),
     );
-    for vm in trace.vms() {
-        let util = trace.util(vm.id);
-        w.append_vm(vm, util.as_ref())?;
-    }
+    trace.try_for_each_vm(|vm, util| w.append_vm(vm, util.as_ref()))?;
     w.finish()
 }
 

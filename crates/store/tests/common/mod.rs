@@ -158,6 +158,24 @@ pub fn trace_from_seeds(seeds: &[u64]) -> Trace {
     b.build()
 }
 
+/// Writes 120 seed-built VMs to `dir` in chunks of at most 8 rows, so
+/// every `(region, day)` lane spans several chunks, and returns the
+/// resident trace to compare against.
+pub fn write_many_chunk_store(dir: &Path) -> Trace {
+    let seeds: Vec<u64> = (0..120u64)
+        .map(|i| i.wrapping_mul(0x9E6C_63D0_676A_9A99) ^ 0x51)
+        .collect();
+    let trace = trace_from_seeds(&seeds);
+    let opts = cloudscope_store::WriteOptions {
+        target_chunk_rows: 8,
+        target_chunk_bytes: 4096,
+        level: 1,
+    };
+    let par = cloudscope_par::Parallelism::with_workers(2);
+    cloudscope_store::write_trace(&trace, dir, opts, &par).expect("store write");
+    trace
+}
+
 /// Asserts two traces are observationally identical: same topology,
 /// subscriptions, records, presence, and bit-identical telemetry.
 pub fn assert_traces_equal(a: &Trace, b: &Trace) {

@@ -216,10 +216,9 @@ pub fn write_generated(
         generated.trace.subscriptions(),
         &generated.services,
     );
-    for vm in generated.trace.vms() {
-        let util = generated.trace.util(vm.id);
-        w.append_vm(vm, util.as_ref())?;
-    }
+    generated
+        .trace
+        .try_for_each_vm(|vm, util| w.append_vm(vm, util.as_ref()))?;
     w.add_blob(BLOB_REPORT, encode_report(&generated.report));
     w.finish()
 }

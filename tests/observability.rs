@@ -848,10 +848,10 @@ fn metric_surface_matches_committed_schema() {
     );
 }
 
-/// The prefetch pipeline's counters reconcile at quiesce: every issued
-/// prefetch is eventually consumed by a demand (hit) or retired unused
-/// at close (wasted), the in-flight gauge returns to zero, and every
-/// background decode lands in the latency histogram.
+/// The decode pipeline's counters reconcile once its scans have
+/// returned: every chunk a decoder thread decoded was taken by the
+/// consumer (hit) or dropped unread when the scan ended (wasted), and
+/// every such decode lands in the latency histogram.
 #[test]
 fn store_prefetch_metrics_reconcile_at_quiesce() {
     let g = generate(&GeneratorConfig::small(29));
@@ -876,16 +876,17 @@ fn store_prefetch_metrics_reconcile_at_quiesce() {
         )
         .expect("store read");
         // Id-ordered full sweep of point loads: every lane's cursor
-        // walks forward and the lanes about to move are read ahead.
+        // walks forward; a load that moves two lanes decodes them on
+        // two threads.
         for vm in back.trace.vms() {
             let _ = back.trace.util(vm.id);
         }
         let swept = registry.snapshot();
-        // Then a sparse ascending scan over the same reader, which
-        // reads ahead along its own plan.
+        // Then a sparse ascending scan over the same reader, whose
+        // decoder threads run ahead of it along its plan.
         let every_third: Vec<VmId> = back.trace.vms().iter().step_by(3).map(|vm| vm.id).collect();
         back.trace.scan(&every_third, &mut |_, _| {});
-        drop(back); // quiesce: joins the decode workers
+        drop(back);
         (swept, registry.snapshot())
     });
     let (swept, snap) = snap;
@@ -904,17 +905,11 @@ fn store_prefetch_metrics_reconcile_at_quiesce() {
         hits + wasted,
         "issued prefetches must be consumed or retired: {issued} != {hits} + {wasted}"
     );
-    assert_eq!(
-        snap.gauge("store.prefetch.in_flight"),
-        Some(0.0),
-        "no prefetch may be left in flight after close"
-    );
     let decode = snap
         .histogram("store.prefetch.decode_ns")
         .expect("decode histogram registers");
-    // Every consumed prefetch was decoded in the background; prefetches
-    // still queued at close are discarded undecoded, so the histogram
-    // count sits between the hits and the issue count.
+    // Every chunk taken from a decoder thread was decoded by one, and
+    // a decoder counts a chunk as issued when it has decoded it.
     assert!(
         hits <= decode.count && decode.count <= issued,
         "background decodes ({}) must cover hits ({hits}) and never exceed issues ({issued})",
