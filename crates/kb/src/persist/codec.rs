@@ -12,10 +12,10 @@
 //!   makes any bit flip loud; the length prefix makes a torn final
 //!   write (a crash mid-append) distinguishable from corruption.
 
-use super::crc::crc32;
 use super::PersistError;
 use crate::knowledge::{LifetimeClass, WorkloadKnowledge};
 use cloudscope_analysis::UtilizationPattern;
+use cloudscope_model::durable::{crc32, Dec, Enc};
 use cloudscope_model::ids::SubscriptionId;
 use cloudscope_model::subscription::CloudKind;
 use cloudscope_model::time::SimTime;
@@ -32,60 +32,53 @@ pub(crate) const FRAME_HEADER: usize = 8;
 pub(crate) const MAX_FRAME: usize = 1 << 26; // 64 MiB
 
 /// Appends the fixed-width encoding of `k` to `out`.
-pub(crate) fn encode_entry(k: &WorkloadKnowledge, out: &mut Vec<u8>) {
-    out.extend_from_slice(&k.subscription.index().to_le_bytes());
-    out.push(match k.cloud {
+pub(crate) fn encode_entry(k: &WorkloadKnowledge, out: &mut Enc) {
+    out.put_u32(k.subscription.index());
+    out.put_u8(match k.cloud {
         CloudKind::Private => 0,
         CloudKind::Public => 1,
     });
-    out.push(match k.pattern {
+    out.put_u8(match k.pattern {
         None => 0,
         Some(UtilizationPattern::Diurnal) => 1,
         Some(UtilizationPattern::Stable) => 2,
         Some(UtilizationPattern::Irregular) => 3,
         Some(UtilizationPattern::HourlyPeak) => 4,
     });
-    out.push(match k.lifetime {
+    out.put_u8(match k.lifetime {
         LifetimeClass::MostlyShort => 0,
         LifetimeClass::Mixed => 1,
         LifetimeClass::MostlyLong => 2,
     });
-    out.push(match k.region_agnostic {
+    out.put_u8(match k.region_agnostic {
         None => 0,
         Some(false) => 1,
         Some(true) => 2,
     });
-    out.extend_from_slice(&k.mean_util.to_bits().to_le_bytes());
-    out.extend_from_slice(&k.p95_util.to_bits().to_le_bytes());
-    out.extend_from_slice(&k.util_cv.to_bits().to_le_bytes());
-    out.extend_from_slice(&(k.regions as u64).to_le_bytes());
-    out.extend_from_slice(&(k.vm_count as u64).to_le_bytes());
-    out.extend_from_slice(&k.cores.to_le_bytes());
-    out.extend_from_slice(&k.updated_at.minutes().to_le_bytes());
+    out.put_f64(k.mean_util);
+    out.put_f64(k.p95_util);
+    out.put_f64(k.util_cv);
+    out.put_u64(k.regions as u64);
+    out.put_u64(k.vm_count as u64);
+    out.put_u64(k.cores);
+    out.put_i64(k.updated_at.minutes());
 }
 
-/// Little-endian array extraction helpers over an exact-size slice.
-fn arr8(buf: &[u8], at: usize) -> [u8; 8] {
-    buf[at..at + 8].try_into().expect("slice is 8 bytes")
-}
-
-/// Decodes one entry from an exactly [`ENTRY_BYTES`]-byte slice.
+/// Decodes the next [`ENTRY_BYTES`] of `d` as one entry (fields are
+/// read in declaration order, which is the byte order).
 ///
 /// # Errors
-/// A description of the malformed field. The CRC catches random
-/// corruption before this runs; decode errors mean format drift.
-pub(crate) fn decode_entry(buf: &[u8]) -> Result<WorkloadKnowledge, String> {
-    debug_assert_eq!(buf.len(), ENTRY_BYTES);
+/// A description of the short or malformed field. The CRC catches
+/// random corruption before this runs; decode errors mean format drift.
+pub(crate) fn decode_entry(d: &mut Dec<'_>) -> Result<WorkloadKnowledge, String> {
     Ok(WorkloadKnowledge {
-        subscription: SubscriptionId::new(u32::from_le_bytes(
-            buf[0..4].try_into().expect("slice is 4 bytes"),
-        )),
-        cloud: match buf[4] {
+        subscription: SubscriptionId::new(d.take_u32()?),
+        cloud: match d.take_u8()? {
             0 => CloudKind::Private,
             1 => CloudKind::Public,
             other => return Err(format!("unknown cloud tag {other}")),
         },
-        pattern: match buf[5] {
+        pattern: match d.take_u8()? {
             0 => None,
             1 => Some(UtilizationPattern::Diurnal),
             2 => Some(UtilizationPattern::Stable),
@@ -93,34 +86,34 @@ pub(crate) fn decode_entry(buf: &[u8]) -> Result<WorkloadKnowledge, String> {
             4 => Some(UtilizationPattern::HourlyPeak),
             other => return Err(format!("unknown pattern tag {other}")),
         },
-        lifetime: match buf[6] {
+        lifetime: match d.take_u8()? {
             0 => LifetimeClass::MostlyShort,
             1 => LifetimeClass::Mixed,
             2 => LifetimeClass::MostlyLong,
             other => return Err(format!("unknown lifetime tag {other}")),
         },
-        region_agnostic: match buf[7] {
+        region_agnostic: match d.take_u8()? {
             0 => None,
             1 => Some(false),
             2 => Some(true),
             other => return Err(format!("unknown region_agnostic tag {other}")),
         },
-        mean_util: f64::from_bits(u64::from_le_bytes(arr8(buf, 8))),
-        p95_util: f64::from_bits(u64::from_le_bytes(arr8(buf, 16))),
-        util_cv: f64::from_bits(u64::from_le_bytes(arr8(buf, 24))),
-        regions: u64::from_le_bytes(arr8(buf, 32)) as usize,
-        vm_count: u64::from_le_bytes(arr8(buf, 40)) as usize,
-        cores: u64::from_le_bytes(arr8(buf, 48)),
-        updated_at: SimTime::from_minutes(i64::from_le_bytes(arr8(buf, 56))),
+        mean_util: d.take_f64()?,
+        p95_util: d.take_f64()?,
+        util_cv: d.take_f64()?,
+        regions: d.take_u64()? as usize,
+        vm_count: d.take_u64()? as usize,
+        cores: d.take_u64()?,
+        updated_at: SimTime::from_minutes(d.take_i64()?),
     })
 }
 
 /// Wraps `payload` as one frame and appends it to `out`.
-pub(crate) fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
+pub(crate) fn append_frame(out: &mut Enc, payload: &[u8]) {
     debug_assert!(payload.len() <= MAX_FRAME);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.put_u32(payload.len() as u32);
+    out.put_u32(crc32(payload));
+    out.put_slice(payload);
 }
 
 /// Outcome of reading the frame at one position.
@@ -140,7 +133,8 @@ pub(crate) enum FrameOutcome<'a> {
 
 /// Reads the frame starting at `pos`. `record` is the 1-based ordinal
 /// of this frame in `file`, used to point error messages at the
-/// offending record.
+/// offending record. A read the checked decoder refuses is a frame cut
+/// short: the torn tail.
 pub(crate) fn next_frame<'a>(
     buf: &'a [u8],
     pos: usize,
@@ -150,11 +144,11 @@ pub(crate) fn next_frame<'a>(
     if pos == buf.len() {
         return Ok(FrameOutcome::End);
     }
-    if buf.len() - pos < FRAME_HEADER {
+    let mut d = Dec::new(&buf[pos..]);
+    let (Ok(len), Ok(crc)) = (d.take_u32(), d.take_u32()) else {
         return Ok(FrameOutcome::TornTail);
-    }
-    let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes"));
+    };
+    let len = len as usize;
     if len > MAX_FRAME {
         // A torn write can truncate a frame but never mint an absurd
         // length: the 4 length bytes are either all present or short
@@ -165,11 +159,9 @@ pub(crate) fn next_frame<'a>(
             reason: format!("implausible record length {len} at byte {pos}"),
         });
     }
-    let body = pos + FRAME_HEADER;
-    if buf.len() - body < len {
+    let Ok(payload) = d.take_slice(len) else {
         return Ok(FrameOutcome::TornTail);
-    }
-    let payload = &buf[body..body + len];
+    };
     let actual = crc32(payload);
     if actual != crc {
         return Err(PersistError::Corrupt {
@@ -180,7 +172,7 @@ pub(crate) fn next_frame<'a>(
             ),
         });
     }
-    Ok(FrameOutcome::Frame(payload, body + len))
+    Ok(FrameOutcome::Frame(payload, pos + d.position()))
 }
 
 #[cfg(test)]
@@ -207,10 +199,10 @@ mod tests {
     #[test]
     fn entry_roundtrip_is_bit_exact() {
         let k = entry(7);
-        let mut buf = Vec::new();
-        encode_entry(&k, &mut buf);
-        assert_eq!(buf.len(), ENTRY_BYTES);
-        let back = decode_entry(&buf).unwrap();
+        let mut e = Enc::default();
+        encode_entry(&k, &mut e);
+        assert_eq!(e.len(), ENTRY_BYTES);
+        let back = decode_entry(&mut Dec::new(e.as_slice())).unwrap();
         assert_eq!(back, k);
         assert_eq!(back.mean_util.to_bits(), k.mean_util.to_bits());
         assert_eq!(back.util_cv.to_bits(), k.util_cv.to_bits());
@@ -218,8 +210,9 @@ mod tests {
 
     #[test]
     fn unknown_enum_tags_are_rejected() {
-        let mut buf = Vec::new();
-        encode_entry(&entry(1), &mut buf);
+        let mut e = Enc::default();
+        encode_entry(&entry(1), &mut e);
+        let buf = e.into_vec();
         for (at, what) in [
             (4, "cloud"),
             (5, "pattern"),
@@ -228,16 +221,17 @@ mod tests {
         ] {
             let mut bad = buf.clone();
             bad[at] = 0xEE;
-            let err = decode_entry(&bad).unwrap_err();
+            let err = decode_entry(&mut Dec::new(&bad)).unwrap_err();
             assert!(err.contains(what), "{what}: {err}");
         }
     }
 
     #[test]
     fn frame_roundtrip_and_corruption() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, b"hello");
-        append_frame(&mut buf, b"world!");
+        let mut e = Enc::default();
+        append_frame(&mut e, b"hello");
+        append_frame(&mut e, b"world!");
+        let buf = e.into_vec();
         let FrameOutcome::Frame(p1, next) = next_frame(&buf, 0, "t", 1).unwrap() else {
             panic!("first frame reads");
         };
@@ -271,8 +265,9 @@ mod tests {
 
     #[test]
     fn implausible_length_is_corruption_not_torn_tail() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, b"payload");
+        let mut e = Enc::default();
+        append_frame(&mut e, b"payload");
+        let mut buf = e.into_vec();
         buf[3] = 0xFF; // length's high byte: claims a ~4 GiB record
         let err = next_frame(&buf, 0, "wal.log", 4).unwrap_err();
         let msg = err.to_string();

@@ -24,8 +24,10 @@
 //! crash or power failure may lose the most recent appends.
 //! [`SyncPolicy::Always`] adds an `fdatasync` per append for
 //! power-failure durability at a per-write latency cost. Snapshot
-//! artifacts are always committed by write → fsync → rename → directory
-//! fsync, whichever policy is active.
+//! artifacts are always committed with the workspace's atomic write
+//! ([`cloudscope_model::durable::write_atomic`]: tmp → fsync → rename)
+//! and a directory sync per batch of renames, whichever policy is
+//! active.
 
 use super::crash::{CrashPlan, CrashPoint, CrashSwitch};
 use super::snapshot::{self, Manifest};
@@ -33,6 +35,7 @@ use super::wal::{self, WalRecord};
 use super::{codec, PersistError};
 use crate::knowledge::WorkloadKnowledge;
 use crate::store::{FeedOutcome, KbStore, KnowledgeBase, StoreError};
+use cloudscope_model::durable::{sync_dir, write_atomic, Enc};
 use cloudscope_model::ids::SubscriptionId;
 use cloudscope_par::Parallelism;
 use std::fs::{File, OpenOptions};
@@ -242,12 +245,11 @@ impl DurableKb {
                         reason: "manifest present but wal.log is missing".to_owned(),
                     });
                 }
-                // Create segment 0 whole via tmp → fsync → rename, so
-                // a crash mid-creation can never leave a torn header.
+                // Create segment 0 whole via the atomic write, so a
+                // crash mid-creation can never leave a torn header.
                 let header = wal::encode_header(0);
-                let tmp_path = dir.join(format!("{}.tmp", wal::WAL_FILE));
-                write_then_rename(&tmp_path, &wal_path, &header)?;
-                fsync_dir(&dir)?;
+                write_atomic(&wal_path, &header).map_err(|e| PersistError::io(&wal_path, e))?;
+                sync_dir(&dir).map_err(|e| PersistError::io(&dir, e))?;
                 header.to_vec()
             }
             Err(e) => return Err(PersistError::io(&wal_path, e)),
@@ -390,8 +392,9 @@ impl DurableKb {
             restore_append_point(wal).map_err(|e| PersistError::io(&wal_path, e))?;
             wal.healthy = true;
         }
-        let mut framed = Vec::with_capacity(codec::FRAME_HEADER + payload.len());
+        let mut framed = Enc::with_capacity(codec::FRAME_HEADER + payload.len());
         codec::append_frame(&mut framed, payload);
+        let framed = framed.into_vec();
         if self.crash.should_die(CrashPoint::MidWalRecord) {
             // A torn write: the first half of the record reaches disk,
             // the rest never does (and the process is dead, so no
@@ -529,7 +532,7 @@ impl DurableKb {
         }
         // One directory fsync covers all the shard renames, so the
         // manifest can never commit names the directory might forget.
-        fsync_dir(&self.dir)?;
+        sync_dir(&self.dir).map_err(|e| PersistError::io(&self.dir, e))?;
 
         self.crash.reached(CrashPoint::BeforeManifestRename)?;
         let manifest = Manifest {
@@ -538,14 +541,10 @@ impl DurableKb {
             wal_seq,
             wal_offset,
         };
-        let final_path = self.dir.join(snapshot::MANIFEST_FILE);
-        let tmp_path = self.dir.join(format!("{}.tmp", snapshot::MANIFEST_FILE));
-        write_then_rename(
-            &tmp_path,
-            &final_path,
-            &snapshot::encode_manifest(&manifest),
-        )?;
-        fsync_dir(&self.dir)?;
+        let manifest_path = self.dir.join(snapshot::MANIFEST_FILE);
+        write_atomic(&manifest_path, &snapshot::encode_manifest(&manifest))
+            .map_err(|e| PersistError::io(&manifest_path, e))?;
+        sync_dir(&self.dir).map_err(|e| PersistError::io(&self.dir, e))?;
         self.crash.reached(CrashPoint::AfterManifestRename)?;
 
         cloudscope_obs::counter("kb.persist.snapshots_written").add(dumps.len() as u64);
@@ -577,7 +576,6 @@ impl DurableKb {
             return Ok(());
         }
         let wal_path = self.dir.join(wal::WAL_FILE);
-        let tmp_path = self.dir.join(format!("{}.tmp", wal::WAL_FILE));
         let buf = std::fs::read(&wal_path).map_err(|e| PersistError::io(&wal_path, e))?;
         let tail =
             buf.get(cut as usize..wal.len as usize)
@@ -592,25 +590,20 @@ impl DurableKb {
         if self.crash.should_die(CrashPoint::MidWalRotate) {
             // A torn rotation temp that never replaces the live
             // segment; the manifest's cut keeps working.
-            let _ = std::fs::write(&tmp_path, &wal::encode_header(generation)[..4]);
+            let tmp_path = self.dir.join(format!("{}.tmp", wal::WAL_FILE));
+            let _ = std::fs::write(tmp_path, &wal::encode_header(generation)[..4]);
             return Err(PersistError::Crashed);
         }
-        let io = |e| PersistError::io(&tmp_path, e);
-        let mut file = File::create(&tmp_path).map_err(io)?;
-        file.write_all(&wal::encode_header(generation))
-            .map_err(io)?;
-        file.write_all(tail).map_err(io)?;
-        file.sync_all().map_err(io)?;
-        let new_len = (wal::WAL_HEADER + tail.len()) as u64;
-        std::fs::rename(&tmp_path, &wal_path).map_err(|e| PersistError::io(&wal_path, e))?;
-        // The tmp handle owns the inode now named `wal.log`, cursor at
-        // the end — swap it in before anything else can fail, so the
+        let segment = [&wal::encode_header(generation)[..], tail].concat();
+        let file = write_atomic(&wal_path, &segment).map_err(|e| PersistError::io(&wal_path, e))?;
+        // The returned handle owns the inode now named `wal.log`, cursor
+        // at the end — swap it in before anything else can fail, so the
         // writer never keeps appending to the unlinked old inode.
         wal.file = file;
-        wal.len = new_len;
+        wal.len = segment.len() as u64;
         wal.seq = generation;
         cloudscope_obs::counter("kb.persist.wal_rotations").inc();
-        fsync_dir(&self.dir)?;
+        sync_dir(&self.dir).map_err(|e| PersistError::io(&self.dir, e))?;
         self.crash.reached(CrashPoint::AfterWalRotate)?;
         Ok(())
     }
@@ -626,14 +619,16 @@ impl DurableKb {
         self.crash.alive()?;
         let bytes = snapshot::encode_shard_snapshot(generation, shard, entries);
         let name = snapshot::shard_file_name(generation, shard);
-        let final_path = self.dir.join(&name);
-        let tmp_path = self.dir.join(format!("{name}.tmp"));
         if self.crash.should_die(CrashPoint::MidShardSnapshot) {
             // A torn temp file that never gets renamed into place.
-            let _ = std::fs::write(&tmp_path, &bytes[..bytes.len() / 2]);
+            let _ = std::fs::write(
+                self.dir.join(format!("{name}.tmp")),
+                &bytes[..bytes.len() / 2],
+            );
             return Err(PersistError::Crashed);
         }
-        write_then_rename(&tmp_path, &final_path, &bytes)?;
+        let path = self.dir.join(&name);
+        write_atomic(&path, &bytes).map_err(|e| PersistError::io(&path, e))?;
         self.crash.reached(CrashPoint::BetweenShardSnapshots)?;
         Ok(())
     }
@@ -663,26 +658,6 @@ impl DurableKb {
             }
         }
     }
-}
-
-/// Writes `bytes` to `tmp`, fsyncs, and atomically renames onto
-/// `target` — the commit idiom every snapshot artifact uses. Callers
-/// follow up with [`fsync_dir`] once their batch of renames is done.
-fn write_then_rename(tmp: &Path, target: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let io = |e| PersistError::io(tmp, e);
-    let mut file = File::create(tmp).map_err(io)?;
-    file.write_all(bytes).map_err(io)?;
-    file.sync_all().map_err(io)?;
-    drop(file);
-    std::fs::rename(tmp, target).map_err(|e| PersistError::io(target, e))
-}
-
-/// Fsyncs the directory itself, making prior renames durable against
-/// power loss (a rename alone only updates the in-memory dirent on
-/// most filesystems).
-fn fsync_dir(dir: &Path) -> Result<(), PersistError> {
-    let handle = File::open(dir).map_err(|e| PersistError::io(dir, e))?;
-    handle.sync_all().map_err(|e| PersistError::io(dir, e))
 }
 
 /// Truncates the WAL file back to `wal.len` and reparks the cursor

@@ -11,7 +11,6 @@
 
 mod codec;
 mod crash;
-mod crc;
 mod durable;
 mod snapshot;
 mod wal;

@@ -16,6 +16,7 @@
 use super::codec::{self, FrameOutcome};
 use super::PersistError;
 use crate::knowledge::WorkloadKnowledge;
+use cloudscope_model::durable::{Dec, Enc};
 
 /// Magic prefix of a shard snapshot file.
 pub(crate) const SNAP_MAGIC: &[u8; 8] = b"CSKBSNP1";
@@ -53,14 +54,15 @@ const MANIFEST_PAYLOAD: usize = 28;
 
 /// Serializes a manifest (magic + one framed payload).
 pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(MANIFEST_PAYLOAD);
-    payload.extend_from_slice(&m.generation.to_le_bytes());
-    payload.extend_from_slice(&m.shard_files.to_le_bytes());
-    payload.extend_from_slice(&m.wal_seq.to_le_bytes());
-    payload.extend_from_slice(&m.wal_offset.to_le_bytes());
-    let mut buf = MANIFEST_MAGIC.to_vec();
-    codec::append_frame(&mut buf, &payload);
-    buf
+    let mut payload = Enc::with_capacity(MANIFEST_PAYLOAD);
+    payload.put_u64(m.generation);
+    payload.put_u32(m.shard_files);
+    payload.put_u64(m.wal_seq);
+    payload.put_u64(m.wal_offset);
+    let mut buf = Enc::default();
+    buf.put_slice(MANIFEST_MAGIC);
+    codec::append_frame(&mut buf, payload.as_slice());
+    buf.into_vec()
 }
 
 /// Parses a manifest file's bytes. The manifest is renamed into place
@@ -96,11 +98,12 @@ pub(crate) fn decode_manifest(buf: &[u8], file: &str) -> Result<Manifest, Persis
             payload.len()
         )));
     }
+    let mut d = Dec::new(payload);
     Ok(Manifest {
-        generation: u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes")),
-        shard_files: u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")),
-        wal_seq: u64::from_le_bytes(payload[12..20].try_into().expect("8 bytes")),
-        wal_offset: u64::from_le_bytes(payload[20..28].try_into().expect("8 bytes")),
+        generation: d.take_u64().map_err(malformed)?,
+        shard_files: d.take_u32().map_err(malformed)?,
+        wal_seq: d.take_u64().map_err(malformed)?,
+        wal_offset: d.take_u64().map_err(malformed)?,
     })
 }
 
@@ -111,19 +114,19 @@ pub(crate) fn encode_shard_snapshot(
     shard: usize,
     entries: &[WorkloadKnowledge],
 ) -> Vec<u8> {
-    let mut buf = SNAP_MAGIC.to_vec();
-    let mut header = Vec::with_capacity(16);
-    header.extend_from_slice(&generation.to_le_bytes());
-    header.extend_from_slice(&(shard as u32).to_le_bytes());
-    header.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    codec::append_frame(&mut buf, &header);
-    let mut entry_buf = Vec::with_capacity(codec::ENTRY_BYTES);
+    let mut buf = Enc::default();
+    buf.put_slice(SNAP_MAGIC);
+    let mut header = Enc::with_capacity(16);
+    header.put_u64(generation);
+    header.put_u32(shard as u32);
+    header.put_u32(entries.len() as u32);
+    codec::append_frame(&mut buf, header.as_slice());
     for k in entries {
-        entry_buf.clear();
-        codec::encode_entry(k, &mut entry_buf);
-        codec::append_frame(&mut buf, &entry_buf);
+        let mut entry = Enc::with_capacity(codec::ENTRY_BYTES);
+        codec::encode_entry(k, &mut entry);
+        codec::append_frame(&mut buf, entry.as_slice());
     }
-    buf
+    buf.into_vec()
 }
 
 /// Parses one shard snapshot file, validating generation and shard
@@ -161,9 +164,10 @@ pub(crate) fn decode_shard_snapshot(
             header.len()
         )));
     }
-    let generation = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-    let shard = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
-    let count = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes")) as usize;
+    let mut d = Dec::new(header);
+    let generation = d.take_u64().map_err(malformed)?;
+    let shard = d.take_u32().map_err(malformed)? as usize;
+    let count = d.take_u32().map_err(malformed)? as usize;
     if generation != expect_generation || shard != expect_shard {
         return Err(malformed(format!(
             "snapshot header names generation {generation} shard {shard}, \
@@ -187,10 +191,12 @@ pub(crate) fn decode_shard_snapshot(
             });
         }
         entries.push(
-            codec::decode_entry(payload).map_err(|reason| PersistError::Corrupt {
-                file: file.to_owned(),
-                record,
-                reason,
+            codec::decode_entry(&mut Dec::new(payload)).map_err(|reason| {
+                PersistError::Corrupt {
+                    file: file.to_owned(),
+                    record,
+                    reason,
+                }
             })?,
         );
         pos = next;

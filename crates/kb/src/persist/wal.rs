@@ -21,6 +21,7 @@
 use super::codec::{self, FrameOutcome, ENTRY_BYTES};
 use super::PersistError;
 use crate::knowledge::WorkloadKnowledge;
+use cloudscope_model::durable::{Dec, Enc};
 use cloudscope_model::ids::SubscriptionId;
 
 /// Magic prefix of `wal.log` (also the format version marker).
@@ -68,21 +69,21 @@ impl WalRecord {
 
 /// Encodes a feed batch as one record payload.
 pub(crate) fn encode_feed(batch: &[WorkloadKnowledge]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(5 + batch.len() * ENTRY_BYTES);
-    payload.push(TAG_FEED);
-    payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+    let mut payload = Enc::with_capacity(5 + batch.len() * ENTRY_BYTES);
+    payload.put_u8(TAG_FEED);
+    payload.put_u32(batch.len() as u32);
     for k in batch {
         codec::encode_entry(k, &mut payload);
     }
-    payload
+    payload.into_vec()
 }
 
 /// Encodes a removal as one record payload.
 pub(crate) fn encode_remove(id: SubscriptionId) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(5);
-    payload.push(TAG_REMOVE);
-    payload.extend_from_slice(&id.index().to_le_bytes());
-    payload
+    let mut payload = Enc::with_capacity(5);
+    payload.put_u8(TAG_REMOVE);
+    payload.put_u32(id.index());
+    payload.into_vec()
 }
 
 /// Decodes one record payload. `record` is the frame's 1-based ordinal
@@ -97,43 +98,39 @@ pub(crate) fn decode_record(
         record,
         reason,
     };
-    let Some((&tag, body)) = payload.split_first() else {
-        return Err(corrupt("empty record payload".to_owned()));
-    };
+    let mut d = Dec::new(payload);
+    let tag = d
+        .take_u8()
+        .map_err(|_| corrupt("empty record payload".to_owned()))?;
     match tag {
         TAG_FEED => {
-            if body.len() < 4 {
-                return Err(corrupt(
-                    "feed record shorter than its count field".to_owned(),
-                ));
-            }
-            let count =
-                u32::from_le_bytes(body[0..4].try_into().expect("4 bytes present")) as usize;
-            let entries = &body[4..];
-            if entries.len() != count * ENTRY_BYTES {
+            let count = d
+                .take_u32()
+                .map_err(|_| corrupt("feed record shorter than its count field".to_owned()))?
+                as usize;
+            if d.remaining() != count * ENTRY_BYTES {
                 return Err(corrupt(format!(
                     "feed record declares {count} entries but carries {} bytes",
-                    entries.len()
+                    d.remaining()
                 )));
             }
             let mut batch = Vec::with_capacity(count);
-            for (i, chunk) in entries.chunks_exact(ENTRY_BYTES).enumerate() {
-                batch.push(codec::decode_entry(chunk).map_err(|reason| {
+            for i in 0..count {
+                batch.push(codec::decode_entry(&mut d).map_err(|reason| {
                     corrupt(format!("feed entry {} of {count}: {reason}", i + 1))
                 })?);
             }
             Ok(WalRecord::Feed(batch))
         }
         TAG_REMOVE => {
-            if body.len() != 4 {
+            if d.remaining() != 4 {
                 return Err(corrupt(format!(
                     "remove record carries {} bytes, expected 4",
-                    body.len()
+                    d.remaining()
                 )));
             }
-            Ok(WalRecord::Remove(SubscriptionId::new(u32::from_le_bytes(
-                body.try_into().expect("4 bytes present"),
-            ))))
+            let id = d.take_u32().map_err(corrupt)?;
+            Ok(WalRecord::Remove(SubscriptionId::new(id)))
         }
         other => Err(corrupt(format!("unknown record tag {other}"))),
     }
@@ -162,20 +159,16 @@ pub(crate) fn parse_seq(buf: &[u8], file: &str) -> Result<u64, PersistError> {
         file: file.to_owned(),
         reason,
     };
-    if buf.len() < WAL_MAGIC.len() || &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
+    let mut d = Dec::new(buf);
+    if d.take_slice(WAL_MAGIC.len()) != Ok(&WAL_MAGIC[..]) {
         return Err(malformed("bad magic (not a cloudscope KB WAL)".to_owned()));
     }
-    if buf.len() < WAL_HEADER {
-        return Err(malformed(format!(
+    d.take_u64().map_err(|_| {
+        malformed(format!(
             "log is {} bytes, shorter than its {WAL_HEADER}-byte header",
             buf.len()
-        )));
-    }
-    Ok(u64::from_le_bytes(
-        buf[WAL_MAGIC.len()..WAL_HEADER]
-            .try_into()
-            .expect("8 bytes present"),
-    ))
+        ))
+    })
 }
 
 /// Validates `buf` (the whole `wal.log`) and decodes every record at or
@@ -267,7 +260,8 @@ mod tests {
     }
 
     fn log_with(records: &[WalRecord]) -> Vec<u8> {
-        let mut buf = encode_header(7).to_vec();
+        let mut buf = Enc::default();
+        buf.put_slice(&encode_header(7));
         for record in records {
             let payload = match record {
                 WalRecord::Feed(batch) => encode_feed(batch),
@@ -275,7 +269,7 @@ mod tests {
             };
             codec::append_frame(&mut buf, &payload);
         }
-        buf
+        buf.into_vec()
     }
 
     #[test]

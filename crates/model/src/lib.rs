@@ -6,6 +6,11 @@
 //! utilization telemetry, and the [`trace::Trace`] container the
 //! characterization pipeline consumes.
 //!
+//! It also owns the durable-file primitives ([`durable`]) both on-disk
+//! formats build on — the trace store and the knowledge base's WAL and
+//! snapshots: the CRC-32, the checked little-endian byte codec, the
+//! atomic file commit and the directory sync.
+//!
 //! The model mirrors the entities of the DSN'23 study *"How Different are
 //! the Cloud Workloads?"*: private and public cloud workloads run in
 //! disjoint clusters of the same provider, subscriptions deploy VMs into
@@ -31,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod durable;
 pub mod error;
 pub mod export;
 pub mod fast_hash;

@@ -9,7 +9,7 @@
 //! the exact same structure (verified by `PartialEq` in tests).
 
 use crate::error::StoreError;
-use crate::layout::{Dec, Enc};
+use cloudscope_model::durable::{Dec, Enc};
 use cloudscope_model::ids::{DatacenterId, SubscriptionId};
 use cloudscope_model::subscription::{CloudKind, PartyKind, Subscription};
 use cloudscope_model::topology::{NodeSku, Topology};

@@ -18,9 +18,8 @@
 //! (a decompressor bug, a partially cached block).
 
 use crate::codec::Encoder;
-use crate::crc::{crc32, Crc32};
 use crate::error::StoreError;
-use crate::layout::{Dec, Enc};
+use cloudscope_model::durable::{crc32, Crc32, Dec, Enc};
 use cloudscope_par::Parallelism;
 use std::path::Path;
 

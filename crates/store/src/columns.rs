@@ -9,8 +9,8 @@
 
 use crate::chunk::{ChunkKind, DecodedChunk, RawColumn};
 use crate::error::StoreError;
-use crate::layout::{Dec, Enc};
 use bytes::Bytes;
+use cloudscope_model::durable::{Dec, Enc};
 use cloudscope_model::ids::{ClusterId, NodeId, RegionId, ServiceId, SubscriptionId, VmId};
 use cloudscope_model::time::SimTime;
 use cloudscope_model::vm::{Priority, ServiceModel, VmRecord, VmSize};

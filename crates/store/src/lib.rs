@@ -28,13 +28,19 @@
 //!
 //! # Commit protocol
 //!
-//! Chunks are written tmp → fsync → rename; the manifest — which
-//! names every chunk with its exact length and CRC and carries the
-//! topology/subscription blobs — is committed the same way, last.
-//! Until that final rename lands, readers see either the previous
-//! store or none: a crash can truncate files, but never a committed
-//! store. Every decode path funnels into [`StoreError`], naming the
-//! file (and chunk) it blames — corruption is loud, never silent.
+//! Every file is committed with the workspace's one atomic write,
+//! [`cloudscope_model::durable::write_atomic`] (tmp → `sync_all` →
+//! rename). Chunks go first; one directory sync then covers every
+//! chunk rename, and the manifest — which names every chunk with its
+//! exact length and CRC and carries the topology/subscription blobs —
+//! is renamed last and the directory synced again. A writer opened over
+//! a committed store retires that store's manifest before its first
+//! chunk rename, because chunk names are deterministic and the new
+//! chunks replace the old. So a kill leaves the previous store intact
+//! (nothing renamed yet), no store at all, or the new one — never a
+//! manifest naming bytes it did not write. Every decode path funnels
+//! into [`StoreError`], naming the file (and chunk) it blames —
+//! corruption is loud, never silent.
 //!
 //! # Memory bounds
 //!
@@ -47,12 +53,10 @@
 //! below a fully-materialized trace.
 
 pub mod codec;
-pub mod layout;
 
 mod blobs;
 mod chunk;
 mod columns;
-mod crc;
 mod error;
 mod manifest;
 mod reader;

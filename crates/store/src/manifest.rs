@@ -7,16 +7,15 @@
 //! the manifest names: chunks written but never committed are garbage,
 //! a manifest naming a missing or resized chunk is loudly stale.
 //!
-//! Commit reuses the KB durability idioms: write to a temp name, fsync
-//! the file, rename over the final name, fsync the directory.
+//! The writer commits it with the same atomic write and batched
+//! directory sync as the KB's snapshots
+//! ([`cloudscope_model::durable`]): one directory sync after the chunk
+//! renames and before the manifest's, one after it.
 
 use crate::chunk::{ChunkKind, ChunkMeta};
-use crate::crc::crc32;
 use crate::error::StoreError;
-use crate::layout::{Dec, Enc};
-use std::fs::File;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use cloudscope_model::durable::{crc32, Dec, Enc};
+use std::path::Path;
 
 /// Magic bytes opening the manifest.
 const MANIFEST_MAGIC: &[u8; 8] = b"CSMANIF1";
@@ -198,41 +197,6 @@ impl Manifest {
     }
 }
 
-/// Writes `bytes` to `final_path` atomically: temp file, fsync,
-/// rename, directory fsync. The same protocol as the KB snapshot
-/// writer — a crash leaves either the old file or the new one.
-pub(crate) fn write_then_rename(final_path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    let tmp_path = tmp_sibling(final_path);
-    let io = |p: &Path| {
-        let p = p.to_path_buf();
-        move |e: std::io::Error| StoreError::io(&p, e)
-    };
-    let mut f = File::create(&tmp_path).map_err(io(&tmp_path))?;
-    f.write_all(bytes).map_err(io(&tmp_path))?;
-    f.sync_all().map_err(io(&tmp_path))?;
-    drop(f);
-    std::fs::rename(&tmp_path, final_path).map_err(io(final_path))?;
-    if let Some(dir) = final_path.parent() {
-        fsync_dir(dir)?;
-    }
-    Ok(())
-}
-
-/// Durably records a directory's entry list (after renames).
-pub(crate) fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
-    let f = File::open(dir).map_err(|e| StoreError::io(dir, e))?;
-    f.sync_all().map_err(|e| StoreError::io(dir, e))
-}
-
-/// The temp-file name used while writing `final_path`.
-fn tmp_sibling(final_path: &Path) -> PathBuf {
-    let mut name = final_path
-        .file_name()
-        .map_or_else(|| "store".into(), |n| n.to_os_string());
-    name.push(".tmp");
-    final_path.with_file_name(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,21 +281,5 @@ mod tests {
     fn errors_name_the_file() {
         let err = Manifest::decode(Path::new("/traces/run1/manifest.csm"), &[0; 4]).unwrap_err();
         assert!(err.to_string().contains("manifest.csm"), "{err}");
-    }
-
-    #[test]
-    fn write_then_rename_is_atomic_and_durable() {
-        let dir = std::env::temp_dir().join(format!("cs-store-manifest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let target = dir.join(MANIFEST_NAME);
-        write_then_rename(&target, b"first").unwrap();
-        assert_eq!(std::fs::read(&target).unwrap(), b"first");
-        write_then_rename(&target, b"second").unwrap();
-        assert_eq!(std::fs::read(&target).unwrap(), b"second");
-        assert!(
-            !tmp_sibling(&target).exists(),
-            "temp file must not survive a commit"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -8,11 +8,11 @@ use crate::blobs::{
 };
 use crate::chunk::{decode_chunk_file, ChunkKind};
 use crate::columns::{decode_telemetry, decode_vm_meta, Batch, Projection};
-use crate::crc::crc32;
 use crate::error::StoreError;
 use crate::manifest::{ChunkEntry, Manifest, MANIFEST_NAME};
 use crate::source::StoreTelemetry;
 use bytes::Bytes;
+use cloudscope_model::durable::crc32;
 use cloudscope_model::subscription::Subscription;
 use cloudscope_model::telemetry::UtilSeries;
 use cloudscope_model::time::{SimTime, SAMPLE_INTERVAL_MINUTES};

@@ -2,9 +2,11 @@
 //! column chunks, compresses sealed chunks in parallel off the append
 //! path, and commits the whole store with one atomic manifest rename.
 //!
-//! Until `finish` succeeds the directory holds no manifest (or the
-//! previous one), so a crash mid-write can never yield a store that
-//! reads back partially — readers trust only manifest-named chunks.
+//! Until `finish` succeeds the directory holds the previous store's
+//! manifest (until the first chunk flush retires it) or no manifest at
+//! all. So a crash mid-write can never yield a store that reads back
+//! partially: readers trust only manifest-named chunks, and a manifest
+//! names only chunks its own writer wrote.
 
 use crate::blobs::{
     encode_presence, encode_subscriptions, encode_topology, BLOB_SUBSCRIPTIONS,
@@ -15,7 +17,8 @@ use crate::chunk::{
 };
 use crate::columns::{TelemetryColumns, VmMetaColumns};
 use crate::error::StoreError;
-use crate::manifest::{fsync_dir, write_then_rename, ChunkEntry, Manifest, MANIFEST_NAME};
+use crate::manifest::{ChunkEntry, Manifest, MANIFEST_NAME};
+use cloudscope_model::durable::{sync_dir, write_atomic};
 use cloudscope_model::telemetry::UtilSeries;
 use cloudscope_model::time::SAMPLE_INTERVAL_MINUTES;
 use cloudscope_model::trace::Trace;
@@ -104,7 +107,9 @@ pub struct TraceWriter<'p> {
 }
 
 impl<'p> TraceWriter<'p> {
-    /// Opens `dir` (creating it) for writing a new trace.
+    /// Opens `dir` (creating it) for writing a new trace. A store
+    /// already committed there stays readable until the first chunk
+    /// flush retires it.
     ///
     /// # Errors
     /// [`StoreError::Io`] if the directory cannot be created.
@@ -264,6 +269,9 @@ impl<'p> TraceWriter<'p> {
         if self.pending.is_empty() {
             return Ok(());
         }
+        if self.chunks.is_empty() {
+            self.retire_committed_manifest()?;
+        }
         let level = self.opts.level;
         let batch = std::mem::take(&mut self.pending);
         let units: Vec<(usize, &RawColumn)> = batch
@@ -287,7 +295,8 @@ impl<'p> TraceWriter<'p> {
         let chunks: Vec<(&Sealed, &Vec<CompressedColumn>)> = batch.iter().zip(&per_chunk).collect();
         let written = self.par.par_map(&chunks, |&(sealed, cols)| {
             let file = assemble_chunk_file(&sealed.meta, cols, level);
-            write_then_rename(&dir.join(sealed.meta.file_name()), &file.bytes)?;
+            let path = dir.join(sealed.meta.file_name());
+            write_atomic(&path, &file.bytes).map_err(|e| StoreError::io(&path, e))?;
             let entry = ChunkEntry {
                 meta: sealed.meta.clone(),
                 file_len: file.bytes.len() as u64,
@@ -305,6 +314,21 @@ impl<'p> TraceWriter<'p> {
         Ok(())
     }
 
+    /// Removes a committed `manifest.csm` from the directory, durably,
+    /// before the first chunk rename. Chunk names are deterministic, so
+    /// the new chunks replace the committed store's; left in place, its
+    /// manifest would name bytes it never wrote after a crash or an I/O
+    /// error mid-rewrite. From then on the directory holds no store
+    /// until `finish` commits the new one.
+    fn retire_committed_manifest(&self) -> Result<(), StoreError> {
+        let path = self.dir.join(MANIFEST_NAME);
+        match std::fs::remove_file(&path) {
+            Ok(()) => sync_dir(&self.dir).map_err(|e| StoreError::io(&self.dir, e)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(StoreError::io(&path, e)),
+        }
+    }
+
     /// Attaches a named opaque blob to the manifest (topology,
     /// subscriptions, generator sidecars …).
     pub fn add_blob(&mut self, name: impl Into<String>, bytes: Vec<u8>) {
@@ -312,7 +336,9 @@ impl<'p> TraceWriter<'p> {
     }
 
     /// Seals open buffers, flushes everything, and commits the
-    /// manifest. The rename of `manifest.csm` is the commit point.
+    /// manifest. The rename of `manifest.csm` is the commit point: one
+    /// directory sync before it makes every chunk rename durable, one
+    /// after it the commit itself.
     ///
     /// # Errors
     /// [`StoreError::Io`] on any write failure; nothing is committed.
@@ -337,8 +363,11 @@ impl<'p> TraceWriter<'p> {
             chunks: std::mem::take(&mut self.chunks),
             blobs,
         };
-        write_then_rename(&self.dir.join(MANIFEST_NAME), &manifest.encode())?;
-        fsync_dir(&self.dir)?;
+        let dir_err = |e| StoreError::io(&self.dir, e);
+        sync_dir(&self.dir).map_err(dir_err)?;
+        let path = self.dir.join(MANIFEST_NAME);
+        write_atomic(&path, &manifest.encode()).map_err(|e| StoreError::io(&path, e))?;
+        sync_dir(&self.dir).map_err(dir_err)?;
         counter("store.write.manifest_commits").inc();
         Ok(())
     }

@@ -20,13 +20,13 @@ use crate::generate::{
 };
 use crate::utilization::{PatternKind, ServiceUtilProfile};
 use cloudscope_cluster::AllocatorStats;
+use cloudscope_model::durable::{Dec, Enc};
 use cloudscope_model::ids::{RegionId, ServiceId, SubscriptionId, VmId};
 use cloudscope_model::subscription::Subscription;
 use cloudscope_model::telemetry::UtilSeries;
 use cloudscope_model::trace::Trace;
 use cloudscope_par::Parallelism;
 use cloudscope_sim::rng::RngFactory;
-use cloudscope_store::layout::{Dec, Enc};
 use cloudscope_store::{
     encode_subscriptions, encode_topology, StoreError, TelemetryMode, TraceReader, TraceWriter,
     WriteOptions, BLOB_SUBSCRIPTIONS, BLOB_TOPOLOGY,

@@ -5,7 +5,7 @@
 //! both telemetry modes.
 
 use cloudscope_par::Parallelism;
-use cloudscope_store::{TelemetryMode, WriteOptions};
+use cloudscope_store::{store_exists, TelemetryMode, TraceWriter, WriteOptions};
 use cloudscope_tracegen::store_io::{
     decode_report, decode_services, encode_report, encode_services,
 };
@@ -93,6 +93,44 @@ fn streamed_generation_matches_in_memory_write_byte_for_byte() {
         dir_snapshot(via_memory.path()),
         "streamed store bytes differ from the in-memory write"
     );
+}
+
+/// A `generate_to_store` killed mid-rewrite is a writer dropped after
+/// its first flush (the store crash matrix's state). The directory then
+/// holds no store, and generating again into it lays down every file a
+/// fresh directory gets, byte for byte.
+#[test]
+fn generate_to_store_over_an_interrupted_rewrite_matches_a_fresh_store() {
+    let par = Parallelism::with_workers(2);
+    let opts = WriteOptions {
+        target_chunk_rows: 16,
+        target_chunk_bytes: 4 * 1024,
+        level: 1,
+    };
+    let dir = TempDir::new("rewrite");
+    generate_to_store(&tiny(11), dir.path(), opts, par).unwrap();
+
+    let next = tiny(12);
+    let interrupted = generate_with(&next, par);
+    {
+        let mut w = TraceWriter::create(dir.path(), opts, &par).unwrap();
+        interrupted
+            .trace
+            .try_for_each_vm(|vm, util| w.append_vm(vm, util.as_ref()))
+            .unwrap();
+    }
+    assert!(!store_exists(dir.path()), "the old store must be retired");
+
+    generate_to_store(&next, dir.path(), opts, par).unwrap();
+    let fresh = TempDir::new("rewrite-fresh");
+    generate_to_store(&next, fresh.path(), opts, par).unwrap();
+    let reused = dir_snapshot(dir.path());
+    for (name, bytes) in dir_snapshot(fresh.path()) {
+        assert!(
+            reused.iter().any(|(n, b)| *n == name && *b == bytes),
+            "{name} differs from a fresh store's"
+        );
+    }
 }
 
 #[test]

@@ -14,12 +14,25 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings -D deprecated"
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
+# One durable-file substrate: the CRC-32, the file fsync and the rename
+# that commits a file exist once, in cloudscope-model's durable module
+# (the KB's per-append `sync_data` under SyncPolicy::Always is not one
+# of them).
+echo "==> durable primitives defined once (crates/model/src/durable.rs)"
+if grep -rnE 'fn crc32|\.sync_all\(|fs::rename\(' crates/*/src \
+  | grep -v '^crates/model/src/durable\.rs:'; then
+  echo "ERROR: use cloudscope_model::durable (crc32, write_atomic, sync_dir) instead" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
 # The two workspace runs execute every suite: the robustness and parity
 # gates, observability reconciliation, the KB crash matrix and
-# corruption fuzzing, the store round-trip/corruption suites, the
+# corruption fuzzing, the store crash matrix (kill states built from
+# the public writer plus torn .tmp files) and its round-trip/corruption
+# suites, the byte pins of both on-disk formats, the
 # allocator and generator oracles, and ingest convergence. Release
 # matters as much as debug: it is the mode the binaries run in, where
 # debug asserts are compiled out and the in-crate oracles, CRC footers
