@@ -6,8 +6,7 @@ use cloudscope_model::prelude::*;
 use cloudscope_model::time::{SAMPLES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
 use cloudscope_sim::rng::RngFactory;
 use rand::rngs::StdRng;
-use rand::Rng;
-use std::collections::BTreeMap;
+use rand::{Rng, RngCore};
 
 /// One utilization reading as it crosses the wire from the in-guest
 /// monitor to the trace store: a recorded timestamp (which a skewed
@@ -21,87 +20,148 @@ pub struct WireSample {
     pub value: f32,
 }
 
-/// Explodes a series into wire samples: one per *present* sample, at
-/// its true grid timestamp.
-fn explode(series: &UtilSeries) -> Vec<WireSample> {
-    let base = series.start().minutes();
-    series
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_finite())
-        .map(|(i, value)| WireSample {
-            minute: base + i as i64 * SAMPLE_INTERVAL_MINUTES,
-            value,
-        })
-        .collect()
+/// One VM's wire stream, generated a step at a time: the explode and
+/// corrupt stages fused into a cursor over the source series, so a
+/// stream costs a fixed few hundred bytes however long it is.
+///
+/// Each step explodes one source position — a missing slot puts nothing
+/// on the wire, a present one becomes a sample at its true grid
+/// timestamp — and applies the plan's corruptions to it in transmission
+/// order, drawing every decision from the VM's own RNG stream. The
+/// blackout check uses the *true* transmission time; the VM's clock
+/// skew, drawn first, only shifts the timestamp that gets recorded.
+///
+/// An adjacent-swap reorder can move the newest output behind the one
+/// a later step appends, so an output is final only once another output
+/// follows it or the source is exhausted: the corruptor holds exactly
+/// that one output of lookahead back.
+///
+/// [`corrupt_wire_samples`] is this stream collected; a streaming drive
+/// instead pulls each output as it comes due.
+#[derive(Debug)]
+pub struct WireCorruptor<'p, R = StdRng> {
+    series: UtilSeries,
+    region: RegionId,
+    plan: &'p FaultPlan,
+    rng: R,
+    /// The VM's constant clock skew, in minutes.
+    skew: i64,
+    /// Next source position to explode.
+    position: usize,
+    /// Outputs put on the wire so far, yielded or not.
+    sent: usize,
+    /// Outputs not yet yielded, oldest first, in `pending[..len]`. Only
+    /// the newest can still move, so a pull yields the oldest once
+    /// `len >= 2` or the source is exhausted. A step runs only while
+    /// `len < 2` and appends at most two (a sample and its duplicate).
+    pending: [WireSample; 3],
+    len: usize,
 }
 
-/// Applies the plan's corruptions to one VM's wire samples, in
-/// transmission order, drawing every decision from `rng`. The blackout
-/// check uses the *true* transmission time; clock skew only shifts the
-/// timestamp that gets recorded.
-fn corrupt_samples(
-    samples: Vec<WireSample>,
-    region: RegionId,
-    plan: &FaultPlan,
-    rng: &mut StdRng,
-    report: &mut FaultReport,
-) -> Vec<WireSample> {
-    let skew = if plan.max_clock_skew_minutes > 0 {
-        rng.random_range(-plan.max_clock_skew_minutes..=plan.max_clock_skew_minutes)
-    } else {
-        0
-    };
-    let mut out = Vec::with_capacity(samples.len());
-    for sample in samples {
+impl<'p, R: RngCore> WireCorruptor<'p, R> {
+    /// Starts the wire stream of `series` for a VM in `region`, under
+    /// `plan`, drawing the VM's clock skew from `rng` first.
+    #[must_use]
+    pub fn new(series: UtilSeries, region: RegionId, plan: &'p FaultPlan, mut rng: R) -> Self {
+        let skew = if plan.max_clock_skew_minutes > 0 {
+            rng.random_range(-plan.max_clock_skew_minutes..=plan.max_clock_skew_minutes)
+        } else {
+            0
+        };
+        Self {
+            series,
+            region,
+            plan,
+            rng,
+            skew,
+            position: 0,
+            sent: 0,
+            pending: [WireSample {
+                minute: 0,
+                value: 0.0,
+            }; 3],
+            len: 0,
+        }
+    }
+
+    /// The stream's next output in transmission order, or `None` once
+    /// the source is exhausted and every output has been yielded. What
+    /// the plan does on the way is counted into `report` as it happens,
+    /// so a caller that stops early undercounts — pull to `None` for the
+    /// whole stream's ledger.
+    pub fn next_sample(&mut self, report: &mut FaultReport) -> Option<WireSample> {
+        while self.len < 2 && self.position < self.series.len() {
+            self.step(report);
+        }
+        if self.len == 0 {
+            return None;
+        }
+        let oldest = self.pending[0];
+        self.pending.copy_within(1.., 0);
+        self.len -= 1;
+        Some(oldest)
+    }
+
+    /// Explodes and corrupts the next source position.
+    fn step(&mut self, report: &mut FaultReport) {
+        let index = self.position;
+        self.position += 1;
+        let Some(value) = self.series.get(index) else {
+            return;
+        };
+        let minute = self.series.start().minutes() + index as i64 * SAMPLE_INTERVAL_MINUTES;
+        let plan = self.plan;
         report.samples_in += 1;
-        if plan
-            .blackouts
-            .iter()
-            .any(|b| b.covers(region, sample.minute))
-        {
+        if plan.blackouts.iter().any(|b| b.covers(self.region, minute)) {
             report.blackout_dropped += 1;
-            continue;
+            return;
         }
-        if plan.drop_probability > 0.0 && rng.random_bool(plan.drop_probability) {
+        if plan.drop_probability > 0.0 && self.rng.random_bool(plan.drop_probability) {
             report.dropped += 1;
-            continue;
+            return;
         }
-        let mut value = sample.value;
-        if plan.invalid_probability > 0.0 && rng.random_bool(plan.invalid_probability) {
+        let mut value = value;
+        if plan.invalid_probability > 0.0 && self.rng.random_bool(plan.invalid_probability) {
             report.invalidated += 1;
-            value = if rng.random_bool(0.5) {
+            value = if self.rng.random_bool(0.5) {
                 f32::NAN
             } else {
                 -value.abs() - 1.0
             };
         }
         let delivered = WireSample {
-            minute: sample.minute + skew,
+            minute: minute + self.skew,
             value,
         };
-        out.push(delivered);
-        if plan.duplicate_probability > 0.0 && rng.random_bool(plan.duplicate_probability) {
+        self.send(delivered);
+        if plan.duplicate_probability > 0.0 && self.rng.random_bool(plan.duplicate_probability) {
             report.duplicated += 1;
-            out.push(delivered);
+            self.send(delivered);
         }
-        if out.len() >= 2
+        // The guard counts every output sent, not just the pending ones.
+        // Both outputs a swap touches are still pending: nothing is
+        // yielded before another output follows it.
+        if self.sent >= 2
             && plan.reorder_probability > 0.0
-            && rng.random_bool(plan.reorder_probability)
+            && self.rng.random_bool(plan.reorder_probability)
         {
             report.reordered += 1;
-            let n = out.len();
-            out.swap(n - 1, n - 2);
+            self.pending.swap(self.len - 1, self.len - 2);
         }
     }
-    out
+
+    fn send(&mut self, sample: WireSample) {
+        self.pending[self.len] = sample;
+        self.len += 1;
+        self.sent += 1;
+    }
 }
 
 /// Explodes one VM's series into wire samples and applies the plan's
-/// corruptions, returning the stream in transmission order — the form a
-/// streaming ingester consumes one sample at a time. With a clean plan
-/// this is exactly the pristine wire stream (one sample per present
-/// slot, at its true grid timestamp). Batch ingestion of the result via
+/// corruptions, returning the stream in transmission order: a
+/// [`WireCorruptor`] pulled to the end. With a clean plan this is
+/// exactly the pristine wire stream (one sample per present slot, at its
+/// true grid timestamp). Batch ingestion of the result via
 /// [`ingest_wire_samples`] is what [`corrupt_util_series`] does.
 #[must_use]
 pub fn corrupt_wire_samples(
@@ -111,7 +171,8 @@ pub fn corrupt_wire_samples(
     rng: &mut StdRng,
     report: &mut FaultReport,
 ) -> Vec<WireSample> {
-    corrupt_samples(explode(series), region, plan, rng, report)
+    let mut wire = WireCorruptor::new(series.clone(), region, plan, rng);
+    std::iter::from_fn(|| wire.next_sample(report)).collect()
 }
 
 /// Re-assembles wire samples into a [`UtilSeries`] the way a collector
@@ -123,7 +184,10 @@ pub fn corrupt_wire_samples(
 /// telemetry, as [`Trace::util`] models it.
 #[must_use]
 pub fn ingest_wire_samples(samples: &[WireSample], report: &mut FaultReport) -> Option<UtilSeries> {
-    let mut slots: BTreeMap<i64, f32> = BTreeMap::new();
+    // One entry per week slot, NaN where nothing landed (accepted values
+    // are finite), the layout of the ingestor's lanes.
+    let mut slots = vec![f32::NAN; SAMPLES_PER_WEEK];
+    let (mut first, mut last, mut filled) = (SAMPLES_PER_WEEK, 0, 0);
     for sample in samples {
         if !sample.value.is_finite() || sample.value < 0.0 {
             continue;
@@ -132,22 +196,22 @@ pub fn ingest_wire_samples(samples: &[WireSample], report: &mut FaultReport) -> 
         // timestamps exact instead of wrapping.
         let slot =
             (sample.minute + SAMPLE_INTERVAL_MINUTES / 2).div_euclid(SAMPLE_INTERVAL_MINUTES);
-        if !(0..SAMPLES_PER_WEEK as i64).contains(&slot) {
+        let Some(slot) = usize::try_from(slot).ok().filter(|&s| s < SAMPLES_PER_WEEK) else {
             report.out_of_week += 1;
             continue;
-        }
-        slots.insert(slot, sample.value);
+        };
+        filled += usize::from(slots[slot].is_nan());
+        slots[slot] = sample.value;
+        first = first.min(slot);
+        last = last.max(slot);
     }
-    let (&first, _) = slots.iter().next()?;
-    let &last = slots
-        .keys()
-        .next_back()
-        .expect("non-empty map has a last key");
-    report.samples_out += slots.len();
-    let values = (first..=last).map(|slot| slots.get(&slot).copied().unwrap_or(f32::NAN));
+    if filled == 0 {
+        return None;
+    }
+    report.samples_out += filled;
     Some(UtilSeries::from_percentages(
-        SimTime::from_minutes(first * SAMPLE_INTERVAL_MINUTES),
-        values,
+        SimTime::from_minutes(first as i64 * SAMPLE_INTERVAL_MINUTES),
+        slots[first..=last].iter().copied(),
     ))
 }
 

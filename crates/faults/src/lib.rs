@@ -15,7 +15,9 @@
 //!    samples, as the in-guest monitor would emit them.
 //! 2. **Corrupt** — the seeded plan drops, duplicates, reorders,
 //!    invalidates, and time-skews samples, and blacks out whole regions
-//!    for a window (a monitoring outage).
+//!    for a window (a monitoring outage). Explode and corrupt run a step
+//!    at a time in a [`WireCorruptor`], so a streaming consumer can pull
+//!    each VM's wire as it comes due instead of materialising it.
 //! 3. **Ingest** — samples are validated, snapped to the 5-minute grid,
 //!    deduplicated (last write wins), and re-assembled into a
 //!    [`UtilSeries`] whose unfilled slots are *gaps*, which the
@@ -45,7 +47,8 @@ pub mod flaky;
 pub mod plan;
 
 pub use corrupt::{
-    corrupt_trace, corrupt_util_series, corrupt_wire_samples, ingest_wire_samples, WireSample,
+    corrupt_trace, corrupt_util_series, corrupt_wire_samples, ingest_wire_samples, WireCorruptor,
+    WireSample,
 };
 pub use flaky::FlakyStore;
 pub use plan::{Blackout, FaultPlan, FaultReport};

@@ -5,7 +5,7 @@ use crate::ingestor::{IngestConfig, Ingestor, WindowClose};
 use crate::publish::publish_closed_windows;
 use crate::session::IngestSession;
 use cloudscope_analysis::PatternClassifier;
-use cloudscope_faults::{corrupt_wire_samples, FaultPlan, FaultReport, WireSample};
+use cloudscope_faults::{FaultPlan, FaultReport, WireCorruptor};
 use cloudscope_kb::{KbStore, PipelineStats, RetryPolicy};
 use cloudscope_model::prelude::*;
 use cloudscope_model::time::{MINUTES_PER_HOUR, MINUTES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
@@ -27,42 +27,44 @@ pub enum IngestEvent {
     WatermarkTick,
 }
 
-/// One VM's wire stream: position `j` is due at `start` plus `j` sample
-/// intervals.
+/// One VM's wire stream, generated as it comes due: position `j` is due
+/// at `start` plus `j` sample intervals.
 #[derive(Debug)]
-pub(crate) struct WireStream {
-    pub(crate) vm: VmId,
+struct WireStream<'p> {
+    vm: VmId,
     /// Minute at which position 0 is due (the VM's series start).
-    pub(crate) start: i64,
-    pub(crate) wire: Vec<WireSample>,
+    start: i64,
+    wire: WireCorruptor<'p>,
     /// Positions below this have been delivered.
     delivered: usize,
 }
 
-impl WireStream {
+impl WireStream<'_> {
     /// Offers every undelivered sample due strictly before `minute`.
-    fn deliver_before(&mut self, ingestor: &mut Ingestor, minute: i64) {
+    fn deliver_before(&mut self, ingestor: &mut Ingestor, minute: i64, report: &mut FaultReport) {
         // Position j is due before `minute` iff start + 5 j < minute.
         let due =
             (minute - self.start + SAMPLE_INTERVAL_MINUTES - 1).div_euclid(SAMPLE_INTERVAL_MINUTES);
-        let due = usize::try_from(due).unwrap_or(0).min(self.wire.len());
-        if due > self.delivered {
-            for &sample in &self.wire[self.delivered..due] {
-                ingestor.offer(self.vm, sample);
-            }
-            self.delivered = due;
+        let due = usize::try_from(due).unwrap_or(0);
+        while self.delivered < due {
+            let Some(sample) = self.wire.next_sample(report) else {
+                return;
+            };
+            ingestor.offer(self.vm, sample);
+            self.delivered += 1;
         }
     }
 }
 
-/// Explodes every telemetry-bearing VM's series into its wire stream,
-/// corrupted under `plan` from the VM's own seeded RNG stream, in trace
-/// order. Streams the plan emptied are left out.
-pub(crate) fn wire_streams(
+/// Starts every telemetry-bearing VM's wire stream, corrupted under
+/// `plan` from the VM's own seeded RNG stream, in trace order. A stream
+/// holds its series (a shared buffer, not a copy) and a cursor, not
+/// samples.
+fn wire_streams<'p>(
     trace: &Trace,
-    plan: &FaultPlan,
+    plan: &'p FaultPlan,
     fault_report: &mut FaultReport,
-) -> Vec<WireStream> {
+) -> Vec<WireStream<'p>> {
     let factory = RngFactory::new(plan.seed).child("faults");
     let mut streams = Vec::new();
     trace.for_each_vm(|vm, util| {
@@ -70,16 +72,13 @@ pub(crate) fn wire_streams(
             return;
         };
         fault_report.vms += 1;
-        let mut rng = factory.indexed_stream("vm", vm.id.index());
-        let wire = corrupt_wire_samples(&util, vm.region, plan, &mut rng, fault_report);
-        if !wire.is_empty() {
-            streams.push(WireStream {
-                vm: vm.id,
-                start: util.start().minutes(),
-                wire,
-                delivered: 0,
-            });
-        }
+        let rng = factory.indexed_stream("vm", vm.id.index());
+        streams.push(WireStream {
+            vm: vm.id,
+            start: util.start().minutes(),
+            wire: WireCorruptor::new(util, vm.region, plan, rng),
+            delivered: 0,
+        });
     });
     streams
 }
@@ -112,7 +111,8 @@ pub struct DriveOutcome {
 /// service, under the discrete-event clock:
 ///
 /// - Each VM's series is exploded into wire samples and corrupted under
-///   `plan` (same per-VM seeded streams as
+///   `plan` by a [`WireCorruptor`], one step at a time as the samples
+///   come due (same per-VM seeded streams as
 ///   [`cloudscope_faults::corrupt_trace`], so the stream *content* is
 ///   byte-comparable to batch corruption). Corruption shuffles content,
 ///   not cadence: stream position `j` is due at the VM's series start
@@ -128,8 +128,9 @@ pub struct DriveOutcome {
 ///   feed + retry path.
 /// - After the final tick the samples due before the run's end are
 ///   delivered (a stream that duplication stretched past it is cut
-///   there), a catch-up drain closes whatever remains, and the state
-///   freezes into an [`IngestSession`].
+///   there, and then run to its end unoffered, so `fault_report` covers
+///   every whole stream), a catch-up drain closes whatever remains, and
+///   the state freezes into an [`IngestSession`].
 ///
 /// With [`FaultPlan::clean`] the session's series and classifications
 /// are byte-identical to batch ingestion of the same trace; under
@@ -177,7 +178,7 @@ pub fn drive_ingest<S: KbStore + ?Sized>(
                 // tick reports before the watermark moves, which
                 // decides whether its lane exists at a window close.
                 let tie = i64::from(stream.start == now);
-                stream.deliver_before(&mut ingestor, now + tie);
+                stream.deliver_before(&mut ingestor, now + tie, &mut fault_report);
             }
             let closes = ingestor.advance_watermark(time);
             publish(&ingestor, &closes);
@@ -188,7 +189,10 @@ pub fn drive_ingest<S: KbStore + ?Sized>(
     );
 
     for stream in &mut streams {
-        stream.deliver_before(&mut ingestor, end_minute + 1);
+        stream.deliver_before(&mut ingestor, end_minute + 1, &mut fault_report);
+        // Past the cut nothing is offered, but the ledger counts what
+        // the plan did to the whole stream.
+        while stream.wire.next_sample(&mut fault_report).is_some() {}
     }
     let final_closes = ingestor.drain(SimTime::from_minutes(end_minute));
     publish(&ingestor, &final_closes);

@@ -89,10 +89,10 @@ impl VmLane {
     fn reconstruct(&self, lo: usize, hi: usize) -> Option<UtilSeries> {
         let window = self.slots.get(lo..hi.min(self.sealed_upto))?;
         let first = window.iter().position(|&q| q != MISSING_SAMPLE_BYTE)?;
-        let last = window
-            .iter()
-            .rposition(|&q| q != MISSING_SAMPLE_BYTE)
-            .expect("a window with a first sample has a last");
+        let last = first
+            + window[first..]
+                .iter()
+                .rposition(|&q| q != MISSING_SAMPLE_BYTE)?;
         Some(UtilSeries::from_quantized(
             SimTime::from_minutes((lo + first) as i64 * SAMPLE_INTERVAL_MINUTES),
             window[first..=last].to_vec().into(),
@@ -217,7 +217,12 @@ impl IngestReport {
 /// the VM first reports and never grown — buffered and sealed samples live
 /// in the same array, told apart by the lane's seal cursor. Ahead of the
 /// watermark at most `watermark_delay / 5 + 1` of those slots are live
-/// (older offers drop, newer ones cannot exist yet).
+/// (older offers drop, newer ones cannot exist yet). [`drive_ingest`]
+/// adds O(1) per stream on top — a step-wise corruptor over the VM's
+/// shared series, never a buffered wire — so a drive's heap is the lanes
+/// plus a few hundred bytes per telemetry-bearing VM.
+///
+/// [`drive_ingest`]: crate::drive_ingest
 ///
 /// Lanes sit in a dense table indexed by [`VmId::as_usize`] — VM ids
 /// are the trace's dense indices — which grows to the largest id seen.

@@ -51,10 +51,12 @@
 //! only in `advance_watermark`, and lanes share no state), so each tick
 //! first delivers, VM by VM, the samples that came due at the monitor
 //! cadence since the previous one (content corrupted by a seeded
-//! [`FaultPlan`], cadence preserved), then advances the watermark; a
+//! [`FaultPlan`], a step at a time as it comes due, so no wire stream is
+//! ever materialised; cadence preserved), then advances the watermark; a
 //! final catch-up close ends the run. The outcome equals that of one
-//! simulator event per sample — the drive this replaced, kept as the
-//! test-only oracle in `src/reference.rs`. The end state
+//! simulator event per sample over an eagerly built wire — the drive
+//! this replaced, kept as the test-only oracle in `src/reference.rs`.
+//! The end state
 //! is an [`IngestSession`] — a [`TelemetrySource`] interchangeable with
 //! a resident [`Trace`](cloudscope_model::trace::Trace) or the
 //! out-of-core store, so every analysis that accepts a source runs

@@ -32,15 +32,10 @@ pub fn publish_closed_windows<S: KbStore + ?Sized>(
     retry: &RetryPolicy,
     stats: &mut PipelineStats,
 ) {
-    if closes.is_empty() {
+    let Some(updated_at) = closes.iter().map(|c| c.window_end).max() else {
         return;
-    }
+    };
     let _stage = cloudscope_obs::span("ingest.publish");
-    let updated_at = closes
-        .iter()
-        .map(|c| c.window_end)
-        .max()
-        .expect("non-empty closes");
     let subscriptions: Vec<SubscriptionId> = closes
         .iter()
         .filter_map(|c| trace.vm(c.vm).ok().map(|vm| vm.subscription))

@@ -1,24 +1,62 @@
 //! Test-only oracle for the tick-batched drive: the per-sample
-//! discrete-event drive it replaced.
+//! discrete-event drive it replaced, over an eagerly built wire.
 //!
-//! [`drive_per_sample`] schedules one `Deliver` event per wire sample
-//! on the `cloudscope-sim` calendar, next to the hourly watermark
-//! ticks, and lets the `(time, insertion order)` pop order decide what
-//! the ingestor sees when. It shares [`wire_streams`] (what is on the
-//! wire) with [`crate::drive_ingest`] but no line of its delivery loop,
-//! so equal outcomes are evidence that delivering in tick-bounded
-//! batches — tie rule and end-of-run cut included — is the same drive,
-//! not a tautology.
+//! [`drive_per_sample`] materialises every VM's whole corrupted wire
+//! stream up front ([`wire_streams`]), schedules one `Deliver` event per
+//! wire sample on the `cloudscope-sim` calendar, next to the hourly
+//! watermark ticks, and lets the `(time, insertion order)` pop order
+//! decide what the ingestor sees when. It shares no line of its delivery
+//! loop with [`crate::drive_ingest`], which generates each stream lazily
+//! as it comes due, so equal outcomes are evidence that delivering in
+//! tick-bounded batches — tie rule, corruptor lookahead and end-of-run
+//! cut included — is the same drive, not a tautology.
 
-use crate::drive::{end_minute, wire_streams, DriveOutcome, MAX_CLASSIFIED_VMS_PER_SUB};
+use crate::drive::{end_minute, DriveOutcome, MAX_CLASSIFIED_VMS_PER_SUB};
 use crate::ingestor::{IngestConfig, Ingestor};
 use crate::publish::publish_closed_windows;
 use cloudscope_analysis::PatternClassifier;
-use cloudscope_faults::{FaultPlan, FaultReport};
+use cloudscope_faults::{corrupt_wire_samples, FaultPlan, FaultReport, WireSample};
 use cloudscope_kb::{KbStore, PipelineStats, RetryPolicy};
 use cloudscope_model::prelude::*;
 use cloudscope_model::time::{MINUTES_PER_HOUR, SAMPLE_INTERVAL_MINUTES};
+use cloudscope_sim::rng::RngFactory;
 use cloudscope_sim::Simulation;
+
+/// One VM's whole wire stream: position `j` is due at `start` plus `j`
+/// sample intervals.
+struct WireStream {
+    vm: VmId,
+    start: i64,
+    wire: Vec<WireSample>,
+}
+
+/// Explodes every telemetry-bearing VM's series into its whole wire
+/// stream, corrupted under `plan` from the VM's own seeded RNG stream,
+/// in trace order. Streams the plan emptied are left out.
+fn wire_streams(
+    trace: &Trace,
+    plan: &FaultPlan,
+    fault_report: &mut FaultReport,
+) -> Vec<WireStream> {
+    let factory = RngFactory::new(plan.seed).child("faults");
+    let mut streams = Vec::new();
+    trace.for_each_vm(|vm, util| {
+        let Some(util) = util else {
+            return;
+        };
+        fault_report.vms += 1;
+        let mut rng = factory.indexed_stream("vm", vm.id.index());
+        let wire = corrupt_wire_samples(&util, vm.region, plan, &mut rng, fault_report);
+        if !wire.is_empty() {
+            streams.push(WireStream {
+                vm: vm.id,
+                start: util.start().minutes(),
+                wire,
+            });
+        }
+    });
+    streams
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Event {

@@ -25,6 +25,15 @@ if grep -rnE 'fn crc32|\.sync_all\(|fs::rename\(' crates/*/src \
   exit 1
 fi
 
+# The drive pulls each VM's wire from a step-wise corruptor as it comes
+# due; only the test oracle materialises a whole stream.
+echo "==> no materialised wire in ingest (crates/ingest/src/reference.rs only)"
+if grep -rn 'Vec<WireSample>' crates/ingest/src \
+  | grep -v '^crates/ingest/src/reference\.rs:'; then
+  echo "ERROR: pull samples from cloudscope_faults::WireCorruptor instead of a Vec<WireSample>" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
