@@ -1,62 +1,31 @@
-//! Benchmarks for the per-series analysis fast path: autocorrelation
-//! (naive oracle vs FFT), periodogram with and without the thread-local
-//! plan cache, and the end-to-end classification sweep. Results merge
-//! into `BENCH_analysis.json` at the repo root so the perf trajectory is
-//! tracked across PRs.
+//! Benchmark for the per-series analysis fast path: autocorrelation of
+//! a week of samples, naive oracle vs FFT. Results merge into
+//! `BENCH_analysis.json` at the repo root, where
+//! `scripts/bench_gates.json` bounds their ratio.
 
-use cloudscope::analysis::patterns::pattern_shares;
-use cloudscope::prelude::*;
 use cloudscope::timeseries::acf::{autocorrelation_fft, autocorrelation_naive};
-use cloudscope::timeseries::fft::{fft_in_place, next_power_of_two, periodogram, Complex};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::sync::OnceLock;
 
 /// Week of 5-minute samples, the series length every per-VM analysis sees.
 const WEEK_SAMPLES: usize = 2016;
 
-fn week_signal() -> &'static Vec<f64> {
-    static SIGNAL: OnceLock<Vec<f64>> = OnceLock::new();
-    SIGNAL.get_or_init(|| {
-        // Daily sine + weekly trend + deterministic hash noise: enough
-        // structure to exercise every ACF lag without a flat spectrum.
-        (0..WEEK_SAMPLES)
-            .map(|i| {
-                let t = i as f64;
-                let daily = (std::f64::consts::TAU * t / 288.0).sin() * 20.0;
-                let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = z ^ (z >> 31);
-                50.0 + daily + 0.002 * t + (z % 1000) as f64 / 250.0
-            })
-            .collect()
-    })
-}
-
-fn generated() -> &'static GeneratedTrace {
-    static TRACE: OnceLock<GeneratedTrace> = OnceLock::new();
-    TRACE.get_or_init(|| generate(&GeneratorConfig::medium(7777)))
-}
-
-/// The periodogram as it was before the plan cache: a fresh buffer and a
-/// from-scratch transform (twiddles recomputed stage by stage) per call.
-fn periodogram_uncached(signal: &[f64]) -> (Vec<f64>, usize) {
-    let mean = signal.iter().sum::<f64>() / signal.len() as f64;
-    let n = next_power_of_two(signal.len());
-    let mut buf = vec![Complex::default(); n];
-    for (slot, &v) in buf.iter_mut().zip(signal) {
-        *slot = Complex::new(v - mean, 0.0);
-    }
-    fft_in_place(&mut buf).expect("power of two");
-    let power = buf[..n / 2]
-        .iter()
-        .map(|c| c.norm_sq() / n as f64)
-        .collect();
-    (power, n)
+/// Daily sine + weekly trend + deterministic hash noise: enough
+/// structure to exercise every ACF lag without a flat spectrum.
+fn week_signal() -> Vec<f64> {
+    (0..WEEK_SAMPLES)
+        .map(|i| {
+            let t = i as f64;
+            let daily = (std::f64::consts::TAU * t / 288.0).sin() * 20.0;
+            let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = z ^ (z >> 31);
+            50.0 + daily + 0.002 * t + (z % 1000) as f64 / 250.0
+        })
+        .collect()
 }
 
 fn bench_autocorrelation(c: &mut Criterion) {
-    // First group to run: point the harness at the repo-root JSON file.
     c.json_output(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_analysis.json"
@@ -66,46 +35,13 @@ fn bench_autocorrelation(c: &mut Criterion) {
     let mut group = c.benchmark_group("autocorrelation");
     group.sample_size(20);
     group.bench_function("naive/2016", |b| {
-        b.iter(|| autocorrelation_naive(black_box(signal), max_lag).unwrap());
+        b.iter(|| autocorrelation_naive(black_box(&signal), max_lag).unwrap());
     });
     group.bench_function("fft/2016", |b| {
-        b.iter(|| autocorrelation_fft(black_box(signal), max_lag).unwrap());
+        b.iter(|| autocorrelation_fft(black_box(&signal), max_lag).unwrap());
     });
     group.finish();
 }
 
-fn bench_periodogram(c: &mut Criterion) {
-    let signal = week_signal();
-    let mut group = c.benchmark_group("periodogram");
-    group.sample_size(20);
-    group.bench_function("uncached/2016", |b| {
-        b.iter(|| periodogram_uncached(black_box(signal)));
-    });
-    group.bench_function("cached/2016", |b| {
-        b.iter(|| periodogram(black_box(signal)).unwrap());
-    });
-    group.finish();
-}
-
-fn bench_classify_sweep(c: &mut Criterion) {
-    let g = generated();
-    let classifier = PatternClassifier::default();
-    let mut group = c.benchmark_group("classify_trace");
-    group.sample_size(10);
-    group.bench_function("sweep_200_vms_per_cloud", |b| {
-        b.iter(|| {
-            for cloud in CloudKind::BOTH {
-                pattern_shares(black_box(&g.trace), cloud, &classifier, 200).unwrap();
-            }
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    analysis,
-    bench_autocorrelation,
-    bench_periodogram,
-    bench_classify_sweep
-);
+criterion_group!(analysis, bench_autocorrelation);
 criterion_main!(analysis);

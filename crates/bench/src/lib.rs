@@ -1,9 +1,10 @@
 //! # cloudscope-bench
 //!
-//! Criterion benchmarks: `figures` regenerates every evaluation artifact
-//! of the paper (one group per figure plus the pilot and the
-//! over-subscription sweep); `engine` micro-benchmarks the substrates
-//! (allocator, statistics kernels, FFT, generation).
+//! Criterion benches, one per engine (`analysis`, `kb`, `tracegen`,
+//! `store`, `ingest`). Each writes the few rows that
+//! `scripts/bench_gates.json` bounds into its `BENCH_<name>.json` at
+//! the repo root; the end-to-end cost of a whole run is the
+//! `benchmark/` crate's job. This library is empty.
 //!
 //! Run with `cargo bench -p cloudscope-bench`.
 

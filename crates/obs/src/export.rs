@@ -1,24 +1,17 @@
-//! Snapshot serialization: a restricted JSON document for tooling and
-//! the Prometheus text exposition format for dashboards.
-//!
-//! Both formats come with parsers so snapshots round-trip exactly —
-//! tests and `scripts/check.sh` rely on `parse_json(to_json(s)) == s`
-//! and `parse_prometheus(to_prometheus(s)) == s`.
-//!
-//! Prometheus metric names cannot contain dots, so the exporter writes a
-//! `# NAME <dotted.name>` comment before each family; the parser uses it
-//! to recover the canonical dotted name losslessly.
+//! Snapshot serialization: a restricted JSON document, with a parser
+//! so snapshots round-trip exactly — tests and `scripts/check.sh` rely
+//! on `parse_json(to_json(s)) == s`.
 
 use crate::snapshot::{HistogramSnapshot, MetricValue, Snapshot};
 use std::fmt::Write as _;
 
-/// Error produced by the snapshot parsers: a message plus the byte
-/// offset (JSON) or line number (Prometheus) where parsing failed.
+/// Error produced by the snapshot parser: a message plus the byte
+/// offset where parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Human-readable description of what went wrong.
     pub message: String,
-    /// Byte offset (JSON) or 1-based line number (Prometheus).
+    /// Byte offset into the document.
     pub position: usize,
 }
 
@@ -409,162 +402,6 @@ pub fn parse_json(text: &str) -> Result<Snapshot, ParseError> {
     Ok(snapshot)
 }
 
-/// Maps a dotted metric name onto the Prometheus name charset
-/// (`[a-zA-Z0-9_:]`).
-fn prometheus_name(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-/// Serializes a snapshot in the Prometheus text exposition format.
-/// Histograms become cumulative `_bucket{le="..."}` series plus `_sum`
-/// and `_count`; a `# NAME` comment preserves the dotted name.
-#[must_use]
-pub fn to_prometheus(snapshot: &Snapshot) -> String {
-    let mut out = String::new();
-    for (name, value) in &snapshot.metrics {
-        let flat = prometheus_name(name);
-        let _ = writeln!(out, "# NAME {name}");
-        let _ = writeln!(out, "# TYPE {flat} {}", value.kind());
-        match value {
-            MetricValue::Counter(v) => {
-                let _ = writeln!(out, "{flat} {v}");
-            }
-            MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "{flat} {}", format_f64(*v));
-            }
-            MetricValue::Histogram(h) => {
-                let mut cumulative = 0u64;
-                for (bound, n) in &h.buckets {
-                    cumulative += n;
-                    let _ = writeln!(out, "{flat}_bucket{{le=\"{bound}\"}} {cumulative}");
-                }
-                let _ = writeln!(out, "{flat}_bucket{{le=\"+Inf\"}} {cumulative}");
-                let _ = writeln!(out, "{flat}_sum {}", h.sum);
-                let _ = writeln!(out, "{flat}_count {}", h.count);
-            }
-        }
-    }
-    out
-}
-
-/// Parses text produced by [`to_prometheus`] back into a [`Snapshot`],
-/// recovering dotted names from the `# NAME` comments and
-/// de-accumulating the cumulative bucket series.
-pub fn parse_prometheus(text: &str) -> Result<Snapshot, ParseError> {
-    let mut snapshot = Snapshot::new();
-    let mut lines = text.lines().enumerate().peekable();
-    while let Some((line_no, line)) = lines.next() {
-        let err = |message: String| ParseError {
-            message,
-            position: line_no + 1,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Some(dotted) = line.strip_prefix("# NAME ") else {
-            return Err(err(format!("expected '# NAME', got: {line}")));
-        };
-        let dotted = dotted.trim().to_owned();
-        let Some((_, type_line)) = lines.next() else {
-            return Err(err("missing # TYPE line".into()));
-        };
-        let kind = type_line
-            .strip_prefix("# TYPE ")
-            .and_then(|rest| rest.split_whitespace().nth(1))
-            .ok_or_else(|| err(format!("bad # TYPE line: {type_line}")))?;
-        match kind {
-            "counter" | "gauge" => {
-                let Some((vline_no, vline)) = lines.next() else {
-                    return Err(err("missing value line".into()));
-                };
-                let raw = vline
-                    .split_whitespace()
-                    .nth(1)
-                    .ok_or_else(|| err(format!("bad value line: {vline}")))?;
-                let value = if kind == "counter" {
-                    MetricValue::Counter(raw.parse().map_err(|_| ParseError {
-                        message: format!("bad counter value: {raw}"),
-                        position: vline_no + 1,
-                    })?)
-                } else {
-                    MetricValue::Gauge(raw.parse().map_err(|_| ParseError {
-                        message: format!("bad gauge value: {raw}"),
-                        position: vline_no + 1,
-                    })?)
-                };
-                snapshot.metrics.insert(dotted, value);
-            }
-            "histogram" => {
-                let mut buckets: Vec<(u64, u64)> = Vec::new();
-                let mut prev_cumulative = 0u64;
-                let mut sum = None;
-                let mut count = None;
-                while let Some(&(hline_no, hline)) = lines.peek() {
-                    if hline.starts_with('#') {
-                        break;
-                    }
-                    lines.next();
-                    let mut parts = hline.split_whitespace();
-                    let (series, raw) = match (parts.next(), parts.next()) {
-                        (Some(s), Some(r)) => (s, r),
-                        _ => {
-                            return Err(ParseError {
-                                message: format!("bad histogram line: {hline}"),
-                                position: hline_no + 1,
-                            })
-                        }
-                    };
-                    let herr = |message: String| ParseError {
-                        message,
-                        position: hline_no + 1,
-                    };
-                    if let Some(le) = series
-                        .split_once("_bucket{le=\"")
-                        .map(|(_, rest)| rest.trim_end_matches("\"}"))
-                    {
-                        let cumulative: u64 = raw
-                            .parse()
-                            .map_err(|_| herr(format!("bad bucket count: {raw}")))?;
-                        if le != "+Inf" {
-                            let bound: u64 = le
-                                .parse()
-                                .map_err(|_| herr(format!("bad bucket bound: {le}")))?;
-                            let n = cumulative
-                                .checked_sub(prev_cumulative)
-                                .ok_or_else(|| herr("bucket counts must be cumulative".into()))?;
-                            if n > 0 {
-                                buckets.push((bound, n));
-                            }
-                        }
-                        prev_cumulative = cumulative;
-                    } else if series.ends_with("_sum") {
-                        sum = Some(raw.parse().map_err(|_| herr(format!("bad sum: {raw}")))?);
-                    } else if series.ends_with("_count") {
-                        count = Some(raw.parse().map_err(|_| herr(format!("bad count: {raw}")))?);
-                    } else {
-                        return Err(herr(format!("unexpected histogram series: {series}")));
-                    }
-                }
-                let (Some(sum), Some(count)) = (sum, count) else {
-                    return Err(err(format!("histogram {dotted} missing _sum/_count")));
-                };
-                snapshot.metrics.insert(
-                    dotted,
-                    MetricValue::Histogram(HistogramSnapshot {
-                        count,
-                        sum,
-                        buckets,
-                    }),
-                );
-            }
-            other => return Err(err(format!("unknown metric type: {other}"))),
-        }
-    }
-    Ok(snapshot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,37 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_round_trip_is_exact() {
-        let snap = sample_snapshot();
-        let text = to_prometheus(&snap);
-        let back = parse_prometheus(&text).expect("parses");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn prometheus_buckets_are_cumulative() {
-        let reg = Registry::new();
-        let h = reg.histogram("h");
-        h.observe(1);
-        h.observe(1);
-        h.observe(100);
-        let text = to_prometheus(&reg.snapshot());
-        assert!(text.contains("h_bucket{le=\"1\"} 2"), "{text}");
-        assert!(text.contains("h_bucket{le=\"127\"} 3"), "{text}");
-        assert!(text.contains("h_bucket{le=\"+Inf\"} 3"), "{text}");
-    }
-
-    #[test]
-    fn gauge_values_round_trip_through_both_formats() {
+    fn gauge_values_round_trip_through_json() {
         for v in [0.0, -1.5, 1.0 / 3.0, 1e300, f64::MIN_POSITIVE] {
             let reg = Registry::new();
             reg.gauge("g").set(v);
             let snap = reg.snapshot();
             assert_eq!(parse_json(&to_json(&snap)).unwrap().gauge("g"), Some(v));
-            assert_eq!(
-                parse_prometheus(&to_prometheus(&snap)).unwrap().gauge("g"),
-                Some(v)
-            );
         }
     }
 

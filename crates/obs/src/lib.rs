@@ -6,10 +6,12 @@
 //! - [`Span`] — hierarchical wall-clock timers recording into
 //!   `<path>.duration_ns` histograms.
 //! - [`Snapshot`] — deterministic point-in-time copies with `diff`.
-//! - [`to_json`] / [`to_prometheus`] — serializers, each paired with a
-//!   parser so snapshots round-trip exactly.
+//! - [`to_json`] / [`parse_json`] — a serializer and its parser;
+//!   snapshots round-trip exactly.
 //! - [`Schema`] — committed name/kind sets for CI validation.
 //! - [`testing`] — assertion helpers for metrics-driven tests.
+//! - [`heap`] — the counting global allocator test binaries install to
+//!   pin peak live heap and allocation counts.
 //!
 //! # Which registry do updates go to?
 //!
@@ -24,13 +26,14 @@
 //! `faults.corrupt.samples_dropped`.
 
 mod export;
+pub mod heap;
 mod registry;
 mod schema;
 mod snapshot;
 mod span;
 pub mod testing;
 
-pub use export::{parse_json, parse_prometheus, to_json, to_prometheus, ParseError};
+pub use export::{parse_json, to_json, ParseError};
 pub use registry::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS,
 };

@@ -34,6 +34,15 @@ if grep -rn 'Vec<WireSample>' crates/ingest/src \
   exit 1
 fi
 
+# One counting allocator: heap and allocation claims are tests that
+# install cloudscope_obs::heap::CountingAlloc, never a private copy.
+echo "==> one counting allocator (crates/obs/src/heap.rs)"
+if grep -rn 'unsafe impl GlobalAlloc' crates tests \
+  | grep -v '^crates/obs/src/heap\.rs:'; then
+  echo "ERROR: install cloudscope_obs::heap::CountingAlloc instead of another GlobalAlloc" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -75,7 +84,7 @@ cargo run --release --manifest-path benchmark/Cargo.toml -- all --smoke
 cargo test --release --manifest-path benchmark/Cargo.toml
 
 # Bench smoke + gates, as data: which bench writes which BENCH_*.json,
-# the rows it must contain, and the ratios re-derived from them.
+# the rows it writes, and every bound on them.
 python3 scripts/bench_gates.py | tee "$ARTIFACTS_DIR/bench_gates.log"
 gates=$(tail -n 1 "$ARTIFACTS_DIR/bench_gates.log")
 

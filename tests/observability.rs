@@ -21,9 +21,7 @@ use cloudscope::mgmt::{
     OversubPlanner, RemainingLifetimePredictor, SpotMixPolicy, VmDemand,
 };
 use cloudscope::obs::testing::{assert_counter_eq, snapshot_diff};
-use cloudscope::obs::{
-    parse_json, parse_prometheus, to_json, to_prometheus, Registry, Schema, Snapshot,
-};
+use cloudscope::obs::{parse_json, to_json, Registry, Schema, Snapshot};
 use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
 use cloudscope::timeseries::{fft, Series};
@@ -534,8 +532,9 @@ fn report_spans_fire_once_per_analysis() {
     }
 }
 
-/// Both exporters round-trip a genuinely populated snapshot — counters,
-/// negative/fractional gauges, and multi-bucket histograms — exactly.
+/// The JSON exporter round-trips a genuinely populated snapshot —
+/// counters, negative/fractional gauges, and multi-bucket histograms —
+/// exactly.
 #[test]
 fn exporters_round_trip_a_populated_snapshot() {
     let registry = Arc::new(Registry::new());
@@ -558,8 +557,6 @@ fn exporters_round_trip_a_populated_snapshot() {
 
     let via_json = parse_json(&to_json(&snapshot)).expect("JSON parses");
     assert_eq!(via_json, snapshot, "JSON round-trip must be exact");
-    let via_prom = parse_prometheus(&to_prometheus(&snapshot)).expect("Prometheus parses");
-    assert_eq!(via_prom, snapshot, "Prometheus round-trip must be exact");
 }
 
 /// Runs every instrumented subsystem once inside one scoped registry,
