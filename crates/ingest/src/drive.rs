@@ -93,7 +93,8 @@ pub(crate) fn end_minute(config: &IngestConfig) -> i64 {
 /// The result of one driven ingestion run.
 #[derive(Debug)]
 pub struct DriveOutcome {
-    /// Frozen end state (a [`TelemetrySource`] over the streamed data).
+    /// End state: the lane table (a [`TelemetrySource`] over the
+    /// streamed data).
     ///
     /// [`TelemetrySource`]: cloudscope_model::trace::TelemetrySource
     pub session: IngestSession,
@@ -130,7 +131,7 @@ pub struct DriveOutcome {
 ///   delivered (a stream that duplication stretched past it is cut
 ///   there, and then run to its end unoffered, so `fault_report` covers
 ///   every whole stream), a catch-up drain closes whatever remains, and
-///   the state freezes into an [`IngestSession`].
+///   the ingestor hands its lane table over as the [`IngestSession`].
 ///
 /// With [`FaultPlan::clean`] the session's series and classifications
 /// are byte-identical to batch ingestion of the same trace; under
@@ -159,10 +160,9 @@ pub fn drive_ingest<S: KbStore + ?Sized>(
     let mut publish = |ingestor: &Ingestor, closes: &[WindowClose]| {
         publish_closed_windows(
             trace,
-            ingestor,
+            ingestor.session(),
             closes,
             store,
-            classifier,
             MAX_CLASSIFIED_VMS_PER_SUB,
             &retry,
             &mut pipeline_stats,

@@ -27,23 +27,22 @@
 //!    arriving for an already-sealed slot is counted in `dropped_late`
 //!    — never silently applied.
 //! 3. **Close** — when the watermark crosses a window boundary, every
-//!    lane counts its sealed bytes by level
-//!    ([`LevelCounts`](cloudscope_model::telemetry::LevelCounts)) for
-//!    the exact mean and p95, reconstructs its window as a
-//!    gap-preserving series, computes the masked daily autocorrelation,
-//!    and re-runs the batch [`PatternClassifier`] on it — lanes share
+//!    lane re-runs the batch [`PatternClassifier`] on its whole sealed
+//!    history, the series batch extraction would classify: the window
+//!    length sets how often this happens, not what it sees. Lanes share
 //!    nothing, so this runs on every worker. Because sealed state is
 //!    byte-identical to what the batch collector would have assembled
 //!    from the same stream, streaming classification *converges to the
 //!    batch classifier output exactly* on clean data; under faults the
 //!    divergence is bounded and fully accounted for by reported drops.
-//! 4. **Publish** — [`publish_closed_windows`] re-extracts
-//!    [`WorkloadKnowledge`](cloudscope_kb::WorkloadKnowledge) for the
-//!    affected subscriptions from the live window state (in parallel,
-//!    one subscription per task) and feeds it, in subscription order,
-//!    through [`cloudscope_kb::publish_batch`] — the identical
-//!    `try_feed` + retry-ledger path, so a durable KB's WAL semantics
-//!    apply unchanged.
+//! 4. **Publish** — the affected subscriptions'
+//!    [`WorkloadKnowledge`](cloudscope_kb::WorkloadKnowledge) is
+//!    re-extracted from the sealed lanes (in parallel, one subscription
+//!    per task) through the batch aggregation, voting with the patterns
+//!    the close just computed — no VM is classified twice — and fed, in
+//!    subscription order, through [`cloudscope_kb::publish_batch`]: the
+//!    identical `try_feed` + retry-ledger path, so a durable KB's WAL
+//!    semantics apply unchanged.
 //!
 //! [`drive_ingest`] wires the stages to the discrete-event clock of
 //! `cloudscope-sim`. The only events are the hourly watermark ticks:
@@ -57,10 +56,11 @@
 //! simulator event per sample over an eagerly built wire — the drive
 //! this replaced, kept as the test-only oracle in `src/reference.rs`.
 //! The end state
-//! is an [`IngestSession`] — a [`TelemetrySource`] interchangeable with
-//! a resident [`Trace`](cloudscope_model::trace::Trace) or the
-//! out-of-core store, so every analysis that accepts a source runs
-//! unmodified over streamed telemetry.
+//! is the lane table itself, an [`IngestSession`]: a [`TelemetrySource`]
+//! interchangeable with a resident
+//! [`Trace`](cloudscope_model::trace::Trace) or the out-of-core store, so
+//! every analysis that accepts a source runs unmodified over streamed
+//! telemetry.
 //!
 //! ## Example
 //! ```no_run
@@ -99,12 +99,11 @@
 
 pub mod drive;
 pub mod ingestor;
-pub mod publish;
+mod publish;
 #[cfg(test)]
 mod reference;
 pub mod session;
 
 pub use drive::{drive_ingest, DriveOutcome, IngestEvent};
 pub use ingestor::{IngestConfig, IngestReport, Ingestor, WindowClose};
-pub use publish::publish_closed_windows;
 pub use session::IngestSession;

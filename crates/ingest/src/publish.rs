@@ -2,32 +2,30 @@
 //! the extraction pipeline's own batched write path.
 
 use crate::ingestor::WindowClose;
-use cloudscope_analysis::PatternClassifier;
+use crate::session::IngestSession;
 use cloudscope_kb::{
     extract_subscription_knowledge_from, publish_batch, KbStore, Parallelism, PipelineStats,
     RetryPolicy, WorkloadKnowledge,
 };
 use cloudscope_model::prelude::*;
-use cloudscope_model::trace::TelemetrySource;
 use std::collections::BTreeSet;
 
 /// Re-extracts [`WorkloadKnowledge`] for every subscription touched by
-/// `closes` — reading telemetry from `source`, the live window state —
-/// and publishes it as one batch through [`cloudscope_kb::publish_batch`]
+/// `closes` — reading telemetry from `lanes`, the state the close just
+/// sealed, and voting with the patterns the close just classified — and
+/// publishes it as one batch through [`cloudscope_kb::publish_batch`]
 /// (a single `try_feed` plus the bounded retry ledger), so a durable
 /// store's WAL semantics apply to streamed refreshes exactly as they do
 /// to batch extraction sweeps. Entries are stamped with each window's
 /// close time, letting the KB's staleness gate order refreshes.
 ///
 /// `trace` supplies only the metadata (ownership, sizes, lifetimes);
-/// all samples come from `source`.
-#[allow(clippy::too_many_arguments)]
-pub fn publish_closed_windows<S: KbStore + ?Sized>(
+/// all samples and patterns come from `lanes`.
+pub(crate) fn publish_closed_windows<S: KbStore + ?Sized>(
     trace: &Trace,
-    source: &(impl TelemetrySource + ?Sized),
+    lanes: &IngestSession,
     closes: &[WindowClose],
     store: &S,
-    classifier: &PatternClassifier,
     max_classified_vms_per_sub: usize,
     retry: &RetryPolicy,
     stats: &mut PipelineStats,
@@ -42,14 +40,14 @@ pub fn publish_closed_windows<S: KbStore + ?Sized>(
         .collect::<BTreeSet<_>>()
         .into_iter()
         .collect();
-    // Subscriptions are independent reads of `source`: extract on every
+    // Subscriptions are independent reads of `lanes`: extract on every
     // worker, publish in subscription order.
     let extracted = Parallelism::auto().par_map(&subscriptions, |&sub| {
         extract_subscription_knowledge_from(
             trace,
-            source,
+            lanes,
             sub,
-            classifier,
+            |vm, _| lanes.pattern(vm),
             max_classified_vms_per_sub,
             None,
             updated_at,

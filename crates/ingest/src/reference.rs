@@ -97,10 +97,9 @@ fn drive_per_sample<S: KbStore + ?Sized>(
     let mut publish = |ingestor: &Ingestor, closes: &[crate::WindowClose]| {
         publish_closed_windows(
             trace,
-            ingestor,
+            ingestor.session(),
             closes,
             store,
-            classifier,
             MAX_CLASSIFIED_VMS_PER_SUB,
             &retry,
             &mut pipeline_stats,

@@ -227,6 +227,80 @@ fn ingest_metrics_flush_under_a_scoped_registry() {
 }
 
 #[test]
+fn a_window_shorter_than_the_classifier_minimum_still_classifies() {
+    use cloudscope_model::time::MINUTES_PER_DAY;
+
+    let g = generate(&GeneratorConfig::small(41));
+    let classifier = PatternClassifier::default();
+    let config = IngestConfig {
+        window_minutes: MINUTES_PER_DAY,
+        ..IngestConfig::default()
+    };
+    let kb = KnowledgeBase::new();
+    let outcome = drive_ingest(&g.trace, &FaultPlan::clean(41), &config, &classifier, &kb);
+    let session = &outcome.session;
+
+    // A close classifies the lane's whole sealed history, so a one-day
+    // window (shorter than the classifier's three-day minimum) ends on
+    // the batch classification, not on a day too short to classify.
+    let mut classified = 0;
+    for vm in g.trace.vms() {
+        let batch = g
+            .trace
+            .util(vm.id)
+            .and_then(|util| classifier.classify_util(&util));
+        assert_eq!(session.pattern(vm.id), batch, "vm {}", vm.id);
+        classified += usize::from(batch.is_some());
+    }
+    assert!(classified > 100, "only {classified} VMs classified");
+    assert!(session.report().windows_closed > session.report().vms as u64);
+
+    // The last daily close falls on week end, so the KB ends on the
+    // batch entries too.
+    for sub in g.trace.subscriptions() {
+        if let Some(entry) = kb.get(sub.id) {
+            let batch =
+                extract_subscription_knowledge(&g.trace, sub.id, &classifier, MAX_CLASSIFIED, None);
+            assert_eq!(Some(entry), batch, "subscription {}", sub.id);
+        }
+    }
+    assert!(!kb.is_empty());
+}
+
+#[test]
+fn each_lane_is_classified_once_per_close() {
+    use cloudscope_obs::testing::snapshot_diff;
+    use std::sync::Arc;
+
+    let g = generate(&GeneratorConfig::small(46));
+    let registry = Arc::new(cloudscope_obs::Registry::new());
+    let (outcome, diff) = snapshot_diff(&registry, || {
+        drive_ingest(
+            &g.trace,
+            &FaultPlan::clean(46),
+            &IngestConfig::default(),
+            &PatternClassifier::default(),
+            &KnowledgeBase::new(),
+        )
+    });
+    // Every classifier call lands in exactly one of these counters.
+    let calls: u64 = ["dense_dispatch", "masked_dispatch", "coverage_rejections"]
+        .iter()
+        .map(|name| {
+            diff.counter(&format!("analysis.classify.{name}"))
+                .unwrap_or(0)
+        })
+        .sum();
+    // On a clean drive every closed lane holds sealed samples, so each
+    // close is one classifier call per lane: publication votes with the
+    // close's patterns and classifies nothing itself.
+    let report = outcome.session.report();
+    assert!(report.windows_closed > 0);
+    assert!(diff.counter("kb.pipeline.batches").unwrap_or(0) >= 1);
+    assert_eq!(calls, report.windows_closed);
+}
+
+#[test]
 fn session_slots_into_generic_analyses() {
     let g = generate(&GeneratorConfig::small(45));
     let classifier = PatternClassifier::default();

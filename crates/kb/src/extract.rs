@@ -17,6 +17,16 @@ const MOSTLY_LONG_THRESHOLD: f64 = 0.2;
 /// Cross-region correlation above which a workload is region-agnostic.
 const REGION_AGNOSTIC_THRESHOLD: f64 = 0.8;
 
+/// `pattern`'s index in [`UtilizationPattern::ALL`] (Figure 5 order).
+const fn figure5_rank(pattern: UtilizationPattern) -> usize {
+    match pattern {
+        UtilizationPattern::Diurnal => 0,
+        UtilizationPattern::Stable => 1,
+        UtilizationPattern::Irregular => 2,
+        UtilizationPattern::HourlyPeak => 3,
+    }
+}
+
 /// Extracts knowledge for every subscription of `cloud` in the trace.
 ///
 /// `max_classified_vms_per_sub` caps the pattern-classification work per
@@ -70,7 +80,7 @@ pub fn extract_subscription_knowledge(
         trace,
         trace,
         subscription,
-        classifier,
+        |_, util| classifier.classify_util(util),
         max_classified_vms,
         region_agnostic,
         SimTime::WEEK_END,
@@ -79,16 +89,18 @@ pub fn extract_subscription_knowledge(
 
 /// [`extract_subscription_knowledge`] with telemetry decoupled from VM
 /// metadata: `trace` supplies the subscription's population, `source`
-/// the samples, and `updated_at` stamps the entry — the batch path
-/// passes week-end, a streaming producer passes its window-close time so
-/// the KB's staleness gate orders refreshes correctly.
+/// the samples, `vote` each voting VM's pattern given its series, and
+/// `updated_at` stamps the entry — the batch path classifies and passes
+/// week-end; a streaming producer votes with the patterns its window
+/// close already computed from the same series and passes the close
+/// time, so the KB's staleness gate orders refreshes correctly.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn extract_subscription_knowledge_from(
     trace: &Trace,
     source: &(impl TelemetrySource + ?Sized),
     subscription: SubscriptionId,
-    classifier: &PatternClassifier,
+    vote: impl Fn(VmId, &UtilSeries) -> Option<UtilizationPattern>,
     max_classified_vms: usize,
     region_agnostic: Option<bool>,
     updated_at: SimTime,
@@ -123,10 +135,9 @@ pub fn extract_subscription_knowledge_from(
     }
 
     // One ascending scan serves the aggregate, the level counts and the
-    // classifier: each series is in hand exactly once. The dominant
-    // pattern is a majority vote over the first `max_classified_vms`
-    // VMs; ties break deterministically in Figure 5 order (diurnal
-    // first).
+    // vote: each series is in hand exactly once. The dominant pattern is
+    // a majority vote over the first `max_classified_vms` VMs; ties
+    // break deterministically in Figure 5 order (diurnal first).
     let classify_before = vm_ids.get(max_classified_vms).copied();
     let mut votes = [0usize; UtilizationPattern::ALL.len()];
     source.scan(vm_ids, &mut |vm_id, util| {
@@ -141,12 +152,8 @@ pub fn extract_subscription_knowledge_from(
             *n += present;
         }
         if classify_before.is_none_or(|end| vm_id < end) {
-            if let Some(p) = classifier.classify_util(&util) {
-                let idx = UtilizationPattern::ALL
-                    .iter()
-                    .position(|&q| q == p)
-                    .expect("pattern in ALL");
-                votes[idx] += 1;
+            if let Some(p) = vote(vm_id, &util) {
+                votes[figure5_rank(p)] += 1;
             }
         }
     });
@@ -303,6 +310,13 @@ mod tests {
     }
 
     #[test]
+    fn figure5_rank_is_the_index_in_all() {
+        for (rank, &pattern) in UtilizationPattern::ALL.iter().enumerate() {
+            assert_eq!(figure5_rank(pattern), rank, "{pattern}");
+        }
+    }
+
+    #[test]
     fn level_counts_change_nothing_but_make_p95_exact() {
         let classifier = PatternClassifier::default();
         for seed in [31, 32] {
@@ -352,7 +366,7 @@ mod tests {
                 &g.trace,
                 &Backwards(&g.trace),
                 sub.id,
-                &classifier,
+                |_, util| classifier.classify_util(util),
                 3,
                 None,
                 SimTime::WEEK_END,
@@ -404,7 +418,7 @@ mod tests {
             &g.trace,
             &source,
             sub,
-            &PatternClassifier::default(),
+            |_, _| None,
             0,
             None,
             SimTime::WEEK_END,

@@ -210,7 +210,7 @@ pub fn run_extraction_pipeline_with<S: KbStore + ?Sized>(
                         trace,
                         &gathered,
                         sub,
-                        classifier,
+                        |_, util| classifier.classify_util(util),
                         max_classified_vms_per_sub,
                         None,
                         SimTime::WEEK_END,

@@ -34,6 +34,15 @@ if grep -rn 'Vec<WireSample>' crates/ingest/src \
   exit 1
 fi
 
+# A window close classifies each lane once; publication votes with the
+# close's patterns, so nothing else in the ingest crate classifies.
+echo "==> ingest classifies only at the window close (crates/ingest/src/ingestor.rs only)"
+if grep -rn '\.classify_' crates/ingest/src \
+  | grep -v '^crates/ingest/src/ingestor\.rs:'; then
+  echo "ERROR: vote with the lanes' close-time patterns instead of classifying again" >&2
+  exit 1
+fi
+
 # One counting allocator: heap and allocation claims are tests that
 # install cloudscope_obs::heap::CountingAlloc, never a private copy.
 echo "==> one counting allocator (crates/obs/src/heap.rs)"
