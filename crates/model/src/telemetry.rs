@@ -29,11 +29,18 @@ const MISSING_SAMPLE: u8 = u8::MAX;
 /// — [`UtilSeries::from_percentages`] applies it per sample, and a
 /// streaming ingester that quantizes at arrival must use it too, so that
 /// its window state is byte-identical to a batch-built series.
+///
+/// Rounding is half away from zero, as `f32::round`, but without its
+/// libm call (baseline x86-64 has no rounding instruction): for
+/// `0 ≤ y ≤ 200`, `y − trunc(y)` is exact, so rounding up exactly when
+/// that fraction is at least ½ is `y.round()`.
+#[inline]
 #[must_use]
 pub fn quantize_percentage(v: f32) -> u8 {
     if v.is_finite() {
-        let clamped = v.clamp(0.0, MAX_UTILIZATION_PCT);
-        (clamped * QUANT_STEPS_PER_PERCENT).round() as u8
+        let y = v.clamp(0.0, MAX_UTILIZATION_PCT) * QUANT_STEPS_PER_PERCENT;
+        let whole = y as u8;
+        whole + u8::from(y - f32::from(whole) >= 0.5)
     } else {
         MISSING_SAMPLE
     }
@@ -76,6 +83,19 @@ impl UtilSeries {
         Self {
             start,
             samples: Bytes::from(samples),
+        }
+    }
+
+    /// Builds a series from stored levels a producer has already
+    /// quantized with [`quantize_percentage`] — the same series
+    /// [`UtilSeries::from_percentages`] builds from the values, and
+    /// counted like it under `model.telemetry.series_created`.
+    #[must_use]
+    pub fn from_levels(start: SimTime, levels: Vec<u8>) -> Self {
+        cloudscope_obs::counter("model.telemetry.series_created").inc();
+        Self {
+            start,
+            samples: Bytes::from(levels),
         }
     }
 
@@ -414,6 +434,65 @@ pub fn average_series(series: &[&UtilSeries]) -> Result<UtilSeries, ModelError> 
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
+
+    /// The quantization as first written, through libm `roundf`.
+    fn quantize_with_roundf(v: f32) -> u8 {
+        if v.is_finite() {
+            (v.clamp(0.0, MAX_UTILIZATION_PCT) * QUANT_STEPS_PER_PERCENT).round() as u8
+        } else {
+            MISSING_SAMPLE
+        }
+    }
+
+    #[test]
+    fn quantize_equals_roundf_around_every_half_step_edge() {
+        // 2v = k + ½ for k in 0..=200: 0.25, 0.75, …, 100.25.
+        for k in 0..=200u16 {
+            let edge = (f32::from(k) + 0.5) / QUANT_STEPS_PER_PERCENT;
+            for offset in -4096i32..=4096 {
+                let v = f32::from_bits(edge.to_bits().wrapping_add_signed(offset));
+                assert_eq!(quantize_percentage(v), quantize_with_roundf(v), "{v:e}");
+            }
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            100.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            1e30,
+            -1e30,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for v in specials {
+            assert_eq!(quantize_percentage(v), quantize_with_roundf(v), "{v:e}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn quantize_equals_roundf_on_any_bit_pattern(bits in any::<u32>()) {
+            let v = f32::from_bits(bits);
+            prop_assert_eq!(quantize_percentage(v), quantize_with_roundf(v));
+        }
+    }
+
+    #[test]
+    fn levels_build_the_series_their_values_build() {
+        let values = [0.0, 12.3, f32::NAN, 99.9, 250.0];
+        let levels = values.iter().map(|&v| quantize_percentage(v)).collect();
+        let start = SimTime::from_hours(3);
+        assert_eq!(
+            UtilSeries::from_levels(start, levels),
+            UtilSeries::from_percentages(start, values)
+        );
+    }
 
     #[test]
     fn quantization_roundtrip_within_half_step() {

@@ -12,9 +12,9 @@
 //! local wall clock (Figure 7(c)).
 
 use crate::config::PatternMix;
-use cloudscope_model::telemetry::UtilSeries;
+use cloudscope_model::telemetry::{quantize_percentage, UtilSeries};
 use cloudscope_model::time::{SimTime, Weekday, SAMPLES_PER_DAY, SAMPLE_INTERVAL_MINUTES};
-use cloudscope_stats::dist::{Categorical, Poisson, Sample, StdNormal};
+use cloudscope_stats::dist::{Categorical, Poisson, StdNormal};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -220,7 +220,8 @@ fn activity_bump(hour: f64, peak_hour: f64) -> f64 {
 ///
 /// Every sample is `((shape + spike₁) + spike₂ …) + noise`, noise drawn
 /// in sample order; only how `shape` is found varies with the pattern
-/// (see [`ShapeTable`]).
+/// (see [`ShapeTable`]), and how the noise is computed is
+/// [`noisy_levels`]'s business.
 pub fn generate_vm_series<R: Rng + ?Sized>(
     profile: &ServiceUtilProfile,
     tz_offset_hours: i32,
@@ -229,12 +230,9 @@ pub fn generate_vm_series<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> UtilSeries {
     let noise_std = profile.noise_std;
-    let noisy = |v: f64, rng: &mut R| (v + noise_std * StdNormal.sample(rng)) as f32;
     let minute_of = |i: usize| start.minutes() + i as i64 * SAMPLE_INTERVAL_MINUTES;
-    match profile.kind {
-        PatternKind::Stable => {
-            UtilSeries::from_percentages(start, (0..samples).map(|_| noisy(profile.base, rng)))
-        }
+    let (levels, fallbacks) = match profile.kind {
+        PatternKind::Stable => noisy_levels(samples, noise_std, |_| profile.base, rng),
         PatternKind::Irregular => {
             // Pre-draw this VM's spikes over the window, then paint each
             // onto the samples it covers, in spike order.
@@ -258,24 +256,123 @@ pub fn generate_vm_series<R: Rng + ?Sized>(
                     *v += height;
                 }
             }
-            UtilSeries::from_percentages(start, values.into_iter().map(|v| noisy(v, rng)))
+            noisy_levels(samples, noise_std, |i| values[i], rng)
         }
         PatternKind::Diurnal | PatternKind::HourlyPeak => {
             let on_grid = start.minutes().rem_euclid(SAMPLE_INTERVAL_MINUTES) == 0;
             if on_grid && samples >= ShapeTable::WORTH_FROM_SAMPLES {
                 let mut table = ShapeTable::new(profile, tz_offset_hours, start);
-                UtilSeries::from_percentages(
-                    start,
-                    (0..samples).map(|i| noisy(table.next(minute_of(i)), rng)),
-                )
+                noisy_levels(samples, noise_std, |i| table.next(minute_of(i)), rng)
             } else {
-                UtilSeries::from_percentages(
-                    start,
-                    (0..samples)
-                        .map(|i| noisy(profile.shape_at(minute_of(i), tz_offset_hours), rng)),
+                noisy_levels(
+                    samples,
+                    noise_std,
+                    |i| profile.shape_at(minute_of(i), tz_offset_hours),
+                    rng,
                 )
             }
         }
+    };
+    cloudscope_obs::counter("tracegen.telemetry.exact_fallbacks").add(fallbacks);
+    UtilSeries::from_levels(start, levels)
+}
+
+/// Samples per block of [`noisy_levels`]: a block's uniforms are all
+/// drawn before any is transformed, into 8 KiB on the stack.
+const NOISE_BLOCK: usize = 512;
+
+/// The stored level of `shape(i) + noise_std · zᵢ` for each `i` in
+/// `0..samples`, `zᵢ` the [`StdNormal`] drawn for sample `i` in sample
+/// order, and how many samples took the exact fallback.
+///
+/// Byte for byte this is `quantize_percentage((shape(i) + noise_std *
+/// StdNormal.sample(rng)) as f32)`, sample after sample, and it leaves
+/// `rng` where that loop would; each sample just tries
+/// [`LevelGuard::fast_level`] first and pays for [`exact_level`] only
+/// when the fast normal cannot prove the level.
+fn noisy_levels<R: Rng + ?Sized>(
+    samples: usize,
+    noise_std: f64,
+    mut shape: impl FnMut(usize) -> f64,
+    rng: &mut R,
+) -> (Vec<u8>, u64) {
+    let guard = LevelGuard::new(noise_std);
+    let mut levels = Vec::with_capacity(samples);
+    let mut fallbacks = 0u64;
+    let mut uniforms = [(0.0, 0.0); NOISE_BLOCK];
+    for block_start in (0..samples).step_by(NOISE_BLOCK) {
+        let block = &mut uniforms[..NOISE_BLOCK.min(samples - block_start)];
+        for pair in block.iter_mut() {
+            *pair = StdNormal::uniforms(rng);
+        }
+        for (i, &(u1, u2)) in (block_start..).zip(block.iter()) {
+            let v = shape(i);
+            levels.push(guard.fast_level(v, u1, u2).unwrap_or_else(|| {
+                fallbacks += 1;
+                exact_level(v, noise_std, u1, u2)
+            }));
+        }
+    }
+    (levels, fallbacks)
+}
+
+/// The stored level of `shape + noise_std · z` for the exact normal `z`
+/// of `(u1, u2)`: the one formula every sample's byte is defined by.
+fn exact_level(shape: f64, noise_std: f64, u1: f64, u2: f64) -> u8 {
+    quantize_percentage((shape + noise_std * StdNormal::from_uniforms(u1, u2)) as f32)
+}
+
+/// When a level computed from [`StdNormal::fast_from_uniforms`] is
+/// provably [`exact_level`]'s, for one `noise_std`.
+///
+/// With `y = 2 (shape + noise_std · z)` from the fast `z`, clamped to
+/// `[0, 200]`, the candidate is the integer `k` nearest `y`. It is
+/// accepted when `y` lies at least `margin` inside `(k − ½, k + ½)`:
+///
+/// - The exact byte is `k` whenever the exact `y′` lies in
+///   `[k − ½, k + ½ − 2⁻¹⁷)`. The half steps `(k ± ½)/2` are `f32`
+///   values, and below 128 rounding to `f32` moves `v` by at most 2⁻¹⁸,
+///   so it cannot carry `v` across one from more than 2⁻¹⁸ away.
+/// - `|y′ − y| ≤ 2 |noise_std| (δ + 2⁻⁴⁸) + 2⁻⁴⁵`: `δ` =
+///   [`StdNormal::FAST_ERROR_BOUND`] from `z`, the rest from rounding
+///   `noise_std · z` (`|z| < 9`) and the sum (`|v| < 128`).
+/// - `margin = 2 |noise_std| (δ + 2⁻⁴⁸) + 2⁻¹⁶` covers both, with room
+///   for its own rounding.
+///
+/// A clamped `y` stands for its whole side: `y < 0` means the sum was
+/// negative before rounding, so the exact sum is below
+/// `|noise_std| (δ + 2⁻⁴⁸) < 0.1` and its byte is 0 (a `noise_std`
+/// with a larger error sends every sample to the fallback); `y > 200`
+/// gives 200 the same way. `|y| < 10³⁰` keeps `v` inside `f32`'s range,
+/// so the missing-sample byte, which the exact path gives to values
+/// that are not finite there, never has to be proven.
+struct LevelGuard {
+    noise_std: f64,
+    /// `½ − margin`; negative when the fast path can prove nothing.
+    limit: f64,
+}
+
+impl LevelGuard {
+    fn new(noise_std: f64) -> Self {
+        let margin =
+            2.0 * noise_std.abs() * (StdNormal::FAST_ERROR_BOUND + 2f64.powi(-48)) + 2f64.powi(-16);
+        Self {
+            noise_std,
+            limit: if margin < 0.2 { 0.5 - margin } else { -1.0 },
+        }
+    }
+
+    /// [`exact_level`], when the fast normal proves it; else `None`.
+    #[inline]
+    fn fast_level(&self, shape: f64, u1: f64, u2: f64) -> Option<u8> {
+        // Adding 1.5 · 2⁵² rounds to the nearest integer, which then
+        // sits in the low bits: `k` without libm `round`.
+        const ROUNDER: f64 = 6_755_399_441_055_744.0;
+        let y = 2.0 * (shape + self.noise_std * StdNormal::fast_from_uniforms(u1, u2));
+        let clamped = y.clamp(0.0, 200.0);
+        let shifted = clamped + ROUNDER;
+        let off_centre = clamped - (shifted - ROUNDER);
+        (off_centre.abs() <= self.limit && y.abs() < 1e30).then_some(shifted.to_bits() as u8)
     }
 }
 
@@ -342,8 +439,11 @@ impl<'a> ShapeTable<'a> {
 mod tests {
     use super::*;
     use cloudscope_model::time::SAMPLES_PER_WEEK;
+    use cloudscope_obs::{scoped, Registry};
+    use cloudscope_stats::dist::Sample;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn gen_week(
         kind: PatternKind,
@@ -438,6 +538,154 @@ mod tests {
                     }
                 }
             }
+        }
+
+        // Level-edge profiles: each base moved so that the first sample's
+        // exact value sits on a half-step edge, which the fast normal
+        // cannot prove, so the exact fallback runs.
+        let registry = Arc::new(Registry::new());
+        let edge_cases = scoped(&registry, || {
+            let mut cases = 0u64;
+            for kind in PatternKind::ALL {
+                for noise_std in [0.0, 0.01, 0.4] {
+                    seed += 1;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut profile = ServiceUtilProfile::sample(kind, false, &mut rng);
+                    profile.noise_std = noise_std;
+                    let (tz, start, samples) = (5, SimTime::from_minutes(2 * 1440 + 35), 64);
+                    let first_byte = |base: f64| {
+                        let moved = ServiceUtilProfile { base, ..profile };
+                        generate_vm_series_per_sample(&moved, tz, start, samples, &mut rng.clone())
+                            .as_quantized()[0]
+                    };
+                    let below = first_byte(profile.base - 0.3);
+                    profile.base = first_where(profile.base - 0.3, profile.base + 0.3, |base| {
+                        first_byte(base) != below
+                    });
+                    let mut oracle_rng = rng.clone();
+                    let new = generate_vm_series(&profile, tz, start, samples, &mut rng);
+                    let old = generate_vm_series_per_sample(
+                        &profile,
+                        tz,
+                        start,
+                        samples,
+                        &mut oracle_rng,
+                    );
+                    let case = format!("{kind} on a level edge, noise_std={noise_std}");
+                    assert_eq!(new.as_quantized(), old.as_quantized(), "{case}");
+                    assert_eq!(
+                        rng.random::<u64>(),
+                        oracle_rng.random::<u64>(),
+                        "rng stream after {case}"
+                    );
+                    cases += 1;
+                }
+            }
+            cases
+        });
+        let fallbacks = registry
+            .snapshot()
+            .counter("tracegen.telemetry.exact_fallbacks")
+            .expect("every series counts its fallbacks");
+        assert!(
+            fallbacks >= edge_cases,
+            "{fallbacks} fallbacks over {edge_cases} edge cases"
+        );
+    }
+
+    /// The least `x` in `(lo, hi]` at which the monotone `past_edge`
+    /// turns true, given it is false at `lo` and true at `hi`.
+    fn first_where(mut lo: f64, mut hi: f64, past_edge: impl Fn(f64) -> bool) -> f64 {
+        assert!(!past_edge(lo) && past_edge(hi), "no edge in [{lo}, {hi}]");
+        loop {
+            let mid = lo + (hi - lo) / 2.0;
+            if mid <= lo || mid >= hi {
+                return hi;
+            }
+            if past_edge(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+    }
+
+    #[test]
+    fn values_on_a_level_edge_take_the_exact_path() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for noise_std in [0.0, 0.05, 1.5, 30.0] {
+            let guard = LevelGuard::new(noise_std);
+            // Each sample's shape is put where its exact value steps from
+            // level k to k + 1, for edges across the whole range.
+            let mut kernel_rng = rng.clone();
+            let mut oracle_rng = rng.clone();
+            let mut shapes = Vec::new();
+            for k in [0u8, 1, 20, 57, 123, 198, 199] {
+                let (u1, u2) = StdNormal::uniforms(&mut rng);
+                let edge =
+                    (f64::from(k) + 0.5) / 2.0 - noise_std * StdNormal::from_uniforms(u1, u2);
+                let shape = first_where(edge - 0.2, edge + 0.2, |shape| {
+                    exact_level(shape, noise_std, u1, u2) > k
+                });
+                let just_below = shape.next_down();
+                assert_eq!(exact_level(shape, noise_std, u1, u2), k + 1);
+                assert_eq!(exact_level(just_below, noise_std, u1, u2), k);
+                for v in [shape, just_below] {
+                    assert_eq!(guard.fast_level(v, u1, u2), None, "k={k} v={v:e}");
+                }
+                shapes.push(shape);
+            }
+            let (levels, fallbacks) =
+                noisy_levels(shapes.len(), noise_std, |i| shapes[i], &mut kernel_rng);
+            let oracle: Vec<u8> = shapes
+                .iter()
+                .map(|&v| {
+                    quantize_percentage((v + noise_std * StdNormal.sample(&mut oracle_rng)) as f32)
+                })
+                .collect();
+            assert_eq!(levels, oracle, "noise_std={noise_std}");
+            assert_eq!(fallbacks, shapes.len() as u64);
+        }
+    }
+
+    #[test]
+    fn the_fast_path_proves_almost_every_byte_and_nothing_unprovable() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let samples = 100_000;
+        for (shape, noise_std) in [
+            (20.0, 1.5),
+            (1.0, 1.0),
+            (99.0, 1.5),
+            (-5.0, 0.8),
+            (130.0, 3.0),
+        ] {
+            let mut oracle_rng = rng.clone();
+            let (levels, fallbacks) = noisy_levels(samples, noise_std, |_| shape, &mut rng);
+            let oracle: Vec<u8> = (0..samples)
+                .map(|_| {
+                    quantize_percentage(
+                        (shape + noise_std * StdNormal.sample(&mut oracle_rng)) as f32,
+                    )
+                })
+                .collect();
+            assert_eq!(levels, oracle, "shape={shape} noise_std={noise_std}");
+            assert!(
+                fallbacks * 1000 <= samples as u64,
+                "shape={shape} noise_std={noise_std}: {fallbacks} fallbacks"
+            );
+        }
+        // Nothing the guard cannot bound is proven: non-finite inputs,
+        // values beyond f32, and a noise_std whose error is not small.
+        let (u1, u2) = (0.3, 0.7);
+        for (shape, noise_std) in [
+            (f64::NAN, 1.0),
+            (f64::INFINITY, 1.0),
+            (-1e300, 1.0),
+            (20.0, f64::NAN),
+            (20.0, f64::INFINITY),
+            (20.0, 1e6),
+        ] {
+            assert_eq!(LevelGuard::new(noise_std).fast_level(shape, u1, u2), None);
         }
     }
 

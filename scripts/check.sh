@@ -43,6 +43,16 @@ if grep -rn '\.classify_' crates/ingest/src \
   exit 1
 fi
 
+# One Box–Muller formula: the exact normal is StdNormal::from_uniforms
+# and the fast one's fallback calls it, so the libm expression (the
+# radius √(−2 ln u) beside a 2π angle) appears in no other source file.
+echo "==> one Box-Muller formula (crates/stats/src/dist.rs)"
+if grep -rlF '.ln()).sqrt()' crates/*/src | grep -v '^crates/stats/src/dist\.rs$' \
+  | xargs -r grep -lF 'TAU *'; then
+  echo "ERROR: draw normals through cloudscope_stats::dist::StdNormal::from_uniforms" >&2
+  exit 1
+fi
+
 # One counting allocator: heap and allocation claims are tests that
 # install cloudscope_obs::heap::CountingAlloc, never a private copy.
 echo "==> one counting allocator (crates/obs/src/heap.rs)"
