@@ -10,6 +10,11 @@ use cloudscope_stats::{pearson, pearson_or_zero, Ecdf};
 use cloudscope_timeseries::{daily_profile, Series};
 use std::collections::{HashMap, HashSet};
 
+/// Geography tag of the paper's cross-region study (Fig 7(b)): the
+/// regions correlated pairwise, and the default of
+/// [`ReportConfig::geo`](crate::report::ReportConfig::geo).
+pub const STUDY_GEO: &str = "US";
+
 /// Minimum overlapping samples for a correlation to be meaningful
 /// (one day of 5-minute telemetry).
 const MIN_OVERLAP_SAMPLES: usize = 288;

@@ -81,21 +81,6 @@ pub fn filled_week_series(util: &UtilSeries, min_coverage: f64) -> Option<(Vec<f
     Some((grid, cov))
 }
 
-/// Mean week-grid coverage over the telemetry-bearing VMs of one cloud,
-/// or `None` if the cloud has no telemetry at all. This is the figure
-/// input-quality number the report surfaces per cloud.
-#[must_use]
-pub fn telemetry_slot_coverage(trace: &Trace, cloud: CloudKind) -> Option<f64> {
-    let ids: Vec<VmId> = trace.vms_of(cloud).map(|vm| vm.id).collect();
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    trace.scan(&ids, &mut |_, util| {
-        sum += week_coverage(&util);
-        count += 1;
-    });
-    (count > 0).then(|| sum / count as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

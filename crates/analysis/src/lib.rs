@@ -13,7 +13,11 @@
 //! | [`patterns`] | Fig 5: the 4-way utilization-pattern classifier and shares |
 //! | [`utilization`] | Fig 6: weekly/daily percentile bands |
 //! | [`correlation`] | Fig 7: node-level and cross-region Pearson, region-agnostic detection |
-//! | [`report`] | everything at once, plus the four insight verdicts |
+//! | [`report`] | everything at once |
+//!
+//! This crate measures. Judging the measurements against the paper's
+//! claims and its four insights is the paper-fact ledger of
+//! `cloudscope-repro`, which declares each claim once.
 //!
 //! ## Example
 //! ```no_run
@@ -23,9 +27,11 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let generated = generate(&GeneratorConfig::default());
 //! let report = CharacterizationReport::analyze(&generated.trace, &ReportConfig::default())?;
-//! for (holds, verdict) in report.insight_verdicts() {
-//!     println!("[{}] {verdict}", if holds { "ok" } else { "MISS" });
-//! }
+//! println!(
+//!     "median VMs per subscription: {} private vs {} public",
+//!     report.deployment.private_vms_per_subscription.median(),
+//!     report.deployment.public_vms_per_subscription.median(),
+//! );
 //! # Ok(())
 //! # }
 //! ```
@@ -33,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod correlation;
 pub mod coverage;
 pub mod deployment;
@@ -48,8 +53,7 @@ pub mod vmsize;
 #[cfg(test)]
 pub(crate) mod test_support;
 
-pub use compare::{CloudComparison, ComparedMetric};
-pub use coverage::{filled_week_series, telemetry_slot_coverage, week_grid_values};
+pub use coverage::{filled_week_series, week_grid_values};
 pub use error::AnalysisError;
 pub use patterns::{
     pattern_shares, pattern_shares_from, PatternClassifier, PatternClassifierConfig, PatternShares,

@@ -223,17 +223,6 @@ impl PatternShares {
         self.diurnal + self.stable + self.irregular + self.hourly_peak
     }
 
-    /// Fraction of sampled VMs that could be classified, in `[0, 1]` —
-    /// the figure's coverage ratio (0 if nothing was sampled).
-    #[must_use]
-    pub fn classified_fraction(&self) -> f64 {
-        let total = self.classified() + self.unclassified;
-        if total == 0 {
-            return 0.0;
-        }
-        self.classified() as f64 / total as f64
-    }
-
     /// Fraction of classified VMs in `pattern` (0 if nothing classified).
     #[must_use]
     pub fn fraction(&self, pattern: UtilizationPattern) -> f64 {

@@ -23,12 +23,7 @@ pub const MIN_POPULATION_COVERAGE: f64 = 0.75;
 /// VMs of one cloud whose telemetry covers (almost all of) the week,
 /// with gaps repaired. Returns the series and the mean pre-fill
 /// coverage.
-fn full_week_hourly_series(
-    trace: &Trace,
-    source: &(impl TelemetrySource + ?Sized),
-    cloud: CloudKind,
-    max_vms: usize,
-) -> (Vec<Series>, f64) {
+fn full_week_hourly_series(trace: &Trace, cloud: CloudKind, max_vms: usize) -> (Vec<Series>, f64) {
     // Pass 1 streams the population and keeps only (id, coverage) per
     // eligible VM — coverage is read off the stored samples, nothing is
     // filled. Pass 2 fills the series of just the strided selection; on
@@ -36,7 +31,7 @@ fn full_week_hourly_series(
     // telemetry instead of ever materializing every series at once.
     let population: Vec<VmId> = trace.vms_of(cloud).map(|vm| vm.id).collect();
     let mut candidates: Vec<(VmId, f64)> = Vec::new();
-    source.scan(&population, &mut |id, util| {
+    trace.scan(&population, &mut |id, util| {
         if let Some(cov) = passes_week_coverage(&util, MIN_VM_WEEK_COVERAGE) {
             candidates.push((id, cov));
         }
@@ -46,7 +41,7 @@ fn full_week_hourly_series(
         candidates.into_iter().step_by(stride).take(max_vms).unzip();
     let coverage_sum = coverages.iter().fold(0.0, |sum, cov| sum + cov);
     let mut series: Vec<Series> = Vec::with_capacity(selected.len());
-    source.scan(&selected, &mut |_, util| {
+    trace.scan(&selected, &mut |_, util| {
         let (values, _) =
             filled_week_series(&util, MIN_VM_WEEK_COVERAGE).expect("eligible in pass 1");
         series.push(
@@ -90,22 +85,7 @@ impl UtilizationDistribution {
     /// - [`AnalysisError::InsufficientData`] if VMs qualified but their
     ///   mean coverage falls below [`MIN_POPULATION_COVERAGE`].
     pub fn run(trace: &Trace, cloud: CloudKind, max_vms: usize) -> Result<Self, AnalysisError> {
-        Self::run_from(trace, trace, cloud, max_vms)
-    }
-
-    /// [`UtilizationDistribution::run`] with telemetry decoupled from VM
-    /// metadata: `trace` enumerates the population, `source` serves the
-    /// samples (resident, out-of-core, or streamed).
-    ///
-    /// # Errors
-    /// Same as [`UtilizationDistribution::run`].
-    pub fn run_from(
-        trace: &Trace,
-        source: &(impl TelemetrySource + ?Sized),
-        cloud: CloudKind,
-        max_vms: usize,
-    ) -> Result<Self, AnalysisError> {
-        let (hourly, coverage) = full_week_hourly_series(trace, source, cloud, max_vms);
+        let (hourly, coverage) = full_week_hourly_series(trace, cloud, max_vms);
         if hourly.is_empty() {
             return Err(AnalysisError::NoData("full-week telemetry"));
         }

@@ -14,7 +14,8 @@
 //! - [`tracegen`]: the calibrated synthetic stand-in for the proprietary
 //!   Azure trace.
 //! - [`analysis`]: the paper's characterization pipeline — one module per
-//!   figure, plus the four insight verdicts.
+//!   figure. It measures; the paper-fact ledger of `cloudscope-repro`
+//!   judges the measurements against the paper's claims and insights.
 //! - [`kb`]: the centralized workload knowledge base of Section V.
 //! - [`par`]: the shared deterministic fork-join executor.
 //! - [`store`]: the out-of-core columnar trace store — compressed
@@ -31,8 +32,9 @@
 //!
 //! ## Quickstart
 //!
-//! Characterize a trace, feed the knowledge base, and run a typed policy
-//! query end-to-end:
+//! Characterize a trace, judge the paper's insights with the
+//! `cloudscope-repro` ledger, feed the knowledge base, and run a typed
+//! policy query end-to-end:
 //!
 //! ```no_run
 //! use cloudscope::prelude::*;
@@ -40,7 +42,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let generated = generate(&GeneratorConfig::default());
 //! let report = CharacterizationReport::analyze(&generated.trace, &ReportConfig::default())?;
-//! for (holds, verdict) in report.insight_verdicts() {
+//! for (holds, verdict) in cloudscope_repro::ledger::insights(&report) {
 //!     println!("[{}] {verdict}", if holds { "ok" } else { "MISS" });
 //! }
 //!

@@ -1,7 +1,7 @@
 //! Extraction of workload knowledge from trace telemetry.
 
 use crate::knowledge::{LifetimeClass, WorkloadKnowledge};
-use cloudscope_analysis::correlation::cross_region_correlations;
+use cloudscope_analysis::correlation::{cross_region_correlations, STUDY_GEO};
 use cloudscope_analysis::{PatternClassifier, UtilizationPattern};
 use cloudscope_model::prelude::*;
 use cloudscope_model::telemetry::{LevelCounts, MISSING_SAMPLE_BYTE, QUANT_STEPS_PER_PERCENT};
@@ -40,15 +40,16 @@ pub fn extract_cloud_knowledge(
 ) -> Vec<WorkloadKnowledge> {
     // Region-agnosticism comes from the cross-region study, computed
     // once for the whole cloud.
-    let agnostic: HashMap<SubscriptionId, bool> = cross_region_correlations(trace, cloud, "US")
-        .into_iter()
-        .map(|c| {
-            (
-                c.subscription,
-                c.min_correlation() >= REGION_AGNOSTIC_THRESHOLD,
-            )
-        })
-        .collect();
+    let agnostic: HashMap<SubscriptionId, bool> =
+        cross_region_correlations(trace, cloud, STUDY_GEO)
+            .into_iter()
+            .map(|c| {
+                (
+                    c.subscription,
+                    c.min_correlation() >= REGION_AGNOSTIC_THRESHOLD,
+                )
+            })
+            .collect();
 
     trace
         .subscriptions_of(cloud)

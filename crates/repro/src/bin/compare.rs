@@ -1,31 +1,17 @@
-//! The private-vs-public differential summary table: every headline
-//! metric of the study side by side, with the paper's expected ordering.
+//! The private-vs-public differential summary: every headline
+//! comparison of the study side by side, judged by the paper ledger at
+//! ordering strictness.
 
-use cloudscope::analysis::compare::CloudComparison;
 use cloudscope::prelude::*;
-use cloudscope_repro::{MetricsOpt, ShapeChecks};
+use cloudscope_repro::ledger::differential;
+use cloudscope_repro::MetricsOpt;
 
 fn main() {
     let metrics = MetricsOpt::from_args();
     let generated = metrics.load_trace();
     let report = CharacterizationReport::analyze(&generated.trace, &ReportConfig::default())
         .expect("analysis");
-    let comparison = CloudComparison::from_report(&report);
-    println!("## Private-vs-public differential summary");
-    println!("{comparison}");
-    println!();
-
-    let mut checks = ShapeChecks::new();
-    checks.check(
-        "every headline ordering matches the paper",
-        comparison.orderings_holding() == comparison.metrics.len(),
-        format!(
-            "{}/{} orderings hold",
-            comparison.orderings_holding(),
-            comparison.metrics.len()
-        ),
-    );
-    let ok = checks.finish("compare");
+    let ok = differential(&report).finish("compare");
     metrics.write();
     std::process::exit(i32::from(!ok));
 }

@@ -11,7 +11,7 @@ use cloudscope_repro::{print_ecdf, MetricsOpt, ShapeChecks};
 
 fn main() {
     let metrics = MetricsOpt::from_args();
-    let snapshot = SimTime::from_minutes(2 * 24 * 60 + 14 * 60);
+    let snapshot = ReportConfig::default().snapshot;
     // Figure 1 is a pure point-in-time metadata analysis, so a
     // store-backed run pushes the snapshot day into the chunk scan: a
     // VM alive at the snapshot was created on a (clamped) day <= its

@@ -9,6 +9,7 @@ fn main() {
     let metrics = MetricsOpt::from_args();
     let generated = metrics.load_trace();
     let classifier = PatternClassifier::default();
+    let max_vms = ReportConfig::default().max_classified_vms;
 
     // Fig 5(a-c): one sample series per pattern, from ground truth.
     for pattern in UtilizationPattern::ALL {
@@ -27,9 +28,9 @@ fn main() {
         }
     }
 
-    let private = pattern_shares(&generated.trace, CloudKind::Private, &classifier, 4000)
+    let private = pattern_shares(&generated.trace, CloudKind::Private, &classifier, max_vms)
         .expect("private shares");
-    let public = pattern_shares(&generated.trace, CloudKind::Public, &classifier, 4000)
+    let public = pattern_shares(&generated.trace, CloudKind::Public, &classifier, max_vms)
         .expect("public shares");
     println!("## Fig 5(d): pattern shares");
     println!("pattern,private,public");

@@ -8,10 +8,11 @@ use cloudscope_repro::{MetricsOpt, ShapeChecks};
 fn main() {
     let metrics = MetricsOpt::from_args();
     let generated = metrics.load_trace();
-    let private =
-        UtilizationDistribution::run(&generated.trace, CloudKind::Private, 3000).expect("private");
+    let max_vms = ReportConfig::default().max_band_vms;
+    let private = UtilizationDistribution::run(&generated.trace, CloudKind::Private, max_vms)
+        .expect("private");
     let public =
-        UtilizationDistribution::run(&generated.trace, CloudKind::Public, 3000).expect("public");
+        UtilizationDistribution::run(&generated.trace, CloudKind::Public, max_vms).expect("public");
 
     for (label, d) in [("private", &private), ("public", &public)] {
         println!("## Fig 6 {label}: weekly percentile bands (hourly)");

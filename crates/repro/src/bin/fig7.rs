@@ -11,17 +11,22 @@ use cloudscope_repro::{print_ecdf, MetricsOpt, ShapeChecks};
 fn main() {
     let metrics = MetricsOpt::from_args();
     let generated = metrics.load_trace();
+    let config = ReportConfig::default();
     let node_private =
-        node_vm_correlation_cdf(&generated.trace, CloudKind::Private, 1500).expect("7a private");
+        node_vm_correlation_cdf(&generated.trace, CloudKind::Private, config.max_nodes)
+            .expect("7a private");
     let node_public =
-        node_vm_correlation_cdf(&generated.trace, CloudKind::Public, 1500).expect("7a public");
+        node_vm_correlation_cdf(&generated.trace, CloudKind::Public, config.max_nodes)
+            .expect("7a public");
     print_ecdf("Fig 7(a) private: VM-node correlation", &node_private);
     print_ecdf("Fig 7(a) public: VM-node correlation", &node_public);
 
-    let region_private = region_pair_correlation_cdf(&generated.trace, CloudKind::Private, "US")
-        .expect("7b private");
+    let region_private =
+        region_pair_correlation_cdf(&generated.trace, CloudKind::Private, &config.geo)
+            .expect("7b private");
     let region_public =
-        region_pair_correlation_cdf(&generated.trace, CloudKind::Public, "US").expect("7b public");
+        region_pair_correlation_cdf(&generated.trace, CloudKind::Public, &config.geo)
+            .expect("7b public");
     print_ecdf(
         "Fig 7(b) private: cross-region correlation",
         &region_private,

@@ -9,7 +9,7 @@ use cloudscope_repro::{MetricsOpt, ShapeChecks};
 fn main() {
     let metrics = MetricsOpt::from_args();
     let generated = metrics.load_trace();
-    let at = SimTime::from_minutes(2 * 24 * 60 + 14 * 60);
+    let at = ReportConfig::default().snapshot;
 
     let pilot = run_pilot(&generated, at)
         .expect("shift simulates")

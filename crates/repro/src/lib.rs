@@ -3,7 +3,9 @@
 //! The figure-regeneration harness: one binary per evaluation artifact of
 //! the paper (`fig1` … `fig7`, `pilot`, `oversub`), each printing the
 //! plotted series as CSV plus a `SHAPE-CHECK` section comparing the
-//! measured shape against the paper's reported values.
+//! measured shape against the paper's reported values. Every claim those
+//! sections judge, and the paper's four insights, are rows of one table,
+//! the [`ledger`].
 //!
 //! Run e.g. `cargo run --release -p cloudscope-repro --bin fig3`.
 
@@ -11,6 +13,7 @@
 #![warn(missing_docs)]
 
 pub mod checks;
+pub mod ledger;
 
 use crate::checks::CheckProfile;
 use cloudscope::prelude::*;

@@ -1,11 +1,13 @@
 //! Quickstart: generate a synthetic private+public cloud week, run the
-//! full characterization, and print the paper's four insight verdicts.
+//! full characterization, and judge it with the paper-fact ledger: the
+//! four insight verdicts and the private-vs-public differential summary.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
 use cloudscope::prelude::*;
+use cloudscope_repro::ledger::{differential, insights};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A scaled-down platform so the example runs in seconds; use
@@ -32,25 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let report = CharacterizationReport::analyze(&generated.trace, &ReportConfig::default())?;
+    let verdict = |holds: bool| if holds { "ok" } else { "MISS" };
     println!("\npaper insight verdicts:");
-    for (holds, verdict) in report.insight_verdicts() {
-        println!("  [{}] {verdict}", if holds { "ok" } else { "MISS" });
+    for (holds, insight) in insights(&report) {
+        println!("  [{}] {insight}", verdict(holds));
     }
-
-    println!("\nheadline statistics (paper values in parentheses):");
-    println!(
-        "  shortest-lifetime bin: {:.0}% private vs {:.0}% public   (49% vs 81%)",
-        100.0 * report.temporal.private_short_fraction,
-        100.0 * report.temporal.public_short_fraction
-    );
-    println!(
-        "  subscriptions per cluster: public = {:.1}x private        (~20x)",
-        report.deployment.subscriptions_per_cluster_ratio
-    );
-    println!(
-        "  node-level correlation median: {:.2} vs {:.2}             (0.55 vs 0.02)",
-        report.node_correlation.0.median(),
-        report.node_correlation.1.median()
-    );
+    println!("\nprivate-vs-public differential summary (the paper's orderings):");
+    for (holds, line) in differential(&report).lines() {
+        println!("  [{}] {line}", verdict(holds));
+    }
     Ok(())
 }

@@ -53,6 +53,17 @@ if grep -rlF '.ln()).sqrt()' crates/*/src | grep -v '^crates/stats/src/dist\.rs$
   exit 1
 fi
 
+# One paper-fact ledger: every claim of the paper, its paper value and
+# its thresholds are a row of crates/repro/src/ledger.rs, so no other
+# Rust source restates a paper value (the Fig 3a shortest-bin 0.49 /
+# 0.81) or declares a per-figure threshold field (`fig<N>_…:`).
+echo "==> paper facts declared once (crates/repro/src/ledger.rs)"
+if grep -rnE --include='*.rs' '0\.49|0\.81|fig[0-9][a-z0-9]*_[a-z0-9_]*:' crates/*/src tests examples \
+  | grep -v '^crates/repro/src/ledger\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "ERROR: declare the fact or threshold as a row of cloudscope_repro::ledger::LEDGER" >&2
+  exit 1
+fi
+
 # One counting allocator: heap and allocation claims are tests that
 # install cloudscope_obs::heap::CountingAlloc, never a private copy.
 echo "==> one counting allocator (crates/obs/src/heap.rs)"

@@ -42,7 +42,7 @@ fn out_of_core_analysis_peaks_below_three_quarters_of_resident() {
         let back = read_generated(&dir, mode, &par).expect("store reads");
         let report = CharacterizationReport::analyze(&back.trace, &ReportConfig::default())
             .expect("analysis");
-        black_box(report.insight_verdicts().len())
+        black_box(cloudscope_repro::ledger::insights(&report).len())
     };
     let (_, resident) = peak_during(|| analyze(TelemetryMode::Resident));
     let (_, out_of_core) = peak_during(|| analyze(TelemetryMode::OutOfCore { cache_chunks: 0 }));
