@@ -3,9 +3,8 @@
 
 use cloudscope::analysis::deployment::DeploymentSizeAnalysis;
 use cloudscope::model::time::MINUTES_PER_DAY;
-use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
-use cloudscope::store::{ScanFilter, TraceReader};
+use cloudscope::store::ScanFilter;
 use cloudscope_repro::checks::fig1_checks;
 use cloudscope_repro::{print_ecdf, MetricsOpt, ShapeChecks};
 
@@ -18,24 +17,9 @@ fn main() {
     // day, and chunks are keyed by creation day, so later-day chunks
     // are never read. (With --trace-out the full trace is still needed
     // for the copy, so the pushdown path is skipped.)
-    let a = match (metrics.trace_dir(), metrics.trace_out()) {
-        (Some(dir), None) => {
-            let fail = |what: &str, e: cloudscope::store::StoreError| -> ! {
-                eprintln!("error: {what}: {e}");
-                std::process::exit(2);
-            };
-            let reader = TraceReader::open(dir)
-                .unwrap_or_else(|e| fail(&format!("opening trace store {}", dir.display()), e));
-            let subscriptions = reader
-                .read_subscriptions()
-                .unwrap_or_else(|e| fail("reading subscription table", e));
-            let snapshot_day = u8::try_from(snapshot.minutes() / MINUTES_PER_DAY).expect("day");
-            let records = reader
-                .read_vm_records(
-                    ScanFilter::all().max_day(snapshot_day),
-                    &Parallelism::auto(),
-                )
-                .unwrap_or_else(|e| fail("reading metadata chunks", e));
+    let snapshot_day = u8::try_from(snapshot.minutes() / MINUTES_PER_DAY).expect("day");
+    let a = match metrics.store_records([ScanFilter::all().max_day(snapshot_day)]) {
+        Some((dir, subscriptions, [records])) => {
             eprintln!(
                 "# pushdown: read {} records from creation days <= {snapshot_day} of {}",
                 records.len(),
@@ -43,7 +27,7 @@ fn main() {
             );
             DeploymentSizeAnalysis::run_from_records(&records, &subscriptions, snapshot)
         }
-        _ => {
+        None => {
             let generated = metrics.load_trace();
             DeploymentSizeAnalysis::run(&generated.trace, snapshot)
         }

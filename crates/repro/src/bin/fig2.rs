@@ -1,8 +1,7 @@
 //! Figure 2: heatmaps of core and memory sizes per VM.
 
 use cloudscope::analysis::vmsize::VmSizeAnalysis;
-use cloudscope::par::Parallelism;
-use cloudscope::store::{ScanFilter, TraceReader};
+use cloudscope::store::ScanFilter;
 use cloudscope_repro::checks::fig2_checks;
 use cloudscope_repro::{MetricsOpt, ShapeChecks};
 
@@ -12,20 +11,8 @@ fn main() {
     // metadata chunks alone and never decodes a telemetry chunk. (With
     // --trace-out the full trace is still needed for the copy, so the
     // pushdown path is skipped.)
-    let a = match (metrics.trace_dir(), metrics.trace_out()) {
-        (Some(dir), None) => {
-            let fail = |what: &str, e: cloudscope::store::StoreError| -> ! {
-                eprintln!("error: {what}: {e}");
-                std::process::exit(2);
-            };
-            let reader = TraceReader::open(dir)
-                .unwrap_or_else(|e| fail(&format!("opening trace store {}", dir.display()), e));
-            let subscriptions = reader
-                .read_subscriptions()
-                .unwrap_or_else(|e| fail("reading subscription table", e));
-            let records = reader
-                .read_vm_records(ScanFilter::all(), &Parallelism::auto())
-                .unwrap_or_else(|e| fail("reading metadata chunks", e));
+    let a = match metrics.store_records([ScanFilter::all()]) {
+        Some((dir, subscriptions, [records])) => {
             eprintln!(
                 "# pushdown: read {} records (metadata only) from {}",
                 records.len(),
@@ -33,7 +20,7 @@ fn main() {
             );
             VmSizeAnalysis::run_from_records(&records, &subscriptions)
         }
-        _ => {
+        None => {
             let generated = metrics.load_trace();
             VmSizeAnalysis::run(&generated.trace)
         }

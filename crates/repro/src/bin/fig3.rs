@@ -3,8 +3,7 @@
 
 use cloudscope::analysis::temporal::TemporalAnalysis;
 use cloudscope::model::ids::RegionId;
-use cloudscope::par::Parallelism;
-use cloudscope::store::{ScanFilter, TraceReader};
+use cloudscope::store::ScanFilter;
 use cloudscope_repro::checks::fig3_checks;
 use cloudscope_repro::{print_csv, print_ecdf, MetricsOpt, ShapeChecks};
 
@@ -17,24 +16,11 @@ fn main() {
     // sample region's chunks through predicate pushdown. (With
     // --trace-out the full trace is still needed for the copy, so the
     // pushdown path is skipped.)
-    let a = match (metrics.trace_dir(), metrics.trace_out()) {
-        (Some(dir), None) => {
-            let fail = |what: &str, e: cloudscope::store::StoreError| -> ! {
-                eprintln!("error: {what}: {e}");
-                std::process::exit(2);
-            };
-            let par = Parallelism::auto();
-            let reader = TraceReader::open(dir)
-                .unwrap_or_else(|e| fail(&format!("opening trace store {}", dir.display()), e));
-            let subscriptions = reader
-                .read_subscriptions()
-                .unwrap_or_else(|e| fail("reading subscription table", e));
-            let records = reader
-                .read_vm_records(ScanFilter::all(), &par)
-                .unwrap_or_else(|e| fail("reading metadata chunks", e));
-            let region_records = reader
-                .read_vm_records(ScanFilter::all().region(sample_region.index()), &par)
-                .unwrap_or_else(|e| fail("reading region-sliced metadata chunks", e));
+    let a = match metrics.store_records([
+        ScanFilter::all(),
+        ScanFilter::all().region(sample_region.index()),
+    ]) {
+        Some((dir, subscriptions, [records, region_records])) => {
             eprintln!(
                 "# pushdown: region {} slice holds {} of {} records from {}",
                 sample_region.index(),
@@ -49,7 +35,7 @@ fn main() {
                 sample_region,
             )
         }
-        _ => {
+        None => {
             let generated = metrics.load_trace();
             TemporalAnalysis::run(&generated.trace, sample_region)
         }

@@ -16,8 +16,10 @@ pub mod checks;
 pub mod ledger;
 
 use crate::checks::CheckProfile;
+use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
 use cloudscope::stats::Ecdf;
+use cloudscope::store::{ScanFilter, StoreError, TraceReader};
 use std::path::{Path, PathBuf};
 
 /// The trace scale the repro binaries run at, selected through the
@@ -112,6 +114,10 @@ pub fn default_trace() -> GeneratedTrace {
     generated
 }
 
+/// A store-backed metadata read: the store directory, its subscription
+/// table, and the VM records of each filter, in filter order.
+pub type StoreRecords<'a, const N: usize> = (&'a Path, Vec<Subscription>, [Vec<VmRecord>; N]);
+
 /// Common CLI options of the repro binaries: parse once at startup,
 /// obtain the trace through [`MetricsOpt::load_trace`], and call
 /// [`MetricsOpt::write`] right before the binary exits so the metrics
@@ -190,18 +196,35 @@ impl MetricsOpt {
         )
     }
 
-    /// The `--trace-dir` store directory, when one was given — binaries
-    /// whose analysis is metadata-only use it to push their region/day
-    /// predicates into the chunk scan instead of loading the trace.
+    /// The store-backed path of the metadata-only figures: with
+    /// `--trace-dir` and no `--trace-out`, the store's directory, its
+    /// subscription table and the VM records each filter pushes into
+    /// the chunk scan, read without assembling the trace. `None`
+    /// otherwise: the figure then analyzes [`MetricsOpt::load_trace`]
+    /// (a `--trace-out` copy needs the full trace).
+    ///
+    /// Exits non-zero with the store error on any I/O or validation
+    /// failure.
     #[must_use]
-    pub fn trace_dir(&self) -> Option<&Path> {
-        self.trace_dir.as_deref()
-    }
-
-    /// The `--trace-out` store directory, when one was given.
-    #[must_use]
-    pub fn trace_out(&self) -> Option<&Path> {
-        self.trace_out.as_deref()
+    pub fn store_records<const N: usize>(
+        &self,
+        filters: [ScanFilter; N],
+    ) -> Option<StoreRecords<'_, N>> {
+        let (Some(dir), None) = (&self.trace_dir, &self.trace_out) else {
+            return None;
+        };
+        let reader = TraceReader::open(dir)
+            .unwrap_or_else(|e| fail(&format!("opening trace store {}", dir.display()), e));
+        let subscriptions = reader
+            .read_subscriptions()
+            .unwrap_or_else(|e| fail("reading subscription table", e));
+        let par = Parallelism::auto();
+        let records = filters.map(|filter| {
+            reader
+                .read_vm_records(filter, &par)
+                .unwrap_or_else(|e| fail("reading metadata chunks", e))
+        });
+        Some((dir, subscriptions, records))
     }
 
     /// Produces the run's trace according to the trace flags:
@@ -217,14 +240,10 @@ impl MetricsOpt {
     /// freshly generated trace.
     #[must_use]
     pub fn load_trace(&self) -> GeneratedTrace {
-        let par = cloudscope::par::Parallelism::auto();
+        let par = Parallelism::auto();
         // The reader holds one decoded chunk per (region, day) lane
         // whatever `cache_chunks` says (the field is vestigial).
         let mode = cloudscope::store::TelemetryMode::OutOfCore { cache_chunks: 0 };
-        let fail = |what: &str, e: cloudscope::store::StoreError| -> ! {
-            eprintln!("error: {what}: {e}");
-            std::process::exit(2);
-        };
         if let Some(dir) = &self.trace_dir {
             let t0 = std::time::Instant::now();
             let generated = cloudscope::tracegen::read_generated(dir, mode, &par)
@@ -280,6 +299,13 @@ impl MetricsOpt {
         }
         eprintln!("# wrote metrics snapshot to {}", path.display());
     }
+}
+
+/// Reports a store failure and exits non-zero: a damaged store must
+/// never silently degrade to a freshly generated trace.
+fn fail(what: &str, e: StoreError) -> ! {
+    eprintln!("error: {what}: {e}");
+    std::process::exit(2);
 }
 
 /// Prints a CSV header followed by rows.

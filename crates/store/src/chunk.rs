@@ -1,6 +1,6 @@
 //! The chunk file: one `(kind, region, day, seq)` cell of the columnar
-//! layout, columns compressed independently so a projected read only
-//! decompresses what it asks for.
+//! layout, columns compressed independently so an ids-only read
+//! decompresses the id column alone.
 //!
 //! ```text
 //! "CSCHUNK1"                                  8-byte file magic

@@ -7,18 +7,22 @@
 //! Everything is little-endian and bit-exact — `f64` fields travel as
 //! IEEE-754 bit patterns, samples as the quantized storage bytes.
 
-use crate::chunk::{ChunkKind, DecodedChunk, RawColumn};
+use crate::chunk::{DecodedChunk, RawColumn};
 use crate::error::StoreError;
 use bytes::Bytes;
 use cloudscope_model::durable::{Dec, Enc};
 use cloudscope_model::ids::{ClusterId, NodeId, RegionId, ServiceId, SubscriptionId, VmId};
 use cloudscope_model::time::SimTime;
 use cloudscope_model::vm::{Priority, ServiceModel, VmRecord, VmSize};
+use std::path::Path;
 
-/// Physical column ids. VM metadata and telemetry chunks use disjoint
-/// namespaces (a chunk's kind disambiguates).
+/// Physical column ids. Past the shared id column, VM metadata and
+/// telemetry chunks use disjoint namespaces (a chunk's kind
+/// disambiguates).
 pub(crate) mod col {
-    pub(crate) const VM_ID: u16 = 0;
+    /// VM id, in both kinds: the one column an ids-only read
+    /// decompresses.
+    pub(crate) const ID: u16 = 0;
     pub(crate) const VM_SUBSCRIPTION: u16 = 1;
     pub(crate) const VM_SERVICE: u16 = 2;
     pub(crate) const VM_CORES: u16 = 3;
@@ -33,116 +37,9 @@ pub(crate) mod col {
     pub(crate) const VM_ENDED_PRESENT: u16 = 12;
     pub(crate) const VM_ENDED: u16 = 13;
 
-    pub(crate) const TEL_VM_ID: u16 = 0;
     pub(crate) const TEL_START: u16 = 1;
     pub(crate) const TEL_LEN: u16 = 2;
     pub(crate) const TEL_SAMPLES: u16 = 3;
-}
-
-/// The logical columns a scan can project. `Id` is always decoded —
-/// batches are meaningless without row identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Column {
-    /// VM id (both chunk kinds).
-    Id,
-    /// Owning subscription.
-    Subscription,
-    /// Logical service.
-    Service,
-    /// Resource shape (cores and memory together).
-    Size,
-    /// Priority class.
-    Priority,
-    /// Service model.
-    ServiceModel,
-    /// Deployment region.
-    Region,
-    /// Placement cluster.
-    Cluster,
-    /// Placement node.
-    Node,
-    /// Creation time.
-    Created,
-    /// Termination time.
-    Ended,
-    /// Telemetry run start timestamps.
-    TelemetryStart,
-    /// Telemetry run sample bytes.
-    TelemetrySamples,
-}
-
-/// Which logical columns a scan decodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Projection {
-    mask: u32,
-}
-
-impl Projection {
-    /// Every column.
-    #[must_use]
-    pub const fn all() -> Self {
-        Self { mask: u32::MAX }
-    }
-
-    /// Only the named columns (ids are always included).
-    #[must_use]
-    pub fn columns(cols: &[Column]) -> Self {
-        let mut mask = 1u32 << Column::Id as u32;
-        for &c in cols {
-            mask |= 1 << c as u32;
-        }
-        Self { mask }
-    }
-
-    /// `true` if the projection includes `c`.
-    #[must_use]
-    pub fn includes(self, c: Column) -> bool {
-        self.mask & (1 << c as u32) != 0
-    }
-
-    /// The physical columns to decompress for a chunk of `kind`.
-    pub(crate) fn physical(self, kind: ChunkKind) -> Vec<u16> {
-        let mut wanted = Vec::new();
-        match kind {
-            ChunkKind::VmMeta => {
-                let map = [
-                    (Column::Id, &[col::VM_ID][..]),
-                    (Column::Subscription, &[col::VM_SUBSCRIPTION]),
-                    (Column::Service, &[col::VM_SERVICE]),
-                    (Column::Size, &[col::VM_CORES, col::VM_MEMORY]),
-                    (Column::Priority, &[col::VM_PRIORITY]),
-                    (Column::ServiceModel, &[col::VM_SERVICE_MODEL]),
-                    (Column::Region, &[col::VM_REGION]),
-                    (Column::Cluster, &[col::VM_CLUSTER]),
-                    (Column::Node, &[col::VM_NODE_PRESENT, col::VM_NODE]),
-                    (Column::Created, &[col::VM_CREATED]),
-                    (Column::Ended, &[col::VM_ENDED_PRESENT, col::VM_ENDED]),
-                ];
-                for (logical, physical) in map {
-                    if self.includes(logical) {
-                        wanted.extend_from_slice(physical);
-                    }
-                }
-            }
-            ChunkKind::Telemetry => {
-                wanted.push(col::TEL_VM_ID);
-                if self.includes(Column::TelemetryStart) {
-                    wanted.push(col::TEL_START);
-                }
-                if self.includes(Column::TelemetrySamples) {
-                    wanted.extend_from_slice(&[col::TEL_START, col::TEL_LEN, col::TEL_SAMPLES]);
-                }
-                wanted.dedup();
-            }
-        }
-        wanted
-    }
-}
-
-impl Default for Projection {
-    fn default() -> Self {
-        Self::all()
-    }
 }
 
 /// Column buffers for one open VM-metadata chunk, appended row by row.
@@ -204,7 +101,7 @@ impl VmMetaColumns {
             bytes: e.into_vec(),
         };
         vec![
-            raw(col::VM_ID, self.ids),
+            raw(col::ID, self.ids),
             raw(col::VM_SUBSCRIPTION, self.subscriptions),
             raw(col::VM_SERVICE, self.services),
             raw(col::VM_CORES, self.cores),
@@ -259,7 +156,7 @@ impl TelemetryColumns {
             bytes: e.into_vec(),
         };
         vec![
-            raw(col::TEL_VM_ID, self.ids),
+            raw(col::ID, self.ids),
             raw(col::TEL_START, self.starts),
             raw(col::TEL_LEN, self.lens),
             raw(col::TEL_SAMPLES, self.samples),
@@ -267,265 +164,135 @@ impl TelemetryColumns {
     }
 }
 
-/// A decoded VM-metadata chunk with whatever columns the projection
-/// asked for; unprojected columns are `None`.
-#[derive(Debug)]
-pub struct VmMetaBatch {
-    /// The chunk's manifest name.
-    pub chunk: String,
-    /// Row ids, ascending.
-    pub ids: Vec<VmId>,
-    /// Owning subscriptions.
-    pub subscriptions: Option<Vec<SubscriptionId>>,
-    /// Logical services.
-    pub services: Option<Vec<ServiceId>>,
-    /// Resource shapes.
-    pub sizes: Option<Vec<VmSize>>,
-    /// Priority classes.
-    pub priorities: Option<Vec<Priority>>,
-    /// Service models.
-    pub service_models: Option<Vec<ServiceModel>>,
-    /// Deployment regions.
-    pub regions: Option<Vec<RegionId>>,
-    /// Placement clusters.
-    pub clusters: Option<Vec<ClusterId>>,
-    /// Placement nodes.
-    pub nodes: Option<Vec<Option<NodeId>>>,
-    /// Creation times.
-    pub created: Option<Vec<SimTime>>,
-    /// Termination times.
-    pub ended: Option<Vec<Option<SimTime>>>,
-}
-
-impl VmMetaBatch {
-    /// Reassembles full [`VmRecord`]s; requires an unprojected batch.
-    ///
-    /// # Errors
-    /// [`StoreError::Inconsistent`] if any column was projected away.
-    pub fn records(&self) -> Result<Vec<VmRecord>, StoreError> {
-        let missing = || {
-            StoreError::Inconsistent(format!(
-                "chunk {}: records() on a projected batch",
-                self.chunk
-            ))
-        };
-        let subscriptions = self.subscriptions.as_ref().ok_or_else(missing)?;
-        let services = self.services.as_ref().ok_or_else(missing)?;
-        let sizes = self.sizes.as_ref().ok_or_else(missing)?;
-        let priorities = self.priorities.as_ref().ok_or_else(missing)?;
-        let service_models = self.service_models.as_ref().ok_or_else(missing)?;
-        let regions = self.regions.as_ref().ok_or_else(missing)?;
-        let clusters = self.clusters.as_ref().ok_or_else(missing)?;
-        let nodes = self.nodes.as_ref().ok_or_else(missing)?;
-        let created = self.created.as_ref().ok_or_else(missing)?;
-        let ended = self.ended.as_ref().ok_or_else(missing)?;
-        Ok((0..self.ids.len())
-            .map(|i| VmRecord {
-                id: self.ids[i],
-                subscription: subscriptions[i],
-                service: services[i],
-                size: sizes[i],
-                priority: priorities[i],
-                service_model: service_models[i],
-                region: regions[i],
-                cluster: clusters[i],
-                node: nodes[i],
-                created: created[i],
-                ended: ended[i],
-            })
-            .collect())
-    }
-}
-
-/// A decoded telemetry chunk: one row per (VM, day) run.
-#[derive(Debug)]
-pub struct TelemetryBatch {
-    /// The chunk's manifest name.
-    pub chunk: String,
-    /// The chunk's trace-week day.
-    pub day: u8,
-    /// Row ids, ascending.
-    pub ids: Vec<VmId>,
-    /// Run start times.
-    pub starts: Option<Vec<SimTime>>,
-    /// Run sample bytes (quantized storage representation); rows
-    /// share the chunk's decoded buffer.
-    pub samples: Option<Vec<Bytes>>,
-}
-
 /// A telemetry chunk's id, start and sample columns.
 pub(crate) type RunColumns = (Vec<VmId>, Vec<SimTime>, Vec<Bytes>);
 
-impl TelemetryBatch {
-    /// All three columns of a batch decoded under [`Projection::all`].
-    ///
-    /// # Errors
-    /// [`StoreError::Inconsistent`] if the start or sample column is
-    /// absent.
-    pub(crate) fn into_columns(self) -> Result<RunColumns, StoreError> {
-        let missing =
-            |column| StoreError::Inconsistent(format!("chunk {}: no {column} column", self.chunk));
-        let starts = self.starts.ok_or_else(|| missing("start"))?;
-        let samples = self.samples.ok_or_else(|| missing("samples"))?;
-        Ok((self.ids, starts, samples))
-    }
-}
-
-/// One decoded batch from a scan.
-#[derive(Debug)]
-pub enum Batch {
-    /// A VM-metadata chunk.
-    VmMeta(VmMetaBatch),
-    /// A telemetry chunk.
-    Telemetry(TelemetryBatch),
-}
-
-impl Batch {
-    /// Rows in the batch.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        match self {
-            Batch::VmMeta(b) => b.ids.len(),
-            Batch::Telemetry(b) => b.ids.len(),
-        }
-    }
-}
-
-/// Context for column-decode errors.
-fn ctx(path: &std::path::Path, name: &str, what: &str, e: String) -> StoreError {
-    StoreError::corrupt(path, name, format!("{what}: {e}"))
-}
-
-/// Decodes a fixed-width column of `rows` entries via `f`, verifying
-/// the byte count matches exactly.
-#[allow(clippy::too_many_arguments)] // error-context threading, not state
-fn fixed_column<T>(
-    path: &std::path::Path,
-    name: &str,
-    chunk: &DecodedChunk,
-    id: u16,
+/// One decoded chunk's columns, with the context every column-decode
+/// error names.
+struct Columns<'a> {
+    path: &'a Path,
+    name: String,
+    chunk: &'a DecodedChunk,
     rows: usize,
-    width: usize,
-    what: &str,
-    f: impl Fn(&mut Dec<'_>) -> Result<T, String>,
-) -> Result<Option<Vec<T>>, StoreError> {
-    let Some(bytes) = chunk.column(id) else {
-        return Ok(None);
-    };
-    if bytes.len() != rows * width {
-        return Err(ctx(
-            path,
-            name,
-            what,
-            format!("{} bytes for {rows} rows of width {width}", bytes.len()),
-        ));
-    }
-    let mut d = Dec::new(bytes);
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        out.push(f(&mut d).map_err(|e| ctx(path, name, what, e))?);
-    }
-    Ok(Some(out))
 }
 
-/// Decodes a VM-metadata chunk into a batch.
-pub(crate) fn decode_vm_meta(
-    path: &std::path::Path,
-    chunk: &DecodedChunk,
-) -> Result<VmMetaBatch, StoreError> {
-    let name = chunk.meta.name();
-    let rows = chunk.meta.rows as usize;
-    let ids = fixed_column(path, &name, chunk, col::VM_ID, rows, 8, "id column", |d| {
-        d.take_u64().map(VmId::new)
-    })?
-    .ok_or_else(|| StoreError::corrupt(path, &name, "id column missing"))?;
-    for win in ids.windows(2) {
-        if win[1] <= win[0] {
-            return Err(StoreError::corrupt(
-                path,
-                &name,
-                format!("ids not strictly ascending: {} then {}", win[0], win[1]),
-            ));
+impl<'a> Columns<'a> {
+    fn new(path: &'a Path, chunk: &'a DecodedChunk) -> Self {
+        Self {
+            path,
+            name: chunk.meta.name(),
+            chunk,
+            rows: chunk.meta.rows as usize,
         }
     }
 
-    let subscriptions = fixed_column(
-        path,
-        &name,
-        chunk,
-        col::VM_SUBSCRIPTION,
-        rows,
-        4,
-        "subscription column",
-        |d| d.take_u32().map(SubscriptionId::new),
-    )?;
-    let services = fixed_column(
-        path,
-        &name,
-        chunk,
-        col::VM_SERVICE,
-        rows,
-        4,
-        "service column",
-        |d| d.take_u32().map(ServiceId::new),
-    )?;
-    let cores = fixed_column(
-        path,
-        &name,
-        chunk,
-        col::VM_CORES,
-        rows,
-        4,
-        "cores column",
-        |d| d.take_u32(),
-    )?;
-    let memory = fixed_column(
-        path,
-        &name,
-        chunk,
-        col::VM_MEMORY,
-        rows,
-        8,
-        "memory column",
-        |d| d.take_f64(),
-    )?;
-    let sizes = match (cores, memory) {
-        (Some(c), Some(m)) => {
-            let mut sizes = Vec::with_capacity(rows);
-            for (i, (&cores, &mem)) in c.iter().zip(&m).enumerate() {
-                if cores == 0 || !(mem > 0.0 && mem.is_finite()) {
-                    return Err(StoreError::corrupt(
-                        path,
-                        &name,
-                        format!("row {i}: implausible size {cores}c/{mem}g"),
-                    ));
-                }
-                sizes.push(VmSize::new(cores, mem));
-            }
-            Some(sizes)
+    fn corrupt(&self, reason: String) -> StoreError {
+        StoreError::corrupt(self.path, &self.name, reason)
+    }
+
+    /// Decodes the fixed-width column `id` of `rows` entries via `f`,
+    /// verifying the byte count matches exactly.
+    fn fixed<T>(
+        &self,
+        id: u16,
+        width: usize,
+        what: &str,
+        f: impl Fn(&mut Dec<'_>) -> Result<T, String>,
+    ) -> Result<Vec<T>, StoreError> {
+        let bytes = self
+            .chunk
+            .column(id)
+            .ok_or_else(|| self.corrupt(format!("{what} missing")))?;
+        if bytes.len() != self.rows * width {
+            return Err(self.corrupt(format!(
+                "{what}: {} bytes for {} rows of width {width}",
+                bytes.len(),
+                self.rows
+            )));
         }
-        _ => None,
-    };
-    let priorities = fixed_column(
-        path,
-        &name,
-        chunk,
-        col::VM_PRIORITY,
-        rows,
-        1,
-        "priority column",
-        |d| match d.take_u8()? {
+        let mut d = Dec::new(bytes);
+        let mut out = Vec::with_capacity(self.rows);
+        for _ in 0..self.rows {
+            out.push(f(&mut d).map_err(|e| self.corrupt(format!("{what}: {e}")))?);
+        }
+        Ok(out)
+    }
+
+    /// Decodes a presence-byte + value column pair.
+    fn optional<T>(
+        &self,
+        (present_id, value_id, width): (u16, u16, usize),
+        what: &str,
+        f: impl Fn(&mut Dec<'_>) -> Result<T, String>,
+    ) -> Result<Vec<Option<T>>, StoreError> {
+        let present = self.fixed(present_id, 1, what, |d| match d.take_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(format!("presence byte {other}")),
+        })?;
+        let values = self.fixed(value_id, width, what, f)?;
+        Ok(present
+            .into_iter()
+            .zip(values)
+            .map(|(is_present, value)| is_present.then_some(value))
+            .collect())
+    }
+
+    /// The id column: strictly ascending, from the header's `min_vm`
+    /// to its `max_vm` — the range the manifest indexes the chunk by.
+    fn ids(&self) -> Result<Vec<VmId>, StoreError> {
+        let ids = self.fixed(col::ID, 8, "id column", |d| d.take_u64().map(VmId::new))?;
+        if let Some(pair) = ids.windows(2).find(|pair| pair[1] <= pair[0]) {
+            return Err(self.corrupt(format!(
+                "ids not strictly ascending: {} then {}",
+                pair[0], pair[1]
+            )));
+        }
+        let meta = &self.chunk.meta;
+        if let (Some(first), Some(last)) = (ids.first(), ids.last()) {
+            if (first.index(), last.index()) != (meta.min_vm, meta.max_vm) {
+                return Err(self.corrupt(format!(
+                    "ids run {} to {} but the header says {} to {}",
+                    first.index(),
+                    last.index(),
+                    meta.min_vm,
+                    meta.max_vm
+                )));
+            }
+        }
+        Ok(ids)
+    }
+}
+
+/// Decodes the id column of a chunk of either kind.
+pub(crate) fn decode_ids(path: &Path, chunk: DecodedChunk) -> Result<Vec<VmId>, StoreError> {
+    Columns::new(path, &chunk).ids()
+}
+
+/// Decodes a VM-metadata chunk into its records, in id order.
+pub(crate) fn decode_vm_meta(
+    path: &Path,
+    chunk: DecodedChunk,
+) -> Result<Vec<VmRecord>, StoreError> {
+    let c = Columns::new(path, &chunk);
+    let ids = c.ids()?;
+    let subscriptions = c.fixed(col::VM_SUBSCRIPTION, 4, "subscription column", |d| {
+        d.take_u32().map(SubscriptionId::new)
+    })?;
+    let services = c.fixed(col::VM_SERVICE, 4, "service column", |d| {
+        d.take_u32().map(ServiceId::new)
+    })?;
+    let cores = c.fixed(col::VM_CORES, 4, "cores column", |d| d.take_u32())?;
+    let memory = c.fixed(col::VM_MEMORY, 8, "memory column", |d| d.take_f64())?;
+    let priorities = c.fixed(col::VM_PRIORITY, 1, "priority column", |d| {
+        match d.take_u8()? {
             0 => Ok(Priority::OnDemand),
             1 => Ok(Priority::Spot),
             other => Err(format!("unknown priority tag {other}")),
-        },
-    )?;
-    let service_models = fixed_column(
-        path,
-        &name,
-        chunk,
+        }
+    })?;
+    let service_models = c.fixed(
         col::VM_SERVICE_MODEL,
-        rows,
         1,
         "service model column",
         |d| match d.take_u8()? {
@@ -535,189 +302,86 @@ pub(crate) fn decode_vm_meta(
             other => Err(format!("unknown service model tag {other}")),
         },
     )?;
-    let regions = fixed_column(
-        path,
-        &name,
-        chunk,
-        col::VM_REGION,
-        rows,
-        4,
-        "region column",
-        |d| d.take_u32().map(RegionId::new),
-    )?;
-    let clusters = fixed_column(
-        path,
-        &name,
-        chunk,
-        col::VM_CLUSTER,
-        rows,
-        4,
-        "cluster column",
-        |d| d.take_u32().map(ClusterId::new),
-    )?;
-    let nodes = option_column(
-        path,
-        &name,
-        chunk,
+    let regions = c.fixed(col::VM_REGION, 4, "region column", |d| {
+        d.take_u32().map(RegionId::new)
+    })?;
+    let clusters = c.fixed(col::VM_CLUSTER, 4, "cluster column", |d| {
+        d.take_u32().map(ClusterId::new)
+    })?;
+    let nodes = c.optional(
         (col::VM_NODE_PRESENT, col::VM_NODE, 4),
-        rows,
         "node column",
         |d| d.take_u32().map(NodeId::new),
     )?;
-    let created = fixed_column(
-        path,
-        &name,
-        chunk,
-        col::VM_CREATED,
-        rows,
-        8,
-        "created column",
-        |d| d.take_i64().map(SimTime::from_minutes),
-    )?;
-    let ended = option_column(
-        path,
-        &name,
-        chunk,
+    let created = c.fixed(col::VM_CREATED, 8, "created column", |d| {
+        d.take_i64().map(SimTime::from_minutes)
+    })?;
+    let ended = c.optional(
         (col::VM_ENDED_PRESENT, col::VM_ENDED, 8),
-        rows,
         "ended column",
         |d| d.take_i64().map(SimTime::from_minutes),
     )?;
 
-    Ok(VmMetaBatch {
-        chunk: name,
-        ids,
-        subscriptions,
-        services,
-        sizes,
-        priorities,
-        service_models,
-        regions,
-        clusters,
-        nodes,
-        created,
-        ended,
-    })
-}
-
-/// Decodes a presence-byte + value column pair into `Vec<Option<T>>`.
-fn option_column<T>(
-    path: &std::path::Path,
-    name: &str,
-    chunk: &DecodedChunk,
-    (present_id, value_id, width): (u16, u16, usize),
-    rows: usize,
-    what: &str,
-    f: impl Fn(&mut Dec<'_>) -> Result<T, String>,
-) -> Result<Option<Vec<Option<T>>>, StoreError> {
-    let present = fixed_column(path, name, chunk, present_id, rows, 1, what, |d| {
-        match d.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format!("presence byte {other}")),
+    let mut records = Vec::with_capacity(ids.len());
+    for (i, id) in ids.into_iter().enumerate() {
+        let (cores, mem) = (cores[i], memory[i]);
+        if cores == 0 || !(mem > 0.0 && mem.is_finite()) {
+            return Err(c.corrupt(format!("row {i}: implausible size {cores}c/{mem}g")));
         }
-    })?;
-    let values = fixed_column(path, name, chunk, value_id, rows, width, what, f)?;
-    match (present, values) {
-        (Some(p), Some(v)) => Ok(Some(
-            p.into_iter()
-                .zip(v)
-                .map(|(is_present, value)| is_present.then_some(value))
-                .collect(),
-        )),
-        _ => Ok(None),
+        records.push(VmRecord {
+            id,
+            subscription: subscriptions[i],
+            service: services[i],
+            size: VmSize::new(cores, mem),
+            priority: priorities[i],
+            service_model: service_models[i],
+            region: regions[i],
+            cluster: clusters[i],
+            node: nodes[i],
+            created: created[i],
+            ended: ended[i],
+        });
     }
+    Ok(records)
 }
 
-/// Decodes a telemetry chunk into a batch. Sample rows slice one
-/// shared buffer — the chunk's decoded samples column, adopted, so a
-/// decoded chunk costs one allocation.
+/// Decodes a telemetry chunk into its run columns. Sample rows slice
+/// one shared buffer — the chunk's decoded samples column, adopted, so
+/// a decoded chunk costs one allocation.
 pub(crate) fn decode_telemetry(
-    path: &std::path::Path,
+    path: &Path,
     mut chunk: DecodedChunk,
-) -> Result<TelemetryBatch, StoreError> {
-    let name = chunk.meta.name();
-    let rows = chunk.meta.rows as usize;
-    let ids = fixed_column(
-        path,
-        &name,
-        &chunk,
-        col::TEL_VM_ID,
-        rows,
-        8,
-        "id column",
-        |d| d.take_u64().map(VmId::new),
-    )?
-    .ok_or_else(|| StoreError::corrupt(path, &name, "id column missing"))?;
-    for win in ids.windows(2) {
-        if win[1] <= win[0] {
-            return Err(StoreError::corrupt(
-                path,
-                &name,
-                format!("ids not strictly ascending: {} then {}", win[0], win[1]),
-            ));
-        }
+) -> Result<RunColumns, StoreError> {
+    let bytes = chunk.take_column(col::TEL_SAMPLES);
+    let c = Columns::new(path, &chunk);
+    let ids = c.ids()?;
+    let starts = c.fixed(col::TEL_START, 8, "start column", |d| {
+        d.take_i64().map(SimTime::from_minutes)
+    })?;
+    let lens = c.fixed(col::TEL_LEN, 4, "length column", |d| d.take_u32())?;
+    let bytes = bytes.ok_or_else(|| c.corrupt("samples column missing".into()))?;
+    let total: u64 = lens.iter().map(|&l| u64::from(l)).sum();
+    if total != bytes.len() as u64 {
+        return Err(c.corrupt(format!(
+            "length column sums to {total} but samples column holds {}",
+            bytes.len()
+        )));
     }
-    let starts = fixed_column(
-        path,
-        &name,
-        &chunk,
-        col::TEL_START,
-        rows,
-        8,
-        "start column",
-        |d| d.take_i64().map(SimTime::from_minutes),
-    )?;
-    let lens = fixed_column(
-        path,
-        &name,
-        &chunk,
-        col::TEL_LEN,
-        rows,
-        4,
-        "length column",
-        |d| d.take_u32(),
-    )?;
-    let samples = match (&lens, chunk.take_column(col::TEL_SAMPLES)) {
-        (Some(lens), Some(bytes)) => {
-            let total: u64 = lens.iter().map(|&l| u64::from(l)).sum();
-            if total != bytes.len() as u64 {
-                return Err(StoreError::corrupt(
-                    path,
-                    &name,
-                    format!(
-                        "length column sums to {total} but samples column holds {}",
-                        bytes.len()
-                    ),
-                ));
-            }
-            let shared = Bytes::from(bytes);
-            let mut out = Vec::with_capacity(rows);
-            let mut offset = 0usize;
-            for &len in lens {
-                let len = len as usize;
-                out.push(shared.slice(offset..offset + len));
-                offset += len;
-            }
-            Some(out)
-        }
-        _ => None,
-    };
-
-    Ok(TelemetryBatch {
-        chunk: name,
-        day: chunk.meta.day,
-        ids,
-        starts,
-        samples,
-    })
+    let shared = Bytes::from(bytes);
+    let mut samples = Vec::with_capacity(lens.len());
+    let mut offset = 0usize;
+    for len in lens {
+        let len = len as usize;
+        samples.push(shared.slice(offset..offset + len));
+        offset += len;
+    }
+    Ok((ids, starts, samples))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::{decode_chunk_file, encode_chunk_file, ChunkMeta};
-    use std::path::Path;
+    use crate::chunk::{decode_chunk_file, encode_chunk_file, ChunkKind, ChunkMeta};
 
     fn vm(id: u64, node: Option<u32>, ended: Option<i64>) -> VmRecord {
         VmRecord {
@@ -735,11 +399,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn vm_meta_roundtrip_and_projection() {
-        let records = vec![vm(5, Some(8), None), vm(9, None, Some(400))];
+    fn records() -> Vec<VmRecord> {
+        vec![vm(5, Some(8), None), vm(9, None, Some(400))]
+    }
+
+    /// A CRC-valid metadata chunk file of `records`, its raw columns
+    /// edited by `edit` before they are compressed.
+    fn meta_file(records: &[VmRecord], edit: impl FnOnce(&mut [RawColumn])) -> Vec<u8> {
         let mut cols = VmMetaColumns::default();
-        for r in &records {
+        for r in records {
             cols.push(r);
         }
         let meta = ChunkMeta {
@@ -751,24 +419,142 @@ mod tests {
             min_vm: cols.min_vm,
             max_vm: cols.max_vm,
         };
-        let (file, _) = encode_chunk_file(&meta, &cols.into_columns(), 2);
+        let mut raw = cols.into_columns();
+        edit(&mut raw);
+        encode_chunk_file(&meta, &raw, 2).0
+    }
+
+    fn decode_meta(file: &[u8]) -> Result<Vec<VmRecord>, StoreError> {
         let p = Path::new("t.chunk");
+        decode_vm_meta(
+            p,
+            decode_chunk_file(p, "t", file, None, None, true).unwrap(),
+        )
+    }
 
-        let full = decode_chunk_file(p, "t", &file, None, None, true).unwrap();
-        let batch = decode_vm_meta(p, &full).unwrap();
-        assert_eq!(batch.records().unwrap(), records);
+    /// The raw bytes of column `id`.
+    fn column(raw: &mut [RawColumn], id: u16) -> &mut Vec<u8> {
+        &mut raw.iter_mut().find(|c| c.id == id).expect("column").bytes
+    }
 
-        let proj = Projection::columns(&[Column::Created]);
-        let wanted = proj.physical(ChunkKind::VmMeta);
-        let partial = decode_chunk_file(p, "t", &file, Some(&wanted), None, true).unwrap();
-        let batch = decode_vm_meta(p, &partial).unwrap();
-        assert_eq!(batch.ids, vec![VmId::new(5), VmId::new(9)]);
+    /// Decodes `records` with one column edited, expecting the typed
+    /// corruption whose reason contains `reason`.
+    fn assert_rejected(records: &[VmRecord], edit: impl FnOnce(&mut [RawColumn]), reason: &str) {
+        match decode_meta(&meta_file(records, edit)) {
+            Err(StoreError::Corrupt { reason: got, .. }) => {
+                assert!(got.contains(reason), "expected {reason:?}, got {got:?}");
+            }
+            other => panic!("expected Corrupt ({reason}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn vm_meta_roundtrip_and_projection() {
+        let records = records();
+        let file = meta_file(&records, |_| {});
+        assert_eq!(decode_meta(&file).unwrap(), records);
+
+        // An ids-only read decompresses the id column alone; records
+        // cannot be built from it.
+        let p = Path::new("t.chunk");
+        let ids_only = || decode_chunk_file(p, "t", &file, Some(&[col::ID]), None, true).unwrap();
         assert_eq!(
-            batch.created.as_deref(),
-            Some(&[SimTime::from_minutes(-30), SimTime::from_minutes(-30)][..])
+            decode_ids(p, ids_only()).unwrap(),
+            vec![VmId::new(5), VmId::new(9)]
         );
-        assert!(batch.nodes.is_none());
-        assert!(batch.records().is_err(), "projected batch lacks columns");
+        let err = decode_vm_meta(p, ids_only()).unwrap_err();
+        assert!(err.to_string().contains("column missing"), "{err}");
+    }
+
+    #[test]
+    fn implausible_sizes_are_rejected() {
+        assert_rejected(
+            &records(),
+            |raw| column(raw, col::VM_CORES)[4..8].copy_from_slice(&0u32.to_le_bytes()),
+            "row 1: implausible size 0c",
+        );
+        for mem in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            assert_rejected(
+                &records(),
+                |raw| column(raw, col::VM_MEMORY)[..8].copy_from_slice(&mem.to_le_bytes()),
+                "row 0: implausible size",
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_priority_tags_are_rejected() {
+        assert_rejected(
+            &records(),
+            |raw| column(raw, col::VM_PRIORITY)[1] = 2,
+            "priority column: unknown priority tag 2",
+        );
+    }
+
+    #[test]
+    fn unknown_service_model_tags_are_rejected() {
+        assert_rejected(
+            &records(),
+            |raw| column(raw, col::VM_SERVICE_MODEL)[0] = 3,
+            "service model column: unknown service model tag 3",
+        );
+    }
+
+    #[test]
+    fn presence_bytes_other_than_zero_or_one_are_rejected() {
+        for (present, what) in [
+            (col::VM_NODE_PRESENT, "node column"),
+            (col::VM_ENDED_PRESENT, "ended column"),
+        ] {
+            assert_rejected(
+                &records(),
+                |raw| column(raw, present)[0] = 2,
+                &format!("{what}: presence byte 2"),
+            );
+        }
+    }
+
+    #[test]
+    fn column_byte_counts_must_match_rows_times_width() {
+        assert_rejected(
+            &records(),
+            |raw| {
+                column(raw, col::VM_CLUSTER).pop();
+            },
+            "cluster column: 7 bytes for 2 rows of width 4",
+        );
+        assert_rejected(
+            &records(),
+            |raw| column(raw, col::VM_PRIORITY).push(0),
+            "priority column: 3 bytes for 2 rows of width 1",
+        );
+    }
+
+    #[test]
+    fn metadata_ids_must_ascend_strictly() {
+        let descending = [vm(9, None, None), vm(5, None, None)];
+        assert_rejected(
+            &descending,
+            |_| {},
+            "ids not strictly ascending: vm-9 then vm-5",
+        );
+        let repeated = [vm(5, None, None), vm(5, None, None)];
+        assert_rejected(
+            &repeated,
+            |_| {},
+            "ids not strictly ascending: vm-5 then vm-5",
+        );
+    }
+
+    #[test]
+    fn ids_must_span_the_header_range() {
+        // Ascending ids the header's `max_vm` does not cover: a lane
+        // lookup by the manifest range would never find vm 12.
+        assert_rejected(
+            &records(),
+            |raw| column(raw, col::ID)[8..].copy_from_slice(&12u64.to_le_bytes()),
+            "ids run 5 to 12 but the header says 5 to 9",
+        );
     }
 
     #[test]
@@ -788,15 +574,11 @@ mod tests {
         let (file, _) = encode_chunk_file(&meta, &cols.into_columns(), 1);
         let p = Path::new("t.chunk");
         let decoded = decode_chunk_file(p, "t", &file, None, None, true).unwrap();
-        let batch = decode_telemetry(p, decoded).unwrap();
-        assert_eq!(batch.ids, vec![VmId::new(2), VmId::new(7)]);
-        let samples = batch.samples.unwrap();
+        let (ids, starts, samples) = decode_telemetry(p, decoded).unwrap();
+        assert_eq!(ids, vec![VmId::new(2), VmId::new(7)]);
         assert_eq!(&*samples[0], &[1, 2, 3]);
         assert_eq!(&*samples[1], &[9, 9]);
-        assert_eq!(
-            batch.starts.unwrap(),
-            vec![SimTime::ZERO, SimTime::from_minutes(1440)]
-        );
+        assert_eq!(starts, vec![SimTime::ZERO, SimTime::from_minutes(1440)]);
     }
 
     #[test]

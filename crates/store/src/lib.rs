@@ -21,8 +21,9 @@
 //!
 //! Each chunk file frames per-column blocks, individually compressed
 //! with a self-contained LZ-family block codec ([`codec`]) and guarded
-//! by a per-column CRC plus a whole-file CRC footer — projection can
-//! skip decompressing unwanted columns without weakening integrity.
+//! by a per-column CRC plus a whole-file CRC footer, so an ids-only
+//! read ([`TraceReader::read_chunk_ids`]) decompresses one column
+//! while the whole-file CRC still covers every byte.
 //! Utilization series are split into per-day runs (the day function is
 //! monotone in time, so runs are contiguous and reassemble exactly).
 //!
@@ -68,7 +69,6 @@ pub use blobs::{
     BLOB_SUBSCRIPTIONS, BLOB_TELEMETRY_PRESENT, BLOB_TOPOLOGY,
 };
 pub use chunk::{ChunkKind, ChunkMeta};
-pub use columns::{Batch, Column, Projection, TelemetryBatch, VmMetaBatch};
 pub use error::StoreError;
 pub use manifest::{ChunkEntry, Manifest, MANIFEST_NAME};
 pub use reader::{ScanFilter, TelemetryMode, TraceReader};

@@ -1,21 +1,21 @@
-//! Streamed trace reading: manifest-driven chunk scans with column
-//! projection and region/day predicate pushdown, plus full-trace
-//! reconstruction in either resident or out-of-core telemetry mode.
+//! Trace reading: metadata records through region/day predicate
+//! pushdown, the ids of one chunk, and full-trace reconstruction in
+//! either telemetry mode — both a collect of, or a handle on, one
+//! [`StoreTelemetry`] lane scan.
 
 use crate::blobs::{
     decode_presence, decode_subscriptions, decode_topology, BLOB_SUBSCRIPTIONS,
     BLOB_TELEMETRY_PRESENT, BLOB_TOPOLOGY,
 };
-use crate::chunk::{decode_chunk_file, ChunkKind};
-use crate::columns::{decode_telemetry, decode_vm_meta, Batch, Projection};
+use crate::chunk::{decode_chunk_file, ChunkKind, DecodedChunk};
+use crate::columns::{col, decode_ids, decode_vm_meta};
 use crate::error::StoreError;
 use crate::manifest::{ChunkEntry, Manifest, MANIFEST_NAME};
 use crate::source::StoreTelemetry;
-use bytes::Bytes;
 use cloudscope_model::durable::crc32;
+use cloudscope_model::error::ModelError;
+use cloudscope_model::ids::VmId;
 use cloudscope_model::subscription::Subscription;
-use cloudscope_model::telemetry::UtilSeries;
-use cloudscope_model::time::{SimTime, SAMPLE_INTERVAL_MINUTES};
 use cloudscope_model::trace::Trace;
 use cloudscope_model::vm::VmRecord;
 use cloudscope_obs::counter;
@@ -31,8 +31,6 @@ pub struct ScanFilter {
     pub kind: Option<ChunkKind>,
     /// Restrict to one region.
     pub region: Option<u32>,
-    /// Restrict to one trace-week day.
-    pub day: Option<u8>,
     /// Restrict to days up to and including this one — the snapshot
     /// pushdown: a VM alive at time `t` was necessarily created on a
     /// (clamped) day `<= day_of(t)`, so chunks keyed by later creation
@@ -61,13 +59,6 @@ impl ScanFilter {
         self
     }
 
-    /// Restricts the filter to `day`.
-    #[must_use]
-    pub fn day(mut self, day: u8) -> Self {
-        self.day = Some(day);
-        self
-    }
-
     /// Restricts the filter to days `<= day`.
     #[must_use]
     pub fn max_day(mut self, day: u8) -> Self {
@@ -78,7 +69,6 @@ impl ScanFilter {
     fn matches(&self, entry: &ChunkEntry) -> bool {
         self.kind.is_none_or(|k| entry.meta.kind == k)
             && self.region.is_none_or(|r| entry.meta.region == r)
-            && self.day.is_none_or(|d| entry.meta.day == d)
             && self.max_day.is_none_or(|d| entry.meta.day <= d)
     }
 }
@@ -86,7 +76,8 @@ impl ScanFilter {
 /// How [`TraceReader::read_trace`] serves telemetry.
 #[derive(Debug, Clone, Copy)]
 pub enum TelemetryMode {
-    /// Decode every series up front and hold it in memory.
+    /// Read every series up front — one ascending scan of the same
+    /// lane source `OutOfCore` hands out — and hold it in memory.
     Resident,
     /// Keep only the presence bitmap resident; series are read from
     /// the chunk files in stored order ([`StoreTelemetry`]): one
@@ -188,95 +179,14 @@ impl TraceReader {
         })
     }
 
-    /// Reads, verifies, and decodes one chunk, decompressing only the
-    /// columns `projection` asks for.
-    ///
-    /// # Errors
-    /// Any [`StoreError`] from I/O or validation; a failed chunk never
-    /// yields partial rows.
-    pub fn read_chunk(
-        &self,
-        entry: &ChunkEntry,
-        projection: Projection,
-    ) -> Result<Batch, StoreError> {
-        self.read_chunk_with(entry, projection, None)
-    }
-
-    /// [`TraceReader::read_chunk`] with an optional [`Parallelism`] to
-    /// fan the per-column sub-block decompression out across workers.
-    /// Output is identical at any worker count.
+    /// The id column of one chunk, either kind, strictly ascending.
+    /// The id column alone is decompressed, but the manifest's
+    /// whole-file CRC still covers every byte of the file.
     ///
     /// # Errors
     /// Any [`StoreError`] from I/O or validation.
-    pub(crate) fn read_chunk_with(
-        &self,
-        entry: &ChunkEntry,
-        projection: Projection,
-        par: Option<&Parallelism>,
-    ) -> Result<Batch, StoreError> {
-        let path = self.dir.join(entry.meta.file_name());
-        let name = entry.meta.name();
-        let bytes = std::fs::read(&path).map_err(|e| match e.kind() {
-            // Present at open, gone now: the same verdict open gives.
-            std::io::ErrorKind::NotFound => StoreError::Missing {
-                file: path.display().to_string(),
-                chunk: name.clone(),
-            },
-            _ => StoreError::io(&path, e),
-        })?;
-        if bytes.len() as u64 != entry.file_len {
-            return Err(StoreError::corrupt(
-                &path,
-                &name,
-                format!(
-                    "stale manifest: file is {} bytes but the manifest promises {}",
-                    bytes.len(),
-                    entry.file_len
-                ),
-            ));
-        }
-        if crc32(&bytes) != entry.file_crc {
-            return Err(StoreError::corrupt(
-                &path,
-                &name,
-                "file checksum disagrees with the manifest",
-            ));
-        }
-        let wanted = projection.physical(entry.meta.kind);
-        // The manifest whole-file CRC above already covered every byte,
-        // so the decoder's footer-CRC pass would be a second scan of
-        // the same bytes — skip it.
-        let decoded = decode_chunk_file(&path, &name, &bytes, Some(&wanted), par, false)?;
-        if decoded.meta != entry.meta {
-            return Err(StoreError::corrupt(
-                &path,
-                &name,
-                format!(
-                    "chunk header says {} but the manifest says {name}",
-                    decoded.meta.name()
-                ),
-            ));
-        }
-        counter("store.read.batches").inc();
-        match entry.meta.kind {
-            ChunkKind::VmMeta => Ok(Batch::VmMeta(decode_vm_meta(&path, &decoded)?)),
-            ChunkKind::Telemetry => Ok(Batch::Telemetry(decode_telemetry(&path, decoded)?)),
-        }
-    }
-
-    /// Streams decoded batches for every chunk matching `filter`, in
-    /// commit order — the chunk-at-a-time iteration the out-of-core
-    /// analyses drive. Memory high-water is one decoded chunk.
-    pub fn scan<'a>(
-        &'a self,
-        filter: ScanFilter,
-        projection: Projection,
-    ) -> impl Iterator<Item = Result<Batch, StoreError>> + 'a {
-        self.manifest
-            .chunks
-            .iter()
-            .filter(move |e| filter.matches(e))
-            .map(move |e| self.read_chunk(e, projection))
+    pub fn read_chunk_ids(&self, entry: &ChunkEntry) -> Result<Vec<VmId>, StoreError> {
+        read_chunk(&self.dir, entry, Some(&[col::ID]), None, decode_ids)
     }
 
     /// The subscription table from the manifest blob — everything a
@@ -312,10 +222,7 @@ impl TraceReader {
     ) -> Result<Vec<VmRecord>, StoreError> {
         let entries: Vec<&ChunkEntry> = self.chunks(filter.kind(ChunkKind::VmMeta)).collect();
         let decoded = par.par_map(&entries, |entry| {
-            match self.read_chunk(entry, Projection::all())? {
-                Batch::VmMeta(b) => b.records(),
-                Batch::Telemetry(_) => unreachable!("filtered to vm-meta"),
-            }
+            read_chunk(&self.dir, entry, None, None, decode_vm_meta)
         });
         let batches = decoded.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Sized once: grown by doubling, a full trace's records leave
@@ -326,16 +233,17 @@ impl TraceReader {
         Ok(records)
     }
 
-    /// Reconstructs the full [`Trace`]. In `Resident` mode the result
-    /// is bit-identical to the trace that was written (telemetry and
-    /// all); in `OutOfCore` mode the telemetry column is replaced by a
-    /// lazy [`StoreTelemetry`] source over this directory and only the
+    /// Reconstructs the full [`Trace`]. Its telemetry is one
+    /// [`StoreTelemetry`] over this reader's manifest: in `Resident`
+    /// mode one ascending scan of every VM collects it into memory, and
+    /// the result is bit-identical to the trace that was written; in
+    /// `OutOfCore` mode the trace holds the source itself and only the
     /// presence bitmap stays in memory.
     ///
     /// # Errors
     /// Any [`StoreError`] from chunk decoding, or
-    /// [`StoreError::Inconsistent`] if the decoded records do not
-    /// assemble into a dense, valid trace.
+    /// [`StoreError::Inconsistent`] if the decoded records and runs do
+    /// not assemble into a dense, valid trace.
     pub fn read_trace(&self, mode: TelemetryMode, par: &Parallelism) -> Result<Trace, StoreError> {
         let manifest_path = self.dir.join(MANIFEST_NAME);
         let topology = decode_topology(&manifest_path, self.read_blob(BLOB_TOPOLOGY)?)?;
@@ -358,106 +266,296 @@ impl TraceReader {
                 records.len()
             )));
         }
+        let source = StoreTelemetry::new(&self.dir, &self.manifest, *par)?;
 
+        let inconsistent = |e: ModelError| StoreError::Inconsistent(e.to_string());
         let mut builder = Trace::builder(topology);
         for sub in subscriptions {
-            builder
-                .add_subscription(sub)
-                .map_err(|e| StoreError::Inconsistent(e.to_string()))?;
+            builder.add_subscription(sub).map_err(inconsistent)?;
         }
+        // Records are sorted by dense id, so position = id.
+        source.attach_vm_regions(records.iter().map(|r| r.region.index()).collect());
         match mode {
             TelemetryMode::Resident => {
-                let util = self.assemble_resident_telemetry(&present)?;
+                let ids: Vec<VmId> = (0..self.manifest.vm_count).map(VmId::new).collect();
+                let mut util = vec![None; vm_count];
+                source.try_scan(&ids, &mut |id, series| util[id.as_usize()] = Some(series))?;
+                source.check_no_stray_runs()?;
+                for (idx, (series, &has)) in util.iter().zip(&present).enumerate() {
+                    let verdict = match (series.is_some(), has) {
+                        (false, true) => "is marked present but no chunk holds its telemetry",
+                        (true, false) => "has telemetry runs but is marked absent",
+                        _ => continue,
+                    };
+                    return Err(StoreError::Inconsistent(format!("vm {idx} {verdict}")));
+                }
                 builder
                     .add_vms_bulk(records, util, par)
-                    .map_err(|e| StoreError::Inconsistent(e.to_string()))?;
+                    .map_err(inconsistent)?;
                 Ok(builder.build())
             }
             TelemetryMode::OutOfCore { cache_chunks: _ } => {
-                // Records are sorted by dense id, so position = id.
-                let vm_regions: Vec<u32> = records.iter().map(|r| r.region.index()).collect();
                 builder
                     .add_vms_bulk(records, vec![None; vm_count], par)
-                    .map_err(|e| StoreError::Inconsistent(e.to_string()))?;
+                    .map_err(inconsistent)?;
                 let mut trace = builder.build();
-                let source = StoreTelemetry::open_with(&self.dir, *par)?;
-                source.attach_vm_regions(vm_regions);
                 trace
                     .attach_telemetry_source(present, Arc::new(source))
-                    .map_err(|e| StoreError::Inconsistent(e.to_string()))?;
+                    .map_err(inconsistent)?;
                 Ok(trace)
             }
         }
     }
-
-    /// Decodes every telemetry chunk and reassembles per-VM series
-    /// from their per-day runs.
-    fn assemble_resident_telemetry(
-        &self,
-        present: &[bool],
-    ) -> Result<Vec<Option<UtilSeries>>, StoreError> {
-        let mut runs: Vec<Vec<(i64, Bytes)>> = vec![Vec::new(); present.len()];
-        for batch in self.scan(
-            ScanFilter::all().kind(ChunkKind::Telemetry),
-            Projection::all(),
-        ) {
-            let Batch::Telemetry(batch) = batch? else {
-                unreachable!("filtered to telemetry");
-            };
-            let chunk = batch.chunk.clone();
-            let (ids, starts, samples) = batch.into_columns()?;
-            for ((id, start), bytes) in ids.iter().zip(starts).zip(samples) {
-                let slot = runs.get_mut(id.as_usize()).ok_or_else(|| {
-                    StoreError::Inconsistent(format!(
-                        "chunk {chunk}: telemetry for unknown vm {id}"
-                    ))
-                })?;
-                slot.push((start.minutes(), bytes));
-            }
-        }
-        let mut out = Vec::with_capacity(present.len());
-        for (idx, (mut vm_runs, &has)) in runs.into_iter().zip(present).enumerate() {
-            if vm_runs.is_empty() {
-                if has {
-                    return Err(StoreError::Inconsistent(format!(
-                        "vm {idx} is marked present but no chunk holds its telemetry"
-                    )));
-                }
-                out.push(None);
-                continue;
-            }
-            if !has {
-                return Err(StoreError::Inconsistent(format!(
-                    "vm {idx} has telemetry runs but is marked absent"
-                )));
-            }
-            out.push(Some(
-                assemble_series(idx as u64, &mut vm_runs).map_err(StoreError::Inconsistent)?,
-            ));
-        }
-        Ok(out)
-    }
 }
 
-/// Concatenates one VM's per-day runs back into its series, verifying
-/// the runs tile the sample grid exactly.
-pub(crate) fn assemble_series(id: u64, runs: &mut [(i64, Bytes)]) -> Result<UtilSeries, String> {
-    runs.sort_by_key(|(start, _)| *start);
-    let first_start = runs[0].0;
-    let mut expected_next = first_start;
-    let total: usize = runs.iter().map(|(_, b)| b.len()).sum();
-    let mut samples = Vec::with_capacity(total);
-    for (start, bytes) in runs.iter() {
-        if *start != expected_next {
-            return Err(format!(
-                "vm {id}: telemetry run starts at minute {start} but the previous run ends at {expected_next}"
-            ));
-        }
-        expected_next = start + bytes.len() as i64 * SAMPLE_INTERVAL_MINUTES;
-        samples.extend_from_slice(bytes);
+/// Reads, verifies, and decodes one chunk of the store in `dir`,
+/// decompressing only the `wanted` columns (`None` = all), fanning
+/// sub-block decompression out over `par` when given; `decode` turns
+/// the columns into rows. Output is identical at any worker count.
+///
+/// # Errors
+/// Any [`StoreError`] from I/O or validation; a failed chunk never
+/// yields partial rows.
+pub(crate) fn read_chunk<T>(
+    dir: &Path,
+    entry: &ChunkEntry,
+    wanted: Option<&[u16]>,
+    par: Option<&Parallelism>,
+    decode: impl FnOnce(&Path, DecodedChunk) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
+    let path = dir.join(entry.meta.file_name());
+    let name = entry.meta.name();
+    let bytes = std::fs::read(&path).map_err(|e| match e.kind() {
+        // Present at open, gone now: the same verdict open gives.
+        std::io::ErrorKind::NotFound => StoreError::Missing {
+            file: path.display().to_string(),
+            chunk: name.clone(),
+        },
+        _ => StoreError::io(&path, e),
+    })?;
+    if bytes.len() as u64 != entry.file_len {
+        return Err(StoreError::corrupt(
+            &path,
+            &name,
+            format!(
+                "stale manifest: file is {} bytes but the manifest promises {}",
+                bytes.len(),
+                entry.file_len
+            ),
+        ));
     }
-    Ok(UtilSeries::from_quantized(
-        SimTime::from_minutes(first_start),
-        Bytes::from(samples),
-    ))
+    if crc32(&bytes) != entry.file_crc {
+        return Err(StoreError::corrupt(
+            &path,
+            &name,
+            "file checksum disagrees with the manifest",
+        ));
+    }
+    // The manifest whole-file CRC above already covered every byte, so
+    // the decoder's footer-CRC pass would be a second scan of the same
+    // bytes — skip it.
+    let decoded = decode_chunk_file(&path, &name, &bytes, wanted, par, false)?;
+    if decoded.meta != entry.meta {
+        return Err(StoreError::corrupt(
+            &path,
+            &name,
+            format!(
+                "chunk header says {} but the manifest says {name}",
+                decoded.meta.name()
+            ),
+        ));
+    }
+    counter("store.read.batches").inc();
+    decode(&path, decoded)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::blobs::{encode_presence, encode_subscriptions, encode_topology};
+    use crate::chunk::{encode_chunk_file, ChunkMeta};
+    use crate::columns::TelemetryColumns;
+    use crate::writer::{TraceWriter, WriteOptions};
+    use cloudscope_model::ids::{ClusterId, RegionId, ServiceId, SubscriptionId};
+    use cloudscope_model::subscription::{CloudKind, PartyKind};
+    use cloudscope_model::telemetry::UtilSeries;
+    use cloudscope_model::time::SimTime;
+    use cloudscope_model::topology::{NodeSku, Topology};
+    use cloudscope_model::vm::{Priority, ServiceModel, VmRecord, VmSize};
+
+    /// A directory holding a committed three-VM store — vms 0 and 1 in
+    /// region 0, vm 2 in region 1, vm 1 without telemetry — whose
+    /// manifest `edit` then rewrites; removed on drop.
+    struct Store(PathBuf);
+
+    impl Store {
+        fn new(tag: &str, edit: impl FnOnce(&Path, &mut Manifest)) -> Self {
+            let dir = std::env::temp_dir().join(format!(
+                "cloudscope-store-reader-{tag}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let par = Parallelism::with_workers(1);
+            let mut w = TraceWriter::create(&dir, WriteOptions::default(), &par).unwrap();
+            let mut topology = Topology::builder();
+            for name in ["us-west", "eu-north"] {
+                let region = topology.add_region(name, 0, "US");
+                let datacenter = topology.add_datacenter(region);
+                let sku = NodeSku::new(48, 384.0);
+                topology.add_cluster(datacenter, CloudKind::Private, sku, 2, 2);
+            }
+            w.add_blob(BLOB_TOPOLOGY, encode_topology(&topology.build()));
+            w.add_blob(
+                BLOB_SUBSCRIPTIONS,
+                encode_subscriptions(&[Subscription::new(
+                    SubscriptionId::new(0),
+                    CloudKind::Private,
+                    PartyKind::FirstParty,
+                )]),
+            );
+            for id in 0..3 {
+                let region = u32::from(id == 2);
+                let vm = VmRecord {
+                    id: VmId::new(id),
+                    subscription: SubscriptionId::new(0),
+                    service: ServiceId::new(0),
+                    size: VmSize::new(2, 8.0),
+                    priority: Priority::OnDemand,
+                    service_model: ServiceModel::Iaas,
+                    region: RegionId::new(region),
+                    cluster: ClusterId::new(region),
+                    node: None,
+                    created: SimTime::ZERO,
+                    ended: None,
+                };
+                let util = UtilSeries::from_percentages(SimTime::ZERO, [10.0, 20.0]);
+                w.append_vm(&vm, (id != 1).then_some(&util)).unwrap();
+            }
+            w.finish().unwrap();
+
+            let path = dir.join(MANIFEST_NAME);
+            let mut manifest = Manifest::decode(&path, &std::fs::read(&path).unwrap()).unwrap();
+            edit(&dir, &mut manifest);
+            std::fs::write(&path, manifest.encode()).unwrap();
+            Self(dir)
+        }
+
+        /// The `Inconsistent` verdict of a read in `mode`.
+        fn inconsistency(&self, mode: TelemetryMode) -> String {
+            let reader = TraceReader::open(&self.0).unwrap();
+            match reader.read_trace(mode, &Parallelism::with_workers(1)) {
+                Err(StoreError::Inconsistent(why)) => why,
+                other => panic!("expected Inconsistent, got {other:?}"),
+            }
+        }
+    }
+
+    impl Drop for Store {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn set_presence(manifest: &mut Manifest, present: &[bool]) {
+        let blob = manifest
+            .blobs
+            .iter_mut()
+            .find(|(name, _)| name == BLOB_TELEMETRY_PRESENT)
+            .expect("presence blob");
+        blob.1 = encode_presence(present);
+    }
+
+    /// Adds a CRC-valid telemetry chunk, named by the manifest, holding
+    /// one run of each of `vms` in lane `(region, day 0)` at `seq`.
+    fn add_runs(dir: &Path, manifest: &mut Manifest, vms: &[u64], region: u32, seq: u32) {
+        let mut cols = TelemetryColumns::default();
+        for &vm in vms {
+            cols.push(vm, 0, &[7, 7]);
+        }
+        let meta = ChunkMeta {
+            kind: ChunkKind::Telemetry,
+            region,
+            day: 0,
+            seq,
+            rows: cols.rows,
+            min_vm: cols.min_vm,
+            max_vm: cols.max_vm,
+        };
+        let (file, _) = encode_chunk_file(&meta, &cols.into_columns(), 1);
+        std::fs::write(dir.join(meta.file_name()), &file).unwrap();
+        manifest.chunks.push(ChunkEntry {
+            meta,
+            file_len: file.len() as u64,
+            file_crc: crc32(&file),
+        });
+    }
+
+    #[test]
+    fn telemetry_past_the_vm_count_is_inconsistent() {
+        // A run of vm 3 in a three-VM store: no scan of the store's VMs
+        // visits it.
+        let store = Store::new("past-count", |dir, manifest| {
+            add_runs(dir, manifest, &[3], 0, 1)
+        });
+        for mode in [
+            TelemetryMode::Resident,
+            TelemetryMode::OutOfCore { cache_chunks: 0 },
+        ] {
+            let why = store.inconsistency(mode);
+            assert!(
+                why.contains(
+                    "telemetry-r0-d0-1 holds telemetry for vm 3 but the store counts 3 VMs"
+                ),
+                "{why}"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_outside_their_vms_region_are_inconsistent() {
+        for mode in [
+            TelemetryMode::Resident,
+            TelemetryMode::OutOfCore { cache_chunks: 0 },
+        ] {
+            let clean = Store::new("clean", |_, _| {});
+            let reader = TraceReader::open(&clean.0).unwrap();
+            let trace = reader.read_trace(mode, &Parallelism::with_workers(1));
+            assert!(trace.is_ok(), "{mode:?}: {:?}", trace.err());
+        }
+        // A scan probes only a VM's own region's lanes. A chunk whose
+        // first id is of another region is never probed; one that is
+        // probed may still hold a run of another region's VM.
+        let unprobed = Store::new("unprobed", |dir, m| add_runs(dir, m, &[1], 2, 0));
+        assert_eq!(
+            unprobed.inconsistency(TelemetryMode::Resident),
+            "chunk telemetry-r2-d0-0 of region 2 holds a run of vm 1, which is not in it"
+        );
+        let probed = Store::new("probed", |dir, m| add_runs(dir, m, &[1, 2], 0, 1));
+        assert_eq!(
+            probed.inconsistency(TelemetryMode::Resident),
+            "chunk telemetry-r0-d0-1 of region 0 holds a run of vm 2, which is not in it"
+        );
+    }
+
+    #[test]
+    fn a_present_vm_no_chunk_holds_is_inconsistent() {
+        let store = Store::new("present-unheld", |_, manifest| {
+            set_presence(manifest, &[true, true, true]);
+        });
+        assert_eq!(
+            store.inconsistency(TelemetryMode::Resident),
+            "vm 1 is marked present but no chunk holds its telemetry"
+        );
+    }
+
+    #[test]
+    fn runs_of_an_absent_vm_are_inconsistent() {
+        let store = Store::new("absent-held", |_, manifest| {
+            set_presence(manifest, &[true, false, false]);
+        });
+        assert_eq!(
+            store.inconsistency(TelemetryMode::Resident),
+            "vm 2 has telemetry runs but is marked absent"
+        );
+    }
 }

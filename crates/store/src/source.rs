@@ -1,8 +1,9 @@
-//! The out-of-core telemetry source: a [`TelemetrySource`] that reads
-//! per-VM utilization series from the chunk store in stored order,
-//! holding one decoded chunk per `(region, day)` lane. A `Trace`
+//! The store's one telemetry read path: a [`TelemetrySource`] that
+//! reads per-VM utilization series from the chunk store in stored
+//! order, holding one decoded chunk per `(region, day)` lane. A `Trace`
 //! re-pointed at it keeps only VM metadata and a presence bitmap
-//! resident, and every analysis observes bit-identical samples.
+//! resident, and every analysis observes bit-identical samples; a
+//! resident read is one ascending scan of it, collected.
 //!
 //! # Lanes and the cursor
 //!
@@ -21,8 +22,8 @@
 //! [`StoreTelemetry::try_scan`] is the only read path (`try_load` is a
 //! scan of one id). A scan takes the cursors out of their mutex while it
 //! runs and rehearses its walk on the resident per-chunk id index —
-//! manifest id ranges first, an ids-only projected read where the index
-//! is cold — to list the chunks it must decode, in the order it will
+//! manifest id ranges first, an ids-only read where the index is
+//! cold — to list the chunks it must decode, in the order it will
 //! need them. A chunk that holds no requested id, or that its lane is
 //! already on, is not listed.
 //!
@@ -53,20 +54,20 @@
 //! of a loop of them. Whatever reads many VMs hands one scan their ids.
 
 use crate::chunk::ChunkKind;
-use crate::columns::{Batch, Projection};
+use crate::columns::{col, decode_ids, decode_telemetry};
 use crate::error::StoreError;
-use crate::manifest::ChunkEntry;
-use crate::reader::{assemble_series, ScanFilter, TraceReader};
+use crate::manifest::{ChunkEntry, Manifest};
+use crate::reader::{read_chunk, TraceReader};
 use bytes::Bytes;
 use cloudscope_model::ids::VmId;
 use cloudscope_model::telemetry::UtilSeries;
-use cloudscope_model::time::SimTime;
+use cloudscope_model::time::{SimTime, SAMPLE_INTERVAL_MINUTES};
 use cloudscope_model::trace::TelemetrySource;
 use cloudscope_obs::{Counter, Histogram, Registry};
 use cloudscope_par::Parallelism;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -128,16 +129,17 @@ impl Metrics {
 /// Lazy telemetry over a committed trace directory.
 #[derive(Debug)]
 pub struct StoreTelemetry {
-    reader: TraceReader,
+    /// The store directory.
+    dir: PathBuf,
     /// Telemetry chunk entries, in manifest order.
     entries: Vec<ChunkEntry>,
     /// Per-chunk sorted id membership, filled by a full decode or, if
-    /// asked for first, by an ids-only projected read. VM ids are
-    /// contiguous per *subscription*, not per region, so the id ranges
-    /// of different regions' chunks interleave — without this index a
-    /// sparse scan would decompress every range-overlapping chunk just
-    /// to miss its binary search. The only per-chunk state that stays
-    /// resident: 8 bytes per telemetry run, ~1% of the samples.
+    /// asked for first, by an ids-only read. VM ids are contiguous per
+    /// *subscription*, not per region, so the id ranges of different
+    /// regions' chunks interleave — without this index a sparse scan
+    /// would decompress every range-overlapping chunk just to miss its
+    /// binary search. The only per-chunk state that stays resident:
+    /// 8 bytes per telemetry run, ~1% of the samples.
     ids: Vec<OnceLock<Vec<VmId>>>,
     /// Chunk indices per `(region, day)` lane, in ascending id order.
     lanes: Vec<Vec<usize>>,
@@ -166,7 +168,7 @@ impl StoreTelemetry {
     /// # Errors
     /// Any [`StoreError`] from [`TraceReader::open`], or
     /// [`StoreError::Inconsistent`] if a lane's chunks do not cover
-    /// ascending id ranges.
+    /// ascending id ranges or a chunk holds ids past the VM count.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::open_with(dir, Parallelism::default())
     }
@@ -180,10 +182,35 @@ impl StoreTelemetry {
     /// Same as [`StoreTelemetry::open`].
     pub fn open_with(dir: impl AsRef<Path>, par: Parallelism) -> Result<Self, StoreError> {
         let reader = TraceReader::open(dir.as_ref())?;
-        let entries: Vec<ChunkEntry> = reader
-            .chunks(ScanFilter::all().kind(ChunkKind::Telemetry))
+        Self::new(reader.dir(), reader.manifest(), par)
+    }
+
+    /// The source over the store in `dir` whose validated manifest is
+    /// `manifest`.
+    ///
+    /// # Errors
+    /// Same as [`StoreTelemetry::open`], past opening.
+    pub(crate) fn new(
+        dir: &Path,
+        manifest: &Manifest,
+        par: Parallelism,
+    ) -> Result<Self, StoreError> {
+        let entries: Vec<ChunkEntry> = manifest
+            .chunks
+            .iter()
+            .filter(|e| e.meta.kind == ChunkKind::Telemetry)
             .cloned()
             .collect();
+        // Chunk ids run exactly from `min_vm` to `max_vm` (checked at
+        // decode), so no scan of the store's VMs misses a run.
+        if let Some(entry) = entries.iter().find(|e| e.meta.max_vm >= manifest.vm_count) {
+            return Err(StoreError::Inconsistent(format!(
+                "chunk {} holds telemetry for vm {} but the store counts {} VMs",
+                entry.meta.name(),
+                entry.meta.max_vm,
+                manifest.vm_count
+            )));
+        }
 
         let mut by_key: BTreeMap<(u32, u8), Vec<usize>> = BTreeMap::new();
         for (idx, entry) in entries.iter().enumerate() {
@@ -214,7 +241,7 @@ impl StoreTelemetry {
 
         let registry = cloudscope_obs::current();
         Ok(Self {
-            reader,
+            dir: dir.to_path_buf(),
             ids: entries.iter().map(|_| OnceLock::new()).collect(),
             entries,
             all_lanes: (0..lanes.len()).collect(),
@@ -269,6 +296,35 @@ impl StoreTelemetry {
     /// the map fall back to the all-lanes probe.
     pub(crate) fn attach_vm_regions(&self, regions: Vec<u32>) {
         let _ = self.vm_regions.set(regions);
+    }
+
+    /// After a scan of every VM id under the region map: fails on a run
+    /// that scan could not reach, one stored in a lane of a region
+    /// other than its VM's. A probe of a chunk's first id — a VM of the
+    /// chunk's region, unless the chunk is stray — fills its id index,
+    /// so a chunk still unindexed is stray too.
+    ///
+    /// # Errors
+    /// [`StoreError::Inconsistent`] naming the chunk and the VM.
+    pub(crate) fn check_no_stray_runs(&self) -> Result<(), StoreError> {
+        let regions = self.vm_regions.get().map_or(&[][..], Vec::as_slice);
+        for (entry, ids) in self.entries.iter().zip(&self.ids) {
+            let region = entry.meta.region;
+            let stray = match ids.get() {
+                None => Some(entry.meta.min_vm),
+                Some(ids) => ids
+                    .iter()
+                    .find(|id| regions.get(id.as_usize()) != Some(&region))
+                    .map(|id| id.index()),
+            };
+            if let Some(vm) = stray {
+                return Err(StoreError::Inconsistent(format!(
+                    "chunk {} of region {region} holds a run of vm {vm}, which is not in it",
+                    entry.meta.name()
+                )));
+            }
+        }
+        Ok(())
     }
 
     fn lock(&self) -> MutexGuard<'_, Vec<Cursor>> {
@@ -440,20 +496,21 @@ impl StoreTelemetry {
     }
 
     /// The sorted id column of the telemetry chunk at `idx`: from the
-    /// resident index, else through an ids-only projected read (the id
-    /// column decompresses alone). A lost set race only duplicates that
-    /// one cheap read.
+    /// resident index, else through an ids-only read (the id column
+    /// decompresses alone). A lost set race only duplicates that one
+    /// cheap read.
     fn chunk_ids(&self, idx: usize) -> Result<&[VmId], StoreError> {
         if let Some(ids) = self.ids[idx].get() {
             return Ok(ids);
         }
-        let Batch::Telemetry(batch) = self
-            .reader
-            .read_chunk(&self.entries[idx], Projection::columns(&[]))?
-        else {
-            unreachable!("entry table holds telemetry chunks only")
-        };
-        Ok(self.ids[idx].get_or_init(|| batch.ids))
+        let ids = read_chunk(
+            &self.dir,
+            &self.entries[idx],
+            Some(&[col::ID]),
+            None,
+            decode_ids,
+        )?;
+        Ok(self.ids[idx].get_or_init(|| ids))
     }
 
     /// Fully decodes the chunk at `idx`, filling the resident id index
@@ -461,22 +518,40 @@ impl StoreTelemetry {
     /// again from one of `d` decodes spread `ooc_fits`' heap over more
     /// allocator arenas (+10 MB RSS) and bought nothing.
     fn decode_chunk(&self, idx: usize, par: Option<&Parallelism>) -> Decoded {
-        let Batch::Telemetry(batch) =
-            self.reader
-                .read_chunk_with(&self.entries[idx], Projection::all(), par)?
-        else {
-            unreachable!("entry table holds telemetry chunks only")
-        };
-        let (ids, starts, samples) = batch.into_columns()?;
+        let (ids, starts, samples) =
+            read_chunk(&self.dir, &self.entries[idx], None, par, decode_telemetry)?;
         let _ = self.ids[idx].set(ids);
         Ok(DecodedChunk { starts, samples })
     }
 }
 
+/// Concatenates one VM's per-day runs back into its series, verifying
+/// the runs tile the sample grid exactly.
+fn assemble_series(id: u64, runs: &mut [(i64, Bytes)]) -> Result<UtilSeries, String> {
+    runs.sort_by_key(|(start, _)| *start);
+    let first_start = runs[0].0;
+    let mut expected_next = first_start;
+    let total: usize = runs.iter().map(|(_, b)| b.len()).sum();
+    let mut samples = Vec::with_capacity(total);
+    for (start, bytes) in runs.iter() {
+        if *start != expected_next {
+            return Err(format!(
+                "vm {id}: telemetry run starts at minute {start} but the previous run ends at {expected_next}"
+            ));
+        }
+        expected_next = start + bytes.len() as i64 * SAMPLE_INTERVAL_MINUTES;
+        samples.extend_from_slice(bytes);
+    }
+    Ok(UtilSeries::from_quantized(
+        SimTime::from_minutes(first_start),
+        Bytes::from(samples),
+    ))
+}
+
 impl TelemetrySource for StoreTelemetry {
     /// Presence without materializing samples: manifest id-range
-    /// pruning plus the resident id index. Only the ids-only projected
-    /// read happens on a cold index — sample payloads never decompress.
+    /// pruning plus the resident id index. Only the ids-only read
+    /// happens on a cold index — sample payloads never decompress.
     fn has(&self, id: VmId) -> bool {
         let mut hits = Vec::new();
         if let Err(e) = self.probe(id, &mut hits) {

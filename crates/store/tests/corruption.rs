@@ -9,8 +9,8 @@ use cloudscope_model::ids::VmId;
 use cloudscope_model::trace::Trace;
 use cloudscope_par::Parallelism;
 use cloudscope_store::{
-    write_trace, ChunkKind, Projection, ScanFilter, StoreError, StoreTelemetry, TelemetryMode,
-    TraceReader, WriteOptions,
+    write_trace, ChunkKind, ScanFilter, StoreError, StoreTelemetry, TelemetryMode, TraceReader,
+    WriteOptions,
 };
 use common::{trace_from_seeds, TempDir};
 use std::path::{Path, PathBuf};
@@ -35,14 +35,13 @@ fn build_store(dir: &Path) {
     .unwrap();
 }
 
-/// Fully reads the store: open, every chunk, the assembled trace.
-/// Returns the first error. A corrupted store must never get through
-/// this whole path cleanly.
+/// Fully reads the store: open, every chunk's ids, the assembled
+/// trace. Returns the first error. A corrupted store must never get
+/// through this whole path cleanly.
 fn read_everything(dir: &Path) -> Result<(), StoreError> {
     let reader = TraceReader::open(dir)?;
-    let entries: Vec<_> = reader.chunks(Default::default()).cloned().collect();
-    for entry in &entries {
-        reader.read_chunk(entry, Projection::all())?;
+    for entry in reader.chunks(Default::default()) {
+        reader.read_chunk_ids(entry)?;
     }
     reader.read_trace(TelemetryMode::Resident, &Parallelism::with_workers(1))?;
     Ok(())
@@ -143,7 +142,7 @@ fn chunk_errors_name_file_and_chunk() {
     bytes[mid] ^= 0x40;
     std::fs::write(&file, &bytes).unwrap();
 
-    let err = reader.read_chunk(&entry, Projection::all()).unwrap_err();
+    let err = reader.read_chunk_ids(&entry).unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains(&chunk_name),
@@ -408,8 +407,8 @@ fn scan_surfaces_a_bit_flip_in_the_second_chunk_of_a_lane() {
     });
 }
 
-/// Corruption is detected under projection too — the file-level CRC
-/// guards even the columns a projected read skips decompressing.
+/// Corruption is detected by an ids-only read too — the file-level CRC
+/// guards even the columns it skips decompressing.
 #[test]
 fn projection_does_not_weaken_integrity() {
     let dir = TempDir::new("fuzz-projected");
@@ -418,16 +417,15 @@ fn projection_does_not_weaken_integrity() {
     let entry = reader.chunks(Default::default()).next().unwrap().clone();
     let file = dir.path().join(entry.meta.file_name());
     let clean = std::fs::read(&file).unwrap();
-    // Flip one bit in every byte position; a projected read must fail
+    // Flip one bit in every byte position; an ids-only read must fail
     // for all of them even though it decodes only the id column.
-    let projection = Projection::columns(&[]);
     for byte in (0..clean.len()).step_by(7) {
         let mut evil = clean.clone();
         evil[byte] ^= 0x01;
         std::fs::write(&file, &evil).unwrap();
         assert!(
-            reader.read_chunk(&entry, projection).is_err(),
-            "projected read survived a flip at byte {byte}"
+            reader.read_chunk_ids(&entry).is_err(),
+            "ids-only read survived a flip at byte {byte}"
         );
     }
 }

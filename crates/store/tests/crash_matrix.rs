@@ -144,8 +144,10 @@ fn assert_reopens(dir: &Path, committed: Option<&Trace>, survives: bool, context
             assert!(store_exists(dir), "{context}: committed store gone");
             let reader = TraceReader::open(dir)
                 .unwrap_or_else(|e| panic!("{context}: committed store refused: {e}"));
-            for batch in reader.scan(ScanFilter::all(), Default::default()) {
-                batch.unwrap_or_else(|e| panic!("{context}: opened, then a chunk failed: {e}"));
+            for entry in reader.chunks(ScanFilter::all()) {
+                reader
+                    .read_chunk_ids(entry)
+                    .unwrap_or_else(|e| panic!("{context}: opened, then a chunk failed: {e}"));
             }
             let back = reader
                 .read_trace(TelemetryMode::Resident, &par())

@@ -11,8 +11,7 @@ use cloudscope_model::trace::Trace;
 use cloudscope_obs::{Registry, Snapshot};
 use cloudscope_par::Parallelism;
 use cloudscope_store::{
-    Batch, ChunkEntry, ChunkKind, Projection, ScanFilter, StoreError, StoreTelemetry,
-    TelemetryMode, TraceReader,
+    ChunkEntry, ChunkKind, ScanFilter, StoreError, StoreTelemetry, TelemetryMode, TraceReader,
 };
 use common::{write_many_chunk_store, TempDir};
 use std::path::Path;
@@ -27,14 +26,7 @@ fn telemetry_chunks(dir: &Path) -> Vec<(ChunkEntry, Vec<VmId>)> {
     let reader = TraceReader::open(dir).unwrap();
     reader
         .chunks(ScanFilter::all().kind(ChunkKind::Telemetry))
-        .map(|entry| {
-            let Batch::Telemetry(batch) =
-                reader.read_chunk(entry, Projection::columns(&[])).unwrap()
-            else {
-                unreachable!("filtered to telemetry")
-            };
-            (entry.clone(), batch.ids)
-        })
+        .map(|entry| (entry.clone(), reader.read_chunk_ids(entry).unwrap()))
         .collect()
 }
 

@@ -9,8 +9,8 @@ use cloudscope_model::ids::VmId;
 use cloudscope_model::trace::TelemetrySource;
 use cloudscope_par::Parallelism;
 use cloudscope_store::{
-    store_exists, write_trace, Batch, ChunkKind, Column, Projection, ScanFilter, StoreTelemetry,
-    TelemetryMode, TraceReader, WriteOptions,
+    store_exists, write_trace, ChunkKind, ScanFilter, StoreTelemetry, TelemetryMode, TraceReader,
+    WriteOptions,
 };
 use common::{assert_traces_equal, dir_snapshot, trace_from_seeds, TempDir};
 use proptest::prelude::*;
@@ -116,12 +116,9 @@ proptest! {
         // Chunks holding a run of at least one picked id.
         let reader = TraceReader::open(dir.path()).unwrap();
         let mut intersecting = 0u64;
-        for batch in reader.scan(
-            ScanFilter::all().kind(ChunkKind::Telemetry),
-            Projection::columns(&[]),
-        ) {
-            let Batch::Telemetry(b) = batch.unwrap() else { panic!("filtered to telemetry") };
-            intersecting += u64::from(b.ids.iter().any(|id| ids.binary_search(id).is_ok()));
+        for entry in reader.chunks(ScanFilter::all().kind(ChunkKind::Telemetry)) {
+            let chunk_ids = reader.read_chunk_ids(entry).unwrap();
+            intersecting += u64::from(chunk_ids.iter().any(|id| ids.binary_search(id).is_ok()));
         }
 
         let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
@@ -155,53 +152,37 @@ proptest! {
         prop_assert_eq!(counter("store.read.series_loaded"), expected.len() as u64);
     }
 
-    /// Projection and predicate pushdown return exactly the rows and
-    /// columns a full scan would, just fewer of them.
+    /// Region pushdown returns exactly the rows a full read holds in
+    /// that region, and reads only that region's chunks.
     #[test]
-    fn projected_scans_agree_with_full_scans(
+    fn region_pushdown_agrees_with_a_full_read(
         seeds in proptest::collection::vec(any::<u64>(), 1..60),
         chunk_rows in 1u32..16,
     ) {
         let trace = trace_from_seeds(&seeds);
-        let dir = TempDir::new("projection");
+        let dir = TempDir::new("pushdown");
         let par = Parallelism::with_workers(2);
         write_trace(&trace, dir.path(), options(chunk_rows, 4, 2), &par).unwrap();
         let reader = TraceReader::open(dir.path()).unwrap();
 
-        // Projected metadata scan: created times only.
-        let mut projected: Vec<(u64, i64)> = Vec::new();
-        for batch in reader.scan(
-            ScanFilter::all().kind(ChunkKind::VmMeta),
-            Projection::columns(&[Column::Created]),
-        ) {
-            let Batch::VmMeta(b) = batch.unwrap() else { panic!("filtered to vm-meta") };
-            prop_assert!(b.sizes.is_none(), "unprojected column was decoded");
-            let created = b.created.as_ref().expect("projected column");
-            projected.extend(
-                b.ids.iter().zip(created).map(|(id, t)| (id.index(), t.minutes())),
-            );
-        }
-        projected.sort_unstable();
-        let expected: Vec<(u64, i64)> = trace
+        let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
+        let region1 = cloudscope_obs::scoped(&registry, || {
+            reader.read_vm_records(ScanFilter::all().region(1), &par).unwrap()
+        });
+        let expected: Vec<_> = trace
             .vms()
             .iter()
-            .map(|vm| (vm.id.index(), vm.created.minutes()))
+            .filter(|vm| vm.region.index() == 1)
+            .cloned()
             .collect();
-        prop_assert_eq!(projected, expected);
-
-        // Region pushdown: region-1 chunks hold exactly the region-1 rows.
-        let mut region1 = 0usize;
-        for batch in reader.scan(
-            ScanFilter::all().kind(ChunkKind::VmMeta).region(1),
-            Projection::columns(&[Column::Region]),
-        ) {
-            let Batch::VmMeta(b) = batch.unwrap() else { panic!("filtered to vm-meta") };
-            for r in b.regions.as_ref().expect("projected column") {
-                prop_assert_eq!(r.index(), 1);
-                region1 += 1;
-            }
-        }
-        prop_assert_eq!(region1, trace.vms().iter().filter(|vm| vm.region.index() == 1).count());
+        prop_assert_eq!(region1, expected);
+        let region1_chunks = reader
+            .chunks(ScanFilter::all().kind(ChunkKind::VmMeta).region(1))
+            .count() as u64;
+        prop_assert_eq!(
+            registry.snapshot().counter("store.read.chunks").unwrap_or(0),
+            region1_chunks
+        );
     }
 }
 
@@ -236,8 +217,8 @@ fn fixed_trace_roundtrip_smoke() {
     assert!(reader.read_blob("nope").is_err());
 }
 
-/// Chunk day/region pushdown prunes chunks without reading them: a
-/// filter on a day that holds no rows yields no batches at all.
+/// Region pushdown prunes chunks without reading them: a filter on a
+/// region that holds no rows matches no chunk and reads no records.
 #[test]
 fn empty_filters_read_nothing() {
     let trace = trace_from_seeds(&[1, 2, 3]);
@@ -245,8 +226,9 @@ fn empty_filters_read_nothing() {
     let par = Parallelism::with_workers(1);
     write_trace(&trace, dir.path(), WriteOptions::default(), &par).unwrap();
     let reader = TraceReader::open(dir.path()).unwrap();
-    let batches: Vec<_> = reader
-        .scan(ScanFilter::all().region(99), Projection::all())
-        .collect();
-    assert!(batches.is_empty());
+    assert_eq!(reader.chunks(ScanFilter::all().region(99)).count(), 0);
+    let records = reader
+        .read_vm_records(ScanFilter::all().region(99), &par)
+        .unwrap();
+    assert!(records.is_empty());
 }

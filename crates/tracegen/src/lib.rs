@@ -46,6 +46,6 @@ pub use config::{
 pub use generate::{generate, generate_with, GeneratedTrace, GenerationReport, ServiceInfo};
 pub use lifetime::LifetimeSampler;
 pub use sizes::SizeSampler;
-pub use store_io::{generate_to_store, read_generated, read_trace_only, write_generated};
+pub use store_io::{generate_to_store, read_generated, write_generated};
 pub use utilization::{generate_vm_series, PatternKind, ServiceUtilProfile};
 pub use validate::ConfigError;

@@ -24,7 +24,6 @@ use cloudscope_model::durable::{Dec, Enc};
 use cloudscope_model::ids::{RegionId, ServiceId, SubscriptionId, VmId};
 use cloudscope_model::subscription::Subscription;
 use cloudscope_model::telemetry::UtilSeries;
-use cloudscope_model::trace::Trace;
 use cloudscope_par::Parallelism;
 use cloudscope_sim::rng::RngFactory;
 use cloudscope_store::{
@@ -249,19 +248,6 @@ pub fn read_generated(
         services,
         report,
     })
-}
-
-/// Like [`read_generated`], but returns only the trace. Convenience
-/// for pipelines that never touch the generator sidecars.
-///
-/// # Errors
-/// Any [`StoreError`] from opening, validation, or decoding.
-pub fn read_trace_only(
-    dir: impl AsRef<Path>,
-    mode: TelemetryMode,
-    par: &Parallelism,
-) -> Result<Trace, StoreError> {
-    TraceReader::open(dir.as_ref())?.read_trace(mode, par)
 }
 
 /// Generates a trace **straight to disk**: placement runs exactly as

@@ -5,13 +5,12 @@
 //! both telemetry modes.
 
 use cloudscope_par::Parallelism;
-use cloudscope_store::{store_exists, TelemetryMode, TraceWriter, WriteOptions};
+use cloudscope_store::{store_exists, TelemetryMode, TraceReader, TraceWriter, WriteOptions};
 use cloudscope_tracegen::store_io::{
     decode_report, decode_services, encode_report, encode_services,
 };
 use cloudscope_tracegen::{
-    generate_to_store, generate_with, read_generated, read_trace_only, write_generated,
-    GeneratorConfig,
+    generate_to_store, generate_with, read_generated, write_generated, GeneratorConfig,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -164,12 +163,10 @@ fn read_generated_restores_everything_in_both_modes() {
         }
     }
 
-    let trace_only = read_trace_only(
-        dir.path(),
-        TelemetryMode::OutOfCore { cache_chunks: 2 },
-        &par,
-    )
-    .unwrap();
+    let trace_only = TraceReader::open(dir.path())
+        .unwrap()
+        .read_trace(TelemetryMode::OutOfCore { cache_chunks: 2 }, &par)
+        .unwrap();
     assert!(trace_only.telemetry_is_lazy());
     assert_eq!(trace_only.stats(), generated.trace.stats());
 }

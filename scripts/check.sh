@@ -25,6 +25,16 @@ if grep -rnE 'fn crc32|\.sync_all\(|fs::rename\(' crates/*/src \
   exit 1
 fi
 
+# One telemetry decode path: a VM's per-day runs become its series only
+# in the store's lane scan (StoreTelemetry), which a resident read
+# collects; nothing else reassembles stored runs.
+echo "==> one telemetry decode path (crates/store/src/source.rs)"
+if grep -rn --include='*.rs' 'assemble_series(' crates/*/src \
+  | grep -v '^crates/store/src/source\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "ERROR: read telemetry through StoreTelemetry::try_scan instead of assembling runs again" >&2
+  exit 1
+fi
+
 # The drive pulls each VM's wire from a step-wise corruptor as it comes
 # due; only the test oracle materialises a whole stream.
 echo "==> no materialised wire in ingest (crates/ingest/src/reference.rs only)"
