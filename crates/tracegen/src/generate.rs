@@ -44,10 +44,23 @@
 //! the small config and on randomized contended configurations;
 //! `tests/trace_digest.rs` pins the bytes.
 //!
+//! ## One emission pass, two sinks
+//!
+//! [`place`] runs phases 1–4b; [`Placed::emit`] is the only code that
+//! turns placed records into a trace. It synthesizes telemetry on the
+//! worker pool a block of records at a time, drops unplaced churn,
+//! renumbers the survivors densely and hands each `(record, series)`
+//! pair to a sink in final id order. [`generate_with`] collects the
+//! pairs for the bulk trace builder in one whole-list block;
+//! [`crate::store_io::generate_to_store`] appends them to the store
+//! writer in bounded blocks. Telemetry is keyed by the pre-renumber id,
+//! so the two agree byte for byte whatever the block length.
+//!
 //! Each phase (prepare, placement, merge, telemetry, assemble) exports
-//! its wall-clock both as a span histogram and as a last-run
-//! `tracegen.generate.phase_*_ns` gauge, so flat scaling is diagnosable
-//! straight from a metrics dump or the bench output.
+//! its wall-clock as a last-run `tracegen.generate.phase_*_ns` gauge,
+//! and all but prepare (whose topology, plans and specs stages have
+//! their own) as a span histogram, on both paths, so flat scaling is
+//! diagnosable straight from a metrics dump or the bench output.
 
 use crate::arrivals::{sample_bursts_week, sample_nhpp_week};
 use crate::config::GeneratorConfig;
@@ -64,12 +77,17 @@ use cloudscope_sim::rng::RngFactory;
 use cloudscope_stats::dist::{Categorical, LogNormal, Sample};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
+use std::time::{Duration, Instant};
 
 /// Per-rack cap on same-service VMs (the fault-domain spreading rule the
 /// paper's Insight 1 discusses).
 const MAX_SAME_SERVICE_PER_RACK: u32 = 80;
 /// How far before the window standing VMs may have been created.
 const MAX_STANDING_LEAD_MINUTES: i64 = 3 * MINUTES_PER_WEEK;
+/// The cluster a churn record carries from materialization until the
+/// simulation places it; a record still carrying it unplaced never ran.
+pub(crate) const UNPLACED_CLUSTER: ClusterId = ClusterId::new(u32::MAX);
 
 /// Ground truth about one service (= one subscription's workload), kept
 /// alongside the trace for classifier evaluation and policy case studies.
@@ -168,10 +186,11 @@ pub(crate) struct Prepared {
     pub(crate) service_base: Vec<u32>,
     pub(crate) next_service: u32,
     pub(crate) standing_per_service: Vec<usize>,
-    /// Sorted: standing first, then churn/burst by creation time.
+    /// Sorted: standing first, then churn/burst by creation time. Empty
+    /// once the routing pre-pass has moved the specs into drive tasks.
     pub(crate) specs: Vec<VmSpec>,
     /// `sizes[i]` is the size drawn for `specs[i]` from the `"sizes"`
-    /// stream, in spec order.
+    /// stream, in spec order; moved out with `specs`.
     pub(crate) sizes: Vec<VmSize>,
     pub(crate) report: GenerationReport,
 }
@@ -394,13 +413,7 @@ fn drive_task(task: &DriveTask, prep: &Prepared) -> TaskOutcome {
             },
             SpecKind::Churn | SpecKind::Burst => {
                 // Materialize the record now; the DES will place it.
-                records.push(make_record(
-                    request,
-                    spec,
-                    plan,
-                    ClusterId::new(u32::MAX),
-                    None,
-                ));
+                records.push(make_record(request, spec, plan, UNPLACED_CLUSTER, None));
                 sim.schedule(spec.created, Event::Create(records.len() - 1));
                 placed.push(Some(records.len() as u32 - 1));
             }
@@ -451,21 +464,23 @@ fn drive_task(task: &DriveTask, prep: &Prepared) -> TaskOutcome {
     }
 }
 
-/// The routing pre-pass: assigns every spec its drive task from
-/// deterministic, placement-independent inputs — the spec's region and
-/// its plan's cloud.
+/// The routing pre-pass: moves every spec (with its size) out of
+/// `prep` into its drive task, chosen from deterministic,
+/// placement-independent inputs — the spec's region and its plan's
+/// cloud.
 ///
 /// Returns the tasks (ascending region, private before public) and, for
 /// every global spec index, its `(task, position-within-task)` locator —
 /// what the merge uses to reassemble outcomes in global spec order.
-fn partition_specs(prep: &Prepared) -> (Vec<DriveTask>, Vec<(u32, u32)>) {
+fn partition_specs(prep: &mut Prepared) -> (Vec<DriveTask>, Vec<(u32, u32)>) {
     let buckets_len = prep.region_ids.len() * 2;
     let mut buckets: Vec<Vec<(VmSpec, VmSize)>> = vec![Vec::new(); buckets_len];
     let mut locator: Vec<(u32, u32)> = Vec::with_capacity(prep.specs.len());
-    for (spec, &size) in prep.specs.iter().zip(&prep.sizes) {
+    let sizes = std::mem::take(&mut prep.sizes);
+    for (spec, size) in std::mem::take(&mut prep.specs).into_iter().zip(sizes) {
         let key = spec.region.as_usize() * 2 + fleet_index(prep.plans[spec.subscription].cloud);
         locator.push((key as u32, buckets[key].len() as u32));
-        buckets[key].push((*spec, size));
+        buckets[key].push((spec, size));
     }
 
     // Compact away empty groups, remapping locator keys to task indices.
@@ -575,31 +590,30 @@ pub fn generate(config: &GeneratorConfig) -> GeneratedTrace {
 /// Panics if the configuration is invalid.
 #[must_use]
 pub fn generate_with(config: &GeneratorConfig, par: Parallelism) -> GeneratedTrace {
+    let gen_span = cloudscope_obs::span("tracegen.generate");
+    place(config, &gen_span, par).collect(&gen_span, par)
+}
+
+/// Phases 1–4b (prepare, placement, merge): everything the emission
+/// pass ([`Placed::emit`]) consumes.
+///
+/// # Panics
+/// Panics if the configuration is invalid.
+pub(crate) fn place(
+    config: &GeneratorConfig,
+    gen_span: &cloudscope_obs::Span,
+    par: Parallelism,
+) -> Placed {
     if let Err(e) = config.validate() {
         panic!("{e}");
     }
     let factory = RngFactory::new(config.seed);
-    let gen_span = cloudscope_obs::span("tracegen.generate");
-    let inputs = drive_all(config, &factory, &gen_span, par);
-    finish(config, &factory, &gen_span, par, inputs)
-}
-
-/// Phases 1–4b (prepare, placement, merge): everything up to — but
-/// not including — telemetry and assembly. Shared by [`generate_with`]
-/// and the streaming [`crate::store_io::generate_to_store`] path, which
-/// swaps the in-memory assemble for a chunked write-out.
-pub(crate) fn drive_all(
-    config: &GeneratorConfig,
-    factory: &RngFactory,
-    gen_span: &cloudscope_obs::Span,
-    par: Parallelism,
-) -> FinishInputs {
-    let phase_start = std::time::Instant::now();
-    let prep = prepare(config, factory, gen_span);
-    record_phase("tracegen.generate.phase_prepare_ns", phase_start);
+    let phase_start = Instant::now();
+    let mut prep = prepare(config, &factory, gen_span);
+    record_phase("prepare", phase_start.elapsed());
 
     let stage = gen_span.child("placement");
-    let phase_start = std::time::Instant::now();
+    let phase_start = Instant::now();
     let mut region_seen = vec![false; prep.region_ids.len()];
     for spec in &prep.specs {
         region_seen[spec.region.as_usize()] = true;
@@ -608,26 +622,17 @@ pub(crate) fn drive_all(
         .add(region_seen.iter().filter(|&&seen| seen).count() as u64);
 
     // 4. Placement: the routing pre-pass, then the per-task drive.
-    let (tasks, locator) = partition_specs(&prep);
+    let (tasks, locator) = partition_specs(&mut prep);
     cloudscope_obs::counter("tracegen.generate.tasks_driven").add(tasks.len() as u64);
     cloudscope_obs::gauge("tracegen.generate.region_workers").set(par.workers() as f64);
     let outcomes = par.par_map(&tasks, |task| drive_task(task, &prep));
     stage.finish();
-    record_phase("tracegen.generate.phase_placement_ns", phase_start);
+    record_phase("placement", phase_start.elapsed());
 
     let stage = gen_span.child("merge");
-    let phase_start = std::time::Instant::now();
-    let Prepared {
-        topology,
-        tz_of,
-        plans,
-        service_base,
-        next_service,
-        standing_per_service,
-        mut report,
-        ..
-    } = prep;
+    let phase_start = Instant::now();
     // 4b. Merge: reassemble per-task outcomes over the global spec order.
+    let report = &mut prep.report;
     for (task, outcome) in tasks.iter().zip(&outcomes) {
         report.dropped_vms += outcome.dropped_standing;
         match task.cloud {
@@ -638,139 +643,175 @@ pub(crate) fn drive_all(
     let records = merge_outcomes(&locator, &outcomes, par);
     cloudscope_obs::counter("tracegen.generate.merged_records").add(records.len() as u64);
     stage.finish();
-    record_phase("tracegen.generate.phase_merge_ns", phase_start);
+    record_phase("merge", phase_start.elapsed());
 
-    FinishInputs {
-        topology,
-        tz_of,
-        plans,
-        service_base,
-        next_service,
-        standing_per_service,
+    Placed {
+        factory,
+        telemetry: config.telemetry,
+        prep,
         records,
-        report,
     }
 }
 
-/// Records one generation phase's wall-clock as a last-run gauge (in
-/// nanoseconds) — the per-phase breakdown benches and profiling read
-/// without histogram-bucket math.
-fn record_phase(metric: &str, started: std::time::Instant) {
-    cloudscope_obs::gauge(metric).set(started.elapsed().as_nanos() as f64);
+/// Records one generation phase's wall-clock as the last-run gauge
+/// `tracegen.generate.phase_<phase>_ns` — the per-phase breakdown
+/// benches and profiling read without histogram-bucket math.
+fn record_phase(phase: &str, elapsed: Duration) {
+    cloudscope_obs::gauge(&format!("tracegen.generate.phase_{phase}_ns"))
+        .set(elapsed.as_nanos() as f64);
 }
 
-/// Everything the shared telemetry + assemble phases consume.
-pub(crate) struct FinishInputs {
-    pub(crate) topology: Topology,
-    pub(crate) tz_of: Vec<i32>,
-    pub(crate) plans: Vec<SubscriptionPlan>,
-    pub(crate) service_base: Vec<u32>,
-    pub(crate) next_service: u32,
-    pub(crate) standing_per_service: Vec<usize>,
-    /// Placement outcomes with final pre-assemble ids (dense over
-    /// materialized records in global spec order).
+/// A placed trace: every materialized record, and what the emission
+/// pass needs to give each its telemetry.
+pub(crate) struct Placed {
+    pub(crate) factory: RngFactory,
+    /// [`GeneratorConfig::telemetry`].
+    pub(crate) telemetry: bool,
+    /// Phases 1–3's output, its report counting placement.
+    pub(crate) prep: Prepared,
+    /// Placement outcomes in global spec order, with pre-renumber ids
+    /// (dense over materialized records, unplaced churn included).
     pub(crate) records: Vec<VmRecord>,
+}
+
+/// What the emission pass hands back once every VM reached its sink.
+pub(crate) struct Emitted {
+    pub(crate) topology: Topology,
+    pub(crate) subscriptions: Vec<Subscription>,
+    pub(crate) services: Vec<ServiceInfo>,
     pub(crate) report: GenerationReport,
 }
 
-/// Phases 5–6: per-VM telemetry and trace assembly.
-pub(crate) fn finish(
-    config: &GeneratorConfig,
-    factory: &RngFactory,
-    gen_span: &cloudscope_obs::Span,
-    par: Parallelism,
-    inputs: FinishInputs,
-) -> GeneratedTrace {
-    let FinishInputs {
-        topology,
-        tz_of,
-        plans,
-        service_base,
-        next_service,
-        standing_per_service,
-        records,
-        mut report,
-    } = inputs;
-    let stage = gen_span.child("telemetry");
-    let phase_start = std::time::Instant::now();
+impl Placed {
+    /// Phases 5–6, the one emission pass: telemetry for `block_len`
+    /// records at a time on the worker pool, then a serial pass over
+    /// the block that drops unplaced churn (the platform never ran it)
+    /// and hands the survivors to `sink` in final id order, renumbered
+    /// densely. Telemetry is keyed by the pre-renumber id, so the bytes
+    /// do not depend on `block_len`; `usize::MAX` sweeps the whole list
+    /// at once, with no per-block barrier.
+    ///
+    /// # Errors
+    /// The first error `sink` returns; the pass stops there.
+    ///
+    /// # Panics
+    /// Panics if `block_len` is zero.
+    pub(crate) fn emit<E>(
+        self,
+        gen_span: &cloudscope_obs::Span,
+        par: Parallelism,
+        block_len: usize,
+        mut sink: impl FnMut(VmRecord, Option<UtilSeries>) -> Result<(), E>,
+    ) -> Result<Emitted, E> {
+        assert!(block_len > 0, "emission blocks hold at least one record");
+        let Placed {
+            factory,
+            telemetry,
+            prep,
+            records,
+        } = self;
+        let mut report = prep.report;
+        let (mut telemetry_time, mut assemble_time) = (Duration::ZERO, Duration::ZERO);
+        let (mut vms_generated, mut samples_generated) = (0u64, 0u64);
+        let mut records = records.into_iter();
+        while !records.as_slice().is_empty() {
+            let stage = gen_span.child("telemetry");
+            let phase_start = Instant::now();
+            let block = &records.as_slice()[..block_len.min(records.len())];
+            let series: Vec<Option<UtilSeries>> = if telemetry {
+                par.par_map(block, |record| vm_telemetry(record, &prep, &factory))
+            } else {
+                vec![None; block.len()]
+            };
+            telemetry_time += phase_start.elapsed();
+            stage.finish();
 
-    // 5. Telemetry (deterministic per-VM streams, so order is free).
-    // Parallel sweep on the shared executor; per-VM RNG streams keep
-    // results independent of the worker count.
-    let telemetry: Vec<Option<UtilSeries>> = if config.telemetry {
-        par.par_map(&records, |record| {
-            vm_telemetry(record, &plans, &service_base, &tz_of, factory)
-        })
-    } else {
-        vec![None; records.len()]
-    };
-
-    stage.finish();
-    record_phase("tracegen.generate.phase_telemetry_ns", phase_start);
-    let stage = gen_span.child("assemble");
-    let phase_start = std::time::Instant::now();
-    let samples_generated: u64 = telemetry.iter().flatten().map(|s| s.len() as u64).sum();
-
-    // 6. Assemble the trace.
-    let mut builder = Trace::builder(topology);
-    for (idx, plan) in plans.iter().enumerate() {
-        builder
-            .add_subscription(Subscription::new(
-                SubscriptionId::new(idx as u32),
-                plan.cloud,
-                plan.party,
-            ))
-            .expect("dense subscription ids");
-    }
-    // Unplaced churn VMs are dropped (the platform never ran them), and
-    // the survivors renumbered so VmIds stay dense in the trace — a
-    // cheap serial move pass. The builder then validates the batch and
-    // builds its four secondary indices on the worker pool, with
-    // serial-identical insertion order.
-    let mut kept_records = Vec::with_capacity(records.len());
-    let mut kept_util = Vec::with_capacity(records.len());
-    for (mut record, util) in records.into_iter().zip(telemetry) {
-        if record.node.is_none() && record.cluster.index() == u32::MAX {
-            report.dropped_vms += 1;
-            continue;
+            let stage = gen_span.child("assemble");
+            let phase_start = Instant::now();
+            // `zip` polls `series` first, so it stops at the block's end
+            // without taking the next block's first record.
+            for (util, mut record) in series.into_iter().zip(&mut records) {
+                if record.node.is_none() && record.cluster == UNPLACED_CLUSTER {
+                    report.dropped_vms += 1;
+                    continue;
+                }
+                record.id = VmId::new(vms_generated);
+                vms_generated += 1;
+                samples_generated += util.as_ref().map_or(0, |s| s.len() as u64);
+                sink(record, util)?;
+            }
+            assemble_time += phase_start.elapsed();
+            stage.finish();
         }
-        record.id = VmId::new(kept_records.len() as u64);
-        kept_records.push(record);
-        kept_util.push(util);
+        record_phase("telemetry", telemetry_time);
+        record_phase("assemble", assemble_time);
+        cloudscope_obs::counter("tracegen.generate.vms_generated").add(vms_generated);
+        cloudscope_obs::counter("tracegen.generate.samples_generated").add(samples_generated);
+
+        let subscriptions = prep
+            .plans
+            .iter()
+            .enumerate()
+            .map(|(idx, plan)| {
+                Subscription::new(SubscriptionId::new(idx as u32), plan.cloud, plan.party)
+            })
+            .collect();
+        let services = build_services(&prep);
+        Ok(Emitted {
+            topology: prep.topology,
+            subscriptions,
+            services,
+            report,
+        })
     }
-    let next_id = kept_records.len() as u64;
-    builder
-        .add_vms_bulk(kept_records, kept_util, &par)
-        .expect("consistent records");
 
-    let services = build_services(&plans, &service_base, &standing_per_service, next_service);
-
-    stage.finish();
-    record_phase("tracegen.generate.phase_assemble_ns", phase_start);
-    cloudscope_obs::counter("tracegen.generate.vms_generated").add(next_id);
-    cloudscope_obs::counter("tracegen.generate.samples_generated").add(samples_generated);
-
-    GeneratedTrace {
-        trace: builder.build(),
-        services,
-        report,
+    /// The in-memory sink: the whole list in one block, collected and
+    /// bulk-added to a [`TraceBuilder`], which validates the batch and
+    /// builds its four secondary indices on the worker pool.
+    pub(crate) fn collect(
+        self,
+        gen_span: &cloudscope_obs::Span,
+        par: Parallelism,
+    ) -> GeneratedTrace {
+        let capacity = self.records.len();
+        let (mut records, mut util) = (Vec::new(), Vec::new());
+        let Ok(emitted) = self.emit(gen_span, par, usize::MAX, |record, series| {
+            // Reserved at the first pair: after the sweep, whose
+            // transients would otherwise stack on these.
+            if records.capacity() == 0 {
+                records.reserve_exact(capacity);
+                util.reserve_exact(capacity);
+            }
+            records.push(record);
+            util.push(series);
+            Ok::<(), Infallible>(())
+        });
+        let mut builder = Trace::builder(emitted.topology);
+        for subscription in emitted.subscriptions {
+            builder
+                .add_subscription(subscription)
+                .expect("dense subscription ids");
+        }
+        builder
+            .add_vms_bulk(records, util, &par)
+            .expect("consistent records");
+        GeneratedTrace {
+            trace: builder.build(),
+            services: emitted.services,
+            report: emitted.report,
+        }
     }
 }
 
 /// The telemetry series one placed record carries. The RNG stream is
 /// keyed by the record's *pre-renumber* id — its position among
-/// materialized records in global spec order — so the streamed and
-/// in-memory paths produce identical samples.
-pub(crate) fn vm_telemetry(
-    record: &VmRecord,
-    plans: &[SubscriptionPlan],
-    service_base: &[u32],
-    tz_of: &[i32],
-    factory: &RngFactory,
-) -> Option<UtilSeries> {
+/// materialized records in global spec order — so the samples do not
+/// depend on how the emission pass blocks the records.
+fn vm_telemetry(record: &VmRecord, prep: &Prepared, factory: &RngFactory) -> Option<UtilSeries> {
     record.node?;
-    let plan = &plans[record.subscription.as_usize()];
-    let group = (record.service.index() - service_base[record.subscription.as_usize()]) as usize;
+    let plan = &prep.plans[record.subscription.as_usize()];
+    let group =
+        (record.service.index() - prep.service_base[record.subscription.as_usize()]) as usize;
     let first_sample =
         (record.created.minutes().max(0) + SAMPLE_INTERVAL_MINUTES - 1) / SAMPLE_INTERVAL_MINUTES;
     let end_minute = record
@@ -784,7 +825,7 @@ pub(crate) fn vm_telemetry(
     let mut rng = factory.indexed_stream("telemetry", record.id.index());
     Some(generate_vm_series(
         &plan.groups[group],
-        tz_of[record.region.as_usize()],
+        prep.tz_of[record.region.as_usize()],
         SimTime::from_minutes(first_sample * SAMPLE_INTERVAL_MINUTES),
         samples as usize,
         &mut rng,
@@ -792,23 +833,18 @@ pub(crate) fn vm_telemetry(
 }
 
 /// The ground-truth service directory, dense by [`ServiceId`] index.
-pub(crate) fn build_services(
-    plans: &[SubscriptionPlan],
-    service_base: &[u32],
-    standing_per_service: &[usize],
-    next_service: u32,
-) -> Vec<ServiceInfo> {
-    let mut services = Vec::with_capacity(next_service as usize);
-    for (idx, plan) in plans.iter().enumerate() {
+fn build_services(prep: &Prepared) -> Vec<ServiceInfo> {
+    let mut services = Vec::with_capacity(prep.next_service as usize);
+    for (idx, plan) in prep.plans.iter().enumerate() {
         for (group, profile) in plan.groups.iter().enumerate() {
-            let sid = service_base[idx] + group as u32;
+            let sid = prep.service_base[idx] + group as u32;
             services.push(ServiceInfo {
                 service: ServiceId::new(sid),
                 subscription: SubscriptionId::new(idx as u32),
                 cloud: plan.cloud,
                 profile: *profile,
                 regions: plan.regions.clone(),
-                standing_vms: standing_per_service[sid as usize],
+                standing_vms: prep.standing_per_service[sid as usize],
             });
         }
     }
@@ -1088,6 +1124,45 @@ mod tests {
             .filter(|v| v.priority == Priority::Spot)
             .count();
         assert!(spot_public > 0, "public cloud should have spot VMs");
+    }
+
+    /// The emission pass yields the same `(record, series)` sequence and
+    /// report at every block length: one record, a small odd length, the
+    /// streamed length, and the whole list.
+    #[test]
+    fn emission_is_block_length_independent() {
+        let mut cfg = GeneratorConfig::small(12);
+        cfg.topology.nodes_per_rack = 4; // starved: churn goes unplaced
+        let par = Parallelism::with_workers(2);
+        let emit_with = |block_len: usize| {
+            let gen_span = cloudscope_obs::span("tracegen.generate");
+            let placed = place(&cfg, &gen_span, par);
+            let dropped_in_placement = placed.prep.report.dropped_vms;
+            let mut pairs = Vec::new();
+            let Ok(emitted) = placed.emit(&gen_span, par, block_len, |record, series| {
+                pairs.push((record, series));
+                Ok::<(), Infallible>(())
+            });
+            (pairs, emitted.report, dropped_in_placement)
+        };
+
+        let (whole, report, dropped_in_placement) = emit_with(usize::MAX);
+        assert!(
+            report.dropped_vms > dropped_in_placement,
+            "the config must leave churn unplaced: {report:?}"
+        );
+        assert!(
+            whole.len() > 2048,
+            "the streamed length must split the list"
+        );
+        for block_len in [1, 7, 2048] {
+            let (pairs, got, _) = emit_with(block_len);
+            assert_eq!(got, report, "block_len={block_len}");
+            assert!(
+                pairs == whole,
+                "block_len={block_len}: emitted pairs differ"
+            );
+        }
     }
 
     /// Worker-count invariance at the unit level: the partitioned drive

@@ -4,16 +4,16 @@
 //! [`generate_serial_reference`] places every spec, in global spec
 //! order, on two whole-cloud fleets ([`Fleet::new`]) under a single
 //! [`Simulation`] — no partition, no per-group fleets, no merge, and a
-//! one-worker telemetry sweep. It shares [`prepare`] and [`finish`] with
-//! [`crate::generate_with`] but no line of `drive_task`,
-//! `partition_specs` or `merge_outcomes`, so a record-for-record match
-//! between the two is evidence about the partitioned drive rather than
-//! a tautology.
+//! one-worker telemetry sweep. It shares [`prepare`] and the emission
+//! pass ([`Placed::collect`]) with [`crate::generate_with`] but no line
+//! of `drive_task`, `partition_specs` or `merge_outcomes`, so a
+//! record-for-record match between the two is evidence about the
+//! partitioned drive rather than a tautology.
 
 use crate::config::GeneratorConfig;
 use crate::generate::{
-    finish, fleet_index, make_record, prepare, spreading_rule, Event, FinishInputs, GeneratedTrace,
-    SpecKind,
+    fleet_index, make_record, prepare, spreading_rule, Event, GeneratedTrace, Placed, SpecKind,
+    UNPLACED_CLUSTER,
 };
 use cloudscope_cluster::{Fleet, PlacementPolicy, PlacementRequest};
 use cloudscope_model::prelude::*;
@@ -26,7 +26,7 @@ fn generate_serial_reference(config: &GeneratorConfig) -> GeneratedTrace {
     config.validate().expect("valid config");
     let factory = RngFactory::new(config.seed);
     let gen_span = cloudscope_obs::span("tracegen.generate");
-    let prep = prepare(config, &factory, &gen_span);
+    let mut prep = prepare(config, &factory, &gen_span);
 
     let mut fleets = CloudKind::BOTH.map(|cloud| {
         Fleet::new(
@@ -36,7 +36,6 @@ fn generate_serial_reference(config: &GeneratorConfig) -> GeneratedTrace {
             spreading_rule(),
         )
     });
-    let mut report = prep.report;
     let mut records: Vec<VmRecord> = Vec::with_capacity(prep.specs.len());
 
     // Standing VMs place first (outside the DES), then churn replays
@@ -60,17 +59,11 @@ fn generate_serial_reference(config: &GeneratorConfig) -> GeneratedTrace {
                         }
                         records.push(make_record(request, spec, plan, cluster, Some(node)));
                     }
-                    Err(_) => report.dropped_vms += 1,
+                    Err(_) => prep.report.dropped_vms += 1,
                 }
             }
             SpecKind::Churn | SpecKind::Burst => {
-                records.push(make_record(
-                    request,
-                    spec,
-                    plan,
-                    ClusterId::new(u32::MAX),
-                    None,
-                ));
+                records.push(make_record(request, spec, plan, UNPLACED_CLUSTER, None));
                 sim.schedule(spec.created, Event::Create(records.len() - 1));
             }
         }
@@ -106,25 +99,16 @@ fn generate_serial_reference(config: &GeneratorConfig) -> GeneratedTrace {
         }
     });
 
-    report.private_alloc = fleets[0].stats();
-    report.public_alloc = fleets[1].stats();
+    prep.report.private_alloc = fleets[0].stats();
+    prep.report.public_alloc = fleets[1].stats();
 
-    finish(
-        config,
-        &factory,
-        &gen_span,
-        Parallelism::with_workers(1),
-        FinishInputs {
-            topology: prep.topology,
-            tz_of: prep.tz_of,
-            plans: prep.plans,
-            service_base: prep.service_base,
-            next_service: prep.next_service,
-            standing_per_service: prep.standing_per_service,
-            records,
-            report,
-        },
-    )
+    Placed {
+        factory,
+        telemetry: config.telemetry,
+        prep,
+        records,
+    }
+    .collect(&gen_span, Parallelism::with_workers(1))
 }
 
 mod tests {

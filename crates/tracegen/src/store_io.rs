@@ -3,29 +3,29 @@
 //! ground-truth sidecars, reading one back in either telemetry mode,
 //! and — the reason this module exists — generating **straight to
 //! disk** so the full telemetry never materializes in memory.
+//! [`generate_to_store`] is the generator's one emission pass with the
+//! store writer as its sink; it shares every line of generation with
+//! [`crate::generate_with`].
 //!
 //! The generator's ground truth ([`ServiceInfo`] directory and
 //! [`GenerationReport`]) rides along as named manifest blobs with
 //! hand-rolled little-endian codecs (floats travel as IEEE-754 bit
-//! patterns, so round trips are exact). A store written by
-//! [`generate_to_store`] is byte-identical to one written by
+//! patterns, so round trips are exact); one helper adds them, after the
+//! topology and subscription blobs, for both write paths. A store
+//! written by [`generate_to_store`] is byte-identical to one written by
 //! [`write_generated`] over the in-memory result of
 //! [`crate::generate_with`] with the same seed and options — the
 //! round-trip suites lock this.
 
 use crate::config::GeneratorConfig;
-use crate::generate::{
-    build_services, drive_all, vm_telemetry, FinishInputs, GeneratedTrace, GenerationReport,
-    ServiceInfo,
-};
+use crate::generate::{place, GeneratedTrace, GenerationReport, ServiceInfo};
 use crate::utilization::{PatternKind, ServiceUtilProfile};
 use cloudscope_cluster::AllocatorStats;
 use cloudscope_model::durable::{Dec, Enc};
-use cloudscope_model::ids::{RegionId, ServiceId, SubscriptionId, VmId};
+use cloudscope_model::ids::{RegionId, ServiceId, SubscriptionId};
 use cloudscope_model::subscription::Subscription;
-use cloudscope_model::telemetry::UtilSeries;
+use cloudscope_model::topology::Topology;
 use cloudscope_par::Parallelism;
-use cloudscope_sim::rng::RngFactory;
 use cloudscope_store::{
     encode_subscriptions, encode_topology, StoreError, TelemetryMode, TraceReader, TraceWriter,
     WriteOptions, BLOB_SUBSCRIPTIONS, BLOB_TOPOLOGY,
@@ -209,16 +209,16 @@ pub fn write_generated(
     par: &Parallelism,
 ) -> Result<(), StoreError> {
     let mut w = TraceWriter::create(dir, opts, par)?;
-    add_sidecars(
+    generated
+        .trace
+        .try_for_each_vm(|vm, util| w.append_vm(vm, util.as_ref()))?;
+    add_blobs(
         &mut w,
         generated.trace.topology(),
         generated.trace.subscriptions(),
         &generated.services,
+        &generated.report,
     );
-    generated
-        .trace
-        .try_for_each_vm(|vm, util| w.append_vm(vm, util.as_ref()))?;
-    w.add_blob(BLOB_REPORT, encode_report(&generated.report));
     w.finish()
 }
 
@@ -250,16 +250,17 @@ pub fn read_generated(
     })
 }
 
-/// Generates a trace **straight to disk**: placement runs exactly as
-/// [`crate::generate_with`], but telemetry is synthesized in bounded
-/// blocks and appended to the columnar writer instead of being
-/// materialized trace-wide. Peak memory is the placement records, one
-/// telemetry block, and the writer's open buffers — one per
-/// `(region, day)` lane, each up to `opts.target_chunk_bytes`, plus one
-/// compression batch. Lanes × threshold is the bound, and on a trace
-/// whose lanes never reach the threshold (the default trace at the
-/// default 1 MiB: 54 MB over 70 lanes, one chunk each) it is also the
-/// whole raw telemetry, held until `finish` compresses and syncs it.
+/// Generates a trace **straight to disk**: the same emission pass as
+/// [`crate::generate_with`], with the columnar writer as its sink.
+/// Telemetry is synthesized 2 048 records (`STREAM_BLOCK_RECORDS`) at
+/// a time and appended instead of being materialized trace-wide. Peak
+/// memory is the placement records, one telemetry block, and the
+/// writer's open buffers — one per `(region, day)` lane, each up to
+/// `opts.target_chunk_bytes`, plus one compression batch. Lanes ×
+/// threshold is the bound, and on a trace whose lanes never reach the
+/// threshold (the default trace at the default 1 MiB: 54 MB over 70
+/// lanes, one chunk each) it is also the whole raw telemetry, held
+/// until `finish` compresses and syncs it.
 ///
 /// The resulting store is byte-identical to
 /// `write_generated(&generate_with(config, par), dir, opts, &par)`,
@@ -277,81 +278,38 @@ pub fn generate_to_store(
     opts: WriteOptions,
     par: Parallelism,
 ) -> Result<GenerationReport, StoreError> {
-    if let Err(e) = config.validate() {
-        panic!("{e}");
-    }
-    let factory = RngFactory::new(config.seed);
     let gen_span = cloudscope_obs::span("tracegen.generate");
-    let FinishInputs {
-        topology,
-        tz_of,
-        plans,
-        service_base,
-        next_service,
-        standing_per_service,
-        records,
-        mut report,
-    } = drive_all(config, &factory, &gen_span, par);
-
-    let stage = gen_span.child("stream_out");
-    let subscriptions: Vec<Subscription> = plans
-        .iter()
-        .enumerate()
-        .map(|(idx, plan)| {
-            Subscription::new(SubscriptionId::new(idx as u32), plan.cloud, plan.party)
-        })
-        .collect();
-    let services = build_services(&plans, &service_base, &standing_per_service, next_service);
-
+    let placed = place(config, &gen_span, par);
     let mut w = TraceWriter::create(dir, opts, &par)?;
-    add_sidecars(&mut w, &topology, &subscriptions, &services);
-
-    // Stream: per-block parallel telemetry (keyed by pre-renumber ids,
-    // so the draws match the in-memory path), then a serial append
-    // pass that drops unplaced churn and renumbers densely — the same
-    // rule `finish` applies before building the in-memory trace.
-    let mut next_id: u64 = 0;
-    let mut samples_generated: u64 = 0;
-    for block in records.chunks(STREAM_BLOCK_RECORDS) {
-        let telemetry: Vec<Option<UtilSeries>> = if config.telemetry {
-            par.par_map(block, |record| {
-                vm_telemetry(record, &plans, &service_base, &tz_of, &factory)
-            })
-        } else {
-            vec![None; block.len()]
-        };
-        for (record, util) in block.iter().zip(telemetry) {
-            if record.node.is_none() && record.cluster.index() == u32::MAX {
-                report.dropped_vms += 1;
-                continue;
-            }
-            let mut record = record.clone();
-            record.id = VmId::new(next_id);
-            next_id += 1;
-            samples_generated += util.as_ref().map_or(0, |s| s.len() as u64);
-            w.append_vm(&record, util.as_ref())?;
-        }
-    }
-    w.add_blob(BLOB_REPORT, encode_report(&report));
+    let emitted = placed.emit(&gen_span, par, STREAM_BLOCK_RECORDS, |vm, util| {
+        w.append_vm(&vm, util.as_ref())
+    })?;
+    add_blobs(
+        &mut w,
+        &emitted.topology,
+        &emitted.subscriptions,
+        &emitted.services,
+        &emitted.report,
+    );
     w.finish()?;
-    stage.finish();
-    cloudscope_obs::counter("tracegen.generate.vms_generated").add(next_id);
-    cloudscope_obs::counter("tracegen.generate.samples_generated").add(samples_generated);
-    Ok(report)
+    Ok(emitted.report)
 }
 
-/// Pushes the topology, subscription, and service-directory blobs in
-/// the canonical order both write paths share (the report blob lands
-/// after the records so streamed counters are final).
-fn add_sidecars(
+/// Adds the topology, subscription, service-directory and report blobs
+/// in the order both write paths share. The writer serializes blobs
+/// only in `finish`, so adding them before or after the records writes
+/// the same bytes.
+fn add_blobs(
     w: &mut TraceWriter<'_>,
-    topology: &cloudscope_model::topology::Topology,
+    topology: &Topology,
     subscriptions: &[Subscription],
     services: &[ServiceInfo],
+    report: &GenerationReport,
 ) {
     w.add_blob(BLOB_TOPOLOGY, encode_topology(topology));
     w.add_blob(BLOB_SUBSCRIPTIONS, encode_subscriptions(subscriptions));
     w.add_blob(BLOB_SERVICES, encode_services(services));
+    w.add_blob(BLOB_REPORT, encode_report(report));
 }
 
 fn cloud_tag(cloud: cloudscope_model::subscription::CloudKind) -> u8 {

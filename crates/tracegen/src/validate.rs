@@ -139,6 +139,17 @@ impl GeneratorConfig {
         if self.topology.regions.is_empty() {
             return Err(err("topology.regions", "must not be empty"));
         }
+        // The store encodes region strings with a u16 length prefix.
+        for (i, region) in self.topology.regions.iter().enumerate() {
+            for (field, value) in [("name", &region.name), ("geo", &region.geo)] {
+                if value.len() > usize::from(u16::MAX) {
+                    return Err(err(
+                        format!("topology.regions[{i}].{field}"),
+                        "must be at most 65 535 bytes",
+                    ));
+                }
+            }
+        }
         if self.topology.private_clusters_per_region == 0
             && self.topology.public_clusters_per_region == 0
         {
@@ -182,6 +193,23 @@ mod tests {
         let mut cfg = GeneratorConfig::small(1);
         cfg.topology.nodes_per_rack = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn region_strings_fit_the_store_encoding() {
+        let longest = "x".repeat(usize::from(u16::MAX));
+        let mut cfg = GeneratorConfig::small(1);
+        cfg.topology.regions[1].name.clone_from(&longest);
+        cfg.topology.regions[1].geo.clone_from(&longest);
+        cfg.validate().unwrap();
+
+        cfg.topology.regions[1].geo.push('x');
+        let e = cfg.validate().unwrap_err();
+        assert_eq!(e.field, "topology.regions[1].geo");
+        cfg.topology.regions[0].name = longest + "x";
+        let e = cfg.validate().unwrap_err();
+        assert_eq!(e.field, "topology.regions[0].name");
+        assert!(e.to_string().contains("65 535 bytes"), "{e}");
     }
 
     #[test]

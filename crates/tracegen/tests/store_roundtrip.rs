@@ -4,6 +4,8 @@
 //! [`GeneratedTrace`] — trace, service ground truth, and report — in
 //! both telemetry modes.
 
+use cloudscope_obs::testing::assert_counter_eq;
+use cloudscope_obs::{scoped, Registry, Snapshot};
 use cloudscope_par::Parallelism;
 use cloudscope_store::{store_exists, TelemetryMode, TraceReader, TraceWriter, WriteOptions};
 use cloudscope_tracegen::store_io::{
@@ -14,6 +16,7 @@ use cloudscope_tracegen::{
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 struct TempDir(PathBuf);
 
@@ -79,18 +82,47 @@ fn streamed_generation_matches_in_memory_write_byte_for_byte() {
         level: 2,
     };
 
-    let generated = generate_with(&config, par);
+    let in_memory = Arc::new(Registry::new());
+    let generated = scoped(&in_memory, || generate_with(&config, par));
     let via_memory = TempDir::new("via-memory");
     write_generated(&generated, via_memory.path(), opts, &par).unwrap();
 
     let streamed = TempDir::new("streamed");
-    let report = generate_to_store(&config, streamed.path(), opts, par).unwrap();
+    let to_store = Arc::new(Registry::new());
+    let report = scoped(&to_store, || {
+        generate_to_store(&config, streamed.path(), opts, par).unwrap()
+    });
     assert_eq!(report, generated.report, "streamed report");
 
     assert_eq!(
         dir_snapshot(streamed.path()),
         dir_snapshot(via_memory.path()),
         "streamed store bytes differ from the in-memory write"
+    );
+
+    // Both paths explain themselves with the same tracegen surface.
+    let (in_memory, to_store) = (in_memory.snapshot(), to_store.snapshot());
+    let tracegen_names = |snapshot: &Snapshot| -> Vec<String> {
+        snapshot
+            .metrics
+            .keys()
+            .filter(|name| name.starts_with("tracegen."))
+            .cloned()
+            .collect()
+    };
+    assert_eq!(tracegen_names(&to_store), tracegen_names(&in_memory));
+    for counter in [
+        "tracegen.generate.vms_generated",
+        "tracegen.generate.samples_generated",
+        "tracegen.generate.merged_records",
+    ] {
+        let value = in_memory.counter(counter).expect(counter);
+        assert_counter_eq(&to_store, counter, value);
+    }
+    assert_counter_eq(
+        &in_memory,
+        "tracegen.generate.vms_generated",
+        generated.trace.vms().len() as u64,
     );
 }
 

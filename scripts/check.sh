@@ -35,6 +35,19 @@ if grep -rn --include='*.rs' 'assemble_series(' crates/*/src \
   exit 1
 fi
 
+# One emission loop: a trace's telemetry is synthesized (`vm_telemetry(`)
+# and its unplaced churn dropped at one site each, in the pass that
+# generate_with and generate_to_store both sink from.
+echo "==> one emission loop (crates/tracegen/src/generate.rs)"
+emission=$(grep -rnE --include='*.rs' 'vm_telemetry\(|cluster(\.index\(\))? == (UNPLACED_CLUSTER|u32::MAX)' \
+  crates/tracegen/src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -v 'fn vm_telemetry(' || true)
+if printf '%s\n' "$emission" | grep -v -e '^crates/tracegen/src/generate\.rs:' -e '^$' \
+  || [ "$(printf '%s\n' "$emission" | grep -c 'vm_telemetry(')" -gt 1 ] \
+  || [ "$(printf '%s\n' "$emission" | grep -cE '== (UNPLACED_CLUSTER|u32::MAX)')" -gt 1 ]; then
+  echo "ERROR: emit the trace through generate::Placed::emit instead of a second telemetry loop" >&2
+  exit 1
+fi
+
 # The drive pulls each VM's wire from a step-wise corruptor as it comes
 # due; only the test oracle materialises a whole stream.
 echo "==> no materialised wire in ingest (crates/ingest/src/reference.rs only)"
@@ -106,15 +119,20 @@ echo "==> cargo test -q --release"
 cargo test -q --release --workspace
 
 # A real binary run must emit a snapshot whose names/kinds validate
-# against the committed schema (values are free to drift; names are not).
-echo "==> metrics schema: fig1 --metrics vs tests/golden/metrics_schema.json"
+# against the committed schema (values are free to drift; names are not),
+# generating in memory and generating straight to a store alike.
+echo "==> metrics schema: fig1 --metrics (in memory, --trace-out) vs tests/golden/metrics_schema.json"
 ARTIFACTS_DIR=${ARTIFACTS_DIR:-target/check-artifacts}
 mkdir -p "$ARTIFACTS_DIR"
 CLOUDSCOPE_TRACE_SCALE=small cargo run -q --release -p cloudscope-repro --bin fig1 -- \
   --metrics "$ARTIFACTS_DIR/fig1_metrics.json" > /dev/null
-cargo run -q --release -p cloudscope-repro --bin metrics_schema -- \
-  "$ARTIFACTS_DIR/fig1_metrics.json" tests/golden/metrics_schema.json
-echo "    (metrics snapshot archived at $ARTIFACTS_DIR/fig1_metrics.json)"
+CLOUDSCOPE_TRACE_SCALE=small cargo run -q --release -p cloudscope-repro --bin fig1 -- \
+  --trace-out "$ARTIFACTS_DIR/store" --metrics "$ARTIFACTS_DIR/fig1_store_metrics.json" > /dev/null
+for snapshot in fig1_metrics fig1_store_metrics; do
+  cargo run -q --release -p cloudscope-repro --bin metrics_schema -- \
+    "$ARTIFACTS_DIR/$snapshot.json" tests/golden/metrics_schema.json
+done
+echo "    (metrics snapshots archived at $ARTIFACTS_DIR/fig1_metrics.json, fig1_store_metrics.json)"
 
 # The end-to-end benchmark, invoked only: every workload once on the
 # small trace (each checks its own digests, parity and ledgers, and

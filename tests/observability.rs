@@ -764,6 +764,15 @@ fn exercise_all_subsystems() -> Snapshot {
         );
         let _ = std::fs::remove_dir_all(&store_dir);
 
+        // tracegen, streamed: generating straight to a store records
+        // the same surface as the in-memory generation above.
+        let mut streamed = GeneratorConfig::small(9107);
+        streamed.topology.regions.truncate(2);
+        streamed.public.subscriptions = 60;
+        cloudscope::tracegen::generate_to_store(&streamed, &store_dir, opts, store_par)
+            .expect("streamed generation");
+        let _ = std::fs::remove_dir_all(&store_dir);
+
         // repro: one passing and one failing shape check.
         let mut checks = ShapeChecks::new();
         checks.check("observability pass", true, "forced".to_owned());
