@@ -124,6 +124,31 @@ impl FaultReport {
         1.0 - self.samples_out as f64 / self.samples_in as f64
     }
 
+    /// Adds `other`'s tallies to this report's — how the ledgers of
+    /// streams pulled apart (say, on different workers) become one.
+    pub fn add(&mut self, other: &Self) {
+        let Self {
+            vms,
+            samples_in,
+            samples_out,
+            dropped,
+            blackout_dropped,
+            duplicated,
+            reordered,
+            invalidated,
+            out_of_week,
+        } = other;
+        self.vms += vms;
+        self.samples_in += samples_in;
+        self.samples_out += samples_out;
+        self.dropped += dropped;
+        self.blackout_dropped += blackout_dropped;
+        self.duplicated += duplicated;
+        self.reordered += reordered;
+        self.invalidated += invalidated;
+        self.out_of_week += out_of_week;
+    }
+
     /// Publishes this report's tallies as `faults.corrupt.*` counters on
     /// the current registry. Called once per corruption pass — the
     /// per-sample hot loops stay metric-free.
@@ -173,6 +198,39 @@ mod tests {
         let clean = FaultPlan::clean(42);
         assert_eq!(clean.drop_probability, 0.0);
         assert!(clean.blackouts.is_empty());
+    }
+
+    #[test]
+    fn add_sums_every_tally() {
+        let a = FaultReport {
+            vms: 1,
+            samples_in: 2,
+            samples_out: 3,
+            dropped: 4,
+            blackout_dropped: 5,
+            duplicated: 6,
+            reordered: 7,
+            invalidated: 8,
+            out_of_week: 9,
+        };
+        let mut sum = a;
+        sum.add(&a);
+        assert_eq!(
+            sum,
+            FaultReport {
+                vms: 2,
+                samples_in: 4,
+                samples_out: 6,
+                dropped: 8,
+                blackout_dropped: 10,
+                duplicated: 12,
+                reordered: 14,
+                invalidated: 16,
+                out_of_week: 18,
+            }
+        );
+        sum.add(&FaultReport::default());
+        assert_eq!(sum.samples_in, 4);
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub struct WindowClose {
 /// the fault injector uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestReport {
-    /// Distinct VMs that ever offered a sample.
+    /// Distinct VMs that offered at least one valid, in-week sample
+    /// (applied or dropped late): the VMs that own a lane. A VM whose
+    /// every sample was garbage or outside the week is not counted.
     pub vms: usize,
     /// Wire samples offered.
     pub samples_offered: u64,
@@ -70,10 +72,13 @@ pub struct IngestReport {
     /// VMs with at least one late-dropped sample.
     pub vms_with_drops: usize,
     /// Peak buffered (unsealed) samples across all lanes — the
-    /// backpressure the watermark delay costs. Sampled at every offer
-    /// and sealing is lazy, so unlike every other counter here it
-    /// depends on the order in which lanes were offered their samples
-    /// between two watermark advances, not only on what was offered.
+    /// backpressure the watermark delay costs. Sampled after every
+    /// applied sample, and sealing is lazy, so unlike every other
+    /// counter here it depends on the order in which lanes were offered
+    /// their samples between two watermark advances, not only on what
+    /// was offered. [`drive_ingest`](crate::drive_ingest) reports the
+    /// value of offering VM by VM in ascending id order at every tick,
+    /// whatever the worker count.
     pub peak_pending_samples: usize,
 }
 
@@ -94,12 +99,118 @@ impl IngestReport {
     }
 }
 
+/// What offers to one part of the lane table changed, kept apart from
+/// the ingestor so that parts can be offered to at once and folded back
+/// in VM order ([`Ingestor::fold`]).
+#[derive(Debug, Default)]
+pub(crate) struct OfferTally {
+    /// Counter deltas; `peak_pending_samples` holds the highest
+    /// `pending` sampled after an applied sample (0 before one).
+    pub(crate) report: IngestReport,
+    /// Change of the pending count (sealing lowers it).
+    pub(crate) pending: isize,
+    /// Whether a sample was applied.
+    pub(crate) dirty: bool,
+}
+
+impl OfferTally {
+    /// Appends the tally of offers made right after this one's, as
+    /// [`Ingestor::fold`] appends a tally to the ingestor.
+    pub(crate) fn append(&mut self, next: &OfferTally) {
+        append(&mut self.report, &mut self.pending, &mut self.dirty, next);
+    }
+}
+
+/// Appends `next`, the tally of the offers that followed, to a running
+/// `report`, `pending` count and `dirty` flag: counters add, `dirty`
+/// ORs, and the backpressure peak is the prefix maximum of the running
+/// pending count, `max(peak, pending + next's peak)`, which is what
+/// offering the same samples one after another samples after every
+/// applied sample. A negative candidate is skipped: it lies below the
+/// pending count before `next`, and pending rises only through applied
+/// samples, so the peak already covers it.
+fn append(report: &mut IngestReport, pending: &mut isize, dirty: &mut bool, next: &OfferTally) {
+    let add = &next.report;
+    report.vms += add.vms;
+    report.samples_offered += add.samples_offered;
+    report.samples_applied += add.samples_applied;
+    report.duplicates_collapsed += add.duplicates_collapsed;
+    report.rejected_invalid += add.rejected_invalid;
+    report.out_of_week += add.out_of_week;
+    report.dropped_late += add.dropped_late;
+    report.vms_with_drops += add.vms_with_drops;
+    if let Ok(peak) = usize::try_from(*pending + add.peak_pending_samples as isize) {
+        report.peak_pending_samples = report.peak_pending_samples.max(peak);
+    }
+    *pending += next.pending;
+    *dirty |= next.dirty;
+}
+
+/// Offers one wire sample to a VM's lane under the seal floor
+/// `seal_floor`: the one home of the offer rules (validation, snapping
+/// to the grid, out-of-week, the lazy seal, the late drop and the
+/// last-write-wins apply). `lane` yields the VM's lane-table entry; it
+/// is called only for a valid, in-week sample, and the lane is created
+/// there. The counters go to `report` and the change of the pending
+/// count to `pending`, and `report.peak_pending_samples` follows
+/// `pending` after every applied sample. Returns whether the sample was
+/// applied.
+pub(crate) fn offer_lane<'l>(
+    lane: impl FnOnce() -> &'l mut Option<VmLane>,
+    sample: WireSample,
+    seal_floor: usize,
+    report: &mut IngestReport,
+    pending: &mut isize,
+) -> bool {
+    report.samples_offered += 1;
+    if !sample.value.is_finite() || sample.value < 0.0 {
+        report.rejected_invalid += 1;
+        return false;
+    }
+    let slot = (sample.minute + SAMPLE_INTERVAL_MINUTES / 2).div_euclid(SAMPLE_INTERVAL_MINUTES);
+    if !(0..SAMPLES_PER_WEEK as i64).contains(&slot) {
+        report.out_of_week += 1;
+        return false;
+    }
+    let slot = slot as usize;
+    let lane = lane().get_or_insert_with(|| {
+        report.vms += 1;
+        VmLane::new()
+    });
+    // Lazy sealing: fold this lane's ripe slots before judging the new
+    // sample, so the drop decision always uses the global floor.
+    *pending -= lane.seal_upto(seal_floor) as isize;
+    if slot < seal_floor {
+        if lane.dropped_late == 0 {
+            report.vms_with_drops += 1;
+        }
+        lane.dropped_late += 1;
+        report.dropped_late += 1;
+        return false;
+    }
+    report.samples_applied += 1;
+    // A slot at or above the floor that already holds a byte is a
+    // duplicate; validation left only finite non-negative values, which
+    // never quantize to the missing marker.
+    let previous = std::mem::replace(&mut lane.slots[slot], quantize_percentage(sample.value));
+    if previous == MISSING_SAMPLE_BYTE {
+        *pending += 1;
+    } else {
+        report.duplicates_collapsed += 1;
+    }
+    if let Ok(now) = usize::try_from(*pending) {
+        report.peak_pending_samples = report.peak_pending_samples.max(now);
+    }
+    true
+}
+
 /// The ingestion state machine: per-VM lanes behind a global watermark.
 ///
 /// Memory is bounded by construction: a lane is one quantized byte per
 /// week slot (2 016 bytes) plus a cursor and two counters, allocated when
-/// the VM first reports and never grown — buffered and sealed samples live
-/// in the same array, told apart by the lane's seal cursor. Ahead of the
+/// the VM's first valid, in-week sample arrives and never grown —
+/// buffered and sealed samples live in the same array, told apart by the
+/// lane's seal cursor. Ahead of the
 /// watermark at most `watermark_delay / 5 + 1` of those slots are live
 /// (older offers drop, newer ones cannot exist yet). [`drive_ingest`]
 /// adds O(1) per stream on top — a step-wise corruptor over the VM's
@@ -120,8 +231,9 @@ pub struct Ingestor {
     seal_floor: usize,
     /// Next window boundary (minutes) the watermark has not crossed.
     next_window_close: i64,
-    /// Live buffered samples across lanes (maintained incrementally).
-    pending_samples: usize,
+    /// Live buffered samples across lanes (maintained incrementally;
+    /// never negative, signed to take [`offer_lane`]'s changes).
+    pending_samples: isize,
     /// True if any sample was applied since the last window close —
     /// whether [`Ingestor::drain`] owes a final catch-up close.
     dirty: bool,
@@ -169,54 +281,73 @@ impl Ingestor {
     /// validation exactly: reject garbage, snap to the grid, discard
     /// out-of-week slots, last write wins on duplicates — plus the one
     /// rule batch ingestion cannot need: a sample for a sealed slot is
-    /// counted in `dropped_late` and never applied.
+    /// counted in `dropped_late` and never applied. The lane table grows
+    /// to `vm` when its first valid, in-week sample arrives.
     pub fn offer(&mut self, vm: VmId, sample: WireSample) {
-        let report = &mut self.session.report;
-        report.samples_offered += 1;
-        if !sample.value.is_finite() || sample.value < 0.0 {
-            report.rejected_invalid += 1;
-            return;
-        }
-        let slot =
-            (sample.minute + SAMPLE_INTERVAL_MINUTES / 2).div_euclid(SAMPLE_INTERVAL_MINUTES);
-        if !(0..SAMPLES_PER_WEEK as i64).contains(&slot) {
-            report.out_of_week += 1;
-            return;
-        }
-        let (slot, index) = (slot as usize, vm.as_usize());
-        let lanes = &mut self.session.lanes;
-        if index >= lanes.len() {
-            lanes.resize_with(index + 1, || None);
-        }
-        let lane = lanes[index].get_or_insert_with(|| {
-            report.vms += 1;
-            VmLane::new()
-        });
-        // Lazy sealing: fold this lane's ripe slots before judging the
-        // new sample, so the drop decision always uses the global floor.
-        self.pending_samples -= lane.seal_upto(self.seal_floor);
-        if slot < self.seal_floor {
-            if lane.dropped_late == 0 {
-                report.vms_with_drops += 1;
+        let (index, lanes) = (vm.as_usize(), &mut self.session.lanes);
+        let lane = move || {
+            // Moved, not reborrowed: the closure hands the borrow out.
+            let lanes = lanes;
+            if index >= lanes.len() {
+                lanes.resize_with(index + 1, || None);
             }
-            lane.dropped_late += 1;
-            report.dropped_late += 1;
-            return;
+            &mut lanes[index]
+        };
+        // The ingestor's own counters are the tally of one shard that
+        // started with it, so the sample goes straight into them.
+        self.dirty |= offer_lane(
+            lane,
+            sample,
+            self.seal_floor,
+            &mut self.session.report,
+            &mut self.pending_samples,
+        );
+    }
+
+    /// Grows the lane table to at least `len` lanes (none of them
+    /// created), so that offers below `len` never grow it.
+    pub(crate) fn size_lanes(&mut self, len: usize) {
+        let lanes = &mut self.session.lanes;
+        if lanes.len() < len {
+            lanes.resize_with(len, || None);
         }
-        report.samples_applied += 1;
-        // A slot at or above the floor that already holds a byte is a
-        // duplicate; validation left only finite non-negative values,
-        // which never quantize to the missing marker.
-        let previous = std::mem::replace(&mut lane.slots[slot], quantize_percentage(sample.value));
-        if previous == MISSING_SAMPLE_BYTE {
-            self.pending_samples += 1;
-        } else {
-            report.duplicates_collapsed += 1;
-        }
-        self.dirty = true;
-        if self.pending_samples > report.peak_pending_samples {
-            report.peak_pending_samples = self.pending_samples;
-        }
+    }
+
+    /// The lane table, for [`offer_lane`] to run on parts of it away
+    /// from the ingestor. Fold what it tallied back with
+    /// [`Ingestor::fold`].
+    pub(crate) fn lanes_mut(&mut self) -> &mut [Option<VmLane>] {
+        &mut self.session.lanes
+    }
+
+    /// The seal floor offers judge lateness by until the next watermark
+    /// advance.
+    pub(crate) fn seal_floor(&self) -> usize {
+        self.seal_floor
+    }
+
+    /// Whether [`Ingestor::advance_watermark`] to `now` closes a window:
+    /// the one advance that reads the lanes.
+    pub(crate) fn closes_at(&self, now: SimTime) -> bool {
+        self.watermark(now) >= self.next_window_close
+    }
+
+    /// The watermark at `now`: `watermark_delay_minutes` behind it.
+    fn watermark(&self, now: SimTime) -> i64 {
+        now.minutes() - self.config.watermark_delay_minutes
+    }
+
+    /// Folds the tally of offers made to one part of the lane table into
+    /// the ingestor. Tallies of consecutive parts, folded in VM order,
+    /// leave exactly the state of one serial sweep offering the same
+    /// samples VM by VM ([`append`]).
+    pub(crate) fn fold(&mut self, tally: &OfferTally) {
+        let report = &mut self.session.report;
+        append(report, &mut self.pending_samples, &mut self.dirty, tally);
+        assert!(
+            self.pending_samples >= 0,
+            "pending samples never fall below zero"
+        );
     }
 
     /// Advances the clock to `now`, moving the watermark
@@ -225,7 +356,7 @@ impl Ingestor {
     /// touch); every window boundary the watermark crossed closes, and
     /// the closed lanes are returned in VM order, ready to publish.
     pub fn advance_watermark(&mut self, now: SimTime) -> Vec<WindowClose> {
-        let watermark = now.minutes() - self.config.watermark_delay_minutes;
+        let watermark = self.watermark(now);
         // A watermark still before the week has sealed nothing.
         let floor = usize::try_from(watermark.div_euclid(SAMPLE_INTERVAL_MINUTES)).unwrap_or(0);
         self.seal_floor = self.seal_floor.max(floor);
@@ -241,7 +372,7 @@ impl Ingestor {
     /// Seals every lane up to the global floor.
     fn seal_all_lanes(&mut self) {
         for lane in self.session.lanes.iter_mut().flatten() {
-            self.pending_samples -= lane.seal_upto(self.seal_floor);
+            self.pending_samples -= lane.seal_upto(self.seal_floor) as isize;
         }
     }
 

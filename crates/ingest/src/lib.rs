@@ -48,13 +48,17 @@
 //! `cloudscope-sim`. The only events are the hourly watermark ticks:
 //! between two of them nothing global changes (the seal floor moves
 //! only in `advance_watermark`, and lanes share no state), so each tick
-//! first delivers, VM by VM, the samples that came due at the monitor
-//! cadence since the previous one (content corrupted by a seeded
-//! [`FaultPlan`], a step at a time as it comes due, so no wire stream is
-//! ever materialised; cadence preserved), then advances the watermark; a
-//! final catch-up close ends the run. The outcome equals that of one
-//! simulator event per sample over an eagerly built wire — the drive
-//! this replaced, kept as the test-only oracle in `src/reference.rs`.
+//! first delivers the samples that came due at the monitor cadence
+//! since the previous one (content corrupted by a seeded [`FaultPlan`],
+//! a step at a time as it comes due, so no wire stream is ever
+//! materialised; cadence preserved), in VM-range shards on every worker
+//! whose tallies fold back into exactly the VM-by-VM result, then
+//! advances the watermark. Only a window close reads the lanes, so the
+//! ticks' deliveries queue and run in one sweep just before it, in tick
+//! order. A final catch-up close ends the run. The
+//! outcome equals that of one simulator event per sample over an
+//! eagerly built wire — the drive this replaced, kept as the test-only
+//! oracle in `src/reference.rs`.
 //! The end state
 //! is the lane table itself, an [`IngestSession`]: a [`TelemetrySource`]
 //! interchangeable with a resident

@@ -243,9 +243,11 @@ mod tests {
         /// The property the drive rests on: tick-bounded batches and
         /// per-sample events end in the same state — per-VM series,
         /// patterns and drop flags, every ledger, and the published
-        /// knowledge. Only `peak_pending_samples` (sampled per offer,
-        /// so order-dependent between ticks) and the event count
-        /// itself may differ.
+        /// knowledge. Only `peak_pending_samples` and the event count
+        /// itself may differ: the peak is sampled per applied offer, so
+        /// it follows the offer order between ticks — the drive's is
+        /// the VM-by-VM order at every worker count, the oracle's the
+        /// time-major order of its event calendar.
         #[test]
         fn tick_batches_match_the_per_sample_drive(
             stream in plan_strategy(),

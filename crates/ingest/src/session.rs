@@ -12,7 +12,7 @@ use cloudscope_model::trace::TelemetrySource;
 /// Per-VM lane: one quantized byte per week slot, split by a cursor
 /// into the immutable sealed history below it and the mutable buffer at
 /// and above it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VmLane {
     /// `slots[s]` is the sample of week slot `s`, quantized on arrival
     /// ([`MISSING_SAMPLE_BYTE`] where nothing arrived). At or above
@@ -85,12 +85,17 @@ impl VmLane {
 /// [`IngestSession::had_drops`].
 ///
 /// Lanes sit in a dense table indexed by [`VmId::as_usize`] — VM ids
-/// are the trace's dense indices — which grows to the largest id seen.
+/// are the trace's dense indices — which reaches the largest id with a
+/// lane ([`drive_ingest`] sizes it once, to the largest id with
+/// telemetry, so that its delivery shards never grow it).
+///
+/// [`drive_ingest`]: crate::drive_ingest
 ///
 /// [`Ingestor::finish`]: crate::Ingestor::finish
 #[derive(Debug, Clone)]
 pub struct IngestSession {
-    /// `lanes[vm.as_usize()]`; `None` until the VM first reports.
+    /// `lanes[vm.as_usize()]`; `None` until the VM's first valid,
+    /// in-week sample.
     pub(crate) lanes: Vec<Option<VmLane>>,
     pub(crate) report: IngestReport,
 }
@@ -126,7 +131,8 @@ impl IngestSession {
         self.vms().filter(|&vm| self.had_drops(vm))
     }
 
-    /// VMs that ever offered a sample, ascending.
+    /// VMs that offered at least one valid, in-week sample (applied or
+    /// dropped late), ascending: the VMs that own a lane.
     pub fn vms(&self) -> impl Iterator<Item = VmId> + '_ {
         self.lanes
             .iter()

@@ -373,3 +373,39 @@ fn late_sample_is_dropped_and_counted_never_applied() {
     assert_eq!(series.get(1), Some(20.0));
     assert!(session.had_drops(vm));
 }
+
+#[test]
+fn a_vm_offering_only_garbage_has_no_lane_and_is_not_counted() {
+    let mut ingestor = Ingestor::new(IngestConfig::default(), PatternClassifier::default());
+    let (garbage, valid, out_of_week) = (VmId::new(3), VmId::new(1), VmId::new(5));
+    for value in [f32::NAN, -1.0, f32::NEG_INFINITY, -0.5] {
+        ingestor.offer(garbage, WireSample { minute: 0, value });
+    }
+    ingestor.offer(
+        out_of_week,
+        WireSample {
+            minute: -60,
+            value: 10.0,
+        },
+    );
+    ingestor.offer(
+        valid,
+        WireSample {
+            minute: 0,
+            value: 10.0,
+        },
+    );
+    let report = ingestor.report();
+    assert_eq!(report.samples_offered, 6);
+    assert_eq!(report.rejected_invalid, 4);
+    assert_eq!(report.out_of_week, 1);
+    assert_eq!(
+        report.vms, 1,
+        "only the VM with a valid, in-week sample counts"
+    );
+    let session = ingestor.finish();
+    assert_eq!(session.vms().collect::<Vec<_>>(), vec![valid]);
+    for vm in [garbage, out_of_week] {
+        assert!(!session.has(vm) && session.load(vm).is_none() && !session.had_drops(vm));
+    }
+}

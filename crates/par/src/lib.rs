@@ -118,31 +118,102 @@ impl Parallelism {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let workers = self.workers.min(items.len());
+        let chunk_len = self.chunk_len(items.len());
+        self.sweep(items.chunks(chunk_len), |chunk| {
+            chunk.iter().map(&f).collect()
+        })
+    }
+
+    /// [`par_map`](Self::par_map) over exclusive borrows: each worker
+    /// takes whole `chunks_mut` of `items`, so `f` may update the item it
+    /// is given. Results come back in input order, and both they and the
+    /// final state of `items` are what `items.iter_mut().map(f)` leaves,
+    /// for every worker count, as long as `f` reads nothing but its item
+    /// and its captures.
+    ///
+    /// ```
+    /// use cloudscope_par::Parallelism;
+    ///
+    /// let mut counters = vec![1u64, 2, 3, 4];
+    /// let before = Parallelism::with_workers(3).par_map_mut(&mut counters, |c| {
+    ///     *c *= 10;
+    ///     *c / 10
+    /// });
+    /// assert_eq!(before, vec![1, 2, 3, 4]);
+    /// assert_eq!(counters, vec![10, 20, 30, 40]);
+    /// ```
+    ///
+    /// # Panics
+    /// Propagates a panic from `f`, as [`par_map`](Self::par_map) does;
+    /// items of chunks that did not run are left as they were.
+    pub fn par_map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(&mut T) -> R + Sync,
+    {
+        let chunk_len = self.chunk_len(items.len());
+        self.sweep(items.chunks_mut(chunk_len), |chunk| {
+            chunk.iter_mut().map(&f).collect()
+        })
+    }
+
+    /// Items per chunk for a sweep over `len` items: everything in one
+    /// chunk when the sweep runs serially, else the configured size or
+    /// [`CHUNKS_PER_WORKER`] chunks per worker.
+    fn chunk_len(&self, len: usize) -> usize {
+        let workers = self.workers.min(len);
+        if workers <= 1 {
+            return len.max(1);
+        }
+        self.chunk_size
+            .unwrap_or_else(|| len.div_ceil(workers * CHUNKS_PER_WORKER))
+            .max(1)
+    }
+
+    /// Runs `run` over every chunk on up to the configured number of
+    /// workers and concatenates the per-chunk results in chunk order.
+    /// Chunks wait in slots; an atomic cursor hands each to the first
+    /// idle worker, which takes it out of its slot and leaves its results
+    /// in the matching output slot.
+    fn sweep<C, R>(
+        &self,
+        chunks: impl Iterator<Item = C>,
+        run: impl Fn(C) -> Vec<R> + Sync,
+    ) -> Vec<R>
+    where
+        C: Send,
+        R: Send,
+    {
         // Capture the caller's registry before spawning: worker threads
         // start with an empty scope stack, so without this a test's
         // scoped registry would lose everything recorded in parallel
-        // sections, and `f`'s own metrics would leak to the global
+        // sections, and `run`'s own metrics would leak to the global
         // registry.
         let registry = obs::current();
         let tasks = registry.counter("par.executor.tasks_executed");
         registry.counter("par.executor.sweeps").inc();
+        let mut chunks: Vec<Mutex<Option<C>>> = chunks.map(|c| Mutex::new(Some(c))).collect();
+        let num_chunks = chunks.len();
+        let workers = self.workers.min(num_chunks);
         if workers <= 1 {
-            tasks.add(items.len() as u64);
-            return items.iter().map(f).collect();
+            // A serial sweep is cut into one chunk at most.
+            let results = chunks.pop().map_or_else(Vec::new, |slot| {
+                run(slot
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("an unrun chunk"))
+            });
+            tasks.add(results.len() as u64);
+            return results;
         }
-        let chunk_size = self
-            .chunk_size
-            .unwrap_or_else(|| items.len().div_ceil(workers * CHUNKS_PER_WORKER))
-            .max(1);
-        let num_chunks = items.len().div_ceil(chunk_size);
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Vec<R>>>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
         let stolen = registry.counter("par.executor.chunks_stolen");
         let busy = registry.histogram("par.executor.worker_busy_ns");
 
         std::thread::scope(|scope| {
-            let (items, f, cursor, slots) = (&items, &f, &cursor, &slots);
+            let (chunks, run, cursor, slots) = (&chunks, &run, &cursor, &slots);
             let spawn_worker = |_| {
                 let registry = Arc::clone(&registry);
                 let (tasks, stolen, busy) = (tasks.clone(), stolen.clone(), busy.clone());
@@ -150,16 +221,19 @@ impl Parallelism {
                     let started = Instant::now();
                     let mut chunks_taken = 0u64;
                     obs::scoped(&registry, || loop {
-                        let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= num_chunks {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        if index >= num_chunks {
                             break;
                         }
                         chunks_taken += 1;
-                        let start = chunk * chunk_size;
-                        let end = (start + chunk_size).min(items.len());
-                        let results: Vec<R> = items[start..end].iter().map(f).collect();
-                        tasks.add((end - start) as u64);
-                        *slots[chunk].lock().unwrap_or_else(PoisonError::into_inner) =
+                        let chunk = chunks[index]
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .take()
+                            .expect("the cursor hands each chunk out once");
+                        let results = run(chunk);
+                        tasks.add(results.len() as u64);
+                        *slots[index].lock().unwrap_or_else(PoisonError::into_inner) =
                             Some(results);
                     });
                     // Chunks beyond a worker's first are steals from the
@@ -170,7 +244,7 @@ impl Parallelism {
                     busy.observe(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
                 })
             };
-            let handles: Vec<_> = (0..workers.min(num_chunks)).map(spawn_worker).collect();
+            let handles: Vec<_> = (0..workers).map(spawn_worker).collect();
             // Joined by handle, not left to the scope: the scope returns
             // once every closure has finished, which is before the OS
             // threads have exited and handed their allocator arenas back.
@@ -291,6 +365,28 @@ mod tests {
         );
         let expected: String = (1..=50).map(|x| format!("{x},")).collect();
         assert_eq!(concat, expected);
+    }
+
+    #[test]
+    fn map_mut_equals_the_serial_iter_mut_map() {
+        let f = |x: &mut u64| {
+            let old = *x;
+            *x = x.wrapping_mul(31).wrapping_add(7);
+            old ^ (*x << 1)
+        };
+        // Empty, a single item, fewer items than workers, and enough
+        // for several chunks per worker.
+        for len in [0usize, 1, 2, 5, 15, 100, 1001] {
+            let input: Vec<u64> = (0..len as u64).map(|i| i * i + 3).collect();
+            let mut expected_state = input.clone();
+            let expected: Vec<u64> = expected_state.iter_mut().map(f).collect();
+            for workers in [1, 2, 3, 7, 16] {
+                let mut state = input.clone();
+                let got = Parallelism::with_workers(workers).par_map_mut(&mut state, f);
+                assert_eq!(got, expected, "output: len={len} workers={workers}");
+                assert_eq!(state, expected_state, "state: len={len} workers={workers}");
+            }
+        }
     }
 
     #[test]

@@ -66,6 +66,19 @@ if grep -rn '\.classify_' crates/ingest/src \
   exit 1
 fi
 
+# One offer path: the offer rules (validation, grid snap, out-of-week,
+# lazy seal, late drop, last-write-wins apply) live in
+# ingestor.rs::offer_lane, which Ingestor::offer and the drive's
+# delivery shards both call, so a sample is quantized at one site.
+echo "==> one offer path (crates/ingest/src/ingestor.rs::offer_lane)"
+quantize=$(grep -rn --include='*.rs' 'quantize_percentage(' crates/ingest/src \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ "$(printf '%s\n' "$quantize" | grep -c 'quantize_percentage(')" -ne 1 ]; then
+  printf '%s\n' "$quantize"
+  echo "ERROR: offer samples through ingestor::offer_lane instead of a second copy of its rules" >&2
+  exit 1
+fi
+
 # One Box–Muller formula: the exact normal is StdNormal::from_uniforms
 # and the fast one's fallback calls it, so the libm expression (the
 # radius √(−2 ln u) beside a 2π angle) appears in no other source file.
@@ -140,6 +153,35 @@ echo "    (metrics snapshots archived at $ARTIFACTS_DIR/fig1_metrics.json, fig1_
 echo "==> end-to-end benchmark: all --smoke + harness self-tests"
 cargo run --release --manifest-path benchmark/Cargo.toml -- all --smoke
 cargo test --release --manifest-path benchmark/Cargo.toml
+
+# Worker-count invariance of the ingest drive: its delivery shards and
+# close/publish sweeps follow CLOUDSCOPE_WORKERS, and the stream_ingest
+# result digest (both ingest ledgers, the fault ledger, the recovered KB
+# and the recommendations) must not.
+echo "==> stream_ingest --smoke result digest at CLOUDSCOPE_WORKERS=1 and 3 == default"
+result=benchmark/out/result-stream_ingest.json
+digest_of() {
+  python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["result_digest"])' "$1"
+}
+for workers in default 1 3; do
+  if [ "$workers" = default ]; then
+    cargo run -q --release --manifest-path benchmark/Cargo.toml -- \
+      run --workload stream_ingest --smoke > /dev/null
+  else
+    CLOUDSCOPE_WORKERS=$workers cargo run -q --release --manifest-path benchmark/Cargo.toml -- \
+      run --workload stream_ingest --smoke > /dev/null
+  fi
+  cp "$result" "$ARTIFACTS_DIR/result-stream_ingest-workers-$workers.json"
+  digest=$(digest_of "$result")
+  echo "    workers=$workers result_digest=$digest"
+  if [ "$workers" = default ]; then
+    want=$digest
+  elif [ "$digest" != "$want" ]; then
+    echo "ERROR: stream_ingest result digest $digest at CLOUDSCOPE_WORKERS=$workers, $want by default" >&2
+    exit 1
+  fi
+done
+echo "    (results archived at $ARTIFACTS_DIR/result-stream_ingest-workers-{default,1,3}.json)"
 
 # Bench smoke + gates, as data: which bench writes which BENCH_*.json,
 # the rows it writes, and every bound on them.
