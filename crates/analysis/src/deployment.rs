@@ -20,23 +20,9 @@ pub(crate) fn record_in_cloud(
 
 /// ECDF of the number of alive VMs per subscription at time `at`
 /// (Figure 1(a)). Subscriptions with zero alive VMs are excluded, as the
-/// trace only records deploying subscriptions.
-///
-/// # Errors
-/// Returns [`AnalysisError::NoData`] if no subscription of `cloud` has an
-/// alive VM at `at`.
-pub fn vms_per_subscription_cdf(
-    trace: &Trace,
-    cloud: CloudKind,
-    at: SimTime,
-) -> Result<Ecdf, AnalysisError> {
-    vms_per_subscription_cdf_from(trace.vms(), trace.subscriptions(), cloud, at)
-}
-
-/// [`vms_per_subscription_cdf`] over a bare record slice — the entry
-/// point for metadata-only scans (e.g. a store read pushed down to the
-/// snapshot's creation days). `records` may be any superset of the VMs
-/// alive at `at`; the liveness filter still applies.
+/// trace only records deploying subscriptions. `records` may be any
+/// superset of the VMs alive at `at` (e.g. a store read pushed down to
+/// the snapshot's creation days); the liveness filter still applies.
 ///
 /// # Errors
 /// Returns [`AnalysisError::NoData`] if no subscription of `cloud` has an
@@ -62,18 +48,6 @@ pub fn vms_per_subscription_cdf_from(
 /// Box-plot of the number of distinct subscriptions with at least one
 /// alive VM per cluster at time `at` (Figure 1(b)). Clusters hosting no
 /// VM are skipped.
-///
-/// # Errors
-/// Returns [`AnalysisError::NoData`] if no cluster of `cloud` hosts VMs.
-pub fn subscriptions_per_cluster(
-    trace: &Trace,
-    cloud: CloudKind,
-    at: SimTime,
-) -> Result<BoxPlot, AnalysisError> {
-    subscriptions_per_cluster_from(trace.vms(), trace.subscriptions(), cloud, at)
-}
-
-/// [`subscriptions_per_cluster`] over a bare record slice.
 ///
 /// # Errors
 /// Returns [`AnalysisError::NoData`] if no cluster of `cloud` hosts VMs.
@@ -174,11 +148,23 @@ mod tests {
     fn counts_alive_vms_per_subscription() {
         let trace = tiny_trace();
         let at = SimTime::from_hours(24);
-        let cdf = vms_per_subscription_cdf(&trace, CloudKind::Private, at).unwrap();
+        let cdf = vms_per_subscription_cdf_from(
+            trace.vms(),
+            trace.subscriptions(),
+            CloudKind::Private,
+            at,
+        )
+        .unwrap();
         // sub0 holds 6 standing VMs; sub1's VM is already gone at 24h.
         assert_eq!(cdf.max(), 6.0);
         assert_eq!(cdf.len(), 1);
-        let public = vms_per_subscription_cdf(&trace, CloudKind::Public, at).unwrap();
+        let public = vms_per_subscription_cdf_from(
+            trace.vms(),
+            trace.subscriptions(),
+            CloudKind::Public,
+            at,
+        )
+        .unwrap();
         assert!(public.median() <= 2.0);
     }
 
@@ -186,9 +172,21 @@ mod tests {
     fn cluster_subscription_counts() {
         let trace = tiny_trace();
         let at = SimTime::from_hours(24);
-        let private = subscriptions_per_cluster(&trace, CloudKind::Private, at).unwrap();
+        let private = subscriptions_per_cluster_from(
+            trace.vms(),
+            trace.subscriptions(),
+            CloudKind::Private,
+            at,
+        )
+        .unwrap();
         assert_eq!(private.median, 1.0, "one private subscription");
-        let public = subscriptions_per_cluster(&trace, CloudKind::Public, at).unwrap();
+        let public = subscriptions_per_cluster_from(
+            trace.vms(),
+            trace.subscriptions(),
+            CloudKind::Public,
+            at,
+        )
+        .unwrap();
         assert!(
             public.median >= 2.0,
             "several public subscriptions share a cluster"
@@ -213,7 +211,12 @@ mod tests {
         // Far before any VM exists.
         let at = SimTime::from_minutes(-100 * 24 * 60);
         assert!(matches!(
-            vms_per_subscription_cdf(&trace, CloudKind::Private, at),
+            vms_per_subscription_cdf_from(
+                trace.vms(),
+                trace.subscriptions(),
+                CloudKind::Private,
+                at
+            ),
             Err(AnalysisError::NoData(_))
         ));
     }

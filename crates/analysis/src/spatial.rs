@@ -20,15 +20,8 @@ pub struct SubscriptionExtent {
 }
 
 /// Computes the deployment extent of every subscription of `cloud` that
-/// placed at least one VM.
-#[must_use]
-pub fn subscription_extents(trace: &Trace, cloud: CloudKind) -> Vec<SubscriptionExtent> {
-    subscription_extents_from(trace.vms(), trace.subscriptions(), cloud)
-}
-
-/// Record-slice variant of [`subscription_extents`] — deployment extent
-/// only needs VM metadata, so a pushed-down store read that skips every
-/// telemetry chunk reproduces it exactly.
+/// placed at least one VM. It only needs VM metadata, so a pushed-down
+/// store read that skips every telemetry chunk reproduces it exactly.
 #[must_use]
 pub fn subscription_extents_from(
     records: &[VmRecord],
@@ -65,13 +58,6 @@ pub fn subscription_extents_from(
 /// # Errors
 /// Returns [`AnalysisError::NoData`] if the cloud has no subscriptions
 /// with placed VMs.
-pub fn regions_per_subscription_cdf(
-    trace: &Trace,
-    cloud: CloudKind,
-) -> Result<Ecdf, AnalysisError> {
-    regions_cdf_from_extents(subscription_extents(trace, cloud))
-}
-
 fn regions_cdf_from_extents(extents: Vec<SubscriptionExtent>) -> Result<Ecdf, AnalysisError> {
     if extents.is_empty() {
         return Err(AnalysisError::NoData("regions per subscription"));
@@ -85,13 +71,6 @@ fn regions_cdf_from_extents(extents: Vec<SubscriptionExtent>) -> Result<Ecdf, An
 ///
 /// # Errors
 /// Returns [`AnalysisError::NoData`] if the cloud has no allocated cores.
-pub fn core_weighted_regions_cdf(
-    trace: &Trace,
-    cloud: CloudKind,
-) -> Result<Vec<(usize, f64)>, AnalysisError> {
-    core_weighted_from_extents(&subscription_extents(trace, cloud))
-}
-
 fn core_weighted_from_extents(
     extents: &[SubscriptionExtent],
 ) -> Result<Vec<(usize, f64)>, AnalysisError> {
@@ -175,7 +154,8 @@ mod tests {
     #[test]
     fn extents_count_regions_and_cores() {
         let trace = tiny_trace();
-        let extents = subscription_extents(&trace, CloudKind::Private);
+        let extents =
+            subscription_extents_from(trace.vms(), trace.subscriptions(), CloudKind::Private);
         assert_eq!(extents.len(), 2);
         // sub0: 6 VMs of 4 cores in 2 regions.
         assert_eq!(extents[0].regions, 2);
@@ -188,7 +168,7 @@ mod tests {
     #[test]
     fn regions_cdf() {
         let trace = tiny_trace();
-        let public = regions_per_subscription_cdf(&trace, CloudKind::Public).unwrap();
+        let public = SpatialAnalysis::run(&trace).unwrap().public_regions;
         // sub2: 1, sub3: 1, sub4: 2, sub5: 1 regions.
         assert_eq!(public.eval(1.0), 0.75);
         assert_eq!(public.eval(2.0), 1.0);
@@ -197,7 +177,7 @@ mod tests {
     #[test]
     fn core_weighted_curve() {
         let trace = tiny_trace();
-        let private = core_weighted_regions_cdf(&trace, CloudKind::Private).unwrap();
+        let private = SpatialAnalysis::run(&trace).unwrap().private_core_weighted;
         // Single-region sub1 holds 2 of 26 private cores.
         assert_eq!(private[0], (1, 2.0 / 26.0));
         assert_eq!(private.last().unwrap().1, 1.0);

@@ -13,15 +13,8 @@ use std::collections::BTreeSet;
 const HOURS_PER_WEEK: usize = 168;
 
 /// ECDF of lifetimes (in minutes) of VMs that both started and ended
-/// within the trace week — the paper's Figure 3(a) filter.
-///
-/// # Errors
-/// Returns [`AnalysisError::NoData`] if no bounded VM exists.
-pub fn lifetime_cdf(trace: &Trace, cloud: CloudKind) -> Result<Ecdf, AnalysisError> {
-    lifetime_cdf_from(trace.vms(), trace.subscriptions(), cloud)
-}
-
-/// [`lifetime_cdf`] over a bare record slice.
+/// within the trace week — the paper's Figure 3(a) filter. Its value at
+/// 60 minutes is the shortest-bin fraction the paper reports.
 ///
 /// # Errors
 /// Returns [`AnalysisError::NoData`] if no bounded VM exists.
@@ -43,32 +36,11 @@ pub fn lifetime_cdf_from(
     Ecdf::new(lifetimes).map_err(AnalysisError::from)
 }
 
-/// Fraction of bounded VMs whose lifetime falls in the shortest bin
-/// (`<= bin_minutes`). The paper reports 49% (private) vs 81% (public)
-/// for the shortest bin.
-///
-/// # Errors
-/// Returns [`AnalysisError::NoData`] if no bounded VM exists.
-pub fn shortest_bin_fraction(
-    trace: &Trace,
-    cloud: CloudKind,
-    bin_minutes: i64,
-) -> Result<f64, AnalysisError> {
-    let cdf = lifetime_cdf(trace, cloud)?;
-    Ok(cdf.eval(bin_minutes as f64))
-}
-
 /// Hourly series of alive VM counts in one region over the trace week
 /// (Figure 3(b)): sample `t = 0h, 1h, …, 167h`, counting VMs alive at
-/// each boundary.
-#[must_use]
-pub fn vm_counts_per_hour(trace: &Trace, cloud: CloudKind, region: RegionId) -> Series {
-    vm_counts_per_hour_from(trace.vms(), trace.subscriptions(), cloud, region)
-}
-
-/// [`vm_counts_per_hour`] over a bare record slice — `records` may
-/// already be sliced to `region` (a pushed-down store read); any
-/// other-region record is still filtered out.
+/// each boundary. `records` may already be sliced to `region` (a
+/// pushed-down store read); any other-region record is still filtered
+/// out.
 #[must_use]
 pub fn vm_counts_per_hour_from(
     records: &[VmRecord],
@@ -97,83 +69,27 @@ pub fn vm_counts_per_hour_from(
 /// Hourly series of VM creations in one region over the trace week
 /// (Figure 3(c)).
 #[must_use]
-pub fn creations_per_hour(trace: &Trace, cloud: CloudKind, region: RegionId) -> Series {
-    creations_per_hour_from(trace.vms(), trace.subscriptions(), cloud, region)
-}
-
-/// [`creations_per_hour`] over a bare record slice.
-#[must_use]
 pub fn creations_per_hour_from(
     records: &[VmRecord],
     subscriptions: &[Subscription],
     cloud: CloudKind,
     region: RegionId,
 ) -> Series {
-    events_per_hour(records, subscriptions, cloud, region, |vm| Some(vm.created))
-}
-
-/// Hourly series of VM removals in one region over the trace week (the
-/// paper studies removals alongside creations and finds the same shape).
-#[must_use]
-pub fn removals_per_hour(trace: &Trace, cloud: CloudKind, region: RegionId) -> Series {
-    events_per_hour(trace.vms(), trace.subscriptions(), cloud, region, |vm| {
-        vm.ended
-    })
-}
-
-fn events_per_hour(
-    records: &[VmRecord],
-    subscriptions: &[Subscription],
-    cloud: CloudKind,
-    region: RegionId,
-    event_time: impl Fn(&VmRecord) -> Option<SimTime>,
-) -> Series {
     let mut counts = vec![0.0f64; HOURS_PER_WEEK];
     for vm in records {
-        if vm.region != region || !record_in_cloud(vm, subscriptions, cloud) {
-            continue;
-        }
-        if let Some(t) = event_time(vm) {
-            if t.in_trace_week() {
-                counts[t.hours() as usize] += 1.0;
-            }
+        if vm.region == region
+            && record_in_cloud(vm, subscriptions, cloud)
+            && vm.created.in_trace_week()
+        {
+            counts[vm.created.hours() as usize] += 1.0;
         }
     }
     Series::new(0, MINUTES_PER_HOUR, counts)
 }
 
-/// Hours where VM creations burst in one region: robust-z-score spikes
-/// of the hourly creation series — the mechanism the paper attributes to
-/// "the deployment behavior of some large services" (Fig 3(b)/(c)).
-/// Returns the bursting hour indices; an empty vector when the series is
-/// too short or smooth.
-#[must_use]
-pub fn burst_hours(trace: &Trace, cloud: CloudKind, region: RegionId) -> Vec<usize> {
-    let series = creations_per_hour(trace, cloud, region);
-    cloudscope_timeseries::detect_bursts(&series, 25, 8.0)
-        .map(|bursts| bursts.into_iter().map(|b| b.index).collect())
-        .unwrap_or_default()
-}
-
 /// Coefficient of variation of hourly creations, per region (Figure
-/// 3(d)); regions with no creations are skipped.
-#[must_use]
-pub fn creation_cv_by_region(trace: &Trace, cloud: CloudKind) -> Vec<f64> {
-    trace
-        .topology()
-        .regions()
-        .iter()
-        .filter_map(|r| {
-            let series = creations_per_hour(trace, cloud, r.id);
-            coefficient_of_variation(series.values())
-        })
-        .collect()
-}
-
-/// [`creation_cv_by_region`] over a bare record slice. The regions are
-/// the distinct ones appearing in `records` (in id order) rather than
-/// the topology's — identical output, since a region absent from the
-/// records has no creations and would be skipped anyway.
+/// 3(d)); regions with no creations are skipped. The regions are the
+/// distinct ones appearing in `records`, in id order.
 #[must_use]
 pub fn creation_cv_by_region_from(
     records: &[VmRecord],
@@ -302,11 +218,13 @@ mod tests {
     #[test]
     fn lifetime_cdf_only_counts_bounded_vms() {
         let trace = tiny_trace();
-        let private = lifetime_cdf(&trace, CloudKind::Private).unwrap();
+        let private =
+            lifetime_cdf_from(trace.vms(), trace.subscriptions(), CloudKind::Private).unwrap();
         // Only sub1's VM is bounded: 30 minutes.
         assert_eq!(private.len(), 1);
         assert_eq!(private.max(), 30.0);
-        let public = lifetime_cdf(&trace, CloudKind::Public).unwrap();
+        let public =
+            lifetime_cdf_from(trace.vms(), trace.subscriptions(), CloudKind::Public).unwrap();
         // Only sub3's VM: 600 minutes.
         assert_eq!(public.len(), 1);
         assert_eq!(public.max(), 600.0);
@@ -315,20 +233,20 @@ mod tests {
     #[test]
     fn shortest_bin_fraction_uses_one_hour_bin() {
         let trace = tiny_trace();
-        assert_eq!(
-            shortest_bin_fraction(&trace, CloudKind::Private, 60).unwrap(),
-            1.0
-        );
-        assert_eq!(
-            shortest_bin_fraction(&trace, CloudKind::Public, 60).unwrap(),
-            0.0
-        );
+        let analysis = TemporalAnalysis::run(&trace, RegionId::new(0)).unwrap();
+        assert_eq!(analysis.private_short_fraction, 1.0);
+        assert_eq!(analysis.public_short_fraction, 0.0);
     }
 
     #[test]
     fn vm_counts_track_alive_population() {
         let trace = tiny_trace();
-        let counts = vm_counts_per_hour(&trace, CloudKind::Private, RegionId::new(0));
+        let counts = vm_counts_per_hour_from(
+            trace.vms(),
+            trace.subscriptions(),
+            CloudKind::Private,
+            RegionId::new(0),
+        );
         assert_eq!(counts.len(), 168);
         // 4 standing VMs always; the short-lived VM only exists between
         // 10:00 and 10:30, so it never crosses an hour boundary after 10.
@@ -338,14 +256,14 @@ mod tests {
     }
 
     #[test]
-    fn creations_and_removals_bucket_by_hour() {
+    fn creations_bucket_by_hour() {
         let trace = tiny_trace();
-        let created = creations_per_hour(&trace, CloudKind::Private, RegionId::new(0));
+        let (vms, subs) = (trace.vms(), trace.subscriptions());
+        let created = creations_per_hour_from(vms, subs, CloudKind::Private, RegionId::new(0));
         assert_eq!(created.values().iter().sum::<f64>(), 1.0);
         assert_eq!(created.values()[10], 1.0);
-        let removed = removals_per_hour(&trace, CloudKind::Private, RegionId::new(0));
-        assert_eq!(removed.values()[10], 1.0);
-        let public_created = creations_per_hour(&trace, CloudKind::Public, RegionId::new(0));
+        let public_created =
+            creations_per_hour_from(vms, subs, CloudKind::Public, RegionId::new(0));
         assert_eq!(public_created.values()[20], 1.0);
     }
 
@@ -354,7 +272,8 @@ mod tests {
         let trace = tiny_trace();
         // Private creations only happen in region 0; region 1 has none
         // (its mean is 0 so CV is undefined and skipped).
-        let cvs = creation_cv_by_region(&trace, CloudKind::Private);
+        let cvs =
+            creation_cv_by_region_from(trace.vms(), trace.subscriptions(), CloudKind::Private);
         assert_eq!(cvs.len(), 1);
         assert!(cvs[0] > 5.0, "a single spike hour has a huge CV");
     }

@@ -9,17 +9,8 @@ use cloudscope_stats::{Axis, Heatmap};
 
 /// Builds the Figure 2 heatmap for one cloud: logarithmic axes over
 /// cores (`[1, 128)`) and memory GiB (`[1, 1024)`), one observation per
-/// VM record in the trace.
-///
-/// # Errors
-/// Returns [`AnalysisError::NoData`] if the cloud has no VMs.
-pub fn vm_size_heatmap(trace: &Trace, cloud: CloudKind) -> Result<Heatmap, AnalysisError> {
-    vm_size_heatmap_from(trace.vms(), trace.subscriptions(), cloud)
-}
-
-/// Record-slice variant of [`vm_size_heatmap`] — the whole figure is
-/// metadata-only, so a pushed-down store read that skips every
-/// telemetry chunk reproduces it exactly.
+/// VM record. The whole figure is metadata-only, so a pushed-down store
+/// read that skips every telemetry chunk reproduces it exactly.
 ///
 /// # Errors
 /// Returns [`AnalysisError::NoData`] if the cloud has no VMs.
@@ -99,9 +90,11 @@ mod tests {
     #[test]
     fn heatmap_counts_every_vm() {
         let trace = tiny_trace();
-        let private = vm_size_heatmap(&trace, CloudKind::Private).unwrap();
+        let private =
+            vm_size_heatmap_from(trace.vms(), trace.subscriptions(), CloudKind::Private).unwrap();
         assert_eq!(private.total(), 7, "6 standing + 1 short-lived");
-        let public = vm_size_heatmap(&trace, CloudKind::Public).unwrap();
+        let public =
+            vm_size_heatmap_from(trace.vms(), trace.subscriptions(), CloudKind::Public).unwrap();
         assert_eq!(public.total(), 5);
         assert_eq!(private.overflow(), 0);
     }
@@ -109,7 +102,8 @@ mod tests {
     #[test]
     fn sizes_land_in_expected_bins() {
         let trace = tiny_trace();
-        let hm = vm_size_heatmap(&trace, CloudKind::Private).unwrap();
+        let hm =
+            vm_size_heatmap_from(trace.vms(), trace.subscriptions(), CloudKind::Private).unwrap();
         // 4-core VMs -> log2(4) = 2 -> bin 2 on the core axis;
         // 16 GiB -> log2(16)=4 -> bin 4 on the memory axis.
         assert_eq!(hm.cell(2, 4), 6);

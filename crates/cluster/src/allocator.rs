@@ -78,15 +78,6 @@ impl AllocatorStats {
         self.evictions += other.evictions;
         self.migrations += other.migrations;
     }
-
-    /// Failure rate over all attempts (0 if no attempts).
-    #[must_use]
-    pub fn failure_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            return 0.0;
-        }
-        (self.capacity_failures + self.spreading_failures) as f64 / self.attempts as f64
-    }
 }
 
 /// Where a VM currently lives, kept for release/eviction/migration.
@@ -244,12 +235,6 @@ impl ClusterAllocator {
     #[must_use]
     pub fn placement_of(&self, vm: VmId) -> Option<NodeId> {
         self.placements.get(&vm).map(|p| p.node)
-    }
-
-    /// The size `vm` was placed with, if currently placed.
-    #[must_use]
-    pub fn placed_size(&self, vm: VmId) -> Option<VmSize> {
-        self.placements.get(&vm).map(|p| p.size)
     }
 
     fn spreading_ok(&self, node_idx: usize, service: ServiceId) -> bool {
@@ -793,7 +778,6 @@ mod tests {
         let err = a.place(req(9, 1, 0)).unwrap_err();
         assert!(matches!(err, AllocationError::InsufficientCapacity(_)));
         assert_eq!(a.stats().capacity_failures, 1);
-        assert!(a.stats().failure_rate() > 0.0);
     }
 
     #[test]

@@ -163,23 +163,6 @@ impl Fleet {
     pub fn clusters(&self) -> &[ClusterAllocator] {
         &self.clusters
     }
-
-    /// Mean core-allocation ratio across the region's clusters, or `None`
-    /// for an unknown region.
-    #[must_use]
-    pub fn region_allocation_ratio(&self, region: RegionId) -> Option<f64> {
-        let indices = self.by_region.get(&region)?;
-        if indices.is_empty() {
-            return None;
-        }
-        Some(
-            indices
-                .iter()
-                .map(|&i| self.clusters[i].core_allocation_ratio())
-                .sum::<f64>()
-                / indices.len() as f64,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +237,6 @@ mod tests {
     fn unknown_region_fails() {
         let mut f = fleet();
         assert!(f.place_in_region(RegionId::new(42), req(0)).is_err());
-        assert!(f.region_allocation_ratio(RegionId::new(42)).is_none());
     }
 
     #[test]
@@ -267,17 +249,5 @@ mod tests {
             f.release(VmId::new(5)),
             Err(AllocationError::UnknownVm(_))
         ));
-    }
-
-    #[test]
-    fn region_allocation_ratio_tracks_load() {
-        let mut f = fleet();
-        assert_eq!(f.region_allocation_ratio(RegionId::new(0)), Some(0.0));
-        f.place_in_region(RegionId::new(0), req(0)).unwrap();
-        let ratio = f.region_allocation_ratio(RegionId::new(0)).unwrap();
-        assert!(
-            (ratio - 0.25).abs() < 1e-12,
-            "one of 2 clusters half full: {ratio}"
-        );
     }
 }

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod allocator;
-pub mod drain;
 pub mod error;
 pub mod fleet;
 pub mod node;
@@ -50,7 +49,6 @@ pub mod node;
 pub use allocator::{
     AllocatorStats, ClusterAllocator, PlacementPolicy, PlacementRequest, SpreadingRule,
 };
-pub use drain::DrainOutcome;
 pub use error::AllocationError;
 pub use fleet::Fleet;
 pub use node::NodeState;

@@ -76,8 +76,8 @@ impl WorkloadKnowledge {
         self.region_agnostic == Some(true)
     }
 
-    /// `true` if this workload needs predictive pre-provisioning /
-    /// overclocking headroom for hour-mark peaks (Insight 3 implication).
+    /// `true` if this workload needs predictive pre-provisioning
+    /// headroom for hour-mark peaks (Insight 3 implication).
     #[must_use]
     pub fn needs_peak_headroom(&self) -> bool {
         self.pattern == Some(UtilizationPattern::HourlyPeak)

@@ -28,9 +28,8 @@
 //! assert_eq!(big_spot_fleets, 0);
 //! ```
 
-use crate::knowledge::{LifetimeClass, WorkloadKnowledge};
+use crate::knowledge::WorkloadKnowledge;
 use crate::store::KnowledgeBase;
-use cloudscope_analysis::UtilizationPattern;
 use cloudscope_model::prelude::*;
 use std::fmt;
 
@@ -45,10 +44,6 @@ type Predicate<'a> = Box<dyn Fn(&WorkloadKnowledge) -> bool + 'a>;
 pub enum KbSelector {
     /// Every entry (a full scan — the only non-indexed selector).
     All,
-    /// Workloads of one cloud with the given dominant pattern.
-    Pattern(CloudKind, UtilizationPattern),
-    /// Workloads whose churn is mostly of the given lifetime class.
-    Lifetime(LifetimeClass),
     /// Spot-VM adoption candidates (Insight 2 implication).
     SpotCandidates,
     /// Over-subscription candidates of one cloud (Insight 3 implication).
@@ -97,18 +92,6 @@ impl<'a> KbQuery<'a> {
     #[must_use]
     pub fn matching(predicate: impl Fn(&WorkloadKnowledge) -> bool + 'a) -> Self {
         Self::all().filter(predicate)
-    }
-
-    /// Workloads of `cloud` with dominant pattern `pattern` (indexed).
-    #[must_use]
-    pub fn by_pattern(cloud: CloudKind, pattern: UtilizationPattern) -> Self {
-        Self::select(KbSelector::Pattern(cloud, pattern))
-    }
-
-    /// Workloads whose churn is mostly of lifetime `class` (indexed).
-    #[must_use]
-    pub fn by_lifetime(class: LifetimeClass) -> Self {
-        Self::select(KbSelector::Lifetime(class))
     }
 
     /// Spot-VM adoption candidates (indexed; Insight 2 implication).
@@ -196,6 +179,8 @@ impl<'a> KbQuery<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knowledge::LifetimeClass;
+    use cloudscope_analysis::UtilizationPattern;
     use cloudscope_model::prelude::SimTime;
 
     fn knowledge(id: u32, cloud: CloudKind, lifetime: LifetimeClass) -> WorkloadKnowledge {
@@ -264,17 +249,15 @@ mod tests {
     #[test]
     fn indexed_selectors_match_scan_equivalents() {
         let kb = populated();
-        let by_index = KbQuery::by_lifetime(LifetimeClass::MostlyShort).collect(&kb);
-        let by_scan = KbQuery::matching(|k| k.lifetime == LifetimeClass::MostlyShort).collect(&kb);
+        let by_index = KbQuery::spot_candidates().collect(&kb);
+        let by_scan = KbQuery::matching(WorkloadKnowledge::spot_candidate).collect(&kb);
+        assert_eq!(by_index.len(), 2);
         assert_eq!(by_index, by_scan);
-        assert_eq!(
-            KbQuery::by_pattern(CloudKind::Public, UtilizationPattern::Stable).count(&kb),
-            3
-        );
-        assert_eq!(
-            KbQuery::by_pattern(CloudKind::Public, UtilizationPattern::Diurnal).count(&kb),
-            0
-        );
+        let by_index = KbQuery::oversubscription_candidates(CloudKind::Public).collect(&kb);
+        let by_scan =
+            KbQuery::matching(|k| k.cloud == CloudKind::Public && k.oversubscription_candidate())
+                .collect(&kb);
+        assert_eq!(by_index, by_scan);
     }
 
     #[test]

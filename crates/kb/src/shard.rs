@@ -9,9 +9,8 @@
 //! demanding exact equality; the property suite in
 //! `crates/kb/tests/consistency.rs` drives it with random op sequences.
 
-use crate::knowledge::{LifetimeClass, WorkloadKnowledge};
+use crate::knowledge::WorkloadKnowledge;
 use crate::query::KbSelector;
-use cloudscope_analysis::UtilizationPattern;
 use cloudscope_model::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
@@ -24,10 +23,6 @@ use std::collections::{BTreeSet, HashMap};
 /// built from the same entries compare equal regardless of history.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct ShardIndexes {
-    /// `(cloud, dominant pattern)` → subscriptions.
-    pattern: HashMap<(CloudKind, UtilizationPattern), BTreeSet<SubscriptionId>>,
-    /// Lifetime class → subscriptions.
-    lifetime: HashMap<LifetimeClass, BTreeSet<SubscriptionId>>,
     /// Spot-adoption candidates ([`WorkloadKnowledge::spot_candidate`]).
     spot: BTreeSet<SubscriptionId>,
     /// Over-subscription candidates, per cloud.
@@ -40,13 +35,6 @@ impl ShardIndexes {
     /// Adds `k`'s postings to every index it belongs in.
     fn index(&mut self, k: &WorkloadKnowledge) {
         let id = k.subscription;
-        if let Some(pattern) = k.pattern {
-            self.pattern
-                .entry((k.cloud, pattern))
-                .or_default()
-                .insert(id);
-        }
-        self.lifetime.entry(k.lifetime).or_default().insert(id);
         if k.spot_candidate() {
             self.spot.insert(id);
         }
@@ -62,21 +50,6 @@ impl ShardIndexes {
     /// state stays history-independent.
     fn deindex(&mut self, k: &WorkloadKnowledge) {
         let id = k.subscription;
-        if let Some(pattern) = k.pattern {
-            let key = (k.cloud, pattern);
-            if let Some(set) = self.pattern.get_mut(&key) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.pattern.remove(&key);
-                }
-            }
-        }
-        if let Some(set) = self.lifetime.get_mut(&k.lifetime) {
-            set.remove(&id);
-            if set.is_empty() {
-                self.lifetime.remove(&k.lifetime);
-            }
-        }
         self.spot.remove(&id);
         if k.oversubscription_candidate() {
             if let Some(set) = self.oversub.get_mut(&k.cloud) {
@@ -147,8 +120,6 @@ impl ShardState {
     pub(crate) fn index_ids(&self, selector: &KbSelector) -> Option<&BTreeSet<SubscriptionId>> {
         match *selector {
             KbSelector::All => None,
-            KbSelector::Pattern(cloud, pattern) => self.indexes.pattern.get(&(cloud, pattern)),
-            KbSelector::Lifetime(class) => self.indexes.lifetime.get(&class),
             KbSelector::SpotCandidates => Some(&self.indexes.spot),
             KbSelector::OversubscriptionCandidates(cloud) => self.indexes.oversub.get(&cloud),
             KbSelector::Shiftable => Some(&self.indexes.shiftable),

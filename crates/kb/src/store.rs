@@ -179,12 +179,6 @@ impl KnowledgeBase {
         }
     }
 
-    /// The number of shards (for reporting; never affects results).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard index owning `id`.
     fn shard_of(&self, id: SubscriptionId) -> usize {
         (mix(u64::from(id.index())) % self.shards.len() as u64) as usize
@@ -473,14 +467,6 @@ mod tests {
         let spot = KbQuery::spot_candidates().collect(&kb);
         assert_eq!(spot.len(), 2, "private entries are not spot candidates");
         assert!(spot[0].subscription < spot[1].subscription);
-        assert_eq!(
-            KbQuery::by_pattern(CloudKind::Private, UtilizationPattern::Stable).count(&kb),
-            1
-        );
-        assert_eq!(
-            KbQuery::by_lifetime(LifetimeClass::MostlyShort).count(&kb),
-            3
-        );
         assert_eq!(
             KbQuery::oversubscription_candidates(CloudKind::Public).count(&kb),
             2

@@ -96,12 +96,6 @@ pub fn all_queries() -> Vec<KbQuery<'static>> {
         KbQuery::shiftable(),
         KbQuery::oversubscription_candidates(CloudKind::Private),
         KbQuery::oversubscription_candidates(CloudKind::Public),
-        KbQuery::by_lifetime(LifetimeClass::MostlyShort),
-        KbQuery::by_lifetime(LifetimeClass::Mixed),
-        KbQuery::by_lifetime(LifetimeClass::MostlyLong),
-        KbQuery::by_pattern(CloudKind::Private, UtilizationPattern::Diurnal),
-        KbQuery::by_pattern(CloudKind::Public, UtilizationPattern::Stable),
-        KbQuery::by_pattern(CloudKind::Public, UtilizationPattern::HourlyPeak),
     ]
 }
 

@@ -109,17 +109,6 @@ fn all_selectors() -> Vec<KbSelector> {
     ];
     for cloud in CloudKind::BOTH {
         selectors.push(KbSelector::OversubscriptionCandidates(cloud));
-        for pattern in [
-            UtilizationPattern::Diurnal,
-            UtilizationPattern::Stable,
-            UtilizationPattern::Irregular,
-            UtilizationPattern::HourlyPeak,
-        ] {
-            selectors.push(KbSelector::Pattern(cloud, pattern));
-        }
-    }
-    for class in LIFETIMES {
-        selectors.push(KbSelector::Lifetime(class));
     }
     selectors
 }
@@ -133,8 +122,6 @@ fn brute_force(
         .values()
         .filter(|k| match selector {
             KbSelector::All => true,
-            KbSelector::Pattern(cloud, pattern) => k.cloud == cloud && k.pattern == Some(pattern),
-            KbSelector::Lifetime(class) => k.lifetime == class,
             KbSelector::SpotCandidates => k.spot_candidate(),
             KbSelector::OversubscriptionCandidates(cloud) => {
                 k.cloud == cloud && k.oversubscription_candidate()

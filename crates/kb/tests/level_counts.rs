@@ -51,21 +51,4 @@ proptest! {
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         prop_assert_eq!(levels.mean().map(f64::to_bits), Some(mean.to_bits()));
     }
-
-    /// Merging two tables is counting the concatenation, either way
-    /// round — the property the P² sketch this replaced never had.
-    #[test]
-    fn merge_equals_counting_the_concatenation(
-        a in stored_series(300),
-        b in stored_series(300),
-    ) {
-        let mut merged = counted(&a);
-        merged.merge(&counted(&b));
-        let mut reversed = counted(&b);
-        reversed.merge(&counted(&a));
-        let concatenated = counted(&[a.as_slice(), b.as_slice()].concat());
-        prop_assert_eq!(&merged, &concatenated);
-        prop_assert_eq!(&reversed, &concatenated);
-        prop_assert_eq!(merged.percentile(95.0), concatenated.percentile(95.0));
-    }
 }

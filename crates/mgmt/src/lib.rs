@@ -8,7 +8,6 @@
 //! | [`spot`] | Insight 2 (public): spot-VM candidates, eviction prediction, spot/on-demand mixtures |
 //! | [`oversub`] | Insights 2/3: chance-constrained over-subscription (20–86% utilization gains) |
 //! | [`rebalance`] | Insight 4: region-agnostic workload shifting (the Canada pilot replay) |
-//! | [`preprovision`] | Insight 3: headroom for hour-mark peaks |
 //! | [`defer`] | Insight 3: deferrable jobs into valley hours |
 //! | [`allocfail`] | Insight 2 (private): allocation-failure risk prediction |
 //! | [`maintenance`] | Intro example: lifetime-aware migration off unhealthy nodes |
@@ -38,10 +37,8 @@ pub mod allocfail;
 pub mod defer;
 pub mod error;
 pub mod maintenance;
-pub mod overclock;
 pub mod oversub;
 pub mod policy;
-pub mod preprovision;
 pub mod rebalance;
 pub mod spot;
 
@@ -52,10 +49,8 @@ pub use maintenance::{
     evaluate_plan, plan_node_maintenance, MaintenanceAction, MaintenancePlan,
     RemainingLifetimePredictor,
 };
-pub use overclock::{simulate_day, OverclockOutcome, OverclockPolicy};
 pub use oversub::{OversubMethod, OversubPlan, OversubPlanner, VmDemand};
 pub use policy::{Policy, PolicyEngine, Recommendation};
-pub use preprovision::{evaluate_preprovision, plan_preprovision, PreProvisionPlan};
 pub use rebalance::{
     recommend_shifts, region_capacity_stats, simulate_shift, underutilized_vms,
     RegionCapacityStats, ShiftOutcome,

@@ -179,7 +179,9 @@ impl Enc {
     /// Appends a length-prefixed (u16) UTF-8 string.
     ///
     /// # Panics
-    /// Panics if the string exceeds 64 KiB — format names never do.
+    /// Panics if the string exceeds 64 KiB. Unreachable from the
+    /// formats: their chunk and blob names are short, and the store's
+    /// topology encoder rejects a longer region string with an error.
     pub fn put_str(&mut self, s: &str) {
         let len = u16::try_from(s.len()).expect("encoded strings fit in u16");
         self.put_u16(len);

@@ -1,16 +1,13 @@
-//! CSV export/import of traces, for interoperability with the pandas/
-//! Spark pipelines that trace studies typically use.
+//! CSV export of traces, for interoperability with the pandas/Spark
+//! pipelines that trace studies typically use.
 //!
 //! The deployment schema mirrors public cloud-trace releases: one row per
 //! VM with ownership, shape, placement, and timestamps. Telemetry exports
 //! as long-format `(vm, minute, cpu_pct)` rows.
 
-use crate::error::ModelError;
-use crate::ids::{ClusterId, NodeId, RegionId, ServiceId, SubscriptionId, VmId};
-use crate::time::SimTime;
 use crate::trace::Trace;
-use crate::vm::{Priority, ServiceModel, VmRecord, VmSize};
-use std::io::{BufRead, Write};
+use crate::vm::VmRecord;
+use std::io::Write;
 
 /// Header of the deployment CSV.
 pub const DEPLOYMENT_HEADER: &str = "vm_id,subscription_id,service_id,cores,memory_gb,priority,service_model,region_id,cluster_id,node_id,created_min,ended_min";
@@ -69,90 +66,15 @@ pub fn write_telemetry<W: Write>(trace: &Trace, mut writer: W) -> std::io::Resul
     })
 }
 
-/// Parses one deployment CSV row back into a [`VmRecord`].
-///
-/// # Errors
-/// Returns [`ModelError::InconsistentTrace`] on malformed rows.
-pub fn parse_deployment_row(row: &str) -> Result<VmRecord, ModelError> {
-    let bad = |what: &str| ModelError::InconsistentTrace(format!("bad csv row ({what}): {row}"));
-    let fields: Vec<&str> = row.split(',').collect();
-    if fields.len() != 12 {
-        return Err(bad("field count"));
-    }
-    let parse_u32 = |s: &str, what: &str| s.parse::<u32>().map_err(|_| bad(what));
-    let priority = match fields[5] {
-        "on-demand" => Priority::OnDemand,
-        "spot" => Priority::Spot,
-        _ => return Err(bad("priority")),
-    };
-    let service_model = match fields[6] {
-        "IaaS" => ServiceModel::Iaas,
-        "PaaS" => ServiceModel::Paas,
-        "SaaS" => ServiceModel::Saas,
-        _ => return Err(bad("service model")),
-    };
-    Ok(VmRecord {
-        id: VmId::new(fields[0].parse().map_err(|_| bad("vm id"))?),
-        subscription: SubscriptionId::new(parse_u32(fields[1], "subscription")?),
-        service: ServiceId::new(parse_u32(fields[2], "service")?),
-        size: VmSize::new(
-            parse_u32(fields[3], "cores")?,
-            fields[4].parse().map_err(|_| bad("memory"))?,
-        ),
-        priority,
-        service_model,
-        region: RegionId::new(parse_u32(fields[7], "region")?),
-        cluster: ClusterId::new(parse_u32(fields[8], "cluster")?),
-        node: if fields[9].is_empty() {
-            None
-        } else {
-            Some(NodeId::new(parse_u32(fields[9], "node")?))
-        },
-        created: SimTime::from_minutes(fields[10].parse().map_err(|_| bad("created"))?),
-        ended: if fields[11].is_empty() {
-            None
-        } else {
-            Some(SimTime::from_minutes(
-                fields[11].parse().map_err(|_| bad("ended"))?,
-            ))
-        },
-    })
-}
-
-/// Reads a deployment CSV (as produced by [`write_deployments`]) into
-/// records. The header row is validated.
-///
-/// # Errors
-/// Returns [`ModelError::InconsistentTrace`] on malformed input, and
-/// propagates I/O errors as the same variant.
-pub fn read_deployments<R: BufRead>(reader: R) -> Result<Vec<VmRecord>, ModelError> {
-    let mut lines = reader.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| ModelError::InconsistentTrace("empty csv".into()))?
-        .map_err(|e| ModelError::InconsistentTrace(format!("io error: {e}")))?;
-    if header != DEPLOYMENT_HEADER {
-        return Err(ModelError::InconsistentTrace(format!(
-            "unexpected header: {header}"
-        )));
-    }
-    let mut records = Vec::new();
-    for line in lines {
-        let line = line.map_err(|e| ModelError::InconsistentTrace(format!("io error: {e}")))?;
-        if line.is_empty() {
-            continue;
-        }
-        records.push(parse_deployment_row(&line)?);
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{ClusterId, NodeId, RegionId, ServiceId, SubscriptionId, VmId};
     use crate::subscription::{CloudKind, PartyKind, Subscription};
     use crate::telemetry::UtilSeries;
+    use crate::time::SimTime;
     use crate::topology::{NodeSku, Topology};
+    use crate::vm::{Priority, ServiceModel, VmSize};
 
     fn sample_trace() -> Trace {
         let mut tb = Topology::builder();
@@ -194,15 +116,21 @@ mod tests {
     }
 
     #[test]
-    fn deployment_roundtrip() {
+    fn deployment_rows_are_pinned() {
         let trace = sample_trace();
         let mut out = Vec::new();
         write_deployments(&trace, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with(DEPLOYMENT_HEADER));
-        let records = read_deployments(text.as_bytes()).unwrap();
-        assert_eq!(records.len(), trace.vms().len());
-        assert_eq!(&records[0], &trace.vms()[0]);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                DEPLOYMENT_HEADER,
+                "0,0,0,4,16,spot,PaaS,0,0,1,100,400",
+                // The optional node and end time export as empty fields.
+                "1,0,0,4,16,on-demand,PaaS,0,0,,100,",
+            ]
+        );
     }
 
     #[test]
@@ -215,25 +143,5 @@ mod tests {
         assert_eq!(lines[0], "vm_id,minute,cpu_pct");
         assert_eq!(lines[1], "0,100,10.0");
         assert_eq!(lines[2], "0,105,20.0");
-    }
-
-    #[test]
-    fn optional_fields_roundtrip_empty() {
-        let row = "7,0,0,2,8,on-demand,IaaS,0,0,,50,";
-        let vm = parse_deployment_row(row).unwrap();
-        assert_eq!(vm.node, None);
-        assert_eq!(vm.ended, None);
-        assert_eq!(vm.id, VmId::new(7));
-    }
-
-    #[test]
-    fn malformed_rows_rejected() {
-        assert!(parse_deployment_row("1,2,3").is_err());
-        assert!(parse_deployment_row("x,0,0,2,8,on-demand,IaaS,0,0,,50,").is_err());
-        assert!(parse_deployment_row("1,0,0,2,8,weird,IaaS,0,0,,50,").is_err());
-        assert!(parse_deployment_row("1,0,0,2,8,on-demand,XaaS,0,0,,50,").is_err());
-        let bad_header = "nope\n1,2";
-        assert!(read_deployments(bad_header.as_bytes()).is_err());
-        assert!(read_deployments("".as_bytes()).is_err());
     }
 }

@@ -7,7 +7,6 @@
 //! compress utilization counters. Quantization error (≤0.25 pp) is far
 //! below the noise floor of the signals being analyzed.
 
-use crate::error::ModelError;
 use crate::time::{SimTime, SAMPLE_INTERVAL_MINUTES};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -133,12 +132,6 @@ impl UtilSeries {
             .map(|&q| f32::from(q) / QUANT_STEPS_PER_PERCENT)
     }
 
-    /// `true` if the in-bounds sample at `index` is missing.
-    #[must_use]
-    pub fn is_missing(&self, index: usize) -> bool {
-        self.samples.get(index) == Some(&MISSING_SAMPLE)
-    }
-
     /// Number of present (non-missing) samples.
     #[must_use]
     pub fn present_count(&self) -> usize {
@@ -155,16 +148,6 @@ impl UtilSeries {
             return 0.0;
         }
         self.present_count() as f64 / self.samples.len() as f64
-    }
-
-    /// Utilization (percent) at simulated time `t`, if the series covers it.
-    #[must_use]
-    pub fn at_time(&self, t: SimTime) -> Option<f32> {
-        let offset = t.minutes() - self.start.minutes();
-        if offset < 0 {
-            return None;
-        }
-        self.get((offset / SAMPLE_INTERVAL_MINUTES) as usize)
     }
 
     /// Iterates over utilization percentages; missing samples yield NaN,
@@ -202,40 +185,6 @@ impl UtilSeries {
             return 0.0;
         }
         (sum / count as f64) as f32
-    }
-
-    /// Averages consecutive samples into buckets of `samples_per_bucket`
-    /// (e.g. 12 to go from 5-minute to hourly resolution). The trailing
-    /// partial bucket, if any, is averaged over the samples it has. Each
-    /// bucket averages its present samples; a fully-missing bucket is NaN.
-    ///
-    /// # Errors
-    /// Returns [`ModelError::InvalidArgument`] if `samples_per_bucket` is 0.
-    pub fn downsample(&self, samples_per_bucket: usize) -> Result<Vec<f32>, ModelError> {
-        if samples_per_bucket == 0 {
-            return Err(ModelError::InvalidArgument(
-                "samples_per_bucket must be positive",
-            ));
-        }
-        Ok(self
-            .samples
-            .chunks(samples_per_bucket)
-            .map(|chunk| {
-                let mut sum = 0.0f64;
-                let mut count = 0usize;
-                for &q in chunk {
-                    if q != MISSING_SAMPLE {
-                        sum += f64::from(q) / f64::from(QUANT_STEPS_PER_PERCENT);
-                        count += 1;
-                    }
-                }
-                if count == 0 {
-                    f32::NAN
-                } else {
-                    (sum / count as f64) as f32
-                }
-            })
-            .collect())
     }
 
     /// Cheaply clones a sub-range `[from, to)` of samples as a new series
@@ -277,10 +226,9 @@ impl UtilSeries {
 ///
 /// A stored sample is one byte with 201 possible present values, so a
 /// table indexed by that byte *is* the distribution — counting costs one
-/// increment per sample, the result does not depend on the order samples
-/// or series were counted in, and the tables of disjoint sample sets
-/// [`merge`](Self::merge) into the table of their union. Every statistic
-/// is over present samples only; missing ones are tallied apart.
+/// increment per sample, and the result does not depend on the order
+/// samples or series were counted in. Every statistic is over present
+/// samples only; missing ones are tallied apart.
 ///
 /// # Examples
 /// ```
@@ -320,14 +268,6 @@ impl LevelCounts {
     pub fn add(&mut self, samples: &[u8]) {
         for &q in samples {
             self.counts[usize::from(q)] += 1;
-        }
-    }
-
-    /// Adds everything `other` counted, as if its samples had been
-    /// [`add`](Self::add)ed here.
-    pub fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
         }
     }
 
@@ -386,48 +326,6 @@ impl LevelCounts {
         let hi_val = self.order_statistic(lo as u64 + 1)?;
         Some(lo_val + (hi_val - lo_val) * frac)
     }
-}
-
-/// Element-wise average of several equally-long, equally-aligned series —
-/// used e.g. for region-level average utilization of a service. Each slot
-/// averages the series that have a present sample there; a slot missing
-/// everywhere stays missing.
-///
-/// # Errors
-/// Returns [`ModelError::InvalidArgument`] if `series` is empty or lengths
-/// or starts differ.
-pub fn average_series(series: &[&UtilSeries]) -> Result<UtilSeries, ModelError> {
-    let first = series
-        .first()
-        .ok_or(ModelError::InvalidArgument("no series to average"))?;
-    if series
-        .iter()
-        .any(|s| s.len() != first.len() || s.start() != first.start())
-    {
-        return Err(ModelError::InvalidArgument(
-            "series must share start and length",
-        ));
-    }
-    let mut acc = vec![0.0f64; first.len()];
-    let mut counts = vec![0usize; first.len()];
-    for s in series {
-        for (i, v) in s.iter().enumerate() {
-            if v.is_finite() {
-                acc[i] += f64::from(v);
-                counts[i] += 1;
-            }
-        }
-    }
-    Ok(UtilSeries::from_percentages(
-        first.start(),
-        acc.into_iter().zip(counts).map(|(a, n)| {
-            if n == 0 {
-                f32::NAN
-            } else {
-                (a / n as f64) as f32
-            }
-        }),
-    ))
 }
 
 #[cfg(test)]
@@ -515,29 +413,6 @@ mod tests {
     fn time_indexing() {
         let s = UtilSeries::from_percentages(SimTime::from_hours(1), [1.0, 2.0, 3.0]);
         assert_eq!(s.time_at(2).minutes(), 70);
-        assert_eq!(s.at_time(SimTime::from_minutes(64)), Some(1.0));
-        assert_eq!(s.at_time(SimTime::from_minutes(70)), Some(3.0));
-        assert_eq!(s.at_time(SimTime::from_minutes(59)), None);
-        assert_eq!(s.at_time(SimTime::from_minutes(200)), None);
-    }
-
-    #[test]
-    fn downsample_to_hourly() {
-        // 24 five-minute samples = 2 hours; first hour all 10%, second 30%.
-        let vals: Vec<f32> = std::iter::repeat_n(10.0, 12)
-            .chain(std::iter::repeat_n(30.0, 12))
-            .collect();
-        let s = UtilSeries::from_percentages(SimTime::ZERO, vals);
-        let hourly = s.downsample(12).unwrap();
-        assert_eq!(hourly, vec![10.0, 30.0]);
-        assert!(s.downsample(0).is_err());
-    }
-
-    #[test]
-    fn downsample_partial_tail() {
-        let s = UtilSeries::from_percentages(SimTime::ZERO, [10.0, 20.0, 40.0]);
-        let out = s.downsample(2).unwrap();
-        assert_eq!(out, vec![15.0, 40.0]);
     }
 
     #[test]
@@ -547,23 +422,6 @@ mod tests {
         assert_eq!(sub.len(), 2);
         assert_eq!(sub.start(), SimTime::ZERO + SimDuration::SAMPLE);
         assert_eq!(sub.get(0), Some(2.0));
-    }
-
-    #[test]
-    fn averaging_series() {
-        let a = UtilSeries::from_percentages(SimTime::ZERO, [10.0, 20.0]);
-        let b = UtilSeries::from_percentages(SimTime::ZERO, [30.0, 40.0]);
-        let avg = average_series(&[&a, &b]).unwrap();
-        assert_eq!(avg.get(0), Some(20.0));
-        assert_eq!(avg.get(1), Some(30.0));
-    }
-
-    #[test]
-    fn averaging_rejects_misaligned() {
-        let a = UtilSeries::from_percentages(SimTime::ZERO, [10.0]);
-        let b = UtilSeries::from_percentages(SimTime::from_hours(1), [30.0]);
-        assert!(average_series(&[&a, &b]).is_err());
-        assert!(average_series(&[]).is_err());
     }
 
     #[test]
@@ -579,8 +437,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.get(0), Some(10.0));
         assert_eq!(s.get(1), None);
-        assert!(s.is_missing(1));
-        assert!(!s.is_missing(0));
         assert_eq!(s.present_count(), 2);
         assert!((s.coverage() - 2.0 / 3.0).abs() < 1e-12);
         let vals: Vec<f32> = s.iter().collect();
@@ -593,30 +449,9 @@ mod tests {
     #[test]
     fn gaps_do_not_shift_the_time_grid() {
         let s = UtilSeries::from_percentages(SimTime::ZERO, [10.0, f32::NAN, 30.0]);
-        assert_eq!(s.at_time(SimTime::from_minutes(10)), Some(30.0));
-        assert_eq!(s.at_time(SimTime::from_minutes(5)), None);
-    }
-
-    #[test]
-    fn downsample_skips_gaps_and_marks_empty_buckets() {
-        let s = UtilSeries::from_percentages(
-            SimTime::ZERO,
-            [10.0, f32::NAN, f32::NAN, f32::NAN, 30.0, 50.0],
-        );
-        let out = s.downsample(2).unwrap();
-        assert_eq!(out[0], 10.0);
-        assert!(out[1].is_nan());
-        assert_eq!(out[2], 40.0);
-    }
-
-    #[test]
-    fn averaging_skips_gaps_per_slot() {
-        let a = UtilSeries::from_percentages(SimTime::ZERO, [10.0, f32::NAN, f32::NAN]);
-        let b = UtilSeries::from_percentages(SimTime::ZERO, [30.0, 40.0, f32::NAN]);
-        let avg = average_series(&[&a, &b]).unwrap();
-        assert_eq!(avg.get(0), Some(20.0));
-        assert_eq!(avg.get(1), Some(40.0));
-        assert_eq!(avg.get(2), None);
+        assert_eq!(s.time_at(2), SimTime::from_minutes(10));
+        assert_eq!(s.get(2), Some(30.0));
+        assert_eq!(s.get(1), None);
     }
 
     #[test]
@@ -624,7 +459,7 @@ mod tests {
         let s = UtilSeries::from_percentages(SimTime::from_hours(2), [0.0, 12.3, f32::NAN, 99.9]);
         let back = UtilSeries::from_quantized(s.start(), Bytes::copy_from_slice(s.as_quantized()));
         assert_eq!(s, back);
-        assert!(back.is_missing(2));
+        assert_eq!(back.get(2), None);
         assert_eq!(back.start(), SimTime::from_hours(2));
     }
 
@@ -666,19 +501,6 @@ mod tests {
             assert_eq!(empty.mean(), None);
             assert_eq!(empty.percentile(95.0), None);
         }
-    }
-
-    #[test]
-    fn level_counts_merge_is_counting_the_union() {
-        let (a, b) = ([1.0, 99.5, f32::NAN, 3.0], [50.0, 3.0, 0.0]);
-        let mut merged = levels_of(&a);
-        merged.merge(&levels_of(&b));
-        let mut reversed = levels_of(&b);
-        reversed.merge(&levels_of(&a));
-        let union: Vec<f32> = a.iter().chain(&b).copied().collect();
-        assert_eq!(merged, levels_of(&union));
-        assert_eq!(reversed, merged, "merge order is irrelevant");
-        assert_eq!(merged.count(), 6);
     }
 
     #[test]

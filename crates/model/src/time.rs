@@ -271,12 +271,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Length in fractional hours.
-    #[must_use]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / MINUTES_PER_HOUR as f64
-    }
-
     /// Number of whole 5-minute samples the duration covers.
     #[must_use]
     pub const fn samples(self) -> usize {
@@ -384,7 +378,6 @@ mod tests {
         assert_eq!(t.minutes(), 65);
         assert_eq!((t - SimTime::ZERO).minutes(), 65);
         assert_eq!(SimDuration::DAY.samples(), 288);
-        assert_eq!(SimDuration::WEEK.as_hours_f64(), 168.0);
         assert_eq!(
             SimTime::ZERO.saturating_since(SimTime::from_hours(1)),
             SimDuration::ZERO

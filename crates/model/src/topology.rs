@@ -181,12 +181,6 @@ impl Topology {
     pub fn regions_in_geo<'a>(&'a self, geo: &'a str) -> impl Iterator<Item = &'a Region> {
         self.regions.iter().filter(move |r| r.geo == geo)
     }
-
-    /// Number of nodes across all clusters.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 /// Incremental builder for [`Topology`] (C-BUILDER). Ids are dense and
@@ -306,7 +300,7 @@ mod tests {
         let t = small_topology();
         assert_eq!(t.regions().len(), 2);
         assert_eq!(t.clusters().len(), 3);
-        assert_eq!(t.node_count(), 8 + 8 + 2);
+        assert_eq!(t.nodes().len(), 8 + 8 + 2);
         for (i, n) in t.nodes().iter().enumerate() {
             assert_eq!(n.id.as_usize(), i);
         }

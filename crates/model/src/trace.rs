@@ -353,15 +353,6 @@ impl Trace {
         Ok(())
     }
 
-    /// The cloud a VM belongs to (through its subscription).
-    ///
-    /// # Errors
-    /// Returns [`ModelError::UnknownEntity`] for ids not in this trace.
-    pub fn cloud_of(&self, id: VmId) -> Result<CloudKind, ModelError> {
-        let vm = self.vm(id)?;
-        Ok(self.subscription(vm.subscription)?.cloud)
-    }
-
     /// Iterates over VM records belonging to the given cloud.
     pub fn vms_of(&self, cloud: CloudKind) -> impl Iterator<Item = &VmRecord> {
         self.vms.iter().filter(move |vm| {
@@ -842,7 +833,6 @@ mod tests {
         assert_eq!(t.vms_on_node(NodeId::new(0)).len(), 2);
         assert_eq!(t.vms_in_region(RegionId::new(0)).len(), 2);
         assert_eq!(t.vms_of_service(ServiceId::new(0)).len(), 2);
-        assert_eq!(t.cloud_of(VmId::new(0)).unwrap(), CloudKind::Private);
         let stats = t.stats();
         assert_eq!(stats.private_vms, 2);
         assert_eq!(stats.public_vms, 0);

@@ -47,13 +47,6 @@ impl VmSize {
     pub const fn memory_gb(self) -> f64 {
         self.memory_gb
     }
-
-    /// Memory-to-core ratio in GiB per core, the axis the paper's Figure 2
-    /// heatmap implicitly spans.
-    #[must_use]
-    pub fn memory_per_core(self) -> f64 {
-        self.memory_gb / self.cores as f64
-    }
 }
 
 impl fmt::Display for VmSize {
@@ -265,7 +258,6 @@ mod tests {
     #[test]
     fn vm_size_accessors() {
         let s = VmSize::new(8, 32.0);
-        assert_eq!(s.memory_per_core(), 4.0);
         assert_eq!(s.to_string(), "8c/32g");
     }
 

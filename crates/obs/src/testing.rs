@@ -23,17 +23,6 @@ pub fn assert_counter_eq(snapshot: &Snapshot, name: &str, expected: u64) {
     }
 }
 
-/// Asserts `|actual - expected| <= tolerance`.
-///
-/// # Panics
-/// Panics with all three values on violation.
-pub fn assert_within(actual: f64, expected: f64, tolerance: f64) {
-    assert!(
-        (actual - expected).abs() <= tolerance,
-        "expected {expected} ± {tolerance}, got {actual}"
-    );
-}
-
 /// Runs `work` with `registry` installed as the current scoped registry
 /// and returns the closure's result alongside a snapshot of exactly
 /// what it recorded (after minus before).
@@ -60,11 +49,5 @@ mod tests {
     #[should_panic(expected = "counter missing not in snapshot")]
     fn absent_counter_panics_with_context() {
         assert_counter_eq(&Snapshot::new(), "missing", 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected 1 ± 0.1, got 2")]
-    fn assert_within_reports_all_values() {
-        assert_within(2.0, 1.0, 0.1);
     }
 }

@@ -91,25 +91,6 @@ impl BoxPlot {
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
-
-    /// Rescales every statistic by `1/unit` (the paper's normalization).
-    ///
-    /// # Errors
-    /// Returns [`StatsError::NonFinite`] if `unit` is zero or non-finite.
-    pub fn normalized(&self, unit: f64) -> Result<BoxPlot, StatsError> {
-        if unit == 0.0 || !unit.is_finite() {
-            return Err(StatsError::NonFinite("normalization unit"));
-        }
-        Ok(BoxPlot {
-            q1: self.q1 / unit,
-            median: self.median / unit,
-            q3: self.q3 / unit,
-            lower_whisker: self.lower_whisker / unit,
-            upper_whisker: self.upper_whisker / unit,
-            outliers: self.outliers.iter().map(|v| v / unit).collect(),
-            count: self.count,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -166,13 +147,5 @@ mod tests {
         assert!(b.q1 <= b.median);
         assert!(b.median <= b.q3);
         assert!(b.q3 <= b.upper_whisker);
-    }
-
-    #[test]
-    fn normalization() {
-        let b = BoxPlot::new(vec![10.0, 20.0, 30.0, 40.0]).unwrap();
-        let n = b.normalized(10.0).unwrap();
-        assert_eq!(n.median, b.median / 10.0);
-        assert!(b.normalized(f64::NAN).is_err());
     }
 }

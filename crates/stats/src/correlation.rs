@@ -1,5 +1,5 @@
-//! Correlation measures: Pearson (the paper's node- and region-level
-//! similarity metric, Figure 7) and Spearman rank correlation.
+//! Pearson correlation, the paper's node- and region-level similarity
+//! metric (Figure 7).
 
 use crate::error::StatsError;
 
@@ -68,41 +68,6 @@ pub fn pearson_or_zero(x: &[f64], y: &[f64]) -> Option<f64> {
     }
 }
 
-/// Spearman rank correlation: Pearson on midranks. Robust to monotone
-/// nonlinear relationships.
-///
-/// # Errors
-/// Same conditions as [`pearson`].
-pub fn spearman(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
-    if x.len() != y.len() {
-        return Err(StatsError::LengthMismatch(x.len(), y.len()));
-    }
-    pearson(&ranks(x)?, &ranks(y)?)
-}
-
-/// Midranks of a sample (ties get the average of their rank range).
-fn ranks(values: &[f64]) -> Result<Vec<f64>, StatsError> {
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err(StatsError::NonFinite("rank input"));
-    }
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("finite"));
-    let mut out = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && values[order[j + 1]] == values[order[i]] {
-            j += 1;
-        }
-        let avg_rank = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            out[idx] = avg_rank;
-        }
-        i = j + 1;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,27 +123,5 @@ mod tests {
         assert_eq!(pearson_or_zero(&[5.0, 5.0], &[1.0, 2.0]), Some(0.0));
         assert_eq!(pearson_or_zero(&[1.0], &[1.0, 2.0]), None);
         assert!(pearson_or_zero(&[1.0, 2.0], &[2.0, 4.0]).unwrap() > 0.99);
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|v| f64::exp(*v)).collect();
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let x = [1.0, 2.0, 2.0, 3.0];
-        let y = [1.0, 2.0, 2.0, 3.0];
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_midrank_convention() {
-        assert_eq!(
-            ranks(&[10.0, 20.0, 20.0, 30.0]).unwrap(),
-            vec![1.0, 2.5, 2.5, 4.0]
-        );
     }
 }

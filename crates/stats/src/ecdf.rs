@@ -100,61 +100,6 @@ impl Ecdf {
     pub fn max(&self) -> f64 {
         *self.sorted.last().expect("non-empty")
     }
-
-    /// The sorted sample backing the ECDF.
-    #[must_use]
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Emits `(x, F(x))` step points for plotting: one point per distinct
-    /// value, with `F` the cumulative fraction after that value.
-    #[must_use]
-    pub fn step_points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        let mut points: Vec<(f64, f64)> = Vec::new();
-        for (i, &v) in self.sorted.iter().enumerate() {
-            let f = (i + 1) as f64 / n;
-            match points.last_mut() {
-                Some(last) if last.0 == v => last.1 = f,
-                _ => points.push((v, f)),
-            }
-        }
-        points
-    }
-
-    /// Evaluates the CDF on a uniform grid of `steps + 1` points spanning
-    /// `[lo, hi]`, convenient for overlaying curves with different
-    /// supports (as the paper's normalized CDFs do).
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `steps == 0`.
-    #[must_use]
-    pub fn sample_grid(&self, lo: f64, hi: f64, steps: usize) -> Vec<(f64, f64)> {
-        assert!(lo < hi, "empty grid range");
-        assert!(steps > 0, "grid needs at least one step");
-        (0..=steps)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / steps as f64;
-                (x, self.eval(x))
-            })
-            .collect()
-    }
-
-    /// Returns a new ECDF with every observation divided by `unit` — the
-    /// paper reports *normalized* quantities relative to a private-cloud
-    /// reference unit.
-    ///
-    /// # Errors
-    /// Returns [`StatsError::NonFinite`] if `unit` is zero or non-finite.
-    pub fn normalized(&self, unit: f64) -> Result<Ecdf, StatsError> {
-        if unit == 0.0 || !unit.is_finite() {
-            return Err(StatsError::NonFinite("normalization unit"));
-        }
-        Ok(Ecdf {
-            sorted: self.sorted.iter().map(|v| v / unit).collect(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -201,35 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn step_points_deduplicate() {
-        let cdf = Ecdf::new(vec![1.0, 2.0, 2.0, 4.0]).unwrap();
-        assert_eq!(
-            cdf.step_points(),
-            vec![(1.0, 0.25), (2.0, 0.75), (4.0, 1.0)]
-        );
-    }
-
-    #[test]
-    fn grid_sampling_spans_range() {
-        let cdf = Ecdf::new(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let grid = cdf.sample_grid(0.0, 4.0, 4);
-        assert_eq!(grid.len(), 5);
-        assert_eq!(grid[0], (0.0, 0.0));
-        assert_eq!(grid[4], (4.0, 1.0));
-    }
-
-    #[test]
-    fn normalization_rescales_support() {
-        let cdf = Ecdf::new(vec![10.0, 20.0]).unwrap();
-        let norm = cdf.normalized(10.0).unwrap();
-        assert_eq!(norm.min(), 1.0);
-        assert_eq!(norm.max(), 2.0);
-        assert!(cdf.normalized(0.0).is_err());
-    }
-
-    #[test]
     fn unsorted_input_is_sorted() {
         let cdf = Ecdf::new(vec![3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(cdf.sorted_values(), &[1.0, 2.0, 3.0]);
+        assert_eq!(cdf.min(), 1.0);
+        assert_eq!(cdf.max(), 3.0);
+        assert_eq!(cdf.eval(2.0), 2.0 / 3.0);
     }
 }

@@ -1,36 +1,22 @@
-//! Histograms: 1-D binned counts and the 2-D heatmap grid behind the VM
-//! core×memory size figure (Figure 2).
+//! The 2-D heatmap grid behind the VM core×memory size figure
+//! (Figure 2).
 
 use crate::error::StatsError;
 use serde::{Deserialize, Serialize};
 
-/// Axis binning: `bins` equal-width bins spanning `[lo, hi)`, with an
-/// optional logarithmic scale (VM sizes span orders of magnitude).
+/// Axis binning: `bins` bins of equal width in log space spanning
+/// `[lo, hi)` (VM sizes span orders of magnitude).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Axis {
     lo: f64,
     hi: f64,
     bins: usize,
+    /// Always `true`. The field stays so the figure's `Debug` form, which
+    /// the end-to-end benchmark digests, does not change.
     log: bool,
 }
 
 impl Axis {
-    /// Linear axis over `[lo, hi)` with `bins` bins.
-    ///
-    /// # Errors
-    /// Returns [`StatsError::OutOfRange`] if `lo >= hi` or `bins == 0`.
-    pub fn linear(lo: f64, hi: f64, bins: usize) -> Result<Self, StatsError> {
-        if lo >= hi || bins == 0 || !lo.is_finite() || !hi.is_finite() {
-            return Err(StatsError::OutOfRange("axis definition"));
-        }
-        Ok(Self {
-            lo,
-            hi,
-            bins,
-            log: false,
-        })
-    }
-
     /// Logarithmic axis over `[lo, hi)` with `bins` bins; `lo` must be > 0.
     ///
     /// # Errors
@@ -59,107 +45,10 @@ impl Axis {
         if !value.is_finite() || value < self.lo || value >= self.hi {
             return None;
         }
-        let frac = if self.log {
-            (value.ln() - self.lo.ln()) / (self.hi.ln() - self.lo.ln())
-        } else {
-            (value - self.lo) / (self.hi - self.lo)
-        };
+        let frac = (value.ln() - self.lo.ln()) / (self.hi.ln() - self.lo.ln());
         // The epsilon keeps exact grid points (e.g. powers of two on a
         // log axis) in their nominal bin despite ln() rounding.
         Some(((frac * self.bins as f64 + 1e-9) as usize).min(self.bins - 1))
-    }
-
-    /// `(lower, upper)` edges of bin `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= bins`.
-    #[must_use]
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.bins, "bin {i} out of {}", self.bins);
-        let t0 = i as f64 / self.bins as f64;
-        let t1 = (i + 1) as f64 / self.bins as f64;
-        if self.log {
-            let (ll, lh) = (self.lo.ln(), self.hi.ln());
-            ((ll + t0 * (lh - ll)).exp(), (ll + t1 * (lh - ll)).exp())
-        } else {
-            (
-                self.lo + t0 * (self.hi - self.lo),
-                self.lo + t1 * (self.hi - self.lo),
-            )
-        }
-    }
-}
-
-/// A 1-D histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    axis: Axis,
-    counts: Vec<u64>,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram over `axis`.
-    #[must_use]
-    pub fn new(axis: Axis) -> Self {
-        Self {
-            counts: vec![0; axis.bins()],
-            axis,
-            overflow: 0,
-        }
-    }
-
-    /// Adds one observation; out-of-range values count as overflow.
-    pub fn push(&mut self, value: f64) {
-        match self.axis.bin_of(value) {
-            Some(i) => self.counts[i] += 1,
-            None => self.overflow += 1,
-        }
-    }
-
-    /// Per-bin counts.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations that fell outside the axis range.
-    #[must_use]
-    pub const fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total in-range observations.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Per-bin fractions of in-range observations (all zeros when empty).
-    #[must_use]
-    pub fn fractions(&self) -> Vec<f64> {
-        let total = self.total();
-        if total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    }
-
-    /// The axis this histogram bins over.
-    #[must_use]
-    pub const fn axis(&self) -> &Axis {
-        &self.axis
-    }
-}
-
-impl Extend<f64> for Histogram {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for v in iter {
-            self.push(v);
-        }
     }
 }
 
@@ -270,60 +159,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn linear_axis_binning() {
-        let ax = Axis::linear(0.0, 10.0, 5).unwrap();
-        assert_eq!(ax.bin_of(0.0), Some(0));
-        assert_eq!(ax.bin_of(1.99), Some(0));
-        assert_eq!(ax.bin_of(2.0), Some(1));
-        assert_eq!(ax.bin_of(9.99), Some(4));
-        assert_eq!(ax.bin_of(10.0), None);
-        assert_eq!(ax.bin_of(-0.1), None);
-        assert_eq!(ax.bin_edges(1), (2.0, 4.0));
-    }
-
-    #[test]
     fn log_axis_binning() {
         let ax = Axis::logarithmic(1.0, 64.0, 6).unwrap();
         assert_eq!(ax.bin_of(1.0), Some(0));
         assert_eq!(ax.bin_of(2.0), Some(1));
         assert_eq!(ax.bin_of(32.0), Some(5));
         assert_eq!(ax.bin_of(64.0), None);
-        let (lo, hi) = ax.bin_edges(3);
-        assert!((lo - 8.0).abs() < 1e-9 && (hi - 16.0).abs() < 1e-9);
+        assert_eq!(ax.bin_of(0.5), None);
     }
 
     #[test]
     fn degenerate_axes_rejected() {
-        assert!(Axis::linear(5.0, 5.0, 3).is_err());
-        assert!(Axis::linear(0.0, 1.0, 0).is_err());
+        assert!(Axis::logarithmic(5.0, 5.0, 3).is_err());
+        assert!(Axis::logarithmic(1.0, 2.0, 0).is_err());
         assert!(Axis::logarithmic(0.0, 10.0, 3).is_err());
     }
 
     #[test]
-    fn histogram_counts_and_fractions() {
-        let mut h = Histogram::new(Axis::linear(0.0, 4.0, 4).unwrap());
-        h.extend([0.5, 1.5, 1.6, 3.0, 99.0]);
-        assert_eq!(h.counts(), &[1, 2, 0, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.fractions(), vec![0.25, 0.5, 0.0, 0.25]);
-    }
-
-    #[test]
-    fn empty_histogram_fractions() {
-        let h = Histogram::new(Axis::linear(0.0, 1.0, 2).unwrap());
-        assert_eq!(h.fractions(), vec![0.0, 0.0]);
-    }
-
-    #[test]
     fn heatmap_cells() {
-        let ax = Axis::linear(0.0, 2.0, 2).unwrap();
+        let ax = Axis::logarithmic(1.0, 4.0, 2).unwrap();
         let mut hm = Heatmap::new(ax, ax);
-        hm.push(0.5, 0.5);
-        hm.push(1.5, 0.5);
         hm.push(1.5, 1.5);
-        hm.push(1.5, 1.5);
-        hm.push(5.0, 0.5);
+        hm.push(3.0, 1.5);
+        hm.push(3.0, 3.0);
+        hm.push(3.0, 3.0);
+        hm.push(5.0, 1.5);
         assert_eq!(hm.cell(0, 0), 1);
         assert_eq!(hm.cell(1, 0), 1);
         assert_eq!(hm.cell(1, 1), 2);
@@ -334,17 +194,17 @@ mod tests {
 
     #[test]
     fn corner_mass_discriminates_spread_grids() {
-        let ax = Axis::linear(0.0, 4.0, 4).unwrap();
+        let ax = Axis::logarithmic(1.0, 16.0, 4).unwrap();
         // Concentrated in the middle.
         let mut center = Heatmap::new(ax, ax);
         for _ in 0..10 {
-            center.push(1.5, 1.5);
+            center.push(3.0, 3.0);
         }
         // Spread to tiny and huge corners.
         let mut corners = Heatmap::new(ax, ax);
         for _ in 0..5 {
-            corners.push(0.1, 0.1);
-            corners.push(3.9, 3.9);
+            corners.push(1.1, 1.1);
+            corners.push(15.0, 15.0);
         }
         assert_eq!(center.corner_mass(1), 0.0);
         assert_eq!(corners.corner_mass(1), 1.0);

@@ -2,8 +2,8 @@
 //!
 //! Statistics substrate for the cloudscope suite: the estimators every
 //! figure of the DSN'23 study is built from (ECDFs, box-plots with 1.5-IQR
-//! whiskers, 1-D/2-D histograms, Pearson/Spearman correlation, percentile
-//! bands, the coefficient of variation) plus sampling distributions
+//! whiskers, the 2-D heatmap, Pearson correlation, percentile bands, the
+//! coefficient of variation) plus sampling distributions
 //! (normal, log-normal, exponential, Pareto, Poisson, Zipf, alias-method
 //! categorical) implemented from first principles on [`rand`].
 //!
@@ -34,9 +34,9 @@ pub mod percentile;
 pub mod summary;
 
 pub use boxplot::BoxPlot;
-pub use correlation::{pearson, pearson_or_zero, spearman};
+pub use correlation::{pearson, pearson_or_zero};
 pub use ecdf::Ecdf;
 pub use error::StatsError;
-pub use histogram::{Axis, Heatmap, Histogram};
-pub use percentile::{percentile, percentiles};
+pub use histogram::{Axis, Heatmap};
+pub use percentile::percentile;
 pub use summary::{coefficient_of_variation, Summary};

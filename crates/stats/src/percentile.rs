@@ -86,24 +86,14 @@ fn percentile_select(scratch: &mut [f64], p: f64) -> f64 {
     lo_val + (hi_val - lo_val) * frac
 }
 
-/// Computes several percentiles of one sample with a single sort.
+/// Computes several percentiles of one sample with a single sort, into
+/// caller-owned buffers: `scratch` holds the sorted copy of the sample
+/// and `out` receives the results (cleared first). Both retain their
+/// capacity, so a loop calling this per column reuses the same two
+/// allocations throughout.
 ///
 /// # Errors
 /// Same conditions as [`percentile`], applied to each level.
-pub fn percentiles(sample: &[f64], levels: &[f64]) -> Result<Vec<f64>, StatsError> {
-    let mut scratch = Vec::new();
-    let mut out = Vec::new();
-    percentiles_into(sample, levels, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// [`percentiles`] with caller-owned buffers: `scratch` holds the sorted
-/// copy of the sample and `out` receives the results (cleared first).
-/// Both retain their capacity, so a loop calling this per column reuses
-/// the same two allocations throughout.
-///
-/// # Errors
-/// Same conditions as [`percentiles`].
 pub fn percentiles_into(
     sample: &[f64],
     levels: &[f64],
@@ -174,7 +164,8 @@ mod tests {
     fn multi_percentiles_consistent_with_single() {
         let data: Vec<f64> = (0..50).map(|i| ((i * 13) % 50) as f64).collect();
         let levels = [5.0, 25.0, 50.0, 75.0, 95.0];
-        let many = percentiles(&data, &levels).unwrap();
+        let mut many = Vec::new();
+        percentiles_into(&data, &levels, &mut Vec::new(), &mut many).unwrap();
         for (&p, &v) in levels.iter().zip(&many) {
             assert_eq!(v, percentile(&data, p).unwrap());
         }

@@ -49,25 +49,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of finite observations.
     #[must_use]
     pub const fn count(&self) -> u64 {
@@ -114,26 +95,10 @@ impl Summary {
         }
     }
 
-    /// Sample variance (divides by *n − 1*); 0 when fewer than 2 samples.
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).max(0.0)
-        }
-    }
-
     /// Population standard deviation.
     #[must_use]
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Coefficient of variation: population standard deviation over mean.
@@ -211,7 +176,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert_eq!(s.mean(), 5.0);
         assert!((s.population_variance() - 4.0).abs() < 1e-12);
-        assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert!((s.coefficient_of_variation().unwrap() - 0.4).abs() < 1e-12);
@@ -225,31 +189,6 @@ mod tests {
             .collect();
         assert_eq!(s.count(), 2);
         assert_eq!(s.mean(), 2.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 5.0).collect();
-        let sequential: Summary = data.iter().copied().collect();
-        let mut left: Summary = data[..37].iter().copied().collect();
-        let right: Summary = data[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), sequential.count());
-        assert!((left.mean() - sequential.mean()).abs() < 1e-12);
-        assert!((left.population_variance() - sequential.population_variance()).abs() < 1e-10);
-        assert_eq!(left.min(), sequential.min());
-        assert_eq!(left.max(), sequential.max());
-    }
-
-    #[test]
-    fn merge_with_empty_sides() {
-        let mut a = Summary::new();
-        let b: Summary = [1.0, 2.0].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        let mut c: Summary = [3.0].iter().copied().collect();
-        c.merge(&Summary::new());
-        assert_eq!(c.count(), 1);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Property-based tests over the statistics substrate.
 
 use cloudscope_stats::boxplot::BoxPlot;
-use cloudscope_stats::correlation::{pearson, pearson_or_zero, spearman};
+use cloudscope_stats::correlation::{pearson, pearson_or_zero};
 use cloudscope_stats::dist::{Categorical, Sample, StdNormal};
 use cloudscope_stats::ecdf::Ecdf;
 use cloudscope_stats::error::StatsError;
-use cloudscope_stats::histogram::{Axis, Histogram};
-use cloudscope_stats::percentile::{percentile, percentile_sorted, percentiles};
+use cloudscope_stats::percentile::{percentile, percentile_sorted, percentiles_into};
 use cloudscope_stats::summary::Summary;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -110,37 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn spearman_bounded(
-        x in prop::collection::vec(-1e3f64..1e3, 3..32),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let y: Vec<f64> = x.iter().map(|v| v.sin() + StdNormal.sample(&mut rng)).collect();
-        if let Ok(r) = spearman(&x, &y) {
-            prop_assert!((-1.0..=1.0).contains(&r));
-        }
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential(
-        a in prop::collection::vec(-1e5f64..1e5, 0..64),
-        b in prop::collection::vec(-1e5f64..1e5, 0..64),
-    ) {
-        let mut merged: Summary = a.iter().copied().collect();
-        let right: Summary = b.iter().copied().collect();
-        merged.merge(&right);
-        let sequential: Summary = a.iter().chain(b.iter()).copied().collect();
-        prop_assert_eq!(merged.count(), sequential.count());
-        if merged.count() > 0 {
-            prop_assert!((merged.mean() - sequential.mean()).abs() < 1e-6);
-            prop_assert!(
-                (merged.population_variance() - sequential.population_variance()).abs()
-                    < 1e-3 * (1.0 + sequential.population_variance())
-            );
-        }
-    }
-
-    #[test]
     fn selection_percentile_matches_sorted(sample in finite_vec(128), p in 0.0f64..=100.0) {
         // The quickselect path must return bit-identical results to the
         // full-sort definition at any level, including interpolated ranks.
@@ -152,21 +120,11 @@ proptest! {
     #[test]
     fn percentiles_monotone_in_level(sample in finite_vec(128)) {
         let levels = [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 100.0];
-        let vals = percentiles(&sample, &levels).unwrap();
+        let mut vals = Vec::new();
+        percentiles_into(&sample, &levels, &mut Vec::new(), &mut vals).unwrap();
         for w in vals.windows(2) {
             prop_assert!(w[0] <= w[1] + 1e-12);
         }
-    }
-
-    #[test]
-    fn histogram_conserves_observations(
-        sample in prop::collection::vec(-10.0f64..20.0, 0..256),
-    ) {
-        let mut h = Histogram::new(Axis::linear(0.0, 10.0, 7).unwrap());
-        h.extend(sample.iter().copied());
-        prop_assert_eq!(h.total() + h.overflow(), sample.len() as u64);
-        let fr: f64 = h.fractions().iter().sum();
-        prop_assert!(h.total() == 0 || (fr - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -38,11 +38,24 @@ fn cloud_from_tag(t: u8) -> Result<CloudKind, String> {
 }
 
 /// Serializes a topology as its builder replay.
-#[must_use]
-pub fn encode_topology(t: &Topology) -> Vec<u8> {
+///
+/// # Errors
+/// [`StoreError::Inconsistent`] naming the region whose name or geo is
+/// longer than the format's 16-bit string length can hold.
+pub fn encode_topology(t: &Topology) -> Result<Vec<u8>, StoreError> {
     let mut e = Enc::with_capacity(256);
     e.put_u32(t.regions().len() as u32);
     for r in t.regions() {
+        for (field, value) in [("name", &r.name), ("geo", &r.geo)] {
+            if u16::try_from(value.len()).is_err() {
+                return Err(StoreError::Inconsistent(format!(
+                    "region {} {field} is {} bytes, over the {} a stored string holds",
+                    r.id,
+                    value.len(),
+                    u16::MAX
+                )));
+            }
+        }
         e.put_str(&r.name);
         e.put_i64(i64::from(r.tz_offset_hours));
         e.put_str(&r.geo);
@@ -61,7 +74,7 @@ pub fn encode_topology(t: &Topology) -> Vec<u8> {
         // Clusters are uniform grids; the builder takes nodes-per-rack.
         e.put_u32((c.nodes.len() / c.racks.len()) as u32);
     }
-    e.into_vec()
+    Ok(e.into_vec())
 }
 
 /// Rebuilds a topology from its builder replay.
@@ -236,14 +249,14 @@ mod tests {
     #[test]
     fn topology_replay_is_exact() {
         let t = sample_topology();
-        let bytes = encode_topology(&t);
+        let bytes = encode_topology(&t).unwrap();
         let back = decode_topology(Path::new("m"), &bytes).unwrap();
         assert_eq!(back, t);
     }
 
     #[test]
     fn topology_truncations_error() {
-        let bytes = encode_topology(&sample_topology());
+        let bytes = encode_topology(&sample_topology()).unwrap();
         for cut in 0..bytes.len() {
             assert!(
                 decode_topology(Path::new("m"), &bytes[..cut]).is_err(),

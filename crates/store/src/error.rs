@@ -43,7 +43,9 @@ pub enum StoreError {
         chunk: String,
     },
     /// The decoded records do not assemble into a consistent trace
-    /// (dangling ids, non-dense numbering, misaligned telemetry).
+    /// (dangling ids, non-dense numbering, misaligned telemetry), or a
+    /// trace to write does not fit the format (a region string over
+    /// 64 KiB).
     Inconsistent(String),
 }
 

@@ -404,7 +404,7 @@ mod tests {
                 let sku = NodeSku::new(48, 384.0);
                 topology.add_cluster(datacenter, CloudKind::Private, sku, 2, 2);
             }
-            w.add_blob(BLOB_TOPOLOGY, encode_topology(&topology.build()));
+            w.add_blob(BLOB_TOPOLOGY, encode_topology(&topology.build()).unwrap());
             w.add_blob(
                 BLOB_SUBSCRIPTIONS,
                 encode_subscriptions(&[Subscription::new(

@@ -378,16 +378,18 @@ impl<'p> TraceWriter<'p> {
 /// manifest rename.
 ///
 /// # Errors
-/// Any [`StoreError`] from the writer; on error no manifest is
-/// committed.
+/// [`StoreError::Inconsistent`] before anything is written if the
+/// topology does not fit the format (see [`encode_topology`]); any
+/// other [`StoreError`] from the writer, with no manifest committed.
 pub fn write_trace(
     trace: &Trace,
     dir: impl Into<PathBuf>,
     opts: WriteOptions,
     par: &Parallelism,
 ) -> Result<(), StoreError> {
+    let topology = encode_topology(trace.topology())?;
     let mut w = TraceWriter::create(dir, opts, par)?;
-    w.add_blob(BLOB_TOPOLOGY, encode_topology(trace.topology()));
+    w.add_blob(BLOB_TOPOLOGY, topology);
     w.add_blob(
         BLOB_SUBSCRIPTIONS,
         encode_subscriptions(trace.subscriptions()),

@@ -53,7 +53,7 @@ fn interrupted_write(dir: &Path, trace: &Trace, vms: usize) -> u64 {
     cloudscope_obs::scoped(&registry, || {
         let par = par();
         let mut w = TraceWriter::create(dir, opts(), &par).unwrap();
-        w.add_blob(BLOB_TOPOLOGY, encode_topology(trace.topology()));
+        w.add_blob(BLOB_TOPOLOGY, encode_topology(trace.topology()).unwrap());
         w.add_blob(
             BLOB_SUBSCRIPTIONS,
             encode_subscriptions(trace.subscriptions()),

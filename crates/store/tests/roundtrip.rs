@@ -9,8 +9,8 @@ use cloudscope_model::ids::VmId;
 use cloudscope_model::trace::TelemetrySource;
 use cloudscope_par::Parallelism;
 use cloudscope_store::{
-    store_exists, write_trace, ChunkKind, ScanFilter, StoreTelemetry, TelemetryMode, TraceReader,
-    WriteOptions,
+    store_exists, write_trace, ChunkKind, ScanFilter, StoreError, StoreTelemetry, TelemetryMode,
+    TraceReader, WriteOptions,
 };
 use common::{assert_traces_equal, dir_snapshot, trace_from_seeds, TempDir};
 use proptest::prelude::*;
@@ -231,4 +231,31 @@ fn empty_filters_read_nothing() {
         .read_vm_records(ScanFilter::all().region(99), &par)
         .unwrap();
     assert!(records.is_empty());
+}
+
+/// A region string longer than a stored string's 16-bit length is
+/// refused with an error naming the region before anything is written
+/// (it used to panic in the topology encoder).
+#[test]
+fn oversized_region_string_is_refused_before_any_write() {
+    use cloudscope_model::topology::Topology;
+    use cloudscope_model::trace::Trace;
+
+    let long = "x".repeat(70_000);
+    for (name, geo) in [(long.as_str(), "US"), ("us-east", long.as_str())] {
+        let mut b = Topology::builder();
+        b.add_region("us-west", -8, "US");
+        b.add_region(name, -5, geo);
+        let trace = Trace::builder(b.build()).build();
+        let dir = TempDir::new("long-region");
+        let store = dir.path().join("store");
+        let par = Parallelism::with_workers(1);
+        match write_trace(&trace, &store, WriteOptions::default(), &par) {
+            Err(StoreError::Inconsistent(reason)) => {
+                assert!(reason.contains("region-1"), "{reason}");
+            }
+            other => panic!("expected an Inconsistent error, got {other:?}"),
+        }
+        assert!(!store.exists(), "nothing may be written");
+    }
 }

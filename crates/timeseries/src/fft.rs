@@ -220,26 +220,15 @@ impl FftPlan {
     }
 }
 
-/// Plan-cache counters, exposed for tests and diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to build a new plan.
-    pub misses: u64,
-}
-
 struct PlanCache {
     plans: HashMap<usize, Rc<FftPlan>>,
     scratch: Vec<Complex>,
-    stats: PlanCacheStats,
 }
 
 thread_local! {
     static PLAN_CACHE: RefCell<PlanCache> = RefCell::new(PlanCache {
         plans: HashMap::new(),
         scratch: Vec::new(),
-        stats: PlanCacheStats::default(),
     });
 }
 
@@ -266,13 +255,11 @@ pub fn with_plan<R>(
         let mut cache = cache.borrow_mut();
         let plan = match cache.plans.get(&n).map(Rc::clone) {
             Some(plan) => {
-                cache.stats.hits += 1;
                 cloudscope_obs::counter("timeseries.fft.plan_cache_hits").inc();
                 plan
             }
             None => {
                 let plan = Rc::new(FftPlan::new(n)?);
-                cache.stats.misses += 1;
                 cloudscope_obs::counter("timeseries.fft.plan_cache_misses").inc();
                 cache.plans.insert(n, Rc::clone(&plan));
                 plan
@@ -292,12 +279,6 @@ pub fn with_plan<R>(
         }
     });
     Ok(result)
-}
-
-/// This thread's plan-cache counters.
-#[must_use]
-pub fn plan_cache_stats() -> PlanCacheStats {
-    PLAN_CACHE.with(|cache| cache.borrow().stats)
 }
 
 /// Periodogram of a real signal: the signal is mean-centred, zero-padded
@@ -371,6 +352,9 @@ pub fn periodogram_masked(signal: &[f64]) -> Result<(Vec<f64>, usize), SeriesErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudscope_obs::testing::snapshot_diff;
+    use cloudscope_obs::{Registry, Snapshot};
+    use std::sync::Arc;
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
@@ -512,19 +496,26 @@ mod tests {
 
     #[test]
     fn plan_cache_reuses_plans() {
-        let before = plan_cache_stats();
+        let registry = Arc::new(Registry::new());
+        let counts = |snapshot: &Snapshot| {
+            let get = |name| snapshot.counter(name).unwrap_or(0);
+            (
+                get("timeseries.fft.plan_cache_hits"),
+                get("timeseries.fft.plan_cache_misses"),
+            )
+        };
         let signal: Vec<f64> = (0..256).map(|i| (i as f64 * 0.21).sin()).collect();
-        let first = periodogram(&signal).unwrap();
-        let after_first = plan_cache_stats();
-        let second = periodogram(&signal).unwrap();
-        let after_second = plan_cache_stats();
+        let (first, first_diff) = snapshot_diff(&registry, || periodogram(&signal).unwrap());
+        let (second, second_diff) = snapshot_diff(&registry, || periodogram(&signal).unwrap());
         assert_eq!(first, second, "cached plan must not change results");
         // The second run of the same size must be a pure cache hit.
-        assert_eq!(after_second.misses, after_first.misses);
-        assert!(after_second.hits > after_first.hits);
+        let (hits, misses) = counts(&second_diff);
+        assert_eq!(misses, 0);
+        assert!(hits > 0);
         // The first run either built the plan or found it from an earlier
         // test on this thread.
-        assert!(after_first.hits + after_first.misses > before.hits + before.misses);
+        let (hits, misses) = counts(&first_diff);
+        assert!(hits + misses > 0);
     }
 
     #[test]

@@ -24,8 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod acf;
-pub mod anomaly;
-pub mod decompose;
 pub mod error;
 pub mod fft;
 pub mod gaps;
@@ -33,10 +31,8 @@ pub mod period;
 pub mod profile;
 pub mod series;
 
-pub use anomaly::{detect_bursts, Burst};
-pub use decompose::{decompose, Decomposition};
 pub use error::SeriesError;
 pub use gaps::{coverage, fill_linear_capped, finite_mean, finite_std, FillReport};
 pub use period::{DetectedPeriod, PeriodDetector, PeriodDetectorConfig};
-pub use profile::{daily_profile, peak_minute_of_day, weekday_weekend_means, PercentileBands};
+pub use profile::{daily_profile, PercentileBands};
 pub use series::Series;

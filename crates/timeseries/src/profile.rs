@@ -1,6 +1,5 @@
-//! Temporal profiles: folding a week of telemetry into daily shapes,
-//! weekday/weekend splits, cross-population percentile bands (Figure 6),
-//! and peak-alignment helpers (Figure 7(c)).
+//! Temporal profiles: folding a week of telemetry into daily shapes and
+//! cross-population percentile bands (Figure 6).
 
 use crate::error::SeriesError;
 use crate::series::Series;
@@ -9,8 +8,6 @@ use serde::{Deserialize, Serialize};
 
 /// Minutes per day, re-declared to avoid a model-crate dependency.
 const MINUTES_PER_DAY: i64 = 24 * 60;
-/// Minutes per week.
-const MINUTES_PER_WEEK: i64 = 7 * MINUTES_PER_DAY;
 
 /// Folds a series into its average daily shape: bucket `i` is the mean of
 /// all samples whose time-of-day falls in the `i`-th step-sized slot.
@@ -42,57 +39,6 @@ pub fn daily_profile(series: &Series) -> Result<Vec<f64>, SeriesError> {
         .zip(counts)
         .map(|(s, c)| if c == 0 { 0.0 } else { s / f64::from(c) })
         .collect())
-}
-
-/// Mean over weekday samples and mean over weekend samples, assuming the
-/// series starts at minute 0 = Monday 00:00 (the trace convention).
-///
-/// # Errors
-/// Returns [`SeriesError::TooShort`] if the series is empty.
-pub fn weekday_weekend_means(series: &Series) -> Result<(f64, f64), SeriesError> {
-    if series.is_empty() {
-        return Err(SeriesError::TooShort(0));
-    }
-    let (mut wd_sum, mut wd_n, mut we_sum, mut we_n) = (0.0f64, 0u32, 0.0f64, 0u32);
-    for (i, &v) in series.values().iter().enumerate() {
-        if !v.is_finite() {
-            continue;
-        }
-        let day = series.time_of(i).rem_euclid(MINUTES_PER_WEEK) / MINUTES_PER_DAY;
-        if day >= 5 {
-            we_sum += v;
-            we_n += 1;
-        } else {
-            wd_sum += v;
-            wd_n += 1;
-        }
-    }
-    let wd = if wd_n == 0 {
-        0.0
-    } else {
-        wd_sum / f64::from(wd_n)
-    };
-    let we = if we_n == 0 {
-        0.0
-    } else {
-        we_sum / f64::from(we_n)
-    };
-    Ok((wd, we))
-}
-
-/// Time-of-day (minutes since midnight) at which the average daily
-/// profile peaks.
-///
-/// # Errors
-/// Propagates [`daily_profile`] errors.
-pub fn peak_minute_of_day(series: &Series) -> Result<i64, SeriesError> {
-    let profile = daily_profile(series)?;
-    let (idx, _) = profile
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-        .expect("profile non-empty");
-    Ok(idx as i64 * series.step_minutes())
 }
 
 /// Percentile bands across a *population* of series: at each time index,
@@ -165,19 +111,6 @@ impl PercentileBands {
             .map(|i| self.bands[i].as_slice())
     }
 
-    /// Mean width between the highest and lowest requested band — a
-    /// flatness measure: the paper observes public-cloud utilization bands
-    /// are tighter/more stable than private-cloud ones.
-    #[must_use]
-    pub fn mean_spread(&self) -> f64 {
-        if self.bands.len() < 2 || self.bands[0].is_empty() {
-            return 0.0;
-        }
-        let lo = &self.bands[0];
-        let hi = &self.bands[self.bands.len() - 1];
-        lo.iter().zip(hi).map(|(a, b)| b - a).sum::<f64>() / lo.len() as f64
-    }
-
     /// Temporal variability of the median band (its population standard
     /// deviation over time): near zero for a flat profile.
     #[must_use]
@@ -227,28 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn weekday_weekend_split() {
-        // 7 days hourly: weekdays at 80, weekend at 20.
-        let values: Vec<f64> = (0..168)
-            .map(|h| if h / 24 >= 5 { 20.0 } else { 80.0 })
-            .collect();
-        let s = Series::new(0, 60, values);
-        let (wd, we) = weekday_weekend_means(&s).unwrap();
-        assert_eq!(wd, 80.0);
-        assert_eq!(we, 20.0);
-    }
-
-    #[test]
-    fn peak_minute_found() {
-        // Sine peaking a quarter-day after the phase reference.
-        let s = day_sine(60, 7, 10.0, 0.0);
-        let peak = peak_minute_of_day(&s).unwrap();
-        assert_eq!(peak, 6 * 60, "sine peaks at 06:00");
-        let shifted = day_sine(60, 7, 10.0, 3.0 * 60.0);
-        assert_eq!(peak_minute_of_day(&shifted).unwrap(), 9 * 60);
-    }
-
-    #[test]
     fn bands_across_population() {
         let population: Vec<Series> = (0..10)
             .map(|k| Series::new(0, 60, vec![k as f64; 24]))
@@ -258,7 +169,6 @@ mod tests {
         let median = bands.band(50.0).unwrap();
         assert!(median.iter().all(|&v| (v - 4.5).abs() < 1e-9));
         assert!(bands.band(99.0).is_none());
-        assert!((bands.mean_spread() - 4.5).abs() < 1e-9);
         assert!(bands.median_band_std() < 1e-12);
     }
 
@@ -276,7 +186,6 @@ mod tests {
     fn profiles_skip_gap_samples() {
         let mut s = day_sine(60, 7, 10.0, 0.0);
         let clean_profile = daily_profile(&s).unwrap();
-        let (clean_wd, clean_we) = weekday_weekend_means(&s).unwrap();
         // Punch out one full day; all days are identical so the folds
         // must not move.
         for v in &mut s.values_mut()[24..48] {
@@ -286,9 +195,6 @@ mod tests {
         for (a, b) in clean_profile.iter().zip(&gappy_profile) {
             assert!((a - b).abs() < 1e-9);
         }
-        let (wd, we) = weekday_weekend_means(&s).unwrap();
-        assert!((wd - clean_wd).abs() < 1e-9);
-        assert!((we - clean_we).abs() < 1e-9);
     }
 
     #[test]

@@ -113,17 +113,6 @@ impl Series {
         var.sqrt()
     }
 
-    /// Returns a mean-centred copy (common preprocessing for ACF/FFT).
-    #[must_use]
-    pub fn centered(&self) -> Series {
-        let mean = self.mean();
-        Series {
-            start_minute: self.start_minute,
-            step_minutes: self.step_minutes,
-            values: self.values.iter().map(|v| v - mean).collect(),
-        }
-    }
-
     /// Aggregates consecutive samples into buckets of `factor` samples
     /// using the mean, producing a coarser series (e.g. 5-minute → hourly
     /// with `factor = 12`). A trailing partial bucket is averaged over the
@@ -163,37 +152,6 @@ impl Series {
         })
     }
 
-    /// Like [`Series::downsample_mean`] but taking the bucket sum — the
-    /// right aggregation for event counts (VM creations per hour).
-    ///
-    /// # Errors
-    /// Returns [`SeriesError::BadResampleFactor`] if `factor == 0`.
-    pub fn downsample_sum(&self, factor: usize) -> Result<Series, SeriesError> {
-        if factor == 0 {
-            return Err(SeriesError::BadResampleFactor);
-        }
-        let values = self
-            .values
-            .chunks(factor)
-            .map(|c| c.iter().sum::<f64>())
-            .collect();
-        Ok(Series {
-            start_minute: self.start_minute,
-            step_minutes: self.step_minutes * factor as i64,
-            values,
-        })
-    }
-
-    /// Splits the series into consecutive windows of `len` samples,
-    /// dropping a partial tail; useful for per-day folding.
-    #[must_use]
-    pub fn windows_of(&self, len: usize) -> Vec<&[f64]> {
-        if len == 0 {
-            return Vec::new();
-        }
-        self.values.chunks_exact(len).collect()
-    }
-
     /// Element-wise difference `self - other`.
     ///
     /// # Errors
@@ -215,31 +173,6 @@ impl Series {
                 .zip(&other.values)
                 .map(|(a, b)| a - b)
                 .collect(),
-        })
-    }
-
-    /// A moving-average smoothed copy with the given odd window (centered).
-    /// Edges use the partial window that fits.
-    ///
-    /// # Errors
-    /// Returns [`SeriesError::BadResampleFactor`] if `window` is even or 0.
-    pub fn moving_average(&self, window: usize) -> Result<Series, SeriesError> {
-        if window == 0 || window.is_multiple_of(2) {
-            return Err(SeriesError::BadResampleFactor);
-        }
-        let half = window / 2;
-        let n = self.values.len();
-        let values = (0..n)
-            .map(|i| {
-                let lo = i.saturating_sub(half);
-                let hi = (i + half + 1).min(n);
-                self.values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-            })
-            .collect();
-        Ok(Series {
-            start_minute: self.start_minute,
-            step_minutes: self.step_minutes,
-            values,
         })
     }
 }
@@ -271,12 +204,9 @@ mod tests {
     }
 
     #[test]
-    fn moments_and_centering() {
+    fn moments() {
         let s = Series::new(0, 1, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(s.mean(), 2.5);
-        let c = s.centered();
-        assert!(c.mean().abs() < 1e-12);
-        assert_eq!(c.values()[0], -1.5);
         assert!((s.std_dev() - (1.25f64).sqrt()).abs() < 1e-12);
     }
 
@@ -286,8 +216,6 @@ mod tests {
         let mean = s.downsample_mean(2).unwrap();
         assert_eq!(mean.values(), &[2.0, 6.0, 10.0]);
         assert_eq!(mean.step_minutes(), 10);
-        let sum = s.downsample_sum(2).unwrap();
-        assert_eq!(sum.values(), &[4.0, 12.0, 10.0]);
         assert!(s.downsample_mean(0).is_err());
     }
 
@@ -301,32 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn windows_drop_partial_tail() {
-        let s = Series::new(0, 1, (0..10).map(f64::from).collect());
-        let w = s.windows_of(4);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[1], &[4.0, 5.0, 6.0, 7.0]);
-        assert!(s.windows_of(0).is_empty());
-    }
-
-    #[test]
     fn subtraction_alignment() {
         let a = Series::new(0, 1, vec![5.0, 7.0]);
         let b = Series::new(0, 1, vec![1.0, 2.0]);
         assert_eq!(a.sub(&b).unwrap().values(), &[4.0, 5.0]);
         let misaligned = Series::new(1, 1, vec![1.0, 2.0]);
         assert!(a.sub(&misaligned).is_err());
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let s = Series::new(0, 1, vec![0.0, 10.0, 0.0, 10.0, 0.0]);
-        let sm = s.moving_average(3).unwrap();
-        assert_eq!(sm.values()[2], 20.0 / 3.0);
-        // Edges use partial windows.
-        assert_eq!(sm.values()[0], 5.0);
-        assert!(s.moving_average(2).is_err());
-        assert!(s.moving_average(0).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use cloudscope_timeseries::acf::{autocorrelation, autocorrelation_fft, autocorrelation_naive};
 use cloudscope_timeseries::fft::{fft_in_place, ifft_in_place, periodogram, Complex};
-use cloudscope_timeseries::profile::{daily_profile, weekday_weekend_means};
+use cloudscope_timeseries::profile::daily_profile;
 use cloudscope_timeseries::series::Series;
 use proptest::prelude::*;
 
@@ -111,17 +111,6 @@ proptest! {
     }
 
     #[test]
-    fn downsample_sum_preserves_total(
-        values in prop::collection::vec(0.0f64..100.0, 1..120),
-    ) {
-        let s = Series::new(0, 5, values.clone());
-        let d = s.downsample_sum(7).unwrap();
-        let total: f64 = values.iter().sum();
-        let total_d: f64 = d.values().iter().sum();
-        prop_assert!((total - total_d).abs() < 1e-6);
-    }
-
-    #[test]
     fn daily_profile_mean_matches_series_mean(
         values in prop::collection::vec(0.0f64..100.0, 288..=288),
     ) {
@@ -132,17 +121,5 @@ proptest! {
         for (p, v) in profile.iter().zip(&values) {
             prop_assert!((p - v).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn weekday_weekend_total_weighting(
-        values in prop::collection::vec(0.0f64..100.0, 168..=168),
-    ) {
-        // Hourly for a week: 120 weekday hours, 48 weekend hours.
-        let s = Series::new(0, 60, values.clone());
-        let (wd, we) = weekday_weekend_means(&s).unwrap();
-        let overall: f64 = values.iter().sum::<f64>() / 168.0;
-        let recombined = (wd * 120.0 + we * 48.0) / 168.0;
-        prop_assert!((overall - recombined).abs() < 1e-9);
     }
 }

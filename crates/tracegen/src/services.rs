@@ -48,12 +48,6 @@ impl SubscriptionPlan {
     pub fn standing_total(&self) -> usize {
         self.standing_per_region.iter().sum()
     }
-
-    /// `true` if the subscription deploys in more than one region.
-    #[must_use]
-    pub fn is_multi_region(&self) -> bool {
-        self.regions.len() > 1
-    }
 }
 
 /// Synthesizes all subscription plans for one cloud.
@@ -195,7 +189,7 @@ mod tests {
         ] {
             let plans = plans_for(cloud, &profile, 3);
             let single =
-                plans.iter().filter(|p| !p.is_multi_region()).count() as f64 / plans.len() as f64;
+                plans.iter().filter(|p| p.regions.len() == 1).count() as f64 / plans.len() as f64;
             assert!(
                 (single - profile.single_region_fraction).abs() < 0.12,
                 "{cloud}: single fraction {single}"
@@ -221,7 +215,7 @@ mod tests {
         let private = plans_for(CloudKind::Private, &CloudProfile::private_default(), 5);
         let public = plans_for(CloudKind::Public, &CloudProfile::public_default(), 5);
         let agnostic_fraction = |plans: &[SubscriptionPlan]| {
-            let multi: Vec<_> = plans.iter().filter(|p| p.is_multi_region()).collect();
+            let multi: Vec<_> = plans.iter().filter(|p| p.regions.len() > 1).collect();
             multi.iter().filter(|p| p.groups[0].region_agnostic).count() as f64
                 / multi.len().max(1) as f64
         };
@@ -230,7 +224,7 @@ mod tests {
         // Single-region subscriptions are never flagged region-agnostic.
         assert!(private
             .iter()
-            .filter(|p| !p.is_multi_region())
+            .filter(|p| p.regions.len() == 1)
             .all(|p| p.groups.iter().all(|g| !g.region_agnostic)));
     }
 
@@ -242,8 +236,8 @@ mod tests {
             selected.iter().map(|p| p.standing_total()).sum::<usize>() as f64
                 / selected.len().max(1) as f64
         };
-        let multi = mean(&|p| p.is_multi_region());
-        let single = mean(&|p| !p.is_multi_region());
+        let multi = mean(&|p| p.regions.len() > 1);
+        let single = mean(&|p| p.regions.len() == 1);
         assert!(multi > 1.05 * single, "multi {multi} vs single {single}");
     }
 }

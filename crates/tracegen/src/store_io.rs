@@ -209,16 +209,16 @@ pub fn write_generated(
     par: &Parallelism,
 ) -> Result<(), StoreError> {
     let mut w = TraceWriter::create(dir, opts, par)?;
-    generated
-        .trace
-        .try_for_each_vm(|vm, util| w.append_vm(vm, util.as_ref()))?;
     add_blobs(
         &mut w,
         generated.trace.topology(),
         generated.trace.subscriptions(),
         &generated.services,
         &generated.report,
-    );
+    )?;
+    generated
+        .trace
+        .try_for_each_vm(|vm, util| w.append_vm(vm, util.as_ref()))?;
     w.finish()
 }
 
@@ -290,7 +290,7 @@ pub fn generate_to_store(
         &emitted.subscriptions,
         &emitted.services,
         &emitted.report,
-    );
+    )?;
     w.finish()?;
     Ok(emitted.report)
 }
@@ -305,11 +305,12 @@ fn add_blobs(
     subscriptions: &[Subscription],
     services: &[ServiceInfo],
     report: &GenerationReport,
-) {
-    w.add_blob(BLOB_TOPOLOGY, encode_topology(topology));
+) -> Result<(), StoreError> {
+    w.add_blob(BLOB_TOPOLOGY, encode_topology(topology)?);
     w.add_blob(BLOB_SUBSCRIPTIONS, encode_subscriptions(subscriptions));
     w.add_blob(BLOB_SERVICES, encode_services(services));
     w.add_blob(BLOB_REPORT, encode_report(report));
+    Ok(())
 }
 
 fn cloud_tag(cloud: cloudscope_model::subscription::CloudKind) -> u8 {

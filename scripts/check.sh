@@ -109,6 +109,14 @@ if grep -rn 'unsafe impl GlobalAlloc' crates tests \
   exit 1
 fi
 
+# Reachability: every `pub fn` in crates/*/src is named by non-test
+# code (the crates, the examples, the benches, the benchmark), or is
+# allow-listed with the reason it stays (a hook other crates' tests
+# drive, or an oracle a kept test compares kept code against). A stale
+# allow-list entry fails too, so the list only shrinks.
+echo "==> every pub fn has a non-test caller (scripts/reachability.py)"
+python3 scripts/reachability.py
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
