@@ -296,15 +296,11 @@ pub fn pattern_shares_from(
 
     let mut shares = PatternShares::default();
     for (batch, gathered) in trace.gather_batches(source, &sampled, |&vm, ids| ids.push(vm)) {
-        shares = Parallelism::auto().par_map_reduce(
-            batch,
-            |&vm| classifier.classify_vm(&gathered, vm),
-            shares,
-            |mut acc, pattern| {
-                acc.add(pattern);
-                acc
-            },
-        );
+        for pattern in
+            Parallelism::auto().par_map(batch, |&vm| classifier.classify_vm(&gathered, vm))
+        {
+            shares.add(pattern);
+        }
     }
 
     if shares.classified() == 0 {

@@ -10,7 +10,7 @@
 //!   substrates (ECDFs, box-plots, Pearson, FFT/ACF period detection, a
 //!   discrete-event engine).
 //! - [`cluster`]: the allocation-service substrate (placement policies,
-//!   fault-domain spreading, spot eviction, migration).
+//!   fault-domain spreading, spot eviction).
 //! - [`tracegen`]: the calibrated synthetic stand-in for the proprietary
 //!   Azure trace.
 //! - [`analysis`]: the paper's characterization pipeline — one module per
@@ -26,9 +26,9 @@
 //! - [`ingest`]: the online ingestion service — watermarked per-VM
 //!   windows over a live wire-sample stream, streaming Figure 5
 //!   classification at window close, publication into the KB.
-//! - [`mgmt`]: the management policies the insights motivate (spot,
-//!   over-subscription, regional rebalancing, pre-provisioning,
-//!   deferral, allocation-failure prediction).
+//! - [`mgmt`]: the management policies the insights motivate (spot
+//!   adoption, over-subscription, regional rebalancing,
+//!   pre-provisioning).
 //!
 //! ## Quickstart
 //!

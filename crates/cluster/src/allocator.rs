@@ -1,5 +1,5 @@
 //! The per-cluster allocation service: placement policies, fault-domain
-//! spreading, spot eviction, and live migration.
+//! spreading and spot eviction.
 //!
 //! This is the simulator's stand-in for the platform's allocation service
 //! (Protean in the real system): requests name a VM, its size, service,
@@ -62,7 +62,8 @@ pub struct AllocatorStats {
     pub spreading_failures: u64,
     /// Spot VMs evicted to make room for on-demand requests.
     pub evictions: u64,
-    /// Live migrations performed.
+    /// Live migrations performed. No operation here migrates, so this
+    /// stays 0; the store's report blob still persists it.
     pub migrations: u64,
 }
 
@@ -80,7 +81,7 @@ impl AllocatorStats {
     }
 }
 
-/// Where a VM currently lives, kept for release/eviction/migration.
+/// Where a VM currently lives, kept for release and eviction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Placement {
     node: NodeId,
@@ -667,47 +668,6 @@ impl ClusterAllocator {
         Ok(placement.node)
     }
 
-    /// Live-migrates a VM to a specific node (e.g. off an unhealthy host).
-    ///
-    /// The fault-domain spreading rule is *not* re-checked: evacuations
-    /// take priority and may temporarily exceed a rack's same-service cap
-    /// (subsequent placements still observe the inflated counts).
-    ///
-    /// # Errors
-    /// - [`AllocationError::UnknownVm`] if the VM is not placed.
-    /// - [`AllocationError::UnknownNode`] if the target is not here.
-    /// - [`AllocationError::InsufficientCapacity`] if the target cannot
-    ///   hold the VM.
-    pub fn migrate(&mut self, vm: VmId, to: NodeId) -> Result<(), AllocationError> {
-        let placement = *self
-            .placements
-            .get(&vm)
-            .ok_or(AllocationError::UnknownVm(vm))?;
-        let to_idx = *self
-            .node_offset
-            .get(&to)
-            .ok_or(AllocationError::UnknownNode(to))?;
-        if placement.node == to {
-            return Ok(());
-        }
-        if !self.nodes[to_idx].fits(placement.size) {
-            return Err(AllocationError::InsufficientCapacity(self.id));
-        }
-        self.release(vm).expect("vm placed");
-        self.stats.attempts += 1;
-        self.commit(
-            to_idx,
-            PlacementRequest {
-                vm,
-                size: placement.size,
-                service: placement.service,
-                priority: placement.priority,
-            },
-        );
-        self.stats.migrations += 1;
-        Ok(())
-    }
-
     /// Iterates `(node, state)` pairs.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &NodeState)> {
         self.node_ids.iter().copied().zip(self.nodes.iter())
@@ -869,40 +829,5 @@ mod tests {
             ..req(10, 8, 1)
         };
         assert!(a.place_with_eviction(spot_req).is_err());
-    }
-
-    #[test]
-    fn migration_moves_capacity() {
-        let mut a = allocator(PlacementPolicy::FirstFit, SpreadingRule::default());
-        let from = a.place(req(0, 4, 0)).unwrap();
-        let target = a.nodes().map(|(id, _)| id).find(|&id| id != from).unwrap();
-        a.migrate(VmId::new(0), target).unwrap();
-        assert_eq!(a.placement_of(VmId::new(0)), Some(target));
-        assert_eq!(a.node_state(from).unwrap().cores_used(), 0);
-        assert_eq!(a.stats().migrations, 1);
-        // Self-migration is a no-op.
-        a.migrate(VmId::new(0), target).unwrap();
-        assert_eq!(a.stats().migrations, 1);
-    }
-
-    #[test]
-    fn migration_validates_target() {
-        let mut a = allocator(PlacementPolicy::FirstFit, SpreadingRule::default());
-        a.place(req(0, 8, 0)).unwrap();
-        let occupied = a.placement_of(VmId::new(0)).unwrap();
-        a.place(req(1, 8, 0)).unwrap();
-        let other = a.placement_of(VmId::new(1)).unwrap();
-        assert!(matches!(
-            a.migrate(VmId::new(0), other),
-            Err(AllocationError::InsufficientCapacity(_))
-        ));
-        assert!(matches!(
-            a.migrate(VmId::new(0), NodeId::new(999)),
-            Err(AllocationError::UnknownNode(_))
-        ));
-        assert!(matches!(
-            a.migrate(VmId::new(42), occupied),
-            Err(AllocationError::UnknownVm(_))
-        ));
     }
 }

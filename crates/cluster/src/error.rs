@@ -13,7 +13,7 @@ pub enum AllocationError {
     /// Capacity exists, but every feasible node would violate the
     /// fault-domain spreading rule for the request's service.
     SpreadingViolation(ClusterId),
-    /// The VM id is not currently placed (release/migrate of unknown VM).
+    /// The VM id is not currently placed (release of an unknown VM).
     UnknownVm(VmId),
     /// The node id does not belong to this cluster.
     UnknownNode(NodeId),

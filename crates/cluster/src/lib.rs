@@ -2,8 +2,8 @@
 //!
 //! The allocation-service substrate: per-cluster placement with
 //! first-fit/best-fit/worst-fit policies, fault-domain (rack) spreading,
-//! spot-VM eviction for on-demand requests, live migration, and a
-//! fleet-level router with region-local fallback.
+//! spot-VM eviction for on-demand requests, and a fleet-level router
+//! with region-local fallback.
 //!
 //! This simulates the platform component the DSN'23 study's Insight 1
 //! reasons about: large homogeneous private-cloud deployments stress both

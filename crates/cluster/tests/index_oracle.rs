@@ -1,8 +1,7 @@
-//! Eviction / migration edge cases of the indexed allocator, through the
-//! public API: the exact-fit boundary of the evictable-cores prefilter,
-//! refusal when no spot mix suffices, and the rack / core / free-index
-//! accounting across migrate and release. (The index-vs-scan proptest
-//! lives in-crate, `allocator::index_oracle`, beside the private scan.)
+//! Eviction edge cases of the indexed allocator, through the public API:
+//! the exact-fit boundary of the evictable-cores prefilter and refusal
+//! when no spot mix suffices. (The index-vs-scan proptest lives
+//! in-crate, `allocator::index_oracle`, beside the private scan.)
 
 use cloudscope_cluster::{
     AllocationError, ClusterAllocator, PlacementPolicy, PlacementRequest, SpreadingRule,
@@ -93,67 +92,4 @@ fn eviction_refuses_when_spot_mix_insufficient() {
     for n in 0..4u64 {
         assert!(a.placement_of(VmId::new(n * 2 + 1)).is_some());
     }
-}
-
-/// Migration deliberately skips the spreading re-check (evacuations take
-/// priority), but the inflated rack counts must still steer *subsequent*
-/// placements away from the over-packed rack.
-#[test]
-fn migrate_may_violate_spreading_but_counts_stick() {
-    let mut a = small_allocator(PlacementPolicy::BestFit, Some(1));
-    let ids = node_ids(&a);
-    // Nodes 0,1 are rack 0; nodes 2,3 are rack 1 (cap: 1 per rack).
-    let n0 = a.place(req(0, 2, 7, Priority::OnDemand)).unwrap();
-    assert_eq!(n0, ids[0]);
-    let n1 = a.place(req(1, 2, 7, Priority::OnDemand)).unwrap();
-    assert_eq!(n1, ids[2], "spreading must push the second VM to rack 1");
-
-    // Evacuate vm1 into rack 0 — now rack 0 holds two service-7 VMs,
-    // exceeding the cap. The migration itself must succeed.
-    a.migrate(VmId::new(1), ids[1]).unwrap();
-    assert_eq!(a.placement_of(VmId::new(1)), Some(ids[1]));
-    assert_eq!(a.stats().migrations, 1);
-
-    // A third service-7 placement must avoid rack 0 (count 2 >= cap 1)
-    // and land in the now-empty rack 1.
-    let n2 = a.place(req(2, 2, 7, Priority::OnDemand)).unwrap();
-    assert_eq!(n2, ids[2]);
-
-    // With rack 1 also at its cap, the next one fails on spreading, not
-    // capacity — plenty of cores remain.
-    let err = a.place(req(3, 2, 7, Priority::OnDemand));
-    assert!(matches!(err, Err(AllocationError::SpreadingViolation(_))));
-}
-
-/// Release after migrate must settle accounts against the *destination*
-/// node and fully unwind rack/spreading/core counters.
-#[test]
-fn release_after_migrate_accounting() {
-    let mut a = small_allocator(PlacementPolicy::BestFit, Some(1));
-    let ids = node_ids(&a);
-    a.place(req(0, 4, 3, Priority::OnDemand)).unwrap();
-    a.migrate(VmId::new(0), ids[2]).unwrap();
-
-    let released_from = a.release(VmId::new(0)).unwrap();
-    assert_eq!(
-        released_from, ids[2],
-        "release must hit the migrated-to node"
-    );
-    assert_eq!(a.placed_count(), 0);
-    assert!(a.core_allocation_ratio() < 1e-12);
-    for (_, state) in a.nodes() {
-        assert_eq!(state.cores_used(), 0);
-        assert!(state.vms().is_empty());
-    }
-
-    // Both racks' service counts must be back to zero: a fresh placement
-    // of the same service is free to take rack 0 again.
-    let n = a.place(req(1, 4, 3, Priority::OnDemand)).unwrap();
-    assert_eq!(n, ids[0]);
-    let stats = a.stats();
-    assert_eq!(
-        (stats.attempts, stats.successes, stats.migrations),
-        (3, 3, 1),
-        "place + migrate + place, all successful"
-    );
 }

@@ -3,8 +3,7 @@
 //! optimization policies and feed them from a centralized workload
 //! knowledge base" architecture of the paper's Section V.
 
-use crate::spot::spot_candidates;
-use cloudscope_kb::{KbQuery, KnowledgeBase};
+use cloudscope_kb::{KbQuery, KnowledgeBase, WorkloadKnowledge};
 use cloudscope_model::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -40,149 +39,85 @@ pub enum Recommendation {
     },
 }
 
-/// A management policy: reads the knowledge base, emits recommendations.
-pub trait Policy {
-    /// The policy's short name (for reports).
-    fn name(&self) -> &'static str;
-    /// Produces this policy's recommendations.
-    fn recommend(&self, kb: &KnowledgeBase) -> Vec<Recommendation>;
-}
-
-/// Spot adoption for short-lived public-cloud workloads (Insight 2).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpotAdoptionPolicy {
-    /// Only recommend for fleets at least this large.
-    pub min_vms: usize,
-}
-
-impl Policy for SpotAdoptionPolicy {
-    fn name(&self) -> &'static str {
-        "spot-adoption"
-    }
-
-    fn recommend(&self, kb: &KnowledgeBase) -> Vec<Recommendation> {
-        spot_candidates(kb)
-            .into_iter()
-            .filter(|k| k.vm_count >= self.min_vms)
-            .map(|k| Recommendation::AdoptSpot {
-                subscription: k.subscription,
-                vm_count: k.vm_count,
-            })
-            .collect()
-    }
+/// Spot adoption for short-lived public-cloud workloads (Insight 2),
+/// largest fleet first — the paper's "81% of public VMs fall into the
+/// shortest lifetime bin shows the considerable number of candidate VMs".
+fn spot_adoption(kb: &KnowledgeBase) -> Vec<Recommendation> {
+    // `collect` returns the matches subscription-sorted; the stable sort
+    // then orders by fleet size while keeping subscription order within
+    // equal fleet sizes, so the ranking is fully deterministic.
+    let mut candidates = KbQuery::spot_candidates().collect(kb);
+    candidates.sort_by_key(|c| std::cmp::Reverse(c.vm_count));
+    candidates
+        .into_iter()
+        .map(|k| Recommendation::AdoptSpot {
+            subscription: k.subscription,
+            vm_count: k.vm_count,
+        })
+        .collect()
 }
 
 /// Over-subscription enrollment for stable workloads (Insight 3).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OversubscriptionPolicy;
-
-impl Policy for OversubscriptionPolicy {
-    fn name(&self) -> &'static str {
-        "oversubscription"
-    }
-
-    fn recommend(&self, kb: &KnowledgeBase) -> Vec<Recommendation> {
-        // One index walk per cloud; no entry is cloned — the fold reads
-        // the two fields a recommendation carries straight off the
-        // borrowed entries.
-        CloudKind::BOTH
-            .iter()
-            .flat_map(|&cloud| {
-                KbQuery::oversubscription_candidates(cloud).fold(kb, Vec::new(), |mut recs, k| {
-                    recs.push(Recommendation::Oversubscribe {
-                        subscription: k.subscription,
-                        cores: k.cores,
-                    });
-                    recs
-                })
+fn oversubscription(kb: &KnowledgeBase) -> Vec<Recommendation> {
+    // One index walk per cloud; no entry is cloned — the fold reads the
+    // two fields a recommendation carries straight off the borrowed
+    // entries.
+    CloudKind::BOTH
+        .iter()
+        .flat_map(|&cloud| {
+            KbQuery::oversubscription_candidates(cloud).fold(kb, Vec::new(), |mut recs, k| {
+                recs.push(Recommendation::Oversubscribe {
+                    subscription: k.subscription,
+                    cores: k.cores,
+                });
+                recs
             })
-            .collect()
-    }
+        })
+        .collect()
 }
 
 /// Region-agnostic marking for capacity balancing (Insight 4).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShiftabilityPolicy;
-
-impl Policy for ShiftabilityPolicy {
-    fn name(&self) -> &'static str {
-        "shiftability"
-    }
-
-    fn recommend(&self, kb: &KnowledgeBase) -> Vec<Recommendation> {
-        KbQuery::shiftable().fold(kb, Vec::new(), |mut recs, k| {
-            recs.push(Recommendation::MarkShiftable {
-                subscription: k.subscription,
-            });
-            recs
-        })
-    }
+fn shiftability(kb: &KnowledgeBase) -> Vec<Recommendation> {
+    KbQuery::shiftable().fold(kb, Vec::new(), |mut recs, k| {
+        recs.push(Recommendation::MarkShiftable {
+            subscription: k.subscription,
+        });
+        recs
+    })
 }
 
 /// Pre-provisioning for hourly-peak workloads (Insight 3).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PreProvisionPolicy;
-
-impl Policy for PreProvisionPolicy {
-    fn name(&self) -> &'static str {
-        "pre-provision"
-    }
-
-    fn recommend(&self, kb: &KnowledgeBase) -> Vec<Recommendation> {
-        KbQuery::matching(cloudscope_kb::WorkloadKnowledge::needs_peak_headroom).fold(
-            kb,
-            Vec::new(),
-            |mut recs, k| {
-                recs.push(Recommendation::PreProvision {
-                    subscription: k.subscription,
-                });
-                recs
-            },
-        )
-    }
+fn pre_provision(kb: &KnowledgeBase) -> Vec<Recommendation> {
+    KbQuery::matching(WorkloadKnowledge::needs_peak_headroom).fold(kb, Vec::new(), |mut recs, k| {
+        recs.push(Recommendation::PreProvision {
+            subscription: k.subscription,
+        });
+        recs
+    })
 }
 
-/// Runs a set of policies over the knowledge base.
-#[derive(Default)]
-pub struct PolicyEngine {
-    policies: Vec<Box<dyn Policy + Send + Sync>>,
-}
-
-impl std::fmt::Debug for PolicyEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyEngine")
-            .field(
-                "policies",
-                &self.policies.iter().map(|p| p.name()).collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
+/// Runs the standard policies over the knowledge base.
+#[derive(Debug)]
+#[non_exhaustive]
+pub struct PolicyEngine;
 
 impl PolicyEngine {
-    /// Creates an engine with the four standard policies.
+    /// The engine with the four standard policies.
     #[must_use]
     pub fn standard() -> Self {
-        let mut engine = Self::default();
-        engine.register(Box::new(SpotAdoptionPolicy { min_vms: 1 }));
-        engine.register(Box::new(OversubscriptionPolicy));
-        engine.register(Box::new(ShiftabilityPolicy));
-        engine.register(Box::new(PreProvisionPolicy));
-        engine
+        Self
     }
 
-    /// Adds a policy.
-    pub fn register(&mut self, policy: Box<dyn Policy + Send + Sync>) {
-        self.policies.push(policy);
-    }
-
-    /// Runs every policy, returning `(policy name, recommendations)`.
+    /// Runs every policy, returning `(policy name, recommendations)` in
+    /// a fixed order.
     #[must_use]
     pub fn run(&self, kb: &KnowledgeBase) -> Vec<(&'static str, Vec<Recommendation>)> {
-        self.policies
-            .iter()
-            .map(|p| (p.name(), p.recommend(kb)))
-            .collect()
+        vec![
+            ("spot-adoption", spot_adoption(kb)),
+            ("oversubscription", oversubscription(kb)),
+            ("shiftability", shiftability(kb)),
+            ("pre-provision", pre_provision(kb)),
+        ]
     }
 }
 
@@ -190,7 +125,7 @@ impl PolicyEngine {
 mod tests {
     use super::*;
     use cloudscope_analysis::UtilizationPattern;
-    use cloudscope_kb::{LifetimeClass, WorkloadKnowledge};
+    use cloudscope_kb::LifetimeClass;
 
     fn entry(
         id: u32,
@@ -253,46 +188,84 @@ mod tests {
     #[test]
     fn engine_routes_each_workload_to_the_right_policy() {
         let kb = populated_kb();
-        let results = PolicyEngine::standard().run(&kb);
-        let by_name: std::collections::HashMap<_, _> = results.into_iter().collect();
-        assert_eq!(by_name["spot-adoption"].len(), 1);
-        assert!(matches!(
-            by_name["spot-adoption"][0],
-            Recommendation::AdoptSpot { subscription, .. } if subscription == SubscriptionId::new(0)
-        ));
-        assert_eq!(by_name["oversubscription"].len(), 1);
-        assert_eq!(by_name["shiftability"].len(), 1);
-        assert!(matches!(
-            by_name["shiftability"][0],
-            Recommendation::MarkShiftable { subscription } if subscription == SubscriptionId::new(1)
-        ));
-        assert_eq!(by_name["pre-provision"].len(), 1);
-        assert!(matches!(
-            by_name["pre-provision"][0],
-            Recommendation::PreProvision { subscription } if subscription == SubscriptionId::new(2)
-        ));
+        let sub = SubscriptionId::new;
+        assert_eq!(
+            PolicyEngine::standard().run(&kb),
+            vec![
+                (
+                    "spot-adoption",
+                    vec![Recommendation::AdoptSpot {
+                        subscription: sub(0),
+                        vm_count: 5
+                    }]
+                ),
+                (
+                    "oversubscription",
+                    vec![Recommendation::Oversubscribe {
+                        subscription: sub(0),
+                        cores: 20
+                    }]
+                ),
+                (
+                    "shiftability",
+                    vec![Recommendation::MarkShiftable {
+                        subscription: sub(1)
+                    }]
+                ),
+                (
+                    "pre-provision",
+                    vec![Recommendation::PreProvision {
+                        subscription: sub(2)
+                    }]
+                ),
+            ]
+        );
     }
 
     #[test]
-    fn min_vms_filter() {
-        let kb = populated_kb();
-        let picky = SpotAdoptionPolicy { min_vms: 100 };
-        assert!(picky.recommend(&kb).is_empty());
+    fn spot_adoption_ranks_larger_fleets_first() {
+        let kb = KnowledgeBase::new();
+        kb.feed(
+            [(0, 3), (1, 9), (2, 3), (3, 9)].map(|(id, vm_count)| WorkloadKnowledge {
+                vm_count,
+                ..entry(
+                    id,
+                    CloudKind::Public,
+                    UtilizationPattern::Irregular,
+                    LifetimeClass::MostlyShort,
+                    None,
+                )
+            }),
+        );
+        let ranked: Vec<(u32, usize)> = PolicyEngine::standard().run(&kb)[0]
+            .1
+            .iter()
+            .map(|r| match r {
+                Recommendation::AdoptSpot {
+                    subscription,
+                    vm_count,
+                } => (subscription.index(), *vm_count),
+                other => panic!("not a spot recommendation: {other:?}"),
+            })
+            .collect();
+        // Larger fleets first; equal fleets keep subscription order.
+        assert_eq!(ranked, vec![(1, 9), (3, 9), (0, 3), (2, 3)]);
     }
 
     #[test]
     fn empty_kb_yields_no_recommendations() {
         let kb = KnowledgeBase::new();
-        for (_, recs) in PolicyEngine::standard().run(&kb) {
-            assert!(recs.is_empty());
-        }
-    }
-
-    #[test]
-    fn debug_lists_policies() {
-        let engine = PolicyEngine::standard();
-        let dbg = format!("{engine:?}");
-        assert!(dbg.contains("spot-adoption"));
-        assert!(dbg.contains("shiftability"));
+        let results = PolicyEngine::standard().run(&kb);
+        let names: Vec<&str> = results.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            [
+                "spot-adoption",
+                "oversubscription",
+                "shiftability",
+                "pre-provision"
+            ]
+        );
+        assert!(results.iter().all(|(_, recs)| recs.is_empty()));
     }
 }

@@ -69,6 +69,19 @@ fn cores_of(trace: &Trace, vms: &[VmId]) -> u64 {
         .sum()
 }
 
+/// Whether `vm` holds capacity of `cloud` in `region` at `at`: placed
+/// there, alive, and not of the other cloud's subscription. This is the
+/// one rule for which VMs a region's stats count and a shift moves.
+fn counts_for(trace: &Trace, cloud: CloudKind, region: RegionId, at: SimTime, vm: VmId) -> bool {
+    let vm = trace.vm(vm).expect("indexed vm");
+    vm.region == region
+        && vm.node.is_some()
+        && vm.alive_at(at)
+        && !trace
+            .subscription(vm.subscription)
+            .is_ok_and(|s| s.cloud != cloud)
+}
+
 /// Computes one region's capacity stats for `cloud` at time `at`.
 ///
 /// # Errors
@@ -93,14 +106,7 @@ pub fn region_capacity_stats(
         .vms_in_region(region)
         .iter()
         .copied()
-        .filter(|&vm_id| {
-            let vm = trace.vm(vm_id).expect("indexed vm");
-            vm.node.is_some()
-                && vm.alive_at(at)
-                && !trace
-                    .subscription(vm.subscription)
-                    .is_ok_and(|s| s.cloud != cloud)
-        })
+        .filter(|&vm| counts_for(trace, cloud, region, at, vm))
         .collect();
     Ok(RegionCapacityStats {
         total_cores,
@@ -131,8 +137,8 @@ pub struct ShiftOutcome {
 ///
 /// # Errors
 /// - [`MgmtError::UnknownRegion`] if either region lacks clusters.
-/// - [`MgmtError::NothingToShift`] if the service has no alive VMs in
-///   `from`.
+/// - [`MgmtError::NothingToShift`] if the service has no alive VMs of
+///   `cloud` in `from`.
 /// - [`MgmtError::InsufficientCapacity`] if `to` cannot absorb the moved
 ///   cores.
 pub fn simulate_shift(
@@ -150,10 +156,7 @@ pub fn simulate_shift(
         .vms_of_service(service)
         .iter()
         .copied()
-        .filter(|&vm_id| {
-            let vm = trace.vm(vm_id).expect("indexed vm");
-            vm.region == from && vm.node.is_some() && vm.alive_at(at)
-        })
+        .filter(|&vm| counts_for(trace, cloud, from, at, vm))
         .collect();
     let moved_vms = moved.len();
     let moved_cores = cores_of(trace, &moved);
@@ -236,10 +239,9 @@ pub fn recommend_shifts(
     // Cores of each shiftable service alive in the hot region.
     let mut service_cores: HashMap<ServiceId, u64> = HashMap::new();
     for &service in shiftable_services {
-        for &vm_id in trace.vms_of_service(service) {
-            let vm = trace.vm(vm_id).expect("indexed vm");
-            if vm.region == hot && vm.node.is_some() && vm.alive_at(at) {
-                *service_cores.entry(service).or_insert(0) += u64::from(vm.size.cores());
+        for &vm in trace.vms_of_service(service) {
+            if counts_for(trace, cloud, hot, at, vm) {
+                *service_cores.entry(service).or_insert(0) += cores_of(trace, &[vm]);
             }
         }
     }
@@ -361,6 +363,42 @@ mod tests {
                 SimTime::from_hours(60),
             ),
             Err(MgmtError::NothingToShift(..))
+        ));
+    }
+
+    #[test]
+    fn a_service_of_the_other_cloud_has_nothing_to_shift() {
+        let g = generated();
+        let at = SimTime::from_hours(60);
+        let private_regions: Vec<RegionId> = g
+            .trace
+            .topology()
+            .regions()
+            .iter()
+            .map(|r| r.id)
+            .filter(|&r| region_capacity_stats(&g.trace, CloudKind::Private, r, at).is_ok())
+            .collect();
+        // A public service with a live VM in a region private clusters
+        // share: the private region's stats never counted its cores.
+        let (service, from) = g
+            .services
+            .iter()
+            .filter(|s| s.cloud == CloudKind::Public)
+            .find_map(|s| {
+                g.trace.vms_of_service(s.service).iter().find_map(|&vm| {
+                    let r = g.trace.vm(vm).unwrap();
+                    (r.alive_at(at) && r.node.is_some() && private_regions.contains(&r.region))
+                        .then_some((s.service, r.region))
+                })
+            })
+            .expect("a public service in a region with private clusters");
+        let to = *private_regions
+            .iter()
+            .find(|&&r| r != from)
+            .expect("two private regions");
+        assert!(matches!(
+            simulate_shift(&g.trace, CloudKind::Private, service, from, to, at),
+            Err(MgmtError::NothingToShift(s, r)) if s == service && r == from
         ));
     }
 

@@ -1,8 +1,6 @@
-//! Property tests over the management planners.
+//! Property tests over the over-subscription planner.
 
-use cloudscope_mgmt::defer::{schedule_deferrable, DeferrableJob};
 use cloudscope_mgmt::oversub::{inverse_normal_cdf, OversubMethod, OversubPlanner, VmDemand};
-use cloudscope_mgmt::spot::{EvictionFeatures, EvictionPredictor, SpotMixPolicy};
 use proptest::prelude::*;
 
 fn pool_strategy() -> impl Strategy<Value = Vec<VmDemand>> {
@@ -52,66 +50,5 @@ proptest! {
         prop_assert!(z2 >= z - 1e-9);
         let sym = inverse_normal_cdf(1.0 - p);
         prop_assert!((z + sym).abs() < 1e-6, "quantiles mirror: {z} vs {sym}");
-    }
-
-    #[test]
-    fn spot_mix_meets_target_and_never_overpays(
-        total in 1usize..40,
-        required_frac in 0.0f64..=1.0,
-        survival in 0.0f64..=1.0,
-        target in 0.5f64..0.999,
-        price in 0.05f64..0.95,
-    ) {
-        let required = ((total as f64 * required_frac) as usize).min(total);
-        let policy = SpotMixPolicy::new(price, target).unwrap();
-        let plan = policy.plan(total, required, survival).unwrap();
-        prop_assert_eq!(plan.spot_vms + plan.on_demand_vms, total);
-        prop_assert!(plan.availability >= target || plan.spot_vms == 0);
-        prop_assert!(plan.relative_cost <= 1.0 + 1e-12);
-        prop_assert!(plan.relative_cost >= price - 1e-12);
-        // All-on-demand is always feasible, so the planner never fails.
-    }
-
-    #[test]
-    fn eviction_predictions_are_probabilities(
-        alloc in 0.0f64..=1.0,
-        size in 0.0f64..=1.0,
-        demand in 0.0f64..=1.0,
-        hours in 0.0f64..100.0,
-    ) {
-        let p = EvictionPredictor::default();
-        let f = EvictionFeatures {
-            cluster_allocation_ratio: alloc,
-            relative_vm_size: size,
-            demand_intensity: demand,
-        };
-        let rate = p.eviction_rate_per_hour(&f);
-        prop_assert!((0.0..=1.0).contains(&rate));
-        let survival = p.survival_probability(&f, hours);
-        prop_assert!((0.0..=1.0).contains(&survival));
-        // Survival decays with horizon.
-        prop_assert!(p.survival_probability(&f, hours + 1.0) <= survival + 1e-12);
-    }
-
-    #[test]
-    fn deferral_never_worsens_the_schedulable_peak(
-        base in prop::collection::vec(0.0f64..100.0, 24..=24),
-        jobs in prop::collection::vec(
-            (1.0f64..50.0, 1usize..8).prop_map(|(cores, duration)| DeferrableJob {
-                cores,
-                duration_hours: duration,
-                deadline_hour: 24,
-            }),
-            0..6,
-        ),
-    ) {
-        let schedule = schedule_deferrable(&base, &jobs).unwrap();
-        // With unconstrained deadlines every job places.
-        prop_assert!(schedule.rejected.is_empty());
-        prop_assert_eq!(schedule.placements.len(), jobs.len());
-        // The greedy valley packer never beats the naive baseline by
-        // being worse: scheduled peak <= naive peak.
-        prop_assert!(schedule.scheduled_peak <= schedule.naive_peak + 1e-9);
-        prop_assert!(schedule.scheduled_peak >= schedule.base_peak - 1e-9);
     }
 }

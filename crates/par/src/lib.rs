@@ -30,8 +30,7 @@ const MAX_AUTO_WORKERS: usize = 16;
 /// atomic fetch-add + one mutex lock) stays negligible.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// A parallel-sweep configuration: how many workers, and optionally a
-/// fixed chunk size.
+/// A parallel-sweep configuration: how many workers.
 ///
 /// ```
 /// use cloudscope_par::Parallelism;
@@ -44,7 +43,6 @@ const CHUNKS_PER_WORKER: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     workers: usize,
-    chunk_size: Option<usize>,
 }
 
 impl Default for Parallelism {
@@ -69,10 +67,7 @@ impl Parallelism {
                     .unwrap_or(4)
                     .min(MAX_AUTO_WORKERS)
             });
-        Self {
-            workers,
-            chunk_size: None,
-        }
+        Self { workers }
     }
 
     /// An explicit worker count.
@@ -82,22 +77,7 @@ impl Parallelism {
     #[must_use]
     pub fn with_workers(workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
-        Self {
-            workers,
-            chunk_size: None,
-        }
-    }
-
-    /// Overrides the chunk size (items per steal). The default derives a
-    /// size giving each worker [`CHUNKS_PER_WORKER`] chunks.
-    ///
-    /// # Panics
-    /// Panics if `chunk_size == 0`.
-    #[must_use]
-    pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        self.chunk_size = Some(chunk_size);
-        self
+        Self { workers }
     }
 
     /// The configured worker count.
@@ -159,16 +139,14 @@ impl Parallelism {
     }
 
     /// Items per chunk for a sweep over `len` items: everything in one
-    /// chunk when the sweep runs serially, else the configured size or
-    /// [`CHUNKS_PER_WORKER`] chunks per worker.
+    /// chunk when the sweep runs serially, else [`CHUNKS_PER_WORKER`]
+    /// chunks per worker.
     fn chunk_len(&self, len: usize) -> usize {
         let workers = self.workers.min(len);
         if workers <= 1 {
             return len.max(1);
         }
-        self.chunk_size
-            .unwrap_or_else(|| len.div_ceil(workers * CHUNKS_PER_WORKER))
-            .max(1)
+        len.div_ceil(workers * CHUNKS_PER_WORKER).max(1)
     }
 
     /// Runs `run` over every chunk on up to the configured number of
@@ -271,8 +249,8 @@ impl Parallelism {
     /// Splits `0..len` into contiguous ranges (one steal unit each) and
     /// maps `f` over them on the configured workers, returning the
     /// per-range results in ascending-range order. The split depends only
-    /// on `len` and the configuration — never on scheduling — so the
-    /// concatenated output is identical for every worker count.
+    /// on `len` and the worker count — never on scheduling — and the
+    /// ranges cover `0..len` exactly once, in order.
     ///
     /// This is the building block for sweeps that want slice-granular
     /// work (prefix-sum merges, chunked validation) instead of
@@ -295,27 +273,11 @@ impl Parallelism {
         if len == 0 {
             return Vec::new();
         }
-        let chunk_size = self
-            .chunk_size
-            .unwrap_or_else(|| len.div_ceil(self.workers * CHUNKS_PER_WORKER))
-            .max(1);
+        let chunk_size = len.div_ceil(self.workers * CHUNKS_PER_WORKER).max(1);
         let ranges: Vec<std::ops::Range<usize>> = (0..len.div_ceil(chunk_size))
             .map(|i| i * chunk_size..((i + 1) * chunk_size).min(len))
             .collect();
         self.par_map(&ranges, |r| f(r.clone()))
-    }
-
-    /// [`par_map`](Self::par_map) followed by a sequential left fold over
-    /// the results in input order — the map runs in parallel, the
-    /// reduction stays deterministic.
-    pub fn par_map_reduce<T, R, A, F, G>(&self, items: &[T], f: F, init: A, fold: G) -> A
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.par_map(items, f).into_iter().fold(init, fold)
     }
 }
 
@@ -339,32 +301,6 @@ mod tests {
         assert_eq!(par.par_map(&[] as &[u32], |&x| x), Vec::<u32>::new());
         assert_eq!(par.par_map(&[5], |&x| x + 1), vec![6]);
         assert_eq!(par.par_map(&[1, 2], |&x| x), vec![1, 2]);
-    }
-
-    #[test]
-    fn explicit_chunk_size_preserves_order() {
-        let items: Vec<usize> = (0..101).collect();
-        let got = Parallelism::with_workers(4)
-            .chunk_size(3)
-            .par_map(&items, |&x| x);
-        assert_eq!(got, items);
-    }
-
-    #[test]
-    fn map_reduce_folds_in_input_order() {
-        let items: Vec<u32> = (1..=50).collect();
-        let concat = Parallelism::with_workers(5).par_map_reduce(
-            &items,
-            |&x| x.to_string(),
-            String::new(),
-            |mut acc, s| {
-                acc.push_str(&s);
-                acc.push(',');
-                acc
-            },
-        );
-        let expected: String = (1..=50).map(|x| format!("{x},")).collect();
-        assert_eq!(concat, expected);
     }
 
     #[test]
@@ -402,18 +338,6 @@ mod tests {
                 assert_eq!(covered, expected, "len={len} workers={workers}");
             }
         }
-    }
-
-    #[test]
-    fn map_ranges_split_is_worker_count_invariant_given_chunk_size() {
-        let a = Parallelism::with_workers(2)
-            .chunk_size(10)
-            .par_map_ranges(95, |r| (r.start, r.end));
-        let b = Parallelism::with_workers(8)
-            .chunk_size(10)
-            .par_map_ranges(95, |r| (r.start, r.end));
-        assert_eq!(a, b);
-        assert_eq!(a.last(), Some(&(90, 95)));
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Capacity planning: chance-constrained over-subscription of a pool of
-//! stable workloads, plus allocation-failure risk scoring for a bursty
-//! private-cloud deployment.
+//! public-cloud workloads at several violation budgets.
 //!
 //! ```sh
 //! cargo run --release --example capacity_planning
 //! ```
 
-use cloudscope::mgmt::allocfail::{AllocFailureFeatures, AllocFailurePredictor};
 use cloudscope::mgmt::oversub::{OversubMethod, OversubPlanner, VmDemand};
 use cloudscope::prelude::*;
 
@@ -42,21 +40,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Risk-score a burst deployment against clusters at varying load.
-    let predictor = AllocFailurePredictor::default();
-    println!("\nallocation-failure risk of a 500-core burst (bursty tenant, CV=3):");
-    for allocation in [0.3, 0.6, 0.8, 0.9, 0.97] {
-        let risk = predictor.failure_risk(&AllocFailureFeatures {
-            allocation_ratio: allocation,
-            request_fraction: 500.0 / 12_800.0,
-            creation_cv: 3.0,
-            spreading_pressure: 0.2,
-        });
-        let verdict = if risk > 0.5 { "REROUTE" } else { "place" };
-        println!(
-            "  cluster at {:>3.0}% allocated -> risk {risk:.3}  [{verdict}]",
-            100.0 * allocation
-        );
-    }
     Ok(())
 }

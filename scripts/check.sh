@@ -158,9 +158,11 @@ echo "    (metrics snapshots archived at $ARTIFACTS_DIR/fig1_metrics.json, fig1_
 # The end-to-end benchmark, invoked only: every workload once on the
 # small trace (each checks its own digests, parity and ledgers, and
 # exits non-zero on a failed operation), then the harness self-tests.
+# --locked: benchmark/Cargo.lock is frozen, so a workspace crate that
+# gains or drops a dependency edge fails here instead of rewriting it.
 echo "==> end-to-end benchmark: all --smoke + harness self-tests"
-cargo run --release --manifest-path benchmark/Cargo.toml -- all --smoke
-cargo test --release --manifest-path benchmark/Cargo.toml
+cargo run --locked --release --manifest-path benchmark/Cargo.toml -- all --smoke
+cargo test --locked --release --manifest-path benchmark/Cargo.toml
 
 # Worker-count invariance of the ingest drive: its delivery shards and
 # close/publish sweeps follow CLOUDSCOPE_WORKERS, and the stream_ingest
@@ -173,10 +175,10 @@ digest_of() {
 }
 for workers in default 1 3; do
   if [ "$workers" = default ]; then
-    cargo run -q --release --manifest-path benchmark/Cargo.toml -- \
+    cargo run -q --locked --release --manifest-path benchmark/Cargo.toml -- \
       run --workload stream_ingest --smoke > /dev/null
   else
-    CLOUDSCOPE_WORKERS=$workers cargo run -q --release --manifest-path benchmark/Cargo.toml -- \
+    CLOUDSCOPE_WORKERS=$workers cargo run -q --locked --release --manifest-path benchmark/Cargo.toml -- \
       run --workload stream_ingest --smoke > /dev/null
   fi
   cp "$result" "$ARTIFACTS_DIR/result-stream_ingest-workers-$workers.json"

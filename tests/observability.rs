@@ -16,10 +16,7 @@ use cloudscope::ingest::{drive_ingest, IngestConfig};
 use cloudscope::kb::{
     run_extraction_pipeline, run_extraction_pipeline_with, DurableKb, RetryPolicy,
 };
-use cloudscope::mgmt::{
-    plan_node_maintenance, AllocFailureFeatures, AllocFailurePredictor, OversubMethod,
-    OversubPlanner, RemainingLifetimePredictor, SpotMixPolicy, VmDemand,
-};
+use cloudscope::mgmt::{OversubMethod, OversubPlanner, VmDemand};
 use cloudscope::obs::testing::{assert_counter_eq, snapshot_diff};
 use cloudscope::obs::{parse_json, to_json, Registry, Schema, Snapshot};
 use cloudscope::par::Parallelism;
@@ -661,11 +658,7 @@ fn exercise_all_subsystems() -> Snapshot {
         fft::with_plan(32_768, |_, _| ()).expect("power of two");
         fft::with_plan(32_768, |_, _| ()).expect("power of two");
 
-        // mgmt: one plan per policy family, plus a forced reroute.
-        SpotMixPolicy::new(0.4, 0.99)
-            .expect("valid policy")
-            .plan(100, 60, 0.9)
-            .expect("plan");
+        // mgmt: one over-subscription plan.
         OversubPlanner::new(0.02, OversubMethod::EmpiricalQuantile)
             .expect("valid planner")
             .plan(&[VmDemand {
@@ -673,30 +666,6 @@ fn exercise_all_subsystems() -> Snapshot {
                 utilization: dense,
             }])
             .expect("plan");
-        let node = g
-            .trace
-            .vms()
-            .iter()
-            .find_map(|vm| vm.node)
-            .expect("placed VMs exist");
-        plan_node_maintenance(
-            &g.trace,
-            &kb,
-            &RemainingLifetimePredictor::default(),
-            node,
-            SimTime::from_days(2),
-            SimTime::from_days(2) + SimDuration::from_hours(8),
-        )
-        .expect("maintenance plan");
-        assert!(AllocFailurePredictor::default().should_reroute(
-            &AllocFailureFeatures {
-                allocation_ratio: 0.95,
-                request_fraction: 0.5,
-                creation_cv: 3.0,
-                spreading_pressure: 0.8,
-            },
-            0.5,
-        ));
 
         // kb durability: a write-snapshot-reopen cycle registers the
         // whole kb.persist.* surface (WAL appends, snapshot files,
