@@ -7,7 +7,7 @@ use crate::error::AnalysisError;
 use cloudscope_model::prelude::*;
 use cloudscope_par::Parallelism;
 use cloudscope_timeseries::gaps::{coverage, fill_linear_capped, finite_std};
-use cloudscope_timeseries::{PeriodDetector, Series};
+use cloudscope_timeseries::{DetectedPeriod, PeriodDetector, Series, SeriesError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -108,7 +108,20 @@ impl PatternClassifier {
     /// masked and flow into the gap-aware period detector.
     #[must_use]
     pub fn classify_series(&self, series: &Series) -> Option<UtilizationPattern> {
-        let samples_per_day = (24 * 60 / series.step_minutes()) as usize;
+        self.classify_series_with(series, |values, step| self.detector.detect(values, step))
+    }
+
+    /// [`PatternClassifier::classify_series`] with `detect` (values, step
+    /// in minutes) as the period detector: the decision logic, whichever
+    /// detector computes the periods it decides on.
+    #[must_use]
+    pub fn classify_series_with(
+        &self,
+        series: &Series,
+        detect: impl Fn(&[f64], i64) -> Result<Vec<DetectedPeriod>, SeriesError>,
+    ) -> Option<UtilizationPattern> {
+        let step = series.step_minutes();
+        let samples_per_day = (24 * 60 / step) as usize;
         let has_gaps = series.values().iter().any(|v| !v.is_finite());
         let filled_storage: Series;
         let series = if has_gaps {
@@ -122,7 +135,7 @@ impl PatternClassifier {
             if values.iter().any(|v| !v.is_finite()) {
                 cloudscope_obs::counter("analysis.classify.fill_cap_hits").inc();
             }
-            filled_storage = Series::new(series.start_minute(), series.step_minutes(), values);
+            filled_storage = Series::new(series.start_minute(), step, values);
             &filled_storage
         } else {
             cloudscope_obs::counter("analysis.classify.dense_dispatch").inc();
@@ -141,32 +154,36 @@ impl PatternClassifier {
         if finite_std(series.values()).unwrap_or(0.0) < self.config.stable_std_threshold {
             return Some(UtilizationPattern::Stable);
         }
+        let has_period_near = |values: &[f64], step: i64, targets: &[f64], tol: f64| {
+            detect(values, step).is_ok_and(|periods| {
+                periods
+                    .iter()
+                    .any(|p| targets.iter().any(|t| (p.minutes - t).abs() <= tol))
+            })
+        };
         // Hourly-peak: a strong sub-daily period at 30/60 minutes,
-        // detected on a two-day window at native resolution.
+        // detected on a two-day window at native resolution. One
+        // spectrum serves both targets.
         let two_days = (2 * samples_per_day).min(series.len());
-        let window = Series::new(
-            series.start_minute(),
-            series.step_minutes(),
-            series.values()[..two_days].to_vec(),
-        );
-        let tol = self.config.hourly_tolerance_minutes;
-        // One spectrum serves both targets.
-        if self.detector.detect(&window).is_ok_and(|periods| {
-            periods
-                .iter()
-                .any(|p| (p.minutes - 60.0).abs() <= tol || (p.minutes - 30.0).abs() <= tol)
-        }) {
+        if has_period_near(
+            &series.values()[..two_days],
+            step,
+            &[60.0, 30.0],
+            self.config.hourly_tolerance_minutes,
+        ) {
             return Some(UtilizationPattern::HourlyPeak);
         }
         // Diurnal: a 24-hour period, detected on a half-hourly
         // downsample of the full series (cheap and leakage-resistant).
         let coarse = series
-            .downsample_mean((30 / series.step_minutes()).max(1) as usize)
+            .downsample_mean((30 / step).max(1) as usize)
             .expect("positive factor");
-        if self
-            .detector
-            .has_period_near(&coarse, 24.0 * 60.0, self.config.daily_tolerance_minutes)
-        {
+        if has_period_near(
+            coarse.values(),
+            coarse.step_minutes(),
+            &[24.0 * 60.0],
+            self.config.daily_tolerance_minutes,
+        ) {
             return Some(UtilizationPattern::Diurnal);
         }
         Some(UtilizationPattern::Irregular)

@@ -1,14 +1,19 @@
 //! Benchmark for the per-series analysis fast path: autocorrelation of
-//! a week of samples, naive oracle vs FFT. Results merge into
-//! `BENCH_analysis.json` at the repo root, where
-//! `scripts/bench_gates.json` bounds their ratio.
+//! a week of samples, naive oracle vs FFT, and one period detection on
+//! the pattern classifier's two-day window, dense and gap-bearing.
+//! Results merge into `BENCH_analysis.json` at the repo root, where
+//! `scripts/bench_gates.json` bounds the ACF ratio.
 
-use cloudscope::timeseries::acf::{autocorrelation_fft, autocorrelation_naive};
+use cloudscope::timeseries::acf::{autocorrelation, autocorrelation_naive};
+use cloudscope::timeseries::PeriodDetector;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 /// Week of 5-minute samples, the series length every per-VM analysis sees.
 const WEEK_SAMPLES: usize = 2016;
+
+/// The classifier's hourly-peak window: two days of 5-minute samples.
+const TWO_DAY_SAMPLES: usize = 576;
 
 /// Daily sine + weekly trend + deterministic hash noise: enough
 /// structure to exercise every ACF lag without a flat spectrum.
@@ -38,10 +43,37 @@ fn bench_autocorrelation(c: &mut Criterion) {
         b.iter(|| autocorrelation_naive(black_box(&signal), max_lag).unwrap());
     });
     group.bench_function("fft/2016", |b| {
-        b.iter(|| autocorrelation_fft(black_box(&signal), max_lag).unwrap());
+        b.iter(|| autocorrelation(black_box(&signal), max_lag).unwrap());
     });
     group.finish();
 }
 
-criterion_group!(analysis, bench_autocorrelation);
+fn bench_period_detect(c: &mut Criterion) {
+    c.json_output(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_analysis.json"
+    ));
+    let dense = week_signal()[..TWO_DAY_SAMPLES].to_vec();
+    // A two-hour blackout plus scattered loss: still gap-bearing after
+    // the classifier's 30-minute fill, so the masked estimator runs.
+    let mut gapped = dense.clone();
+    for v in &mut gapped[200..224] {
+        *v = f64::NAN;
+    }
+    for v in gapped.iter_mut().step_by(17) {
+        *v = f64::NAN;
+    }
+    let detector = PeriodDetector::default();
+    let mut group = c.benchmark_group("period");
+    group.sample_size(20);
+    group.bench_function("detect/dense", |b| {
+        b.iter(|| detector.detect(black_box(&dense), 5).unwrap());
+    });
+    group.bench_function("detect/gapped", |b| {
+        b.iter(|| detector.detect(black_box(&gapped), 5).unwrap());
+    });
+    group.finish();
+}
+
+criterion_group!(analysis, bench_autocorrelation, bench_period_detect);
 criterion_main!(analysis);

@@ -141,8 +141,8 @@ impl<'a> KbQuery<'a> {
 
     /// Visits every matching entry in ascending subscription order,
     /// without cloning any of them.
-    pub fn for_each(&self, kb: &KnowledgeBase, f: impl FnMut(&WorkloadKnowledge)) {
-        kb.for_each_match(self, f);
+    pub fn for_each(&self, kb: &KnowledgeBase, mut f: impl FnMut(&WorkloadKnowledge)) {
+        self.fold(kb, (), |(), k| f(k));
     }
 
     /// Folds the matching entries (ascending subscription order) into an
@@ -151,14 +151,9 @@ impl<'a> KbQuery<'a> {
         &self,
         kb: &KnowledgeBase,
         init: A,
-        mut f: impl FnMut(A, &WorkloadKnowledge) -> A,
+        f: impl FnMut(A, &WorkloadKnowledge) -> A,
     ) -> A {
-        let mut acc = Some(init);
-        self.for_each(kb, |k| {
-            let next = f(acc.take().expect("fold accumulator present"), k);
-            acc = Some(next);
-        });
-        acc.expect("fold accumulator present")
+        kb.fold_matches(self, init, f)
     }
 
     /// Number of matching entries. With no residual filters this is a
@@ -227,6 +222,59 @@ mod tests {
         );
         let total_vms = query.fold(&kb, 0usize, |acc, k| acc + k.vm_count);
         assert_eq!(total_vms, collected.iter().map(|k| k.vm_count).sum());
+    }
+
+    #[test]
+    fn fold_visits_every_selectors_matches_in_collect_order() {
+        let kb = KnowledgeBase::with_shards(3);
+        let lifetimes = [
+            LifetimeClass::MostlyShort,
+            LifetimeClass::MostlyLong,
+            LifetimeClass::Mixed,
+        ];
+        let patterns = [
+            UtilizationPattern::Stable,
+            UtilizationPattern::Diurnal,
+            UtilizationPattern::Irregular,
+        ];
+        kb.feed((0..48).rev().map(|id| {
+            let cloud = if id % 2 == 0 {
+                CloudKind::Public
+            } else {
+                CloudKind::Private
+            };
+            WorkloadKnowledge {
+                pattern: Some(patterns[id as usize / 2 % 3]),
+                region_agnostic: [None, Some(true), Some(false)]
+                    .get(id as usize / 6 % 3)
+                    .copied()
+                    .flatten(),
+                regions: 1 + id as usize % 4,
+                ..knowledge(id, cloud, lifetimes[id as usize / 4 % 3])
+            }
+        }));
+        let selectors = [
+            KbSelector::All,
+            KbSelector::SpotCandidates,
+            KbSelector::OversubscriptionCandidates(CloudKind::Public),
+            KbSelector::OversubscriptionCandidates(CloudKind::Private),
+            KbSelector::Shiftable,
+        ];
+        for selector in selectors {
+            for query in [
+                KbQuery::select(selector),
+                KbQuery::select(selector).filter(|k| k.vm_count % 3 != 0),
+            ] {
+                let collected: Vec<SubscriptionId> =
+                    query.collect(&kb).iter().map(|k| k.subscription).collect();
+                assert!(!collected.is_empty(), "{selector:?} selects something");
+                let folded = query.fold(&kb, Vec::new(), |mut ids, k| {
+                    ids.push(k.subscription);
+                    ids
+                });
+                assert_eq!(folded, collected, "{selector:?}");
+            }
+        }
     }
 
     #[test]

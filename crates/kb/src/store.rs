@@ -295,13 +295,14 @@ impl KnowledgeBase {
         cloudscope_obs::counter(name).inc();
     }
 
-    /// Executes `query`, visiting each match (ascending subscription
-    /// order, borrowed — never cloned) with `f`.
-    pub(crate) fn for_each_match(
+    /// Executes `query`, folding its matches (ascending subscription
+    /// order, borrowed — never cloned) into `init` with `f`.
+    pub(crate) fn fold_matches<A>(
         &self,
         query: &KbQuery<'_>,
-        mut f: impl FnMut(&WorkloadKnowledge),
-    ) {
+        init: A,
+        f: impl FnMut(A, &WorkloadKnowledge) -> A,
+    ) -> A {
         Self::note_query(query.selector());
         let guards = self.read_all();
         let mut matches: Vec<&WorkloadKnowledge> = Vec::new();
@@ -325,18 +326,14 @@ impl KnowledgeBase {
             }
         }
         matches.sort_unstable_by_key(|k| k.subscription);
-        for k in matches {
-            f(k);
-        }
+        matches.into_iter().fold(init, f)
     }
 
     /// Counts `query`'s matches. With no residual filters an indexed
     /// selector is a pure posting-set size sum — no entry is visited.
     pub(crate) fn count_matches(&self, query: &KbQuery<'_>) -> usize {
         if query.has_filters() {
-            let mut n = 0;
-            self.for_each_match(query, |_| n += 1);
-            return n;
+            return self.fold_matches(query, 0, |n, _| n + 1);
         }
         Self::note_query(query.selector());
         let selector = query.selector();
@@ -354,8 +351,10 @@ impl KnowledgeBase {
 
     /// Collects `query`'s matches, cloning exactly them.
     pub(crate) fn collect_matches(&self, query: &KbQuery<'_>) -> Vec<WorkloadKnowledge> {
-        let mut out = Vec::new();
-        self.for_each_match(query, |k| out.push(k.clone()));
+        let out = self.fold_matches(query, Vec::new(), |mut out, k| {
+            out.push(k.clone());
+            out
+        });
         cloudscope_obs::counter("kb.store.entries_cloned").add(out.len() as u64);
         out
     }

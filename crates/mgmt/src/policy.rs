@@ -43,16 +43,20 @@ pub enum Recommendation {
 /// largest fleet first — the paper's "81% of public VMs fall into the
 /// shortest lifetime bin shows the considerable number of candidate VMs".
 fn spot_adoption(kb: &KnowledgeBase) -> Vec<Recommendation> {
-    // `collect` returns the matches subscription-sorted; the stable sort
-    // then orders by fleet size while keeping subscription order within
-    // equal fleet sizes, so the ranking is fully deterministic.
-    let mut candidates = KbQuery::spot_candidates().collect(kb);
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.vm_count));
-    candidates
-        .into_iter()
-        .map(|k| Recommendation::AdoptSpot {
-            subscription: k.subscription,
-            vm_count: k.vm_count,
+    // The fold visits the matches subscription-sorted, reading the two
+    // fields a recommendation carries off the borrowed entries; the
+    // stable sort then orders by fleet size while keeping subscription
+    // order within equal fleet sizes, so the ranking is fully
+    // deterministic.
+    let mut recs = KbQuery::spot_candidates().fold(kb, Vec::new(), |mut recs, k| {
+        recs.push((k.vm_count, k.subscription));
+        recs
+    });
+    recs.sort_by_key(|&(vm_count, _)| std::cmp::Reverse(vm_count));
+    recs.into_iter()
+        .map(|(vm_count, subscription)| Recommendation::AdoptSpot {
+            subscription,
+            vm_count,
         })
         .collect()
 }

@@ -3,15 +3,23 @@
 //!
 //! Two implementations share one contract. [`autocorrelation_naive`] is
 //! the O(n·max_lag) reference oracle, a direct transcription of the
-//! biased estimator. [`autocorrelation_fft`] computes the same estimator
-//! through the Wiener–Khinchin theorem — forward FFT, power spectrum,
-//! inverse FFT — in O(m log m) for `m = next_pow2(n + max_lag)`, reusing
-//! the thread-local plan cache of [`crate::fft`]. [`autocorrelation`]
-//! dispatches: FFT for the large inputs the period detector feeds it,
-//! naive where the direct sums are cheaper than a transform.
+//! biased estimator. The other computes the same estimator through the
+//! Wiener–Khinchin theorem, as the inverse transform of the power
+//! spectrum, in O(m log m) for `m = next_pow2(n + max_lag)`.
+//! [`autocorrelation`] dispatches: the transform for the large inputs
+//! the period detector feeds it, direct sums where they are cheaper.
+//!
+//! [`Spectrum`] is that transform, shared with the period detector: one
+//! forward transform of the centred signal in the thread-local plan
+//! scratch of [`crate::fft`], whose bins the periodogram reads before the
+//! one inverse turns them into the ACF. A dense signal takes the
+//! real-input transform on a half-length plan. A gap-bearing one carries
+//! the centred signal (gaps zeroed) and its presence mask as the real and
+//! imaginary parts of one complex transform, so the same inverse yields
+//! each lag's covariance sum and its count of jointly-present pairs.
 
 use crate::error::SeriesError;
-use crate::fft::{next_power_of_two, with_plan, Complex};
+use crate::fft::{next_power_of_two, with_plan, Complex, FftPlan};
 
 /// Below this many multiply-adds (`n · (max_lag + 1)`), the direct sums
 /// beat the FFT's fixed costs; measured crossover is a few thousand.
@@ -54,122 +62,231 @@ pub fn autocorrelation(signal: &[f64], max_lag: usize) -> Result<Vec<f64>, Serie
 /// # Errors
 /// Same contract as [`autocorrelation`].
 pub fn autocorrelation_naive(signal: &[f64], max_lag: usize) -> Result<Vec<f64>, SeriesError> {
-    let (mean, var) = check_signal(signal, max_lag)?;
+    let centred = Centred::dense(signal, max_lag)?;
     let n = signal.len();
     let mut acf = Vec::with_capacity(max_lag + 1);
     for lag in 0..=max_lag {
         let cov: f64 = signal[..n - lag]
             .iter()
             .zip(&signal[lag..])
-            .map(|(a, b)| (a - mean) * (b - mean))
+            .map(|(a, b)| (a - centred.mean) * (b - centred.mean))
             .sum();
-        acf.push(cov / var);
+        acf.push(cov / centred.var_sum);
     }
     Ok(acf)
 }
 
-/// FFT autocorrelation via the Wiener–Khinchin theorem: zero-pad the
-/// mean-centred signal to `m = next_pow2(n + max_lag)` (enough room that
-/// circular correlation equals linear correlation for every requested
-/// lag), transform, take `|X_k|²`, transform back. The real parts of the
-/// first `max_lag + 1` slots are the raw autocovariance sums, normalized
-/// by the exact time-domain variance so the estimator semantics match
-/// [`autocorrelation_naive`]. Lag 0 is pinned to exactly `1.0`, as the
-/// naive quotient is by construction.
-///
-/// # Errors
-/// Same contract as [`autocorrelation`].
-pub fn autocorrelation_fft(signal: &[f64], max_lag: usize) -> Result<Vec<f64>, SeriesError> {
-    let (mean, var) = check_signal(signal, max_lag)?;
-    let n = signal.len();
-    let m = next_power_of_two(n + max_lag);
-    with_plan(m, |plan, buf| {
-        for (slot, &v) in buf.iter_mut().zip(signal) {
-            *slot = Complex::new(v - mean, 0.0);
+/// The Wiener–Khinchin path of [`autocorrelation`], whatever the size.
+fn autocorrelation_fft(signal: &[f64], max_lag: usize) -> Result<Vec<f64>, SeriesError> {
+    let centred = Centred::dense(signal, max_lag)?;
+    with_plan(centred.plan_len(), |plan, buf| {
+        Spectrum::new(plan, buf, signal, &centred).acf(max_lag)
+    })
+}
+
+/// A signal's length, mean and variance sum, over its present (finite)
+/// samples: what the spectrum is centred by and the ACF normalized by.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Centred {
+    /// Samples, gaps included.
+    pub(crate) len: usize,
+    /// Present samples.
+    pub(crate) present: usize,
+    /// Mean of the present samples.
+    pub(crate) mean: f64,
+    /// `Σ (v - mean)²` over the present samples.
+    pub(crate) var_sum: f64,
+    /// Whether the spectrum is taken with the presence mask and the ACF
+    /// with the masked estimator: set when some sample is a gap.
+    pub(crate) masked: bool,
+    /// The transform length: room for every lag up to `max_lag` without
+    /// circular wrap-around.
+    pub(crate) m: usize,
+}
+
+impl Centred {
+    /// Centres a signal that may have gaps (NaN slots) for lags
+    /// `0..=max_lag`.
+    ///
+    /// # Errors
+    /// - [`SeriesError::TooShort`] if `max_lag >= len` (with the length)
+    ///   or fewer than `min_present` samples are present (with that count).
+    /// - [`SeriesError::ZeroVariance`] if the present samples are constant.
+    pub(crate) fn new(
+        signal: &[f64],
+        max_lag: usize,
+        min_present: usize,
+    ) -> Result<Self, SeriesError> {
+        let len = signal.len();
+        if max_lag >= len {
+            return Err(SeriesError::TooShort(len));
         }
-        plan.forward(buf);
-        for c in buf.iter_mut() {
-            *c = Complex::new(c.norm_sq(), 0.0);
+        let (mut sum, mut present) = (0.0, 0usize);
+        for &v in signal {
+            if v.is_finite() {
+                sum += v;
+                present += 1;
+            }
+        }
+        if present < min_present {
+            return Err(SeriesError::TooShort(present));
+        }
+        let mean = sum / present as f64;
+        let var_sum: f64 = signal
+            .iter()
+            .filter(|v| v.is_finite())
+            .map(|v| (v - mean) * (v - mean))
+            .sum();
+        if var_sum == 0.0 {
+            return Err(SeriesError::ZeroVariance);
+        }
+        Ok(Self {
+            len,
+            present,
+            mean,
+            var_sum,
+            masked: present < len,
+            m: next_power_of_two(len + max_lag),
+        })
+    }
+
+    /// Centres a dense signal: every sample counts, NaN included.
+    fn dense(signal: &[f64], max_lag: usize) -> Result<Self, SeriesError> {
+        let len = signal.len();
+        if len < 2 || max_lag >= len {
+            return Err(SeriesError::TooShort(len));
+        }
+        let mean = signal.iter().sum::<f64>() / len as f64;
+        let var_sum: f64 = signal.iter().map(|v| (v - mean) * (v - mean)).sum();
+        if var_sum == 0.0 {
+            return Err(SeriesError::ZeroVariance);
+        }
+        Ok(Self {
+            len,
+            present: len,
+            mean,
+            var_sum,
+            masked: false,
+            m: next_power_of_two(len + max_lag),
+        })
+    }
+
+    /// The plan length [`Spectrum::new`] needs: half the transform length
+    /// for the real-input transform of a dense signal, all of it for the
+    /// complex transform that carries a gap-bearing signal and its mask.
+    pub(crate) fn plan_len(&self) -> usize {
+        if self.masked {
+            self.m
+        } else {
+            self.m / 2
+        }
+    }
+}
+
+/// The power spectrum of a centred signal, zero-padded to `m` points,
+/// held in the plan scratch: `power(k) = |X_k|²` for `k ≤ m/2`.
+pub(crate) struct Spectrum<'a> {
+    plan: &'a FftPlan,
+    buf: &'a mut Vec<Complex>,
+    centred: &'a Centred,
+}
+
+impl<'a> Spectrum<'a> {
+    /// One forward transform of `signal`, centred by `centred`, on the
+    /// plan and scratch of [`Centred::plan_len`].
+    pub(crate) fn new(
+        plan: &'a FftPlan,
+        buf: &'a mut Vec<Complex>,
+        signal: &[f64],
+        centred: &'a Centred,
+    ) -> Self {
+        let mean = centred.mean;
+        if centred.masked {
+            // Centred signal (gaps zeroed) + i·mask; the buffer comes zeroed.
+            for (slot, &v) in buf.iter_mut().zip(signal) {
+                if v.is_finite() {
+                    *slot = Complex::new(v - mean, 1.0);
+                }
+            }
+            plan.forward(buf);
+            // Z = X + i·M with X, M the spectra of the two real parts:
+            // X_k = (Z_k + conj Z_{m-k}) / 2, |M_k| = |Z_k - conj Z_{m-k}| / 2.
+            // Both power spectra are even, so bins k and m - k get the
+            // same |X_k|² + i·|M_k|², whose inverse is the covariance sums
+            // plus i·the pair counts.
+            let m = buf.len();
+            let z0 = buf[0];
+            buf[0] = Complex::new(z0.re * z0.re, z0.im * z0.im);
+            for k in 1..=m / 2 {
+                let (zk, zj) = (buf[k], buf[m - k]);
+                let power = Complex::new(
+                    (zk + zj.conj()).norm_sq() / 4.0,
+                    (zk - zj.conj()).norm_sq() / 4.0,
+                );
+                buf[k] = power;
+                buf[m - k] = power;
+            }
+        } else {
+            for (slot, pair) in buf.iter_mut().zip(signal.chunks(2)) {
+                let odd = pair.get(1).map_or(0.0, |v| v - mean);
+                *slot = Complex::new(pair[0] - mean, odd);
+            }
+            plan.forward_real(buf);
+            for c in buf.iter_mut() {
+                *c = Complex::new(c.norm_sq(), 0.0);
+            }
+        }
+        Self { plan, buf, centred }
+    }
+
+    /// `|X_k|²` (unnormalized) of the centred signal, gaps zeroed, for
+    /// `k ≤ m/2`.
+    pub(crate) fn power(&self, k: usize) -> f64 {
+        self.buf[k].re
+    }
+
+    /// The ACF at lags `0..=max_lag` (`max_lag` at most the one the
+    /// transform length was chosen for), by the Wiener–Khinchin theorem:
+    /// the inverse transform of the power spectrum is the autocovariance
+    /// sums. A dense signal gets the biased estimator of
+    /// [`autocorrelation`]; a gap-bearing one averages each lag over its
+    /// jointly-present pairs and rescales by `(n - lag) / n`, which
+    /// reduces to the biased estimator on a dense signal, and a lag with
+    /// no such pair yields 0 (no evidence). Lag 0 is exactly `1.0`.
+    pub(crate) fn acf(self, max_lag: usize) -> Vec<f64> {
+        let Self { plan, buf, centred } = self;
+        let masked = centred.masked;
+        if !masked {
+            plan.unsplit_real(buf);
         }
         plan.inverse(buf);
         let mut acf = Vec::with_capacity(max_lag + 1);
         acf.push(1.0);
-        acf.extend(buf[1..max_lag + 1].iter().map(|c| c.re / var));
-        acf
-    })
-}
-
-/// Mask-and-renormalize autocorrelation for gap-bearing signals (gaps are
-/// NaN slots): mean and variance are taken over the present samples, each
-/// lag's covariance is averaged over the jointly-present pairs, and the
-/// per-lag quotient is rescaled by `(n - lag) / n` so the estimator
-/// reduces *exactly* to the biased estimator of [`autocorrelation`] on a
-/// dense signal. Lags with no jointly-present pair yield 0 (no evidence).
-///
-/// # Errors
-/// - [`SeriesError::TooShort`] if fewer than 2 samples are present or
-///   `max_lag >= len`.
-/// - [`SeriesError::ZeroVariance`] if the present samples are constant.
-pub fn autocorrelation_masked(signal: &[f64], max_lag: usize) -> Result<Vec<f64>, SeriesError> {
-    let n = signal.len();
-    if max_lag >= n {
-        return Err(SeriesError::TooShort(n));
-    }
-    let mut mean = 0.0;
-    let mut present = 0usize;
-    for &v in signal {
-        if v.is_finite() {
-            mean += v;
-            present += 1;
-        }
-    }
-    if present < 2 {
-        return Err(SeriesError::TooShort(present));
-    }
-    mean /= present as f64;
-    let var: f64 = signal
-        .iter()
-        .filter(|v| v.is_finite())
-        .map(|v| (v - mean) * (v - mean))
-        .sum::<f64>()
-        / present as f64;
-    if var == 0.0 {
-        return Err(SeriesError::ZeroVariance);
-    }
-    let mut acf = Vec::with_capacity(max_lag + 1);
-    acf.push(1.0);
-    for lag in 1..=max_lag {
-        let mut cov = 0.0;
-        let mut pairs = 0usize;
-        for (a, b) in signal[..n - lag].iter().zip(&signal[lag..]) {
-            if a.is_finite() && b.is_finite() {
-                cov += (a - mean) * (b - mean);
-                pairs += 1;
-            }
-        }
-        if pairs == 0 {
-            acf.push(0.0);
+        if masked {
+            // Covariance sums in the real parts, pair counts (integers up
+            // to rounding) in the imaginary parts.
+            let n = centred.len as f64;
+            let var = centred.var_sum / centred.present as f64;
+            acf.extend((1..=max_lag).map(|lag| {
+                let pairs = buf[lag].im.round();
+                if pairs < 1.0 {
+                    0.0
+                } else {
+                    let damping = (n - lag as f64) / n;
+                    buf[lag].re / pairs / var * damping
+                }
+            }));
         } else {
-            let damping = (n - lag) as f64 / n as f64;
-            acf.push(cov / pairs as f64 / var * damping);
+            // The real signal comes back packed: lag 2j in buf[j].re,
+            // lag 2j + 1 in buf[j].im.
+            acf.extend((1..=max_lag).map(|lag| {
+                let c = buf[lag / 2];
+                let cov = if lag % 2 == 0 { c.re } else { c.im };
+                cov / centred.var_sum
+            }));
         }
+        acf
     }
-    Ok(acf)
-}
-
-/// Shared validation: length/lag bounds and the mean/variance pass, with
-/// error semantics identical across both implementations.
-fn check_signal(signal: &[f64], max_lag: usize) -> Result<(f64, f64), SeriesError> {
-    let n = signal.len();
-    if n < 2 || max_lag >= n {
-        return Err(SeriesError::TooShort(n));
-    }
-    let mean = signal.iter().sum::<f64>() / n as f64;
-    let var: f64 = signal.iter().map(|v| (v - mean) * (v - mean)).sum();
-    if var == 0.0 {
-        return Err(SeriesError::ZeroVariance);
-    }
-    Ok((mean, var))
 }
 
 /// `true` if `lag` sits on a *hill* of the ACF: a local maximum whose
@@ -214,6 +331,17 @@ pub fn refine_on_acf(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
+
+    /// The masked estimator, taken with the mask's transform layout even
+    /// on a gap-free signal.
+    fn autocorrelation_masked(signal: &[f64], max_lag: usize) -> Result<Vec<f64>, SeriesError> {
+        let mut centred = Centred::new(signal, max_lag, 2)?;
+        centred.masked = true;
+        with_plan(centred.plan_len(), |plan, buf| {
+            Spectrum::new(plan, buf, signal, &centred).acf(max_lag)
+        })
+    }
 
     fn sine(period: usize, cycles: usize) -> Vec<f64> {
         (0..period * cycles)
@@ -275,7 +403,11 @@ mod tests {
 
     #[test]
     fn both_implementations_share_error_semantics() {
-        for f in [autocorrelation_naive, autocorrelation_fft] {
+        for f in [
+            autocorrelation_naive,
+            autocorrelation_fft,
+            reference::autocorrelation_fft,
+        ] {
             assert!(matches!(f(&[1.0], 0), Err(SeriesError::TooShort(1))));
             assert!(matches!(
                 f(&[1.0, 2.0, 3.0], 3),
@@ -293,9 +425,11 @@ mod tests {
         let signal = sine(24, 12);
         let naive = autocorrelation_naive(&signal, signal.len() / 2).unwrap();
         let fft = autocorrelation_fft(&signal, signal.len() / 2).unwrap();
+        let complex = reference::autocorrelation_fft(&signal, signal.len() / 2).unwrap();
         assert_eq!(naive.len(), fft.len());
-        for (lag, (a, b)) in naive.iter().zip(&fft).enumerate() {
+        for (lag, ((a, b), c)) in naive.iter().zip(&fft).zip(&complex).enumerate() {
             assert!((a - b).abs() < 1e-9, "lag {lag}: naive {a} vs fft {b}");
+            assert!((c - b).abs() < 1e-9, "lag {lag}: complex {c} vs fft {b}");
         }
         assert_eq!(fft[0], 1.0, "lag 0 is pinned exactly");
     }
@@ -304,7 +438,7 @@ mod tests {
     fn fft_matches_naive_on_awkward_lengths() {
         // Non-power-of-two lengths and max_lag = n - 1 (the tightest
         // padding case, m = next_pow2(2n - 1)).
-        for n in [5usize, 37, 100, 333] {
+        for n in [2usize, 3, 5, 37, 100, 333] {
             let signal: Vec<f64> = (0..n)
                 .map(|i| (i as f64 * 0.83).sin() + 0.1 * i as f64)
                 .collect();
@@ -388,5 +522,43 @@ mod tests {
             autocorrelation_masked(&[3.0, f64::NAN, 3.0, 3.0], 1),
             Err(SeriesError::ZeroVariance)
         ));
+    }
+
+    #[test]
+    fn masked_matches_direct_sums_and_empty_lags_read_zero() {
+        // Present only at even slots, then only in the two outer quarters
+        // of 64: odd lags, then lags 16..=32, have no jointly-present pair
+        // and must read exactly 0.
+        let even: Vec<f64> = (0..64)
+            .map(|i| {
+                if i % 2 == 0 {
+                    (i as f64 * 0.37).sin()
+                } else {
+                    f64::NAN
+                }
+            })
+            .collect();
+        let quarters: Vec<f64> = (0..64)
+            .map(|i| {
+                if (16..48).contains(&i) {
+                    f64::NAN
+                } else {
+                    (i as f64 * 0.91).cos()
+                }
+            })
+            .collect();
+        let odd_lags: Vec<usize> = (1..=32).step_by(2).collect();
+        let middle_lags: Vec<usize> = (16..=32).collect();
+        for (signal, empty) in [(&even, odd_lags), (&quarters, middle_lags)] {
+            let direct = reference::autocorrelation_masked(signal, 32).unwrap();
+            let fast = autocorrelation_masked(signal, 32).unwrap();
+            for (lag, (a, b)) in direct.iter().zip(&fast).enumerate() {
+                assert!((a - b).abs() < 1e-9, "lag {lag}: direct {a} vs fft {b}");
+            }
+            for lag in empty {
+                assert_eq!(direct[lag], 0.0, "lag {lag} has no pair");
+                assert_eq!(fast[lag], 0.0, "lag {lag} has no pair");
+            }
+        }
     }
 }

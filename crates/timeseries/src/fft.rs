@@ -1,6 +1,6 @@
-//! Radix-2 iterative fast Fourier transform and the periodogram built on
-//! it. Implemented from scratch: the period detector only needs power
-//! spectra of zero-padded real signals.
+//! Radix-2 iterative fast Fourier transform, and its real-input form.
+//! Implemented from scratch: the period detector only needs spectra of
+//! zero-padded real signals.
 //!
 //! Two transform paths exist. [`fft_in_place`]/[`ifft_in_place`] are the
 //! self-contained reference: they recompute twiddles incrementally on
@@ -11,6 +11,13 @@
 //! redundant trig and near-zero per-series allocation. Thread-local
 //! storage keeps the cache lock-free and composes with the per-thread
 //! workers of `cloudscope-par`.
+//!
+//! A real signal of length `2n` transforms on an `n`-point plan:
+//! `FftPlan::forward_real` runs the complex transform of the signal
+//! packed as `x[2j] + i·x[2j+1]` and splits it into the one-sided
+//! spectrum; `FftPlan::unsplit_real` reverses the split, so
+//! [`FftPlan::inverse`] then yields the packed real signal. The period
+//! detector's spectrum (`crate::acf`) is their one user.
 
 use crate::error::SeriesError;
 use std::cell::RefCell;
@@ -38,6 +45,37 @@ impl Complex {
     #[must_use]
     pub fn norm_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
+    }
+
+    /// Complex conjugate.
+    #[must_use]
+    pub(crate) fn conj(self) -> Self {
+        Self::new(self.re, -self.im)
+    }
+
+    fn scale(self, k: f64) -> Self {
+        Self::new(self.re * k, self.im * k)
+    }
+
+    /// `i · self`.
+    fn mul_i(self) -> Self {
+        Self::new(-self.im, self.re)
+    }
+}
+
+impl std::ops::Add for Complex {
+    type Output = Complex;
+
+    fn add(self, other: Complex) -> Complex {
+        Complex::new(self.re + other.re, self.im + other.im)
+    }
+}
+
+impl std::ops::Sub for Complex {
+    type Output = Complex;
+
+    fn sub(self, other: Complex) -> Complex {
+        Complex::new(self.re - other.re, self.im - other.im)
     }
 }
 
@@ -119,9 +157,10 @@ pub fn next_power_of_two(n: usize) -> usize {
 }
 
 /// A precomputed FFT plan for one power-of-two size: the bit-reversal
-/// permutation and the twiddle table `w_k = exp(-iτk/n)`, `k < n/2`.
-/// Stage `len` of the butterfly pass uses every `(n/len)`-th twiddle, so
-/// one table serves all stages with zero trig at transform time.
+/// permutation and the twiddle table `w_k = exp(-iτk/2n)`, `k < n`.
+/// Stage `len` of the butterfly pass uses every `(2n/len)`-th twiddle,
+/// and the real-input split of a `2n`-point signal uses all of them, so
+/// one table serves both with zero trig at transform time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FftPlan {
     n: usize,
@@ -149,9 +188,9 @@ impl FftPlan {
                 }
             })
             .collect();
-        let twiddles = (0..n / 2)
+        let twiddles = (0..n)
             .map(|k| {
-                let angle = -std::f64::consts::TAU * k as f64 / n as f64;
+                let angle = -std::f64::consts::TAU * k as f64 / (2 * n) as f64;
                 Complex::new(angle.cos(), angle.sin())
             })
             .collect();
@@ -188,7 +227,7 @@ impl FftPlan {
         }
         let mut len = 2;
         while len <= self.n {
-            let stride = self.n / len;
+            let stride = 2 * self.n / len;
             let half = len / 2;
             for chunk in buf.chunks_mut(len) {
                 for k in 0..half {
@@ -200,6 +239,58 @@ impl FftPlan {
                 }
             }
             len <<= 1;
+        }
+    }
+
+    /// Forward DFT of a real signal of length `2n` (`n` the planned
+    /// length), given packed as `buf[j] = x[2j] + i·x[2j+1]`. On return
+    /// `buf` holds the one-sided spectrum `X_0..=X_n`, one bin longer than
+    /// it came in; the other bins are the conjugates `X_{2n-k} = conj X_k`.
+    ///
+    /// # Panics
+    /// Panics if `buf.len()` differs from the planned length.
+    pub(crate) fn forward_real(&self, buf: &mut Vec<Complex>) {
+        self.forward(buf);
+        let n = self.n;
+        // With Z the packed transform, the even and odd samples' spectra
+        // are E_k = (Z_k + conj Z_{n-k}) / 2 and O_k = (Z_k - conj Z_{n-k}) / 2i,
+        // and X_k = E_k + w_k·O_k. Bins k and n - k share their inputs, so
+        // each pair is written in place: X_{n-k} = conj(E_k - w_k·O_k).
+        let z0 = buf[0];
+        buf[0] = Complex::new(z0.re + z0.im, 0.0);
+        buf.push(Complex::new(z0.re - z0.im, 0.0));
+        for k in 1..=n / 2 {
+            let (zk, zj) = (buf[k], buf[n - k]);
+            let e = (zk + zj.conj()).scale(0.5);
+            let wo = self.twiddles[k] * (zj.conj() - zk).scale(0.5).mul_i();
+            buf[k] = e + wo;
+            buf[n - k] = (e - wo).conj();
+        }
+    }
+
+    /// Reverses [`FftPlan::forward_real`]'s split: from the one-sided
+    /// spectrum `X_0..=X_n` of a real `2n`-point signal, leaves in `buf`
+    /// the `n` bins whose [`FftPlan::inverse`] is that signal, packed as
+    /// `x[2j] + i·x[2j+1]`.
+    ///
+    /// # Panics
+    /// Panics if `buf.len()` is not the planned length plus one.
+    pub(crate) fn unsplit_real(&self, buf: &mut Vec<Complex>) {
+        let n = self.n;
+        assert_eq!(buf.len(), n + 1, "buffer is not a one-sided spectrum");
+        // E_k = (X_k + conj X_{n-k}) / 2, O_k = (X_k - conj X_{n-k})·conj(w_k) / 2,
+        // Z_k = E_k + i·O_k; the pair partner is Z_{n-k} = conj(E_k - i·O_k).
+        let xn = buf.pop().unwrap_or_default();
+        let x0 = buf[0];
+        buf[0] = (x0 + xn.conj()).scale(0.5) + (x0 - xn.conj()).scale(0.5).mul_i();
+        for k in 1..=n / 2 {
+            let (xk, xj) = (buf[k], buf[n - k]);
+            let e = (xk + xj.conj()).scale(0.5);
+            let io = ((xk - xj.conj()) * self.twiddles[k].conj())
+                .scale(0.5)
+                .mul_i();
+            buf[k] = e + io;
+            buf[n - k] = (e - io).conj();
         }
     }
 
@@ -281,79 +372,13 @@ pub fn with_plan<R>(
     Ok(result)
 }
 
-/// Periodogram of a real signal: the signal is mean-centred, zero-padded
-/// to the next power of two, transformed, and the one-sided power spectrum
-/// `|X_k|²/N` returned for `k = 0..N/2`.
-///
-/// Frequency of bin `k` is `k / (N * step)` cycles per time unit, where
-/// `N` is the padded length.
-///
-/// Returns the power vector and the padded length `N`.
-///
-/// # Errors
-/// Returns [`SeriesError::TooShort`] for signals with fewer than 4 points.
-pub fn periodogram(signal: &[f64]) -> Result<(Vec<f64>, usize), SeriesError> {
-    if signal.len() < 4 {
-        return Err(SeriesError::TooShort(signal.len()));
-    }
-    let mean = signal.iter().sum::<f64>() / signal.len() as f64;
-    let n = next_power_of_two(signal.len());
-    let power = with_plan(n, |plan, buf| {
-        for (slot, &v) in buf.iter_mut().zip(signal) {
-            *slot = Complex::new(v - mean, 0.0);
-        }
-        plan.forward(buf);
-        buf[..n / 2]
-            .iter()
-            .map(|c| c.norm_sq() / n as f64)
-            .collect()
-    })?;
-    Ok((power, n))
-}
-
-/// Mask-and-renormalize periodogram for gap-bearing signals (gaps are NaN
-/// slots): the mean is taken over the present samples, gaps are replaced
-/// by it (zero after centring, so they inject no spurious power), and the
-/// one-sided spectrum is rescaled by `len / present` to compensate for
-/// the energy the masked slots cannot contribute. Reduces exactly to
-/// [`periodogram`] on a dense signal.
-///
-/// # Errors
-/// Returns [`SeriesError::TooShort`] if fewer than 4 samples are present.
-pub fn periodogram_masked(signal: &[f64]) -> Result<(Vec<f64>, usize), SeriesError> {
-    let mut mean = 0.0;
-    let mut present = 0usize;
-    for &v in signal {
-        if v.is_finite() {
-            mean += v;
-            present += 1;
-        }
-    }
-    if present < 4 {
-        return Err(SeriesError::TooShort(present));
-    }
-    mean /= present as f64;
-    let n = next_power_of_two(signal.len());
-    let renorm = signal.len() as f64 / present as f64;
-    let power = with_plan(n, |plan, buf| {
-        for (slot, &v) in buf.iter_mut().zip(signal) {
-            let centred = if v.is_finite() { v - mean } else { 0.0 };
-            *slot = Complex::new(centred, 0.0);
-        }
-        plan.forward(buf);
-        buf[..n / 2]
-            .iter()
-            .map(|c| c.norm_sq() / n as f64 * renorm)
-            .collect()
-    })?;
-    Ok((power, n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{periodogram, periodogram_masked};
     use cloudscope_obs::testing::snapshot_diff;
     use cloudscope_obs::{Registry, Snapshot};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
@@ -602,5 +627,59 @@ mod tests {
             assert!(buf.iter().all(|c| c.re == 0.0 && c.im == 0.0));
         })
         .unwrap();
+    }
+
+    #[test]
+    fn real_transform_matches_complex_at_every_size() {
+        // m = 2 runs the split on a length-1 plan.
+        let mut m = 2;
+        while m <= 4096 {
+            let signal: Vec<f64> = (0..m)
+                .map(|i| (i as f64 * 0.61).sin() * 3.0 + (i % 7) as f64)
+                .collect();
+            let mut reference: Vec<Complex> =
+                signal.iter().map(|&v| Complex::new(v, 0.0)).collect();
+            fft_in_place(&mut reference).unwrap();
+            let plan = FftPlan::new(m / 2).unwrap();
+            let mut buf: Vec<Complex> = signal
+                .chunks(2)
+                .map(|pair| Complex::new(pair[0], pair[1]))
+                .collect();
+            plan.forward_real(&mut buf);
+            assert_eq!(buf.len(), m / 2 + 1);
+            let tol = 1e-9 * m as f64;
+            for (k, (a, b)) in buf.iter().zip(&reference).enumerate() {
+                assert!(
+                    approx(a.re, b.re, tol) && approx(a.im, b.im, tol),
+                    "m {m} bin {k}: {a:?} vs {b:?}"
+                );
+            }
+            plan.unsplit_real(&mut buf);
+            plan.inverse(&mut buf);
+            assert_eq!(buf.len(), m / 2);
+            for (j, c) in buf.iter().enumerate() {
+                assert!(approx(c.re, signal[2 * j], 1e-9), "m {m} sample {}", 2 * j);
+                assert!(
+                    approx(c.im, signal[2 * j + 1], 1e-9),
+                    "m {m} sample {}",
+                    2 * j + 1
+                );
+            }
+            m *= 2;
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn periodogram_power_nonnegative(
+            values in prop::collection::vec(-1e3f64..1e3, 8..128),
+        ) {
+            let (power, n) = periodogram(&values).unwrap();
+            prop_assert!(n.is_power_of_two());
+            prop_assert!(n >= values.len());
+            for &p in &power {
+                prop_assert!(p >= 0.0);
+            }
+        }
     }
 }

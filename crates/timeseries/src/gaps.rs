@@ -6,10 +6,10 @@
 //! dense kernels, plus the small folds (coverage, finite mean/std) that
 //! every gap-aware consumer needs:
 //!
-//! - **Mask-and-renormalize** (ACF, periodogram): see
-//!   [`crate::acf::autocorrelation_masked`] and
-//!   [`crate::fft::periodogram_masked`], which estimate over the present
-//!   samples only.
+//! - **Mask-and-renormalize** (ACF, periodogram): the period detector
+//!   ([`crate::period::PeriodDetector::detect`]) zeroes the centred gaps
+//!   for its periodogram and averages each ACF lag over the
+//!   jointly-present pairs only.
 //! - **Linear fill with a max-gap cap** ([`fill_linear_capped`]): interior
 //!   gaps up to the cap are linearly interpolated, edge gaps held at the
 //!   nearest present value; longer gaps are left as NaN so a 6-hour

@@ -29,6 +29,8 @@ pub mod fft;
 pub mod gaps;
 pub mod period;
 pub mod profile;
+#[cfg(test)]
+mod reference;
 pub mod series;
 
 pub use error::SeriesError;

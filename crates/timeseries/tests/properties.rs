@@ -1,7 +1,7 @@
 //! Property-based tests for the time-series substrate.
 
-use cloudscope_timeseries::acf::{autocorrelation, autocorrelation_fft, autocorrelation_naive};
-use cloudscope_timeseries::fft::{fft_in_place, ifft_in_place, periodogram, Complex};
+use cloudscope_timeseries::acf::{autocorrelation, autocorrelation_naive};
+use cloudscope_timeseries::fft::{fft_in_place, ifft_in_place, Complex};
 use cloudscope_timeseries::profile::daily_profile;
 use cloudscope_timeseries::series::Series;
 use proptest::prelude::*;
@@ -64,13 +64,14 @@ proptest! {
         values in prop::collection::vec(-1e3f64..1e3, 2..160),
         lag_frac in 0.0f64..1.0,
     ) {
-        // Random signal, random lag up to n - 1: the FFT path must agree
+        // Random signal, random lag up to n - 1: `autocorrelation`, which
+        // takes the FFT path past a few thousand multiply-adds, must agree
         // with the direct-sum oracle within 1e-9 in ACF units, and both
-        // paths must fail identically when either fails.
+        // must fail identically when either fails.
         let max_lag = (lag_frac * (values.len() - 1) as f64) as usize;
         match (
             autocorrelation_naive(&values, max_lag),
-            autocorrelation_fft(&values, max_lag),
+            autocorrelation(&values, max_lag),
         ) {
             (Ok(naive), Ok(fft)) => {
                 prop_assert_eq!(naive.len(), fft.len());
@@ -84,18 +85,6 @@ proptest! {
                     "paths disagree on failure: naive {naive:?} vs fft {fft:?}"
                 )));
             }
-        }
-    }
-
-    #[test]
-    fn periodogram_power_nonnegative(
-        values in prop::collection::vec(-1e3f64..1e3, 8..128),
-    ) {
-        let (power, n) = periodogram(&values).unwrap();
-        prop_assert!(n.is_power_of_two());
-        prop_assert!(n >= values.len());
-        for &p in &power {
-            prop_assert!(p >= 0.0);
         }
     }
 

@@ -100,6 +100,22 @@ if grep -rnE --include='*.rs' '0\.49|0\.81|fig[0-9][a-z0-9]*_[a-z0-9_]*:' crates
   exit 1
 fi
 
+# One Wiener–Khinchin ACF: the ACF is the inverse transform of a power
+# spectrum, and acf.rs::Spectrum::acf is the one place that takes it (the
+# real-input spectrum of a dense signal and the signal-plus-mask spectrum
+# of a gap-bearing one alike), so the non-test code of crates/*/src
+# holds one `.inverse(` call.
+echo "==> one Wiener-Khinchin inverse (crates/timeseries/src/acf.rs)"
+inverse=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+    /\.inverse\(/ && !/^[[:space:]]*\/\// { print f ":" FNR ":" $0 }' "$f"
+done)
+if [ "$(printf '%s\n' "$inverse" | grep -c '\.inverse(')" -ne 1 ]; then
+  printf '%s\n' "$inverse"
+  echo "ERROR: take the ACF through acf::Spectrum::acf instead of another inverse transform" >&2
+  exit 1
+fi
+
 # One counting allocator: heap and allocation claims are tests that
 # install cloudscope_obs::heap::CountingAlloc, never a private copy.
 echo "==> one counting allocator (crates/obs/src/heap.rs)"
@@ -138,6 +154,12 @@ printf '%s\n' "$debug_out"
 
 echo "==> cargo test -q --release"
 cargo test -q --release --workspace
+
+# The period detector's decision oracle: every VM of the default trace
+# and of medium(1..=32), clean and faulted, gets the same Figure 5 class
+# from the one-spectrum detector as from the reference detector.
+echo "==> decision oracle (release, ignored by default): one spectrum moves no verdict"
+cargo test -q --release -p cloudscope --test decision_oracle -- --ignored
 
 # A real binary run must emit a snapshot whose names/kinds validate
 # against the committed schema (values are free to drift; names are not),
