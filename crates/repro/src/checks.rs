@@ -1,12 +1,12 @@
 //! The paper's shape checks as library functions.
 //!
-//! Every `SHAPE-CHECK` the `fig1` … `fig7`, `pilot`, and `oversub`
-//! binaries print lives here, so tests can run the exact same criteria
-//! without spawning a binary — in particular the robustness gate, which
-//! re-runs all of them over a fault-corrupted trace. The criteria
-//! themselves are rows of the [`ledger`](crate::ledger); each
-//! `*_checks` function judges its figure's rows at the
-//! [`CheckProfile`]'s strictness.
+//! Every `SHAPE-CHECK` the `fig1` … `fig7`, `pilot`, and `oversub` rows
+//! of [`FIGURES`](crate::figures::FIGURES) print lives here, so tests can
+//! run the exact same criteria without spawning a binary — in particular
+//! the robustness gate, which re-runs all of them over a fault-corrupted
+//! trace. The criteria themselves are rows of the
+//! [`ledger`](crate::ledger); each `*_checks` function judges its
+//! figure's rows at the [`CheckProfile`]'s strictness.
 
 use crate::ledger::{self, Evidence, Strictness};
 use crate::ShapeChecks;
@@ -64,7 +64,7 @@ pub fn fig1_checks(a: &DeploymentSizeAnalysis, p: &CheckProfile, checks: &mut Sh
         deployment: Some(a),
         ..Evidence::default()
     };
-    ledger::record(&evidence, p.strictness, checks);
+    ledger::record(&evidence, "", p.strictness, checks);
 }
 
 /// Fig 2 (2 checks): VM size heatmaps.
@@ -73,7 +73,7 @@ pub fn fig2_checks(v: &VmSizeAnalysis, p: &CheckProfile, checks: &mut ShapeCheck
         vm_size: Some(v),
         ..Evidence::default()
     };
-    ledger::record(&evidence, p.strictness, checks);
+    ledger::record(&evidence, "", p.strictness, checks);
 }
 
 /// Fig 3 (3 checks): lifetimes, creation burstiness, weekend dip.
@@ -82,7 +82,7 @@ pub fn fig3_checks(t: &TemporalAnalysis, p: &CheckProfile, checks: &mut ShapeChe
         temporal: Some(t),
         ..Evidence::default()
     };
-    ledger::record(&evidence, p.strictness, checks);
+    ledger::record(&evidence, "", p.strictness, checks);
 }
 
 /// Fig 4 (3 checks): spatial deployment.
@@ -91,7 +91,7 @@ pub fn fig4_checks(s: &SpatialAnalysis, p: &CheckProfile, checks: &mut ShapeChec
         spatial: Some(s),
         ..Evidence::default()
     };
-    ledger::record(&evidence, p.strictness, checks);
+    ledger::record(&evidence, "", p.strictness, checks);
 }
 
 /// Fig 5 (4 checks): utilization-pattern shares.
@@ -105,7 +105,7 @@ pub fn fig5_checks(
         patterns: Some((private, public)),
         ..Evidence::default()
     };
-    ledger::record(&evidence, p.strictness, checks);
+    ledger::record(&evidence, "", p.strictness, checks);
 }
 
 /// Fig 6 (3 checks): utilization percentile bands.
@@ -119,7 +119,7 @@ pub fn fig6_checks(
         utilization: Some((private, public)),
         ..Evidence::default()
     };
-    ledger::record(&evidence, p.strictness, checks);
+    ledger::record(&evidence, "", p.strictness, checks);
 }
 
 /// Fig 7 (3 checks): correlation structure, plus the flagship-service
@@ -137,7 +137,7 @@ pub fn fig7_checks(
         alignment: Some(alignment),
         ..Evidence::default()
     };
-    ledger::record(&evidence, p.strictness, checks);
+    ledger::record(&evidence, "", p.strictness, checks);
 }
 
 /// One pilot run: the selected service, the hot source and cold
@@ -242,7 +242,7 @@ pub fn pilot_checks(outcome: &ShiftOutcome, p: &CheckProfile, checks: &mut Shape
         pilot: Some(outcome),
         ..Evidence::default()
     };
-    ledger::record(&evidence, p.strictness, checks);
+    ledger::record(&evidence, "", p.strictness, checks);
 }
 
 /// The epsilon grid the over-subscription sweep walks.
@@ -312,7 +312,7 @@ pub fn oversub_checks(sweep: &OversubSweep, p: &CheckProfile, checks: &mut Shape
         oversub: Some(sweep),
         ..Evidence::default()
     };
-    ledger::record(&evidence, p.strictness, checks);
+    ledger::record(&evidence, "", p.strictness, checks);
 }
 
 /// Everything the 26 shape checks read, measured once per trace: the
@@ -367,32 +367,34 @@ impl Measurements {
         }
     }
 
-    /// All 26 shape checks at `profile` — the complete `SHAPE-CHECK`
-    /// surface of the repro binaries.
-    #[must_use]
-    pub fn checks(&self, profile: &CheckProfile) -> ShapeChecks {
-        let mut checks = ShapeChecks::new();
-        let figures = Evidence {
-            pilot: None,
-            oversub: None,
-            ..self.evidence()
-        };
-        ledger::record(&figures, profile.strictness, &mut checks);
-        match &self.pilot {
-            Some(pilot) => pilot_checks(&pilot.outcome, profile, &mut checks),
-            None => checks.check(
+    /// Records the checks of the ledger rows whose id starts with
+    /// `name` at `profile`; a pilot or sweep that could not run is one
+    /// missed check of the `pilot` or `oversub` rows.
+    pub(crate) fn record(&self, name: &str, profile: &CheckProfile, checks: &mut ShapeChecks) {
+        ledger::record(&self.evidence(), name, profile.strictness, checks);
+        if name == "pilot" && self.pilot.is_none() {
+            checks.check(
                 "pilot: a shiftable underutilized service exists",
                 false,
                 "pilot could not run on this trace".into(),
-            ),
+            );
         }
-        match &self.oversub {
-            Ok(sweep) => oversub_checks(sweep, profile, &mut checks),
-            Err(e) => checks.check(
+        if let ("oversub", Err(e)) = (name, &self.oversub) {
+            checks.check(
                 "oversub: sweep runs on the demand pool",
                 false,
                 format!("sweep failed: {e}"),
-            ),
+            );
+        }
+    }
+
+    /// All 26 shape checks at `profile` — the complete `SHAPE-CHECK`
+    /// surface of `repro`.
+    #[must_use]
+    pub fn checks(&self, profile: &CheckProfile) -> ShapeChecks {
+        let mut checks = ShapeChecks::new();
+        for name in ["fig", "pilot", "oversub"] {
+            self.record(name, profile, &mut checks);
         }
         checks
     }

@@ -482,10 +482,11 @@ pub static LEDGER: [Fact; 26] = [
             reading(vec![rate], detail) } },
 ];
 
-/// Records every row `evidence` can judge, at `s` and in ledger order:
-/// given one figure's results, that figure's rows.
-pub fn record(evidence: &Evidence<'_>, s: Strictness, checks: &mut ShapeChecks) {
-    for fact in &LEDGER {
+/// Records every row whose id starts with `ids` that `evidence` can
+/// judge, at `s` and in ledger order: given one figure's results and
+/// `""`, that figure's rows.
+pub fn record(evidence: &Evidence<'_>, ids: &str, s: Strictness, checks: &mut ShapeChecks) {
+    for fact in LEDGER.iter().filter(|f| f.id.starts_with(ids)) {
         if let Some((holds, detail)) = fact.judge(evidence, s) {
             checks.check(fact.claim, holds, detail);
         }

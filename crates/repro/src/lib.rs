@@ -1,28 +1,32 @@
 //! # cloudscope-repro
 //!
-//! The figure-regeneration harness: one binary per evaluation artifact of
-//! the paper (`fig1` … `fig7`, `pilot`, `oversub`), each printing the
-//! plotted series as CSV plus a `SHAPE-CHECK` section comparing the
+//! The figure-regeneration harness: one binary, `repro`, over one table
+//! of the paper's evaluation artifacts, [`figures::FIGURES`] (`fig1` …
+//! `fig7`, `pilot`, `oversub`, `compare`, `ablation`). Each row prints
+//! its plotted series as CSV plus a `SHAPE-CHECK` section comparing the
 //! measured shape against the paper's reported values. Every claim those
 //! sections judge, and the paper's four insights, are rows of one table,
 //! the [`ledger`].
 //!
-//! Run e.g. `cargo run --release -p cloudscope-repro --bin fig3`.
+//! Run e.g. `cargo run --release -p cloudscope-repro --bin repro -- fig3`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod ablation;
 pub mod checks;
+pub mod figures;
 pub mod ledger;
 
 use crate::checks::CheckProfile;
 use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
 use cloudscope::stats::Ecdf;
-use cloudscope::store::{ScanFilter, StoreError, TraceReader};
-use std::path::{Path, PathBuf};
+use cloudscope::store::StoreError;
+use std::fmt::{self, Write};
+use std::path::PathBuf;
 
-/// The trace scale the repro binaries run at, selected through the
+/// The trace scale `repro` runs at, selected through the
 /// `CLOUDSCOPE_TRACE_SCALE` environment variable (`full` is the
 /// default; `medium` and `small` reuse the generator's scaled-down
 /// configurations for faster smoke runs).
@@ -57,7 +61,7 @@ impl TraceScale {
 
     /// The generator configuration for this scale. Medium pins seed 99 —
     /// the configuration the tier-1 robustness gate validates all 26
-    /// shape checks against — so the binaries at medium scale run the
+    /// shape checks against — so `repro` at medium scale runs the
     /// exact trace the medium check profile is calibrated to.
     #[must_use]
     pub fn generator_config(self) -> GeneratorConfig {
@@ -80,7 +84,7 @@ impl TraceScale {
 }
 
 /// The scale selected by `CLOUDSCOPE_TRACE_SCALE`, exiting with a usage
-/// message on an unknown value (the binaries must not silently run the
+/// message on an unknown value (`repro` must not silently run the
 /// wrong profile).
 #[must_use]
 pub fn active_scale() -> TraceScale {
@@ -114,14 +118,10 @@ pub fn default_trace() -> GeneratedTrace {
     generated
 }
 
-/// A store-backed metadata read: the store directory, its subscription
-/// table, and the VM records of each filter, in filter order.
-pub type StoreRecords<'a, const N: usize> = (&'a Path, Vec<Subscription>, [Vec<VmRecord>; N]);
-
-/// Common CLI options of the repro binaries: parse once at startup,
-/// obtain the trace through [`MetricsOpt::load_trace`], and call
-/// [`MetricsOpt::write`] right before the binary exits so the metrics
-/// snapshot covers the whole run.
+/// The CLI options of `repro`: parse once at startup, obtain the trace
+/// through [`MetricsOpt::load_trace`], and call [`MetricsOpt::write`]
+/// right before the binary exits so the metrics snapshot covers the
+/// whole run.
 ///
 /// - `--metrics <path>`: write a metrics-registry JSON snapshot.
 /// - `--trace-dir <dir>`: analyze a disk-resident trace store instead
@@ -137,35 +137,19 @@ pub struct MetricsOpt {
 }
 
 impl MetricsOpt {
-    /// Parses `--metrics <path>` (or `--metrics=<path>`) from the
-    /// process arguments, exiting with a usage message when the flag is
-    /// present without a path or an argument is unrecognized.
+    /// Parses the three flags below (`--flag <path>` or
+    /// `--flag=<path>`) from the process arguments and returns the rest,
+    /// in order. Exits with a usage message when a flag is present
+    /// without a path.
     #[must_use]
-    pub fn from_args() -> Self {
-        let (opt, extra) = Self::parse(std::env::args().skip(1));
-        if let Some(arg) = extra.first() {
-            eprintln!("error: unrecognized argument {arg:?} (expected --metrics <path>)");
-            std::process::exit(2);
-        }
-        opt
-    }
-
-    /// Like [`MetricsOpt::from_args`], but returns the non-`--metrics`
-    /// arguments instead of rejecting them (for binaries that take
-    /// positional arguments of their own).
-    #[must_use]
-    pub fn from_args_with_positionals() -> (Self, Vec<String>) {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    fn parse(args: impl Iterator<Item = String>) -> (Self, Vec<String>) {
+    pub fn from_args() -> (Self, Vec<String>) {
         let mut slots: [(&str, Option<PathBuf>); 3] = [
             ("--metrics", None),
             ("--trace-dir", None),
             ("--trace-out", None),
         ];
         let mut positionals = Vec::new();
-        let mut args = args;
+        let mut args = std::env::args().skip(1);
         'outer: while let Some(arg) = args.next() {
             for (flag, slot) in &mut slots {
                 if arg == *flag {
@@ -194,37 +178,6 @@ impl MetricsOpt {
             },
             positionals,
         )
-    }
-
-    /// The store-backed path of the metadata-only figures: with
-    /// `--trace-dir` and no `--trace-out`, the store's directory, its
-    /// subscription table and the VM records each filter pushes into
-    /// the chunk scan, read without assembling the trace. `None`
-    /// otherwise: the figure then analyzes [`MetricsOpt::load_trace`]
-    /// (a `--trace-out` copy needs the full trace).
-    ///
-    /// Exits non-zero with the store error on any I/O or validation
-    /// failure.
-    #[must_use]
-    pub fn store_records<const N: usize>(
-        &self,
-        filters: [ScanFilter; N],
-    ) -> Option<StoreRecords<'_, N>> {
-        let (Some(dir), None) = (&self.trace_dir, &self.trace_out) else {
-            return None;
-        };
-        let reader = TraceReader::open(dir)
-            .unwrap_or_else(|e| fail(&format!("opening trace store {}", dir.display()), e));
-        let subscriptions = reader
-            .read_subscriptions()
-            .unwrap_or_else(|e| fail("reading subscription table", e));
-        let par = Parallelism::auto();
-        let records = filters.map(|filter| {
-            reader
-                .read_vm_records(filter, &par)
-                .unwrap_or_else(|e| fail("reading metadata chunks", e))
-        });
-        Some((dir, subscriptions, records))
     }
 
     /// Produces the run's trace according to the trace flags:
@@ -308,27 +261,38 @@ fn fail(what: &str, e: StoreError) -> ! {
     std::process::exit(2);
 }
 
-/// Prints a CSV header followed by rows.
-pub fn print_csv<const N: usize>(title: &str, header: [&str; N], rows: &[[f64; N]]) {
-    println!("## {title}");
-    println!("{}", header.join(","));
+/// Writes a CSV header followed by rows into `out`.
+///
+/// # Errors
+/// Only as [`fmt::Write`] on `out` does; a `String` never fails.
+pub fn print_csv<const N: usize>(
+    out: &mut String,
+    title: &str,
+    header: [&str; N],
+    rows: &[[f64; N]],
+) -> fmt::Result {
+    writeln!(out, "## {title}")?;
+    writeln!(out, "{}", header.join(","))?;
     for row in rows {
         let cells: Vec<String> = row.iter().map(|v| format!("{v:.4}")).collect();
-        println!("{}", cells.join(","));
+        writeln!(out, "{}", cells.join(","))?;
     }
-    println!();
+    writeln!(out)
 }
 
-/// Prints an ECDF as `(x, F)` rows on a quantile grid.
-pub fn print_ecdf(title: &str, cdf: &Ecdf) {
-    println!("## {title}");
-    println!("x,cdf");
+/// Writes an ECDF as `(x, F)` rows on a quantile grid into `out`.
+///
+/// # Errors
+/// As [`print_csv`].
+pub fn print_ecdf(out: &mut String, title: &str, cdf: &Ecdf) -> fmt::Result {
+    writeln!(out, "## {title}")?;
+    writeln!(out, "x,cdf")?;
     for i in 0..=20 {
         let p = f64::from(i) / 20.0;
         let x = cdf.quantile(p);
-        println!("{x:.4},{p:.2}");
+        writeln!(out, "{x:.4},{p:.2}")?;
     }
-    println!();
+    writeln!(out)
 }
 
 /// Accumulates shape checks and renders a verdict table.
@@ -387,21 +351,17 @@ impl ShapeChecks {
         self.results.iter().map(|(h, line)| (*h, line.as_str()))
     }
 
-    /// Prints the verdicts and returns `true` if all hold.
-    pub fn finish(self, figure: &str) -> bool {
-        println!("## SHAPE-CHECK {figure}");
-        let mut all = true;
-        for (holds, line) in &self.results {
-            println!("[{}] {line}", if *holds { "ok" } else { "MISS" });
-            all &= holds;
+    /// Writes the verdict table of `figure` into `out`.
+    ///
+    /// # Errors
+    /// As [`print_csv`].
+    pub fn finish(&self, figure: &str, out: &mut String) -> fmt::Result {
+        writeln!(out, "## SHAPE-CHECK {figure}")?;
+        for (holds, line) in self.lines() {
+            writeln!(out, "[{}] {line}", if holds { "ok" } else { "MISS" })?;
         }
-        println!(
-            "{}: {}/{} shape checks hold",
-            figure,
-            self.results.iter().filter(|(h, _)| *h).count(),
-            self.results.len()
-        );
-        all
+        let held = self.lines().filter(|(holds, _)| *holds).count();
+        writeln!(out, "{figure}: {held}/{} shape checks hold", self.len())
     }
 }
 
@@ -414,9 +374,15 @@ mod tests {
         let mut checks = ShapeChecks::new();
         checks.check("a", true, "1 > 0".into());
         checks.check("b", false, "boom".into());
-        assert!(!checks.finish("test"));
+        assert!(!checks.all_hold());
+        let mut out = String::new();
+        checks.finish("test", &mut out).unwrap();
+        assert_eq!(
+            out,
+            "## SHAPE-CHECK test\n[ok] a: 1 > 0\n[MISS] b: boom\ntest: 1/2 shape checks hold\n"
+        );
         let mut ok = ShapeChecks::new();
         ok.check("a", true, "fine".into());
-        assert!(ok.finish("test"));
+        assert!(ok.all_hold());
     }
 }

@@ -1,6 +1,7 @@
 //! Sampling distributions implemented from first principles on top of
-//! [`rand`]'s uniform source: normal (Box–Muller), log-normal, exponential,
-//! Pareto, Poisson, Zipf, and a Vose alias-method categorical sampler.
+//! [`rand`]'s uniform source: the standard normal (Box–Muller),
+//! log-normal, exponential, Poisson, Zipf, and a Vose alias-method
+//! categorical sampler.
 //!
 //! The trace generator composes these to produce deployment sizes
 //! (heavy-tailed), lifetimes (binned mixtures), arrival processes, and
@@ -161,33 +162,6 @@ impl FastTables {
     }
 }
 
-/// Normal distribution `N(mean, std_dev²)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Errors
-    /// Returns [`StatsError::OutOfRange`] if `std_dev < 0` or either
-    /// parameter is non-finite.
-    pub fn new(mean: f64, std_dev: f64) -> Result<Self, StatsError> {
-        if !mean.is_finite() || !std_dev.is_finite() || std_dev < 0.0 {
-            return Err(StatsError::OutOfRange("normal parameters"));
-        }
-        Ok(Self { mean, std_dev })
-    }
-}
-
-impl Sample for Normal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.mean + self.std_dev * StdNormal.sample(rng)
-    }
-}
-
 /// Log-normal distribution: `exp(N(mu, sigma²))`. The canonical
 /// heavy-tailed model for deployment sizes and lifetimes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -250,35 +224,6 @@ impl Sample for Exponential {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = 1.0 - rng.random::<f64>();
         -u.ln() / self.rate
-    }
-}
-
-/// Pareto (type I) distribution: `P(X > x) = (scale/x)^shape` for
-/// `x >= scale`. Models the extreme tail of public-cloud deployment sizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    scale: f64,
-    shape: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Errors
-    /// Returns [`StatsError::OutOfRange`] unless both parameters are
-    /// positive and finite.
-    pub fn new(scale: f64, shape: f64) -> Result<Self, StatsError> {
-        if scale <= 0.0 || shape <= 0.0 || !scale.is_finite() || !shape.is_finite() {
-            return Err(StatsError::OutOfRange("pareto parameters"));
-        }
-        Ok(Self { scale, shape })
-    }
-}
-
-impl Sample for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = 1.0 - rng.random::<f64>();
-        self.scale / u.powf(1.0 / self.shape)
     }
 }
 
@@ -501,15 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_parameterization() {
-        let d = Normal::new(10.0, 2.0).unwrap();
-        let s = moments(&d, 100_000);
-        assert!((s.mean() - 10.0).abs() < 0.05);
-        assert!((s.population_std_dev() - 2.0).abs() < 0.05);
-        assert!(Normal::new(0.0, -1.0).is_err());
-    }
-
-    #[test]
     fn lognormal_median() {
         let d = LogNormal::from_median(8.0, 1.0).unwrap();
         let mut r = rng();
@@ -527,16 +463,6 @@ mod tests {
         assert!((s.mean() - 4.0).abs() < 0.1);
         assert!(s.min() >= 0.0);
         assert!(Exponential::new(0.0).is_err());
-    }
-
-    #[test]
-    fn pareto_support_and_tail() {
-        let d = Pareto::new(2.0, 3.0).unwrap();
-        let s = moments(&d, 100_000);
-        assert!(s.min() >= 2.0);
-        // E[X] = shape*scale/(shape-1) = 3.
-        assert!((s.mean() - 3.0).abs() < 0.1, "mean {}", s.mean());
-        assert!(Pareto::new(-1.0, 2.0).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! figure of the DSN'23 study is built from (ECDFs, box-plots with 1.5-IQR
 //! whiskers, the 2-D heatmap, Pearson correlation, percentile bands, the
 //! coefficient of variation) plus sampling distributions
-//! (normal, log-normal, exponential, Pareto, Poisson, Zipf, alias-method
+//! (standard normal, log-normal, exponential, Poisson, Zipf, alias-method
 //! categorical) implemented from first principles on [`rand`].
 //!
 //! ## Example

@@ -97,22 +97,6 @@ impl Series {
         }
     }
 
-    /// Population standard deviation (0 if empty).
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .values
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / self.values.len() as f64;
-        var.sqrt()
-    }
-
     /// Aggregates consecutive samples into buckets of `factor` samples
     /// using the mean, producing a coarser series (e.g. 5-minute → hourly
     /// with `factor = 12`). A trailing partial bucket is averaged over the
@@ -207,7 +191,6 @@ mod tests {
     fn moments() {
         let s = Series::new(0, 1, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(s.mean(), 2.5);
-        assert!((s.std_dev() - (1.25f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Fails on a `pub fn` that only its own tests reach.
+"""Fails on a `pub` item that only its own tests reach.
 
-Every `pub fn` defined in the non-test code of `crates/*/src` must be
-named by some non-test caller: the non-test code of `crates/*/src`
-(the `src/bin` figure binaries included), the examples (`examples/`,
-`crates/*/examples`), `crates/*/benches` and `benchmark/src`. The scan
-is by name: an occurrence of the identifier outside its own `fn name`
-definition, comments, string literals and `use` / `pub use`
-statements counts as a caller. `#[cfg(test)]` items are skipped item by
-item (a test module, a test-only `mod x;` or function), not by cutting
-a file at its first attribute.
+Every `pub fn`, `pub struct`, `pub enum`, `pub trait` and `pub type`
+defined in the non-test code of `crates/*/src` must be named by some
+non-test user: the non-test code of `crates/*/src` (the `src/bin`
+binaries included), the examples (`examples/`, `crates/*/examples`),
+`crates/*/benches` and `benchmark/src`. The scan is by name: an
+occurrence of the identifier counts as a use, except inside the item's
+own definition (`fn name …`, `struct Name …`, …) or an `impl` block of
+it (`impl Name …`, `impl Trait for Name …`), and in comments, string
+literals and `use` / `pub use` statements. `#[cfg(test)]` items are
+skipped item by item (a test module, a test-only `mod x;` or function),
+not by cutting a file at its first attribute.
 
-A function kept on purpose without such a caller (a hook other crates'
-tests drive, or an oracle a kept test compares kept code against) is
-listed in `scripts/reachability_allow.txt` as `path::name  # reason`.
-The gate also fails on a stale entry: one whose function no longer
-exists or now has a caller. Run from anywhere:
+An item kept on purpose without such a user (a hook other crates' tests
+drive, or an oracle a kept test compares kept code against) is listed
+in `scripts/reachability_allow.txt` as `path::name  # reason`. The gate
+also fails on a stale entry: one whose item no longer exists or now has
+a user. Run from anywhere:
 
     python3 scripts/reachability.py
 """
@@ -27,7 +29,13 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALLOW = os.path.join("scripts", "reachability_allow.txt")
 
-PUB_FN = re.compile(r"\bpub\s+(?:const\s+|async\s+|unsafe\s+)*fn\s+([A-Za-z_][A-Za-z0-9_]*)")
+PUB_ITEM = re.compile(
+    r"\bpub\s+(?:const\s+|async\s+|unsafe\s+)*(fn|struct|enum|trait|type)\s+([A-Za-z_][A-Za-z0-9_]*)"
+)
+DEFINITION = re.compile(r"\b(?:fn|struct|enum|trait|type)\s+([A-Za-z_][A-Za-z0-9_]*)")
+# An `impl` header up to its body: the self type is the path after
+# `for`, or after the generics when there is no `for`.
+IMPL_HEADER = re.compile(r"(?m)^[ \t]*(?:unsafe\s+)?impl\b[^{;]*\{")
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 CFG_TEST = "#[cfg(test)]"
 
@@ -173,6 +181,30 @@ def strip_uses(code):
     return "".join(out)
 
 
+def impl_self_type(header):
+    """The last path segment of an `impl` header's self type: `Name` in
+    `impl<T: Bound> Trait<T> for a::Name<T> where … {` or `impl Name {`."""
+    rest = header[header.index("impl") + 4:].lstrip()
+    if rest.startswith("<"):
+        depth = 0
+        for m in re.finditer(r"->|[<>]", rest):
+            if m.group(0) != "->":
+                depth += 1 if m.group(0) == "<" else -1
+                if depth == 0:
+                    rest = rest[m.end():]
+                    break
+    rest = re.split(r"\bwhere\b|\{", rest, maxsplit=1)[0]
+    depth = 0
+    for m in re.finditer(r"->|[<>]|\bfor\b(?!\s*<)", rest):
+        if m.group(0) == "for" and depth == 0:
+            rest = rest[m.end():]
+            break
+        if m.group(0) != "->" and m.group(0) != "for":
+            depth += 1 if m.group(0) == "<" else -1
+    m = re.match(r"[\s&]*(?:'[A-Za-z_]+\s+)?(?:mut\s+|dyn\s+)*([A-Za-z_][A-Za-z0-9_:]*)", rest)
+    return m.group(1).rsplit("::", 1)[-1] if m else ""
+
+
 def rel(path):
     return os.path.relpath(path, ROOT)
 
@@ -208,25 +240,30 @@ def main():
                         pending.append(f)
     live = {path: code for path, (code, _) in split.items() if path not in test_files}
 
-    defined = {}  # (path, name) -> line
+    defined = {}  # (path, name) -> (line, kind)
     for path in sources:
         if path not in live:
             continue
         code = live[path]
-        for m in PUB_FN.finditer(code):
+        for m in PUB_ITEM.finditer(code):
             line = code.count("\n", 0, m.start()) + 1
-            defined.setdefault((rel(path), m.group(1)), line)
+            defined.setdefault((rel(path), m.group(2)), (line, m.group(1)))
 
     names = {name for _, name in defined}
-    calls = {name: 0 for name in names}
+    uses = {name: 0 for name in names}
     for code in live.values():
         code = strip_uses(code)
         for m in IDENT.finditer(code):
-            if m.group(0) in calls:
-                calls[m.group(0)] += 1
-        for m in re.finditer(r"\bfn\s+([A-Za-z_][A-Za-z0-9_]*)", code):
-            if m.group(1) in calls:
-                calls[m.group(1)] -= 1
+            if m.group(0) in uses:
+                uses[m.group(0)] += 1
+        # An item's own definition and its impl blocks name it without
+        # using it.
+        own = [(m.group(1), m.start()) for m in DEFINITION.finditer(code)]
+        own += [(impl_self_type(m.group(0)), m.start()) for m in IMPL_HEADER.finditer(code)]
+        for name, start in own:
+            if name in uses:
+                span = code[start:item_end(code, start)]
+                uses[name] -= sum(1 for m in IDENT.finditer(span) if m.group(0) == name)
 
     allowed = {}
     with open(os.path.join(ROOT, ALLOW), encoding="utf-8") as f:
@@ -241,18 +278,18 @@ def main():
             allowed[(path, name)] = number
 
     errors = []
-    for (path, name), line in sorted(defined.items()):
-        if calls[name] <= 0 and (path, name) not in allowed:
-            errors.append(f"{path}:{line}: pub fn {name} has no non-test caller")
+    for (path, name), (line, kind) in sorted(defined.items()):
+        if uses[name] <= 0 and (path, name) not in allowed:
+            errors.append(f"{path}:{line}: pub {kind} {name} has no non-test user")
     for (path, name), number in sorted(allowed.items(), key=lambda kv: kv[1]):
         if (path, name) not in defined:
-            errors.append(f"{ALLOW}:{number}: stale entry {path}::{name} (no such pub fn)")
-        elif calls[name] > 0:
-            errors.append(f"{ALLOW}:{number}: stale entry {path}::{name} (it has a caller now)")
+            errors.append(f"{ALLOW}:{number}: stale entry {path}::{name} (no such pub item)")
+        elif uses[name] > 0:
+            errors.append(f"{ALLOW}:{number}: stale entry {path}::{name} (it has a user now)")
 
     for error in errors:
         print(error)
-    print(f"reachability: {len(defined)} pub fns, {len(allowed)} allow-listed, {len(errors)} findings")
+    print(f"reachability: {len(defined)} pub items, {len(allowed)} allow-listed, {len(errors)} findings")
     if errors:
         print("ERROR: delete what only its own tests reach, or allow-list it with a reason", file=sys.stderr)
         return 1

@@ -51,8 +51,8 @@ fn telemetry_free_trace_degrades_typed() {
     assert!(matches!(err, AnalysisError::NoData(_)));
 }
 
-/// The whole extracted check surface — the same code path the repro
-/// binaries and the robustness gate run — reports a typed error on a
+/// The whole extracted check surface — the same code path `repro` and
+/// the robustness gate run — reports a typed error on a
 /// telemetry-free trace instead of panicking partway through.
 #[test]
 fn full_check_surface_errors_typed_without_telemetry() {

@@ -1,12 +1,13 @@
 //! End-to-end integration: generate both clouds, run the entire
 //! characterization pipeline, and judge it with the paper-fact ledger
-//! (the same rows the `cloudscope-repro` binaries print).
+//! (the same rows `repro` prints).
 
 use cloudscope::faults::{corrupt_trace, FaultPlan, FaultReport};
 use cloudscope::prelude::*;
 use cloudscope_repro::checks::{all_figure_checks, CheckProfile, Measurements};
+use cloudscope_repro::figures::{Run, FIGURES};
 use cloudscope_repro::ledger::{self, Strictness};
-use cloudscope_repro::ShapeChecks;
+use cloudscope_repro::{ShapeChecks, TraceScale};
 use std::fmt::Write;
 use std::sync::OnceLock;
 
@@ -162,6 +163,58 @@ fn shape_verdicts_match_the_golden_file() {
         }
     }
     assert_eq!(rendered, include_str!("golden/shape_verdicts.txt"));
+}
+
+/// `repro all`'s stdout at `scale`: every row of the figure table over
+/// one measurement, compared with `golden` (captured from the
+/// per-figure binaries it replaced) line by line, then byte for byte.
+fn assert_repro_all_matches(
+    scale: TraceScale,
+    generated: &GeneratedTrace,
+    measured: &Measurements,
+    golden: &str,
+) {
+    let run = Run {
+        generated,
+        measured,
+        profile: scale.check_profile(),
+    };
+    let mut rendered = String::new();
+    for figure in &FIGURES {
+        figure.render(&run, &mut rendered);
+    }
+    for (n, (got, want)) in rendered.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "{scale:?} golden line {}", n + 1);
+    }
+    assert_eq!(rendered, golden, "{scale:?}: same lines, different length");
+}
+
+#[test]
+fn repro_all_matches_the_medium_golden() {
+    assert_eq!(
+        TraceScale::Medium.generator_config(),
+        GeneratorConfig::medium(99)
+    );
+    assert_repro_all_matches(
+        TraceScale::Medium,
+        generated(),
+        clean(),
+        include_str!("golden/repro_medium.txt"),
+    );
+}
+
+#[test]
+fn repro_all_matches_the_small_golden() {
+    let scale = TraceScale::Small;
+    let generated = generate(&scale.generator_config());
+    let measured = Measurements::of(&generated, scale.check_profile().oversub_pool)
+        .expect("pipeline runs on the small trace");
+    assert_repro_all_matches(
+        scale,
+        &generated,
+        &measured,
+        include_str!("golden/repro_small.txt"),
+    );
 }
 
 #[test]

@@ -110,8 +110,8 @@ fn headline_metrics(seed: u64) -> String {
     put("fig7.private_region_corr_median", region_private.median());
     put("fig7.public_region_corr_median", region_public.median());
 
-    // The over-subscription demand pool and the full epsilon sweep the
-    // oversub binary runs, pinned on the small trace: a planner or
+    // The over-subscription demand pool and the full epsilon sweep
+    // `repro oversub` prints, pinned on the small trace: a planner or
     // coverage-gate change shifts these before it shifts the figures.
     let pool = oversub_pool(&generated.trace, 400);
     put("oversub.pool_vms", pool.len() as f64);
