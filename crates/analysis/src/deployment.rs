@@ -156,7 +156,7 @@ mod tests {
         )
         .unwrap();
         // sub0 holds 6 standing VMs; sub1's VM is already gone at 24h.
-        assert_eq!(cdf.max(), 6.0);
+        assert_eq!(cdf.quantile(1.0), 6.0);
         assert_eq!(cdf.len(), 1);
         let public = vms_per_subscription_cdf_from(
             trace.vms(),

@@ -56,7 +56,6 @@ pub(crate) mod test_support;
 pub use coverage::{filled_week_series, week_grid_values};
 pub use error::AnalysisError;
 pub use patterns::{
-    pattern_shares, pattern_shares_from, PatternClassifier, PatternClassifierConfig, PatternShares,
-    UtilizationPattern,
+    pattern_shares, pattern_shares_from, PatternClassifier, PatternShares, UtilizationPattern,
 };
 pub use report::{CharacterizationReport, ReportConfig};

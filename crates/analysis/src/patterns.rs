@@ -45,70 +45,40 @@ impl fmt::Display for UtilizationPattern {
     }
 }
 
-/// Tuning knobs of the classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PatternClassifierConfig {
-    /// Series with standard deviation below this (percentage points) are
-    /// stable.
-    pub stable_std_threshold: f64,
-    /// Sub-daily periods within this tolerance of 30 or 60 minutes count
-    /// as hourly peaks.
-    pub hourly_tolerance_minutes: f64,
-    /// Periods within this tolerance of 24 h count as diurnal.
-    pub daily_tolerance_minutes: f64,
-    /// Minimum telemetry length (in days) to classify a VM at all.
-    pub min_days: usize,
-    /// Minimum fraction of present (non-gap) samples to classify a
-    /// gap-bearing series at all.
-    pub min_coverage: f64,
-    /// Gaps up to this many samples are linearly interpolated before
-    /// classification; longer ones stay masked and are handled by the
-    /// gap-aware period detector.
-    pub max_fill_gap_samples: usize,
-}
+/// Series with standard deviation below this (percentage points) are
+/// stable.
+const STABLE_STD_THRESHOLD: f64 = 3.0;
+/// Sub-daily periods within this tolerance of 30 or 60 minutes count as
+/// hourly peaks.
+const HOURLY_TOLERANCE_MINUTES: f64 = 12.0;
+/// Periods within this tolerance of 24 h count as diurnal.
+const DAILY_TOLERANCE_MINUTES: f64 = 240.0;
+/// Minimum telemetry length (in days) to classify a VM at all.
+const MIN_DAYS: usize = 3;
+/// Minimum fraction of present (non-gap) samples to classify a
+/// gap-bearing series at all.
+const MIN_COVERAGE: f64 = 0.6;
+/// Gaps up to this many samples (30 minutes) are linearly interpolated
+/// before classification: short monitor hiccups are repaired, but a
+/// blackout window stays masked, for the gap-aware period detector,
+/// rather than invented.
+const MAX_FILL_GAP_SAMPLES: usize = 6;
 
-impl Default for PatternClassifierConfig {
-    fn default() -> Self {
-        Self {
-            stable_std_threshold: 3.0,
-            hourly_tolerance_minutes: 12.0,
-            daily_tolerance_minutes: 240.0,
-            min_days: 3,
-            // A 30-minute fill cap: short monitor hiccups are repaired,
-            // but a blackout window stays masked rather than invented.
-            min_coverage: 0.6,
-            max_fill_gap_samples: 6,
-        }
-    }
-}
-
-/// The pattern classifier.
+/// The pattern classifier, tuned by the constants above.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PatternClassifier {
-    config: PatternClassifierConfig,
-    detector: PeriodDetector,
-}
+pub struct PatternClassifier;
 
 impl PatternClassifier {
-    /// Creates a classifier with custom thresholds.
-    #[must_use]
-    pub fn new(config: PatternClassifierConfig) -> Self {
-        Self {
-            config,
-            detector: PeriodDetector::default(),
-        }
-    }
-
     /// Classifies a 5-minute utilization series; `None` if it is too
-    /// short (fewer than `min_days` days of *present* samples) or too
-    /// sparse (coverage below `min_coverage`).
+    /// short (fewer than `MIN_DAYS` days of *present* samples) or too
+    /// sparse (coverage below `MIN_COVERAGE`).
     ///
     /// Gap-bearing series (NaN slots) are repaired first: gaps up to
-    /// `max_fill_gap_samples` are linearly interpolated, longer ones stay
-    /// masked and flow into the gap-aware period detector.
+    /// `MAX_FILL_GAP_SAMPLES` are linearly interpolated, longer ones
+    /// stay masked and flow into the gap-aware period detector.
     #[must_use]
     pub fn classify_series(&self, series: &Series) -> Option<UtilizationPattern> {
-        self.classify_series_with(series, |values, step| self.detector.detect(values, step))
+        self.classify_series_with(series, |values, step| PeriodDetector.detect(values, step))
     }
 
     /// [`PatternClassifier::classify_series`] with `detect` (values, step
@@ -125,13 +95,13 @@ impl PatternClassifier {
         let has_gaps = series.values().iter().any(|v| !v.is_finite());
         let filled_storage: Series;
         let series = if has_gaps {
-            if coverage(series.values()) < self.config.min_coverage {
+            if coverage(series.values()) < MIN_COVERAGE {
                 cloudscope_obs::counter("analysis.classify.coverage_rejections").inc();
                 return None;
             }
             cloudscope_obs::counter("analysis.classify.masked_dispatch").inc();
             let mut values = series.values().to_vec();
-            fill_linear_capped(&mut values, self.config.max_fill_gap_samples);
+            fill_linear_capped(&mut values, MAX_FILL_GAP_SAMPLES);
             if values.iter().any(|v| !v.is_finite()) {
                 cloudscope_obs::counter("analysis.classify.fill_cap_hits").inc();
             }
@@ -146,12 +116,12 @@ impl PatternClassifier {
         } else {
             series.len()
         };
-        if present < self.config.min_days * samples_per_day {
+        if present < MIN_DAYS * samples_per_day {
             return None;
         }
         // Stable gate first: the paper extracts the stable class by
         // restricting the standard deviation (over present samples).
-        if finite_std(series.values()).unwrap_or(0.0) < self.config.stable_std_threshold {
+        if finite_std(series.values()).unwrap_or(0.0) < STABLE_STD_THRESHOLD {
             return Some(UtilizationPattern::Stable);
         }
         let has_period_near = |values: &[f64], step: i64, targets: &[f64], tol: f64| {
@@ -169,7 +139,7 @@ impl PatternClassifier {
             &series.values()[..two_days],
             step,
             &[60.0, 30.0],
-            self.config.hourly_tolerance_minutes,
+            HOURLY_TOLERANCE_MINUTES,
         ) {
             return Some(UtilizationPattern::HourlyPeak);
         }
@@ -182,7 +152,7 @@ impl PatternClassifier {
             coarse.values(),
             coarse.step_minutes(),
             &[24.0 * 60.0],
-            self.config.daily_tolerance_minutes,
+            DAILY_TOLERANCE_MINUTES,
         ) {
             return Some(UtilizationPattern::Diurnal);
         }
@@ -337,7 +307,7 @@ mod tests {
 
     #[test]
     fn classifies_diurnal() {
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let series = to_series(&diurnal_series(14.0, 0, 1));
         assert_eq!(
             classifier.classify_series(&series),
@@ -347,7 +317,7 @@ mod tests {
 
     #[test]
     fn classifies_stable() {
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let series = to_series(&stable_series(20.0, 3));
         assert_eq!(
             classifier.classify_series(&series),
@@ -374,7 +344,7 @@ mod tests {
             .collect();
         let series = Series::new(0, 5, values);
         assert_eq!(
-            PatternClassifier::default().classify_series(&series),
+            PatternClassifier.classify_series(&series),
             Some(UtilizationPattern::HourlyPeak)
         );
     }
@@ -394,7 +364,7 @@ mod tests {
             .collect();
         let series = Series::new(0, 5, values);
         assert_eq!(
-            PatternClassifier::default().classify_series(&series),
+            PatternClassifier.classify_series(&series),
             Some(UtilizationPattern::Irregular)
         );
     }
@@ -402,12 +372,12 @@ mod tests {
     #[test]
     fn too_short_series_is_unclassified() {
         let series = Series::new(0, 5, vec![10.0; 100]);
-        assert_eq!(PatternClassifier::default().classify_series(&series), None);
+        assert_eq!(PatternClassifier.classify_series(&series), None);
     }
 
     #[test]
     fn corrupted_diurnal_still_classifies_diurnal() {
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let mut series = to_series(&diurnal_series(14.0, 0, 1));
         let values = series.values_mut();
         // 5% pseudo-random loss plus a 6-hour blackout.
@@ -425,7 +395,7 @@ mod tests {
 
     #[test]
     fn corrupted_stable_still_classifies_stable() {
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let mut series = to_series(&stable_series(20.0, 3));
         for i in (0..series.len()).step_by(13) {
             series.values_mut()[i] = f64::NAN;
@@ -443,13 +413,13 @@ mod tests {
             .map(|i| if i % 4 == 0 { 10.0 } else { f64::NAN })
             .collect();
         let series = Series::new(0, 5, values);
-        assert_eq!(PatternClassifier::default().classify_series(&series), None);
+        assert_eq!(PatternClassifier.classify_series(&series), None);
     }
 
     #[test]
     fn shares_over_tiny_trace() {
         let trace = tiny_trace();
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let private = pattern_shares(&trace, CloudKind::Private, &classifier, 1000).unwrap();
         // All 6 telemetry VMs of the private cloud are diurnal.
         assert_eq!(private.diurnal, 6);
@@ -463,7 +433,7 @@ mod tests {
     #[test]
     fn max_vms_caps_work() {
         let trace = tiny_trace();
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let shares = pattern_shares(&trace, CloudKind::Private, &classifier, 2).unwrap();
         assert!(shares.classified() <= 2);
     }

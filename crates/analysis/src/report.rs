@@ -78,7 +78,7 @@ impl CharacterizationReport {
     /// Returns the first analysis error (typically [`AnalysisError::NoData`]
     /// when the trace lacks a population the paper's figures need).
     pub fn analyze(trace: &Trace, config: &ReportConfig) -> Result<Self, AnalysisError> {
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         // One child span per figure family, so a metrics snapshot shows
         // where analysis wall time went.
         let report_span = cloudscope_obs::span("analysis.report");

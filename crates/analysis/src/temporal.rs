@@ -222,12 +222,12 @@ mod tests {
             lifetime_cdf_from(trace.vms(), trace.subscriptions(), CloudKind::Private).unwrap();
         // Only sub1's VM is bounded: 30 minutes.
         assert_eq!(private.len(), 1);
-        assert_eq!(private.max(), 30.0);
+        assert_eq!(private.quantile(1.0), 30.0);
         let public =
             lifetime_cdf_from(trace.vms(), trace.subscriptions(), CloudKind::Public).unwrap();
         // Only sub3's VM: 600 minutes.
         assert_eq!(public.len(), 1);
-        assert_eq!(public.max(), 600.0);
+        assert_eq!(public.quantile(1.0), 600.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ fn classify(profile: &ServiceUtilProfile, tz: i32, seed: u64) -> Option<Utilizat
     let mut rng = StdRng::seed_from_u64(seed);
     let util = generate_vm_series(profile, tz, SimTime::ZERO, SAMPLES_PER_WEEK, &mut rng);
     let series = Series::new(0, 5, util.to_f64_vec());
-    PatternClassifier::default().classify_series(&series)
+    PatternClassifier.classify_series(&series)
 }
 
 proptest! {

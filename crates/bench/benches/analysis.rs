@@ -63,7 +63,7 @@ fn bench_period_detect(c: &mut Criterion) {
     for v in gapped.iter_mut().step_by(17) {
         *v = f64::NAN;
     }
-    let detector = PeriodDetector::default();
+    let detector = PeriodDetector;
     let mut group = c.benchmark_group("period");
     group.sample_size(20);
     group.bench_function("detect/dense", |b| {

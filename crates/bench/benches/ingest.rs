@@ -79,7 +79,7 @@ fn total_samples() -> u64 {
 /// slots and re-running Figure 5 classification when the week window
 /// closes. Returns (applied, closes) for the sanity audit.
 fn replay(buckets: &HourBuckets) -> (u64, usize) {
-    let mut ingestor = Ingestor::new(IngestConfig::default(), PatternClassifier::default());
+    let mut ingestor = Ingestor::new(IngestConfig::default(), PatternClassifier);
     let mut closes = 0usize;
     for (hour, bucket) in buckets.iter().enumerate() {
         for &(vm, sample) in bucket {
@@ -154,7 +154,7 @@ fn report_derived(c: &mut Criterion) {
     // claim is about tail behavior — one slow offer stalls a delivery
     // thread — not mean throughput.
     let parts = partitions(1);
-    let mut ingestor = Ingestor::new(IngestConfig::default(), PatternClassifier::default());
+    let mut ingestor = Ingestor::new(IngestConfig::default(), PatternClassifier);
     let mut latencies_ns: Vec<u64> = Vec::with_capacity(total as usize);
     for (hour, bucket) in parts[0].iter().enumerate() {
         for &(vm, sample) in bucket {

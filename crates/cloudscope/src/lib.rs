@@ -48,10 +48,7 @@
 //!
 //! // Section V: extract per-subscription knowledge into the sharded KB…
 //! let kb = KnowledgeBase::new();
-//! let classifier = PatternClassifier::default();
-//! for cloud in CloudKind::BOTH {
-//!     kb.feed(extract_cloud_knowledge(&generated.trace, cloud, &classifier, 8));
-//! }
+//! cloudscope::kb::run_extraction_pipeline(&generated.trace, &kb, &PatternClassifier, 8, 4);
 //! // …and serve the policies from its secondary indexes: counting spot
 //! // candidates walks an index (no entry visited), and the filtered
 //! // collect clones exactly the matching entries.
@@ -77,20 +74,24 @@
 //! use cloudscope::faults::FaultPlan;
 //! use cloudscope::ingest::{drive_ingest, IngestConfig};
 //! use cloudscope::par::Parallelism;
-//! use cloudscope::store::{write_trace, StoreTelemetry, WriteOptions};
+//! use cloudscope::store::{write_trace, ScanFilter, StoreTelemetry, TraceReader, WriteOptions};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let generated = generate(&GeneratorConfig::default());
-//! let classifier = PatternClassifier::default();
+//! let classifier = PatternClassifier;
 //!
 //! // Batch: samples resident in the trace.
 //! let batch = pattern_shares_from(
 //!     &generated.trace, &generated.trace, CloudKind::Public, &classifier, 64)?;
 //!
 //! // Out-of-core: samples scanned, in stored order, from compressed
-//! // column chunks — one decoded chunk per (region, day) lane.
-//! write_trace(&generated.trace, "trace-dir", WriteOptions::default(), &Parallelism::auto())?;
-//! let store = StoreTelemetry::open("trace-dir")?;
+//! // column chunks — one decoded chunk per (region, day) lane of each
+//! // VM's own region, which the store's VM records name.
+//! let par = Parallelism::auto();
+//! write_trace(&generated.trace, "trace-dir", WriteOptions::default(), &par)?;
+//! let reader = TraceReader::open("trace-dir")?;
+//! let records = reader.read_vm_records(ScanFilter::all(), &par)?;
+//! let store = StoreTelemetry::new(&reader, &records, par)?;
 //! let cold = pattern_shares_from(
 //!     &generated.trace, &store, CloudKind::Public, &classifier, 64)?;
 //!

@@ -432,17 +432,6 @@ impl ClusterAllocator {
         (Err(err), probed)
     }
 
-    /// Non-mutating placement probe: the node [`ClusterAllocator::place`]
-    /// would choose for `request` right now.
-    ///
-    /// # Errors
-    /// Same classification as [`ClusterAllocator::place`].
-    pub fn probe(&self, request: &PlacementRequest) -> Result<NodeId, AllocationError> {
-        self.choose_node_indexed(request)
-            .0
-            .map(|i| self.node_ids[i])
-    }
-
     /// Places a VM, returning the chosen node.
     ///
     /// # Errors

@@ -157,12 +157,6 @@ impl Fleet {
         }
         total
     }
-
-    /// Per-cluster allocators, for inspection.
-    #[must_use]
-    pub fn clusters(&self) -> &[ClusterAllocator] {
-        &self.clusters
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +199,7 @@ mod tests {
     #[test]
     fn fleet_only_manages_its_cloud() {
         let f = fleet();
-        assert_eq!(f.clusters().len(), 3);
+        assert_eq!(f.clusters.len(), 3);
         assert_eq!(f.cloud(), CloudKind::Public);
     }
 

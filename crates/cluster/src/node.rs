@@ -72,12 +72,6 @@ impl NodeState {
         size.cores() <= self.cores_free() && size.memory_gb() <= self.memory_free() + 1e-9
     }
 
-    /// Fraction of cores allocated, in `[0, 1]`.
-    #[must_use]
-    pub fn core_allocation_ratio(&self) -> f64 {
-        f64::from(self.cores_used) / f64::from(self.cores_total)
-    }
-
     /// Places a VM. Callers must check [`NodeState::fits`] first.
     ///
     /// # Panics
@@ -119,7 +113,6 @@ mod tests {
         assert_eq!(n.cores_free(), 12);
         assert_eq!(n.memory_free(), 96.0);
         assert_eq!(n.vms(), &[VmId::new(1)]);
-        assert!((n.core_allocation_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl<'p, R: RngCore> WireCorruptor<'p, R> {
 /// [`WireCorruptor`] pulled to the end. With a clean plan this is
 /// exactly the pristine wire stream (one sample per present slot, at its
 /// true grid timestamp). Batch ingestion of the result via
-/// [`ingest_wire_samples`] is what [`corrupt_util_series`] does.
+/// `ingest_wire_samples` is what [`corrupt_trace`] does to each series.
 #[must_use]
 pub fn corrupt_wire_samples(
     series: &UtilSeries,
@@ -183,7 +183,10 @@ pub fn corrupt_wire_samples(
 /// Returns `None` if no valid sample survived — the VM simply has no
 /// telemetry, as [`Trace::util`] models it.
 #[must_use]
-pub fn ingest_wire_samples(samples: &[WireSample], report: &mut FaultReport) -> Option<UtilSeries> {
+pub(crate) fn ingest_wire_samples(
+    samples: &[WireSample],
+    report: &mut FaultReport,
+) -> Option<UtilSeries> {
     // One entry per week slot, NaN where nothing landed (accepted values
     // are finite), the layout of the ingestor's lanes.
     let mut slots = vec![f32::NAN; SAMPLES_PER_WEEK];
@@ -218,7 +221,7 @@ pub fn ingest_wire_samples(samples: &[WireSample], report: &mut FaultReport) -> 
 /// Runs one VM's series through the full explode → corrupt → ingest
 /// pipeline with the given per-VM RNG stream.
 #[must_use]
-pub fn corrupt_util_series(
+pub(crate) fn corrupt_util_series(
     series: &UtilSeries,
     region: RegionId,
     plan: &FaultPlan,

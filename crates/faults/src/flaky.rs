@@ -36,18 +36,6 @@ impl<S> FlakyStore<S> {
         }
     }
 
-    /// The wrapped backend.
-    #[must_use]
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwraps the backend.
-    #[must_use]
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     /// Writes attempted so far (including failed ones).
     #[must_use]
     pub fn attempts(&self) -> usize {
@@ -131,7 +119,7 @@ mod tests {
         let stats = run_extraction_pipeline_with(
             &g.trace,
             &store,
-            &PatternClassifier::default(),
+            &PatternClassifier,
             2,
             2,
             &RetryPolicy::default(),
@@ -139,7 +127,7 @@ mod tests {
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.failed, 0);
         assert_eq!(store.injected_failures(), 0);
-        assert_eq!(store.inner().len(), stats.stored);
+        assert_eq!(store.inner.len(), stats.stored);
     }
 
     #[test]
@@ -150,14 +138,8 @@ mod tests {
             max_attempts: 10,
             base_backoff: Duration::ZERO,
         };
-        let stats = run_extraction_pipeline_with(
-            &g.trace,
-            &store,
-            &PatternClassifier::default(),
-            2,
-            2,
-            &retry,
-        );
+        let stats =
+            run_extraction_pipeline_with(&g.trace, &store, &PatternClassifier, 2, 2, &retry);
         // With 10 attempts per entry a 0.3 failure rate is survivable:
         // everything lands, and the KB matches a clean run exactly.
         assert_eq!(stats.failed, 0);
@@ -167,14 +149,14 @@ mod tests {
         let clean_stats = run_extraction_pipeline_with(
             &g.trace,
             &clean,
-            &PatternClassifier::default(),
+            &PatternClassifier,
             2,
             2,
             &RetryPolicy::default(),
         );
         assert_eq!(stats.stored, clean_stats.stored);
         for sub in g.trace.subscriptions() {
-            assert_eq!(store.inner().get(sub.id), clean.get(sub.id));
+            assert_eq!(store.inner.get(sub.id), clean.get(sub.id));
         }
     }
 
@@ -226,8 +208,8 @@ mod tests {
         assert_eq!(batch_failures, seq_failures);
         for k in &batch {
             assert_eq!(
-                batched.inner().get(k.subscription),
-                sequential.inner().get(k.subscription)
+                batched.inner.get(k.subscription),
+                sequential.inner.get(k.subscription)
             );
         }
     }
@@ -240,17 +222,11 @@ mod tests {
             max_attempts: 2,
             base_backoff: Duration::ZERO,
         };
-        let stats = run_extraction_pipeline_with(
-            &g.trace,
-            &store,
-            &PatternClassifier::default(),
-            2,
-            2,
-            &retry,
-        );
+        let stats =
+            run_extraction_pipeline_with(&g.trace, &store, &PatternClassifier, 2, 2, &retry);
         assert_eq!(stats.stored, 0);
         assert!(stats.failed > 0);
-        assert!(store.inner().is_empty());
+        assert!(store.inner.is_empty());
         assert_eq!(store.attempts(), stats.failed * 2);
     }
 }

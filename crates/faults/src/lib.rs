@@ -46,9 +46,6 @@ pub mod corrupt;
 pub mod flaky;
 pub mod plan;
 
-pub use corrupt::{
-    corrupt_trace, corrupt_util_series, corrupt_wire_samples, ingest_wire_samples, WireCorruptor,
-    WireSample,
-};
+pub use corrupt::{corrupt_trace, corrupt_wire_samples, WireCorruptor, WireSample};
 pub use flaky::FlakyStore;
 pub use plan::{Blackout, FaultPlan, FaultReport};

@@ -259,12 +259,6 @@ impl Ingestor {
         }
     }
 
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &IngestConfig {
-        &self.config
-    }
-
     /// Counters so far.
     #[must_use]
     pub fn report(&self) -> IngestReport {

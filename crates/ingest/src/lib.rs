@@ -13,8 +13,8 @@
 //! The pipeline, stage by stage:
 //!
 //! 1. **Offer** — [`Ingestor::offer`] validates each [`WireSample`]
-//!    exactly like the batch collector
-//!    ([`cloudscope_faults::ingest_wire_samples`]): garbage readings are
+//!    exactly like the batch collector behind
+//!    [`cloudscope_faults::corrupt_trace`]: garbage readings are
 //!    rejected, timestamps snap to the 5-minute grid, out-of-week slots
 //!    are discarded, and duplicate slots keep the last delivered value.
 //!    Accepted samples are quantized on arrival
@@ -79,7 +79,7 @@
 //!     &generated.trace,
 //!     &FaultPlan::standard(7),
 //!     &IngestConfig::default(),
-//!     &PatternClassifier::default(),
+//!     &PatternClassifier,
 //!     &kb,
 //! );
 //! println!(

@@ -255,7 +255,7 @@ mod tests {
         ) {
             let (seed_index, plan) = stream;
             let trace = trace(seed_index);
-            let classifier = PatternClassifier::default();
+            let classifier = PatternClassifier;
             let (kb, reference_kb) = (KnowledgeBase::new(), KnowledgeBase::new());
             let got = drive_ingest(trace, &plan, &config, &classifier, &kb);
             let want = drive_per_sample(trace, &plan, &config, &classifier, &reference_kb);

@@ -125,21 +125,6 @@ impl IngestSession {
     pub fn had_drops(&self, vm: VmId) -> bool {
         self.lane(vm).is_some_and(|lane| lane.dropped_late > 0)
     }
-
-    /// VMs with at least one late-dropped sample, ascending.
-    pub fn vms_with_drops(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.vms().filter(|&vm| self.had_drops(vm))
-    }
-
-    /// VMs that offered at least one valid, in-week sample (applied or
-    /// dropped late), ascending: the VMs that own a lane.
-    pub fn vms(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, lane)| lane.is_some())
-            .map(|(index, _)| VmId::new(index as u64))
-    }
 }
 
 impl TelemetrySource for IngestSession {

@@ -23,7 +23,7 @@ fn generated() -> &'static GeneratedTrace {
 #[test]
 fn clean_medium_stream_matches_batch_golden() {
     let g = generated();
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let kb = KnowledgeBase::new();
     let outcome = drive_ingest(
         &g.trace,
@@ -79,7 +79,7 @@ fn clean_medium_stream_matches_batch_golden() {
 fn faulted_medium_stream_divergence_is_bounded_and_accounted() {
     let g = generated();
     let plan = FaultPlan::standard(2024);
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let outcome = drive_ingest(
         &g.trace,
         &plan,

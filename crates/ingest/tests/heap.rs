@@ -21,7 +21,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn drive_heap_beyond_the_lanes_does_not_grow_with_the_stream() {
     let g = generate(&GeneratorConfig::small(7));
     let plan = FaultPlan::standard(7);
-    let (config, classifier) = (IngestConfig::default(), PatternClassifier::default());
+    let (config, classifier) = (IngestConfig::default(), PatternClassifier);
     let kb = KnowledgeBase::new();
 
     let (outcome, added) = peak_during(|| drive_ingest(&g.trace, &plan, &config, &classifier, &kb));

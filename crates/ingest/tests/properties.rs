@@ -43,7 +43,7 @@ fn base_stream(max_len: usize) -> impl Strategy<Value = Vec<WireSample>> {
 /// count.
 fn run_stream(groups: &[Vec<WireSample>]) -> (Vec<WindowClose>, Option<UtilSeries>, u64) {
     let vm = VmId::new(1);
-    let mut ingestor = Ingestor::new(config(), PatternClassifier::default());
+    let mut ingestor = Ingestor::new(config(), PatternClassifier);
     for (tick, group) in groups.iter().enumerate() {
         let now = SimTime::from_minutes(tick as i64 * SAMPLE_INTERVAL_MINUTES);
         let closes = ingestor.advance_watermark(now);
@@ -120,7 +120,7 @@ proptest! {
 
         let vm = VmId::new(1);
         // Control: the same stream with no straggler.
-        let mut control = Ingestor::new(config(), PatternClassifier::default());
+        let mut control = Ingestor::new(config(), PatternClassifier);
         for sample in &base {
             control.offer(vm, *sample);
         }
@@ -131,7 +131,7 @@ proptest! {
 
         let registry = Arc::new(cloudscope_obs::Registry::new());
         let ((), diff) = snapshot_diff(&registry, || {
-            let mut ingestor = Ingestor::new(config(), PatternClassifier::default());
+            let mut ingestor = Ingestor::new(config(), PatternClassifier);
             for sample in &base {
                 ingestor.offer(vm, *sample);
             }

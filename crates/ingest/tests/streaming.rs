@@ -17,7 +17,7 @@ const MAX_CLASSIFIED: usize = 4;
 #[test]
 fn clean_stream_converges_to_batch_exactly() {
     let g = generate(&GeneratorConfig::small(41));
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let kb = KnowledgeBase::new();
     let outcome = drive_ingest(
         &g.trace,
@@ -71,7 +71,7 @@ fn clean_stream_converges_to_batch_exactly() {
 #[test]
 fn clean_stream_publishes_batch_identical_knowledge() {
     let g = generate(&GeneratorConfig::small(42));
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let kb = KnowledgeBase::new();
     let outcome = drive_ingest(
         &g.trace,
@@ -120,7 +120,7 @@ fn clean_stream_publishes_batch_identical_knowledge() {
 fn faulted_stream_divergence_is_fully_accounted() {
     let g = generate(&GeneratorConfig::small(43));
     let plan = FaultPlan::standard(43);
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let kb = KnowledgeBase::new();
     let outcome = drive_ingest(&g.trace, &plan, &IngestConfig::default(), &classifier, &kb);
     let session = &outcome.session;
@@ -195,7 +195,7 @@ fn ingest_metrics_flush_under_a_scoped_registry() {
             &g.trace,
             &FaultPlan::clean(44),
             &IngestConfig::default(),
-            &PatternClassifier::default(),
+            &PatternClassifier,
             &KnowledgeBase::new(),
         )
     });
@@ -231,7 +231,7 @@ fn a_window_shorter_than_the_classifier_minimum_still_classifies() {
     use cloudscope_model::time::MINUTES_PER_DAY;
 
     let g = generate(&GeneratorConfig::small(41));
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let config = IngestConfig {
         window_minutes: MINUTES_PER_DAY,
         ..IngestConfig::default()
@@ -279,7 +279,7 @@ fn each_lane_is_classified_once_per_close() {
             &g.trace,
             &FaultPlan::clean(46),
             &IngestConfig::default(),
-            &PatternClassifier::default(),
+            &PatternClassifier,
             &KnowledgeBase::new(),
         )
     });
@@ -303,7 +303,7 @@ fn each_lane_is_classified_once_per_close() {
 #[test]
 fn session_slots_into_generic_analyses() {
     let g = generate(&GeneratorConfig::small(45));
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let outcome = drive_ingest(
         &g.trace,
         &FaultPlan::clean(45),
@@ -334,7 +334,7 @@ fn session_slots_into_generic_analyses() {
 
 #[test]
 fn late_sample_is_dropped_and_counted_never_applied() {
-    let mut ingestor = Ingestor::new(IngestConfig::default(), PatternClassifier::default());
+    let mut ingestor = Ingestor::new(IngestConfig::default(), PatternClassifier);
     let vm = VmId::new(7);
     // Two on-time samples.
     ingestor.offer(
@@ -376,7 +376,7 @@ fn late_sample_is_dropped_and_counted_never_applied() {
 
 #[test]
 fn a_vm_offering_only_garbage_has_no_lane_and_is_not_counted() {
-    let mut ingestor = Ingestor::new(IngestConfig::default(), PatternClassifier::default());
+    let mut ingestor = Ingestor::new(IngestConfig::default(), PatternClassifier);
     let (garbage, valid, out_of_week) = (VmId::new(3), VmId::new(1), VmId::new(5));
     for value in [f32::NAN, -1.0, f32::NEG_INFINITY, -0.5] {
         ingestor.offer(garbage, WireSample { minute: 0, value });
@@ -404,7 +404,7 @@ fn a_vm_offering_only_garbage_has_no_lane_and_is_not_counted() {
         "only the VM with a valid, in-week sample counts"
     );
     let session = ingestor.finish();
-    assert_eq!(session.vms().collect::<Vec<_>>(), vec![valid]);
+    assert!(session.has(valid));
     for vm in [garbage, out_of_week] {
         assert!(!session.has(vm) && session.load(vm).is_none() && !session.had_drops(vm));
     }

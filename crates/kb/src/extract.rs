@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn level_counts_change_nothing_but_make_p95_exact() {
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         for seed in [31, 32] {
             let g = generate(&GeneratorConfig::small(seed));
             let mut with_telemetry = 0;
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn knowledge_is_independent_of_the_order_series_arrive_in() {
         let g = generate(&GeneratorConfig::small(33));
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let mut multi_vm = 0;
         for sub in g.trace.subscriptions() {
             let forwards = extract_subscription_knowledge(&g.trace, sub.id, &classifier, 3, None);
@@ -439,7 +439,7 @@ mod tests {
     #[test]
     fn extracts_knowledge_for_every_active_subscription() {
         let g = generate(&GeneratorConfig::small(21));
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let private = extract_cloud_knowledge(&g.trace, CloudKind::Private, &classifier, 4);
         let public = extract_cloud_knowledge(&g.trace, CloudKind::Public, &classifier, 4);
         assert!(!private.is_empty());
@@ -458,7 +458,7 @@ mod tests {
         // (Fig 3(a)); at the subscription level we only require that the
         // classes are populated and spot candidacy follows the cloud.
         let g = generate(&GeneratorConfig::small(22));
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let public = extract_cloud_knowledge(&g.trace, CloudKind::Public, &classifier, 2);
         let short = public
             .iter()
@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn region_agnostic_flag_set_for_private_multi_region() {
         let g = generate(&GeneratorConfig::small(23));
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let private = extract_cloud_knowledge(&g.trace, CloudKind::Private, &classifier, 2);
         let agnostic = private
             .iter()
@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn empty_subscription_yields_none() {
         let g = generate(&GeneratorConfig::small(24));
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         assert!(extract_subscription_knowledge(
             &g.trace,
             SubscriptionId::new(9999),

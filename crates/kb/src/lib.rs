@@ -12,17 +12,14 @@
 //!
 //! ## Example
 //! ```no_run
-//! use cloudscope_kb::{extract_cloud_knowledge, KbQuery, KnowledgeBase};
+//! use cloudscope_kb::{run_extraction_pipeline, KbQuery, KnowledgeBase};
 //! use cloudscope_analysis::PatternClassifier;
-//! use cloudscope_model::prelude::CloudKind;
 //! use cloudscope_tracegen::{generate, GeneratorConfig};
 //!
 //! let generated = generate(&GeneratorConfig::default());
 //! let kb = KnowledgeBase::new();
-//! let classifier = PatternClassifier::default();
-//! for cloud in CloudKind::BOTH {
-//!     kb.feed(extract_cloud_knowledge(&generated.trace, cloud, &classifier, 8));
-//! }
+//! // Extract every subscription, both clouds, on 4 workers.
+//! run_extraction_pipeline(&generated.trace, &kb, &PatternClassifier, 8, 4);
 //! // Index-backed candidate count: no scan, no clones.
 //! println!("{} spot candidates", KbQuery::spot_candidates().count(&kb));
 //! // Refine with residual predicates; clone only what `collect` returns.

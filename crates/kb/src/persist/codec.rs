@@ -201,7 +201,7 @@ mod tests {
         let k = entry(7);
         let mut e = Enc::default();
         encode_entry(&k, &mut e);
-        assert_eq!(e.len(), ENTRY_BYTES);
+        assert_eq!(e.as_slice().len(), ENTRY_BYTES);
         let back = decode_entry(&mut Dec::new(e.as_slice())).unwrap();
         assert_eq!(back, k);
         assert_eq!(back.mean_util.to_bits(), k.mean_util.to_bits());

@@ -69,7 +69,7 @@ impl CrashPoint {
         CrashPoint::AfterWalRotate,
     ];
 
-    /// The points reached by write operations (`upsert`/`feed`/`remove`).
+    /// The points reached by write operations (`upsert`/`feed`).
     pub const WRITE_PATH: [CrashPoint; 3] = [
         CrashPoint::BeforeWalAppend,
         CrashPoint::MidWalRecord,

@@ -1,7 +1,7 @@
 //! [`DurableKb`]: the knowledge base behind a write-ahead log and
 //! per-shard snapshots, with crash recovery.
 //!
-//! Every write (`upsert`/`feed`/`remove`) appends one framed record to
+//! Every write (`upsert`/`feed`) appends one framed record to
 //! `wal.log` *before* mutating the in-memory store, under one mutex that
 //! spans both steps — so the log order is exactly the apply order and a
 //! snapshot cut taken under the same mutex is consistent. Reads go
@@ -31,12 +31,11 @@
 
 use super::crash::{CrashPlan, CrashPoint, CrashSwitch};
 use super::snapshot::{self, Manifest};
-use super::wal::{self, WalRecord};
+use super::wal;
 use super::{codec, PersistError};
 use crate::knowledge::WorkloadKnowledge;
 use crate::store::{FeedOutcome, KbStore, KnowledgeBase, StoreError};
 use cloudscope_model::durable::{sync_dir, write_atomic, Enc};
-use cloudscope_model::ids::SubscriptionId;
 use cloudscope_par::Parallelism;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -53,7 +52,7 @@ pub struct RecoveryStats {
     pub snapshot_entries: usize,
     /// WAL records replayed after the snapshot cut.
     pub replayed_records: usize,
-    /// Entries those records carried (upserts + removes).
+    /// Entries those records carried (the upserts).
     pub replayed_entries: usize,
     /// `true` if a torn final WAL record was dropped (the residue of a
     /// crash mid-append; everything before it was kept).
@@ -282,16 +281,9 @@ impl DurableKb {
         let replayed = wal::replay(&buf, wal_offset, wal::WAL_FILE)?;
         recovery.torn_tail = replayed.torn_tail;
         recovery.replayed_records = replayed.records.len();
-        for record in &replayed.records {
-            recovery.replayed_entries += record.entry_count();
-            match record {
-                WalRecord::Feed(batch) => {
-                    let _ = kb.feed_batch(batch);
-                }
-                WalRecord::Remove(id) => {
-                    let _ = kb.remove(*id);
-                }
-            }
+        for batch in &replayed.records {
+            recovery.replayed_entries += batch.len();
+            let _ = kb.feed_batch(batch);
         }
 
         // 4. Truncate any torn tail and keep appending after the valid
@@ -330,8 +322,8 @@ impl DurableKb {
     /// The in-memory store, for queries ([`KbQuery`](crate::KbQuery)
     /// terminals take `&KnowledgeBase`). Writes through this reference
     /// bypass the WAL and will not survive a restart — route writes
-    /// through [`DurableKb::upsert`]/[`DurableKb::feed`]/
-    /// [`DurableKb::remove`] (or the [`KbStore`] impl) instead.
+    /// through [`DurableKb::upsert`]/[`DurableKb::feed`] (or the
+    /// [`KbStore`] impl) instead.
     #[must_use]
     pub fn kb(&self) -> &KnowledgeBase {
         &self.kb
@@ -341,12 +333,6 @@ impl DurableKb {
     #[must_use]
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
-    }
-
-    /// The directory this KB persists into.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Arms a crash: the durability layer will simulate a process kill
@@ -461,19 +447,6 @@ impl DurableKb {
         let mut wal = self.lock_wal();
         self.append(&mut wal, &wal::encode_feed(batch))?;
         Ok(self.kb.feed_batch(batch))
-    }
-
-    /// Durably removes one subscription.
-    ///
-    /// # Errors
-    /// See [`DurableKb::upsert`].
-    pub fn remove(
-        &self,
-        subscription: SubscriptionId,
-    ) -> Result<Option<WorkloadKnowledge>, PersistError> {
-        let mut wal = self.lock_wal();
-        self.append(&mut wal, &wal::encode_remove(subscription))?;
-        Ok(self.kb.remove(subscription))
     }
 
     /// Takes a snapshot with [`Parallelism::auto`] workers.

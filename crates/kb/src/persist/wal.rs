@@ -12,7 +12,7 @@
 //! into" (sequences match: replay from the offset) from "the log was
 //! rotated after the commit" (sequence equals the manifest's
 //! generation: replay from the header). Each frame's payload is one
-//! [`WalRecord`]: a feed batch (tag 1) or a removal (tag 2). A torn
+//! feed batch (tag 1), the unit of one `upsert`/`feed` call. A torn
 //! final frame — the residue of a crash mid-append — is tolerated and
 //! truncated on the next open; a checksum mismatch or implausible
 //! length anywhere is corruption and fails loudly with the offending
@@ -22,7 +22,6 @@ use super::codec::{self, FrameOutcome, ENTRY_BYTES};
 use super::PersistError;
 use crate::knowledge::WorkloadKnowledge;
 use cloudscope_model::durable::{Dec, Enc};
-use cloudscope_model::ids::SubscriptionId;
 
 /// Magic prefix of `wal.log` (also the format version marker).
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"CSKBWAL2";
@@ -42,30 +41,8 @@ pub(crate) fn encode_header(seq: u64) -> [u8; WAL_HEADER] {
     header
 }
 
-/// Record tag: a batch of upserts ([`WalRecord::Feed`]).
+/// Record tag: a batch of upserts, applied in order.
 const TAG_FEED: u8 = 1;
-/// Record tag: one removal ([`WalRecord::Remove`]).
-const TAG_REMOVE: u8 = 2;
-
-/// One logical WAL record.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum WalRecord {
-    /// A batch of upserts, applied in order (the unit of one
-    /// `upsert`/`feed` call).
-    Feed(Vec<WorkloadKnowledge>),
-    /// One subscription removal.
-    Remove(SubscriptionId),
-}
-
-impl WalRecord {
-    /// Entries this record carries (for replay accounting).
-    pub(crate) fn entry_count(&self) -> usize {
-        match self {
-            WalRecord::Feed(batch) => batch.len(),
-            WalRecord::Remove(_) => 1,
-        }
-    }
-}
 
 /// Encodes a feed batch as one record payload.
 pub(crate) fn encode_feed(batch: &[WorkloadKnowledge]) -> Vec<u8> {
@@ -78,21 +55,13 @@ pub(crate) fn encode_feed(batch: &[WorkloadKnowledge]) -> Vec<u8> {
     payload.into_vec()
 }
 
-/// Encodes a removal as one record payload.
-pub(crate) fn encode_remove(id: SubscriptionId) -> Vec<u8> {
-    let mut payload = Enc::with_capacity(5);
-    payload.put_u8(TAG_REMOVE);
-    payload.put_u32(id.index());
-    payload.into_vec()
-}
-
-/// Decodes one record payload. `record` is the frame's 1-based ordinal
-/// in `file`, for error attribution.
+/// Decodes one record payload into its feed batch. `record` is the
+/// frame's 1-based ordinal in `file`, for error attribution.
 pub(crate) fn decode_record(
     payload: &[u8],
     file: &str,
     record: u64,
-) -> Result<WalRecord, PersistError> {
+) -> Result<Vec<WorkloadKnowledge>, PersistError> {
     let corrupt = |reason: String| PersistError::Corrupt {
         file: file.to_owned(),
         record,
@@ -120,17 +89,7 @@ pub(crate) fn decode_record(
                     corrupt(format!("feed entry {} of {count}: {reason}", i + 1))
                 })?);
             }
-            Ok(WalRecord::Feed(batch))
-        }
-        TAG_REMOVE => {
-            if d.remaining() != 4 {
-                return Err(corrupt(format!(
-                    "remove record carries {} bytes, expected 4",
-                    d.remaining()
-                )));
-            }
-            let id = d.take_u32().map_err(corrupt)?;
-            Ok(WalRecord::Remove(SubscriptionId::new(id)))
+            Ok(batch)
         }
         other => Err(corrupt(format!("unknown record tag {other}"))),
     }
@@ -139,8 +98,9 @@ pub(crate) fn decode_record(
 /// Result of replaying a WAL buffer.
 #[derive(Debug)]
 pub(crate) struct WalReplay {
-    /// Decoded records from the requested offset onward, in log order.
-    pub records: Vec<WalRecord>,
+    /// Decoded feed batches from the requested offset onward, in log
+    /// order.
+    pub records: Vec<Vec<WorkloadKnowledge>>,
     /// Byte length of the valid log prefix (the append point after a
     /// torn tail is truncated away).
     pub valid_len: u64,
@@ -240,6 +200,7 @@ pub(crate) fn replay(buf: &[u8], from: u64, file: &str) -> Result<WalReplay, Per
 mod tests {
     use super::*;
     use crate::knowledge::LifetimeClass;
+    use cloudscope_model::ids::SubscriptionId;
     use cloudscope_model::prelude::{CloudKind, SimTime};
 
     fn entry(id: u32, minutes: i64) -> WorkloadKnowledge {
@@ -259,15 +220,11 @@ mod tests {
         }
     }
 
-    fn log_with(records: &[WalRecord]) -> Vec<u8> {
+    fn log_with(records: &[Vec<WorkloadKnowledge>]) -> Vec<u8> {
         let mut buf = Enc::default();
         buf.put_slice(&encode_header(7));
-        for record in records {
-            let payload = match record {
-                WalRecord::Feed(batch) => encode_feed(batch),
-                WalRecord::Remove(id) => encode_remove(*id),
-            };
-            codec::append_frame(&mut buf, &payload);
+        for batch in records {
+            codec::append_frame(&mut buf, &encode_feed(batch));
         }
         buf.into_vec()
     }
@@ -275,9 +232,9 @@ mod tests {
     #[test]
     fn roundtrip_and_offset_replay() {
         let records = vec![
-            WalRecord::Feed(vec![entry(1, 0), entry(2, 5)]),
-            WalRecord::Remove(SubscriptionId::new(1)),
-            WalRecord::Feed(vec![entry(3, 9)]),
+            vec![entry(1, 0), entry(2, 5)],
+            vec![entry(1, 3)],
+            vec![entry(3, 9)],
         ];
         let buf = log_with(&records);
         let all = replay(&buf, WAL_HEADER as u64, "wal.log").unwrap();
@@ -295,10 +252,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_and_reported() {
-        let records = vec![
-            WalRecord::Feed(vec![entry(1, 0)]),
-            WalRecord::Feed(vec![entry(2, 0)]),
-        ];
+        let records = vec![vec![entry(1, 0)], vec![entry(2, 0)]];
         let buf = log_with(&records);
         let first_len = log_with(&records[..1]).len();
         for cut in first_len + 1..buf.len() {
@@ -311,11 +265,7 @@ mod tests {
 
     #[test]
     fn corrupt_record_errors_name_the_record_number() {
-        let records = vec![
-            WalRecord::Feed(vec![entry(1, 0)]),
-            WalRecord::Remove(SubscriptionId::new(9)),
-            WalRecord::Feed(vec![entry(2, 0)]),
-        ];
+        let records = vec![vec![entry(1, 0)], vec![entry(9, 0)], vec![entry(2, 0)]];
         let mut buf = log_with(&records);
         // Flip one payload byte inside the *second* record.
         let second_start = log_with(&records[..1]).len();
@@ -328,7 +278,7 @@ mod tests {
 
     #[test]
     fn bad_magic_and_bad_offsets_are_malformed() {
-        let buf = log_with(&[WalRecord::Remove(SubscriptionId::new(1))]);
+        let buf = log_with(&[vec![entry(1, 0)]]);
         assert!(replay(b"NOTAWAL0AAAAAAAA", 16, "wal.log").is_err());
         // A file shorter than the header is malformed, not a torn tail.
         assert!(parse_seq(&buf[..WAL_HEADER - 3], "wal.log").is_err());
@@ -350,5 +300,21 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("record 5"), "{msg}");
         assert!(msg.contains("declares 7 entries"), "{msg}");
+    }
+
+    #[test]
+    fn unknown_tag_is_corrupt() {
+        // Tag 2 once carried a removal; no writer emits it any more.
+        let mut payload = vec![2];
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        let mut buf = Enc::default();
+        buf.put_slice(&encode_header(7));
+        codec::append_frame(&mut buf, &payload);
+        let err = replay(&buf.into_vec(), WAL_HEADER as u64, "wal.log").unwrap_err();
+        assert!(
+            matches!(err, PersistError::Corrupt { record: 1, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("unknown record tag 2"), "{err}");
     }
 }

@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn pipeline_matches_sequential_extraction() {
         let g = generate(&GeneratorConfig::small(61));
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
 
         let parallel_kb = KnowledgeBase::new();
         let stats = run_extraction_pipeline(&g.trace, &parallel_kb, &classifier, 2, 4);
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn repeated_runs_are_idempotent() {
         let g = generate(&GeneratorConfig::small(62));
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let kb = KnowledgeBase::new();
         let first = run_extraction_pipeline(&g.trace, &kb, &classifier, 2, 2);
         let size = kb.len();
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn transient_failures_are_retried_to_success() {
         let g = generate(&GeneratorConfig::small(64));
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let store = FlakyEveryOther {
             inner: KnowledgeBase::new(),
             calls: std::sync::atomic::AtomicUsize::new(0),
@@ -336,14 +336,8 @@ mod tests {
             max_attempts: 4,
             base_backoff: Duration::ZERO,
         };
-        let stats = run_extraction_pipeline_with(
-            &g.trace,
-            &AlwaysDown,
-            &PatternClassifier::default(),
-            2,
-            2,
-            &retry,
-        );
+        let stats =
+            run_extraction_pipeline_with(&g.trace, &AlwaysDown, &PatternClassifier, 2, 2, &retry);
         assert_eq!(stats.stored, 0);
         assert!(stats.failed > 0);
         assert_eq!(stats.failed + stats.skipped, stats.processed);
@@ -358,7 +352,7 @@ mod tests {
         // into `failed`, never panicking), and everything it reports as
         // stored must actually be recoverable from disk.
         let g = generate(&GeneratorConfig::small(66));
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         let dir = std::env::temp_dir().join(format!(
             "cloudscope-kb-pipeline-crash-{}",
             std::process::id()
@@ -400,6 +394,6 @@ mod tests {
     fn zero_workers_rejected() {
         let g = generate(&GeneratorConfig::small(63));
         let kb = KnowledgeBase::new();
-        let _ = run_extraction_pipeline(&g.trace, &kb, &PatternClassifier::default(), 2, 0);
+        let _ = run_extraction_pipeline(&g.trace, &kb, &PatternClassifier, 2, 0);
     }
 }

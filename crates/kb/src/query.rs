@@ -1,7 +1,7 @@
 //! The typed read API of the knowledge base: a [`KbQuery`] names *what*
 //! to select (an index-backed [`KbSelector`] plus optional residual
-//! predicates) and *how* to consume it (non-cloning `for_each` / `fold`
-//! / `count` terminals, or `collect` which clones exactly the matches).
+//! predicates) and *how* to consume it (non-cloning `fold` / `count`
+//! terminals, or `collect` which clones exactly the matches).
 //!
 //! # Contract
 //!
@@ -9,7 +9,7 @@
 //!   [`SubscriptionId`] order, **regardless of the store's shard count**
 //!   — seeded runs produce byte-identical results whether the store has
 //!   1 shard or 16.
-//! - `for_each`, `fold`, and `count` never clone a [`WorkloadKnowledge`];
+//! - `fold` and `count` never clone a [`WorkloadKnowledge`];
 //!   `collect` clones only the entries it returns. Non-matching entries
 //!   are never cloned by any terminal; index-backed selectors never even
 //!   *visit* them.
@@ -139,12 +139,6 @@ impl<'a> KbQuery<'a> {
         self.filters.iter().all(|f| f(k))
     }
 
-    /// Visits every matching entry in ascending subscription order,
-    /// without cloning any of them.
-    pub fn for_each(&self, kb: &KnowledgeBase, mut f: impl FnMut(&WorkloadKnowledge)) {
-        self.fold(kb, (), |(), k| f(k));
-    }
-
     /// Folds the matching entries (ascending subscription order) into an
     /// accumulator, without cloning any of them.
     pub fn fold<A>(
@@ -214,8 +208,10 @@ mod tests {
         assert_eq!(collected.len(), 2);
         assert!(collected[0].subscription < collected[1].subscription);
         assert_eq!(query.count(&kb), collected.len());
-        let mut seen = Vec::new();
-        query.for_each(&kb, |k| seen.push(k.subscription));
+        let seen = query.fold(&kb, Vec::new(), |mut seen, k| {
+            seen.push(k.subscription);
+            seen
+        });
         assert_eq!(
             seen,
             collected.iter().map(|k| k.subscription).collect::<Vec<_>>()

@@ -92,13 +92,6 @@ impl ShardState {
         true
     }
 
-    /// Removes one entry and its index postings.
-    pub(crate) fn remove(&mut self, id: SubscriptionId) -> Option<WorkloadKnowledge> {
-        let old = self.entries.remove(&id)?;
-        self.indexes.deindex(&old);
-        Some(old)
-    }
-
     /// Looks up one entry.
     pub(crate) fn get(&self, id: SubscriptionId) -> Option<&WorkloadKnowledge> {
         self.entries.get(&id)

@@ -1,5 +1,5 @@
 //! Property tests for the sharded store: under arbitrary operation
-//! sequences (upserts, removals, stale upserts) every secondary index
+//! sequences (upserts, refreshes, stale upserts) every secondary index
 //! must agree exactly with a brute-force rescan of the shard maps, and
 //! query results must be identical for any shard count.
 
@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 enum Op {
     Upsert(WorkloadKnowledge),
-    Remove(SubscriptionId),
 }
 
 const PATTERNS: [Option<UtilizationPattern>; 5] = [
@@ -36,11 +35,8 @@ const LIFETIMES: [LifetimeClass; 3] = [
 /// ids collide often (forcing refresh/stale paths), timestamps are drawn
 /// from a small range (so stale upserts are common, not corner cases).
 fn decode(op: (u32, u32, u32, i64)) -> Op {
-    let (kind, id, shape, minutes) = op;
+    let (_, id, shape, minutes) = op;
     let subscription = SubscriptionId::new(id % 24);
-    if kind % 4 == 0 {
-        return Op::Remove(subscription);
-    }
     Op::Upsert(WorkloadKnowledge {
         subscription,
         cloud: if shape % 2 == 0 {
@@ -90,10 +86,6 @@ fn replay(
                 if model_stored {
                     model.insert(k.subscription, k.clone());
                 }
-            }
-            Op::Remove(id) => {
-                let removed = kb.remove(*id);
-                assert_eq!(removed.is_some(), model.remove(id).is_some());
             }
         }
     }

@@ -6,7 +6,6 @@
 mod common;
 
 use cloudscope_kb::{CrashPlan, CrashPoint, DurableKb, KnowledgeBase, PersistError};
-use cloudscope_model::ids::SubscriptionId;
 use common::{assert_kb_equal, entry, entry_at, TempDir};
 use proptest::prelude::*;
 
@@ -25,9 +24,10 @@ fn apply_op(db: &DurableKb, shadow: &KnowledgeBase, i: u32) -> Result<(), Persis
             shadow.feed(batch);
         }
         _ => {
-            let victim = SubscriptionId::new(i.saturating_sub(3));
-            db.remove(victim)?;
-            shadow.remove(victim);
+            // A later refresh of an earlier subscription.
+            let refresh = entry_at(i.saturating_sub(3), 20);
+            db.upsert(refresh.clone())?;
+            shadow.upsert(refresh);
         }
     }
     Ok(())
@@ -107,7 +107,7 @@ fn apply_op_shadow_only(shadow: &KnowledgeBase, i: u32) {
             shadow.feed((0..3).map(|j| entry(100 + i * 3 + j)));
         }
         _ => {
-            shadow.remove(SubscriptionId::new(i.saturating_sub(3)));
+            shadow.upsert(entry_at(i.saturating_sub(3), 20));
         }
     }
 }
@@ -184,10 +184,6 @@ fn dead_handle_refuses_everything() {
     let len_before = db.kb().len();
     assert!(matches!(db.upsert(entry(50)), Err(PersistError::Crashed)));
     assert!(matches!(db.feed(&[entry(51)]), Err(PersistError::Crashed)));
-    assert!(matches!(
-        db.remove(SubscriptionId::new(1)),
-        Err(PersistError::Crashed)
-    ));
     assert!(matches!(db.snapshot(), Err(PersistError::Crashed)));
     assert_eq!(db.kb().len(), len_before, "dead handle mutated memory");
 
@@ -337,14 +333,13 @@ fn concurrent_snapshots_never_lose_a_generation() {
     assert_kb_equal(recovered.kb(), &shadow, "after concurrent snapshots");
 }
 
-/// Proptest: random interleavings of upserts, feeds, removes, snapshots
+/// Proptest: random interleavings of upserts, feeds, snapshots
 /// and one crash at a random point/occurrence — recovery always equals
 /// the committed shadow.
 #[derive(Debug, Clone)]
 enum Op {
     Upsert(u32, i64),
     Feed(Vec<u32>),
-    Remove(u32),
     Snapshot,
 }
 
@@ -359,7 +354,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         proptest::collection::vec(0u32..40, 1..6)
             .prop_map(Op::Feed)
             .boxed(),
-        (0u32..40).prop_map(Op::Remove).boxed(),
         Just(Op::Snapshot).boxed(),
     ]
 }
@@ -392,7 +386,6 @@ proptest! {
                         ids.iter().map(|id| entry_at(*id, minute)).collect();
                     db.feed(&batch).map(|_| ())
                 }
-                Op::Remove(id) => db.remove(SubscriptionId::new(*id)).map(|_| ()),
                 Op::Snapshot => db.snapshot().map(|_| ()),
             };
             let survived = committed.is_ok()
@@ -403,7 +396,6 @@ proptest! {
                     Op::Feed(ids) => {
                         shadow.feed(ids.iter().map(|id| entry_at(*id, minute)));
                     }
-                    Op::Remove(id) => { shadow.remove(SubscriptionId::new(*id)); }
                     Op::Snapshot => {}
                 }
             }

@@ -188,18 +188,6 @@ impl Enc {
         self.put_slice(s.as_bytes());
     }
 
-    /// Bytes encoded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` before the first byte.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The encoded bytes.
     #[must_use]
     pub fn into_vec(self) -> Vec<u8> {

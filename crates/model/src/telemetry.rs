@@ -141,15 +141,6 @@ impl UtilSeries {
             .count()
     }
 
-    /// Fraction of samples present, in `[0, 1]` (0 for an empty series).
-    #[must_use]
-    pub fn coverage(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.present_count() as f64 / self.samples.len() as f64
-    }
-
     /// Iterates over utilization percentages; missing samples yield NaN,
     /// the gap convention the downstream analysis stack understands.
     pub fn iter(&self) -> impl Iterator<Item = f32> + '_ {
@@ -185,19 +176,6 @@ impl UtilSeries {
             return 0.0;
         }
         (sum / count as f64) as f32
-    }
-
-    /// Cheaply clones a sub-range `[from, to)` of samples as a new series
-    /// sharing the underlying buffer.
-    ///
-    /// # Panics
-    /// Panics if `from > to` or `to > len`.
-    #[must_use]
-    pub fn slice(&self, from: usize, to: usize) -> UtilSeries {
-        UtilSeries {
-            start: self.time_at(from),
-            samples: self.samples.slice(from..to),
-        }
     }
 
     /// The raw quantized samples — the exact storage representation
@@ -331,7 +309,6 @@ impl LevelCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
     use proptest::prelude::*;
 
     /// The quantization as first written, through libm `roundf`.
@@ -416,15 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn slicing_shares_alignment() {
-        let s = UtilSeries::from_percentages(SimTime::ZERO, [1.0, 2.0, 3.0, 4.0]);
-        let sub = s.slice(1, 3);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.start(), SimTime::ZERO + SimDuration::SAMPLE);
-        assert_eq!(sub.get(0), Some(2.0));
-    }
-
-    #[test]
     fn mean_of_empty_is_zero() {
         let s = UtilSeries::from_percentages(SimTime::ZERO, std::iter::empty());
         assert!(s.is_empty());
@@ -438,7 +406,6 @@ mod tests {
         assert_eq!(s.get(0), Some(10.0));
         assert_eq!(s.get(1), None);
         assert_eq!(s.present_count(), 2);
-        assert!((s.coverage() - 2.0 / 3.0).abs() < 1e-12);
         let vals: Vec<f32> = s.iter().collect();
         assert!(vals[1].is_nan());
         assert!(s.to_f64_vec()[1].is_nan());
@@ -513,9 +480,6 @@ mod tests {
     fn fully_missing_series_has_zero_coverage_mean() {
         let s = UtilSeries::from_percentages(SimTime::ZERO, [f32::NAN, f32::INFINITY]);
         assert_eq!(s.present_count(), 0);
-        assert_eq!(s.coverage(), 0.0);
         assert_eq!(s.mean(), 0.0);
-        let empty = UtilSeries::from_percentages(SimTime::ZERO, std::iter::empty());
-        assert_eq!(empty.coverage(), 0.0);
     }
 }

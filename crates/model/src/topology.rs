@@ -125,26 +125,10 @@ impl Topology {
         &self.clusters
     }
 
-    /// All nodes in id order.
-    #[must_use]
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
     /// All datacenters in id order.
     #[must_use]
     pub fn datacenters(&self) -> &[Datacenter] {
         &self.datacenters
-    }
-
-    /// Looks up a region.
-    ///
-    /// # Errors
-    /// Returns [`ModelError::UnknownEntity`] if the id was not built here.
-    pub fn region(&self, id: RegionId) -> Result<&Region, ModelError> {
-        self.regions
-            .get(id.as_usize())
-            .ok_or(ModelError::UnknownEntity("region", id.index() as u64))
     }
 
     /// Looks up a cluster.
@@ -300,8 +284,8 @@ mod tests {
         let t = small_topology();
         assert_eq!(t.regions().len(), 2);
         assert_eq!(t.clusters().len(), 3);
-        assert_eq!(t.nodes().len(), 8 + 8 + 2);
-        for (i, n) in t.nodes().iter().enumerate() {
+        assert_eq!(t.nodes.len(), 8 + 8 + 2);
+        for (i, n) in t.nodes.iter().enumerate() {
             assert_eq!(n.id.as_usize(), i);
         }
     }
@@ -336,7 +320,6 @@ mod tests {
     #[test]
     fn unknown_lookups_error() {
         let t = small_topology();
-        assert!(t.region(RegionId::new(99)).is_err());
         assert!(t.cluster(ClusterId::new(99)).is_err());
         assert!(t.node(NodeId::new(999)).is_err());
     }

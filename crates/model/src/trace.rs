@@ -391,11 +391,6 @@ impl Trace {
         self.by_service.get(&id).map_or(&[], Vec::as_slice)
     }
 
-    /// All service ids present in the trace.
-    pub fn services(&self) -> impl Iterator<Item = ServiceId> + '_ {
-        self.by_service.keys().copied()
-    }
-
     /// All node ids that hosted at least one VM.
     pub fn occupied_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.by_node.keys().copied()
@@ -906,8 +901,8 @@ mod tests {
             let bulk = bulk.build();
             assert_eq!(bulk.vms(), serial.vms());
             assert_eq!(
-                bulk.services().collect::<Vec<_>>(),
-                serial.services().collect::<Vec<_>>(),
+                bulk.by_service.keys().collect::<Vec<_>>(),
+                serial.by_service.keys().collect::<Vec<_>>(),
                 "service iteration order must match at {workers} workers"
             );
             assert_eq!(

@@ -100,22 +100,10 @@ pub fn gauge(name: &str) -> Gauge {
     current().gauge(name)
 }
 
-/// The histogram `name` on the current registry.
-#[must_use]
-pub fn histogram(name: &str) -> Histogram {
-    current().histogram(name)
-}
-
 /// Starts a root [`Span`] named `path` on the current registry.
 #[must_use]
 pub fn span(path: &str) -> Span {
     Span::root(current(), path)
-}
-
-/// Snapshots the current registry.
-#[must_use]
-pub fn snapshot() -> Snapshot {
-    current().snapshot()
 }
 
 #[cfg(test)]

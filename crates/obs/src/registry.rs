@@ -68,21 +68,6 @@ impl Gauge {
         self.0.store(value.to_bits(), Ordering::Relaxed);
     }
 
-    /// Adds `delta` atomically (compare-and-swap loop).
-    pub fn add(&self, delta: f64) {
-        let mut current = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
     /// Raises the gauge to `value` if it is below it (atomic max).
     pub fn set_max(&self, value: f64) {
         let mut current = self.0.load(Ordering::Relaxed);
@@ -144,18 +129,6 @@ impl Histogram {
         self.0.sum.fetch_add(value, Ordering::Relaxed);
         self.0.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Release);
-    }
-
-    /// Observations recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values (wrapping on overflow).
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -265,21 +238,6 @@ impl Registry {
         }
     }
 
-    /// Number of registered metrics.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// `true` if nothing is registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// A point-in-time copy of every metric, deterministically ordered
     /// by name.
     #[must_use]
@@ -313,15 +271,14 @@ mod tests {
         a.inc();
         b.add(4);
         assert_eq!(a.get(), 5);
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.snapshot().metrics.len(), 1);
     }
 
     #[test]
     fn gauges_set_add_and_max() {
         let reg = Registry::new();
         let g = reg.gauge("g");
-        g.set(1.5);
-        g.add(2.0);
+        g.set(3.5);
         assert!((g.get() - 3.5).abs() < 1e-12);
         g.set_max(2.0);
         assert!(
@@ -362,12 +319,11 @@ mod tests {
         for v in [0, 1, 2, 3, 1000] {
             h.observe(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1006);
         let snap = reg.snapshot();
         match snap.metrics.get("h") {
             Some(MetricValue::Histogram(hs)) => {
                 assert_eq!(hs.count, 5);
+                assert_eq!(hs.sum, 1006);
                 assert_eq!(hs.buckets.iter().map(|(_, n)| n).sum::<u64>(), 5);
                 assert_eq!(hs.buckets[0], (0, 1));
             }

@@ -40,13 +40,6 @@ impl Span {
         }
     }
 
-    /// The dotted path this span records under (without the
-    /// `.duration_ns` suffix).
-    #[must_use]
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
     /// Ends the span now instead of at end of scope.
     pub fn finish(self) {
         drop(self);
@@ -73,7 +66,7 @@ mod tests {
             let root = Span::root(Arc::clone(&reg), "analysis.report");
             {
                 let child = root.child("fig1");
-                assert_eq!(child.path(), "analysis.report.fig1");
+                assert_eq!(child.path, "analysis.report.fig1");
             }
             root.child("fig2").finish();
         }

@@ -231,7 +231,7 @@ fn period_detection_ablation(out: &mut String, checks: &mut ShapeChecks) -> fmt:
         "## Ablation: period detection method (daily signal, rising noise)"
     )?;
     writeln!(out, "noise_amp,acf_only_hits,two_stage_hits,trials")?;
-    let detector = PeriodDetector::default();
+    let detector = PeriodDetector;
     let trials = 30;
     let mut two_stage_total = 0;
     let mut acf_only_total = 0;

@@ -192,7 +192,7 @@ fn fig4(run: &Run<'_>, out: &mut String, _: &mut ShapeChecks) -> fmt::Result {
 /// shares.
 fn fig5(run: &Run<'_>, out: &mut String, _: &mut ShapeChecks) -> fmt::Result {
     let trace = &run.generated.trace;
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     for pattern in UtilizationPattern::ALL {
         let sample = trace.vms().iter().find_map(|vm| {
             let util = trace.util(vm.id).filter(|u| u.len() > 1500)?;

@@ -336,16 +336,6 @@ impl ShapeChecks {
         self.results.iter().all(|(h, _)| *h)
     }
 
-    /// The rendered lines of checks that failed (empty if all hold).
-    #[must_use]
-    pub fn failures(&self) -> Vec<&str> {
-        self.results
-            .iter()
-            .filter(|(h, _)| !h)
-            .map(|(_, line)| line.as_str())
-            .collect()
-    }
-
     /// Every rendered check line with its verdict, in insertion order.
     pub fn lines(&self) -> impl Iterator<Item = (bool, &str)> {
         self.results.iter().map(|(h, line)| (*h, line.as_str()))

@@ -157,12 +157,6 @@ impl<E> Simulation<E> {
         self.now
     }
 
-    /// Number of pending events.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Runs until the queue drains or the next event is at/after `until`
     /// (events strictly before `until` are processed). Returns the number
     /// of events handled.
@@ -245,7 +239,7 @@ mod tests {
         });
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(sim.now(), SimTime::from_hours(5));
-        assert_eq!(sim.pending(), 0);
+        assert_eq!(sim.queue.len(), 0);
     }
 
     #[test]
@@ -255,7 +249,7 @@ mod tests {
         sim.schedule(SimTime::from_hours(5), ());
         let handled = sim.run(SimTime::from_hours(5), |_, _, ()| {});
         assert_eq!(handled, 1, "event at the horizon is not processed");
-        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.queue.len(), 1);
     }
 
     #[test]

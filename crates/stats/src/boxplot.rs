@@ -85,12 +85,6 @@ impl BoxPlot {
             count: sample.len(),
         })
     }
-
-    /// Interquartile range `q3 − q1`.
-    #[must_use]
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +97,7 @@ mod tests {
         assert_eq!(b.median, 5.0);
         assert_eq!(b.q1, 3.0);
         assert_eq!(b.q3, 7.0);
-        assert_eq!(b.iqr(), 4.0);
+        assert_eq!(b.q3 - b.q1, 4.0);
         assert_eq!(b.lower_whisker, 1.0);
         assert_eq!(b.upper_whisker, 9.0);
         assert!(b.outliers.is_empty());

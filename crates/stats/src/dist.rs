@@ -10,12 +10,6 @@
 use crate::error::StatsError;
 use rand::Rng;
 
-/// A distribution that can draw `f64` samples from an RNG.
-pub trait Sample {
-    /// Draws one sample.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64;
-}
-
 /// Standard normal via the Box–Muller transform (one value per draw).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StdNormal;
@@ -81,8 +75,9 @@ impl StdNormal {
     }
 }
 
-impl Sample for StdNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+impl StdNormal {
+    /// Draws one sample.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let (u1, u2) = Self::uniforms(rng);
         Self::from_uniforms(u1, u2)
     }
@@ -195,8 +190,9 @@ impl LogNormal {
     }
 }
 
-impl Sample for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+impl LogNormal {
+    /// Draws one sample.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * StdNormal.sample(rng)).exp()
     }
 }
@@ -220,8 +216,9 @@ impl Exponential {
     }
 }
 
-impl Sample for Exponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+impl Exponential {
+    /// Draws one sample.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = 1.0 - rng.random::<f64>();
         -u.ln() / self.rate
     }
@@ -268,12 +265,6 @@ impl Poisson {
     }
 }
 
-impl Sample for Poisson {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample_count(rng) as f64
-    }
-}
-
 /// Zipf distribution over ranks `1..=n` with exponent `s`: popularity of
 /// services/subscriptions follows a power law.
 #[derive(Debug, Clone, PartialEq)]
@@ -307,12 +298,6 @@ impl Zipf {
     pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random();
         self.cdf.partition_point(|&c| c < u) + 1
-    }
-}
-
-impl Sample for Zipf {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample_rank(rng) as f64
     }
 }
 
@@ -395,14 +380,14 @@ mod tests {
         StdRng::seed_from_u64(0xC10D)
     }
 
-    fn moments<D: Sample>(d: &D, n: usize) -> Summary {
+    fn moments(mut draw: impl FnMut(&mut StdRng) -> f64, n: usize) -> Summary {
         let mut r = rng();
-        (0..n).map(|_| d.sample(&mut r)).collect()
+        (0..n).map(|_| draw(&mut r)).collect()
     }
 
     #[test]
     fn std_normal_moments() {
-        let s = moments(&StdNormal, 200_000);
+        let s = moments(|r| StdNormal.sample(r), 200_000);
         assert!(s.mean().abs() < 0.02, "mean {}", s.mean());
         assert!((s.population_std_dev() - 1.0).abs() < 0.02);
     }
@@ -459,9 +444,10 @@ mod tests {
     #[test]
     fn exponential_mean_is_inverse_rate() {
         let d = Exponential::new(0.25).unwrap();
-        let s = moments(&d, 100_000);
+        let s = moments(|r| d.sample(r), 100_000);
         assert!((s.mean() - 4.0).abs() < 0.1);
-        assert!(s.min() >= 0.0);
+        let mut r = rng();
+        assert!((0..10_000).all(|_| d.sample(&mut r) >= 0.0));
         assert!(Exponential::new(0.0).is_err());
     }
 
@@ -469,7 +455,7 @@ mod tests {
     fn poisson_small_and_large_regimes() {
         for mean in [0.5, 4.0, 100.0] {
             let d = Poisson::new(mean).unwrap();
-            let s = moments(&d, 60_000);
+            let s = moments(|r| d.sample_count(r) as f64, 60_000);
             assert!(
                 (s.mean() - mean).abs() < mean.max(1.0) * 0.05,
                 "mean {mean}: {}",

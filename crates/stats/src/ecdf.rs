@@ -88,18 +88,6 @@ impl Ecdf {
     pub fn median(&self) -> f64 {
         self.quantile(0.5)
     }
-
-    /// Minimum observation.
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Maximum observation.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty")
-    }
 }
 
 #[cfg(test)]
@@ -125,8 +113,8 @@ mod tests {
         assert_eq!(cdf.quantile(0.26), 20.0);
         assert_eq!(cdf.median(), 20.0);
         assert_eq!(cdf.quantile(1.0), 40.0);
-        assert_eq!(cdf.min(), 10.0);
-        assert_eq!(cdf.max(), 40.0);
+        assert_eq!(cdf.quantile(0.0), 10.0);
+        assert_eq!(cdf.quantile(1.0), 40.0);
     }
 
     #[test]
@@ -148,8 +136,8 @@ mod tests {
     #[test]
     fn unsorted_input_is_sorted() {
         let cdf = Ecdf::new(vec![3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(cdf.min(), 1.0);
-        assert_eq!(cdf.max(), 3.0);
+        assert_eq!(cdf.quantile(0.0), 1.0);
+        assert_eq!(cdf.quantile(1.0), 3.0);
         assert_eq!(cdf.eval(2.0), 2.0 / 3.0);
     }
 }

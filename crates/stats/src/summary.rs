@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Single-pass, numerically stable accumulator for count, mean, variance,
+/// Single-pass, numerically stable accumulator for count, mean and
 /// min, and max.
 ///
 /// # Examples
@@ -18,8 +18,6 @@ pub struct Summary {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Summary {
@@ -30,8 +28,6 @@ impl Summary {
             count: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -45,8 +41,6 @@ impl Summary {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of finite observations.
@@ -62,26 +56,6 @@ impl Summary {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Minimum observation; NaN when empty.
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum observation; NaN when empty.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
         }
     }
 
@@ -161,8 +135,6 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert!(s.min().is_nan());
-        assert!(s.max().is_nan());
         assert_eq!(s.population_variance(), 0.0);
         assert!(s.coefficient_of_variation().is_none());
     }
@@ -176,8 +148,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert_eq!(s.mean(), 5.0);
         assert!((s.population_variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
         assert!((s.coefficient_of_variation().unwrap() - 0.4).abs() < 1e-12);
     }
 

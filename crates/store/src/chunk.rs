@@ -233,7 +233,7 @@ pub(crate) fn assemble_chunk_file(
     for block in columns.iter().flat_map(|c| c.blocks.iter()) {
         e.put_slice(block);
     }
-    let body_len = e.len();
+    let body_len = e.as_slice().len();
     let mut crc = Crc32::new();
     crc.update(e.as_slice());
     e.put_u32(crc.value());

@@ -147,7 +147,10 @@ impl TelemetryColumns {
     /// Bytes buffered so far — the writer's seal threshold watches
     /// this, since sample payloads dominate.
     pub(crate) fn buffered_bytes(&self) -> usize {
-        self.samples.len() + self.ids.len() + self.starts.len() + self.lens.len()
+        self.samples.as_slice().len()
+            + self.ids.as_slice().len()
+            + self.starts.as_slice().len()
+            + self.lens.as_slice().len()
     }
 
     pub(crate) fn into_columns(self) -> Vec<RawColumn> {

@@ -1,7 +1,7 @@
-//! Trace reading: metadata records through region/day predicate
-//! pushdown, the ids of one chunk, and full-trace reconstruction in
-//! either telemetry mode — both a collect of, or a handle on, one
-//! [`StoreTelemetry`] lane scan.
+//! Trace reading: metadata records (a chunk-kind scan that never
+//! touches telemetry chunks), the ids of one chunk, and full-trace
+//! reconstruction in either telemetry mode — both a collect of, or a
+//! handle on, one [`StoreTelemetry`] lane scan.
 
 use crate::blobs::{
     decode_presence, decode_subscriptions, decode_topology, BLOB_SUBSCRIPTIONS,
@@ -29,13 +29,6 @@ use std::sync::Arc;
 pub struct ScanFilter {
     /// Restrict to one chunk kind.
     pub kind: Option<ChunkKind>,
-    /// Restrict to one region.
-    pub region: Option<u32>,
-    /// Restrict to days up to and including this one — the snapshot
-    /// pushdown: a VM alive at time `t` was necessarily created on a
-    /// (clamped) day `<= day_of(t)`, so chunks keyed by later creation
-    /// days can be skipped without reading them.
-    pub max_day: Option<u8>,
 }
 
 impl ScanFilter {
@@ -52,24 +45,8 @@ impl ScanFilter {
         self
     }
 
-    /// Restricts the filter to `region`.
-    #[must_use]
-    pub fn region(mut self, region: u32) -> Self {
-        self.region = Some(region);
-        self
-    }
-
-    /// Restricts the filter to days `<= day`.
-    #[must_use]
-    pub fn max_day(mut self, day: u8) -> Self {
-        self.max_day = Some(day);
-        self
-    }
-
     fn matches(&self, entry: &ChunkEntry) -> bool {
         self.kind.is_none_or(|k| entry.meta.kind == k)
-            && self.region.is_none_or(|r| entry.meta.region == r)
-            && self.max_day.is_none_or(|d| entry.meta.day <= d)
     }
 }
 
@@ -143,21 +120,13 @@ impl TraceReader {
     }
 
     /// The validated manifest.
-    #[must_use]
-    pub fn manifest(&self) -> &Manifest {
+    pub(crate) fn manifest(&self) -> &Manifest {
         &self.manifest
     }
 
     /// The directory this reader serves.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Total VM records in the store.
-    #[must_use]
-    pub fn vm_count(&self) -> u64 {
-        self.manifest.vm_count
     }
 
     /// Manifest entries matching `filter`, in commit order.
@@ -205,13 +174,10 @@ impl TraceReader {
     /// (the kind is forced to [`ChunkKind::VmMeta`]), decoded in
     /// parallel and returned in id order.
     ///
-    /// This is the predicate-pushdown entry point for metadata-only
-    /// analyses: a region or creation-day restriction skips
-    /// non-matching chunks entirely — they are never read, CRC-checked,
-    /// or decompressed — so a sliced scan costs proportionally fewer
-    /// `store.read.chunks` than a full sweep. Unlike
-    /// [`TraceReader::read_trace`], the result is *not* required to be
-    /// dense: it holds exactly the records of the matching chunks.
+    /// This is the entry point for metadata-only analyses: telemetry
+    /// chunks are never read, CRC-checked, or decompressed. Unlike
+    /// [`TraceReader::read_trace`], the result is *not* checked to be
+    /// dense: it holds exactly the records of the metadata chunks.
     ///
     /// # Errors
     /// Any [`StoreError`] from chunk I/O or validation.
@@ -266,15 +232,13 @@ impl TraceReader {
                 records.len()
             )));
         }
-        let source = StoreTelemetry::new(&self.dir, &self.manifest, *par)?;
+        let source = StoreTelemetry::new(self, &records, *par)?;
 
         let inconsistent = |e: ModelError| StoreError::Inconsistent(e.to_string());
         let mut builder = Trace::builder(topology);
         for sub in subscriptions {
             builder.add_subscription(sub).map_err(inconsistent)?;
         }
-        // Records are sorted by dense id, so position = id.
-        source.attach_vm_regions(records.iter().map(|r| r.region.index()).collect());
         match mode {
             TelemetryMode::Resident => {
                 let ids: Vec<VmId> = (0..self.manifest.vm_count).map(VmId::new).collect();

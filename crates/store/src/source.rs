@@ -56,18 +56,19 @@
 use crate::chunk::ChunkKind;
 use crate::columns::{col, decode_ids, decode_telemetry};
 use crate::error::StoreError;
-use crate::manifest::{ChunkEntry, Manifest};
+use crate::manifest::ChunkEntry;
 use crate::reader::{read_chunk, TraceReader};
 use bytes::Bytes;
 use cloudscope_model::ids::VmId;
 use cloudscope_model::telemetry::UtilSeries;
 use cloudscope_model::time::{SimTime, SAMPLE_INTERVAL_MINUTES};
 use cloudscope_model::trace::TelemetrySource;
+use cloudscope_model::vm::VmRecord;
 use cloudscope_obs::{Counter, Histogram, Registry};
 use cloudscope_par::Parallelism;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -145,13 +146,9 @@ pub struct StoreTelemetry {
     lanes: Vec<Vec<usize>>,
     /// Lanes per region.
     by_region: HashMap<u32, Vec<usize>>,
-    /// Every lane: what a lookup probes without a region map.
-    all_lanes: Vec<usize>,
-    /// Dense VM-id → region map, when the opener holds the metadata
-    /// (`read_trace` always does). A VM's telemetry lives only in its
-    /// own region's lanes, so with it a lookup probes ~`days` lanes, not
-    /// all — and never forces an ids-only read of another region's chunk.
-    vm_regions: OnceLock<Vec<u32>>,
+    /// Dense VM-id → region map: a lookup probes only its VM's region's
+    /// lanes.
+    vm_regions: Vec<u32>,
     par: Parallelism,
     /// The opener's registry, which decoder threads record under.
     registry: Arc<Registry>,
@@ -162,39 +159,32 @@ pub struct StoreTelemetry {
 }
 
 impl StoreTelemetry {
-    /// Opens the store at `dir` as a telemetry source, decoding with
-    /// the default [`Parallelism`].
+    /// The telemetry source over `reader`'s store. `records` are the
+    /// store's VM records in id order ([`TraceReader::read_vm_records`]
+    /// over every chunk): a VM's telemetry lives only in its own
+    /// region's lanes, so a lookup probes ~`days` lanes, not all, and
+    /// never forces an ids-only read of another region's chunk. `par`
+    /// bounds the decoder threads of a scan and fans out sub-block
+    /// decompression when a chunk decodes on the calling thread; every
+    /// worker count returns byte-identical series.
     ///
     /// # Errors
-    /// Any [`StoreError`] from [`TraceReader::open`], or
-    /// [`StoreError::Inconsistent`] if a lane's chunks do not cover
-    /// ascending id ranges or a chunk holds ids past the VM count.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_with(dir, Parallelism::default())
-    }
-
-    /// [`StoreTelemetry::open`] with an explicit `par`, which bounds the
-    /// decoder threads of a scan and fans out sub-block decompression
-    /// when a chunk decodes on the calling thread. Every worker count
-    /// returns byte-identical series.
-    ///
-    /// # Errors
-    /// Same as [`StoreTelemetry::open`].
-    pub fn open_with(dir: impl AsRef<Path>, par: Parallelism) -> Result<Self, StoreError> {
-        let reader = TraceReader::open(dir.as_ref())?;
-        Self::new(reader.dir(), reader.manifest(), par)
-    }
-
-    /// The source over the store in `dir` whose validated manifest is
-    /// `manifest`.
-    ///
-    /// # Errors
-    /// Same as [`StoreTelemetry::open`], past opening.
-    pub(crate) fn new(
-        dir: &Path,
-        manifest: &Manifest,
+    /// [`StoreError::Inconsistent`] if `records` do not count the
+    /// store's VMs, a lane's chunks do not cover ascending id ranges, or
+    /// a chunk holds ids past the VM count.
+    pub fn new(
+        reader: &TraceReader,
+        records: &[VmRecord],
         par: Parallelism,
     ) -> Result<Self, StoreError> {
+        let manifest = reader.manifest();
+        if records.len() as u64 != manifest.vm_count {
+            return Err(StoreError::Inconsistent(format!(
+                "{} VM records for a store of {} VMs",
+                records.len(),
+                manifest.vm_count
+            )));
+        }
         let entries: Vec<ChunkEntry> = manifest
             .chunks
             .iter()
@@ -241,13 +231,12 @@ impl StoreTelemetry {
 
         let registry = cloudscope_obs::current();
         Ok(Self {
-            dir: dir.to_path_buf(),
+            dir: reader.dir().to_path_buf(),
             ids: entries.iter().map(|_| OnceLock::new()).collect(),
             entries,
-            all_lanes: (0..lanes.len()).collect(),
             lanes,
             by_region,
-            vm_regions: OnceLock::new(),
+            vm_regions: records.iter().map(|r| r.region.index()).collect(),
             par,
             metrics: Metrics::resolve(&registry),
             registry,
@@ -291,23 +280,15 @@ impl StoreTelemetry {
         Ok(loaded)
     }
 
-    /// Restricts lookups for each VM to its own region's lanes. The
-    /// map must be dense (index = VM id). First attach wins; ids beyond
-    /// the map fall back to the all-lanes probe.
-    pub(crate) fn attach_vm_regions(&self, regions: Vec<u32>) {
-        let _ = self.vm_regions.set(regions);
-    }
-
-    /// After a scan of every VM id under the region map: fails on a run
-    /// that scan could not reach, one stored in a lane of a region
-    /// other than its VM's. A probe of a chunk's first id — a VM of the
+    /// After a scan of every VM id: fails on a run that scan could not
+    /// reach, one stored in a lane of a region other than its VM's. A probe of a chunk's first id — a VM of the
     /// chunk's region, unless the chunk is stray — fills its id index,
     /// so a chunk still unindexed is stray too.
     ///
     /// # Errors
     /// [`StoreError::Inconsistent`] naming the chunk and the VM.
     pub(crate) fn check_no_stray_runs(&self) -> Result<(), StoreError> {
-        let regions = self.vm_regions.get().map_or(&[][..], Vec::as_slice);
+        let regions = &self.vm_regions;
         for (entry, ids) in self.entries.iter().zip(&self.ids) {
             let region = entry.meta.region;
             let stray = match ids.get() {
@@ -408,19 +389,19 @@ impl StoreTelemetry {
     }
 
     /// Refills `hits` with `(lane, chunk, row)` for every chunk that
-    /// holds a run of `id`: the VM's lanes (its region's, when the
-    /// region map is attached), each narrowed to the one chunk whose id
-    /// range covers `id`, then checked against the id index. No chunk
-    /// body is decoded here.
+    /// holds a run of `id`: its region's lanes, each narrowed to the one
+    /// chunk whose id range covers `id`, then checked against the id
+    /// index. No chunk body is decoded here.
     fn probe(&self, id: VmId, hits: &mut Vec<(usize, usize, usize)>) -> Result<(), StoreError> {
         hits.clear();
         let raw = id.index();
-        let lanes = self
+        let Some(lanes) = self
             .vm_regions
-            .get()
-            .and_then(|regions| regions.get(usize::try_from(raw).ok()?))
+            .get(id.as_usize())
             .and_then(|region| self.by_region.get(region))
-            .unwrap_or(&self.all_lanes);
+        else {
+            return Ok(());
+        };
         for &lane in lanes {
             let chunks = &self.lanes[lane];
             let at = chunks.partition_point(|&c| self.entries[c].meta.max_vm < raw);

@@ -10,6 +10,8 @@ use cloudscope_model::time::SimTime;
 use cloudscope_model::topology::{NodeSku, Topology};
 use cloudscope_model::trace::Trace;
 use cloudscope_model::vm::{Priority, ServiceModel, VmRecord, VmSize};
+use cloudscope_par::Parallelism;
+use cloudscope_store::{ScanFilter, StoreTelemetry, TraceReader};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -210,4 +212,12 @@ pub fn dir_snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
         .collect();
     files.sort_by(|x, y| x.0.cmp(&y.0));
     files
+}
+
+/// The telemetry source over the store in `dir`, built the one way
+/// there is: a reader plus the store's own VM records.
+pub fn open_telemetry(dir: &Path, par: Parallelism) -> StoreTelemetry {
+    let reader = TraceReader::open(dir).unwrap();
+    let records = reader.read_vm_records(ScanFilter::all(), &par).unwrap();
+    StoreTelemetry::new(&reader, &records, par).unwrap()
 }

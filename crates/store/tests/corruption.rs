@@ -295,8 +295,7 @@ fn prefetched_corruption_fails_on_the_consuming_thread() {
 
     let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
     let (issued, failures) = cloudscope_obs::scoped(&registry, || {
-        let telemetry =
-            StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(2)).unwrap();
+        let telemetry = common::open_telemetry(dir.path(), Parallelism::with_workers(2));
 
         // Id-ordered sweep of point loads, like `write_trace` or an
         // export over an out-of-core trace.
@@ -369,7 +368,7 @@ fn scan_surfaces_a_bit_flip_in_the_second_chunk_of_a_lane() {
         // Warm: a clean scan fills the id index and leaves every lane
         // on its last chunk, so after the flip nothing but a full decode
         // of the victim — issued ahead of the consumer — can notice.
-        let warm = StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(2)).unwrap();
+        let warm = common::open_telemetry(dir.path(), Parallelism::with_workers(2));
         let (delivered, verdict) = checked_scan(&warm, &trace, &ids);
         verdict.expect("clean store scans");
         assert_eq!(delivered, with_telemetry);
@@ -390,7 +389,7 @@ fn scan_surfaces_a_bit_flip_in_the_second_chunk_of_a_lane() {
 
         // Cold: a fresh reader meets the flip while resolving which
         // chunks the ids live in, before it delivers anything.
-        let cold = StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(2)).unwrap();
+        let cold = common::open_telemetry(dir.path(), Parallelism::with_workers(2));
         let (delivered, verdict) = checked_scan(&cold, &trace, &ids);
         let err = verdict.expect_err("the damaged chunk scanned cleanly");
         assert!(names_victim(&err), "expected Corrupt {victim}, got {err:?}");

@@ -90,8 +90,7 @@ fn a_scan_below_the_cursors_is_whole_and_decodes_no_chunk_twice() {
 
     let registry = Arc::new(Registry::new());
     cloudscope_obs::scoped(&registry, || {
-        let telemetry =
-            StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(3)).unwrap();
+        let telemetry = common::open_telemetry(dir.path(), Parallelism::with_workers(3));
         let mut before = 0;
         for (label, wanted) in [("high", &ids[80..]), ("low", &ids[30..]), ("all", &ids[..])] {
             let (delivered, verdict) = checked_scan(&telemetry, &trace, wanted);
@@ -122,7 +121,7 @@ fn concurrent_scans_on_one_source_each_get_their_series() {
     let dir = TempDir::new("pipeline-concurrent");
     let trace = write_many_chunk_store(dir.path());
     let ids = all_ids(&trace);
-    let telemetry = StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(2)).unwrap();
+    let telemetry = common::open_telemetry(dir.path(), Parallelism::with_workers(2));
     let evens: Vec<VmId> = ids.iter().copied().step_by(2).collect();
     let odds: Vec<VmId> = ids.iter().copied().skip(1).step_by(2).collect();
     for (left, right) in [(&evens[..], &odds[..]), (&ids[..90], &ids[40..])] {
@@ -164,8 +163,7 @@ fn damage_late_in_the_plan_stops_the_scan_exactly_there() {
 
     let registry = Arc::new(Registry::new());
     cloudscope_obs::scoped(&registry, || {
-        let telemetry =
-            StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(4)).unwrap();
+        let telemetry = common::open_telemetry(dir.path(), Parallelism::with_workers(4));
         // Warm the id index, so that after the flip only a full decode
         // of the victim — started ahead of the consumer — can notice.
         checked_scan(&telemetry, &trace, &ids).1.expect("clean");
@@ -208,8 +206,7 @@ fn a_panicking_visitor_propagates_and_the_source_stays_usable() {
     let ids = all_ids(&trace);
     let registry = Arc::new(Registry::new());
     cloudscope_obs::scoped(&registry, || {
-        let telemetry =
-            StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(2)).unwrap();
+        let telemetry = common::open_telemetry(dir.path(), Parallelism::with_workers(2));
         let mut seen = 0;
         let mut visit = |_: VmId, _: UtilSeries| {
             seen += 1;
@@ -266,8 +263,7 @@ fn one_worker_or_one_chunk_never_starts_a_decoder() {
     let scan_with = |workers: usize, wanted: &[VmId]| {
         let registry = Arc::new(Registry::new());
         cloudscope_obs::scoped(&registry, || {
-            let telemetry =
-                StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(workers)).unwrap();
+            let telemetry = common::open_telemetry(dir.path(), Parallelism::with_workers(workers));
             let (delivered, verdict) = checked_scan(&telemetry, &trace, wanted);
             verdict.expect("clean store scans");
             assert_eq!(delivered, with_telemetry(&trace, wanted));

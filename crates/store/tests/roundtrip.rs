@@ -9,8 +9,8 @@ use cloudscope_model::ids::VmId;
 use cloudscope_model::trace::TelemetrySource;
 use cloudscope_par::Parallelism;
 use cloudscope_store::{
-    store_exists, write_trace, ChunkKind, ScanFilter, StoreError, StoreTelemetry, TelemetryMode,
-    TraceReader, WriteOptions,
+    store_exists, write_trace, ChunkKind, ScanFilter, StoreError, TelemetryMode, TraceReader,
+    WriteOptions,
 };
 use common::{assert_traces_equal, dir_snapshot, trace_from_seeds, TempDir};
 use proptest::prelude::*;
@@ -44,9 +44,8 @@ proptest! {
         prop_assert!(store_exists(dir.path()));
 
         let reader = TraceReader::open(dir.path()).unwrap();
-        prop_assert_eq!(reader.vm_count(), seeds.len() as u64);
-
         let resident = reader.read_trace(TelemetryMode::Resident, &par).unwrap();
+        prop_assert_eq!(resident.vms().len(), seeds.len());
         assert_traces_equal(&trace, &resident);
         prop_assert!(!resident.telemetry_is_lazy());
 
@@ -123,7 +122,7 @@ proptest! {
 
         let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
         let scanned = cloudscope_obs::scoped(&registry, || {
-            let telemetry = StoreTelemetry::open_with(dir.path(), par).unwrap();
+            let telemetry = common::open_telemetry(dir.path(), par);
             let mut scanned = Vec::new();
             telemetry.scan(&ids, &mut |id, series| scanned.push((id, series)));
             scanned
@@ -134,7 +133,7 @@ proptest! {
             .collect();
         prop_assert_eq!(&scanned, &expected);
 
-        let loader = StoreTelemetry::open_with(dir.path(), par).unwrap();
+        let loader = common::open_telemetry(dir.path(), par);
         for (id, series) in scanned {
             prop_assert_eq!(loader.try_load(id).unwrap(), Some(series));
         }
@@ -152,10 +151,10 @@ proptest! {
         prop_assert_eq!(counter("store.read.series_loaded"), expected.len() as u64);
     }
 
-    /// Region pushdown returns exactly the rows a full read holds in
-    /// that region, and reads only that region's chunks.
+    /// Kind pushdown: a metadata sweep returns exactly the trace's
+    /// records and reads only the metadata chunks, whatever the layout.
     #[test]
-    fn region_pushdown_agrees_with_a_full_read(
+    fn metadata_pushdown_agrees_with_a_full_read(
         seeds in proptest::collection::vec(any::<u64>(), 1..60),
         chunk_rows in 1u32..16,
     ) {
@@ -166,22 +165,16 @@ proptest! {
         let reader = TraceReader::open(dir.path()).unwrap();
 
         let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
-        let region1 = cloudscope_obs::scoped(&registry, || {
-            reader.read_vm_records(ScanFilter::all().region(1), &par).unwrap()
+        let records = cloudscope_obs::scoped(&registry, || {
+            reader.read_vm_records(ScanFilter::all(), &par).unwrap()
         });
-        let expected: Vec<_> = trace
-            .vms()
-            .iter()
-            .filter(|vm| vm.region.index() == 1)
-            .cloned()
-            .collect();
-        prop_assert_eq!(region1, expected);
-        let region1_chunks = reader
-            .chunks(ScanFilter::all().kind(ChunkKind::VmMeta).region(1))
+        prop_assert_eq!(&records[..], trace.vms());
+        let meta_chunks = reader
+            .chunks(ScanFilter::all().kind(ChunkKind::VmMeta))
             .count() as u64;
         prop_assert_eq!(
             registry.snapshot().counter("store.read.chunks").unwrap_or(0),
-            region1_chunks
+            meta_chunks
         );
     }
 }
@@ -203,34 +196,16 @@ fn fixed_trace_roundtrip_smoke() {
 
     // The manifest names every chunk and the blobs carry the model.
     assert!(reader
-        .manifest()
-        .chunks
-        .iter()
-        .any(|c| c.meta.kind == ChunkKind::VmMeta));
+        .chunks(ScanFilter::all().kind(ChunkKind::VmMeta))
+        .next()
+        .is_some());
     assert!(reader
-        .manifest()
-        .chunks
-        .iter()
-        .any(|c| c.meta.kind == ChunkKind::Telemetry));
+        .chunks(ScanFilter::all().kind(ChunkKind::Telemetry))
+        .next()
+        .is_some());
     assert!(reader.read_blob("topology").is_ok());
     assert!(reader.read_blob("subscriptions").is_ok());
     assert!(reader.read_blob("nope").is_err());
-}
-
-/// Region pushdown prunes chunks without reading them: a filter on a
-/// region that holds no rows matches no chunk and reads no records.
-#[test]
-fn empty_filters_read_nothing() {
-    let trace = trace_from_seeds(&[1, 2, 3]);
-    let dir = TempDir::new("empty-filter");
-    let par = Parallelism::with_workers(1);
-    write_trace(&trace, dir.path(), WriteOptions::default(), &par).unwrap();
-    let reader = TraceReader::open(dir.path()).unwrap();
-    assert_eq!(reader.chunks(ScanFilter::all().region(99)).count(), 0);
-    let records = reader
-        .read_vm_records(ScanFilter::all().region(99), &par)
-        .unwrap();
-    assert!(records.is_empty());
 }
 
 /// A region string longer than a stored string's 16-bit length is

@@ -7,7 +7,6 @@ mod common;
 
 use cloudscope_model::ids::VmId;
 use cloudscope_par::Parallelism;
-use cloudscope_store::StoreTelemetry;
 use common::{write_many_chunk_store, TempDir};
 use std::time::{Duration, Instant};
 
@@ -44,8 +43,7 @@ fn a_scan_leaves_no_thread_behind() {
 
     let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
     cloudscope_obs::scoped(&registry, || {
-        let telemetry =
-            StoreTelemetry::open_with(dir.path(), Parallelism::with_workers(4)).unwrap();
+        let telemetry = common::open_telemetry(dir.path(), Parallelism::with_workers(4));
         let before = threads_now();
         let mut delivered = 0;
         telemetry

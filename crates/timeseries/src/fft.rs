@@ -2,10 +2,9 @@
 //! Implemented from scratch: the period detector only needs spectra of
 //! zero-padded real signals.
 //!
-//! Two transform paths exist. [`fft_in_place`]/[`ifft_in_place`] are the
-//! self-contained reference: they recompute twiddles incrementally on
-//! every call. [`FftPlan`] precomputes the bit-reversal permutation and
-//! twiddle table once per size, and [`with_plan`] caches plans (plus one
+//! [`FftPlan`] precomputes the bit-reversal permutation and twiddle
+//! table once per size (the test-only reference transform recomputes
+//! twiddles incrementally on every call), and [`with_plan`] caches plans (plus one
 //! scratch buffer) per thread, so sweeps that transform thousands of
 //! same-length series — the period detector over a whole trace — do no
 //! redundant trig and near-zero per-series allocation. Thread-local
@@ -90,66 +89,6 @@ impl std::ops::Mul for Complex {
     }
 }
 
-/// In-place iterative radix-2 Cooley–Tukey FFT.
-///
-/// # Errors
-/// Returns [`SeriesError::NotPowerOfTwo`] unless `buf.len()` is a power of
-/// two (and nonzero).
-pub fn fft_in_place(buf: &mut [Complex]) -> Result<(), SeriesError> {
-    let n = buf.len();
-    if n == 0 || !n.is_power_of_two() {
-        return Err(SeriesError::NotPowerOfTwo(n));
-    }
-    // Bit-reversal permutation. `bits == 0` means n == 1: nothing to
-    // permute, and the `64 - bits` shift below would overflow.
-    let bits = n.trailing_zeros();
-    if bits > 0 {
-        for i in 0..n {
-            let j = ((i as u64).reverse_bits() >> (64 - bits)) as usize;
-            if i < j {
-                buf.swap(i, j);
-            }
-        }
-    }
-    // Butterfly passes.
-    let mut len = 2;
-    while len <= n {
-        let angle = -std::f64::consts::TAU / len as f64;
-        let w_len = Complex::new(angle.cos(), angle.sin());
-        for chunk in buf.chunks_mut(len) {
-            let mut w = Complex::new(1.0, 0.0);
-            let half = len / 2;
-            for k in 0..half {
-                let u = chunk[k];
-                let t = chunk[k + half] * w;
-                chunk[k] = Complex::new(u.re + t.re, u.im + t.im);
-                chunk[k + half] = Complex::new(u.re - t.re, u.im - t.im);
-                w = w * w_len;
-            }
-        }
-        len <<= 1;
-    }
-    Ok(())
-}
-
-/// Inverse FFT via conjugation, for round-trip testing and convolution.
-///
-/// # Errors
-/// Returns [`SeriesError::NotPowerOfTwo`] unless the length is a power of
-/// two.
-pub fn ifft_in_place(buf: &mut [Complex]) -> Result<(), SeriesError> {
-    for c in buf.iter_mut() {
-        c.im = -c.im;
-    }
-    fft_in_place(buf)?;
-    let n = buf.len() as f64;
-    for c in buf.iter_mut() {
-        c.re /= n;
-        c.im = -c.im / n;
-    }
-    Ok(())
-}
-
 /// Smallest power of two ≥ `n`.
 #[must_use]
 pub fn next_power_of_two(n: usize) -> usize {
@@ -199,18 +138,6 @@ impl FftPlan {
             bit_rev,
             twiddles,
         })
-    }
-
-    /// The transform length this plan serves.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` only for the degenerate length-1 plan.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n <= 1
     }
 
     /// Forward DFT, in place.
@@ -375,7 +302,7 @@ pub fn with_plan<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{periodogram, periodogram_masked};
+    use crate::reference::{fft_in_place, ifft_in_place, periodogram, periodogram_masked};
     use cloudscope_obs::testing::snapshot_diff;
     use cloudscope_obs::{Registry, Snapshot};
     use proptest::prelude::*;
@@ -485,7 +412,7 @@ mod tests {
     fn planned_fft_matches_reference() {
         for n in [1usize, 2, 4, 64, 256] {
             let plan = FftPlan::new(n).unwrap();
-            assert_eq!(plan.len(), n);
+            assert_eq!(plan.n, n);
             let original: Vec<Complex> = (0..n)
                 .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
                 .collect();

@@ -17,7 +17,7 @@
 //!     .map(|i| 30.0 + 20.0 * (std::f64::consts::TAU * i as f64 / 288.0).sin())
 //!     .collect();
 //! let series = Series::new(0, 5, values);
-//! assert!(PeriodDetector::default().has_period_near(&series, 1440.0, 150.0));
+//! assert!(PeriodDetector.has_period_near(&series, 1440.0, 150.0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,6 +35,6 @@ pub mod series;
 
 pub use error::SeriesError;
 pub use gaps::{coverage, fill_linear_capped, finite_mean, finite_std, FillReport};
-pub use period::{DetectedPeriod, PeriodDetector, PeriodDetectorConfig};
+pub use period::{DetectedPeriod, PeriodDetector};
 pub use profile::{daily_profile, PercentileBands};
 pub use series::Series;

@@ -34,33 +34,18 @@ pub struct DetectedPeriod {
     pub power_fraction: f64,
 }
 
-/// Tuning knobs for the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PeriodDetectorConfig {
-    /// How many of the strongest periodogram bins become candidates.
-    pub max_candidates: usize,
-    /// A candidate bin must carry at least this fraction of total
-    /// (non-DC) spectral power.
-    pub min_power_fraction: f64,
-    /// Minimum ACF value for a hill to validate a candidate.
-    pub min_acf: f64,
-    /// Search radius (in samples) around the candidate lag when looking
-    /// for the ACF hill, as a fraction of the candidate lag.
-    pub refine_radius_fraction: f64,
-}
+/// How many of the strongest periodogram bins become candidates.
+pub const MAX_CANDIDATES: usize = 8;
+/// A candidate bin must carry at least this fraction of total (non-DC)
+/// spectral power.
+pub const MIN_POWER_FRACTION: f64 = 0.04;
+/// Minimum ACF value for a hill to validate a candidate.
+pub const MIN_ACF: f64 = 0.3;
+/// Search radius (in samples) around the candidate lag when looking for
+/// the ACF hill, as a fraction of the candidate lag.
+pub const REFINE_RADIUS_FRACTION: f64 = 0.2;
 
-impl Default for PeriodDetectorConfig {
-    fn default() -> Self {
-        Self {
-            max_candidates: 8,
-            min_power_fraction: 0.04,
-            min_acf: 0.3,
-            refine_radius_fraction: 0.2,
-        }
-    }
-}
-
-/// Periodicity detector. Construct once, reuse across series.
+/// Periodicity detector, tuned by the constants above.
 ///
 /// # Examples
 /// ```
@@ -71,22 +56,14 @@ impl Default for PeriodDetectorConfig {
 ///     .map(|i| (std::f64::consts::TAU * (i as f64) / 288.0).sin())
 ///     .collect();
 /// let series = Series::new(0, 5, values);
-/// let detector = PeriodDetector::default();
+/// let detector = PeriodDetector;
 /// let periods = detector.detect(series.values(), series.step_minutes()).unwrap();
 /// assert!(periods.iter().any(|p| (p.minutes - 1440.0).abs() < 150.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PeriodDetector {
-    config: PeriodDetectorConfig,
-}
+pub struct PeriodDetector;
 
 impl PeriodDetector {
-    /// Creates a detector with custom configuration.
-    #[must_use]
-    pub const fn new(config: PeriodDetectorConfig) -> Self {
-        Self { config }
-    }
-
     /// Detects periods in `values`, sampled every `step_minutes`,
     /// strongest (by ACF) first.
     ///
@@ -121,10 +98,10 @@ impl PeriodDetector {
             // Stage 1: candidate bins, strongest first, above the power floor.
             let mut bins: Vec<(usize, f64)> = (1..padded_n / 2)
                 .map(|k| (k, power(k) / total_power))
-                .filter(|&(_, frac)| frac >= self.config.min_power_fraction)
+                .filter(|&(_, frac)| frac >= MIN_POWER_FRACTION)
                 .collect();
             bins.sort_by(|a, b| b.1.total_cmp(&a.1));
-            bins.truncate(self.config.max_candidates);
+            bins.truncate(MAX_CANDIDATES);
             Ok((bins, spectrum.acf(max_lag)))
         })??;
 
@@ -136,11 +113,8 @@ impl PeriodDetector {
             if lag_estimate < 2 || lag_estimate > max_lag {
                 continue;
             }
-            let radius =
-                ((lag_estimate as f64 * self.config.refine_radius_fraction) as usize).max(1);
-            let Some((lag, strength)) =
-                refine_on_acf(&acf, lag_estimate, radius, self.config.min_acf)
-            else {
+            let radius = ((lag_estimate as f64 * REFINE_RADIUS_FRACTION) as usize).max(1);
+            let Some((lag, strength)) = refine_on_acf(&acf, lag_estimate, radius, MIN_ACF) else {
                 continue;
             };
             // Deduplicate: skip lags within 10% of an accepted period.
@@ -191,7 +165,7 @@ mod tests {
     use std::sync::Arc;
 
     fn detect(series: &Series) -> Result<Vec<DetectedPeriod>, SeriesError> {
-        PeriodDetector::default().detect(series.values(), series.step_minutes())
+        PeriodDetector.detect(series.values(), series.step_minutes())
     }
 
     /// Deterministic pseudo-noise in [-1, 1] via a splitmix64-style hash.
@@ -217,7 +191,7 @@ mod tests {
     fn detects_daily_period_in_five_minute_data() {
         // 288 five-minute samples per day.
         let series = weekly_series(288, 10.0, 1.0);
-        let detector = PeriodDetector::default();
+        let detector = PeriodDetector;
         let periods = detect(&series).unwrap();
         assert!(!periods.is_empty());
         assert!(
@@ -231,7 +205,7 @@ mod tests {
     #[test]
     fn detects_hourly_period() {
         let series = weekly_series(12, 10.0, 1.0);
-        let detector = PeriodDetector::default();
+        let detector = PeriodDetector;
         assert!(detector.has_period_near(&series, 60.0, 10.0));
         assert!(!detector.has_period_near(&series, 1440.0, 150.0));
     }
@@ -253,7 +227,7 @@ mod tests {
     fn constant_series_errors() {
         let series = Series::new(0, 5, vec![3.0; 64]);
         assert!(matches!(detect(&series), Err(SeriesError::ZeroVariance)));
-        assert!(!PeriodDetector::default().has_period_near(&series, 60.0, 5.0));
+        assert!(!PeriodDetector.has_period_near(&series, 60.0, 5.0));
     }
 
     #[test]
@@ -272,7 +246,7 @@ mod tests {
             })
             .collect();
         let series = Series::new(0, 5, values);
-        let detector = PeriodDetector::default();
+        let detector = PeriodDetector;
         assert!(
             detector.has_period_near(&series, 1440.0, 150.0),
             "daily missing"
@@ -294,7 +268,7 @@ mod tests {
         for v in &mut values[500..572] {
             *v = f64::NAN;
         }
-        let detector = PeriodDetector::default();
+        let detector = PeriodDetector;
         assert!(detector.has_period_near(&series, 1440.0, 150.0));
         assert!(!detector.has_period_near(&series, 60.0, 10.0));
     }
@@ -372,9 +346,9 @@ mod tests {
     /// 1e-9; and the ACF itself within 1e-9 of the reference estimator,
     /// exactly 0 at every lag without a jointly-present pair.
     fn assert_matches_reference(values: &[f64]) {
-        let detector = PeriodDetector::default();
+        let detector = PeriodDetector;
         let fast = detector.detect(values, 5);
-        let slow = reference::detect(&detector.config, values, 5);
+        let slow = reference::detect(values, 5);
         match (&fast, &slow) {
             (Ok(fast), Ok(slow)) => {
                 let lags = |p: &[DetectedPeriod]| p.iter().map(|p| p.lag).collect::<Vec<_>>();
@@ -432,10 +406,10 @@ mod tests {
 
     #[test]
     fn errors_fire_on_the_same_inputs_as_the_reference() {
-        let detector = PeriodDetector::default();
+        let detector = PeriodDetector;
         let both = |values: &[f64]| {
             let fast = detector.detect(values, 5).err();
-            assert_eq!(fast, reference::detect(&detector.config, values, 5).err());
+            assert_eq!(fast, reference::detect(values, 5).err());
             fast
         };
         for n in 0..16 {

@@ -13,8 +13,70 @@
 
 use super::acf::{autocorrelation_naive, refine_on_acf};
 use super::error::SeriesError;
-use super::fft::{fft_in_place, ifft_in_place, next_power_of_two, with_plan, Complex};
-use super::period::{DetectedPeriod, PeriodDetectorConfig};
+use super::fft::{next_power_of_two, with_plan, Complex};
+use super::period::{
+    DetectedPeriod, MAX_CANDIDATES, MIN_ACF, MIN_POWER_FRACTION, REFINE_RADIUS_FRACTION,
+};
+
+/// In-place iterative radix-2 Cooley–Tukey FFT.
+///
+/// # Errors
+/// Returns [`SeriesError::NotPowerOfTwo`] unless `buf.len()` is a power of
+/// two (and nonzero).
+pub(crate) fn fft_in_place(buf: &mut [Complex]) -> Result<(), SeriesError> {
+    let n = buf.len();
+    if n == 0 || !n.is_power_of_two() {
+        return Err(SeriesError::NotPowerOfTwo(n));
+    }
+    // Bit-reversal permutation. `bits == 0` means n == 1: nothing to
+    // permute, and the `64 - bits` shift below would overflow.
+    let bits = n.trailing_zeros();
+    if bits > 0 {
+        for i in 0..n {
+            let j = ((i as u64).reverse_bits() >> (64 - bits)) as usize;
+            if i < j {
+                buf.swap(i, j);
+            }
+        }
+    }
+    // Butterfly passes.
+    let mut len = 2;
+    while len <= n {
+        let angle = -std::f64::consts::TAU / len as f64;
+        let w_len = Complex::new(angle.cos(), angle.sin());
+        for chunk in buf.chunks_mut(len) {
+            let mut w = Complex::new(1.0, 0.0);
+            let half = len / 2;
+            for k in 0..half {
+                let u = chunk[k];
+                let t = chunk[k + half] * w;
+                chunk[k] = Complex::new(u.re + t.re, u.im + t.im);
+                chunk[k + half] = Complex::new(u.re - t.re, u.im - t.im);
+                w = w * w_len;
+            }
+        }
+        len <<= 1;
+    }
+    Ok(())
+}
+
+/// Inverse FFT via conjugation, for round-trip testing and convolution.
+///
+/// # Errors
+/// Returns [`SeriesError::NotPowerOfTwo`] unless the length is a power of
+/// two.
+pub(crate) fn ifft_in_place(buf: &mut [Complex]) -> Result<(), SeriesError> {
+    for c in buf.iter_mut() {
+        c.im = -c.im;
+    }
+    fft_in_place(buf)?;
+    let n = buf.len() as f64;
+    for c in buf.iter_mut() {
+        c.re /= n;
+        c.im = -c.im / n;
+    }
+    Ok(())
+}
 
 /// Periodogram of a real signal: the signal is mean-centred, zero-padded
 /// to the next power of two, transformed, and the one-sided power spectrum
@@ -177,7 +239,6 @@ pub(crate) fn autocorrelation_masked(
 /// - [`SeriesError::TooShort`] if fewer than 16 samples are present.
 /// - [`SeriesError::ZeroVariance`] if the present samples are constant.
 pub(crate) fn detect(
-    config: &PeriodDetectorConfig,
     values: &[f64],
     step_minutes: i64,
 ) -> Result<Vec<DetectedPeriod>, SeriesError> {
@@ -200,10 +261,10 @@ pub(crate) fn detect(
         .enumerate()
         .skip(1)
         .map(|(k, &p)| (k, p / total_power))
-        .filter(|&(_, frac)| frac >= config.min_power_fraction)
+        .filter(|&(_, frac)| frac >= MIN_POWER_FRACTION)
         .collect();
     bins.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite power"));
-    bins.truncate(config.max_candidates);
+    bins.truncate(MAX_CANDIDATES);
 
     let max_lag = values.len() / 2;
     let acf = if has_gaps {
@@ -221,9 +282,8 @@ pub(crate) fn detect(
         if lag_estimate < 2 || lag_estimate > max_lag {
             continue;
         }
-        let radius = ((lag_estimate as f64 * config.refine_radius_fraction) as usize).max(1);
-        let Some((lag, strength)) = refine_on_acf(&acf, lag_estimate, radius, config.min_acf)
-        else {
+        let radius = ((lag_estimate as f64 * REFINE_RADIUS_FRACTION) as usize).max(1);
+        let Some((lag, strength)) = refine_on_acf(&acf, lag_estimate, radius, MIN_ACF) else {
             continue;
         };
         if found

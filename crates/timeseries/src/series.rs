@@ -63,12 +63,6 @@ impl Series {
         &mut self.values
     }
 
-    /// Consumes the series, returning its values.
-    #[must_use]
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
-
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -85,16 +79,6 @@ impl Series {
     #[must_use]
     pub fn time_of(&self, index: usize) -> i64 {
         self.start_minute + index as i64 * self.step_minutes
-    }
-
-    /// Mean of the values (0 if empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
     }
 
     /// Aggregates consecutive samples into buckets of `factor` samples
@@ -135,30 +119,6 @@ impl Series {
             values,
         })
     }
-
-    /// Element-wise difference `self - other`.
-    ///
-    /// # Errors
-    /// Returns [`SeriesError::Misaligned`] unless both series share start,
-    /// step, and length.
-    pub fn sub(&self, other: &Series) -> Result<Series, SeriesError> {
-        if self.start_minute != other.start_minute
-            || self.step_minutes != other.step_minutes
-            || self.values.len() != other.values.len()
-        {
-            return Err(SeriesError::Misaligned);
-        }
-        Ok(Series {
-            start_minute: self.start_minute,
-            step_minutes: self.step_minutes,
-            values: self
-                .values
-                .iter()
-                .zip(&other.values)
-                .map(|(a, b)| a - b)
-                .collect(),
-        })
-    }
 }
 
 impl FromIterator<f64> for Series {
@@ -188,12 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn moments() {
-        let s = Series::new(0, 1, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.mean(), 2.5);
-    }
-
-    #[test]
     fn downsampling() {
         let s = Series::new(0, 5, vec![1.0, 3.0, 5.0, 7.0, 10.0]);
         let mean = s.downsample_mean(2).unwrap();
@@ -209,15 +163,6 @@ mod tests {
         assert_eq!(out.values()[0], 1.0);
         assert!(out.values()[1].is_nan());
         assert_eq!(out.values()[2], 15.0);
-    }
-
-    #[test]
-    fn subtraction_alignment() {
-        let a = Series::new(0, 1, vec![5.0, 7.0]);
-        let b = Series::new(0, 1, vec![1.0, 2.0]);
-        assert_eq!(a.sub(&b).unwrap().values(), &[4.0, 5.0]);
-        let misaligned = Series::new(1, 1, vec![1.0, 2.0]);
-        assert!(a.sub(&misaligned).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::config::ArrivalProfile;
 use cloudscope_model::time::{SimTime, MINUTES_PER_WEEK};
-use cloudscope_stats::dist::{Exponential, Poisson, Sample};
+use cloudscope_stats::dist::{Exponential, Poisson};
 use rand::Rng;
 
 /// The diurnal rate multiplier at a local time: a smooth curve peaking at

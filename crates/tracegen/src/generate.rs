@@ -74,7 +74,7 @@ use cloudscope_model::time::{MINUTES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
 use cloudscope_par::Parallelism;
 use cloudscope_sim::engine::Simulation;
 use cloudscope_sim::rng::RngFactory;
-use cloudscope_stats::dist::{Categorical, LogNormal, Sample};
+use cloudscope_stats::dist::{Categorical, LogNormal};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;

@@ -3,7 +3,7 @@
 
 use crate::config::LifetimeProfile;
 use cloudscope_model::time::SimDuration;
-use cloudscope_stats::dist::{Exponential, LogNormal, Sample};
+use cloudscope_stats::dist::{Exponential, LogNormal};
 use rand::Rng;
 
 /// Samples VM lifetimes from the short/medium/long mixture.

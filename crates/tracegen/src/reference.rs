@@ -146,7 +146,7 @@ mod tests {
             let registry = Arc::new(Registry::new());
             let (parallel, tasks_driven) = scoped(&registry, || {
                 let parallel = generate_with(&cfg, Parallelism::with_workers(4));
-                let snapshot = cloudscope_obs::snapshot();
+                let snapshot = cloudscope_obs::current().snapshot();
                 (parallel, snapshot.counter("tracegen.generate.tasks_driven"))
             });
             // Guards the comparison itself: a one-task drive would make

@@ -5,7 +5,7 @@ use crate::config::CloudProfile;
 use crate::utilization::{PatternKind, ServiceUtilProfile};
 use cloudscope_model::ids::RegionId;
 use cloudscope_model::subscription::{CloudKind, PartyKind};
-use cloudscope_stats::dist::{LogNormal, Sample, Zipf};
+use cloudscope_stats::dist::{LogNormal, Zipf};
 use rand::seq::SliceRandom;
 use rand::Rng;
 

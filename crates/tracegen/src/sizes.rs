@@ -63,12 +63,6 @@ impl SizeSampler {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> VmSize {
         self.catalog[self.picker.sample_index(rng)]
     }
-
-    /// The full catalog (grid order: memory ratio fastest).
-    #[must_use]
-    pub fn catalog(&self) -> &[VmSize] {
-        &self.catalog
-    }
 }
 
 #[cfg(test)]
@@ -98,9 +92,9 @@ mod tests {
             corner_mass: 0.0,
             concentration: 1.0,
         });
-        assert_eq!(sampler.catalog().len(), 28);
+        assert_eq!(sampler.catalog.len(), 28);
         assert!(sampler
-            .catalog()
+            .catalog
             .iter()
             .any(|s| s.cores() == 64 && s.memory_gb() == 512.0));
     }

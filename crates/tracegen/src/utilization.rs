@@ -440,7 +440,6 @@ mod tests {
     use super::*;
     use cloudscope_model::time::SAMPLES_PER_WEEK;
     use cloudscope_obs::{scoped, Registry};
-    use cloudscope_stats::dist::Sample;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;

@@ -8,7 +8,7 @@
 use cloudscope::mgmt::oversub::{OversubMethod, OversubPlanner, VmDemand};
 use cloudscope::prelude::*;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let generated = generate(&GeneratorConfig::small(7));
 
     // Pool the public cloud's full-week telemetry VMs.

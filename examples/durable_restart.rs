@@ -5,7 +5,7 @@
 //! the same policy queries.
 use cloudscope::prelude::*;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("cloudscope-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // straight into the durable store: every batch is WAL-committed
     // before it lands in memory.
     let generated = generate(&GeneratorConfig::small(17));
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let db = DurableKb::open(&dir)?;
     for cloud in CloudKind::BOTH {
         let knowledge = extract_cloud_knowledge(&generated.trace, cloud, &classifier, 4);

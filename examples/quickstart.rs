@@ -9,7 +9,7 @@
 use cloudscope::prelude::*;
 use cloudscope_repro::ledger::{differential, insights};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A scaled-down platform so the example runs in seconds; use
     // `GeneratorConfig::default()` for the full-scale study.
     let config = GeneratorConfig::medium(2024);

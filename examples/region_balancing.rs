@@ -10,7 +10,7 @@ use cloudscope::analysis::correlation::region_agnostic_candidates;
 use cloudscope::mgmt::rebalance::{recommend_shifts, region_capacity_stats, simulate_shift};
 use cloudscope::prelude::*;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let generated = generate(&GeneratorConfig::small(11));
     let at = SimTime::from_minutes(2 * 24 * 60 + 14 * 60);
 

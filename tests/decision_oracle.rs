@@ -18,14 +18,13 @@ mod reference;
 use cloudscope::faults::{corrupt_trace, FaultPlan};
 use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
-use cloudscope::timeseries::{PeriodDetectorConfig, Series};
+use cloudscope::timeseries::Series;
 
 /// `(vm, new class, reference class)` for every VM whose class moved.
 fn moved_verdicts(
     trace: &Trace,
 ) -> Vec<(VmId, Option<UtilizationPattern>, Option<UtilizationPattern>)> {
-    let classifier = PatternClassifier::default();
-    let config = PeriodDetectorConfig::default();
+    let classifier = PatternClassifier;
     let vms: Vec<VmId> = trace.vms().iter().map(|vm| vm.id).collect();
     Parallelism::auto()
         .par_map(&vms, |&vm| {
@@ -36,9 +35,7 @@ fn moved_verdicts(
                 util.to_f64_vec(),
             );
             let new = classifier.classify_series(&series);
-            let old = classifier.classify_series_with(&series, |values, step| {
-                reference::detect(&config, values, step)
-            });
+            let old = classifier.classify_series_with(&series, reference::detect);
             (new != old).then_some((vm, new, old))
         })
         .into_iter()

@@ -47,7 +47,7 @@ fn par_map_is_invariant_in_the_worker_count() {
     // The result must be the sequential order-preserving map no matter
     // how the items are sliced across threads.
     let g = generate(&GeneratorConfig::small(5));
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let vms: Vec<VmId> = g.trace.vms().iter().map(|vm| vm.id).collect();
     assert!(vms.len() > 500, "enough work to split: {}", vms.len());
 

@@ -36,7 +36,7 @@ fn telemetry_free_trace_degrades_typed() {
     let err = cloudscope::analysis::patterns::pattern_shares(
         &g.trace,
         CloudKind::Private,
-        &PatternClassifier::default(),
+        &PatternClassifier,
         100,
     )
     .unwrap_err();
@@ -140,7 +140,7 @@ fn kb_indexes_stay_consistent_under_corrupted_telemetry() {
     // served results identical for any shard count.
     let g = generate(&GeneratorConfig::small(45));
     let (corrupted, _report) = corrupt_trace(&g.trace, &FaultPlan::standard(45));
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
 
     let reference = KnowledgeBase::with_shards(1);
     let ref_stats = run_extraction_pipeline(&corrupted, &reference, &classifier, 2, 2);
@@ -172,7 +172,7 @@ fn partial_telemetry_windows_are_tolerated() {
     // Churn VMs have short telemetry windows; every analysis that
     // touches them must handle sub-day series without panicking.
     let g = generate(&GeneratorConfig::small(43));
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let mut short_windows = 0;
     for vm in g.trace.vms() {
         if let Some(util) = g.trace.util(vm.id) {

@@ -62,6 +62,16 @@ fn clean_checks() -> ShapeChecks {
     clean().checks(&CheckProfile::medium())
 }
 
+/// The lines of the checks that failed, one per line.
+fn failures(checks: &ShapeChecks) -> String {
+    let failed: Vec<&str> = checks
+        .lines()
+        .filter(|(holds, _)| !holds)
+        .map(|(_, line)| line)
+        .collect();
+    failed.join("\n")
+}
+
 fn corrupted_checks() -> ShapeChecks {
     faulted().checks(&CheckProfile::medium())
 }
@@ -224,7 +234,7 @@ fn robustness_gate_all_shape_checks_hold_on_the_clean_trace() {
     assert!(
         checks.all_hold(),
         "clean-trace shape checks failed:\n{}",
-        checks.failures().join("\n")
+        failures(&checks)
     );
 }
 
@@ -256,7 +266,7 @@ fn robustness_gate_all_shape_checks_hold_under_standard_corruption() {
         checks.all_hold(),
         "shape checks failed under {:.1}% sample loss:\n{}",
         loss * 100.0,
-        checks.failures().join("\n")
+        failures(&checks)
     );
 }
 
@@ -264,7 +274,7 @@ fn robustness_gate_all_shape_checks_hold_under_standard_corruption() {
 fn classifier_agrees_with_generator_ground_truth() {
     // Classify full-week VMs and compare against the generating profile.
     let g = generated();
-    let classifier = PatternClassifier::default();
+    let classifier = PatternClassifier;
     let mut agree = 0usize;
     let mut total = 0usize;
     for svc in &g.services {
@@ -396,13 +406,7 @@ fn out_of_core_pipeline_decodes_each_chunk_a_bounded_number_of_times() {
         let checks = all_figure_checks(generated, &CheckProfile::medium()).expect("pipeline runs");
         let kb = KnowledgeBase::new();
         let workers = Parallelism::auto().workers();
-        let stats = run_extraction_pipeline(
-            &generated.trace,
-            &kb,
-            &PatternClassifier::default(),
-            4,
-            workers,
-        );
+        let stats = run_extraction_pipeline(&generated.trace, &kb, &PatternClassifier, 4, workers);
         assert_eq!(stats.failed, 0);
         let recommendations = PolicyEngine::standard().run(&kb);
         format!(

@@ -15,7 +15,7 @@ fn kb() -> &'static KnowledgeBase {
     static KB: OnceLock<KnowledgeBase> = OnceLock::new();
     KB.get_or_init(|| {
         let kb = KnowledgeBase::new();
-        let classifier = PatternClassifier::default();
+        let classifier = PatternClassifier;
         for cloud in CloudKind::BOTH {
             kb.feed(extract_cloud_knowledge(
                 &generated().trace,
@@ -44,7 +44,7 @@ fn spot_candidates_are_public_and_nontrivial() {
         "the public cloud's short-lived churn yields candidates"
     );
     // Non-cloning check over the borrowed entries.
-    query.for_each(kb(), |k| assert_eq!(k.cloud, CloudKind::Public));
+    query.fold(kb(), (), |(), k| assert_eq!(k.cloud, CloudKind::Public));
 }
 
 #[test]
@@ -54,7 +54,7 @@ fn shiftable_workloads_are_private_multi_region() {
         shiftable.count(kb()) > 0,
         "geo-LB private services are shiftable"
     );
-    shiftable.for_each(kb(), |k| {
+    shiftable.fold(kb(), (), |(), k| {
         assert!(k.regions >= 2, "shiftable implies multi-region");
     });
     // Prevalence within each cloud: among subscriptions whose
@@ -127,7 +127,7 @@ fn kb_driven_shift_improves_source_region() {
 
 #[test]
 fn knowledge_values_are_physical() {
-    KbQuery::all().for_each(kb(), |k| {
+    KbQuery::all().fold(kb(), (), |(), k| {
         assert!(k.mean_util >= 0.0 && k.mean_util <= 100.0);
         assert!(k.p95_util >= 0.0 && k.p95_util <= 100.0);
         assert!(k.util_cv >= 0.0);
