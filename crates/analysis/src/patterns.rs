@@ -5,45 +5,16 @@
 
 use crate::error::AnalysisError;
 use cloudscope_model::prelude::*;
+use cloudscope_model::telemetry::{MISSING_SAMPLE_BYTE, QUANT_STEPS_PER_PERCENT};
+use cloudscope_model::time::SAMPLE_INTERVAL_MINUTES;
 use cloudscope_par::Parallelism;
-use cloudscope_timeseries::gaps::{coverage, fill_linear_capped, finite_std};
-use cloudscope_timeseries::{DetectedPeriod, PeriodDetector, Series, SeriesError};
+use cloudscope_timeseries::gaps::{fill_linear_capped, finite_std};
+use cloudscope_timeseries::series::downsample_mean_into;
+use cloudscope_timeseries::PeriodDetector;
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::cell::RefCell;
 
-/// The four utilization-pattern classes of the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum UtilizationPattern {
-    /// Daily periodicity tied to user activity.
-    Diurnal,
-    /// Low standard deviation — over-subscription candidate.
-    Stable,
-    /// Neither periodic nor flat.
-    Irregular,
-    /// Periodicity at the hour/half-hour scale (meeting joins).
-    HourlyPeak,
-}
-
-impl UtilizationPattern {
-    /// All classes, in Figure 5 order.
-    pub const ALL: [UtilizationPattern; 4] = [
-        UtilizationPattern::Diurnal,
-        UtilizationPattern::Stable,
-        UtilizationPattern::Irregular,
-        UtilizationPattern::HourlyPeak,
-    ];
-}
-
-impl fmt::Display for UtilizationPattern {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            UtilizationPattern::Diurnal => "diurnal",
-            UtilizationPattern::Stable => "stable",
-            UtilizationPattern::Irregular => "irregular",
-            UtilizationPattern::HourlyPeak => "hourly-peak",
-        })
-    }
-}
+pub use cloudscope_model::pattern::UtilizationPattern;
 
 /// Series with standard deviation below this (percentage points) are
 /// stable.
@@ -64,113 +35,47 @@ const MIN_COVERAGE: f64 = 0.6;
 /// rather than invented.
 const MAX_FILL_GAP_SAMPLES: usize = 6;
 
+thread_local! {
+    /// This thread's working buffers: a series as `f64` percentages
+    /// (gaps NaN, then filled in place; of a gap-free series only the
+    /// two-day window is needed), and its half-hourly downsample.
+    /// They grow to the longest series classified here and are reused,
+    /// so steady-state classification allocates only inside the period
+    /// detector.
+    static BUFFERS: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
 /// The pattern classifier, tuned by the constants above.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PatternClassifier;
 
 impl PatternClassifier {
-    /// Classifies a 5-minute utilization series; `None` if it is too
-    /// short (fewer than `MIN_DAYS` days of *present* samples) or too
-    /// sparse (coverage below `MIN_COVERAGE`).
-    ///
-    /// Gap-bearing series (NaN slots) are repaired first: gaps up to
-    /// `MAX_FILL_GAP_SAMPLES` are linearly interpolated, longer ones
-    /// stay masked and flow into the gap-aware period detector.
-    #[must_use]
-    pub fn classify_series(&self, series: &Series) -> Option<UtilizationPattern> {
-        self.classify_series_with(series, |values, step| PeriodDetector.detect(values, step))
-    }
-
-    /// [`PatternClassifier::classify_series`] with `detect` (values, step
-    /// in minutes) as the period detector: the decision logic, whichever
-    /// detector computes the periods it decides on.
-    #[must_use]
-    pub fn classify_series_with(
-        &self,
-        series: &Series,
-        detect: impl Fn(&[f64], i64) -> Result<Vec<DetectedPeriod>, SeriesError>,
-    ) -> Option<UtilizationPattern> {
-        let step = series.step_minutes();
-        let samples_per_day = (24 * 60 / step) as usize;
-        let has_gaps = series.values().iter().any(|v| !v.is_finite());
-        let filled_storage: Series;
-        let series = if has_gaps {
-            if coverage(series.values()) < MIN_COVERAGE {
-                cloudscope_obs::counter("analysis.classify.coverage_rejections").inc();
-                return None;
-            }
-            cloudscope_obs::counter("analysis.classify.masked_dispatch").inc();
-            let mut values = series.values().to_vec();
-            fill_linear_capped(&mut values, MAX_FILL_GAP_SAMPLES);
-            if values.iter().any(|v| !v.is_finite()) {
-                cloudscope_obs::counter("analysis.classify.fill_cap_hits").inc();
-            }
-            filled_storage = Series::new(series.start_minute(), step, values);
-            &filled_storage
-        } else {
-            cloudscope_obs::counter("analysis.classify.dense_dispatch").inc();
-            series
-        };
-        let present = if has_gaps {
-            series.values().iter().filter(|v| v.is_finite()).count()
-        } else {
-            series.len()
-        };
-        if present < MIN_DAYS * samples_per_day {
-            return None;
-        }
-        // Stable gate first: the paper extracts the stable class by
-        // restricting the standard deviation (over present samples).
-        if finite_std(series.values()).unwrap_or(0.0) < STABLE_STD_THRESHOLD {
-            return Some(UtilizationPattern::Stable);
-        }
-        let has_period_near = |values: &[f64], step: i64, targets: &[f64], tol: f64| {
-            detect(values, step).is_ok_and(|periods| {
-                periods
-                    .iter()
-                    .any(|p| targets.iter().any(|t| (p.minutes - t).abs() <= tol))
-            })
-        };
-        // Hourly-peak: a strong sub-daily period at 30/60 minutes,
-        // detected on a two-day window at native resolution. One
-        // spectrum serves both targets.
-        let two_days = (2 * samples_per_day).min(series.len());
-        if has_period_near(
-            &series.values()[..two_days],
-            step,
-            &[60.0, 30.0],
-            HOURLY_TOLERANCE_MINUTES,
-        ) {
-            return Some(UtilizationPattern::HourlyPeak);
-        }
-        // Diurnal: a 24-hour period, detected on a half-hourly
-        // downsample of the full series (cheap and leakage-resistant).
-        let coarse = series
-            .downsample_mean((30 / step).max(1) as usize)
-            .expect("positive factor");
-        if has_period_near(
-            coarse.values(),
-            coarse.step_minutes(),
-            &[24.0 * 60.0],
-            DAILY_TOLERANCE_MINUTES,
-        ) {
-            return Some(UtilizationPattern::Diurnal);
-        }
-        Some(UtilizationPattern::Irregular)
-    }
-
     /// Classifies one VM's telemetry as the monitor reported it; `None`
     /// if it is too short or too sparse. The batch, out-of-core, and
     /// streaming paths all land here, which is what makes their outputs
     /// directly comparable.
     #[must_use]
     pub fn classify_util(&self, util: &UtilSeries) -> Option<UtilizationPattern> {
-        let series = Series::new(
-            util.start().minutes(),
-            cloudscope_model::time::SAMPLE_INTERVAL_MINUTES,
-            util.to_f64_vec(),
-        );
-        self.classify_series(&series)
+        self.classify_levels(util.as_quantized())
+    }
+
+    /// Classifies a 5-minute series given as its stored levels (the
+    /// bytes [`UtilSeries::as_quantized`] exposes, missing slots
+    /// included); `None` if it is too short (fewer than `MIN_DAYS` days
+    /// of *present* samples after the fill) or too sparse (coverage
+    /// below `MIN_COVERAGE`).
+    ///
+    /// Gap-bearing series are repaired first: gaps up to
+    /// `MAX_FILL_GAP_SAMPLES` are linearly interpolated, longer ones
+    /// stay masked and flow into the gap-aware period detector. The
+    /// levels are read into this thread's reused buffers, as the
+    /// percentages [`UtilSeries::to_f64_vec`] yields.
+    #[must_use]
+    pub fn classify_levels(&self, levels: &[u8]) -> Option<UtilizationPattern> {
+        let (mut values, mut coarse) = BUFFERS.take();
+        let pattern = classify_into(levels, &mut values, &mut coarse);
+        BUFFERS.set((values, coarse));
+        pattern
     }
 
     /// Classifies one VM given any [`TelemetrySource`] — a resident
@@ -186,6 +91,122 @@ impl PatternClassifier {
     ) -> Option<UtilizationPattern> {
         self.classify_util(&source.load(vm)?)
     }
+}
+
+/// A present stored level as the percentage [`UtilSeries::to_f64_vec`]
+/// yields for it.
+fn percent(q: u8) -> f64 {
+    f64::from(q) / f64::from(QUANT_STEPS_PER_PERCENT)
+}
+
+/// [`PatternClassifier::classify_levels`] in the buffers `values` and
+/// `coarse`.
+///
+/// A gap-free series is read off its bytes with integer sums where the
+/// `f64` fold would be exact anyway: every percentage is a multiple of
+/// ½ and a week's sum stays far below 2⁵³, so adding them in order loses
+/// nothing, and the mean and each half-hourly bucket mean come out bit
+/// for bit as the `f64` loops of `finite_std` and `downsample_mean_into`
+/// compute them. The squared deviations are not exact, so they are
+/// summed in series order, as `finite_std` sums them.
+fn classify_into(
+    levels: &[u8],
+    values: &mut Vec<f64>,
+    coarse: &mut Vec<f64>,
+) -> Option<UtilizationPattern> {
+    let step = SAMPLE_INTERVAL_MINUTES;
+    let samples_per_day = (24 * 60 / step) as usize;
+    let factor = (30 / step).max(1) as usize;
+    let missing = levels.iter().filter(|&&q| q == MISSING_SAMPLE_BYTE).count();
+    let dense = missing == 0;
+    let std = if dense {
+        cloudscope_obs::counter("analysis.classify.dense_dispatch").inc();
+        if levels.len() < MIN_DAYS * samples_per_day {
+            return None;
+        }
+        dense_std(levels)
+    } else {
+        let coverage = (levels.len() - missing) as f64 / levels.len() as f64;
+        if coverage < MIN_COVERAGE {
+            cloudscope_obs::counter("analysis.classify.coverage_rejections").inc();
+            return None;
+        }
+        cloudscope_obs::counter("analysis.classify.masked_dispatch").inc();
+        values.clear();
+        values.extend(levels.iter().map(|&q| {
+            if q == MISSING_SAMPLE_BYTE {
+                f64::NAN
+            } else {
+                percent(q)
+            }
+        }));
+        let fill = fill_linear_capped(values, MAX_FILL_GAP_SAMPLES);
+        if fill.remaining > 0 {
+            cloudscope_obs::counter("analysis.classify.fill_cap_hits").inc();
+        }
+        if values.len() - fill.remaining < MIN_DAYS * samples_per_day {
+            return None;
+        }
+        finite_std(values).unwrap_or(0.0)
+    };
+    // Stable gate first: the paper extracts the stable class by
+    // restricting the standard deviation (over present samples).
+    if std < STABLE_STD_THRESHOLD {
+        return Some(UtilizationPattern::Stable);
+    }
+    // Hourly-peak: a strong sub-daily period at 30/60 minutes,
+    // detected on a two-day window at native resolution. One
+    // spectrum serves both targets.
+    let two_days = (2 * samples_per_day).min(levels.len());
+    if dense {
+        values.clear();
+        values.extend(levels[..two_days].iter().map(|&q| percent(q)));
+    }
+    if PeriodDetector.has_period_near(
+        &values[..two_days],
+        step,
+        &[60.0, 30.0],
+        HOURLY_TOLERANCE_MINUTES,
+    ) {
+        return Some(UtilizationPattern::HourlyPeak);
+    }
+    // Diurnal: a 24-hour period, detected on a half-hourly
+    // downsample of the full series (cheap and leakage-resistant).
+    if dense {
+        dense_downsample(levels, factor, coarse);
+    } else {
+        downsample_mean_into(values, factor, coarse).expect("positive factor");
+    }
+    if PeriodDetector.has_period_near(
+        coarse,
+        step * factor as i64,
+        &[24.0 * 60.0],
+        DAILY_TOLERANCE_MINUTES,
+    ) {
+        return Some(UtilizationPattern::Diurnal);
+    }
+    Some(UtilizationPattern::Irregular)
+}
+
+/// `finite_std` of a gap-free series' percentages, from its levels.
+fn dense_std(levels: &[u8]) -> f64 {
+    let steps: u64 = levels.iter().map(|&q| u64::from(q)).sum();
+    let mean = steps as f64 / f64::from(QUANT_STEPS_PER_PERCENT) / levels.len() as f64;
+    let mut sum_sq = 0.0;
+    for &q in levels {
+        sum_sq += (percent(q) - mean) * (percent(q) - mean);
+    }
+    (sum_sq / levels.len() as f64).sqrt()
+}
+
+/// `downsample_mean_into` of a gap-free series' percentages, from its
+/// levels.
+fn dense_downsample(levels: &[u8], factor: usize, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(levels.chunks(factor).map(|bucket| {
+        let steps: u32 = bucket.iter().map(|&q| u32::from(q)).sum();
+        f64::from(steps) / f64::from(QUANT_STEPS_PER_PERCENT) / bucket.len() as f64
+    }));
 }
 
 /// Class shares over a VM population (Figure 5(d)).
@@ -255,8 +276,10 @@ pub fn pattern_shares(
 /// supplies the population, `source` the samples. Pass the trace itself
 /// for resident telemetry, a [`StoreTelemetry`] for out-of-core reads,
 /// or an `IngestSession` for streamed state — same classifier, same
-/// tallies. The sample is pulled through `source` in ascending batches
-/// of bounded size, each classified in parallel.
+/// tallies. A VM whose verdict the source already holds
+/// ([`TelemetrySource::classified`]) is tallied as it stands; the rest
+/// of the sample is pulled through `source` in ascending batches of
+/// bounded size, each classified in parallel.
 ///
 /// [`StoreTelemetry`]: https://docs.rs/cloudscope-store
 ///
@@ -275,14 +298,21 @@ pub fn pattern_shares_from(
         .map(|vm| vm.id)
         .collect();
     let stride = (candidates.len() / max_vms.max(1)).max(1);
-    let sampled: Vec<VmId> = candidates
+    let mut shares = PatternShares::default();
+    let unknown: Vec<VmId> = candidates
         .into_iter()
         .step_by(stride)
         .take(max_vms)
+        .filter(|&vm| match source.classified(vm) {
+            Some(pattern) => {
+                shares.add(pattern);
+                false
+            }
+            None => true,
+        })
         .collect();
 
-    let mut shares = PatternShares::default();
-    for (batch, gathered) in trace.gather_batches(source, &sampled, |&vm, ids| ids.push(vm)) {
+    for (batch, gathered) in trace.gather_batches(source, &unknown, |&vm, ids| ids.push(vm)) {
         for pattern in
             Parallelism::auto().par_map(batch, |&vm| classifier.classify_vm(&gathered, vm))
         {
@@ -301,26 +331,25 @@ mod tests {
     use super::*;
     use crate::test_support::{diurnal_series, stable_series, tiny_trace};
 
-    fn to_series(util: &UtilSeries) -> Series {
-        Series::new(util.start().minutes(), 5, util.to_f64_vec())
+    /// Classifies 5-minute percentages (NaN a missing slot), stored as
+    /// the monitor would store them.
+    fn classify(values: &[f64]) -> Option<UtilizationPattern> {
+        let util = UtilSeries::from_percentages(SimTime::ZERO, values.iter().map(|&v| v as f32));
+        PatternClassifier.classify_util(&util)
     }
 
     #[test]
     fn classifies_diurnal() {
-        let classifier = PatternClassifier;
-        let series = to_series(&diurnal_series(14.0, 0, 1));
         assert_eq!(
-            classifier.classify_series(&series),
+            PatternClassifier.classify_util(&diurnal_series(14.0, 0, 1)),
             Some(UtilizationPattern::Diurnal)
         );
     }
 
     #[test]
     fn classifies_stable() {
-        let classifier = PatternClassifier;
-        let series = to_series(&stable_series(20.0, 3));
         assert_eq!(
-            classifier.classify_series(&series),
+            PatternClassifier.classify_util(&stable_series(20.0, 3)),
             Some(UtilizationPattern::Stable)
         );
     }
@@ -342,11 +371,7 @@ mod tests {
                 8.0 + if work { spike } else { 0.0 }
             })
             .collect();
-        let series = Series::new(0, 5, values);
-        assert_eq!(
-            PatternClassifier.classify_series(&series),
-            Some(UtilizationPattern::HourlyPeak)
-        );
+        assert_eq!(classify(&values), Some(UtilizationPattern::HourlyPeak));
     }
 
     #[test]
@@ -362,24 +387,17 @@ mod tests {
                 }
             })
             .collect();
-        let series = Series::new(0, 5, values);
-        assert_eq!(
-            PatternClassifier.classify_series(&series),
-            Some(UtilizationPattern::Irregular)
-        );
+        assert_eq!(classify(&values), Some(UtilizationPattern::Irregular));
     }
 
     #[test]
     fn too_short_series_is_unclassified() {
-        let series = Series::new(0, 5, vec![10.0; 100]);
-        assert_eq!(PatternClassifier.classify_series(&series), None);
+        assert_eq!(classify(&[10.0; 100]), None);
     }
 
     #[test]
     fn corrupted_diurnal_still_classifies_diurnal() {
-        let classifier = PatternClassifier;
-        let mut series = to_series(&diurnal_series(14.0, 0, 1));
-        let values = series.values_mut();
+        let mut values = diurnal_series(14.0, 0, 1).to_f64_vec();
         // 5% pseudo-random loss plus a 6-hour blackout.
         for i in (0..values.len()).step_by(20) {
             values[i] = f64::NAN;
@@ -387,23 +405,16 @@ mod tests {
         for v in &mut values[700..772] {
             *v = f64::NAN;
         }
-        assert_eq!(
-            classifier.classify_series(&series),
-            Some(UtilizationPattern::Diurnal)
-        );
+        assert_eq!(classify(&values), Some(UtilizationPattern::Diurnal));
     }
 
     #[test]
     fn corrupted_stable_still_classifies_stable() {
-        let classifier = PatternClassifier;
-        let mut series = to_series(&stable_series(20.0, 3));
-        for i in (0..series.len()).step_by(13) {
-            series.values_mut()[i] = f64::NAN;
+        let mut values = stable_series(20.0, 3).to_f64_vec();
+        for i in (0..values.len()).step_by(13) {
+            values[i] = f64::NAN;
         }
-        assert_eq!(
-            classifier.classify_series(&series),
-            Some(UtilizationPattern::Stable)
-        );
+        assert_eq!(classify(&values), Some(UtilizationPattern::Stable));
     }
 
     #[test]
@@ -412,8 +423,7 @@ mod tests {
         let values: Vec<f64> = (0..2016)
             .map(|i| if i % 4 == 0 { 10.0 } else { f64::NAN })
             .collect();
-        let series = Series::new(0, 5, values);
-        assert_eq!(PatternClassifier.classify_series(&series), None);
+        assert_eq!(classify(&values), None);
     }
 
     #[test]
@@ -436,6 +446,26 @@ mod tests {
         let classifier = PatternClassifier;
         let shares = pattern_shares(&trace, CloudKind::Private, &classifier, 2).unwrap();
         assert!(shares.classified() <= 2);
+    }
+
+    proptest::proptest! {
+        /// The integer folds of a gap-free series are the `f64` folds
+        /// they replace, bit for bit, on any present level (201..=254
+        /// included) and any length.
+        #[test]
+        fn dense_folds_equal_the_f64_folds(
+            levels in proptest::collection::vec(0u8..MISSING_SAMPLE_BYTE, 1..2100),
+            factor in 1usize..13,
+        ) {
+            let values: Vec<f64> = levels.iter().map(|&q| percent(q)).collect();
+            let want = finite_std(&values).expect("present samples");
+            proptest::prop_assert_eq!(dense_std(&levels).to_bits(), want.to_bits());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            dense_downsample(&levels, factor, &mut got);
+            downsample_mean_into(&values, factor, &mut want).expect("positive factor");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]

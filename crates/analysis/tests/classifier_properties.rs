@@ -4,7 +4,6 @@
 
 use cloudscope_analysis::{PatternClassifier, UtilizationPattern};
 use cloudscope_model::time::{SimTime, SAMPLES_PER_WEEK};
-use cloudscope_timeseries::Series;
 use cloudscope_tracegen::{generate_vm_series, PatternKind, ServiceUtilProfile};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -13,8 +12,7 @@ use rand::SeedableRng;
 fn classify(profile: &ServiceUtilProfile, tz: i32, seed: u64) -> Option<UtilizationPattern> {
     let mut rng = StdRng::seed_from_u64(seed);
     let util = generate_vm_series(profile, tz, SimTime::ZERO, SAMPLES_PER_WEEK, &mut rng);
-    let series = Series::new(0, 5, util.to_f64_vec());
-    PatternClassifier.classify_series(&series)
+    PatternClassifier.classify_util(&util)
 }
 
 proptest! {

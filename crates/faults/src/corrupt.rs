@@ -97,7 +97,8 @@ impl<'p, R: RngCore> WireCorruptor<'p, R> {
             return None;
         }
         let oldest = self.pending[0];
-        self.pending.copy_within(1.., 0);
+        self.pending[0] = self.pending[1];
+        self.pending[1] = self.pending[2];
         self.len -= 1;
         Some(oldest)
     }

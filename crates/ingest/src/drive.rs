@@ -65,6 +65,18 @@ struct Round {
 }
 
 impl WireStream<'_> {
+    /// How many positions are due by `cut`.
+    fn due(&self, cut: Cut) -> usize {
+        let before = match cut {
+            Cut::Tick(now) => now + i64::from(self.start == now),
+            Cut::End(end) => end + 1,
+        };
+        // Position j is due before `before` iff start + 5 j < before.
+        let due =
+            (before - self.start + SAMPLE_INTERVAL_MINUTES - 1).div_euclid(SAMPLE_INTERVAL_MINUTES);
+        usize::try_from(due).unwrap_or(0)
+    }
+
     /// Offers every undelivered sample due by `cut` to the VM's `lane`.
     fn deliver(
         &mut self,
@@ -74,14 +86,7 @@ impl WireStream<'_> {
         tally: &mut OfferTally,
         faults: &mut FaultReport,
     ) {
-        let before = match cut {
-            Cut::Tick(now) => now + i64::from(self.start == now),
-            Cut::End(end) => end + 1,
-        };
-        // Position j is due before `before` iff start + 5 j < before.
-        let due =
-            (before - self.start + SAMPLE_INTERVAL_MINUTES - 1).div_euclid(SAMPLE_INTERVAL_MINUTES);
-        let due = usize::try_from(due).unwrap_or(0);
+        let due = self.due(cut);
         while self.delivered < due {
             let Some(sample) = self.wire.next_sample(faults) else {
                 break;
@@ -138,6 +143,10 @@ impl Shard<'_, '_> {
         for stream in self.streams.iter_mut() {
             let lane = &mut self.lanes[stream.vm.as_usize() - self.base];
             for (round, tally) in rounds.iter().zip(&mut tallies) {
+                // A tick with nothing new due offers nothing.
+                if matches!(round.cut, Cut::Tick(_)) && stream.due(round.cut) <= stream.delivered {
+                    continue;
+                }
                 let mut own = OfferTally::default();
                 stream.deliver(round.cut, lane, round.seal_floor, &mut own, &mut faults);
                 // A round that offered nothing changed nothing.

@@ -383,8 +383,8 @@ impl Ingestor {
         let patterns = Parallelism::auto().par_map(&self.session.lanes, |lane| {
             let lane = lane.as_ref()?;
             Some(
-                lane.sealed()
-                    .and_then(|util| classifier.classify_util(&util)),
+                lane.sealed_levels()
+                    .and_then(|(_, levels)| classifier.classify_levels(levels)),
             )
         });
         let IngestSession { lanes, report } = &mut self.session;
@@ -393,7 +393,7 @@ impl Ingestor {
             let (Some(lane), Some(pattern)) = (lane, pattern) else {
                 continue;
             };
-            lane.pattern = pattern;
+            lane.record_close(pattern);
             report.windows_closed += 1;
             report.classifications += u64::from(pattern.is_some());
             closes.push(WindowClose {

@@ -27,7 +27,11 @@ pub(crate) struct VmLane {
     /// Samples that arrived for an already-sealed slot.
     pub(crate) dropped_late: u64,
     /// Classification of the sealed history at the last window close.
-    pub(crate) pattern: Option<UtilizationPattern>,
+    pattern: Option<UtilizationPattern>,
+    /// The seal cursor `pattern` was classified at; `None` before the
+    /// first close. While it equals `sealed_upto`, `pattern` is the
+    /// verdict on exactly the series [`VmLane::sealed`] serves.
+    classified_upto: Option<usize>,
 }
 
 impl VmLane {
@@ -38,6 +42,7 @@ impl VmLane {
             sealed_samples: 0,
             dropped_late: 0,
             pattern: None,
+            classified_upto: None,
         }
     }
 
@@ -56,17 +61,35 @@ impl VmLane {
         sealed_now
     }
 
+    /// The sealed history from its first to its last sample, with the
+    /// index of its first slot; `None` if no sample has sealed.
+    pub(crate) fn sealed_levels(&self) -> Option<(usize, &[u8])> {
+        let sealed = &self.slots[..self.sealed_upto];
+        let first = sealed.iter().position(|&q| q != MISSING_SAMPLE_BYTE)?;
+        let last = sealed.iter().rposition(|&q| q != MISSING_SAMPLE_BYTE)?;
+        Some((first, &sealed[first..=last]))
+    }
+
     /// The sealed history as a gap-preserving series — byte-identical
     /// to what the batch collector assembles from the same samples.
     /// `None` if no sample has sealed.
     pub(crate) fn sealed(&self) -> Option<UtilSeries> {
-        let sealed = &self.slots[..self.sealed_upto];
-        let first = sealed.iter().position(|&q| q != MISSING_SAMPLE_BYTE)?;
-        let last = sealed.iter().rposition(|&q| q != MISSING_SAMPLE_BYTE)?;
+        let (first, levels) = self.sealed_levels()?;
         Some(UtilSeries::from_quantized(
             SimTime::from_minutes(first as i64 * SAMPLE_INTERVAL_MINUTES),
-            sealed[first..=last].to_vec().into(),
+            levels.to_vec().into(),
         ))
+    }
+
+    /// Records a window close's classification of the sealed history.
+    pub(crate) fn record_close(&mut self, pattern: Option<UtilizationPattern>) {
+        self.pattern = pattern;
+        self.classified_upto = Some(self.sealed_upto);
+    }
+
+    /// The close-time classification, if nothing has sealed since.
+    fn current_pattern(&self) -> Option<Option<UtilizationPattern>> {
+        (self.classified_upto == Some(self.sealed_upto)).then_some(self.pattern)
     }
 }
 
@@ -134,5 +157,14 @@ impl TelemetrySource for IngestSession {
 
     fn has(&self, id: VmId) -> bool {
         self.lane(id).is_some_and(|lane| lane.sealed_samples > 0)
+    }
+
+    /// The lane's close-time pattern while its seal cursor still stands
+    /// where that close classified: sealed slots never change, so the
+    /// close classified exactly the series `load` serves. A lane that
+    /// sealed more since (an offer's lazy seal, or a drain that sealed
+    /// the last slots without a close) has none.
+    fn classified(&self, id: VmId) -> Option<Option<UtilizationPattern>> {
+        self.lane(id)?.current_pattern()
     }
 }

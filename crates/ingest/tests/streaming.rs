@@ -2,7 +2,7 @@
 //! clean streams, bounded and fully-accounted divergence under faults,
 //! and the KB publication path.
 
-use cloudscope_analysis::PatternClassifier;
+use cloudscope_analysis::{PatternClassifier, UtilizationPattern};
 use cloudscope_faults::{corrupt_trace, FaultPlan, WireSample};
 use cloudscope_ingest::{drive_ingest, IngestConfig, Ingestor};
 use cloudscope_kb::{extract_subscription_knowledge, KnowledgeBase};
@@ -298,6 +298,156 @@ fn each_lane_is_classified_once_per_close() {
     assert!(report.windows_closed > 0);
     assert!(diff.counter("kb.pipeline.batches").unwrap_or(0) >= 1);
     assert_eq!(calls, report.windows_closed);
+}
+
+/// Classifier calls in a metrics diff: every call lands in exactly one
+/// of these counters.
+fn classifier_calls(diff: &cloudscope_obs::Snapshot) -> u64 {
+    ["dense_dispatch", "masked_dispatch", "coverage_rejections"]
+        .iter()
+        .map(|name| {
+            diff.counter(&format!("analysis.classify.{name}"))
+                .unwrap_or(0)
+        })
+        .sum()
+}
+
+/// Live Figure 5 over a session, both clouds, every VM.
+fn live_figure5(
+    trace: &Trace,
+    source: &(impl TelemetrySource + ?Sized),
+) -> Vec<cloudscope_analysis::PatternShares> {
+    [CloudKind::Private, CloudKind::Public]
+        .iter()
+        .map(|&cloud| {
+            cloudscope_analysis::pattern_shares_from(
+                trace,
+                source,
+                cloud,
+                &PatternClassifier,
+                usize::MAX,
+            )
+            .expect("classifiable telemetry")
+        })
+        .collect()
+}
+
+#[test]
+fn live_figure5_over_a_finished_session_classifies_nothing() {
+    use cloudscope_obs::testing::snapshot_diff;
+    use std::sync::Arc;
+
+    let g = generate(&GeneratorConfig::small(47));
+    let registry = Arc::new(cloudscope_obs::Registry::new());
+    let (outcome, drive) = snapshot_diff(&registry, || {
+        drive_ingest(
+            &g.trace,
+            &FaultPlan::clean(47),
+            &IngestConfig::default(),
+            &PatternClassifier,
+            &KnowledgeBase::new(),
+        )
+    });
+    let (shares, figure5) = snapshot_diff(&registry, || live_figure5(&g.trace, &outcome.session));
+    // Every sampled VM is tallied from its lane's close-time verdict.
+    assert_eq!(classifier_calls(&figure5), 0);
+    assert!(shares.iter().all(|s| s.classified() > 0));
+    // The drive and live Figure 5 together classify each lane once:
+    // one close per lane, and nothing after it.
+    let report = outcome.session.report();
+    assert_eq!(report.windows_closed, report.vms as u64);
+    assert_eq!(
+        classifier_calls(&drive) + classifier_calls(&figure5),
+        report.vms as u64
+    );
+}
+
+/// The session's series, served without its verdicts: what classifying
+/// every served series sees.
+#[derive(Debug)]
+struct ServedOnly<'a>(&'a cloudscope_ingest::IngestSession);
+
+impl TelemetrySource for ServedOnly<'_> {
+    fn load(&self, id: VmId) -> Option<UtilSeries> {
+        self.0.load(id)
+    }
+
+    fn has(&self, id: VmId) -> bool {
+        self.0.has(id)
+    }
+}
+
+#[test]
+fn reused_verdicts_equal_classifying_every_served_series() {
+    use cloudscope_model::time::MINUTES_PER_DAY;
+
+    let g = generate(&GeneratorConfig::small(48));
+    let classifier = PatternClassifier;
+    let one_day = IngestConfig {
+        window_minutes: MINUTES_PER_DAY,
+        ..IngestConfig::default()
+    };
+    let mut unknown = 0;
+    for plan in [FaultPlan::clean(48), FaultPlan::standard(48)] {
+        for config in [IngestConfig::default(), one_day] {
+            let kb = KnowledgeBase::new();
+            let outcome = drive_ingest(&g.trace, &plan, &config, &classifier, &kb);
+            let session = &outcome.session;
+            for vm in g.trace.vms() {
+                let served = session
+                    .load(vm.id)
+                    .and_then(|util| classifier.classify_util(&util));
+                match session.classified(vm.id) {
+                    Some(verdict) => assert_eq!(verdict, served, "vm {}", vm.id),
+                    None => unknown += usize::from(session.has(vm.id)),
+                }
+            }
+            assert_eq!(
+                live_figure5(&g.trace, session),
+                live_figure5(&g.trace, &ServedOnly(session)),
+                "plan {plan:?} window {}",
+                config.window_minutes
+            );
+        }
+    }
+    // Under faults with a one-day window the drain seals late slots
+    // without a close, so some verdicts are not reused but recomputed.
+    // A drive's last close falls after the week's last slot has
+    // sealed, so every verdict was reusable here; the case where one is
+    // not is `a_seal_after_the_last_close_voids_the_reused_verdict`.
+    assert_eq!(unknown, 0);
+}
+
+#[test]
+fn a_seal_after_the_last_close_voids_the_reused_verdict() {
+    use cloudscope_model::time::MINUTES_PER_DAY;
+
+    let config = IngestConfig {
+        window_minutes: MINUTES_PER_DAY,
+        ..IngestConfig::default()
+    };
+    let mut ingestor = Ingestor::new(config, PatternClassifier);
+    let vm = VmId::new(3);
+    // Four days and an hour of a daily cycle.
+    for minute in (0..4 * MINUTES_PER_DAY + 60).step_by(5) {
+        let phase = std::f32::consts::TAU * minute as f32 / MINUTES_PER_DAY as f32;
+        let value = 40.0 + 30.0 * phase.sin();
+        ingestor.offer(vm, WireSample { minute, value });
+    }
+    // The day-4 boundary closes with the last hour still unsealed.
+    let now = SimTime::from_minutes(4 * MINUTES_PER_DAY + config.watermark_delay_minutes);
+    assert_eq!(ingestor.advance_watermark(now).len(), 4);
+    // Nothing arrived since, so the drain seals that hour without a
+    // close: the close's verdict is on a shorter series than the one
+    // the session now serves.
+    assert!(ingestor.drain(now).is_empty());
+    let session = ingestor.finish();
+    assert_eq!(session.pattern(vm), Some(UtilizationPattern::Diurnal));
+    assert_eq!(session.classified(vm), None);
+    assert_eq!(
+        session.load(vm).map(|util| util.len()),
+        Some((4 * MINUTES_PER_DAY as usize + 60) / 5)
+    );
 }
 
 #[test]

@@ -41,6 +41,7 @@ pub mod error;
 pub mod export;
 pub mod fast_hash;
 pub mod ids;
+pub mod pattern;
 pub mod subscription;
 pub mod telemetry;
 pub mod time;

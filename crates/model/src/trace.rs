@@ -8,6 +8,7 @@
 use crate::error::ModelError;
 use crate::fast_hash::FastMap;
 use crate::ids::{NodeId, RegionId, ServiceId, SubscriptionId, VmId};
+use crate::pattern::UtilizationPattern;
 use crate::subscription::{CloudKind, Subscription};
 use crate::telemetry::UtilSeries;
 use crate::time::{SimTime, SAMPLES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
@@ -136,6 +137,17 @@ pub trait TelemetrySource: std::fmt::Debug + Send + Sync {
                 visit(id, series);
             }
         }
+    }
+
+    /// The Figure 5 classifier's verdict on exactly the series
+    /// [`TelemetrySource::load`] serves for `id` (`Some(None)` where that
+    /// verdict is "too short or too sparse to classify"), if the source
+    /// already holds it; `None` if it does not, and the caller must
+    /// classify the loaded series itself. A source that answers `Some`
+    /// spares the caller a load and a classification, so it must be sure
+    /// the verdict is current: the default holds none.
+    fn classified(&self, _id: VmId) -> Option<Option<UtilizationPattern>> {
+        None
     }
 }
 

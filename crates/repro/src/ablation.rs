@@ -247,7 +247,7 @@ fn period_detection_ablation(out: &mut String, checks: &mut ShapeChecks) -> fmt:
                 .collect();
             let series = Series::new(0, 5, values);
             // Two-stage (ours).
-            if detector.has_period_near(&series, 1440.0, 180.0) {
+            if detector.has_period_near(series.values(), series.step_minutes(), &[1440.0], 180.0) {
                 two_stage_hits += 1;
             }
             // ACF-only baseline: strongest hill anywhere near the lag.

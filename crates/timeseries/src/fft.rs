@@ -99,12 +99,16 @@ pub fn next_power_of_two(n: usize) -> usize {
 /// permutation and the twiddle table `w_k = exp(-iτk/2n)`, `k < n`.
 /// Stage `len` of the butterfly pass uses every `(2n/len)`-th twiddle,
 /// and the real-input split of a `2n`-point signal uses all of them, so
-/// one table serves both with zero trig at transform time.
+/// one table serves both with zero trig at transform time. The stages
+/// from `len = 8` up read their twiddles from a contiguous copy,
+/// `stage_twiddles`, stage after stage: stage `len`'s `len/2` entries
+/// start at `len/2 - 4`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FftPlan {
     n: usize,
     bit_rev: Vec<u32>,
     twiddles: Vec<Complex>,
+    stage_twiddles: Vec<Complex>,
 }
 
 impl FftPlan {
@@ -127,16 +131,24 @@ impl FftPlan {
                 }
             })
             .collect();
-        let twiddles = (0..n)
+        let twiddles: Vec<Complex> = (0..n)
             .map(|k| {
                 let angle = -std::f64::consts::TAU * k as f64 / (2 * n) as f64;
                 Complex::new(angle.cos(), angle.sin())
             })
             .collect();
+        let mut stage_twiddles = Vec::with_capacity(n.saturating_sub(4));
+        let mut len = 8;
+        while len <= n {
+            let stride = 2 * n / len;
+            stage_twiddles.extend(twiddles.iter().step_by(stride).take(len / 2));
+            len <<= 1;
+        }
         Ok(Self {
             n,
             bit_rev,
             twiddles,
+            stage_twiddles,
         })
     }
 
@@ -152,20 +164,33 @@ impl FftPlan {
                 buf.swap(i, j);
             }
         }
-        let mut len = 2;
-        while len <= self.n {
-            let stride = 2 * self.n / len;
-            let half = len / 2;
-            for chunk in buf.chunks_mut(len) {
-                for k in 0..half {
-                    let w = self.twiddles[k * stride];
-                    let u = chunk[k];
-                    let t = chunk[k + half] * w;
-                    chunk[k] = Complex::new(u.re + t.re, u.im + t.im);
-                    chunk[k + half] = Complex::new(u.re - t.re, u.im - t.im);
+        // Stages 2 and 4, fused: their twiddles are 1 and -i, exactly.
+        if self.n == 2 {
+            let (u, t) = (buf[0], buf[1]);
+            buf[0] = u + t;
+            buf[1] = u - t;
+        }
+        for quad in buf.chunks_exact_mut(4) {
+            let (a, b) = (quad[0] + quad[1], quad[0] - quad[1]);
+            let (c, d) = (quad[2] + quad[3], quad[2] - quad[3]);
+            let d = Complex::new(d.im, -d.re);
+            quad[0] = a + c;
+            quad[2] = a - c;
+            quad[1] = b + d;
+            quad[3] = b - d;
+        }
+        let mut half = 4;
+        while half < self.n {
+            let twiddles = &self.stage_twiddles[half - 4..2 * half - 4];
+            for chunk in buf.chunks_exact_mut(2 * half) {
+                let (low, high) = chunk.split_at_mut(half);
+                for ((u, v), &w) in low.iter_mut().zip(high.iter_mut()).zip(twiddles) {
+                    let (a, t) = (*u, *v * w);
+                    *u = a + t;
+                    *v = a - t;
                 }
             }
-            len <<= 1;
+            half <<= 1;
         }
     }
 

@@ -10,14 +10,12 @@
 //! ## Example
 //! ```
 //! use cloudscope_timeseries::period::PeriodDetector;
-//! use cloudscope_timeseries::series::Series;
 //!
 //! // One week of 5-minute samples with a daily cycle.
 //! let values: Vec<f64> = (0..2016)
 //!     .map(|i| 30.0 + 20.0 * (std::f64::consts::TAU * i as f64 / 288.0).sin())
 //!     .collect();
-//! let series = Series::new(0, 5, values);
-//! assert!(PeriodDetector.has_period_near(&series, 1440.0, 150.0));
+//! assert!(PeriodDetector.has_period_near(&values, 5, &[1440.0], 150.0));
 //! ```
 
 #![forbid(unsafe_code)]

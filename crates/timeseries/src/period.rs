@@ -18,7 +18,6 @@
 use crate::acf::{refine_on_acf, Centred, Spectrum};
 use crate::error::SeriesError;
 use crate::fft::{next_power_of_two, with_plan};
-use crate::series::Series;
 use serde::{Deserialize, Serialize};
 
 /// A detected period.
@@ -45,127 +44,229 @@ pub const MIN_ACF: f64 = 0.3;
 /// the ACF hill, as a fraction of the candidate lag.
 pub const REFINE_RADIUS_FRACTION: f64 = 0.2;
 
-/// Periodicity detector, tuned by the constants above.
+/// Periodicity detector, tuned by the constants above. Its one question
+/// is [`PeriodDetector::has_period_near`]: is there a period near one of
+/// some targets?
 ///
 /// # Examples
 /// ```
 /// # use cloudscope_timeseries::period::PeriodDetector;
-/// # use cloudscope_timeseries::series::Series;
 /// // A daily (1440-minute) pattern sampled every 5 minutes for a week.
 /// let values: Vec<f64> = (0..2016)
 ///     .map(|i| (std::f64::consts::TAU * (i as f64) / 288.0).sin())
 ///     .collect();
-/// let series = Series::new(0, 5, values);
 /// let detector = PeriodDetector;
-/// let periods = detector.detect(series.values(), series.step_minutes()).unwrap();
-/// assert!(periods.iter().any(|p| (p.minutes - 1440.0).abs() < 150.0));
+/// assert!(detector.has_period_near(&values, 5, &[1440.0], 150.0));
+/// assert!(!detector.has_period_near(&values, 5, &[60.0, 30.0], 12.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PeriodDetector;
 
 impl PeriodDetector {
-    /// Detects periods in `values`, sampled every `step_minutes`,
-    /// strongest (by ACF) first.
+    /// `true` if some period detected in `values`, sampled every
+    /// `step_minutes`, lies within `tolerance_minutes` of one of
+    /// `targets`. Constant or too-short series (fewer than 16 present
+    /// samples) simply report `false`.
     ///
     /// Gap-bearing series (NaN slots) are handled transparently: the
     /// periodogram is taken over the centred signal with its gaps zeroed,
-    /// and the ACF switches to its mask-and-renormalize estimator. Either
-    /// way the detection needs at least 16 *present* samples, and makes
-    /// one forward and one inverse transform.
+    /// and the ACF switches to its mask-and-renormalize estimator.
     ///
-    /// # Errors
-    /// - [`SeriesError::TooShort`] if the series has fewer than 16
-    ///   (present) samples.
-    /// - [`SeriesError::ZeroVariance`] if the (present) series is constant.
-    pub fn detect(
+    /// The answer is that of detecting every period and then filtering,
+    /// at less cost: stage 2 searches each candidate's ACF hill within
+    /// `lag ± 20 %` of the candidate's lag estimate, and deduplication
+    /// only removes periods, so when no candidate's search window can
+    /// reach a target band the answer is `false` without the inverse
+    /// transform (counted under `timeseries.period.acf_skipped`).
+    /// Otherwise both stages run as a full detection.
+    #[must_use]
+    pub fn has_period_near(
         &self,
         values: &[f64],
         step_minutes: i64,
-    ) -> Result<Vec<DetectedPeriod>, SeriesError> {
-        let max_lag = values.len() / 2;
-        let centred = Centred::new(values, max_lag, 16)?;
-        // Periodogram of the signal padded to N, read off the m-point
-        // spectrum at a stride of m / N.
-        let padded_n = next_power_of_two(values.len());
-        let stride = centred.m / padded_n;
-        let (bins, acf) = with_plan(centred.plan_len(), |plan, buf| {
-            let spectrum = Spectrum::new(plan, buf, values, &centred);
-            let power = |k: usize| spectrum.power(k * stride);
-            let total_power: f64 = (1..padded_n / 2).map(power).sum();
-            if total_power <= 0.0 {
-                return Err(SeriesError::ZeroVariance);
+        targets: &[f64],
+        tolerance_minutes: f64,
+    ) -> bool {
+        let step = step_minutes as f64;
+        let near = |minutes: f64| {
+            targets
+                .iter()
+                .any(|t| (minutes - t).abs() <= tolerance_minutes)
+        };
+        // |lag·step - t| falls, then rises, with the lag, so the lags of
+        // a window nearest t / step (either side, with a lag's slack for
+        // the rounding of the quotient) are the only ones to try.
+        let reachable = |lo: usize, hi: usize| {
+            targets.iter().any(|t| {
+                let below = (t / step).floor();
+                [below - 1.0, below, below + 1.0, below + 2.0]
+                    .into_iter()
+                    .any(|lag| near(lag.clamp(lo as f64, hi as f64) * step))
+            })
+        };
+        match detect(values, step_minutes, reachable) {
+            Ok(Some(periods)) => periods.as_slice().iter().any(|p| near(p.minutes)),
+            Ok(None) => {
+                cloudscope_obs::counter("timeseries.period.acf_skipped").inc();
+                false
             }
-            // Stage 1: candidate bins, strongest first, above the power floor.
-            let mut bins: Vec<(usize, f64)> = (1..padded_n / 2)
-                .map(|k| (k, power(k) / total_power))
-                .filter(|&(_, frac)| frac >= MIN_POWER_FRACTION)
-                .collect();
-            bins.sort_by(|a, b| b.1.total_cmp(&a.1));
-            bins.truncate(MAX_CANDIDATES);
-            Ok((bins, spectrum.acf(max_lag)))
-        })??;
+            Err(_) => false,
+        }
+    }
+}
 
-        // Stage 2: validate on the ACF.
-        let mut found: Vec<DetectedPeriod> = Vec::new();
-        for (k, frac) in bins {
-            // Bin k of an N-point transform corresponds to period N/k samples.
-            let lag_estimate = (padded_n as f64 / k as f64).round() as usize;
-            if lag_estimate < 2 || lag_estimate > max_lag {
-                continue;
+/// Up to [`MAX_CANDIDATES`] items, in a fixed array: a detection's
+/// candidates and the periods they validate, kept off the heap.
+#[derive(Debug, Clone, Copy)]
+struct Few<T> {
+    items: [T; MAX_CANDIDATES],
+    len: usize,
+}
+
+impl<T: Copy> Few<T> {
+    fn new(fill: T) -> Self {
+        Self {
+            items: [fill; MAX_CANDIDATES],
+            len: 0,
+        }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+
+    /// Inserts `item` at `at`, dropping the last item if full.
+    fn insert(&mut self, at: usize, item: T) {
+        if at >= MAX_CANDIDATES {
+            return;
+        }
+        self.len = (self.len + 1).min(MAX_CANDIDATES);
+        self.items.copy_within(at..self.len - 1, at + 1);
+        self.items[at] = item;
+    }
+}
+
+/// Detects the periods of `values`, sampled every `step_minutes`, in
+/// candidate order (strongest periodogram bin first) — or `None`,
+/// without the ACF, if `reachable(lo, hi)` is false for every
+/// candidate's refine window `lo..=hi` (the lags stage 2 can validate
+/// the candidate at), as when there is no candidate at all.
+///
+/// # Errors
+/// - [`SeriesError::TooShort`] if the series has fewer than 16
+///   (present) samples.
+/// - [`SeriesError::ZeroVariance`] if the (present) series is constant.
+fn detect(
+    values: &[f64],
+    step_minutes: i64,
+    reachable: impl Fn(usize, usize) -> bool,
+) -> Result<Option<Few<DetectedPeriod>>, SeriesError> {
+    let max_lag = values.len() / 2;
+    let centred = Centred::new(values, max_lag, 16)?;
+    // Periodogram of the signal padded to N, read off the m-point
+    // spectrum at a stride of m / N.
+    let padded_n = next_power_of_two(values.len());
+    let stride = centred.m / padded_n;
+    // Bin k of an N-point transform corresponds to period N/k samples;
+    // stage 2 searches lag_estimate ± radius, inside lags 1..max_lag.
+    let window = |k: usize| {
+        let lag_estimate = (padded_n as f64 / k as f64).round() as usize;
+        if lag_estimate < 2 || lag_estimate > max_lag {
+            return None;
+        }
+        let radius = ((lag_estimate as f64 * REFINE_RADIUS_FRACTION) as usize).max(1);
+        Some((lag_estimate, radius))
+    };
+    with_plan(centred.plan_len(), |plan, buf| {
+        let spectrum = Spectrum::new(plan, buf, values, &centred);
+        let power = |k: usize| spectrum.power(k * stride);
+        let total_power: f64 = (1..padded_n / 2).map(power).sum();
+        if total_power <= 0.0 {
+            return Err(SeriesError::ZeroVariance);
+        }
+        // Stage 1: candidate bins, strongest first (ties in bin order),
+        // above the power floor.
+        let mut bins = Few::new((0usize, 0.0f64));
+        for k in 1..padded_n / 2 {
+            let frac = power(k) / total_power;
+            if frac >= MIN_POWER_FRACTION {
+                let at = bins.as_slice().partition_point(|&(_, f)| f >= frac);
+                bins.insert(at, (k, frac));
             }
-            let radius = ((lag_estimate as f64 * REFINE_RADIUS_FRACTION) as usize).max(1);
+        }
+        let in_reach = bins.as_slice().iter().any(|&(k, _)| {
+            window(k).is_some_and(|(lag, radius)| {
+                let lo = lag.saturating_sub(radius).max(1);
+                let hi = (lag + radius).min(max_lag - 1);
+                lo <= hi && reachable(lo, hi)
+            })
+        });
+        if !in_reach {
+            return Ok(None);
+        }
+        // Stage 2: validate on the ACF.
+        let acf = spectrum.acf(max_lag);
+        let mut found = Few::new(DetectedPeriod {
+            minutes: 0.0,
+            lag: 0,
+            acf_strength: 0.0,
+            power_fraction: 0.0,
+        });
+        for &(k, frac) in bins.as_slice() {
+            let Some((lag_estimate, radius)) = window(k) else {
+                continue;
+            };
             let Some((lag, strength)) = refine_on_acf(&acf, lag_estimate, radius, MIN_ACF) else {
                 continue;
             };
             // Deduplicate: skip lags within 10% of an accepted period.
             if found
+                .as_slice()
                 .iter()
                 .any(|p| (p.lag as f64 - lag as f64).abs() < 0.1 * p.lag as f64)
             {
                 continue;
             }
-            found.push(DetectedPeriod {
-                minutes: lag as f64 * step_minutes as f64,
-                lag,
-                acf_strength: strength,
-                power_fraction: frac,
-            });
+            found.insert(
+                found.len,
+                DetectedPeriod {
+                    minutes: lag as f64 * step_minutes as f64,
+                    lag,
+                    acf_strength: strength,
+                    power_fraction: frac,
+                },
+            );
         }
-        found.sort_by(|a, b| b.acf_strength.total_cmp(&a.acf_strength));
-        Ok(found)
-    }
-
-    /// Convenience: `true` if some detected period lies within
-    /// `tolerance_minutes` of `target_minutes`. Constant or too-short
-    /// series simply report `false`.
-    #[must_use]
-    pub fn has_period_near(
-        &self,
-        series: &Series,
-        target_minutes: f64,
-        tolerance_minutes: f64,
-    ) -> bool {
-        self.detect(series.values(), series.step_minutes())
-            .is_ok_and(|periods| {
-                periods
-                    .iter()
-                    .any(|p| (p.minutes - target_minutes).abs() <= tolerance_minutes)
-            })
-    }
+        Ok(Some(found))
+    })?
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
+    use crate::series::Series;
     use cloudscope_obs::testing::snapshot_diff;
     use cloudscope_obs::Registry;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
+    /// Every period of `values`, strongest (by ACF) first.
+    fn detect_all(values: &[f64], step: i64) -> Result<Vec<DetectedPeriod>, SeriesError> {
+        // `None` here means no candidate at all.
+        let periods = super::detect(values, step, |_, _| true)?;
+        let mut periods = periods.map_or_else(Vec::new, |p| p.as_slice().to_vec());
+        periods.sort_by(|a, b| b.acf_strength.total_cmp(&a.acf_strength));
+        Ok(periods)
+    }
+
     fn detect(series: &Series) -> Result<Vec<DetectedPeriod>, SeriesError> {
-        PeriodDetector.detect(series.values(), series.step_minutes())
+        detect_all(series.values(), series.step_minutes())
+    }
+
+    fn near(series: &Series, target: f64, tolerance: f64) -> bool {
+        PeriodDetector.has_period_near(series.values(), series.step_minutes(), &[target], tolerance)
     }
 
     /// Deterministic pseudo-noise in [-1, 1] via a splitmix64-style hash.
@@ -191,7 +292,6 @@ mod tests {
     fn detects_daily_period_in_five_minute_data() {
         // 288 five-minute samples per day.
         let series = weekly_series(288, 10.0, 1.0);
-        let detector = PeriodDetector;
         let periods = detect(&series).unwrap();
         assert!(!periods.is_empty());
         assert!(
@@ -199,15 +299,14 @@ mod tests {
             "got {:?}",
             periods[0]
         );
-        assert!(detector.has_period_near(&series, 1440.0, 150.0));
+        assert!(near(&series, 1440.0, 150.0));
     }
 
     #[test]
     fn detects_hourly_period() {
         let series = weekly_series(12, 10.0, 1.0);
-        let detector = PeriodDetector;
-        assert!(detector.has_period_near(&series, 60.0, 10.0));
-        assert!(!detector.has_period_near(&series, 1440.0, 150.0));
+        assert!(near(&series, 60.0, 10.0));
+        assert!(!near(&series, 1440.0, 150.0));
     }
 
     #[test]
@@ -227,7 +326,7 @@ mod tests {
     fn constant_series_errors() {
         let series = Series::new(0, 5, vec![3.0; 64]);
         assert!(matches!(detect(&series), Err(SeriesError::ZeroVariance)));
-        assert!(!PeriodDetector.has_period_near(&series, 60.0, 5.0));
+        assert!(!near(&series, 60.0, 5.0));
     }
 
     #[test]
@@ -246,15 +345,8 @@ mod tests {
             })
             .collect();
         let series = Series::new(0, 5, values);
-        let detector = PeriodDetector;
-        assert!(
-            detector.has_period_near(&series, 1440.0, 150.0),
-            "daily missing"
-        );
-        assert!(
-            detector.has_period_near(&series, 60.0, 10.0),
-            "hourly missing"
-        );
+        assert!(near(&series, 1440.0, 150.0), "daily missing");
+        assert!(near(&series, 60.0, 10.0), "hourly missing");
     }
 
     #[test]
@@ -268,9 +360,8 @@ mod tests {
         for v in &mut values[500..572] {
             *v = f64::NAN;
         }
-        let detector = PeriodDetector;
-        assert!(detector.has_period_near(&series, 1440.0, 150.0));
-        assert!(!detector.has_period_near(&series, 60.0, 10.0));
+        assert!(near(&series, 1440.0, 150.0));
+        assert!(!near(&series, 60.0, 10.0));
     }
 
     #[test]
@@ -346,8 +437,7 @@ mod tests {
     /// 1e-9; and the ACF itself within 1e-9 of the reference estimator,
     /// exactly 0 at every lag without a jointly-present pair.
     fn assert_matches_reference(values: &[f64]) {
-        let detector = PeriodDetector;
-        let fast = detector.detect(values, 5);
+        let fast = detect_all(values, 5);
         let slow = reference::detect(values, 5);
         match (&fast, &slow) {
             (Ok(fast), Ok(slow)) => {
@@ -406,9 +496,8 @@ mod tests {
 
     #[test]
     fn errors_fire_on_the_same_inputs_as_the_reference() {
-        let detector = PeriodDetector;
         let both = |values: &[f64]| {
-            let fast = detector.detect(values, 5).err();
+            let fast = detect_all(values, 5).err();
             assert_eq!(fast, reference::detect(values, 5).err());
             fast
         };
@@ -455,5 +544,85 @@ mod tests {
                 "one with_plan call per detection"
             );
         }
+    }
+
+    /// The targeted query against detecting everything with the
+    /// reference and then filtering, over random series and the bands
+    /// the pattern classifier asks for, at its two steps, plus bands
+    /// spread over every lag.
+    #[test]
+    fn targeted_query_equals_detect_then_filter() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let bands: Vec<(Vec<f64>, f64)> = [
+            (vec![60.0, 30.0], 12.0),
+            (vec![1440.0], 240.0),
+            (vec![7.0], 0.5),
+        ]
+        .into_iter()
+        .chain((1..40).map(|i| (vec![i as f64 * 37.0], rng.random_range(0.0..30.0))))
+        .collect();
+        let lengths = (16..=200).step_by(3).chain([336, 576, 1008, 2016]);
+        let (mut asked, mut skipped) = (0, 0);
+        for n in lengths {
+            for gapped in [false, true] {
+                let values = random_series(&mut rng, n, gapped);
+                for (targets, tolerance) in &bands {
+                    for step in [5, 30] {
+                        let reference = reference::detect(&values, step);
+                        let want = reference.is_ok_and(|periods| {
+                            periods.iter().any(|p| {
+                                targets.iter().any(|t| (p.minutes - t).abs() <= *tolerance)
+                            })
+                        });
+                        let got =
+                            PeriodDetector.has_period_near(&values, step, targets, *tolerance);
+                        assert_eq!(got, want, "n {n} step {step} targets {targets:?}");
+                        asked += 1;
+                        let reachable = |lo: usize, hi: usize| {
+                            (lo..=hi).any(|lag| {
+                                targets
+                                    .iter()
+                                    .any(|t| (lag as f64 * step as f64 - t).abs() <= *tolerance)
+                            })
+                        };
+                        skipped += usize::from(matches!(
+                            super::detect(&values, step, reachable),
+                            Ok(None)
+                        ));
+                    }
+                }
+            }
+        }
+        assert!(
+            skipped > asked / 4,
+            "{skipped} of {asked} queries skip the ACF"
+        );
+    }
+
+    #[test]
+    fn an_unreachable_band_takes_no_inverse_transform() {
+        let registry = Arc::new(Registry::new());
+        // A daily cycle on the classifier's two-day window: every
+        // candidate lies near 288 samples, far from an hourly band.
+        let daily = weekly_series(288, 10.0, 1.0);
+        let two_days = &daily.values()[..576];
+        let count = |diff: &cloudscope_obs::Snapshot| {
+            let get = |name| diff.counter(name).unwrap_or(0);
+            (
+                get("timeseries.period.acf_skipped"),
+                get("timeseries.fft.plan_cache_hits") + get("timeseries.fft.plan_cache_misses"),
+            )
+        };
+        let (found, diff) = snapshot_diff(&registry, || {
+            PeriodDetector.has_period_near(two_days, 5, &[60.0, 30.0], 12.0)
+        });
+        assert!(!found);
+        assert_eq!(count(&diff), (1, 1), "one forward transform, no ACF");
+        // The daily band is in reach: the ACF is taken and validates it.
+        let (found, diff) = snapshot_diff(&registry, || {
+            PeriodDetector.has_period_near(two_days, 5, &[1440.0], 240.0)
+        });
+        assert!(found);
+        assert_eq!(count(&diff), (0, 1));
     }
 }

@@ -81,44 +81,56 @@ impl Series {
         self.start_minute + index as i64 * self.step_minutes
     }
 
-    /// Aggregates consecutive samples into buckets of `factor` samples
-    /// using the mean, producing a coarser series (e.g. 5-minute → hourly
-    /// with `factor = 12`). A trailing partial bucket is averaged over the
-    /// samples present. Non-finite values (gaps) are skipped per bucket; a
-    /// bucket with no finite value stays NaN instead of poisoning the
-    /// whole bucket mean.
+    /// [`downsample_mean_into`] as a new series, `factor` times coarser
+    /// (e.g. 5-minute → hourly with `factor = 12`).
     ///
     /// # Errors
     /// Returns [`SeriesError::BadResampleFactor`] if `factor == 0`.
     pub fn downsample_mean(&self, factor: usize) -> Result<Series, SeriesError> {
-        if factor == 0 {
-            return Err(SeriesError::BadResampleFactor);
-        }
-        let values = self
-            .values
-            .chunks(factor)
-            .map(|c| {
-                let mut sum = 0.0;
-                let mut count = 0usize;
-                for &v in c {
-                    if v.is_finite() {
-                        sum += v;
-                        count += 1;
-                    }
-                }
-                if count == 0 {
-                    f64::NAN
-                } else {
-                    sum / count as f64
-                }
-            })
-            .collect();
+        let mut values = Vec::new();
+        downsample_mean_into(&self.values, factor, &mut values)?;
         Ok(Series {
             start_minute: self.start_minute,
             step_minutes: self.step_minutes * factor as i64,
             values,
         })
     }
+}
+
+/// Aggregates consecutive samples into buckets of `factor` samples
+/// using the mean, writing the coarser series into `out` (cleared first;
+/// e.g. 5-minute → hourly with `factor = 12`). A trailing partial bucket
+/// is averaged over the samples present. Non-finite values (gaps) are
+/// skipped per bucket; a bucket with no finite value stays NaN instead
+/// of poisoning the whole bucket mean.
+///
+/// # Errors
+/// Returns [`SeriesError::BadResampleFactor`] if `factor == 0`.
+pub fn downsample_mean_into(
+    values: &[f64],
+    factor: usize,
+    out: &mut Vec<f64>,
+) -> Result<(), SeriesError> {
+    if factor == 0 {
+        return Err(SeriesError::BadResampleFactor);
+    }
+    out.clear();
+    out.extend(values.chunks(factor).map(|c| {
+        let mut sum = 0.0;
+        let mut count = 0usize;
+        for &v in c {
+            if v.is_finite() {
+                sum += v;
+                count += 1;
+            }
+        }
+        if count == 0 {
+            f64::NAN
+        } else {
+            sum / count as f64
+        }
+    }));
+    Ok(())
 }
 
 impl FromIterator<f64> for Series {
@@ -154,6 +166,10 @@ mod tests {
         assert_eq!(mean.values(), &[2.0, 6.0, 10.0]);
         assert_eq!(mean.step_minutes(), 10);
         assert!(s.downsample_mean(0).is_err());
+        // Into a reused buffer: cleared first.
+        let mut reused = vec![99.0];
+        downsample_mean_into(s.values(), 2, &mut reused).unwrap();
+        assert_eq!(reused, mean.values());
     }
 
     #[test]

@@ -161,10 +161,11 @@ printf '%s\n' "$debug_out"
 echo "==> cargo test -q --release"
 cargo test -q --release --workspace
 
-# The period detector's decision oracle: every VM of the default trace
-# and of medium(1..=32), clean and faulted, gets the same Figure 5 class
-# from the one-spectrum detector as from the reference detector.
-echo "==> decision oracle (release, ignored by default): one spectrum moves no verdict"
+# The classifier's decision oracle: every VM of the default trace and of
+# medium(1..=32), clean and faulted, gets the same Figure 5 class from
+# PatternClassifier::classify_util as from the former decision logic
+# over the reference detector.
+echo "==> decision oracle (release, ignored by default): classify_util moves no verdict"
 cargo test -q --release -p cloudscope --test decision_oracle -- --ignored
 
 # Every artifact the README advertises, judged: `repro all` at medium

@@ -21,7 +21,7 @@ use cloudscope::obs::testing::{assert_counter_eq, snapshot_diff};
 use cloudscope::obs::{parse_json, to_json, Registry, Schema, Snapshot};
 use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
-use cloudscope::timeseries::{fft, Series};
+use cloudscope::timeseries::fft;
 use cloudscope_repro::ShapeChecks;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -630,15 +630,18 @@ fn exercise_all_subsystems() -> Snapshot {
         let dense: Vec<f64> = (0..2016)
             .map(|i| 20.0 + 10.0 * (std::f64::consts::TAU * i as f64 / 288.0).sin())
             .collect();
-        let _ = classifier.classify_series(&Series::new(0, 5, dense.clone()));
+        let stored = |values: &[f64]| {
+            UtilSeries::from_percentages(SimTime::ZERO, values.iter().map(|&v| v as f32))
+        };
+        let _ = classifier.classify_util(&stored(&dense));
         let mut long_gap = dense.clone();
         for slot in &mut long_gap[100..112] {
             *slot = f64::NAN; // 12-sample gap: beyond the 6-sample fill cap.
         }
-        let _ = classifier.classify_series(&Series::new(0, 5, long_gap));
+        let _ = classifier.classify_util(&stored(&long_gap));
         let mut sparse = vec![f64::NAN; 2016];
         sparse[0] = 1.0; // coverage far below the 0.6 floor.
-        let _ = classifier.classify_series(&Series::new(0, 5, sparse));
+        let _ = classifier.classify_util(&stored(&sparse));
 
         // analysis coverage gate: one rejection, one fill.
         let util = g
