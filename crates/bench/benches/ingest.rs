@@ -1,20 +1,23 @@
 //! Benchmarks for the online ingestion service: the medium trace's
 //! telemetry replayed as hourly wire-sample batches through partitioned
-//! `Ingestor`s at 1/2/4/8 workers, with an offer-path latency audit.
-//! Results merge into `BENCH_ingest.json` at the repo root, where
-//! `scripts/bench_gates.json` bounds the best sustained throughput and
-//! the p99 offer latency.
+//! `Ingestor`s at 1/2/4/8 workers, with an offer-path latency audit, and
+//! the wire-delivery cost of a one-worker `drive_ingest` per offered
+//! sample. Results merge into `BENCH_ingest.json` at the repo root,
+//! where `scripts/bench_gates.json` bounds the best sustained throughput
+//! and the p99 offer latency.
 
 use cloudscope::analysis::PatternClassifier;
-use cloudscope::faults::WireSample;
-use cloudscope::ingest::{IngestConfig, Ingestor};
+use cloudscope::faults::{FaultPlan, WireSample};
+use cloudscope::ingest::{drive_ingest, IngestConfig, Ingestor};
+use cloudscope::kb::KnowledgeBase;
 use cloudscope::model::time::{MINUTES_PER_HOUR, MINUTES_PER_WEEK};
+use cloudscope::obs::Registry;
 use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
 use cloudscope::tracegen::generate_with;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -176,5 +179,60 @@ fn report_derived(c: &mut Criterion) {
     );
 }
 
-criterion_group!(ingest, bench_ingest_stream, report_derived);
+/// Not a timing benchmark: the wire-delivery cost of the streaming
+/// drive, in ns per offered sample, clean and under the standard fault
+/// plan. Each drive runs on one worker (`CLOUDSCOPE_WORKERS=1` for its
+/// duration) and is timed whole; its `ingest.close` and
+/// `ingest.publish` span sums are taken out, which leaves delivery —
+/// pulling the corruptors and offering their runs to the lanes — plus
+/// the simulator and stream set-up around it. Median over the drives.
+fn report_delivery(c: &mut Criterion) {
+    let smoke = std::env::var_os("CLOUDSCOPE_BENCH_SMOKE").is_some();
+    let drives = if smoke { 1 } else { 5 };
+    let trace = &generated().trace;
+    let workers = std::env::var_os("CLOUDSCOPE_WORKERS");
+    std::env::set_var("CLOUDSCOPE_WORKERS", "1");
+    for (name, plan) in [
+        ("clean", FaultPlan::clean(7171)),
+        ("faulted", FaultPlan::standard(7171)),
+    ] {
+        let mut ns_per_sample: Vec<f64> = (0..drives)
+            .map(|_| {
+                let registry = Arc::new(Registry::new());
+                let kb = KnowledgeBase::new();
+                let (offered, drive_ns) = cloudscope::obs::scoped(&registry, || {
+                    let start = Instant::now();
+                    let outcome = drive_ingest(
+                        trace,
+                        &plan,
+                        &IngestConfig::default(),
+                        &PatternClassifier,
+                        &kb,
+                    );
+                    let drive_ns = start.elapsed().as_nanos() as f64;
+                    (outcome.session.report().samples_offered, drive_ns)
+                });
+                let spans = registry.snapshot();
+                let span_ns = |name: &str| {
+                    spans
+                        .histogram(&format!("{name}.duration_ns"))
+                        .map_or(0.0, |h| h.sum as f64)
+                };
+                let rest = drive_ns - span_ns("ingest.close") - span_ns("ingest.publish");
+                rest / offered as f64
+            })
+            .collect();
+        ns_per_sample.sort_by(f64::total_cmp);
+        c.report_metric(
+            format!("ingest/deliver_ns_per_sample/{name}"),
+            ns_per_sample[ns_per_sample.len() / 2],
+        );
+    }
+    match workers {
+        Some(workers) => std::env::set_var("CLOUDSCOPE_WORKERS", workers),
+        None => std::env::remove_var("CLOUDSCOPE_WORKERS"),
+    }
+}
+
+criterion_group!(ingest, bench_ingest_stream, report_derived, report_delivery);
 criterion_main!(ingest);

@@ -2,7 +2,9 @@
 //! into the one a real collector would have recorded.
 
 use crate::plan::{FaultPlan, FaultReport};
+use cloudscope_kb::Parallelism;
 use cloudscope_model::prelude::*;
+use cloudscope_model::telemetry::{MISSING_SAMPLE_BYTE, QUANT_STEPS_PER_PERCENT};
 use cloudscope_model::time::{SAMPLES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
 use cloudscope_sim::rng::RngFactory;
 use rand::rngs::StdRng;
@@ -12,7 +14,7 @@ use rand::{Rng, RngCore};
 /// monitor to the trace store: a recorded timestamp (which a skewed
 /// clock may have shifted off the grid) and the raw value (which may be
 /// garbage).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WireSample {
     /// Recorded timestamp, in trace minutes.
     pub minute: i64,
@@ -37,25 +39,97 @@ pub struct WireSample {
 /// that one output of lookahead back.
 ///
 /// [`corrupt_wire_samples`] is this stream collected; a streaming drive
-/// instead pulls each output as it comes due.
+/// instead pulls the outputs as they come due, a run at a time
+/// ([`WireCorruptor::next_run`]).
 #[derive(Debug)]
 pub struct WireCorruptor<'p, R = StdRng> {
     series: UtilSeries,
+    wire: Wire<'p, R>,
+    /// Outputs sent but not yet yielded, oldest first. Only the newest
+    /// can still move, so a pull yields the oldest once two are pending
+    /// or the source is exhausted: between pulls this holds at most two.
+    pending: Pending,
+}
+
+/// A corruptor's stepping state, apart from the source series it reads
+/// and the outputs it holds back, so that a step can read the one and
+/// send to the other.
+#[derive(Debug)]
+struct Wire<'p, R> {
     region: RegionId,
     plan: &'p FaultPlan,
     rng: R,
     /// The VM's constant clock skew, in minutes.
     skew: i64,
+    /// Whether the plan makes no decision per sample for this VM: no
+    /// draw, no blackout of its region, no skew. Its wire is then the
+    /// stored levels at their grid timestamps, and a run is a slice of
+    /// the series.
+    passthrough: bool,
+    /// Minute of source position 0 (the series start).
+    start: i64,
     /// Next source position to explode.
     position: usize,
     /// Outputs put on the wire so far, yielded or not.
     sent: usize,
-    /// Outputs not yet yielded, oldest first, in `pending[..len]`. Only
-    /// the newest can still move, so a pull yields the oldest once
-    /// `len >= 2` or the source is exhausted. A step runs only while
-    /// `len < 2` and appends at most two (a sample and its duplicate).
-    pending: [WireSample; 3],
+}
+
+/// Where a step puts the outputs it sends: in order, the newest last.
+///
+/// This trait's impls and the other small helpers the corruptor calls
+/// per sample are `#[inline]`: the corruptor is generic, so it is
+/// compiled in the calling crate, where a non-generic function of this
+/// crate is otherwise a call.
+trait Outputs {
+    /// Appends an output.
+    fn send(&mut self, sample: WireSample);
+    /// Swaps the two newest outputs.
+    fn swap_newest(&mut self);
+}
+
+/// The outputs a corruptor holds back between pulls: a step appends at
+/// most two (a sample and its duplicate) to at most one held back.
+#[derive(Debug, Default)]
+struct Pending {
+    samples: [WireSample; 3],
     len: usize,
+}
+
+impl Pending {
+    /// Takes the oldest output out.
+    #[inline]
+    fn pop_oldest(&mut self) -> WireSample {
+        let oldest = self.samples[0];
+        self.samples.copy_within(1.., 0);
+        self.len -= 1;
+        oldest
+    }
+}
+
+impl Outputs for Pending {
+    #[inline]
+    fn send(&mut self, sample: WireSample) {
+        self.samples[self.len] = sample;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn swap_newest(&mut self) {
+        self.samples.swap(self.len - 1, self.len - 2);
+    }
+}
+
+impl Outputs for Vec<WireSample> {
+    #[inline]
+    fn send(&mut self, sample: WireSample) {
+        self.push(sample);
+    }
+
+    #[inline]
+    fn swap_newest(&mut self) {
+        let len = self.len();
+        self.swap(len - 1, len - 2);
+    }
 }
 
 impl<'p, R: RngCore> WireCorruptor<'p, R> {
@@ -68,19 +142,26 @@ impl<'p, R: RngCore> WireCorruptor<'p, R> {
         } else {
             0
         };
-        Self {
-            series,
+        let passthrough = skew == 0
+            && !(plan.drop_probability > 0.0
+                || plan.duplicate_probability > 0.0
+                || plan.reorder_probability > 0.0
+                || plan.invalid_probability > 0.0)
+            && !plan.blackouts.iter().any(|b| b.region == region);
+        let wire = Wire {
             region,
             plan,
             rng,
             skew,
+            passthrough,
+            start: series.start().minutes(),
             position: 0,
             sent: 0,
-            pending: [WireSample {
-                minute: 0,
-                value: 0.0,
-            }; 3],
-            len: 0,
+        };
+        Self {
+            series,
+            wire,
+            pending: Pending::default(),
         }
     }
 
@@ -90,27 +171,88 @@ impl<'p, R: RngCore> WireCorruptor<'p, R> {
     /// so a caller that stops early undercounts — pull to `None` for the
     /// whole stream's ledger.
     pub fn next_sample(&mut self, report: &mut FaultReport) -> Option<WireSample> {
-        while self.len < 2 && self.position < self.series.len() {
-            self.step(report);
+        let levels = self.series.as_quantized();
+        let pending = &mut self.pending;
+        while pending.len < 2 && self.wire.position < levels.len() {
+            self.wire.step(levels, pending, report);
         }
-        if self.len == 0 {
-            return None;
-        }
-        let oldest = self.pending[0];
-        self.pending[0] = self.pending[1];
-        self.pending[1] = self.pending[2];
-        self.len -= 1;
-        Some(oldest)
+        (pending.len > 0).then(|| pending.pop_oldest())
     }
 
-    /// Explodes and corrupts the next source position.
-    fn step(&mut self, report: &mut FaultReport) {
+    /// The next `count` outputs in transmission order (fewer once the
+    /// source runs out), pulled in one call: the outputs `count` calls
+    /// of [`WireCorruptor::next_sample`] yield, with the same RNG draws
+    /// and, once the stream is pulled to its end, the same ledger. A
+    /// passthrough stream (no per-sample decision) answers with the
+    /// slice of stored levels that holds them. Any other steps into
+    /// `buf`, after the outputs held back: an output is final once
+    /// another follows it, so the steps stop at `count + 1` outputs,
+    /// and what lies past `count` is held back again.
+    pub fn next_run<'b>(
+        &'b mut self,
+        count: usize,
+        buf: &'b mut RunBuffer,
+        report: &mut FaultReport,
+    ) -> WireRun<'b> {
+        let (levels, wire, pending) = (
+            self.series.as_quantized(),
+            &mut self.wire,
+            &mut self.pending,
+        );
+        if !wire.passthrough || pending.len > 0 {
+            let buf = &mut buf.0;
+            buf.clear();
+            buf.extend_from_slice(&pending.samples[..pending.len]);
+            while buf.len() <= count && wire.position < levels.len() {
+                wire.step(levels, buf, report);
+            }
+            let held = buf.len().saturating_sub(count);
+            pending.samples[..held].copy_from_slice(&buf[buf.len() - held..]);
+            pending.len = held;
+            buf.truncate(buf.len() - held);
+            return WireRun::Samples(buf);
+        }
+        // Every present level is one output: take source positions up to
+        // the `count`-th present one.
+        let first = wire.position;
+        let rest = &levels[first..];
+        let mut end = count.min(rest.len());
+        let mut taken = present(&rest[..end]);
+        while taken < count && end < rest.len() {
+            taken += usize::from(rest[end] != MISSING_SAMPLE_BYTE);
+            end += 1;
+        }
+        wire.position += end;
+        wire.sent += taken;
+        report.samples_in += taken;
+        WireRun::Levels {
+            first_minute: wire.start + first as i64 * SAMPLE_INTERVAL_MINUTES,
+            levels: &rest[..end],
+            samples: taken,
+        }
+    }
+
+    /// Outputs yielded so far, by [`WireCorruptor::next_sample`] and
+    /// [`WireCorruptor::next_run`] alike.
+    #[must_use]
+    pub fn yielded(&self) -> usize {
+        self.wire.sent - self.pending.len
+    }
+}
+
+impl<R: RngCore> Wire<'_, R> {
+    /// Explodes and corrupts the next source position of `levels`,
+    /// sending what goes on the wire to `out`.
+    fn step(&mut self, levels: &[u8], out: &mut impl Outputs, report: &mut FaultReport) {
         let index = self.position;
         self.position += 1;
-        let Some(value) = self.series.get(index) else {
+        let level = levels[index];
+        if level == MISSING_SAMPLE_BYTE {
             return;
-        };
-        let minute = self.series.start().minutes() + index as i64 * SAMPLE_INTERVAL_MINUTES;
+        }
+        // The reading, as `UtilSeries::get` decodes the level.
+        let value = f32::from(level) / QUANT_STEPS_PER_PERCENT;
+        let minute = self.start + index as i64 * SAMPLE_INTERVAL_MINUTES;
         let plan = self.plan;
         report.samples_in += 1;
         if plan.blackouts.iter().any(|b| b.covers(self.region, minute)) {
@@ -134,10 +276,12 @@ impl<'p, R: RngCore> WireCorruptor<'p, R> {
             minute: minute + self.skew,
             value,
         };
-        self.send(delivered);
+        out.send(delivered);
+        self.sent += 1;
         if plan.duplicate_probability > 0.0 && self.rng.random_bool(plan.duplicate_probability) {
             report.duplicated += 1;
-            self.send(delivered);
+            out.send(delivered);
+            self.sent += 1;
         }
         // The guard counts every output sent, not just the pending ones.
         // Both outputs a swap touches are still pending: nothing is
@@ -147,14 +291,52 @@ impl<'p, R: RngCore> WireCorruptor<'p, R> {
             && self.rng.random_bool(plan.reorder_probability)
         {
             report.reordered += 1;
-            self.pending.swap(self.len - 1, self.len - 2);
+            out.swap_newest();
         }
     }
+}
 
-    fn send(&mut self, sample: WireSample) {
-        self.pending[self.len] = sample;
-        self.len += 1;
-        self.sent += 1;
+/// Room for one run of a stream's outputs, reused from pull to pull:
+/// [`WireCorruptor::next_run`] clears it before it steps into it, so it
+/// never holds more than the one run it returns (and the outputs held
+/// back, at most two).
+#[derive(Debug, Default)]
+pub struct RunBuffer(Vec<WireSample>);
+
+/// Samples among stored levels.
+#[inline]
+fn present(levels: &[u8]) -> usize {
+    levels.iter().filter(|&&q| q != MISSING_SAMPLE_BYTE).count()
+}
+
+/// Outputs of a wire stream pulled in one call
+/// ([`WireCorruptor::next_run`]), in transmission order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WireRun<'a> {
+    /// The stored levels of consecutive source positions, the `i`-th at
+    /// minute `first_minute + 5 i`: a present level `q` is the sample
+    /// of value `q / 2` at that minute, and
+    /// [`MISSING_SAMPLE_BYTE`] puts nothing on the wire.
+    Levels {
+        /// Timestamp of `levels[0]`, in trace minutes.
+        first_minute: i64,
+        /// Stored levels, in source order.
+        levels: &'a [u8],
+        /// Present levels among them: the run's outputs.
+        samples: usize,
+    },
+    /// The outputs themselves.
+    Samples(&'a [WireSample]),
+}
+
+impl WireRun<'_> {
+    /// Outputs in the run.
+    #[must_use]
+    pub fn outputs(&self) -> usize {
+        match self {
+            Self::Levels { samples, .. } => *samples,
+            Self::Samples(samples) => samples.len(),
+        }
     }
 }
 
@@ -253,15 +435,17 @@ pub fn corrupt_trace(trace: &Trace, plan: &FaultPlan) -> (Trace, FaultReport) {
             .expect("original trace order is dense");
     }
     let mut report = FaultReport::default();
+    let (mut records, mut utils) = (Vec::new(), Vec::new());
     trace.for_each_vm(|vm, util| {
-        let util = util.and_then(|series| {
+        utils.push(util.and_then(|series| {
             let mut rng = factory.indexed_stream("vm", vm.id.index());
             corrupt_util_series(&series, vm.region, plan, &mut rng, &mut report)
-        });
-        builder
-            .add_vm(vm.clone(), util)
-            .expect("original trace already validated this record");
+        }));
+        records.push(vm.clone());
     });
+    builder
+        .add_vms_bulk(records, utils, &Parallelism::auto())
+        .expect("original trace already validated these records");
     report.flush_metrics();
     (builder.build(), report)
 }

@@ -17,7 +17,9 @@
 //!    invalidates, and time-skews samples, and blacks out whole regions
 //!    for a window (a monitoring outage). Explode and corrupt run a step
 //!    at a time in a [`WireCorruptor`], so a streaming consumer can pull
-//!    each VM's wire as it comes due instead of materialising it.
+//!    each VM's wire as it comes due instead of materialising it, a run
+//!    of outputs per call ([`WireRun`]: a clean plan's run is the slice
+//!    of stored levels itself).
 //! 3. **Ingest** — samples are validated, snapped to the 5-minute grid,
 //!    deduplicated (last write wins), and re-assembled into a
 //!    [`UtilSeries`] whose unfilled slots are *gaps*, which the
@@ -46,6 +48,8 @@ pub mod corrupt;
 pub mod flaky;
 pub mod plan;
 
-pub use corrupt::{corrupt_trace, corrupt_wire_samples, WireCorruptor, WireSample};
+pub use corrupt::{
+    corrupt_trace, corrupt_wire_samples, RunBuffer, WireCorruptor, WireRun, WireSample,
+};
 pub use flaky::FlakyStore;
 pub use plan::{Blackout, FaultPlan, FaultReport};

@@ -4,18 +4,24 @@
 //! sample and byte for byte — what exploding the whole series and then
 //! corrupting the whole wire produced, with the same `FaultReport`.
 //!
+//! Pulled a run at a time, at random cut points and between single
+//! pulls, a stream must yield what pulling it one output at a time
+//! yields, leave the same ledger and leave its RNG where that left it.
+//!
 //! Cases are drawn from a seeded RNG rather than a shrinking framework:
 //! a failure names its case seed, and re-running that one seed
 //! reproduces it.
 
 use cloudscope_faults::{
-    corrupt_wire_samples, Blackout, FaultPlan, FaultReport, WireCorruptor, WireSample,
+    corrupt_wire_samples, Blackout, FaultPlan, FaultReport, RunBuffer, WireCorruptor, WireRun,
+    WireSample,
 };
 use cloudscope_model::prelude::*;
+use cloudscope_model::telemetry::{MISSING_SAMPLE_BYTE, QUANT_STEPS_PER_PERCENT};
 use cloudscope_model::time::{SAMPLES_PER_DAY, SAMPLES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
 use cloudscope_sim::rng::RngFactory;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const CASES: u64 = 48;
 const VMS_PER_CASE: u64 = 6;
@@ -252,4 +258,90 @@ fn pulled_streams_equal_the_eager_pipeline() {
         }
     }
     assert!(swaps > 1_000, "the heavy plan must reorder often: {swaps}");
+}
+
+/// The outputs a run stands for, in transmission order.
+fn outputs_of(run: WireRun<'_>) -> Vec<WireSample> {
+    match run {
+        WireRun::Levels {
+            first_minute,
+            levels,
+            samples,
+        } => {
+            let outputs: Vec<WireSample> = (0i64..)
+                .zip(levels)
+                .filter(|&(_, &q)| q != MISSING_SAMPLE_BYTE)
+                .map(|(i, &q)| WireSample {
+                    minute: first_minute + i * SAMPLE_INTERVAL_MINUTES,
+                    value: f32::from(q) / QUANT_STEPS_PER_PERCENT,
+                })
+                .collect();
+            assert_eq!(outputs.len(), samples, "a levels run counts its outputs");
+            outputs
+        }
+        WireRun::Samples(samples) => samples.to_vec(),
+    }
+}
+
+#[test]
+fn run_pulls_equal_single_pulls() {
+    let mut levels_runs = 0;
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x52_55_4E_u64 ^ case);
+        for plan in plans(rng.random()) {
+            let factory = RngFactory::new(plan.seed).child("faults");
+            for vm in 0..VMS_PER_CASE {
+                let series = random_series(&mut rng);
+                let region = RegionId::new(rng.random_range(0..2u32));
+                let at = format!("case {case} vm {vm} {plan:?}");
+
+                let mut want_rng = factory.indexed_stream("vm", vm);
+                let mut want_report = FaultReport::default();
+                let mut single = WireCorruptor::new(series.clone(), region, &plan, &mut want_rng);
+                let want: Vec<WireSample> =
+                    std::iter::from_fn(|| single.next_sample(&mut want_report)).collect();
+
+                let mut got_rng = factory.indexed_stream("vm", vm);
+                let mut got_report = FaultReport::default();
+                let mut runs = WireCorruptor::new(series, region, &plan, &mut got_rng);
+                let (mut got, mut buf) = (Vec::new(), RunBuffer::default());
+                loop {
+                    if rng.random_bool(0.2) {
+                        // A single pull between runs: the outputs held
+                        // back must come first in the next run.
+                        match runs.next_sample(&mut got_report) {
+                            Some(sample) => got.push(sample),
+                            None => break,
+                        }
+                    } else {
+                        let count = rng.random_range(0..=30usize);
+                        let run = runs.next_run(count, &mut buf, &mut got_report);
+                        levels_runs += usize::from(matches!(run, WireRun::Levels { .. }));
+                        let outputs = outputs_of(run);
+                        assert!(
+                            outputs.len() <= count,
+                            "{at}: a run holds at most its count"
+                        );
+                        got.extend_from_slice(&outputs);
+                        if count > 0 && outputs.len() < count {
+                            break;
+                        }
+                    }
+                    assert_eq!(runs.yielded(), got.len(), "{at}: yielded count");
+                }
+                assert!(
+                    runs.next_sample(&mut got_report).is_none(),
+                    "{at}: exhausted"
+                );
+                drop(runs);
+                assert_eq!(bits(&got), bits(&want), "{at}");
+                assert_eq!(got_report, want_report, "{at}");
+                assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{at}: next draw");
+            }
+        }
+    }
+    assert!(
+        levels_runs > 1_000,
+        "clean streams must pull levels runs: {levels_runs}"
+    );
 }

@@ -1,11 +1,11 @@
 //! The discrete-event driver: a trace replayed as a live telemetry
 //! stream against the ingestion service.
 
-use crate::ingestor::{offer_lane, IngestConfig, Ingestor, OfferTally, WindowClose};
+use crate::ingestor::{offer_run, IngestConfig, Ingestor, OfferTally, WindowClose};
 use crate::publish::publish_closed_windows;
 use crate::session::{IngestSession, VmLane};
 use cloudscope_analysis::PatternClassifier;
-use cloudscope_faults::{FaultPlan, FaultReport, WireCorruptor};
+use cloudscope_faults::{FaultPlan, FaultReport, RunBuffer, WireCorruptor};
 use cloudscope_kb::{KbStore, Parallelism, PipelineStats, RetryPolicy};
 use cloudscope_model::prelude::*;
 use cloudscope_model::time::{MINUTES_PER_HOUR, MINUTES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
@@ -28,16 +28,15 @@ pub enum IngestEvent {
     WatermarkTick,
 }
 
-/// One VM's wire stream, generated as it comes due: position `j` is due
-/// at `start` plus `j` sample intervals.
+/// One VM's wire stream, generated as it comes due: output `j` is due
+/// at `start` plus `j` sample intervals, and the outputs the corruptor
+/// has yielded are the ones delivered.
 #[derive(Debug)]
 struct WireStream<'p> {
     vm: VmId,
-    /// Minute at which position 0 is due (the VM's series start).
+    /// Minute at which output 0 is due (the VM's series start).
     start: i64,
     wire: WireCorruptor<'p>,
-    /// Positions below this have been delivered.
-    delivered: usize,
 }
 
 /// Where a delivery round stops offering.
@@ -65,36 +64,35 @@ struct Round {
 }
 
 impl WireStream<'_> {
-    /// How many positions are due by `cut`.
+    /// How many outputs are due by `cut`.
     fn due(&self, cut: Cut) -> usize {
         let before = match cut {
             Cut::Tick(now) => now + i64::from(self.start == now),
             Cut::End(end) => end + 1,
         };
-        // Position j is due before `before` iff start + 5 j < before.
+        // Output j is due before `before` iff start + 5 j < before.
         let due =
             (before - self.start + SAMPLE_INTERVAL_MINUTES - 1).div_euclid(SAMPLE_INTERVAL_MINUTES);
         usize::try_from(due).unwrap_or(0)
     }
 
-    /// Offers every undelivered sample due by `cut` to the VM's `lane`.
+    /// Offers every undelivered output due by `cut` to the VM's `lane`,
+    /// as one run pulled into `buf` (a faulted stream's outputs; a clean
+    /// one's run is its stored levels). A round with no output due
+    /// offers nothing.
     fn deliver(
         &mut self,
         cut: Cut,
         lane: &mut Option<VmLane>,
         seal_floor: usize,
         tally: &mut OfferTally,
+        buf: &mut RunBuffer,
         faults: &mut FaultReport,
     ) {
-        let due = self.due(cut);
-        while self.delivered < due {
-            let Some(sample) = self.wire.next_sample(faults) else {
-                break;
-            };
-            let lane = &mut *lane;
-            let report = &mut tally.report;
-            tally.dirty |= offer_lane(move || lane, sample, seal_floor, report, &mut tally.pending);
-            self.delivered += 1;
+        let due = self.due(cut).saturating_sub(self.wire.yielded());
+        let run = self.wire.next_run(due, buf, faults);
+        if run.outputs() > 0 {
+            offer_run(move || lane, run, seal_floor, tally);
         }
         if let Cut::End(_) = cut {
             while self.wire.next_sample(faults).is_some() {}
@@ -135,24 +133,18 @@ impl Shard<'_, '_> {
     /// Runs `rounds` over the shard's streams, one tally per round: the
     /// tally of offering round by round, VM by VM. Lanes share no state,
     /// so each stream runs all its rounds at once while its state is in
-    /// cache, and its part of each round is appended to that round's
-    /// tally in VM order.
+    /// cache, and offers its run of each round straight into that
+    /// round's tally, in VM order. One run buffer serves the shard: a
+    /// run holds the outputs due in one hour.
     fn deliver(&mut self, rounds: &[Round]) -> (Vec<OfferTally>, FaultReport) {
         let mut faults = FaultReport::default();
         let mut tallies: Vec<OfferTally> = rounds.iter().map(|_| OfferTally::default()).collect();
+        let mut buf = RunBuffer::default();
         for stream in self.streams.iter_mut() {
             let lane = &mut self.lanes[stream.vm.as_usize() - self.base];
             for (round, tally) in rounds.iter().zip(&mut tallies) {
-                // A tick with nothing new due offers nothing.
-                if matches!(round.cut, Cut::Tick(_)) && stream.due(round.cut) <= stream.delivered {
-                    continue;
-                }
-                let mut own = OfferTally::default();
-                stream.deliver(round.cut, lane, round.seal_floor, &mut own, &mut faults);
-                // A round that offered nothing changed nothing.
-                if own.report.samples_offered > 0 {
-                    tally.append(&own);
-                }
+                let (cut, seal_floor) = (round.cut, round.seal_floor);
+                stream.deliver(cut, lane, seal_floor, tally, &mut buf, &mut faults);
             }
         }
         (tallies, faults)
@@ -229,7 +221,6 @@ fn wire_streams<'p>(
             vm: vm.id,
             start: util.start().minutes(),
             wire: WireCorruptor::new(util, vm.region, plan, rng),
-            delivered: 0,
         });
     });
     streams
@@ -264,15 +255,18 @@ pub struct DriveOutcome {
 /// service, under the discrete-event clock:
 ///
 /// - Each VM's series is exploded into wire samples and corrupted under
-///   `plan` by a [`WireCorruptor`], one step at a time as the samples
-///   come due (same per-VM seeded streams as
-///   [`cloudscope_faults::corrupt_trace`], so the stream *content* is
-///   byte-comparable to batch corruption). Corruption shuffles content,
-///   not cadence: stream position `j` is due at the VM's series start
-///   plus `j` sample intervals, which is how a reordered sample
-///   actually arrives late.
+///   `plan` by a [`WireCorruptor`] as the samples come due (same per-VM
+///   seeded streams as [`cloudscope_faults::corrupt_trace`], so the
+///   stream *content* is byte-comparable to batch corruption).
+///   Corruption shuffles content, not cadence: stream output `j` is due
+///   at the VM's series start plus `j` sample intervals, which is how a
+///   reordered sample actually arrives late.
 /// - An hourly watermark tick first delivers every sample that came
-///   due since the previous tick. The seal floor moves only at ticks
+///   due since the previous tick, in runs: each stream's due outputs
+///   are pulled in one call and offered to its lane in one call. A
+///   clean stream's run is the slice of its stored levels, copied into
+///   the lane; a faulted one's is its corrupted samples, in a buffer
+///   each shard reuses. The seal floor moves only at ticks
 ///   and lanes share no state, so offers to different VMs between two
 ///   ticks commute, and only each VM's own order matters: the streams
 ///   are cut into contiguous VM-range shards, delivered on every
@@ -459,12 +453,11 @@ mod tests {
                 Cut::Tick(now) => now,
                 Cut::End(end) => end + 1,
             };
-            while stream.start + stream.delivered as i64 * SAMPLE_INTERVAL_MINUTES < before {
+            while stream.start + stream.wire.yielded() as i64 * SAMPLE_INTERVAL_MINUTES < before {
                 let Some(sample) = stream.wire.next_sample(faults) else {
                     break;
                 };
                 ingestor.offer(stream.vm, sample);
-                stream.delivered += 1;
             }
             if let Cut::End(_) = cut {
                 while stream.wire.next_sample(faults).is_some() {}
@@ -488,7 +481,6 @@ mod tests {
                 vm: VmId::new(vm),
                 start: 0,
                 wire: WireCorruptor::new(series, RegionId::new(0), &plan, rng),
-                delivered: 0,
             }
         };
         let classifier = PatternClassifier;
@@ -505,6 +497,55 @@ mod tests {
             assert_eq!(report.samples_applied, 12 + 12 + 12 + 1, "{at}");
             assert_eq!(report.peak_pending_samples, 26, "{at}");
         }
+    }
+
+    /// The work count of delivery: a clean drive offers a stream's due
+    /// outputs as one run per round, so it makes exactly one lane offer
+    /// per stream and round with an output due — counted here from the
+    /// tick rule alone — and still pulls and offers every sample.
+    #[test]
+    fn a_clean_drive_offers_one_run_per_stream_and_round_with_an_output_due() {
+        let trace = generate(&GeneratorConfig::small(11)).trace;
+        let config = IngestConfig::default();
+        let kb = cloudscope_kb::KnowledgeBase::new();
+        let outcome = drive_ingest(
+            &trace,
+            &FaultPlan::clean(11),
+            &config,
+            &PatternClassifier,
+            &kb,
+        );
+        let end = end_minute(&config);
+        let last_tick = end.div_euclid(MINUTES_PER_HOUR) * MINUTES_PER_HOUR;
+        let (mut want_offers, mut samples) = (0, 0);
+        for vm in trace.vms() {
+            let Some(util) = trace.util(vm.id) else {
+                continue;
+            };
+            let outputs = util.present_count();
+            samples += outputs;
+            // Output j is due at start + 5 j and offered at the first
+            // tick after that, or on the tick a stream's first output
+            // falls on; what no tick takes, the end cut does.
+            let round = |j: usize| {
+                let due = util.start().minutes() + j as i64 * SAMPLE_INTERVAL_MINUTES;
+                let tick = if j == 0 && due > 0 && due % MINUTES_PER_HOUR == 0 {
+                    due
+                } else {
+                    (due.div_euclid(MINUTES_PER_HOUR) + 1) * MINUTES_PER_HOUR
+                };
+                tick.min(last_tick + MINUTES_PER_HOUR)
+            };
+            let rounds: std::collections::BTreeSet<i64> = (0..outputs).map(round).collect();
+            want_offers += rounds.len() as u64;
+        }
+        assert_eq!(outcome.fault_report.samples_in, samples);
+        assert_eq!(outcome.session.report().samples_offered, samples as u64);
+        assert_eq!(outcome.session.lane_offers, want_offers);
+        assert!(
+            want_offers * 10 < samples as u64,
+            "{want_offers} runs for {samples} samples"
+        );
     }
 
     #[test]

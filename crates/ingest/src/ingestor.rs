@@ -2,7 +2,7 @@
 
 use crate::session::{IngestSession, VmLane};
 use cloudscope_analysis::PatternClassifier;
-use cloudscope_faults::WireSample;
+use cloudscope_faults::{WireRun, WireSample};
 use cloudscope_kb::Parallelism;
 use cloudscope_model::prelude::*;
 use cloudscope_model::telemetry::{quantize_percentage, MISSING_SAMPLE_BYTE};
@@ -99,109 +99,177 @@ impl IngestReport {
     }
 }
 
-/// What offers to one part of the lane table changed, kept apart from
-/// the ingestor so that parts can be offered to at once and folded back
-/// in VM order ([`Ingestor::fold`]).
+/// What offers to the lane table changed: the ingestor's own running
+/// counters, or those of offers to one part of the table made apart
+/// from the ingestor, so that parts can be offered to at once and
+/// folded back in VM order ([`Ingestor::fold`]).
 #[derive(Debug, Default)]
 pub(crate) struct OfferTally {
-    /// Counter deltas; `peak_pending_samples` holds the highest
-    /// `pending` sampled after an applied sample (0 before one).
+    /// Counters; `peak_pending_samples` holds the highest `pending`
+    /// sampled after an applied sample (0 before one).
     pub(crate) report: IngestReport,
-    /// Change of the pending count (sealing lowers it).
+    /// Change of the pending count (sealing lowers it); the ingestor's
+    /// own is the count of live buffered samples across lanes.
     pub(crate) pending: isize,
     /// Whether a sample was applied.
     pub(crate) dirty: bool,
+    /// Runs offered to a lane ([`offer_run`] calls).
+    pub(crate) offers: u64,
 }
 
-impl OfferTally {
-    /// Appends the tally of offers made right after this one's, as
-    /// [`Ingestor::fold`] appends a tally to the ingestor.
-    pub(crate) fn append(&mut self, next: &OfferTally) {
-        append(&mut self.report, &mut self.pending, &mut self.dirty, next);
-    }
+/// The highest stored level, 100 % in half-percent steps: what
+/// [`quantize_percentage`] makes of every finite reading at or above
+/// 100 %.
+pub(crate) const TOP_LEVEL: u8 = 200;
+
+/// The stored level of an accepted reading: the one quantization of a
+/// wire value in this crate.
+pub(crate) fn level(value: f32) -> u8 {
+    quantize_percentage(value)
 }
 
-/// Appends `next`, the tally of the offers that followed, to a running
-/// `report`, `pending` count and `dirty` flag: counters add, `dirty`
-/// ORs, and the backpressure peak is the prefix maximum of the running
-/// pending count, `max(peak, pending + next's peak)`, which is what
-/// offering the same samples one after another samples after every
-/// applied sample. A negative candidate is skipped: it lies below the
-/// pending count before `next`, and pending rises only through applied
-/// samples, so the peak already covers it.
-fn append(report: &mut IngestReport, pending: &mut isize, dirty: &mut bool, next: &OfferTally) {
-    let add = &next.report;
-    report.vms += add.vms;
-    report.samples_offered += add.samples_offered;
-    report.samples_applied += add.samples_applied;
-    report.duplicates_collapsed += add.duplicates_collapsed;
-    report.rejected_invalid += add.rejected_invalid;
-    report.out_of_week += add.out_of_week;
-    report.dropped_late += add.dropped_late;
-    report.vms_with_drops += add.vms_with_drops;
-    if let Ok(peak) = usize::try_from(*pending + add.peak_pending_samples as isize) {
-        report.peak_pending_samples = report.peak_pending_samples.max(peak);
-    }
-    *pending += next.pending;
-    *dirty |= next.dirty;
+/// The week slot a wire timestamp snaps to: the nearest 5-minute slot
+/// (`div_euclid` keeps skewed-negative minutes exact), `None` outside
+/// the week.
+fn week_slot(minute: i64) -> Option<usize> {
+    let slot = (minute + SAMPLE_INTERVAL_MINUTES / 2).div_euclid(SAMPLE_INTERVAL_MINUTES);
+    usize::try_from(slot)
+        .ok()
+        .filter(|&slot| slot < SAMPLES_PER_WEEK)
 }
 
-/// Offers one wire sample to a VM's lane under the seal floor
-/// `seal_floor`: the one home of the offer rules (validation, snapping
-/// to the grid, out-of-week, the lazy seal, the late drop and the
-/// last-write-wins apply). `lane` yields the VM's lane-table entry; it
-/// is called only for a valid, in-week sample, and the lane is created
-/// there. The counters go to `report` and the change of the pending
-/// count to `pending`, and `report.peak_pending_samples` follows
-/// `pending` after every applied sample. Returns whether the sample was
-/// applied.
-pub(crate) fn offer_lane<'l>(
+/// Samples among stored levels.
+fn present(levels: &[u8]) -> u64 {
+    levels.iter().filter(|&&q| q != MISSING_SAMPLE_BYTE).count() as u64
+}
+
+/// Offers one run of a VM's wire outputs to its lane under the seal
+/// floor `seal_floor`: the one home of the offer rules, applied as
+/// offering the run's samples one after another would (validation,
+/// snapping to the grid, out-of-week, the lazy seal, the late drop and
+/// the last-write-wins apply). `lane` yields the VM's lane-table entry;
+/// it is called only if the run holds a valid, in-week sample, and the
+/// lane is created there. The floor is fixed for the run, so the lane
+/// seals once, before its first such sample is judged; and sealing is
+/// the only thing that lowers the pending count, so the peak sampled
+/// after every applied sample is the count after the run's last one.
+/// Counters, the pending change and the peak go to `tally`.
+///
+/// A [`WireRun::Levels`] run is stored levels at consecutive slots:
+/// clipped to the week, split at the seal floor and copied, since a
+/// stored level is the byte a sample of its value quantizes to
+/// (`tests::a_stored_level_is_its_own_quantization`). The per-sample
+/// rules it replaced are its test oracle, in `reference.rs`.
+pub(crate) fn offer_run<'l>(
     lane: impl FnOnce() -> &'l mut Option<VmLane>,
-    sample: WireSample,
+    run: WireRun<'_>,
     seal_floor: usize,
-    report: &mut IngestReport,
-    pending: &mut isize,
-) -> bool {
-    report.samples_offered += 1;
-    if !sample.value.is_finite() || sample.value < 0.0 {
-        report.rejected_invalid += 1;
-        return false;
-    }
-    let slot = (sample.minute + SAMPLE_INTERVAL_MINUTES / 2).div_euclid(SAMPLE_INTERVAL_MINUTES);
-    if !(0..SAMPLES_PER_WEEK as i64).contains(&slot) {
-        report.out_of_week += 1;
-        return false;
-    }
-    let slot = slot as usize;
-    let lane = lane().get_or_insert_with(|| {
-        report.vms += 1;
-        VmLane::new()
-    });
-    // Lazy sealing: fold this lane's ripe slots before judging the new
-    // sample, so the drop decision always uses the global floor.
-    *pending -= lane.seal_upto(seal_floor) as isize;
-    if slot < seal_floor {
+    tally: &mut OfferTally,
+) {
+    tally.offers += 1;
+    let (report, pending) = (&mut tally.report, &mut tally.pending);
+    let open = |report: &mut IngestReport, pending: &mut isize| {
+        let lane = lane().get_or_insert_with(|| {
+            report.vms += 1;
+            VmLane::new()
+        });
+        *pending -= lane.seal_upto(seal_floor) as isize;
+        lane
+    };
+    let (lane, late, applied, fresh) = match run {
+        WireRun::Levels {
+            first_minute,
+            levels,
+            samples,
+        } => {
+            report.samples_offered += samples as u64;
+            // Consecutive positions snap to consecutive slots: keep the
+            // part inside the week.
+            let first =
+                (first_minute + SAMPLE_INTERVAL_MINUTES / 2).div_euclid(SAMPLE_INTERVAL_MINUTES);
+            let clip = |slot: i64| (slot - first).clamp(0, levels.len() as i64) as usize;
+            let (lo, hi) = (clip(0), clip(SAMPLES_PER_WEEK as i64));
+            let outside = present(&levels[..lo]) + present(&levels[hi..]);
+            report.out_of_week += outside;
+            if outside == samples as u64 {
+                return;
+            }
+            let lane = open(report, pending);
+            let week = &levels[lo..hi];
+            let from = (first + lo as i64) as usize;
+            let (sealed, live) = week.split_at(seal_floor.saturating_sub(from).min(week.len()));
+            let from = from + sealed.len();
+            let (mut applied, mut fresh) = (0, 0);
+            for (slot, &q) in lane.slots[from..from + live.len()].iter_mut().zip(live) {
+                let (sent, empty) = (q != MISSING_SAMPLE_BYTE, *slot == MISSING_SAMPLE_BYTE);
+                applied += u64::from(sent);
+                fresh += u64::from(sent & empty);
+                *slot = if sent { q.min(TOP_LEVEL) } else { *slot };
+            }
+            (lane, present(sealed), applied, fresh)
+        }
+        WireRun::Samples(samples) => {
+            report.samples_offered += samples.len() as u64;
+            // Validation and the grid snap; the lane opens at the first
+            // sample that passes both.
+            let (mut invalid, mut out_of_week) = (0, 0);
+            let mut land = |sample: &WireSample| {
+                // Finite and non-negative.
+                if !(0.0..=f32::MAX).contains(&sample.value) {
+                    invalid += 1;
+                    return None;
+                }
+                let slot = week_slot(sample.minute);
+                out_of_week += u64::from(slot.is_none());
+                slot
+            };
+            let mut rest = samples.iter();
+            let Some((slot, value)) = rest
+                .by_ref()
+                .find_map(|sample| Some((land(sample)?, sample.value)))
+            else {
+                report.rejected_invalid += invalid;
+                report.out_of_week += out_of_week;
+                return;
+            };
+            let lane = open(report, pending);
+            let (mut late, mut applied, mut fresh) = (0, 0, 0);
+            let mut apply = |slot: usize, value: f32| {
+                if slot < seal_floor {
+                    late += 1;
+                } else {
+                    applied += 1;
+                    let previous = std::mem::replace(&mut lane.slots[slot], level(value));
+                    fresh += u64::from(previous == MISSING_SAMPLE_BYTE);
+                }
+            };
+            apply(slot, value);
+            for sample in rest {
+                if let Some(slot) = land(sample) {
+                    apply(slot, sample.value);
+                }
+            }
+            report.rejected_invalid += invalid;
+            report.out_of_week += out_of_week;
+            (lane, late, applied, fresh)
+        }
+    };
+    if late > 0 {
         if lane.dropped_late == 0 {
             report.vms_with_drops += 1;
         }
-        lane.dropped_late += 1;
-        report.dropped_late += 1;
-        return false;
+        lane.dropped_late += late;
+        report.dropped_late += late;
     }
-    report.samples_applied += 1;
-    // A slot at or above the floor that already holds a byte is a
-    // duplicate; validation left only finite non-negative values, which
-    // never quantize to the missing marker.
-    let previous = std::mem::replace(&mut lane.slots[slot], quantize_percentage(sample.value));
-    if previous == MISSING_SAMPLE_BYTE {
-        *pending += 1;
-    } else {
-        report.duplicates_collapsed += 1;
+    if applied > 0 {
+        report.samples_applied += applied;
+        report.duplicates_collapsed += applied - fresh;
+        *pending += fresh as isize;
+        if let Ok(now) = usize::try_from(*pending) {
+            report.peak_pending_samples = report.peak_pending_samples.max(now);
+        }
+        tally.dirty = true;
     }
-    if let Ok(now) = usize::try_from(*pending) {
-        report.peak_pending_samples = report.peak_pending_samples.max(now);
-    }
-    true
 }
 
 /// The ingestion state machine: per-VM lanes behind a global watermark.
@@ -214,12 +282,13 @@ pub(crate) fn offer_lane<'l>(
 /// watermark at most `watermark_delay / 5 + 1` of those slots are live
 /// (older offers drop, newer ones cannot exist yet). [`drive_ingest`]
 /// adds O(1) per stream on top — a step-wise corruptor over the VM's
-/// shared series, never a buffered wire — so a drive's heap is the lanes
+/// shared series, never a buffered wire — and one run buffer of an
+/// hour's outputs per delivery shard, so a drive's heap is the lanes
 /// plus a few hundred bytes per telemetry-bearing VM.
 ///
-/// The lanes and counters are an [`IngestSession`] from the start:
-/// publication reads it between closes, and [`Ingestor::finish`] hands
-/// it over as the run's end state.
+/// The lanes are an [`IngestSession`] from the start: publication reads
+/// it between closes, and [`Ingestor::finish`] hands it over, with the
+/// run's counters, as the run's end state.
 ///
 /// [`drive_ingest`]: crate::drive_ingest
 #[derive(Debug)]
@@ -231,12 +300,12 @@ pub struct Ingestor {
     seal_floor: usize,
     /// Next window boundary (minutes) the watermark has not crossed.
     next_window_close: i64,
-    /// Live buffered samples across lanes (maintained incrementally;
-    /// never negative, signed to take [`offer_lane`]'s changes).
-    pending_samples: isize,
-    /// True if any sample was applied since the last window close —
-    /// whether [`Ingestor::drain`] owes a final catch-up close.
-    dirty: bool,
+    /// The run's counters: those of one shard that began with the
+    /// ingestor. `pending` is the live buffered samples across lanes
+    /// (never negative), and `dirty` whether a sample was applied since
+    /// the last window close — whether [`Ingestor::drain`] owes a final
+    /// catch-up close.
+    counters: OfferTally,
 }
 
 impl Ingestor {
@@ -252,17 +321,17 @@ impl Ingestor {
             session: IngestSession {
                 lanes: Vec::new(),
                 report: IngestReport::default(),
+                lane_offers: 0,
             },
             seal_floor: 0,
-            pending_samples: 0,
-            dirty: false,
+            counters: OfferTally::default(),
         }
     }
 
     /// Counters so far.
     #[must_use]
     pub fn report(&self) -> IngestReport {
-        self.session.report
+        self.counters.report
     }
 
     /// The lane table as it stands: sealed state only, so right after a
@@ -276,7 +345,8 @@ impl Ingestor {
     /// out-of-week slots, last write wins on duplicates — plus the one
     /// rule batch ingestion cannot need: a sample for a sealed slot is
     /// counted in `dropped_late` and never applied. The lane table grows
-    /// to `vm` when its first valid, in-week sample arrives.
+    /// to `vm` when its first valid, in-week sample arrives. A run of
+    /// one ([`offer_run`]).
     pub fn offer(&mut self, vm: VmId, sample: WireSample) {
         let (index, lanes) = (vm.as_usize(), &mut self.session.lanes);
         let lane = move || {
@@ -287,15 +357,8 @@ impl Ingestor {
             }
             &mut lanes[index]
         };
-        // The ingestor's own counters are the tally of one shard that
-        // started with it, so the sample goes straight into them.
-        self.dirty |= offer_lane(
-            lane,
-            sample,
-            self.seal_floor,
-            &mut self.session.report,
-            &mut self.pending_samples,
-        );
+        let run = WireRun::Samples(std::slice::from_ref(&sample));
+        offer_run(lane, run, self.seal_floor, &mut self.counters);
     }
 
     /// Grows the lane table to at least `len` lanes (none of them
@@ -307,7 +370,7 @@ impl Ingestor {
         }
     }
 
-    /// The lane table, for [`offer_lane`] to run on parts of it away
+    /// The lane table, for [`offer_run`] to run on parts of it away
     /// from the ingestor. Fold what it tallied back with
     /// [`Ingestor::fold`].
     pub(crate) fn lanes_mut(&mut self) -> &mut [Option<VmLane>] {
@@ -334,12 +397,33 @@ impl Ingestor {
     /// Folds the tally of offers made to one part of the lane table into
     /// the ingestor. Tallies of consecutive parts, folded in VM order,
     /// leave exactly the state of one serial sweep offering the same
-    /// samples VM by VM ([`append`]).
+    /// samples VM by VM: counters add, `dirty` ORs, and the backpressure
+    /// peak is the prefix maximum of the running pending count,
+    /// `max(peak, pending + tally's peak)`, which is what offering the
+    /// same samples one after another samples after every applied
+    /// sample. A negative candidate is skipped: it lies below the
+    /// pending count before the tally, and pending rises only through
+    /// applied samples, so the peak already covers it.
     pub(crate) fn fold(&mut self, tally: &OfferTally) {
-        let report = &mut self.session.report;
-        append(report, &mut self.pending_samples, &mut self.dirty, tally);
+        let counters = &mut self.counters;
+        let (report, add) = (&mut counters.report, &tally.report);
+        report.vms += add.vms;
+        report.samples_offered += add.samples_offered;
+        report.samples_applied += add.samples_applied;
+        report.duplicates_collapsed += add.duplicates_collapsed;
+        report.rejected_invalid += add.rejected_invalid;
+        report.out_of_week += add.out_of_week;
+        report.dropped_late += add.dropped_late;
+        report.vms_with_drops += add.vms_with_drops;
+        let peak = counters.pending + add.peak_pending_samples as isize;
+        if let Ok(peak) = usize::try_from(peak) {
+            report.peak_pending_samples = report.peak_pending_samples.max(peak);
+        }
+        counters.pending += tally.pending;
+        counters.dirty |= tally.dirty;
+        counters.offers += tally.offers;
         assert!(
-            self.pending_samples >= 0,
+            counters.pending >= 0,
             "pending samples never fall below zero"
         );
     }
@@ -366,7 +450,7 @@ impl Ingestor {
     /// Seals every lane up to the global floor.
     fn seal_all_lanes(&mut self) {
         for lane in self.session.lanes.iter_mut().flatten() {
-            self.pending_samples -= lane.seal_upto(self.seal_floor) as isize;
+            self.counters.pending -= lane.seal_upto(self.seal_floor) as isize;
         }
     }
 
@@ -387,7 +471,7 @@ impl Ingestor {
                     .and_then(|(_, levels)| classifier.classify_levels(levels)),
             )
         });
-        let IngestSession { lanes, report } = &mut self.session;
+        let (lanes, report) = (&mut self.session.lanes, &mut self.counters.report);
         let mut closes = Vec::with_capacity(report.vms);
         for (index, (lane, pattern)) in lanes.iter_mut().zip(patterns).enumerate() {
             let (Some(lane), Some(pattern)) = (lane, pattern) else {
@@ -401,7 +485,7 @@ impl Ingestor {
                 window_end: end,
             });
         }
-        self.dirty = false;
+        self.counters.dirty = false;
         closes
     }
 
@@ -411,7 +495,7 @@ impl Ingestor {
     /// call [`Ingestor::finish`]).
     pub fn drain(&mut self, now: SimTime) -> Vec<WindowClose> {
         self.seal_floor = SAMPLES_PER_WEEK;
-        if self.dirty {
+        if self.counters.dirty {
             self.close_window(now)
         } else {
             // Nothing new since the last boundary close, but lanes may
@@ -431,7 +515,28 @@ impl Ingestor {
         // buffered sample sealed into the session.
         self.seal_floor = SAMPLES_PER_WEEK;
         self.seal_all_lanes();
+        self.session.report = self.counters.report;
+        self.session.lane_offers = self.counters.offers;
         self.session.report.flush_metrics();
         self.session
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cloudscope_model::telemetry::QUANT_STEPS_PER_PERCENT;
+
+    /// What the clean byte copy rests on: a stored level read back as a
+    /// reading (`level / 2`, as `UtilSeries::get` and the corruptor
+    /// read it) quantizes to itself, and a byte above the top level —
+    /// which no quantization stores — to the top level.
+    #[test]
+    fn a_stored_level_is_its_own_quantization() {
+        for q in 0..MISSING_SAMPLE_BYTE {
+            let reading = f32::from(q) / QUANT_STEPS_PER_PERCENT;
+            assert_eq!(level(reading), q.min(TOP_LEVEL), "level {q}");
+        }
+        assert_eq!(level(100.0), TOP_LEVEL);
     }
 }

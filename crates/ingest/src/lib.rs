@@ -19,7 +19,9 @@
 //!    are discarded, and duplicate slots keep the last delivered value.
 //!    Accepted samples are quantized on arrival
 //!    ([`quantize_percentage`]) into the VM's *lane*: one byte per week
-//!    slot, in a dense table indexed by VM id.
+//!    slot, in a dense table indexed by VM id. A drive offers a VM's
+//!    due samples as one run, under the same rules; a clean run is
+//!    stored levels, which are their own quantization, so it is copied.
 //! 2. **Seal** — [`Ingestor::advance_watermark`] moves the low
 //!    watermark. Slots that fall entirely behind it *seal*: the lane's
 //!    seal cursor moves past them and the bytes become immutable — that
@@ -49,9 +51,9 @@
 //! between two of them nothing global changes (the seal floor moves
 //! only in `advance_watermark`, and lanes share no state), so each tick
 //! first delivers the samples that came due at the monitor cadence
-//! since the previous one (content corrupted by a seeded [`FaultPlan`],
-//! a step at a time as it comes due, so no wire stream is ever
-//! materialised; cadence preserved), in VM-range shards on every worker
+//! since the previous one (content corrupted by a seeded [`FaultPlan`]
+//! as it comes due, so no wire stream is ever materialised; cadence
+//! preserved), one run per VM, in VM-range shards on every worker
 //! whose tallies fold back into exactly the VM-by-VM result, then
 //! advances the watermark. Only a window close reads the lanes, so the
 //! ticks' deliveries queue and run in one sweep just before it, in tick

@@ -1,5 +1,6 @@
-//! Test-only oracle for the tick-batched drive: the per-sample
-//! discrete-event drive it replaced, over an eagerly built wire.
+//! Test-only oracles: the per-sample discrete-event drive the
+//! tick-batched drive replaced, over an eagerly built wire, and the
+//! per-sample offer rules the run offer replaced.
 //!
 //! [`drive_per_sample`] materialises every VM's whole corrupted wire
 //! stream up front ([`wire_streams`]), schedules one `Deliver` event per
@@ -283,6 +284,230 @@ mod tests {
                 KbQuery::all().collect(&kb),
                 KbQuery::all().collect(&reference_kb)
             );
+        }
+    }
+}
+
+/// The per-sample offer rules that `ingestor::offer_run` replaced, and
+/// the property that a run offered in one call leaves what offering its
+/// samples one by one under them leaves.
+mod offer {
+    use crate::ingestor::{level, offer_run, IngestReport, OfferTally, TOP_LEVEL};
+    use crate::session::VmLane;
+    use cloudscope_faults::{WireRun, WireSample};
+    use cloudscope_model::telemetry::{MISSING_SAMPLE_BYTE, QUANT_STEPS_PER_PERCENT};
+    use cloudscope_model::time::{SAMPLES_PER_WEEK, SAMPLE_INTERVAL_MINUTES};
+    use proptest::prelude::*;
+
+    /// The per-sample offer [`offer_run`] replaced, kept as its oracle:
+    /// every rule applied to one wire sample, the lane sealed on each
+    /// valid, in-week sample and the peak sampled after each applied
+    /// one. Returns whether the sample was applied.
+    fn offer_lane<'l>(
+        lane: impl FnOnce() -> &'l mut Option<VmLane>,
+        sample: WireSample,
+        seal_floor: usize,
+        report: &mut IngestReport,
+        pending: &mut isize,
+    ) -> bool {
+        report.samples_offered += 1;
+        if !sample.value.is_finite() || sample.value < 0.0 {
+            report.rejected_invalid += 1;
+            return false;
+        }
+        let slot =
+            (sample.minute + SAMPLE_INTERVAL_MINUTES / 2).div_euclid(SAMPLE_INTERVAL_MINUTES);
+        if !(0..SAMPLES_PER_WEEK as i64).contains(&slot) {
+            report.out_of_week += 1;
+            return false;
+        }
+        let slot = slot as usize;
+        let lane = lane().get_or_insert_with(|| {
+            report.vms += 1;
+            VmLane::new()
+        });
+        *pending -= lane.seal_upto(seal_floor) as isize;
+        if slot < seal_floor {
+            if lane.dropped_late == 0 {
+                report.vms_with_drops += 1;
+            }
+            lane.dropped_late += 1;
+            report.dropped_late += 1;
+            return false;
+        }
+        report.samples_applied += 1;
+        let previous = std::mem::replace(&mut lane.slots[slot], level(sample.value));
+        if previous == MISSING_SAMPLE_BYTE {
+            *pending += 1;
+        } else {
+            report.duplicates_collapsed += 1;
+        }
+        if let Ok(now) = usize::try_from(*pending) {
+            report.peak_pending_samples = report.peak_pending_samples.max(now);
+        }
+        true
+    }
+
+    /// The wire samples a run stands for, in transmission order.
+    fn samples_of(run: WireRun<'_>) -> Vec<WireSample> {
+        match run {
+            WireRun::Levels {
+                first_minute,
+                levels,
+                ..
+            } => (0i64..)
+                .zip(levels)
+                .filter(|&(_, &q)| q != MISSING_SAMPLE_BYTE)
+                .map(|(i, &q)| WireSample {
+                    minute: first_minute + i * SAMPLE_INTERVAL_MINUTES,
+                    value: f32::from(q) / QUANT_STEPS_PER_PERCENT,
+                })
+                .collect(),
+            WireRun::Samples(samples) => samples.to_vec(),
+        }
+    }
+
+    const WEEK: i64 = SAMPLES_PER_WEEK as i64;
+
+    /// A stored byte: missing, a level, or a byte above the top level.
+    fn stored_byte() -> impl Strategy<Value = u8> {
+        prop_oneof![
+            Just(MISSING_SAMPLE_BYTE),
+            0u8..=TOP_LEVEL,
+            0u8..=TOP_LEVEL,
+            TOP_LEVEL + 1..MISSING_SAMPLE_BYTE,
+        ]
+    }
+
+    /// A wire reading: garbage (NaN, infinite, negative), a stored
+    /// level's value, or any value on a fine grid up to 120 %.
+    fn reading() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            Just(f32::NAN),
+            Just(f32::INFINITY),
+            (1u32..4000).prop_map(|x| -(x as f32) / 20.0),
+            (0u8..=TOP_LEVEL).prop_map(|q| f32::from(q) / QUANT_STEPS_PER_PERCENT),
+            (0u32..=2400).prop_map(|x| x as f32 / 20.0),
+        ]
+    }
+
+    /// A run around slot `anchor`: stored levels from a (possibly
+    /// off-grid) first minute, or samples with skewed timestamps, whose
+    /// narrow slot range makes duplicates and swaps common. Offsets are
+    /// in slots from the anchor.
+    #[derive(Debug, Clone)]
+    enum Shape {
+        Levels {
+            offset: i64,
+            skew: i64,
+            levels: Vec<u8>,
+        },
+        Samples(Vec<(i64, i64, f32)>),
+    }
+
+    fn shape() -> impl Strategy<Value = Shape> {
+        prop_oneof![
+            (
+                -16i64..=16,
+                -7i64..=7,
+                prop::collection::vec(stored_byte(), 0..=30)
+            )
+                .prop_map(|(offset, skew, levels)| Shape::Levels {
+                    offset,
+                    skew,
+                    levels
+                }),
+            prop::collection::vec((-16i64..=28, -4i64..=4, reading()), 0..=20)
+                .prop_map(Shape::Samples),
+        ]
+    }
+
+    /// The lane before the run: none, or one holding `prior` from 12
+    /// slots below the anchor, sealed `sealed` slots past that (never
+    /// beyond the floor, which only rises).
+    type Prior = Option<(Vec<u8>, usize)>;
+
+    fn prior() -> impl Strategy<Value = Prior> {
+        prop_oneof![
+            Just(None),
+            (prop::collection::vec(stored_byte(), 36), 0usize..=40).prop_map(Some),
+        ]
+    }
+
+    fn lane_of(prior: &Prior, anchor: i64, floor: usize) -> Option<VmLane> {
+        let (bytes, sealed) = prior.as_ref()?;
+        let mut lane = VmLane::new();
+        for (slot, &q) in (anchor - 12..).zip(bytes) {
+            if let Ok(slot) = usize::try_from(slot) {
+                if slot < SAMPLES_PER_WEEK {
+                    lane.slots[slot] = q;
+                }
+            }
+        }
+        let sealed = usize::try_from(anchor - 12 + *sealed as i64).unwrap_or(0);
+        lane.seal_upto(sealed.min(floor));
+        Some(lane)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        /// A run offered in one call leaves what offering its samples
+        /// one by one leaves: every counter, the pending change, the
+        /// peak, the dirty flag and the lane, byte for byte — at the
+        /// week's edges, across the seal floor, with garbage,
+        /// duplicates and swaps.
+        #[test]
+        fn a_run_offers_as_its_samples_one_by_one(
+            anchor in prop_oneof![Just(0i64), Just(WEEK - 12), 12i64..WEEK - 24],
+            floor in -6i64..=24,
+            prior in prior(),
+            start in (-40isize..=40, 0usize..=60, any::<bool>()),
+            shape in shape(),
+        ) {
+            let floor = usize::try_from(anchor + floor).unwrap_or(0);
+            let samples: Vec<WireSample>;
+            let run = match &shape {
+                Shape::Levels { offset, skew, levels } => WireRun::Levels {
+                    first_minute: (anchor + offset) * SAMPLE_INTERVAL_MINUTES + skew,
+                    levels,
+                    samples: levels.iter().filter(|&&q| q != MISSING_SAMPLE_BYTE).count(),
+                },
+                Shape::Samples(spec) => {
+                    samples = spec
+                        .iter()
+                        .map(|&(offset, skew, value)| WireSample {
+                            minute: (anchor + offset) * SAMPLE_INTERVAL_MINUTES + skew,
+                            value,
+                        })
+                        .collect();
+                    WireRun::Samples(&samples)
+                }
+            };
+            let (pending, peak, dirty) = start;
+            let tally = || OfferTally {
+                report: IngestReport { peak_pending_samples: peak, ..IngestReport::default() },
+                pending,
+                dirty,
+                offers: 0,
+            };
+
+            let (mut got_lane, mut got, mut got_opened) = (lane_of(&prior, anchor, floor), tally(), false);
+            offer_run(|| { got_opened = true; &mut got_lane }, run, floor, &mut got);
+
+            let (mut want_lane, mut want, mut want_opened) = (lane_of(&prior, anchor, floor), tally(), false);
+            for sample in samples_of(run) {
+                let (lane, opened) = (&mut want_lane, &mut want_opened);
+                let lane = move || { *opened = true; lane };
+                want.dirty |= offer_lane(lane, sample, floor, &mut want.report, &mut want.pending);
+            }
+
+            prop_assert_eq!(got.report, want.report);
+            prop_assert_eq!(got.pending, want.pending);
+            prop_assert_eq!(got.dirty, want.dirty);
+            prop_assert_eq!(got.offers, 1);
+            prop_assert_eq!(got_opened, want_opened);
+            prop_assert!(got_lane == want_lane, "lanes differ for {:?}", shape);
         }
     }
 }

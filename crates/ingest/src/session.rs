@@ -121,6 +121,10 @@ pub struct IngestSession {
     /// in-week sample.
     pub(crate) lanes: Vec<Option<VmLane>>,
     pub(crate) report: IngestReport,
+    /// Runs offered to lanes: one per sample through
+    /// [`Ingestor::offer`](crate::Ingestor::offer), one per stream and
+    /// delivery round with an output due in a drive.
+    pub(crate) lane_offers: u64,
 }
 
 impl IngestSession {

@@ -569,43 +569,23 @@ impl TraceBuilder {
 
     /// Registers a VM record and optional telemetry. Ids must arrive
     /// densely in order, the subscription must exist, and placement must
-    /// reference topology entities.
+    /// reference topology entities. A bulk add of one record, on the
+    /// calling thread ([`TraceBuilder::add_vms_bulk`]).
     ///
     /// # Errors
     /// Returns [`ModelError::InconsistentTrace`] on any integrity
     /// violation.
     pub fn add_vm(&mut self, vm: VmRecord, util: Option<UtilSeries>) -> Result<(), ModelError> {
-        validate_record(&self.trace, self.trace.vms.len(), &vm)?;
-        if let Some(node) = vm.node {
-            self.trace.by_node.entry(node).or_default().push(vm.id);
-        }
-        self.trace
-            .by_subscription
-            .entry(vm.subscription)
-            .or_default()
-            .push(vm.id);
-        self.trace
-            .by_region
-            .entry(vm.region)
-            .or_default()
-            .push(vm.id);
-        self.trace
-            .by_service
-            .entry(vm.service)
-            .or_default()
-            .push(vm.id);
-        self.trace.vms.push(vm);
-        self.trace.util.resident_mut().push(util);
-        Ok(())
+        self.add_vms_bulk(vec![vm], vec![util], &Parallelism::with_workers(1))
     }
 
-    /// Bulk [`TraceBuilder::add_vm`]: registers a batch of records (and
-    /// their telemetry, index-aligned) with validation sharded over range
-    /// chunks and the four secondary indices built concurrently, one
-    /// index per worker. Behaviour is identical to calling `add_vm` for
-    /// each record in order — the same integrity checks run, the first
-    /// violation (in record order) is reported, and index insertion order
-    /// matches the serial loop exactly — so traces built either way are
+    /// Registers a batch of records (and their telemetry, index-aligned)
+    /// with validation sharded over range chunks and the four secondary
+    /// indices built concurrently, one index per worker. Behaviour is
+    /// identical to calling [`TraceBuilder::add_vm`] for each record in
+    /// order — the same integrity checks run, the first violation (in
+    /// record order) is reported, and index insertion order matches the
+    /// serial loop exactly — so traces built either way are
     /// indistinguishable, at any worker count.
     ///
     /// # Errors
@@ -665,9 +645,8 @@ impl TraceBuilder {
     }
 }
 
-/// The integrity checks [`TraceBuilder::add_vm`] enforces, against the
-/// expected dense index `expected` — shared by the serial and bulk paths
-/// so they cannot drift.
+/// The integrity checks every added record passes, against the
+/// expected dense index `expected`.
 fn validate_record(trace: &Trace, expected: usize, vm: &VmRecord) -> Result<(), ModelError> {
     if vm.id.as_usize() != expected {
         return Err(ModelError::InconsistentTrace(format!(

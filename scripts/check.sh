@@ -68,14 +68,16 @@ fi
 
 # One offer path: the offer rules (validation, grid snap, out-of-week,
 # lazy seal, late drop, last-write-wins apply) live in
-# ingestor.rs::offer_lane, which Ingestor::offer and the drive's
-# delivery shards both call, so a sample is quantized at one site.
-echo "==> one offer path (crates/ingest/src/ingestor.rs::offer_lane)"
+# ingestor.rs::offer_run, which Ingestor::offer (a run of one) and the
+# drive's delivery shards (a run per stream and round) both call, so a
+# sample is quantized at one site, ingestor.rs::level, which the test
+# oracle of the per-sample rules calls too.
+echo "==> one offer path (crates/ingest/src/ingestor.rs::offer_run)"
 quantize=$(grep -rn --include='*.rs' 'quantize_percentage(' crates/ingest/src \
   | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 if [ "$(printf '%s\n' "$quantize" | grep -c 'quantize_percentage(')" -ne 1 ]; then
   printf '%s\n' "$quantize"
-  echo "ERROR: offer samples through ingestor::offer_lane instead of a second copy of its rules" >&2
+  echo "ERROR: offer samples through ingestor::offer_run instead of a second copy of its rules" >&2
   exit 1
 fi
 
