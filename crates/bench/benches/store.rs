@@ -1,10 +1,12 @@
 //! Benchmarks for the out-of-core columnar trace store: compressed
-//! writes with 1 and 8 workers, and one ascending sweep of every VM's
-//! telemetry, resident vs streamed from disk. Results merge into
+//! writes with 1 and 8 workers, one ascending sweep of every VM's
+//! telemetry, resident vs streamed from disk, and the CRC-32 rate over
+//! the store's chunk files. Results merge into
 //! `BENCH_store.json` at the repo root, where `scripts/bench_gates.json`
 //! bounds them. The out-of-core heap claim is a test
 //! (`tests/store_heap.rs`), not a bench row.
 
+use cloudscope::model::durable::crc32;
 use cloudscope::obs::counter;
 use cloudscope::par::Parallelism;
 use cloudscope::prelude::*;
@@ -14,6 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 fn bench_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -126,7 +129,31 @@ fn bench_store_read(c: &mut Criterion) {
         "store/out_of_core_sweep_mb_per_sec",
         dir_bytes(&dir) as f64 / 1e6 / (sweep_ns / 1e9),
     );
+    c.report_metric("store/crc32_mb_per_sec", crc32_mb_per_sec(&dir, smoke));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checksum rate a read verifies chunk files at: `crc32` over every
+/// chunk file of the store in `dir`, held in memory, in MB/s — the
+/// median of 15 passes (3 in smoke).
+fn crc32_mb_per_sec(dir: &Path, smoke: bool) -> f64 {
+    let files: Vec<Vec<u8>> = std::fs::read_dir(dir)
+        .expect("store dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "chunk"))
+        .map(|p| std::fs::read(p).expect("chunk file"))
+        .collect();
+    let bytes: usize = files.iter().map(Vec::len).sum();
+    let mut secs: Vec<f64> = (0..if smoke { 3 } else { 15 })
+        .map(|_| {
+            let t = Instant::now();
+            let folded = files.iter().fold(0u32, |acc, f| acc ^ crc32(black_box(f)));
+            black_box(folded);
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    bytes as f64 / 1e6 / secs[secs.len() / 2]
 }
 
 criterion_group!(store, bench_store_write, bench_store_read);

@@ -16,8 +16,14 @@
 //! CRC field itself — fails validation. Per-column raw CRCs re-check
 //! the *decompressed* bytes, catching faults the file CRC cannot see
 //! (a decompressor bug, a partially cached block).
+//!
+//! Each column declares its [`Packing`]: the structured columns are
+//! LZ-coded at [`LEVEL`], and a telemetry chunk's samples are stored
+//! raw, because LZ finds only coincidences in 5-minute noise. The
+//! reader takes either method in any column, so stores whose samples
+//! were LZ-coded read back unchanged.
 
-use crate::codec::Encoder;
+use crate::codec::{Encoder, METHOD_LZ};
 use crate::error::StoreError;
 use cloudscope_model::durable::{crc32, Crc32, Dec, Enc};
 use cloudscope_par::Parallelism;
@@ -37,10 +43,14 @@ const FOOTER_LEN: usize = 4 + 8;
 /// 64 KiB window still sees long matches, small enough that a default
 /// 1 MiB column fans out over several decompression tasks.
 pub(crate) const SUB_BLOCK_RAW: usize = 128 << 10;
+/// The LZ level of every [`Packing::Lz`] column, recorded in the
+/// header's level byte.
+const LEVEL: u8 = 2;
 /// A chunk's decode fans out to threads only if at least two of its
-/// wanted sub-blocks hold this many raw bytes: spawning and joining
-/// costs about what decoding a few tens of KiB does, so a chunk whose
-/// columns are one small block each has nothing to win.
+/// wanted LZ sub-blocks hold this many raw bytes: spawning and joining
+/// costs about what LZ-decoding a few tens of KiB does, so a chunk whose
+/// columns are one small block each has nothing to win. A stored block
+/// decodes as one copy and never counts.
 const FAN_OUT_MIN_RAW: usize = 64 << 10;
 
 /// What a chunk stores.
@@ -118,11 +128,24 @@ impl ChunkMeta {
     }
 }
 
+/// How a column's sub-blocks are written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Packing {
+    /// LZ-coded at [`LEVEL`] (stored where that does not win): ids,
+    /// run starts and lengths, VM fields.
+    Lz,
+    /// Stored as they are: telemetry samples, where LZ shrinks a block
+    /// by under 1.2× at about 20× the cost of a copy.
+    Raw,
+}
+
 /// One raw (uncompressed) column heading into a chunk file.
 #[derive(Debug)]
 pub(crate) struct RawColumn {
     /// Physical column id (see `columns`).
     pub(crate) id: u16,
+    /// How its sub-blocks are written.
+    pub(crate) packing: Packing,
     /// The column's raw bytes.
     pub(crate) bytes: Vec<u8>,
 }
@@ -156,9 +179,8 @@ impl DecodedChunk {
 
 /// One column compressed into its sub-block series, ready for
 /// assembly into a chunk file. Produced by [`compress_column`] — a pure
-/// function of the column and the level, so the writer can fan
-/// compression out over `(chunk, column)` tasks without changing a
-/// byte of the output.
+/// function of the column, so the writer can fan compression out over
+/// `(chunk, column)` tasks without changing a byte of the output.
 #[derive(Debug)]
 pub(crate) struct CompressedColumn {
     pub(crate) id: u16,
@@ -169,8 +191,13 @@ pub(crate) struct CompressedColumn {
     pub(crate) blocks: Vec<Vec<u8>>,
 }
 
-/// Compresses one raw column into its deterministic sub-block series.
-pub(crate) fn compress_column(col: &RawColumn, level: u8) -> CompressedColumn {
+/// Compresses one raw column into its deterministic sub-block series:
+/// LZ at [`LEVEL`], or level 0 — stored — for a [`Packing::Raw`] column.
+pub(crate) fn compress_column(col: &RawColumn) -> CompressedColumn {
+    let level = match col.packing {
+        Packing::Lz => LEVEL,
+        Packing::Raw => 0,
+    };
     let mut encoder = Encoder::default();
     let blocks = col
         .bytes
@@ -198,11 +225,7 @@ pub(crate) struct ChunkFile {
 /// Assembles pre-compressed columns into a complete chunk file. One
 /// checksum pass yields both CRCs: the footer's covers the body, and
 /// the whole file's is that state continued over the footer.
-pub(crate) fn assemble_chunk_file(
-    meta: &ChunkMeta,
-    columns: &[CompressedColumn],
-    level: u8,
-) -> ChunkFile {
+pub(crate) fn assemble_chunk_file(meta: &ChunkMeta, columns: &[CompressedColumn]) -> ChunkFile {
     let raw_total: u64 = columns.iter().map(|c| c.raw_len as u64).sum();
     let blocks_len: usize = columns
         .iter()
@@ -213,7 +236,7 @@ pub(crate) fn assemble_chunk_file(
     e.put_slice(CHUNK_MAGIC);
     e.put_u16(CHUNK_VERSION);
     e.put_u8(meta.kind.tag());
-    e.put_u8(level);
+    e.put_u8(LEVEL);
     e.put_u32(meta.region);
     e.put_u8(meta.day);
     e.put_u32(meta.seq);
@@ -246,18 +269,46 @@ pub(crate) fn assemble_chunk_file(
     }
 }
 
-/// Encodes a complete chunk file, compressing each column at `level` —
+/// Encodes a complete chunk file, packing each column as it declares —
 /// the serial reference the fanned-out writer must match byte for byte.
 #[cfg(test)]
-pub(crate) fn encode_chunk_file(
-    meta: &ChunkMeta,
-    columns: &[RawColumn],
-    level: u8,
-) -> (Vec<u8>, u64) {
-    let compressed: Vec<CompressedColumn> =
-        columns.iter().map(|c| compress_column(c, level)).collect();
-    let file = assemble_chunk_file(meta, &compressed, level);
+pub(crate) fn encode_chunk_file(meta: &ChunkMeta, columns: &[RawColumn]) -> (Vec<u8>, u64) {
+    let compressed: Vec<CompressedColumn> = columns.iter().map(compress_column).collect();
+    let file = assemble_chunk_file(meta, &compressed);
     (file.bytes, file.raw_total)
+}
+
+/// Each column's id and the method byte of each of its sub-blocks, read
+/// off a well-formed chunk file's directory.
+#[cfg(test)]
+pub(crate) fn sub_block_methods(file: &[u8]) -> Vec<(u16, Vec<u8>)> {
+    // Magic, then version, kind, level, region, day, seq, rows, min_vm
+    // and max_vm: 8 + 2 + 1 + 1 + 4 + 1 + 4 + 4 + 8 + 8 bytes.
+    let mut d = Dec::new(&file[41..]);
+    let columns = d.take_u16().unwrap();
+    let dir: Vec<(u16, Vec<usize>)> = (0..columns)
+        .map(|_| {
+            let id = d.take_u16().unwrap();
+            d.take_u32().unwrap();
+            d.take_u32().unwrap();
+            let blocks = d.take_u16().unwrap();
+            (
+                id,
+                (0..blocks)
+                    .map(|_| d.take_u32().unwrap() as usize)
+                    .collect(),
+            )
+        })
+        .collect();
+    dir.into_iter()
+        .map(|(id, lens)| {
+            let methods = lens
+                .iter()
+                .map(|&len| d.take_slice(len).unwrap()[0])
+                .collect();
+            (id, methods)
+        })
+        .collect()
 }
 
 /// One column's directory entry: identity, raw extent, and the
@@ -273,10 +324,11 @@ struct DirEntry {
 /// Decodes a chunk file, validating magic, footer CRC, structure, and
 /// per-column raw CRCs. `wanted` limits which columns are
 /// decompressed (`None` = all). When `par` is given and the directory
-/// shows at least two wanted sub-blocks of [`FAN_OUT_MIN_RAW`] raw
-/// bytes or more, the sub-blocks decompress as parallel tasks — results
-/// are stitched back in file order, so the output is identical for any
-/// worker count. A chunk with less to share out decodes on the calling
+/// shows at least two wanted LZ sub-blocks of [`FAN_OUT_MIN_RAW`] raw
+/// bytes or more, the sub-blocks decompress as parallel tasks, each into
+/// its own slice of its column's buffer, so the output is identical for
+/// any worker count. A chunk with less to share out — stored samples
+/// included, whose blocks decode as copies — decodes on the calling
 /// thread.
 ///
 /// `verify_file_crc: false` skips the footer-CRC pass for callers that
@@ -374,78 +426,74 @@ pub(crate) fn decode_chunk_file(
         )));
     }
 
-    // One decompression unit per wanted sub-block: the compressed
-    // slice, its expected raw length, and which column it belongs to.
-    struct Unit<'a> {
-        col: usize,
-        block: &'a [u8],
-        raw_len: usize,
-    }
-    let mut units: Vec<Unit<'_>> = Vec::new();
-    let mut decode_cols: Vec<usize> = Vec::new();
+    // Every wanted sub-block is checked against its raw length before
+    // anything is sized from the directory: `raw_len` is a number the
+    // file chose, and a block that cannot reach it is the verdict.
+    let mut wanted_blocks: Vec<(usize, Vec<&[u8]>)> = Vec::new();
     for (col_idx, entry) in dir.iter().enumerate() {
         let col_blocks_len: usize = entry.comp_lens.iter().sum();
+        let body = d.take_slice(col_blocks_len).map_err(|e| {
+            StoreError::corrupt(path, name, format!("column {} block: {e}", entry.id))
+        })?;
         if wanted.is_some_and(|w| !w.contains(&entry.id)) {
-            d.take_slice(col_blocks_len).map_err(|e| {
-                StoreError::corrupt(path, name, format!("column {} block: {e}", entry.id))
-            })?;
             continue;
         }
-        decode_cols.push(col_idx);
+        let mut blocks = Vec::with_capacity(entry.comp_lens.len());
+        let mut rest = body;
         for (b, &comp_len) in entry.comp_lens.iter().enumerate() {
-            let block = d.take_slice(comp_len).map_err(|e| {
-                StoreError::corrupt(path, name, format!("column {} block: {e}", entry.id))
-            })?;
-            let raw_len = if b + 1 == entry.comp_lens.len() {
-                entry.raw_len - b * SUB_BLOCK_RAW
-            } else {
-                SUB_BLOCK_RAW
-            };
+            let (block, tail) = rest.split_at(comp_len);
+            rest = tail;
+            let raw_len = (entry.raw_len - b * SUB_BLOCK_RAW).min(SUB_BLOCK_RAW);
+            crate::codec::check_reach(block, raw_len)
+                .map_err(|e| fail(format!("column {}: {e}", entry.id)))?;
+            blocks.push(block);
+        }
+        wanted_blocks.push((col_idx, blocks));
+    }
+
+    // Each wanted column is sized once, and each of its sub-blocks
+    // decodes into its own slice of that buffer — fanned out when there
+    // are two LZ blocks worth a thread each, on this thread otherwise.
+    // The bytes land where they would either way.
+    let mut buffers: Vec<Vec<u8>> = wanted_blocks
+        .iter()
+        .map(|&(col_idx, _)| vec![0u8; dir[col_idx].raw_len])
+        .collect();
+    struct Unit<'a> {
+        id: u16,
+        block: &'a [u8],
+        out: &'a mut [u8],
+    }
+    let mut units: Vec<Unit<'_>> = Vec::new();
+    for ((col_idx, blocks), buffer) in wanted_blocks.iter().zip(&mut buffers) {
+        for (&block, out) in blocks.iter().zip(buffer.chunks_mut(SUB_BLOCK_RAW)) {
             units.push(Unit {
-                col: col_idx,
+                id: dir[*col_idx].id,
                 block,
-                raw_len,
+                out,
             });
         }
     }
-
-    // Decompress every unit — fanned out when there are two blocks
-    // worth a thread each, on this thread otherwise. Results come back
-    // in unit order either way, so assembly below is order-identical.
-    let decompress_unit = |u: &Unit<'_>| crate::codec::decompress(u.block, u.raw_len);
+    let decode_unit =
+        |u: &mut Unit<'_>| crate::codec::decompress_into(u.block, u.out).map_err(|e| (u.id, e));
     let large_units = units
         .iter()
-        .filter(|u| u.raw_len >= FAN_OUT_MIN_RAW)
+        .filter(|u| u.block[0] == METHOD_LZ && u.out.len() >= FAN_OUT_MIN_RAW)
         .count();
-    let decoded: Vec<Result<Vec<u8>, String>> = match par {
-        Some(par) if par.workers() > 1 && large_units >= 2 => par.par_map(&units, decompress_unit),
-        _ => units.iter().map(decompress_unit).collect(),
+    let decoded: Vec<Result<(), (u16, String)>> = match par {
+        Some(par) if par.workers() > 1 && large_units >= 2 => {
+            par.par_map_mut(&mut units, decode_unit)
+        }
+        _ => units.iter_mut().map(decode_unit).collect(),
     };
-    // A failed block is reported before anything is sized from the
-    // directory: `raw_len` is a number the file chose.
-    let mut blocks = Vec::with_capacity(units.len());
-    for (unit, block) in units.iter().zip(decoded) {
-        blocks.push(block.map_err(|e| fail(format!("column {}: {e}", dir[unit.col].id)))?);
+    drop(units);
+    for outcome in decoded {
+        outcome.map_err(|(id, e)| fail(format!("column {id}: {e}")))?;
     }
 
-    let mut blocks = blocks.into_iter();
-    let mut columns = Vec::with_capacity(decode_cols.len());
-    for &col_idx in &decode_cols {
-        let entry = &dir[col_idx];
-        let col_blocks: Vec<Vec<u8>> = blocks.by_ref().take(entry.comp_lens.len()).collect();
-        let decoded_len: usize = col_blocks.iter().map(Vec::len).sum();
-        if decoded_len != entry.raw_len {
-            return Err(fail(format!(
-                "column {} decoded to {decoded_len} bytes, directory says {}",
-                entry.id, entry.raw_len
-            )));
-        }
-        // A single-block column adopts its buffer; the rest are joined
-        // into one allocation of the length just checked.
-        let raw = match <[Vec<u8>; 1]>::try_from(col_blocks) {
-            Ok([only]) => only,
-            Err(col_blocks) => col_blocks.concat(),
-        };
+    let mut columns = Vec::with_capacity(buffers.len());
+    for ((col_idx, _), raw) in wanted_blocks.iter().zip(buffers) {
+        let entry = &dir[*col_idx];
         let crc = crc32(&raw);
         if crc != entry.raw_crc {
             return Err(fail(format!(
@@ -485,23 +533,37 @@ mod tests {
         }
     }
 
+    fn lz(id: u16, bytes: Vec<u8>) -> RawColumn {
+        RawColumn {
+            id,
+            packing: Packing::Lz,
+            bytes,
+        }
+    }
+
+    fn raw(id: u16, bytes: Vec<u8>) -> RawColumn {
+        RawColumn {
+            id,
+            packing: Packing::Raw,
+            bytes,
+        }
+    }
+
     fn sample_columns() -> Vec<RawColumn> {
-        vec![
-            RawColumn {
-                id: 0,
-                bytes: (0u8..100).collect(),
-            },
-            RawColumn {
-                id: 3,
-                bytes: vec![42; 5000],
-            },
-        ]
+        vec![lz(0, (0u8..100).collect()), lz(3, vec![42; 5000])]
+    }
+
+    /// [`sample_columns`] with a third, stored column.
+    fn sample_columns_with_raw() -> Vec<RawColumn> {
+        let mut columns = sample_columns();
+        columns.push(raw(4, (0..300u32).map(|i| (i * 7 % 201) as u8).collect()));
+        columns
     }
 
     #[test]
     fn roundtrip_all_and_projected() {
         let meta = sample_meta();
-        let (file, raw_total) = encode_chunk_file(&meta, &sample_columns(), 2);
+        let (file, raw_total) = encode_chunk_file(&meta, &sample_columns());
         assert_eq!(raw_total, 5100);
         let p = Path::new("test.chunk");
         let all = decode_chunk_file(p, "test", &file, None, None, true).unwrap();
@@ -522,40 +584,33 @@ mod tests {
             .map(|i| (i / 97) as u8)
             .collect();
         let columns = vec![
-            RawColumn {
-                id: 0,
-                bytes: (0u8..200).collect(),
-            },
-            RawColumn {
-                id: 3,
-                bytes: big.clone(),
-            },
+            lz(0, (0u8..200).collect()),
+            lz(3, big.clone()),
+            raw(4, big.clone()),
         ];
-        let (file, raw_total) = encode_chunk_file(&meta, &columns, 2);
-        assert_eq!(raw_total as usize, 200 + big.len());
+        let (file, raw_total) = encode_chunk_file(&meta, &columns);
+        assert_eq!(raw_total as usize, 200 + 2 * big.len());
         let p = Path::new("test.chunk");
         let serial = decode_chunk_file(p, "test", &file, None, None, true).unwrap();
         assert_eq!(serial.column(3).unwrap(), &big[..]);
+        assert_eq!(serial.column(4).unwrap(), &big[..]);
         for workers in [1, 2, 7] {
             let par = Parallelism::with_workers(workers);
             let fanned = decode_chunk_file(p, "test", &file, None, Some(&par), true).unwrap();
-            assert_eq!(fanned.column(0), serial.column(0));
-            assert_eq!(fanned.column(3), serial.column(3));
+            assert_eq!(fanned.columns, serial.columns);
         }
     }
 
     #[test]
     fn empty_column_roundtrips() {
         let meta = sample_meta();
-        let columns = vec![RawColumn {
-            id: 5,
-            bytes: Vec::new(),
-        }];
-        let (file, raw_total) = encode_chunk_file(&meta, &columns, 1);
+        let columns = vec![lz(5, Vec::new()), raw(6, Vec::new())];
+        let (file, raw_total) = encode_chunk_file(&meta, &columns);
         assert_eq!(raw_total, 0);
         let p = Path::new("test.chunk");
         let decoded = decode_chunk_file(p, "test", &file, None, None, true).unwrap();
         assert_eq!(decoded.column(5).unwrap(), &[] as &[u8]);
+        assert_eq!(decoded.column(6).unwrap(), &[] as &[u8]);
     }
 
     #[test]
@@ -570,7 +625,7 @@ mod tests {
             raw_crc: 0,
             blocks: vec![Vec::new(); (u32::MAX as usize).div_ceil(SUB_BLOCK_RAW)],
         };
-        let file = assemble_chunk_file(&sample_meta(), &[hostile], 2);
+        let file = assemble_chunk_file(&sample_meta(), &[hostile]);
         assert!(file.bytes.len() < 129 << 10, "{} bytes", file.bytes.len());
         let p = Path::new("test.chunk");
         for par in [None, Some(Parallelism::with_workers(4))] {
@@ -587,16 +642,8 @@ mod tests {
     fn only_a_chunk_with_two_large_blocks_fans_out() {
         // The rule is read off the directory; whether it fired shows in
         // the executor's sweep counter.
-        let sweeps = |raw_lens: &[usize]| {
-            let columns: Vec<RawColumn> = raw_lens
-                .iter()
-                .enumerate()
-                .map(|(id, &len)| RawColumn {
-                    id: id as u16,
-                    bytes: (0..len).map(|i| (i / 61) as u8).collect(),
-                })
-                .collect();
-            let (file, _) = encode_chunk_file(&sample_meta(), &columns, 2);
+        let sweeps = |columns: &[RawColumn]| {
+            let (file, _) = encode_chunk_file(&sample_meta(), columns);
             let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());
             let decoded = cloudscope_obs::scoped(&registry, || {
                 let par = Parallelism::with_workers(4);
@@ -611,12 +658,27 @@ mod tests {
                 .counter("par.executor.sweeps")
                 .unwrap_or(0)
         };
+        let lz_columns = |raw_lens: &[usize]| -> Vec<RawColumn> {
+            raw_lens
+                .iter()
+                .enumerate()
+                .map(|(id, &len)| lz(id as u16, (0..len).map(|i| (i / 61) as u8).collect()))
+                .collect()
+        };
         // A 128 KiB chunk: one full block and three small columns.
-        assert_eq!(sweeps(&[3_600, 3_600, 1_800, SUB_BLOCK_RAW]), 0);
+        assert_eq!(
+            sweeps(&lz_columns(&[3_600, 3_600, 1_800, SUB_BLOCK_RAW])),
+            0
+        );
         // One large block and a 63 KiB one: still nothing to share out.
-        assert_eq!(sweeps(&[SUB_BLOCK_RAW + (63 << 10)]), 0);
+        assert_eq!(sweeps(&lz_columns(&[SUB_BLOCK_RAW + (63 << 10)])), 0);
         // Two blocks of 64 KiB or more: the chunk's units fan out.
-        assert_eq!(sweeps(&[100, SUB_BLOCK_RAW + (64 << 10)]), 1);
+        assert_eq!(sweeps(&lz_columns(&[100, SUB_BLOCK_RAW + (64 << 10)])), 1);
+        // Stored blocks decode as copies: eight full ones beside one
+        // large LZ block stay on the calling thread.
+        let mut columns = lz_columns(&[SUB_BLOCK_RAW]);
+        columns.push(raw(1, vec![7; 8 * SUB_BLOCK_RAW]));
+        assert_eq!(sweeps(&columns), 0);
     }
 
     #[test]
@@ -627,27 +689,99 @@ mod tests {
 
     #[test]
     fn every_bit_flip_is_detected() {
-        let (file, _) = encode_chunk_file(&sample_meta(), &sample_columns(), 1);
-        let p = Path::new("test.chunk");
-        for byte in 0..file.len() {
-            let mut bad = file.clone();
-            bad[byte] ^= 1;
-            assert!(
-                decode_chunk_file(p, "test", &bad, None, None, true).is_err(),
-                "flip at byte {byte} went undetected"
-            );
+        for columns in [sample_columns(), sample_columns_with_raw()] {
+            let (file, _) = encode_chunk_file(&sample_meta(), &columns);
+            let p = Path::new("test.chunk");
+            for byte in 0..file.len() {
+                let mut bad = file.clone();
+                bad[byte] ^= 1;
+                assert!(
+                    decode_chunk_file(p, "test", &bad, None, None, true).is_err(),
+                    "{} columns: flip at byte {byte} went undetected",
+                    columns.len()
+                );
+            }
         }
     }
 
     #[test]
     fn every_truncation_is_detected() {
-        let (file, _) = encode_chunk_file(&sample_meta(), &sample_columns(), 1);
-        let p = Path::new("test.chunk");
-        for cut in 0..file.len() {
-            assert!(
-                decode_chunk_file(p, "test", &file[..cut], None, None, true).is_err(),
-                "truncation to {cut} bytes went undetected"
-            );
+        for columns in [sample_columns(), sample_columns_with_raw()] {
+            let (file, _) = encode_chunk_file(&sample_meta(), &columns);
+            let p = Path::new("test.chunk");
+            for cut in 0..file.len() {
+                assert!(
+                    decode_chunk_file(p, "test", &file[..cut], None, None, true).is_err(),
+                    "{} columns: truncation to {cut} bytes went undetected",
+                    columns.len()
+                );
+            }
+        }
+    }
+
+    /// FNV-1a, 64-bit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn a_chunk_with_lz_samples_decodes_as_the_one_written_today() {
+        // A telemetry chunk of 150 week-long series in two runs each,
+        // 2.3 sub-blocks of samples: a daily shape plus low-bit noise,
+        // so LZ finds matches in it.
+        let mut cols = crate::columns::TelemetryColumns::default();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for vm in 0..150u64 {
+            let series: Vec<u8> = (0..2_016u32)
+                .map(|i| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let daily = ((i % 288) / 24) as u8 * 9;
+                    40 + daily + (state % 5) as u8
+                })
+                .collect();
+            cols.push(vm, 0, &series[..1_008]);
+            cols.push(vm, 5_040, &series[1_008..]);
+        }
+        let meta = ChunkMeta {
+            kind: ChunkKind::Telemetry,
+            region: 0,
+            day: 0,
+            seq: 0,
+            rows: cols.rows,
+            min_vm: cols.min_vm,
+            max_vm: cols.max_vm,
+        };
+        let today = cols.into_columns();
+        assert_eq!(today[3].packing, Packing::Raw);
+        // What the writer wrote before samples were stored raw: every
+        // column LZ-coded at level 2. The digest was recorded from that
+        // writer's own output for this chunk.
+        let lz_samples: Vec<RawColumn> = today.iter().map(|c| lz(c.id, c.bytes.clone())).collect();
+        let (old_file, _) = encode_chunk_file(&meta, &lz_samples);
+        let (new_file, _) = encode_chunk_file(&meta, &today);
+        assert_eq!(
+            fnv1a(&old_file),
+            0xb7a0_1db7_402a_6199,
+            "the LZ-samples chunk is the one that writer wrote (0x{:016x})",
+            fnv1a(&old_file)
+        );
+        let methods = sub_block_methods(&old_file);
+        assert_eq!(methods[3].1, vec![crate::codec::METHOD_LZ; 3]);
+        assert!(new_file.len() > old_file.len());
+
+        let p = Path::new("t.chunk");
+        for par in [None, Some(Parallelism::with_workers(3))] {
+            let old = decode_chunk_file(p, "t", &old_file, None, par.as_ref(), true).unwrap();
+            let new = decode_chunk_file(p, "t", &new_file, None, par.as_ref(), true).unwrap();
+            assert_eq!(old.meta, new.meta);
+            assert_eq!(old.columns, new.columns);
+            let expected: Vec<(u16, Vec<u8>)> =
+                today.iter().map(|c| (c.id, c.bytes.clone())).collect();
+            assert_eq!(new.columns, expected);
         }
     }
 }

@@ -32,12 +32,12 @@ const MAX_OFFSET: usize = u16::MAX as usize;
 /// Hash table: 4-byte keys into 16-bit buckets.
 const HASH_BITS: u32 = 16;
 /// Method byte: block is raw bytes.
-const METHOD_STORED: u8 = 0;
+pub(crate) const METHOD_STORED: u8 = 0;
 /// Method byte: block is LZ-compressed sequences.
-const METHOD_LZ: u8 = 1;
+pub(crate) const METHOD_LZ: u8 = 1;
 
 /// Compresses `src` at `level` (clamped to [`MAX_LEVEL`]). The first
-/// output byte is the method tag; [`decompress`] consumes it.
+/// output byte is the method tag; [`decompress_into`] consumes it.
 #[must_use]
 pub fn compress(src: &[u8], level: u8) -> Vec<u8> {
     Encoder::default().compress(src, level)
@@ -81,30 +81,50 @@ fn stored(src: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a [`compress`]-produced block, expecting exactly
-/// `raw_len` output bytes.
+/// Checks that `block` can decode to `raw_len` bytes before anything
+/// is sized from that number: a known method byte, a stored body of
+/// exactly `raw_len` bytes, or an LZ stream long enough to reach it (no
+/// byte of a stream yields more than the 255 bytes of a length
+/// extension). An allocation that follows is bounded by the input.
+///
+/// Returns the block's method byte and body.
 ///
 /// # Errors
-/// Returns a human-readable reason when the block is malformed:
-/// unknown method byte, truncated stream, out-of-window match offset,
-/// or a length disagreeing with `raw_len`. The caller attaches file
-/// and chunk context.
-pub fn decompress(block: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
+/// The reason [`decompress_into`] would fail with for the same block
+/// and length, for these three faults.
+pub(crate) fn check_reach(block: &[u8], raw_len: usize) -> Result<(u8, &[u8]), String> {
     let (&method, body) = block
         .split_first()
         .ok_or_else(|| "empty block (missing method byte)".to_owned())?;
     match method {
-        METHOD_STORED => {
-            if body.len() != raw_len {
-                return Err(format!(
-                    "stored block holds {} bytes, expected {raw_len}",
-                    body.len()
-                ));
-            }
-            Ok(body.to_vec())
-        }
-        METHOD_LZ => decompress_lz(body, raw_len),
+        METHOD_STORED if body.len() != raw_len => Err(format!(
+            "stored block holds {} bytes, expected {raw_len}",
+            body.len()
+        )),
+        METHOD_LZ if raw_len > body.len().saturating_mul(255) => Err(format!(
+            "a {}-byte stream cannot reach the declared length {raw_len}",
+            body.len()
+        )),
+        METHOD_STORED | METHOD_LZ => Ok((method, body)),
         other => Err(format!("unknown block method {other}")),
+    }
+}
+
+/// Decompresses a [`compress`]-produced block into `out`, which it must
+/// fill exactly.
+///
+/// # Errors
+/// Returns a human-readable reason when the block is malformed:
+/// unknown method byte, truncated stream, out-of-window match offset,
+/// or a length disagreeing with `out.len()`. The caller attaches file
+/// and chunk context.
+pub fn decompress_into(block: &[u8], out: &mut [u8]) -> Result<(), String> {
+    match check_reach(block, out.len())? {
+        (METHOD_STORED, body) => {
+            out.copy_from_slice(body);
+            Ok(())
+        }
+        (_, body) => decompress_lz(body, out),
     }
 }
 
@@ -270,20 +290,11 @@ fn read_extended(body: &[u8], pos: &mut usize) -> Result<usize, String> {
 /// variable-length one is a call.
 const WIDE_COPY: usize = 16;
 
-/// Sequence-by-sequence decoder into a buffer allocated once; every
-/// read and copy is checked.
-fn decompress_lz(body: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
-    // The allocation is bounded by the input, not by the declared
-    // length: no byte of a stream yields more than the 255 bytes of a
-    // length extension.
-    if raw_len > body.len().saturating_mul(255) {
-        return Err(format!(
-            "a {}-byte stream cannot reach the declared length {raw_len}",
-            body.len()
-        ));
-    }
+/// Sequence-by-sequence decoder into `out`; every read and copy is
+/// checked.
+fn decompress_lz(body: &[u8], out: &mut [u8]) -> Result<(), String> {
+    let raw_len = out.len();
     let too_long = || format!("output exceeds declared length {raw_len}");
-    let mut out = vec![0u8; raw_len];
     let mut filled = 0usize;
     let mut pos = 0usize;
     loop {
@@ -362,12 +373,21 @@ fn decompress_lz(body: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
             "block decoded to {filled} bytes, expected {raw_len}"
         ));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocating decode a chunk's column decode performs per
+    /// sub-block: checked, sized, filled.
+    fn decompress(block: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
+        check_reach(block, raw_len)?;
+        let mut out = vec![0u8; raw_len];
+        decompress_into(block, &mut out)?;
+        Ok(out)
+    }
 
     fn roundtrip(data: &[u8], level: u8) {
         let packed = compress(data, level);

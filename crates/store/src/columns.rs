@@ -7,7 +7,7 @@
 //! Everything is little-endian and bit-exact — `f64` fields travel as
 //! IEEE-754 bit patterns, samples as the quantized storage bytes.
 
-use crate::chunk::{DecodedChunk, RawColumn};
+use crate::chunk::{DecodedChunk, Packing, RawColumn};
 use crate::error::StoreError;
 use bytes::Bytes;
 use cloudscope_model::durable::{Dec, Enc};
@@ -98,6 +98,7 @@ impl VmMetaColumns {
     pub(crate) fn into_columns(self) -> Vec<RawColumn> {
         let raw = |id: u16, e: Enc| RawColumn {
             id,
+            packing: Packing::Lz,
             bytes: e.into_vec(),
         };
         vec![
@@ -153,16 +154,18 @@ impl TelemetryColumns {
             + self.lens.as_slice().len()
     }
 
+    /// The run locator columns LZ-coded, the samples stored raw.
     pub(crate) fn into_columns(self) -> Vec<RawColumn> {
-        let raw = |id: u16, e: Enc| RawColumn {
+        let raw = |id: u16, packing: Packing, e: Enc| RawColumn {
             id,
+            packing,
             bytes: e.into_vec(),
         };
         vec![
-            raw(col::ID, self.ids),
-            raw(col::TEL_START, self.starts),
-            raw(col::TEL_LEN, self.lens),
-            raw(col::TEL_SAMPLES, self.samples),
+            raw(col::ID, Packing::Lz, self.ids),
+            raw(col::TEL_START, Packing::Lz, self.starts),
+            raw(col::TEL_LEN, Packing::Lz, self.lens),
+            raw(col::TEL_SAMPLES, Packing::Raw, self.samples),
         ]
     }
 }
@@ -424,7 +427,7 @@ mod tests {
         };
         let mut raw = cols.into_columns();
         edit(&mut raw);
-        encode_chunk_file(&meta, &raw, 2).0
+        encode_chunk_file(&meta, &raw).0
     }
 
     fn decode_meta(file: &[u8]) -> Result<Vec<VmRecord>, StoreError> {
@@ -574,7 +577,7 @@ mod tests {
             min_vm: cols.min_vm,
             max_vm: cols.max_vm,
         };
-        let (file, _) = encode_chunk_file(&meta, &cols.into_columns(), 1);
+        let (file, _) = encode_chunk_file(&meta, &cols.into_columns());
         let p = Path::new("t.chunk");
         let decoded = decode_chunk_file(p, "t", &file, None, None, true).unwrap();
         let (ids, starts, samples) = decode_telemetry(p, decoded).unwrap();
@@ -598,7 +601,7 @@ mod tests {
             min_vm: 7,
             max_vm: 2,
         };
-        let (file, _) = encode_chunk_file(&meta, &cols.into_columns(), 0);
+        let (file, _) = encode_chunk_file(&meta, &cols.into_columns());
         let p = Path::new("t.chunk");
         let decoded = decode_chunk_file(p, "t", &file, None, None, true).unwrap();
         assert!(decode_telemetry(p, decoded).is_err());

@@ -445,7 +445,7 @@ mod tests {
             min_vm: cols.min_vm,
             max_vm: cols.max_vm,
         };
-        let (file, _) = encode_chunk_file(&meta, &cols.into_columns(), 1);
+        let (file, _) = encode_chunk_file(&meta, &cols.into_columns());
         std::fs::write(dir.join(meta.file_name()), &file).unwrap();
         manifest.chunks.push(ChunkEntry {
             meta,

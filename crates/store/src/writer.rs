@@ -55,15 +55,14 @@ fn day_run(first: i64, remaining: usize) -> (u8, usize) {
     (day, (remaining as u64).min(before_boundary) as usize)
 }
 
-/// Tuning knobs for [`TraceWriter`].
+/// Tuning knobs for [`TraceWriter`]: the chunk geometry. How each
+/// column is packed is the format's, not an option (see `chunk`).
 #[derive(Debug, Clone, Copy)]
 pub struct WriteOptions {
     /// Rows per VM-metadata chunk before it seals.
     pub target_chunk_rows: u32,
     /// Buffered bytes per telemetry chunk before it seals.
     pub target_chunk_bytes: usize,
-    /// Compression level (0 = stored .. [`crate::codec::MAX_LEVEL`]).
-    pub level: u8,
 }
 
 impl Default for WriteOptions {
@@ -71,7 +70,6 @@ impl Default for WriteOptions {
         Self {
             target_chunk_rows: 4096,
             target_chunk_bytes: 1 << 20,
-            level: 2,
         }
     }
 }
@@ -159,7 +157,7 @@ impl<'p> TraceWriter<'p> {
         let cols = self.vm_open.entry(meta_key).or_default();
         cols.push(vm);
         if cols.rows >= self.opts.target_chunk_rows {
-            let cols = self.vm_open.remove(&meta_key).expect("just inserted");
+            let cols = std::mem::take(cols);
             self.seal_vm_meta(meta_key, cols)?;
         }
         if let Some(series) = util {
@@ -193,7 +191,7 @@ impl<'p> TraceWriter<'p> {
             let cols = self.tel_open.entry(key).or_default();
             cols.push(id, run_start, &quantized[i..j]);
             if cols.buffered_bytes() >= self.opts.target_chunk_bytes {
-                let cols = self.tel_open.remove(&key).expect("just inserted");
+                let cols = std::mem::take(cols);
                 self.seal_telemetry(key, cols)?;
             }
             i = j;
@@ -272,16 +270,13 @@ impl<'p> TraceWriter<'p> {
         if self.chunks.is_empty() {
             self.retire_committed_manifest()?;
         }
-        let level = self.opts.level;
         let batch = std::mem::take(&mut self.pending);
         let units: Vec<(usize, &RawColumn)> = batch
             .iter()
             .enumerate()
             .flat_map(|(ci, sealed)| sealed.columns.iter().map(move |col| (ci, col)))
             .collect();
-        let compressed = self
-            .par
-            .par_map(&units, |&(_, col)| compress_column(col, level));
+        let compressed = self.par.par_map(&units, |&(_, col)| compress_column(col));
         let mut per_chunk: Vec<Vec<CompressedColumn>> = batch
             .iter()
             .map(|sealed| Vec::with_capacity(sealed.columns.len()))
@@ -294,7 +289,7 @@ impl<'p> TraceWriter<'p> {
         let dir = &self.dir;
         let chunks: Vec<(&Sealed, &Vec<CompressedColumn>)> = batch.iter().zip(&per_chunk).collect();
         let written = self.par.par_map(&chunks, |&(sealed, cols)| {
-            let file = assemble_chunk_file(&sealed.meta, cols, level);
+            let file = assemble_chunk_file(&sealed.meta, cols);
             let path = dir.join(sealed.meta.file_name());
             write_atomic(&path, &file.bytes).map_err(|e| StoreError::io(&path, e))?;
             let entry = ChunkEntry {
@@ -343,12 +338,14 @@ impl<'p> TraceWriter<'p> {
     /// # Errors
     /// [`StoreError::Io`] on any write failure; nothing is committed.
     pub fn finish(mut self) -> Result<(), StoreError> {
-        let open_vm: Vec<_> = std::mem::take(&mut self.vm_open).into_iter().collect();
-        for (key, cols) in open_vm {
+        // A lane whose last chunk sealed holds an empty buffer: nothing
+        // to seal.
+        let open_vm = std::mem::take(&mut self.vm_open);
+        for (key, cols) in open_vm.into_iter().filter(|(_, c)| c.rows > 0) {
             self.seal_vm_meta(key, cols)?;
         }
-        let open_tel: Vec<_> = std::mem::take(&mut self.tel_open).into_iter().collect();
-        for (key, cols) in open_tel {
+        let open_tel = std::mem::take(&mut self.tel_open);
+        for (key, cols) in open_tel.into_iter().filter(|(_, c)| c.rows > 0) {
             self.seal_telemetry(key, cols)?;
         }
         self.flush_pending()?;
@@ -408,7 +405,74 @@ pub fn store_exists(dir: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::sub_block_methods;
+    use crate::codec::{METHOD_LZ, METHOD_STORED};
+    use crate::columns::col;
+    use cloudscope_model::ids::{ClusterId, RegionId, ServiceId, SubscriptionId, VmId};
+    use cloudscope_model::time::SimTime;
+    use cloudscope_model::vm::{Priority, ServiceModel, VmSize};
     use proptest::prelude::*;
+
+    #[test]
+    fn samples_are_stored_raw_and_every_other_column_lz_coded() {
+        // Samples LZ would shrink a hundredfold, so only the packing
+        // decision can leave them stored.
+        let dir = std::env::temp_dir().join(format!("cs-store-packing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let par = Parallelism::with_workers(2);
+        let opts = WriteOptions {
+            target_chunk_rows: 4_096,
+            target_chunk_bytes: 256 << 10,
+        };
+        let mut w = TraceWriter::create(&dir, opts, &par).unwrap();
+        let series = UtilSeries::from_levels(SimTime::ZERO, vec![100; 2_016]);
+        for id in 0..600u64 {
+            let vm = VmRecord {
+                id: VmId::new(id),
+                subscription: SubscriptionId::new(3),
+                service: ServiceId::new(9),
+                size: VmSize::new(4, 16.5),
+                priority: Priority::OnDemand,
+                service_model: ServiceModel::Iaas,
+                region: RegionId::new(0),
+                cluster: ClusterId::new(2),
+                node: None,
+                created: SimTime::from_minutes(-30),
+                ended: None,
+            };
+            w.append_vm(&vm, Some(&series)).unwrap();
+        }
+        w.finish().unwrap();
+
+        let (mut telemetry, mut vm_meta) = (0, 0);
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !name.ends_with(".chunk") {
+                continue;
+            }
+            let columns = sub_block_methods(&std::fs::read(&path).unwrap());
+            for (id, methods) in columns {
+                let want = if name.starts_with("telemetry-") && id == col::TEL_SAMPLES {
+                    telemetry += methods.len();
+                    METHOD_STORED
+                } else {
+                    vm_meta += usize::from(name.starts_with("vmmeta-"));
+                    METHOD_LZ
+                };
+                assert!(!methods.is_empty(), "{name} column {id}");
+                assert!(
+                    methods.iter().all(|&m| m == want),
+                    "{name} column {id}: {methods:?}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        // 600 weeks of samples: one chunk of two sub-blocks per day
+        // lane; and one metadata chunk of 14 columns.
+        assert_eq!(telemetry, 7 * 2);
+        assert_eq!(vm_meta, 14);
+    }
 
     /// Splits by asking `day_of` about every sample: the rule
     /// [`day_run`] replaced, kept as its oracle.

@@ -171,7 +171,6 @@ pub fn write_many_chunk_store(dir: &Path) -> Trace {
     let opts = cloudscope_store::WriteOptions {
         target_chunk_rows: 8,
         target_chunk_bytes: 4096,
-        level: 1,
     };
     let par = cloudscope_par::Parallelism::with_workers(2);
     cloudscope_store::write_trace(&trace, dir, opts, &par).expect("store write");

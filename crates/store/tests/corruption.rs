@@ -28,7 +28,6 @@ fn build_store(dir: &Path) {
         WriteOptions {
             target_chunk_rows: 16,
             target_chunk_bytes: 2048,
-            level: 2,
         },
         &Parallelism::with_workers(2),
     )

@@ -29,7 +29,6 @@ fn opts() -> WriteOptions {
     WriteOptions {
         target_chunk_rows: 8,
         target_chunk_bytes: 2048,
-        level: 1,
     }
 }
 

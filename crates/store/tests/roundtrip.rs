@@ -1,5 +1,5 @@
 //! Round-trip property suite: arbitrary traces written with random
-//! chunk sizes, writer counts, and compression levels must decode
+//! chunk sizes and writer counts must decode
 //! bit-identically — resident and out-of-core alike — and the store's
 //! byte content must not depend on the worker count.
 
@@ -15,11 +15,10 @@ use cloudscope_store::{
 use common::{assert_traces_equal, dir_snapshot, trace_from_seeds, TempDir};
 use proptest::prelude::*;
 
-fn options(chunk_rows: u32, chunk_kib: usize, level: u8) -> WriteOptions {
+fn options(chunk_rows: u32, chunk_kib: usize) -> WriteOptions {
     WriteOptions {
         target_chunk_rows: chunk_rows,
         target_chunk_bytes: chunk_kib * 1024,
-        level,
     }
 }
 
@@ -27,20 +26,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The headline property: any trace, any chunk geometry, any
-    /// compression level, any worker count — the trace read back from
+    /// worker count — the trace read back from
     /// disk is observationally identical in both telemetry modes.
     #[test]
     fn arbitrary_traces_roundtrip_bit_identically(
         seeds in proptest::collection::vec(any::<u64>(), 1..80),
         chunk_rows in 1u32..64,
         chunk_kib in 1usize..64,
-        level in 0u8..4,
         workers in 1usize..9,
     ) {
         let trace = trace_from_seeds(&seeds);
         let dir = TempDir::new("roundtrip");
         let par = Parallelism::with_workers(workers);
-        write_trace(&trace, dir.path(), options(chunk_rows, chunk_kib, level), &par).unwrap();
+        write_trace(&trace, dir.path(), options(chunk_rows, chunk_kib), &par).unwrap();
         prop_assert!(store_exists(dir.path()));
 
         let reader = TraceReader::open(dir.path()).unwrap();
@@ -63,14 +61,13 @@ proptest! {
         seeds in proptest::collection::vec(any::<u64>(), 1..60),
         chunk_rows in 1u32..32,
         chunk_kib in 1usize..32,
-        level in 0u8..4,
     ) {
         let trace = trace_from_seeds(&seeds);
         let baseline = TempDir::new("det-base");
         write_trace(
             &trace,
             baseline.path(),
-            options(chunk_rows, chunk_kib, level),
+            options(chunk_rows, chunk_kib),
             &Parallelism::with_workers(1),
         )
         .unwrap();
@@ -81,7 +78,7 @@ proptest! {
             write_trace(
                 &trace,
                 dir.path(),
-                options(chunk_rows, chunk_kib, level),
+                options(chunk_rows, chunk_kib),
                 &Parallelism::with_workers(workers),
             )
             .unwrap();
@@ -104,7 +101,7 @@ proptest! {
         let trace = trace_from_seeds(&seeds);
         let dir = TempDir::new("scan");
         let par = Parallelism::with_workers(workers);
-        write_trace(&trace, dir.path(), options(4096, chunk_kib, 2), &par).unwrap();
+        write_trace(&trace, dir.path(), options(4096, chunk_kib), &par).unwrap();
         let ids: Vec<VmId> = trace
             .vms()
             .iter()
@@ -161,7 +158,7 @@ proptest! {
         let trace = trace_from_seeds(&seeds);
         let dir = TempDir::new("pushdown");
         let par = Parallelism::with_workers(2);
-        write_trace(&trace, dir.path(), options(chunk_rows, 4, 2), &par).unwrap();
+        write_trace(&trace, dir.path(), options(chunk_rows, 4), &par).unwrap();
         let reader = TraceReader::open(dir.path()).unwrap();
 
         let registry = std::sync::Arc::new(cloudscope_obs::Registry::new());

@@ -1,12 +1,15 @@
 //! The store's bytes are pinned: a store written by today's encoder is
 //! file-for-file the store the encoder wrote before its match search
 //! and checksums were optimised, so each commit reads the other's
-//! stores. The digests below were recorded on that earlier commit; a
-//! change that moves one has changed the on-disk format.
+//! stores. The block codec's digests were recorded on that earlier
+//! commit; the whole-store digests were recorded again once, when the
+//! writer began storing telemetry samples raw instead of LZ-coding them
+//! (the reader takes either). A change that moves one has changed the
+//! on-disk format.
 
 use cloudscope_model::time::{SimTime, SAMPLES_PER_WEEK};
 use cloudscope_par::Parallelism;
-use cloudscope_store::codec::{compress, decompress, MAX_LEVEL};
+use cloudscope_store::codec::{compress, decompress_into, MAX_LEVEL};
 use cloudscope_store::{TelemetryMode, WriteOptions};
 use cloudscope_tracegen::utilization::{generate_vm_series, PatternKind, ServiceUtilProfile};
 use cloudscope_tracegen::{generate_with, read_generated, write_generated, GeneratorConfig};
@@ -64,7 +67,9 @@ fn compressed_telemetry_bytes_are_pinned() {
             packed.len(),
             fnv1a(FNV_OFFSET, &packed)
         );
-        assert_eq!(decompress(&packed, block.len()).unwrap(), block);
+        let mut back = vec![0u8; block.len()];
+        decompress_into(&packed, &mut back).unwrap();
+        assert_eq!(back, block);
     }
 }
 
@@ -97,8 +102,8 @@ fn small_store_files_are_pinned_at_both_chunk_geometries() {
     config.public.arrival.base_rate_per_hour = 30.0;
     let generated = generate_with(&config, Parallelism::with_workers(2));
     let geometries: [(usize, u64); 2] = [
-        (128 << 10, 0x1d3c_f899_09ca_9c6b),
-        (1 << 20, 0xaf79_b86f_1db0_c01e),
+        (128 << 10, 0xecda_9d01_d4d8_c669),
+        (1 << 20, 0xf73a_6c8f_a91e_bc94),
     ];
     for (target_chunk_bytes, want) in geometries {
         let opts = WriteOptions {

@@ -79,7 +79,6 @@ fn streamed_generation_matches_in_memory_write_byte_for_byte() {
     let opts = WriteOptions {
         target_chunk_rows: 128,
         target_chunk_bytes: 32 * 1024,
-        level: 2,
     };
 
     let in_memory = Arc::new(Registry::new());
@@ -136,7 +135,6 @@ fn generate_to_store_over_an_interrupted_rewrite_matches_a_fresh_store() {
     let opts = WriteOptions {
         target_chunk_rows: 16,
         target_chunk_bytes: 4 * 1024,
-        level: 1,
     };
     let dir = TempDir::new("rewrite");
     generate_to_store(&tiny(11), dir.path(), opts, par).unwrap();

@@ -127,6 +127,25 @@ if grep -rn 'unsafe impl GlobalAlloc' crates tests \
   exit 1
 fi
 
+# Two audited homes for `unsafe`: the call into the carry-less-multiply
+# CRC kernel after CPU feature detection (cloudscope-model, which denies
+# unsafe_code elsewhere) and the counting allocator. An inline test
+# module (`#[cfg(test)]` then `mod name {`) ends a file's scan; a
+# test-only item elsewhere does not.
+echo "==> unsafe only in crates/model/src/durable/clmul.rs and crates/obs/src/heap.rs"
+unsafe_code=$(find crates/*/src -name '*.rs' | sort \
+  | grep -v -e '^crates/model/src/durable/clmul\.rs$' -e '^crates/obs/src/heap\.rs$' \
+  | while read -r f; do
+  awk -v f="$f" 'test_attr && /^(pub(\([a-z]+\))? )?mod [_[:alnum:]]+ \{/ { exit }
+    { test_attr = /^#\[cfg\(test\)\]/ }
+    /(^|[^_[:alnum:]])unsafe([^_[:alnum:]]|$)/ && !/^[[:space:]]*\/\// { print f ":" FNR ":" $0 }' "$f"
+done)
+if [ -n "$unsafe_code" ]; then
+  printf '%s\n' "$unsafe_code"
+  echo "ERROR: keep unsafe code to the CRC kernel's dispatch and the counting allocator" >&2
+  exit 1
+fi
+
 # Reachability: every non-const `pub fn` in crates/*/src is linked into
 # a fresh dev build of some non-test binary (the repro bins, the
 # examples, the benches, the benchmark), read with `nm --demangle`;

@@ -838,7 +838,6 @@ fn store_prefetch_metrics_reconcile_at_quiesce() {
     let opts = cloudscope::store::WriteOptions {
         target_chunk_rows: 16,
         target_chunk_bytes: 2048,
-        ..cloudscope::store::WriteOptions::default()
     };
     cloudscope::tracegen::write_generated(&g, &dir, opts, &par).expect("store write");
 
