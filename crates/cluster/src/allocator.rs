@@ -62,9 +62,6 @@ pub struct AllocatorStats {
     pub spreading_failures: u64,
     /// Spot VMs evicted to make room for on-demand requests.
     pub evictions: u64,
-    /// Live migrations performed. No operation here migrates, so this
-    /// stays 0; the store's report blob still persists it.
-    pub migrations: u64,
 }
 
 impl AllocatorStats {
@@ -77,7 +74,6 @@ impl AllocatorStats {
         self.capacity_failures += other.capacity_failures;
         self.spreading_failures += other.spreading_failures;
         self.evictions += other.evictions;
-        self.migrations += other.migrations;
     }
 }
 

@@ -1,462 +1,224 @@
-//! The self-contained block codec every column block runs through: an
-//! LZ77 byte-oriented format in the LZ4 block style (token byte with
-//! literal/match nibbles, 255-extension lengths, 16-bit match offsets),
-//! implemented from the format description with zero external
-//! dependencies.
+//! The store's one column codec. A column is a run of little-endian
+//! words of one width, and the width picks the coding:
 //!
-//! Levels trade match-search effort for ratio:
+//! | width | coding                                                     |
+//! |-------|------------------------------------------------------------|
+//! | 1     | stored: the bytes as they are                              |
+//! | 4, 8  | each word's wrapping difference from the one before (the   |
+//! |       | first from 0), zigzag-folded, as an LEB128 varint          |
 //!
-//! | level | strategy                                    |
-//! |-------|---------------------------------------------|
-//! | 0     | stored (no compression)                     |
-//! | 1     | greedy, single hash probe                   |
-//! | 2     | greedy, 16-deep hash chain                  |
-//! | 3     | greedy, 64-deep hash chain                  |
+//! Differences wrap at the word's width, so every bit pattern
+//! round-trips — an `f64` column's IEEE-754 bits included — and a
+//! sorted or clustered column (ids, times, small counts) codes in a
+//! byte or two per word. The coding is a function of the column's
+//! bytes and width alone.
 //!
-//! Every level is deterministic — the same input bytes always produce
-//! the same output bytes — and if compression does not win, the block
-//! falls back to stored form, so output never exceeds `input + 1`.
-//!
-//! The decoder trusts nothing: every length, offset, and copy is
-//! bounds-checked against the declared raw length, and any violation
-//! returns a reason string the caller wraps into a
-//! [`crate::StoreError::Corrupt`] naming the file and chunk.
+//! The decoder is total: for any input it cannot decode to exactly
+//! `raw_len` bytes it returns a reason string, which the caller wraps
+//! into a [`crate::StoreError::Corrupt`] naming the file and chunk.
+//! Before it sizes anything it refuses a `raw_len` that is not a whole
+//! number of words and one that promises more words than there are
+//! coded bytes (each word takes at least one), so what it allocates is
+//! at most eight bytes per coded byte. A varint longer than the minimal
+//! form, one whose bits overflow the width, and bytes left after the
+//! last word are refused too, so a column decodes only from the coding
+//! [`encode`] writes for it.
 
-/// Highest supported compression level.
-pub const MAX_LEVEL: u8 = 3;
-
-/// Minimum match length the format can encode.
-const MIN_MATCH: usize = 4;
-/// Match offsets are 16-bit: the sliding window is 64 KiB.
-const MAX_OFFSET: usize = u16::MAX as usize;
-/// Hash table: 4-byte keys into 16-bit buckets.
-const HASH_BITS: u32 = 16;
-/// Method byte: block is raw bytes.
-pub(crate) const METHOD_STORED: u8 = 0;
-/// Method byte: block is LZ-compressed sequences.
-pub(crate) const METHOD_LZ: u8 = 1;
-
-/// Compresses `src` at `level` (clamped to [`MAX_LEVEL`]). The first
-/// output byte is the method tag; [`decompress_into`] consumes it.
-#[must_use]
-pub fn compress(src: &[u8], level: u8) -> Vec<u8> {
-    Encoder::default().compress(src, level)
-}
-
-/// The encoder's match-search tables, kept between blocks so a column
-/// of many sub-blocks allocates them once. They hold nothing a later
-/// block can see — `head` is reset per block and `prev` is only read
-/// at positions the current block wrote — so the output stays a
-/// function of the input bytes and the level alone.
-#[derive(Debug, Default)]
-pub(crate) struct Encoder {
-    /// Most recent position of each 4-byte hash in the current block.
-    head: Vec<u32>,
-    /// For each indexed position, the previous one with the same hash.
-    prev: Vec<u32>,
-}
-
-impl Encoder {
-    /// [`compress`], reusing this encoder's tables.
-    pub(crate) fn compress(&mut self, src: &[u8], level: u8) -> Vec<u8> {
-        let chain_depth = match level.min(MAX_LEVEL) {
-            0 => return stored(src),
-            1 => 1,
-            2 => 16,
-            _ => 64,
-        };
-        let out = self.compress_lz(src, chain_depth);
-        if out.len() > src.len() {
-            return stored(src);
-        }
-        out
+/// Appends the coding of `raw`, a column of `width`-byte words, to
+/// `out`.
+///
+/// # Panics
+/// If `width` is not 1, 4 or 8: the widths [`decode`] accepts.
+pub fn encode(width: u8, raw: &[u8], out: &mut Vec<u8>) {
+    match width {
+        1 => out.extend_from_slice(raw),
+        4 => encode_words::<4>(raw, out),
+        8 => encode_words::<8>(raw, out),
+        other => panic!("no column has width {other}"),
     }
 }
 
-/// `src` as a stored block: the method tag, then the bytes.
-fn stored(src: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(src.len() + 1);
-    out.push(METHOD_STORED);
-    out.extend_from_slice(src);
-    out
-}
-
-/// Checks that `block` can decode to `raw_len` bytes before anything
-/// is sized from that number: a known method byte, a stored body of
-/// exactly `raw_len` bytes, or an LZ stream long enough to reach it (no
-/// byte of a stream yields more than the 255 bytes of a length
-/// extension). An allocation that follows is bounded by the input.
-///
-/// Returns the block's method byte and body.
+/// Decodes a column of `width`-byte words that [`encode`] coded as
+/// `coded` back to its `raw_len` raw bytes.
 ///
 /// # Errors
-/// The reason [`decompress_into`] would fail with for the same block
-/// and length, for these three faults.
-pub(crate) fn check_reach(block: &[u8], raw_len: usize) -> Result<(u8, &[u8]), String> {
-    let (&method, body) = block
-        .split_first()
-        .ok_or_else(|| "empty block (missing method byte)".to_owned())?;
-    match method {
-        METHOD_STORED if body.len() != raw_len => Err(format!(
-            "stored block holds {} bytes, expected {raw_len}",
-            body.len()
+/// A reason, naming the fault, when `coded` is not the coding of any
+/// `raw_len`-byte column of that width, or `width` is not 1, 4 or 8.
+pub fn decode(width: u8, coded: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
+    match width {
+        1 if coded.len() == raw_len => Ok(coded.to_vec()),
+        1 => Err(format!(
+            "stored column holds {} bytes, expected {raw_len}",
+            coded.len()
         )),
-        METHOD_LZ if raw_len > body.len().saturating_mul(255) => Err(format!(
-            "a {}-byte stream cannot reach the declared length {raw_len}",
-            body.len()
-        )),
-        METHOD_STORED | METHOD_LZ => Ok((method, body)),
-        other => Err(format!("unknown block method {other}")),
+        4 => decode_words::<4>(coded, raw_len),
+        8 => decode_words::<8>(coded, raw_len),
+        other => Err(format!("unknown column width {other}")),
     }
 }
 
-/// Decompresses a [`compress`]-produced block into `out`, which it must
-/// fill exactly.
-///
-/// # Errors
-/// Returns a human-readable reason when the block is malformed:
-/// unknown method byte, truncated stream, out-of-window match offset,
-/// or a length disagreeing with `out.len()`. The caller attaches file
-/// and chunk context.
-pub fn decompress_into(block: &[u8], out: &mut [u8]) -> Result<(), String> {
-    match check_reach(block, out.len())? {
-        (METHOD_STORED, body) => {
-            out.copy_from_slice(body);
-            Ok(())
+/// Bits a `W`-byte word is shifted left by to bring its top bit to bit 63.
+const fn spare_bits<const W: usize>() -> u32 {
+    64 - 8 * W as u32
+}
+
+fn encode_words<const W: usize>(raw: &[u8], out: &mut Vec<u8>) {
+    let (words, rest) = raw.as_chunks::<W>();
+    debug_assert!(rest.is_empty(), "a {W}-byte column of {} bytes", raw.len());
+    out.reserve(words.len());
+    let mut prev = 0u64;
+    for word in words {
+        let mut le = [0u8; 8];
+        le[..W].copy_from_slice(word);
+        let value = u64::from_le_bytes(le);
+        // The difference as a signed `W`-byte integer, zigzag-folded so
+        // a small step either way is a small number.
+        let delta = ((value.wrapping_sub(prev) << spare_bits::<W>()) as i64) >> spare_bits::<W>();
+        let mut zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+        while zigzag >= 0x80 {
+            out.push(zigzag as u8 | 0x80);
+            zigzag >>= 7;
         }
-        (_, body) => decompress_lz(body, out),
+        out.push(zigzag as u8);
+        prev = value;
     }
 }
 
-/// Hash of the 4 bytes at `src[i..]` into [`HASH_BITS`] bits
-/// (Fibonacci hashing on the little-endian word).
-#[inline]
-fn hash4(src: &[u8], i: usize) -> usize {
-    let word = u32::from_le_bytes([src[i], src[i + 1], src[i + 2], src[i + 3]]);
-    (word.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
-}
-
-impl Encoder {
-    /// Greedy LZ compressor with a `chain_depth`-deep hash chain.
-    fn compress_lz(&mut self, src: &[u8], chain_depth: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(src.len() / 2 + 16);
-        out.push(METHOD_LZ);
-        const NONE: u32 = u32::MAX;
-        self.head.clear();
-        self.head.resize(1 << HASH_BITS, NONE);
-        if self.prev.len() < src.len() {
-            self.prev.resize(src.len(), NONE);
-        }
-        let (head, prev) = (&mut self.head[..], &mut self.prev[..]);
-
-        let mut anchor = 0usize;
-        let mut i = 0usize;
-        while i + MIN_MATCH <= src.len() {
-            let h = hash4(src, i);
-            // Walk the chain for the longest in-window match.
-            let max_len = src.len() - i;
-            let mut best_len = 0usize;
-            let mut best_off = 0usize;
-            let mut cand = head[h];
-            let mut steps = 0usize;
-            while cand != NONE && steps < chain_depth && best_len < max_len {
-                let c = cand as usize;
-                let off = i - c;
-                if off > MAX_OFFSET {
-                    break; // chain positions only get older
-                }
-                // Only a strictly longer match replaces the best one, and
-                // a longer match agrees at `best_len`: test that byte
-                // before measuring the whole prefix.
-                if src[c + best_len] == src[i + best_len] {
-                    let len = common_prefix(src, c, i);
-                    if len > best_len {
-                        best_len = len;
-                        best_off = off;
-                    }
-                }
-                cand = prev[c];
-                steps += 1;
-            }
-            prev[i] = head[h];
-            head[h] = i as u32;
-
-            if best_len >= MIN_MATCH {
-                emit_sequence(&mut out, &src[anchor..i], best_len, best_off as u16);
-                // Index the covered positions so later matches can reach
-                // into this span (sparsely for long matches: every byte of
-                // short matches, stride 2 beyond — determinism is what
-                // matters, full indexing just costs time).
-                let end = i + best_len;
-                let mut j = i + 1;
-                while j + MIN_MATCH <= src.len() && j < end {
-                    let hj = hash4(src, j);
-                    prev[j] = head[hj];
-                    head[hj] = j as u32;
-                    j += if best_len > 32 { 2 } else { 1 };
-                }
-                i = end;
-                anchor = end;
-            } else {
-                i += 1;
-            }
-        }
-        emit_final_literals(&mut out, &src[anchor..]);
-        out
-    }
-}
-
-/// Longest common prefix of `src[a..]` and `src[b..]` (with `a < b`),
-/// capped so a match never runs past the end of input. Eight bytes at
-/// a time: the first differing byte of two words is the lowest set
-/// byte of their XOR.
-#[inline]
-fn common_prefix(src: &[u8], a: usize, b: usize) -> usize {
-    let max = src.len() - b;
-    let (x, y) = (&src[a..a + max], &src[b..]);
-    let (x_words, x_tail) = x.as_chunks::<8>();
-    let (y_words, y_tail) = y.as_chunks::<8>();
-    for (n, (xw, yw)) in x_words.iter().zip(y_words).enumerate() {
-        let diff = u64::from_le_bytes(*xw) ^ u64::from_le_bytes(*yw);
-        if diff != 0 {
-            return n * 8 + (diff.trailing_zeros() / 8) as usize;
-        }
-    }
-    let tail = x_tail
-        .iter()
-        .zip(y_tail)
-        .take_while(|(p, q)| p == q)
-        .count();
-    x_words.len() * 8 + tail
-}
-
-/// Writes one `(literals, match)` sequence: token, extended lengths,
-/// literal bytes, little-endian offset.
-fn emit_sequence(out: &mut Vec<u8>, literals: &[u8], match_len: usize, offset: u16) {
-    debug_assert!(match_len >= MIN_MATCH);
-    let lit_nibble = literals.len().min(15) as u8;
-    let match_extra = match_len - MIN_MATCH;
-    let match_nibble = match_extra.min(15) as u8;
-    out.push((lit_nibble << 4) | match_nibble);
-    if literals.len() >= 15 {
-        emit_extended(out, literals.len() - 15);
-    }
-    out.extend_from_slice(literals);
-    out.extend_from_slice(&offset.to_le_bytes());
-    if match_extra >= 15 {
-        emit_extended(out, match_extra - 15);
-    }
-}
-
-/// Final sequence: literals only, match nibble zero, no offset — the
-/// stream simply ends after the literal bytes.
-fn emit_final_literals(out: &mut Vec<u8>, literals: &[u8]) {
-    let lit_nibble = literals.len().min(15) as u8;
-    out.push(lit_nibble << 4);
-    if literals.len() >= 15 {
-        emit_extended(out, literals.len() - 15);
-    }
-    out.extend_from_slice(literals);
-}
-
-/// LZ4-style length extension: 255-valued bytes plus a terminator.
-fn emit_extended(out: &mut Vec<u8>, mut extra: usize) {
-    while extra >= 255 {
-        out.push(255);
-        extra -= 255;
-    }
-    out.push(extra as u8);
-}
-
-/// Reads a length extension, guarding against truncation.
-fn read_extended(body: &[u8], pos: &mut usize) -> Result<usize, String> {
-    let mut extra = 0usize;
-    loop {
-        let &b = body
-            .get(*pos)
-            .ok_or_else(|| "truncated length extension".to_owned())?;
-        *pos += 1;
-        extra += b as usize;
-        if b != 255 {
-            return Ok(extra);
-        }
-    }
-}
-
-/// A short literal run or match is copied as one fixed-width block
-/// when both buffers have this much room: the bytes past the run are
-/// overwritten by the next sequence (or the final length check fails),
-/// and a constant-length copy is a pair of register moves where a
-/// variable-length one is a call.
-const WIDE_COPY: usize = 16;
-
-/// Sequence-by-sequence decoder into `out`; every read and copy is
-/// checked.
-fn decompress_lz(body: &[u8], out: &mut [u8]) -> Result<(), String> {
-    let raw_len = out.len();
-    let too_long = || format!("output exceeds declared length {raw_len}");
-    let mut filled = 0usize;
-    let mut pos = 0usize;
-    loop {
-        let &token = body
-            .get(pos)
-            .ok_or_else(|| "truncated stream (missing token)".to_owned())?;
-        pos += 1;
-        let mut lit_len = (token >> 4) as usize;
-        if lit_len == 15 {
-            lit_len += read_extended(body, &mut pos)?;
-        }
-        let lit_end = pos
-            .checked_add(lit_len)
-            .filter(|&e| e <= body.len())
-            .ok_or_else(|| "literal run past end of block".to_owned())?;
-        // `lit_len <= body.len()` and `filled <= raw_len`: no overflow.
-        let lit_out_end = filled + lit_len;
-        if lit_out_end > raw_len {
-            return Err(too_long());
-        }
-        if lit_len <= WIDE_COPY && pos + WIDE_COPY <= body.len() && filled + WIDE_COPY <= raw_len {
-            out[filled..filled + WIDE_COPY].copy_from_slice(&body[pos..pos + WIDE_COPY]);
-        } else {
-            out[filled..lit_out_end].copy_from_slice(&body[pos..lit_end]);
-        }
-        filled = lit_out_end;
-        pos = lit_end;
-
-        if pos == body.len() {
-            // Final literals-only sequence.
-            if (token & 0x0F) != 0 {
-                return Err("stream ends inside a match sequence".to_owned());
-            }
-            break;
-        }
-
-        let Some(&[lo, hi]) = body.get(pos..pos + 2) else {
-            return Err("truncated match offset".to_owned());
-        };
-        let offset = u16::from_le_bytes([lo, hi]) as usize;
-        pos += 2;
-        if offset == 0 || offset > filled {
-            return Err(format!(
-                "match offset {offset} outside the {filled} bytes produced"
-            ));
-        }
-        let mut match_len = (token & 0x0F) as usize;
-        if match_len == 15 {
-            match_len += read_extended(body, &mut pos)?;
-        }
-        match_len += MIN_MATCH;
-        // `match_len <= 255 * body.len() + 19`: no overflow.
-        let match_end = filled + match_len;
-        if match_end > raw_len {
-            return Err(too_long());
-        }
-        let start = filled - offset;
-        if match_len <= WIDE_COPY && offset >= WIDE_COPY && filled + WIDE_COPY <= raw_len {
-            out.copy_within(start..start + WIDE_COPY, filled);
-        } else {
-            // An overlapping match (offset < len) replicates its
-            // `offset`-byte period, exactly as the encoder's window
-            // semantics require: each piece copies what is there so
-            // far — a whole number of periods — so the pieces double.
-            let mut at = filled;
-            while at < match_end {
-                let n = (match_end - at).min(at - start);
-                out.copy_within(start..start + n, at);
-                at += n;
-            }
-        }
-        filled = match_end;
-    }
-    if filled != raw_len {
+fn decode_words<const W: usize>(coded: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
+    if !raw_len.is_multiple_of(W) {
         return Err(format!(
-            "block decoded to {filled} bytes, expected {raw_len}"
+            "{raw_len} raw bytes are not a whole number of {W}-byte words"
         ));
     }
-    Ok(())
+    let words = raw_len / W;
+    if words > coded.len() {
+        return Err(format!(
+            "{words} words cannot come from {} coded bytes",
+            coded.len()
+        ));
+    }
+    let mut out = Vec::with_capacity(raw_len);
+    let mut pos = 0usize;
+    let mut prev = 0u64;
+    for _ in 0..words {
+        let zigzag = take_varint::<W>(coded, &mut pos)?;
+        let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+        prev = prev.wrapping_add(delta as u64);
+        out.extend_from_slice(&prev.to_le_bytes()[..W]);
+    }
+    if pos != coded.len() {
+        return Err(format!(
+            "{} trailing bytes after the column's {words} words",
+            coded.len() - pos
+        ));
+    }
+    Ok(out)
+}
+
+/// Reads one minimal LEB128 varint of at most `8 * W` bits at `pos`.
+fn take_varint<const W: usize>(coded: &[u8], pos: &mut usize) -> Result<u64, String> {
+    let bits = 8 * W as u32;
+    let mut value = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let &byte = coded
+            .get(*pos)
+            .ok_or_else(|| "column ends inside a varint".to_owned())?;
+        *pos += 1;
+        let group = u64::from(byte & 0x7F);
+        if shift + 7 > bits && group >> (bits - shift) != 0 {
+            return Err(format!("varint overflows a {W}-byte word"));
+        }
+        value |= group << shift;
+        if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err("over-long varint (a zero last group)".to_owned());
+            }
+            return Ok(value);
+        }
+        shift += 7;
+        if shift >= bits {
+            return Err(format!("over-long varint for a {W}-byte word"));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// The allocating decode a chunk's column decode performs per
-    /// sub-block: checked, sized, filled.
-    fn decompress(block: &[u8], raw_len: usize) -> Result<Vec<u8>, String> {
-        check_reach(block, raw_len)?;
-        let mut out = vec![0u8; raw_len];
-        decompress_into(block, &mut out)?;
-        Ok(out)
+    fn coded(width: u8, raw: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode(width, raw, &mut out);
+        out
     }
 
-    fn roundtrip(data: &[u8], level: u8) {
-        let packed = compress(data, level);
-        let back = decompress(&packed, data.len()).expect("clean block decodes");
-        assert_eq!(back, data, "level {level}, {} bytes", data.len());
+    fn roundtrip(width: u8, raw: &[u8]) {
+        let back = decode(width, &coded(width, raw), raw.len()).expect("clean column decodes");
+        assert_eq!(back, raw, "width {width}, {} bytes", raw.len());
+    }
+
+    fn words_u64(values: &[u64]) -> Vec<u8> {
+        values.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    fn words_u32(values: &[u32]) -> Vec<u8> {
+        values.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
     #[test]
-    fn roundtrips_across_levels_and_shapes() {
+    fn roundtrips_across_widths_and_shapes() {
         let shapes: Vec<Vec<u8>> = vec![
             vec![],
-            vec![7],
-            vec![0; 100_000],
+            vec![0; 4_096],
+            vec![0xFF; 4_096],
             (0..=255u8).cycle().take(10_000).collect(),
-            b"abcabcabcabcabcabcabcabc".repeat(40),
+            words_u64(&[0, u64::MAX, 1, u64::MAX / 2, 1 << 63, (1 << 63) - 1, 0]),
+            words_u32(&[u32::MAX, 0, u32::MAX, 1 << 31, (1 << 31) - 1]),
             (0..50_000u32)
-                .map(|i| (i.wrapping_mul(2_654_435_761)) as u8)
+                .map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u8)
                 .collect(),
         ];
         for data in &shapes {
-            for level in 0..=MAX_LEVEL {
-                roundtrip(data, level);
+            for width in [1, 4, 8] {
+                if data.len() % usize::from(width) == 0 {
+                    roundtrip(width, data);
+                }
             }
         }
     }
 
     #[test]
-    fn long_range_matches_roundtrip() {
-        // A repeat distance near the window edge and far beyond it.
-        let mut data = vec![0u8; 70_000];
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = (i % 251) as u8;
-        }
-        for level in 1..=MAX_LEVEL {
-            roundtrip(&data, level);
-        }
-    }
-
-    #[test]
     fn compression_wins_on_redundant_data() {
-        let data = b"cloud workload ".repeat(1000);
-        let packed = compress(&data, 2);
-        assert!(
-            packed.len() < data.len() / 4,
-            "{} -> {}",
-            data.len(),
-            packed.len()
-        );
+        // Ascending ids and a constant 4-byte column: a byte a word,
+        // past the first word's distance from zero.
+        let ids = words_u64(&(1_000_000..1_004_096).collect::<Vec<_>>());
+        assert_eq!(coded(8, &ids).len(), ids.len() / 8 + 2);
+        let constant = words_u32(&[7; 4_096]);
+        assert_eq!(coded(4, &constant).len(), constant.len() / 4);
     }
 
     #[test]
-    fn incompressible_data_falls_back_to_stored() {
-        let data: Vec<u8> = (0..4096u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
-        let packed = compress(&data, 3);
-        assert!(packed.len() <= data.len() + 1);
-    }
-
-    #[test]
-    fn determinism_per_level() {
-        let data = b"determinism determinism determinism".repeat(100);
-        for level in 0..=MAX_LEVEL {
-            assert_eq!(compress(&data, level), compress(&data, level));
+    fn a_reused_encoder_writes_what_a_fresh_one_does() {
+        // A chunk codes its columns back to back into one buffer: the
+        // running difference starts from 0 in each, whatever came first.
+        let columns: [(u8, Vec<u8>); 4] = [
+            (8, words_u64(&[u64::MAX, 3, 1 << 40])),
+            (4, words_u32(&[9, 9, 2])),
+            (1, vec![5, 0, 1]),
+            (8, words_u64(&[17])),
+        ];
+        let mut shared = Vec::new();
+        let mut fresh = Vec::new();
+        for (width, raw) in &columns {
+            encode(*width, raw, &mut shared);
+            fresh.extend(coded(*width, raw));
         }
+        assert_eq!(shared, fresh);
     }
 
-    /// FNV-1a, 64-bit: the digest the compressed-bytes pins are
-    /// recorded in.
+    /// FNV-1a, 64-bit: the digest the coded-bytes pins are recorded in.
     fn fnv1a(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -465,117 +227,34 @@ mod tests {
 
     #[test]
     fn compressed_bytes_are_pinned() {
-        // Output bytes are a function of input and level only: these
-        // digests were recorded before the encoder's search was
-        // optimised, and a store written today must equal one written
-        // then. Byte-wide multiplicative-hash noise, longer than the
-        // 64 KiB window (period 256: long matches), and the same hash
-        // shifted so the high byte shows (no period: short, scattered
-        // matches whose choice depends on the chain depth).
-        let periodic: Vec<u8> = (0..200_000u32)
-            .map(|i| i.wrapping_mul(2_654_435_761) as u8)
+        // Output bytes are a function of the column and width only: a
+        // store written by one commit must equal the store another
+        // writes from the same trace. Clustered ids with gaps, and
+        // multiplicative-hash noise that steps both ways.
+        let ids: Vec<u64> = (0..20_000u64).map(|i| 40_000 + i * 3 + i % 7).collect();
+        let noise: Vec<u8> = (0..200_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
             .collect();
-        let scattered: Vec<u8> = (0..200_000u32)
-            .map(|i| ((i / 3).wrapping_mul(2_654_435_761) >> 27) as u8)
-            .collect();
-        let pins: [(&[u8], [u64; 3]); 2] = [
-            (&periodic, [0xb5d4_0cd4_e695_c79a; 3]),
-            (
-                &scattered,
-                [
-                    0x1f7a_37eb_295b_7173,
-                    0x9f4e_656f_77be_f660,
-                    0xa533_8a04_4a6e_42d9,
-                ],
-            ),
-        ];
-        for (corpus, expected) in pins {
-            for (level, want) in (1..=MAX_LEVEL).zip(expected) {
-                let packed = compress(corpus, level);
-                assert_eq!(
-                    fnv1a(&packed),
-                    want,
-                    "level {level}: {} -> {} bytes (0x{:016x})",
-                    corpus.len(),
-                    packed.len(),
-                    fnv1a(&packed)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matches_replicate_at_every_distance_and_length() {
-        // One hand-built sequence per case: `distance` literal bytes,
-        // then a match reaching back over all of them, shorter than,
-        // equal to and longer than its own distance. The expected
-        // output is the byte-at-a-time definition of an LZ match.
-        for distance in [1usize, 2, 3, 7, 65_535] {
-            let literals: Vec<u8> = (0..distance).map(|i| (i * 31 + 7) as u8).collect();
-            let lengths = [
-                MIN_MATCH,
-                distance.saturating_sub(1).max(MIN_MATCH),
-                distance.max(MIN_MATCH),
-                distance + 1 + MIN_MATCH,
-                2 * distance + 3 + MIN_MATCH,
-                8 * distance + 19,
-            ];
-            for match_len in lengths {
-                let mut block = vec![METHOD_LZ];
-                emit_sequence(&mut block, &literals, match_len, distance as u16);
-                emit_final_literals(&mut block, b"end");
-                let mut expected = literals.clone();
-                for k in 0..match_len {
-                    expected.push(expected[k]);
-                }
-                expected.extend_from_slice(b"end");
-                assert_eq!(
-                    decompress(&block, expected.len()).as_deref(),
-                    Ok(&expected[..]),
-                    "distance {distance}, length {match_len}"
-                );
-                // The same bytes through the encoder and back.
-                for level in 1..=MAX_LEVEL {
-                    roundtrip(&expected, level);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_reused_encoder_writes_what_a_fresh_one_does() {
-        // Blocks of different lengths and content through one encoder,
-        // longest first, so stale `head`/`prev` entries would point past
-        // the end of a later block if they survived.
-        let blocks: Vec<Vec<u8>> = [70_000usize, 300, 40_000, 5, 70_000]
-            .iter()
-            .enumerate()
-            .map(|(b, &len)| {
-                (0..len as u32)
-                    .map(|i| ((i / 5 + b as u32).wrapping_mul(2_654_435_761) >> 26) as u8)
-                    .collect()
-            })
-            .collect();
-        for level in 0..=MAX_LEVEL {
-            let mut encoder = Encoder::default();
-            for block in &blocks {
-                assert_eq!(
-                    encoder.compress(block, level),
-                    compress(block, level),
-                    "level {level}, {} bytes",
-                    block.len()
-                );
-            }
-        }
+        let columns: [(u8, &[u8]); 3] = [(8, &words_u64(&ids)), (4, &noise), (8, &noise)];
+        let digests = columns.map(|(width, raw)| fnv1a(&coded(width, raw)));
+        assert_eq!(
+            digests,
+            [
+                0x1a6e_9d73_24ba_3fb5,
+                0x369f_09ae_3b62_19c5,
+                0x2c91_4815_3c18_20db
+            ],
+            "{digests:#018x?}"
+        );
     }
 
     #[test]
     fn truncation_always_errors() {
-        let data = b"abcabcabcabcabcabc012345".repeat(20);
-        let packed = compress(&data, 1);
-        for cut in 0..packed.len() {
+        let raw = words_u64(&[1, 300, 70_000, u64::MAX, 12]);
+        let out = coded(8, &raw);
+        for cut in 0..out.len() {
             assert!(
-                decompress(&packed[..cut], data.len()).is_err(),
+                decode(8, &out[..cut], raw.len()).is_err(),
                 "truncation at {cut} must not decode"
             );
         }
@@ -583,47 +262,129 @@ mod tests {
 
     #[test]
     fn wrong_raw_len_errors() {
-        let data = b"xyzxyzxyzxyz".repeat(10);
-        let packed = compress(&data, 1);
-        assert!(decompress(&packed, data.len() + 1).is_err());
-        assert!(decompress(&packed, data.len() - 1).is_err());
-        let stored = compress(&data, 0);
-        assert!(decompress(&stored, data.len() - 1).is_err());
+        let raw = words_u32(&[10, 20, 30, 40]);
+        let out = coded(4, &raw);
+        assert!(decode(4, &out, raw.len() + 4).is_err());
+        assert!(decode(4, &out, raw.len() - 4).is_err());
+        assert!(decode(4, &out, raw.len() - 1).is_err());
+        assert!(decode(1, &raw, raw.len() - 1).is_err());
     }
 
     #[test]
     fn a_length_the_stream_cannot_reach_is_refused_before_allocating() {
-        // The output buffer is sized from `raw_len`; a declared length
-        // beyond 255 bytes per stream byte is refused outright, so the
+        // Every word takes at least one coded byte, so a declared length
+        // of more words than coded bytes is refused outright and the
         // allocation is bounded by the input.
-        let data = b"abcabcabcabcabcabc012345".repeat(20);
-        let packed = compress(&data, 2);
-        assert_eq!(packed[0], METHOD_LZ);
-        for raw_len in [255 * (packed.len() - 1) + 1, usize::MAX / 2, usize::MAX] {
-            assert!(decompress(&packed, raw_len).is_err(), "{raw_len}");
+        let out = coded(8, &words_u64(&[1, 2, 3]));
+        assert_eq!(out.len(), 3);
+        for raw_len in [8 * 4, usize::MAX - 7] {
+            let err = decode(8, &out, raw_len).unwrap_err();
+            assert!(err.contains("cannot come from 3 coded bytes"), "{err}");
         }
-        // The densest stream there is stays on the right side of the bound:
-        // one literal, then a match extended by 255-valued bytes.
-        let zeros = vec![0u8; 1 << 20];
-        let packed = compress(&zeros, 1);
-        assert!(zeros.len() > 250 * packed.len(), "{} bytes", packed.len());
-        assert_eq!(decompress(&packed, zeros.len()).as_deref(), Ok(&zeros[..]));
+        let err = decode(8, &out, 8 * 3 + 1).unwrap_err();
+        assert!(err.contains("not a whole number of 8-byte words"), "{err}");
+        // The densest column there is stays on the right side of the bound.
+        let zeros = vec![0u8; 8 << 10];
+        assert_eq!(coded(8, &zeros).len(), 1 << 10);
+        roundtrip(8, &zeros);
+    }
+
+    #[test]
+    fn an_over_long_varint_is_refused() {
+        // Zero with a zero continuation group, and a 4-byte word's
+        // varint running to a sixth byte.
+        for (width, column) in [
+            (4, vec![0x80, 0x00]),
+            (8, vec![0x81, 0x80, 0x00]),
+            (4, vec![0x80, 0x80, 0x80, 0x80, 0x80, 0x00]),
+            (8, vec![0x80; 11]),
+        ] {
+            let err = decode(width, &column, usize::from(width)).unwrap_err();
+            assert!(err.contains("over-long varint"), "{column:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_width_4_overflow_is_refused() {
+        // Five groups carry 35 bits; a 4-byte word's zigzag has 32.
+        let mut column = vec![0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        assert_eq!(decode(4, &column, 4), Ok(vec![0, 0, 0, 0x80]));
+        column[4] = 0x10;
+        let err = decode(4, &column, 4).unwrap_err();
+        assert!(err.contains("overflows a 4-byte word"), "{err}");
+        // The tenth byte of an 8-byte word may carry one bit.
+        let mut column = vec![0xFF; 9];
+        column.push(0x02);
+        let err = decode(8, &column, 8).unwrap_err();
+        assert!(err.contains("overflows a 8-byte word"), "{err}");
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused() {
+        let raw = words_u32(&[4, 5]);
+        let mut out = coded(4, &raw);
+        out.push(0);
+        let err = decode(4, &out, raw.len()).unwrap_err();
+        assert!(
+            err.contains("1 trailing bytes after the column's 2 words"),
+            "{err}"
+        );
     }
 
     #[test]
     fn hostile_blocks_never_panic() {
-        // Tokens promising matches into an empty window, absurd
-        // extensions, unknown methods.
-        let cases: Vec<Vec<u8>> = vec![
-            vec![METHOD_LZ, 0x0F],
-            vec![METHOD_LZ, 0x01, 0x00, 0x00],
-            vec![METHOD_LZ, 0xF0, 255, 255],
-            vec![METHOD_LZ, 0x11, b'a', 0xFF, 0xFF],
-            vec![9, 1, 2, 3],
-            vec![],
+        let cases: Vec<(u8, Vec<u8>, usize)> = vec![
+            (8, vec![], 8),
+            (8, vec![0x80], 8),
+            (4, vec![0xFF; 64], 64),
+            (8, vec![0xFF; 64], 64),
+            (2, vec![1, 2], 2),
+            (0, vec![], 0),
+            (1, vec![1, 2, 3], 2),
         ];
-        for case in &cases {
-            assert!(decompress(case, 64).is_err(), "{case:?}");
+        for (width, column, raw_len) in &cases {
+            assert!(decode(*width, column, *raw_len).is_err(), "{column:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn width_8_words_roundtrip(
+            words in prop::collection::vec(any::<u64>(), 0..300),
+            // A memory column's sizes, and arbitrary bit patterns: NaNs,
+            // infinities and subnormals included.
+            sizes in prop::collection::vec(0.25f64..512.0, 0..100),
+            floats in prop::collection::vec(any::<u64>().prop_map(f64::from_bits), 0..100),
+        ) {
+            let mut raw = words_u64(&words);
+            for f in sizes.iter().chain(&floats) {
+                raw.extend(f.to_bits().to_le_bytes());
+            }
+            let back = decode(8, &coded(8, &raw), raw.len());
+            prop_assert_eq!(back, Ok(raw));
+        }
+
+        #[test]
+        fn width_4_words_roundtrip(words in prop::collection::vec(any::<u32>(), 0..300)) {
+            let raw = words_u32(&words);
+            let back = decode(4, &coded(4, &raw), raw.len());
+            prop_assert_eq!(back, Ok(raw));
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_and_decode_only_from_their_coding(
+            column in prop::collection::vec(0u8..=255, 0..64),
+        ) {
+            for width in [0u8, 1, 2, 4, 8] {
+                for raw_len in 0..=column.len() * 8 + 1 {
+                    if let Ok(raw) = decode(width, &column, raw_len) {
+                        prop_assert_eq!(raw.len(), raw_len);
+                        prop_assert_eq!(coded(width, &raw), column.clone());
+                    }
+                }
+            }
         }
     }
 }

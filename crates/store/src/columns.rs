@@ -5,9 +5,12 @@
 //! telemetry chunks hold the run locator columns plus one variable
 //! width samples column whose extents derive from the length column.
 //! Everything is little-endian and bit-exact — `f64` fields travel as
-//! IEEE-754 bit patterns, samples as the quantized storage bytes.
+//! IEEE-754 bit patterns, samples as the quantized storage bytes. Each
+//! column's word width is the one the chunk codes it by: 8 for ids,
+//! times and memory, 4 for the other numbers, 1 for tags, presence
+//! bytes and samples, which are stored.
 
-use crate::chunk::{DecodedChunk, Packing, RawColumn};
+use crate::chunk::{DecodedChunk, RawColumn};
 use crate::error::StoreError;
 use bytes::Bytes;
 use cloudscope_model::durable::{Dec, Enc};
@@ -21,7 +24,7 @@ use std::path::Path;
 /// disambiguates).
 pub(crate) mod col {
     /// VM id, in both kinds: the one column an ids-only read
-    /// decompresses.
+    /// decodes.
     pub(crate) const ID: u16 = 0;
     pub(crate) const VM_SUBSCRIPTION: u16 = 1;
     pub(crate) const VM_SERVICE: u16 = 2;
@@ -96,27 +99,31 @@ impl VmMetaColumns {
     }
 
     pub(crate) fn into_columns(self) -> Vec<RawColumn> {
-        let raw = |id: u16, e: Enc| RawColumn {
-            id,
-            packing: Packing::Lz,
-            bytes: e.into_vec(),
-        };
         vec![
-            raw(col::ID, self.ids),
-            raw(col::VM_SUBSCRIPTION, self.subscriptions),
-            raw(col::VM_SERVICE, self.services),
-            raw(col::VM_CORES, self.cores),
-            raw(col::VM_MEMORY, self.memory),
-            raw(col::VM_PRIORITY, self.priorities),
-            raw(col::VM_SERVICE_MODEL, self.service_models),
-            raw(col::VM_REGION, self.regions),
-            raw(col::VM_CLUSTER, self.clusters),
-            raw(col::VM_NODE_PRESENT, self.node_present),
-            raw(col::VM_NODE, self.nodes),
-            raw(col::VM_CREATED, self.created),
-            raw(col::VM_ENDED_PRESENT, self.ended_present),
-            raw(col::VM_ENDED, self.ended),
+            raw_column(col::ID, 8, self.ids),
+            raw_column(col::VM_SUBSCRIPTION, 4, self.subscriptions),
+            raw_column(col::VM_SERVICE, 4, self.services),
+            raw_column(col::VM_CORES, 4, self.cores),
+            raw_column(col::VM_MEMORY, 8, self.memory),
+            raw_column(col::VM_PRIORITY, 1, self.priorities),
+            raw_column(col::VM_SERVICE_MODEL, 1, self.service_models),
+            raw_column(col::VM_REGION, 4, self.regions),
+            raw_column(col::VM_CLUSTER, 4, self.clusters),
+            raw_column(col::VM_NODE_PRESENT, 1, self.node_present),
+            raw_column(col::VM_NODE, 4, self.nodes),
+            raw_column(col::VM_CREATED, 8, self.created),
+            raw_column(col::VM_ENDED_PRESENT, 1, self.ended_present),
+            raw_column(col::VM_ENDED, 8, self.ended),
         ]
+    }
+}
+
+/// A buffered column of `width`-byte words, ready for its chunk.
+fn raw_column(id: u16, width: u8, e: Enc) -> RawColumn {
+    RawColumn {
+        id,
+        width,
+        bytes: e.into_vec(),
     }
 }
 
@@ -154,18 +161,13 @@ impl TelemetryColumns {
             + self.lens.as_slice().len()
     }
 
-    /// The run locator columns LZ-coded, the samples stored raw.
+    /// The run locator columns, then the samples (stored as they are).
     pub(crate) fn into_columns(self) -> Vec<RawColumn> {
-        let raw = |id: u16, packing: Packing, e: Enc| RawColumn {
-            id,
-            packing,
-            bytes: e.into_vec(),
-        };
         vec![
-            raw(col::ID, Packing::Lz, self.ids),
-            raw(col::TEL_START, Packing::Lz, self.starts),
-            raw(col::TEL_LEN, Packing::Lz, self.lens),
-            raw(col::TEL_SAMPLES, Packing::Raw, self.samples),
+            raw_column(col::ID, 8, self.ids),
+            raw_column(col::TEL_START, 8, self.starts),
+            raw_column(col::TEL_LEN, 4, self.lens),
+            raw_column(col::TEL_SAMPLES, 1, self.samples),
         ]
     }
 }
@@ -410,7 +412,7 @@ mod tests {
     }
 
     /// A CRC-valid metadata chunk file of `records`, its raw columns
-    /// edited by `edit` before they are compressed.
+    /// edited by `edit` before they are coded.
     fn meta_file(records: &[VmRecord], edit: impl FnOnce(&mut [RawColumn])) -> Vec<u8> {
         let mut cols = VmMetaColumns::default();
         for r in records {
@@ -427,15 +429,12 @@ mod tests {
         };
         let mut raw = cols.into_columns();
         edit(&mut raw);
-        encode_chunk_file(&meta, &raw).0
+        encode_chunk_file(&meta, &raw).bytes
     }
 
     fn decode_meta(file: &[u8]) -> Result<Vec<VmRecord>, StoreError> {
         let p = Path::new("t.chunk");
-        decode_vm_meta(
-            p,
-            decode_chunk_file(p, "t", file, None, None, true).unwrap(),
-        )
+        decode_vm_meta(p, decode_chunk_file(p, "t", file, None, true).unwrap())
     }
 
     /// The raw bytes of column `id`.
@@ -460,10 +459,10 @@ mod tests {
         let file = meta_file(&records, |_| {});
         assert_eq!(decode_meta(&file).unwrap(), records);
 
-        // An ids-only read decompresses the id column alone; records
+        // An ids-only read decodes the id column alone; records
         // cannot be built from it.
         let p = Path::new("t.chunk");
-        let ids_only = || decode_chunk_file(p, "t", &file, Some(&[col::ID]), None, true).unwrap();
+        let ids_only = || decode_chunk_file(p, "t", &file, Some(&[col::ID]), true).unwrap();
         assert_eq!(
             decode_ids(p, ids_only()).unwrap(),
             vec![VmId::new(5), VmId::new(9)]
@@ -525,7 +524,11 @@ mod tests {
         assert_rejected(
             &records(),
             |raw| {
-                column(raw, col::VM_CLUSTER).pop();
+                // A 7-byte column is no run of 4-byte words: stored, it
+                // reaches the row check.
+                let cluster = raw.iter_mut().find(|c| c.id == col::VM_CLUSTER).unwrap();
+                cluster.bytes.pop();
+                cluster.width = 1;
             },
             "cluster column: 7 bytes for 2 rows of width 4",
         );
@@ -577,9 +580,9 @@ mod tests {
             min_vm: cols.min_vm,
             max_vm: cols.max_vm,
         };
-        let (file, _) = encode_chunk_file(&meta, &cols.into_columns());
+        let file = encode_chunk_file(&meta, &cols.into_columns()).bytes;
         let p = Path::new("t.chunk");
-        let decoded = decode_chunk_file(p, "t", &file, None, None, true).unwrap();
+        let decoded = decode_chunk_file(p, "t", &file, None, true).unwrap();
         let (ids, starts, samples) = decode_telemetry(p, decoded).unwrap();
         assert_eq!(ids, vec![VmId::new(2), VmId::new(7)]);
         assert_eq!(&*samples[0], &[1, 2, 3]);
@@ -601,9 +604,9 @@ mod tests {
             min_vm: 7,
             max_vm: 2,
         };
-        let (file, _) = encode_chunk_file(&meta, &cols.into_columns());
+        let file = encode_chunk_file(&meta, &cols.into_columns()).bytes;
         let p = Path::new("t.chunk");
-        let decoded = decode_chunk_file(p, "t", &file, None, None, true).unwrap();
+        let decoded = decode_chunk_file(p, "t", &file, None, true).unwrap();
         assert!(decode_telemetry(p, decoded).is_err());
     }
 }

@@ -1,10 +1,10 @@
 //! `cloudscope-store`: an out-of-core columnar trace store with
-//! compressed streaming I/O.
+//! streaming I/O.
 //!
 //! A one-week cloud workload trace is dominated by telemetry — one
 //! byte per VM per five minutes adds up to far more than the metadata.
 //! This crate persists a [`Trace`](cloudscope_model::trace::Trace) as
-//! a directory of immutable, independently-compressed column chunks
+//! a directory of immutable, independently-coded column chunks
 //! partitioned by `(region, trace-week day)`, so the figure pipelines
 //! can stream it back chunk-at-a-time in bounded memory and still
 //! produce byte-identical results.
@@ -19,10 +19,12 @@
 //!   ...
 //! ```
 //!
-//! Each chunk file frames per-column blocks, individually compressed
-//! with a self-contained LZ-family block codec ([`codec`]) and guarded
-//! by a per-column CRC plus a whole-file CRC footer, so an ids-only
-//! read ([`TraceReader::read_chunk_ids`]) decompresses one column
+//! Each chunk file (format v3) frames one block per column, coded by
+//! the column's declared word width ([`codec`]): samples, tags and
+//! presence bytes stored as they are, 4- and 8-byte words as delta +
+//! zigzag + LEB128 varints. Each block is guarded by a CRC of its
+//! decoded bytes and the file by a whole-file CRC footer, so an
+//! ids-only read ([`TraceReader::read_chunk_ids`]) decodes one column
 //! while the whole-file CRC still covers every byte.
 //! Utilization series are split into per-day runs (the day function is
 //! monotone in time, so runs are contiguous and reassemble exactly).
@@ -46,7 +48,7 @@
 //! # Memory bounds
 //!
 //! Writing buffers one open chunk per `(kind, region, day)` cell plus
-//! one compression batch. Reading out-of-core keeps VM metadata and a
+//! one batch of sealed chunks awaiting write-out. Reading out-of-core keeps VM metadata and a
 //! presence bitmap resident while telemetry is read in stored order
 //! ([`StoreTelemetry`]): one decoded chunk per `(region, day)` lane
 //! between scans, and while a scan runs at most four more, decoded

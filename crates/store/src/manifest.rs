@@ -12,15 +12,17 @@
 //! ([`cloudscope_model::durable`]): one directory sync after the chunk
 //! renames and before the manifest's, one after it.
 
-use crate::chunk::{ChunkKind, ChunkMeta};
+use crate::chunk::ChunkMeta;
 use crate::error::StoreError;
 use cloudscope_model::durable::{crc32, Dec, Enc};
 use std::path::Path;
 
 /// Magic bytes opening the manifest.
 const MANIFEST_MAGIC: &[u8; 8] = b"CSMANIF1";
-/// Manifest format version.
-const MANIFEST_VERSION: u16 = 1;
+/// Manifest format version. v2 names chunks of format v3 and a
+/// generator report blob without eviction and migration counters; a
+/// v1 store is refused at open, before any chunk is read.
+const MANIFEST_VERSION: u16 = 2;
 /// The manifest's file name inside a trace directory.
 pub const MANIFEST_NAME: &str = "manifest.csm";
 
@@ -67,13 +69,7 @@ impl Manifest {
         e.put_u32(self.chunks.len() as u32);
         for c in &self.chunks {
             e.put_str(&c.meta.name());
-            e.put_u8(c.meta.kind.tag());
-            e.put_u32(c.meta.region);
-            e.put_u8(c.meta.day);
-            e.put_u32(c.meta.seq);
-            e.put_u32(c.meta.rows);
-            e.put_u64(c.meta.min_vm);
-            e.put_u64(c.meta.max_vm);
+            c.meta.put(&mut e);
             e.put_u64(c.file_len);
             e.put_u32(c.file_crc);
         }
@@ -132,37 +128,17 @@ impl Manifest {
         for i in 0..chunk_count {
             let entry = (|| -> Result<ChunkEntry, String> {
                 let name = d.take_str()?;
-                let kind = ChunkKind::from_tag(d.take_u8()?)?;
-                let region = d.take_u32()?;
-                let day = d.take_u8()?;
-                if day > 6 {
-                    return Err(format!("day {day} out of the trace week"));
-                }
-                let seq = d.take_u32()?;
-                let rows = d.take_u32()?;
-                let min_vm = d.take_u64()?;
-                let max_vm = d.take_u64()?;
-                let meta = ChunkMeta {
-                    kind,
-                    region,
-                    day,
-                    seq,
-                    rows,
-                    min_vm,
-                    max_vm,
-                };
+                let meta = ChunkMeta::take(&mut d)?;
                 if meta.name() != name {
                     return Err(format!(
                         "entry name {name:?} disagrees with its fields ({})",
                         meta.name()
                     ));
                 }
-                let file_len = d.take_u64()?;
-                let file_crc = d.take_u32()?;
                 Ok(ChunkEntry {
                     meta,
-                    file_len,
-                    file_crc,
+                    file_len: d.take_u64()?,
+                    file_crc: d.take_u32()?,
                 })
             })()
             .map_err(|e| fail(format!("chunk entry {i}: {e}")))?;
@@ -200,6 +176,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ChunkKind;
 
     fn sample() -> Manifest {
         Manifest {

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Predicate pushdown for a scan: only chunks matching every set
-/// field are read (and decompressed) at all.
+/// field are read (and decoded) at all.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScanFilter {
     /// Restrict to one chunk kind.
@@ -149,13 +149,13 @@ impl TraceReader {
     }
 
     /// The id column of one chunk, either kind, strictly ascending.
-    /// The id column alone is decompressed, but the manifest's
+    /// The id column alone is decoded, but the manifest's
     /// whole-file CRC still covers every byte of the file.
     ///
     /// # Errors
     /// Any [`StoreError`] from I/O or validation.
     pub fn read_chunk_ids(&self, entry: &ChunkEntry) -> Result<Vec<VmId>, StoreError> {
-        read_chunk(&self.dir, entry, Some(&[col::ID]), None, decode_ids)
+        read_chunk(&self.dir, entry, Some(&[col::ID]), decode_ids)
     }
 
     /// The subscription table from the manifest blob — everything a
@@ -175,7 +175,7 @@ impl TraceReader {
     /// parallel and returned in id order.
     ///
     /// This is the entry point for metadata-only analyses: telemetry
-    /// chunks are never read, CRC-checked, or decompressed. Unlike
+    /// chunks are never read, CRC-checked, or decoded. Unlike
     /// [`TraceReader::read_trace`], the result is *not* checked to be
     /// dense: it holds exactly the records of the metadata chunks.
     ///
@@ -188,7 +188,7 @@ impl TraceReader {
     ) -> Result<Vec<VmRecord>, StoreError> {
         let entries: Vec<&ChunkEntry> = self.chunks(filter.kind(ChunkKind::VmMeta)).collect();
         let decoded = par.par_map(&entries, |entry| {
-            read_chunk(&self.dir, entry, None, None, decode_vm_meta)
+            read_chunk(&self.dir, entry, None, decode_vm_meta)
         });
         let batches = decoded.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Sized once: grown by doubling, a full trace's records leave
@@ -273,9 +273,8 @@ impl TraceReader {
 }
 
 /// Reads, verifies, and decodes one chunk of the store in `dir`,
-/// decompressing only the `wanted` columns (`None` = all), fanning
-/// sub-block decompression out over `par` when given; `decode` turns
-/// the columns into rows. Output is identical at any worker count.
+/// decoding only the `wanted` columns (`None` = all); `decode` turns
+/// the columns into rows.
 ///
 /// # Errors
 /// Any [`StoreError`] from I/O or validation; a failed chunk never
@@ -284,7 +283,6 @@ pub(crate) fn read_chunk<T>(
     dir: &Path,
     entry: &ChunkEntry,
     wanted: Option<&[u16]>,
-    par: Option<&Parallelism>,
     decode: impl FnOnce(&Path, DecodedChunk) -> Result<T, StoreError>,
 ) -> Result<T, StoreError> {
     let path = dir.join(entry.meta.file_name());
@@ -318,7 +316,7 @@ pub(crate) fn read_chunk<T>(
     // The manifest whole-file CRC above already covered every byte, so
     // the decoder's footer-CRC pass would be a second scan of the same
     // bytes — skip it.
-    let decoded = decode_chunk_file(&path, &name, &bytes, wanted, par, false)?;
+    let decoded = decode_chunk_file(&path, &name, &bytes, wanted, false)?;
     if decoded.meta != entry.meta {
         return Err(StoreError::corrupt(
             &path,
@@ -445,12 +443,12 @@ mod tests {
             min_vm: cols.min_vm,
             max_vm: cols.max_vm,
         };
-        let (file, _) = encode_chunk_file(&meta, &cols.into_columns());
-        std::fs::write(dir.join(meta.file_name()), &file).unwrap();
+        let file = encode_chunk_file(&meta, &cols.into_columns());
+        std::fs::write(dir.join(meta.file_name()), &file.bytes).unwrap();
         manifest.chunks.push(ChunkEntry {
             meta,
-            file_len: file.len() as u64,
-            file_crc: crc32(&file),
+            file_len: file.bytes.len() as u64,
+            file_crc: file.file_crc,
         });
     }
 

@@ -138,7 +138,7 @@ pub struct StoreTelemetry {
     /// asked for first, by an ids-only read. VM ids are contiguous per
     /// *subscription*, not per region, so the id ranges of different
     /// regions' chunks interleave — without this index a sparse scan
-    /// would decompress every range-overlapping chunk just to miss its
+    /// would decode every range-overlapping chunk just to miss its
     /// binary search. The only per-chunk state that stays resident:
     /// 8 bytes per telemetry run, ~1% of the samples.
     ids: Vec<OnceLock<Vec<VmId>>>,
@@ -164,9 +164,8 @@ impl StoreTelemetry {
     /// over every chunk): a VM's telemetry lives only in its own
     /// region's lanes, so a lookup probes ~`days` lanes, not all, and
     /// never forces an ids-only read of another region's chunk. `par`
-    /// bounds the decoder threads of a scan and fans out sub-block
-    /// decompression when a chunk decodes on the calling thread; every
-    /// worker count returns byte-identical series.
+    /// bounds the decoder threads of a scan; every worker count returns
+    /// byte-identical series.
     ///
     /// # Errors
     /// [`StoreError::Inconsistent`] if `records` do not count the
@@ -325,7 +324,7 @@ impl StoreTelemetry {
         let plan = self.plan(cursors, ids)?;
         let decoders = self.par.workers().min(READAHEAD_CHUNKS).min(plan.len());
         if decoders < 2 {
-            let mut inline = |chunk| self.decode_chunk(chunk, Some(&self.par));
+            let mut inline = |chunk| self.decode_chunk(chunk);
             return self.walk(cursors, ids, &mut inline, visit);
         }
         std::thread::scope(|scope| {
@@ -375,7 +374,7 @@ impl StoreTelemetry {
             let mut decoded = 0;
             for &chunk in share {
                 let started = Instant::now();
-                let result = self.decode_chunk(chunk, None);
+                let result = self.decode_chunk(chunk);
                 let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 self.metrics.prefetch_decode_ns.observe(elapsed);
                 self.metrics.prefetch_issued.inc();
@@ -478,29 +477,21 @@ impl StoreTelemetry {
 
     /// The sorted id column of the telemetry chunk at `idx`: from the
     /// resident index, else through an ids-only read (the id column
-    /// decompresses alone). A lost set race only duplicates that one
+    /// decodes alone). A lost set race only duplicates that one
     /// cheap read.
     fn chunk_ids(&self, idx: usize) -> Result<&[VmId], StoreError> {
         if let Some(ids) = self.ids[idx].get() {
             return Ok(ids);
         }
-        let ids = read_chunk(
-            &self.dir,
-            &self.entries[idx],
-            Some(&[col::ID]),
-            None,
-            decode_ids,
-        )?;
+        let ids = read_chunk(&self.dir, &self.entries[idx], Some(&[col::ID]), decode_ids)?;
         Ok(self.ids[idx].get_or_init(|| ids))
     }
 
-    /// Fully decodes the chunk at `idx`, filling the resident id index
-    /// as a side effect. A decoder thread passes no `par`: fanning out
-    /// again from one of `d` decodes spread `ooc_fits`' heap over more
-    /// allocator arenas (+10 MB RSS) and bought nothing.
-    fn decode_chunk(&self, idx: usize, par: Option<&Parallelism>) -> Decoded {
+    /// Fully decodes the chunk at `idx` on the calling thread, filling
+    /// the resident id index as a side effect.
+    fn decode_chunk(&self, idx: usize) -> Decoded {
         let (ids, starts, samples) =
-            read_chunk(&self.dir, &self.entries[idx], None, par, decode_telemetry)?;
+            read_chunk(&self.dir, &self.entries[idx], None, decode_telemetry)?;
         let _ = self.ids[idx].set(ids);
         Ok(DecodedChunk { starts, samples })
     }
@@ -532,7 +523,7 @@ fn assemble_series(id: u64, runs: &mut [(i64, Bytes)]) -> Result<UtilSeries, Str
 impl TelemetrySource for StoreTelemetry {
     /// Presence without materializing samples: manifest id-range
     /// pruning plus the resident id index. Only the ids-only read
-    /// happens on a cold index — sample payloads never decompress.
+    /// happens on a cold index — sample payloads are never decoded.
     fn has(&self, id: VmId) -> bool {
         let mut hits = Vec::new();
         if let Err(e) = self.probe(id, &mut hits) {

@@ -1,6 +1,7 @@
 //! Streaming trace writer: partitions records into per-(region, day)
-//! column chunks, compresses sealed chunks in parallel off the append
-//! path, and commits the whole store with one atomic manifest rename.
+//! column chunks, encodes and writes sealed chunks in parallel, one task
+//! per chunk, and commits the whole store with one atomic manifest
+//! rename.
 //!
 //! Until `finish` succeeds the directory holds the previous store's
 //! manifest (until the first chunk flush retires it) or no manifest at
@@ -12,9 +13,7 @@ use crate::blobs::{
     encode_presence, encode_subscriptions, encode_topology, BLOB_SUBSCRIPTIONS,
     BLOB_TELEMETRY_PRESENT, BLOB_TOPOLOGY,
 };
-use crate::chunk::{
-    assemble_chunk_file, compress_column, ChunkKind, ChunkMeta, CompressedColumn, RawColumn,
-};
+use crate::chunk::{encode_chunk_file, ChunkKind, ChunkMeta, RawColumn};
 use crate::columns::{TelemetryColumns, VmMetaColumns};
 use crate::error::StoreError;
 use crate::manifest::{ChunkEntry, Manifest, MANIFEST_NAME};
@@ -56,7 +55,7 @@ fn day_run(first: i64, remaining: usize) -> (u8, usize) {
 }
 
 /// Tuning knobs for [`TraceWriter`]: the chunk geometry. How each
-/// column is packed is the format's, not an option (see `chunk`).
+/// column is coded is the format's, not an option (see `chunk`).
 #[derive(Debug, Clone, Copy)]
 pub struct WriteOptions {
     /// Rows per VM-metadata chunk before it seals.
@@ -74,7 +73,7 @@ impl Default for WriteOptions {
     }
 }
 
-/// A sealed chunk awaiting compression and write-out.
+/// A sealed chunk awaiting encoding and write-out.
 #[derive(Debug)]
 struct Sealed {
     meta: ChunkMeta,
@@ -88,7 +87,7 @@ struct Sealed {
 /// every chunk's rows are sorted and the manifest's id ranges support
 /// binary-searched point loads. The store's byte content is a pure
 /// function of the appended data and the options — worker count only
-/// changes how fast compression runs.
+/// changes how fast chunks are encoded and written.
 #[derive(Debug)]
 pub struct TraceWriter<'p> {
     dir: PathBuf,
@@ -158,7 +157,8 @@ impl<'p> TraceWriter<'p> {
         cols.push(vm);
         if cols.rows >= self.opts.target_chunk_rows {
             let cols = std::mem::take(cols);
-            self.seal_vm_meta(meta_key, cols)?;
+            let extent = (cols.rows, cols.min_vm, cols.max_vm);
+            self.seal(ChunkKind::VmMeta, meta_key, extent, cols.into_columns())?;
         }
         if let Some(series) = util {
             self.append_telemetry(region, vm.id.index(), series)?;
@@ -192,56 +192,42 @@ impl<'p> TraceWriter<'p> {
             cols.push(id, run_start, &quantized[i..j]);
             if cols.buffered_bytes() >= self.opts.target_chunk_bytes {
                 let cols = std::mem::take(cols);
-                self.seal_telemetry(key, cols)?;
+                let extent = (cols.rows, cols.min_vm, cols.max_vm);
+                self.seal(ChunkKind::Telemetry, key, extent, cols.into_columns())?;
             }
             i = j;
         }
         Ok(())
     }
 
-    fn next_seq(&mut self, kind: ChunkKind, key: (u32, u8)) -> u32 {
+    /// Queues a chunk of `kind` sealed in lane `key` — its rows, id
+    /// range and columns — under the lane's next sequence number.
+    fn seal(
+        &mut self,
+        kind: ChunkKind,
+        key: (u32, u8),
+        (rows, min_vm, max_vm): (u32, u64, u64),
+        columns: Vec<RawColumn>,
+    ) -> Result<(), StoreError> {
         let slot = self.seqs.entry((kind.tag(), key.0, key.1)).or_insert(0);
         let seq = *slot;
         *slot += 1;
-        seq
-    }
-
-    fn seal_vm_meta(&mut self, key: (u32, u8), cols: VmMetaColumns) -> Result<(), StoreError> {
+        let (region, day) = key;
         let meta = ChunkMeta {
-            kind: ChunkKind::VmMeta,
-            region: key.0,
-            day: key.1,
-            seq: self.next_seq(ChunkKind::VmMeta, key),
-            rows: cols.rows,
-            min_vm: cols.min_vm,
-            max_vm: cols.max_vm,
+            kind,
+            region,
+            day,
+            seq,
+            rows,
+            min_vm,
+            max_vm,
         };
-        self.pending.push(Sealed {
-            meta,
-            columns: cols.into_columns(),
-        });
-        self.maybe_flush()
-    }
-
-    fn seal_telemetry(&mut self, key: (u32, u8), cols: TelemetryColumns) -> Result<(), StoreError> {
-        let meta = ChunkMeta {
-            kind: ChunkKind::Telemetry,
-            region: key.0,
-            day: key.1,
-            seq: self.next_seq(ChunkKind::Telemetry, key),
-            rows: cols.rows,
-            min_vm: cols.min_vm,
-            max_vm: cols.max_vm,
-        };
-        self.pending.push(Sealed {
-            meta,
-            columns: cols.into_columns(),
-        });
+        self.pending.push(Sealed { meta, columns });
         self.maybe_flush()
     }
 
     /// Flushes the pending batch once it is wide enough to keep every
-    /// compression worker busy.
+    /// worker busy.
     fn maybe_flush(&mut self) -> Result<(), StoreError> {
         if self.pending.len() >= self.par.workers().max(2) * 2 {
             self.flush_pending()?;
@@ -249,20 +235,11 @@ impl<'p> TraceWriter<'p> {
         Ok(())
     }
 
-    /// Compresses pending chunks in parallel, then writes them out and
-    /// records their manifest entries in seal order.
-    ///
-    /// The fan-out unit is a *(chunk, column)*, not a chunk: a flush
-    /// batch holds only a handful of chunks, and per-chunk tasks left
-    /// most workers idle while the widest chunk serialized the flush
-    /// (the flat 1→8 write scaling the bench used to show). Columns of
-    /// one chunk compress independently by construction, so splitting
-    /// them costs nothing and multiplies the batch's task count by the
-    /// column width. Assembly stitches the compressed columns back in
-    /// column order and, with the write-out (file bytes, both CRCs in
-    /// one pass, fsync), fans out per chunk — the manifest entries are
-    /// still pushed in seal order, so the store's bytes remain a pure
-    /// function of the appended data.
+    /// Encodes and writes pending chunks in parallel, one task per chunk
+    /// (its columns, the file's checksums and the durable write), then
+    /// records their manifest entries in seal order, so the store's
+    /// bytes remain a pure function of the appended data. Each worker
+    /// holds one encoded file at a time.
     fn flush_pending(&mut self) -> Result<(), StoreError> {
         if self.pending.is_empty() {
             return Ok(());
@@ -271,25 +248,9 @@ impl<'p> TraceWriter<'p> {
             self.retire_committed_manifest()?;
         }
         let batch = std::mem::take(&mut self.pending);
-        let units: Vec<(usize, &RawColumn)> = batch
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, sealed)| sealed.columns.iter().map(move |col| (ci, col)))
-            .collect();
-        let compressed = self.par.par_map(&units, |&(_, col)| compress_column(col));
-        let mut per_chunk: Vec<Vec<CompressedColumn>> = batch
-            .iter()
-            .map(|sealed| Vec::with_capacity(sealed.columns.len()))
-            .collect();
-        for (&(ci, _), comp) in units.iter().zip(compressed) {
-            per_chunk[ci].push(comp);
-        }
-        // Assembly, the file's checksums and the durable write fan out
-        // per chunk; each worker holds one assembled file at a time.
         let dir = &self.dir;
-        let chunks: Vec<(&Sealed, &Vec<CompressedColumn>)> = batch.iter().zip(&per_chunk).collect();
-        let written = self.par.par_map(&chunks, |&(sealed, cols)| {
-            let file = assemble_chunk_file(&sealed.meta, cols);
+        let written = self.par.par_map(&batch, |sealed| {
+            let file = encode_chunk_file(&sealed.meta, &sealed.columns);
             let path = dir.join(sealed.meta.file_name());
             write_atomic(&path, &file.bytes).map_err(|e| StoreError::io(&path, e))?;
             let entry = ChunkEntry {
@@ -342,11 +303,13 @@ impl<'p> TraceWriter<'p> {
         // to seal.
         let open_vm = std::mem::take(&mut self.vm_open);
         for (key, cols) in open_vm.into_iter().filter(|(_, c)| c.rows > 0) {
-            self.seal_vm_meta(key, cols)?;
+            let extent = (cols.rows, cols.min_vm, cols.max_vm);
+            self.seal(ChunkKind::VmMeta, key, extent, cols.into_columns())?;
         }
         let open_tel = std::mem::take(&mut self.tel_open);
         for (key, cols) in open_tel.into_iter().filter(|(_, c)| c.rows > 0) {
-            self.seal_telemetry(key, cols)?;
+            let extent = (cols.rows, cols.min_vm, cols.max_vm);
+            self.seal(ChunkKind::Telemetry, key, extent, cols.into_columns())?;
         }
         self.flush_pending()?;
 
@@ -405,19 +368,36 @@ pub fn store_exists(dir: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::sub_block_methods;
-    use crate::codec::{METHOD_LZ, METHOD_STORED};
     use crate::columns::col;
     use cloudscope_model::ids::{ClusterId, RegionId, ServiceId, SubscriptionId, VmId};
     use cloudscope_model::time::SimTime;
     use cloudscope_model::vm::{Priority, ServiceModel, VmSize};
     use proptest::prelude::*;
 
+    /// Each column's id, declared width and raw and coded lengths, read
+    /// off a well-formed v3 chunk file's directory.
+    fn directory(file: &[u8]) -> Vec<(u16, u8, u32, u32)> {
+        // Magic, then version, kind, region, day, seq, rows, min_vm and
+        // max_vm: 8 + 2 + 1 + 4 + 1 + 4 + 4 + 8 + 8 bytes.
+        let mut d = cloudscope_model::durable::Dec::new(&file[40..]);
+        let columns = d.take_u16().unwrap();
+        (0..columns)
+            .map(|_| {
+                let entry = (
+                    d.take_u16().unwrap(),
+                    d.take_u8().unwrap(),
+                    d.take_u32().unwrap(),
+                    d.take_u32().unwrap(),
+                );
+                d.take_u32().unwrap();
+                entry
+            })
+            .collect()
+    }
+
     #[test]
-    fn samples_are_stored_raw_and_every_other_column_lz_coded() {
-        // Samples LZ would shrink a hundredfold, so only the packing
-        // decision can leave them stored.
-        let dir = std::env::temp_dir().join(format!("cs-store-packing-{}", std::process::id()));
+    fn samples_are_stored_raw_and_every_other_column_varint_coded() {
+        let dir = std::env::temp_dir().join(format!("cs-store-widths-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let par = Parallelism::with_workers(2);
         let opts = WriteOptions {
@@ -451,27 +431,31 @@ mod tests {
             if !name.ends_with(".chunk") {
                 continue;
             }
-            let columns = sub_block_methods(&std::fs::read(&path).unwrap());
-            for (id, methods) in columns {
-                let want = if name.starts_with("telemetry-") && id == col::TEL_SAMPLES {
-                    telemetry += methods.len();
-                    METHOD_STORED
-                } else {
-                    vm_meta += usize::from(name.starts_with("vmmeta-"));
-                    METHOD_LZ
+            let tel = name.starts_with("telemetry-");
+            telemetry += usize::from(tel);
+            vm_meta += usize::from(!tel);
+            for (id, width, raw_len, coded_len) in directory(&std::fs::read(&path).unwrap()) {
+                let want = match (tel, id) {
+                    (true, col::TEL_SAMPLES) => 1,
+                    (true, col::TEL_LEN) => 4,
+                    (true, _) => 8,
+                    (false, _) => [8, 4, 4, 4, 8, 1, 1, 4, 4, 1, 4, 8, 1, 8][usize::from(id)],
                 };
-                assert!(!methods.is_empty(), "{name} column {id}");
-                assert!(
-                    methods.iter().all(|&m| m == want),
-                    "{name} column {id}: {methods:?}"
-                );
+                assert_eq!(width, want, "{name} column {id}");
+                if width == 1 {
+                    assert_eq!(coded_len, raw_len, "{name} column {id}");
+                } else {
+                    // Sorted ids and repeated values: a byte a word,
+                    // past the first word's distance from zero.
+                    let words = raw_len / u32::from(width);
+                    assert!(coded_len <= words + 9, "{name} column {id}: {coded_len}");
+                }
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
-        // 600 weeks of samples: one chunk of two sub-blocks per day
-        // lane; and one metadata chunk of 14 columns.
-        assert_eq!(telemetry, 7 * 2);
-        assert_eq!(vm_meta, 14);
+        // 600 weeks of samples: one chunk per day lane; and one metadata
+        // chunk.
+        assert_eq!((telemetry, vm_meta), (7, 1));
     }
 
     /// Splits by asking `day_of` about every sample: the rule

@@ -207,6 +207,40 @@ fn stale_manifest_is_loud_at_open() {
 }
 
 #[test]
+fn a_version_1_store_is_refused_at_open() {
+    // The store format before the column codec: a v1 manifest over v2
+    // chunks. Its manifest version is the verdict, so open refuses it
+    // before it looks for a single chunk — here, with none left.
+    let dir = TempDir::new("fuzz-v1");
+    build_store(dir.path());
+    for chunk in store_files(dir.path())
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "chunk"))
+    {
+        std::fs::remove_file(chunk).unwrap();
+    }
+    let path = dir.path().join("manifest.csm");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+    let body = bytes.len() - 4;
+    let crc = cloudscope_model::durable::crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let err = TraceReader::open(dir.path()).unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        matches!(err, StoreError::Malformed { .. })
+            && msg.contains("unsupported manifest version 1"),
+        "expected a version refusal, got {msg}"
+    );
+    assert!(
+        msg.contains("manifest.csm"),
+        "must name the manifest: {msg}"
+    );
+}
+
+#[test]
 fn missing_manifest_is_not_a_store() {
     let dir = TempDir::new("fuzz-nomanifest");
     build_store(dir.path());

@@ -140,18 +140,17 @@ pub fn decode_services(path: &Path, bytes: &[u8]) -> Result<Vec<ServiceInfo>, St
     Ok(services)
 }
 
-/// Serializes the generation-counter blob.
+/// Serializes the generation-counter blob. Allocator evictions are not
+/// stored: generation places without eviction, so they read back as 0.
 #[must_use]
 pub fn encode_report(report: &GenerationReport) -> Vec<u8> {
-    let mut e = Enc::with_capacity(16 * 8);
+    let mut e = Enc::with_capacity(12 * 8);
     for stats in [&report.private_alloc, &report.public_alloc] {
         for v in [
             stats.attempts,
             stats.successes,
             stats.capacity_failures,
             stats.spreading_failures,
-            stats.evictions,
-            stats.migrations,
         ] {
             e.put_u64(v);
         }
@@ -180,8 +179,6 @@ pub fn decode_report(path: &Path, bytes: &[u8]) -> Result<GenerationReport, Stor
         s.successes = d.take_u64().map_err(&fail)?;
         s.capacity_failures = d.take_u64().map_err(&fail)?;
         s.spreading_failures = d.take_u64().map_err(&fail)?;
-        s.evictions = d.take_u64().map_err(&fail)?;
-        s.migrations = d.take_u64().map_err(&fail)?;
     }
     let report = GenerationReport {
         private_alloc: stats[0],
@@ -256,11 +253,11 @@ pub fn read_generated(
 /// a time and appended instead of being materialized trace-wide. Peak
 /// memory is the placement records, one telemetry block, and the
 /// writer's open buffers — one per `(region, day)` lane, each up to
-/// `opts.target_chunk_bytes`, plus one compression batch. Lanes ×
-/// threshold is the bound, and on a trace whose lanes never reach the
-/// threshold (the default trace at the default 1 MiB: 54 MB over 70
-/// lanes, one chunk each) it is also the whole raw telemetry, held
-/// until `finish` compresses and syncs it.
+/// `opts.target_chunk_bytes`, plus one batch of sealed chunks being
+/// encoded and written. Lanes × threshold is the bound, and on a trace
+/// whose lanes never reach the threshold (the default trace at the
+/// default 1 MiB: 54 MB over 70 lanes, one chunk each) it is also the
+/// whole raw telemetry, held until `finish` encodes and syncs it.
 ///
 /// The resulting store is byte-identical to
 /// `write_generated(&generate_with(config, par), dir, opts, &par)`,

@@ -1,15 +1,12 @@
-//! The store's bytes are pinned: a store written by today's encoder is
-//! file-for-file the store the encoder wrote before its match search
-//! and checksums were optimised, so each commit reads the other's
-//! stores. The block codec's digests were recorded on that earlier
-//! commit; the whole-store digests were recorded again once, when the
-//! writer began storing telemetry samples raw instead of LZ-coding them
-//! (the reader takes either). A change that moves one has changed the
-//! on-disk format.
+//! The store's bytes are pinned: a store written by one commit is
+//! file-for-file the store another commit writes from the same trace,
+//! so each reads the other's stores. The digests were recorded when the
+//! chunk format became v3 (one block per column, coded by its word
+//! width). A change that moves one has changed the on-disk format.
 
 use cloudscope_model::time::{SimTime, SAMPLES_PER_WEEK};
 use cloudscope_par::Parallelism;
-use cloudscope_store::codec::{compress, decompress_into, MAX_LEVEL};
+use cloudscope_store::codec::{decode, encode};
 use cloudscope_store::{TelemetryMode, WriteOptions};
 use cloudscope_tracegen::utilization::{generate_vm_series, PatternKind, ServiceUtilProfile};
 use cloudscope_tracegen::{generate_with, read_generated, write_generated, GeneratorConfig};
@@ -26,9 +23,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// One sub-block (128 KiB) of stored telemetry bytes: week-long series
-/// of the four pattern kinds, back to back, as a samples column holds
-/// them.
+/// 128 KiB of stored telemetry bytes: week-long series of the four
+/// pattern kinds, back to back, as a samples column holds them.
 fn telemetry_block() -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(2023);
     let mut block = Vec::new();
@@ -46,31 +42,29 @@ fn telemetry_block() -> Vec<u8> {
 
 #[test]
 fn compressed_telemetry_bytes_are_pinned() {
+    // The samples column is stored (width 1); coded as 4- and 8-byte
+    // words, the same bytes pin the varint coding of noisy words.
     let block = telemetry_block();
     assert_eq!(
         fnv1a(FNV_OFFSET, &block),
         0x3d0b_009b_908a_e947,
         "the corpus itself moved"
     );
-    let expected: [u64; 3] = [
-        0xecf2_c007_4e4f_1d9b,
-        0xd2c2_871b_e257_b429,
-        0xa2ac_b957_abdc_5ae1,
-    ];
-    for (level, want) in (1..=MAX_LEVEL).zip(expected) {
-        let packed = compress(&block, level);
-        assert_eq!(
-            fnv1a(FNV_OFFSET, &packed),
-            want,
-            "level {level}: {} -> {} bytes (0x{:016x})",
-            block.len(),
-            packed.len(),
-            fnv1a(FNV_OFFSET, &packed)
-        );
-        let mut back = vec![0u8; block.len()];
-        decompress_into(&packed, &mut back).unwrap();
-        assert_eq!(back, block);
-    }
+    let digests = [1, 4, 8].map(|width| {
+        let mut coded = Vec::new();
+        encode(width, &block, &mut coded);
+        assert_eq!(decode(width, &coded, block.len()), Ok(block.clone()));
+        fnv1a(FNV_OFFSET, &coded)
+    });
+    assert_eq!(
+        digests,
+        [
+            0x3d0b_009b_908a_e947,
+            0xd454_f072_f6b4_7811,
+            0xe811_9d9d_4de6_9adf
+        ],
+        "{digests:#018x?}"
+    );
 }
 
 /// One digest over a store directory: every file's name and bytes, in
@@ -91,8 +85,7 @@ fn store_digest(dir: &std::path::Path) -> u64 {
 fn small_store_files_are_pinned_at_both_chunk_geometries() {
     // `small`, folded into one region so a (region, day) lane outgrows
     // 128 KiB: the first geometry splits every lane into several
-    // chunks, the second leaves one chunk per lane whose samples column
-    // spans three sub-blocks.
+    // chunks, the second leaves one chunk per lane.
     let mut config = GeneratorConfig::small(11);
     config.topology.regions.truncate(1);
     config.topology.nodes_per_rack = 40;
@@ -102,8 +95,8 @@ fn small_store_files_are_pinned_at_both_chunk_geometries() {
     config.public.arrival.base_rate_per_hour = 30.0;
     let generated = generate_with(&config, Parallelism::with_workers(2));
     let geometries: [(usize, u64); 2] = [
-        (128 << 10, 0xecda_9d01_d4d8_c669),
-        (1 << 20, 0xf73a_6c8f_a91e_bc94),
+        (128 << 10, 0x6a8b_557c_9f9a_6d01),
+        (1 << 20, 0x8835_1507_643d_8225),
     ];
     for (target_chunk_bytes, want) in geometries {
         let opts = WriteOptions {

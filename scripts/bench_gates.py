@@ -8,7 +8,10 @@ expression over `r[row id]`. The benches only measure; every bound on
 their numbers lives here, as data, so each claim is declared once. The
 file is deleted before its bench runs, so the rows read are this run's.
 A row the bench writes but `rows` does not declare fails, so the bench
-surface cannot grow without a declaration.
+surface cannot grow without a declaration. Each bench is told its file
+through `BENCH_JSON`, which wins over the path compiled into it, so a
+checkout whose build directory another checkout shares still writes
+only its own files.
 """
 import itertools
 import json
@@ -38,7 +41,7 @@ def main():
         if os.path.exists(full):
             os.remove(full)
         cmd = ["cargo", "bench", "-q", "-p", "cloudscope-bench", "--bench", spec["bench"]]
-        env = {**os.environ, "CLOUDSCOPE_BENCH_SMOKE": "1"}
+        env = {**os.environ, "CLOUDSCOPE_BENCH_SMOKE": "1", "BENCH_JSON": full}
         if subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode:
             sys.exit(f"ERROR: bench {spec['bench']} failed")
         try:
